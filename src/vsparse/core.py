@@ -75,6 +75,13 @@ class MetricViolation:
         return f"{self.kind} violation at {self.where}: {self.detail}"
 
 
+def _exact_rows(table: Sequence[Sequence[FractionLike]]) -> tuple[tuple[Fraction, ...], ...]:
+    # Built from lists, not generators: tuple() of a generator grows by
+    # resizing, which bypasses CPython's tuple free list, so every freed row
+    # would park on that list until the next full garbage collection.
+    return tuple([tuple([as_fraction(v) for v in row]) for row in table])
+
+
 def _table_violation(rows: Sequence[Sequence[Fraction]]) -> MetricViolation | None:
     """Return the first violated semimetric condition of a square table, or None."""
     m = len(rows)
@@ -110,7 +117,7 @@ class Metric:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, table: Sequence[Sequence[FractionLike]]):
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in table)
+        rows = _exact_rows(table)
         bad = _table_violation(rows)
         if bad is not None:
             raise ValueError(str(bad))
@@ -158,7 +165,7 @@ def validate_metric(table: Sequence[Sequence[FractionLike]]) -> Metric | MetricV
     zero diagonal, symmetry, nonnegativity, and every triangle inequality.
     """
     try:
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in table)
+        rows = _exact_rows(table)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         return MetricViolation("value", (), str(exc))
     bad = _table_violation(rows)

@@ -129,7 +129,8 @@ class MetricConeLp:
         # Every cut is one of the finitely many triangle rows and never
         # repeats, so the round cap is a formality.
         result = lp.cutting_plane(program, [oracle], max_rounds=100_000)
-        assert result.converged
+        if not result.converged:
+            raise lp.CuttingPlaneError("triangle separation did not converge")
         out = result.outcome
         if out.status == lp.OPTIMAL:
             table = Metric(self._full_values(out.x, pins_zero=False))
@@ -170,10 +171,10 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
     cone = MetricConeLp(g.n, pinned)
     objective = {pq: w for pq, w in g.weights.items() if w}
     result = cone.optimize("min", objective)
-    assert result.status == lp.OPTIMAL
+    lp.check(result.status == lp.OPTIMAL, "a minimum extension always exists")
     witness = result.table
-    assert witness.restrict(g.terminals) == d_y
-    assert alpha_cost(g, witness) == result.value
+    lp.check(witness.restrict(g.terminals) == d_y, "extension witness moved a terminal distance")
+    lp.check(alpha_cost(g, witness) == result.value, "extension witness cost differs from LP value")
     return ExtensionResult(result.value, witness)
 
 
@@ -289,7 +290,7 @@ def min_cut_by_enumeration(g: WeightedGraph, side: Iterable[int],
 
 
 def terminal_min_cut(g: WeightedGraph, side: Iterable[int]) -> Fraction:
-    """Terminal min cut computed along both routes, asserted equal.
+    """Terminal min cut computed along both routes, checked equal.
 
     The LP route extends the cut metric of ``side``; the combinatorial
     route contracts and runs max-flow. They must agree exactly; a mismatch
@@ -298,9 +299,10 @@ def terminal_min_cut(g: WeightedGraph, side: Iterable[int]) -> Fraction:
     side = list(side)
     via_lp = min_cut_via_lp(g, side)
     via_flow = min_cut_via_flow(g, side)
-    assert via_lp == via_flow, (
-        f"terminal min cut mismatch on side {sorted(set(side))}: "
-        f"LP {via_lp} vs max-flow {via_flow}")
+    if via_lp != via_flow:
+        raise lp.LpAuditError(
+            f"terminal min cut mismatch on side {sorted(set(side))}: "
+            f"LP {via_lp} vs max-flow {via_flow}")
     return via_flow
 
 

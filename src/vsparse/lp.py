@@ -1,11 +1,14 @@
 """Exact rational linear programming and a lazy-constraint driver.
 
-A small two-phase primal simplex over ``fractions.Fraction`` with Bland's
-anti-cycling rule, so every solve is deterministic and every certificate is
-bit-exact. Outcomes carry primal solutions, dual multipliers satisfying
-strong duality and complementary slackness exactly, and improving rays for
-unbounded programs. :func:`audit` re-verifies all of that from scratch and
-is switched on liberally in the test suite.
+A small two-phase primal simplex with Bland's anti-cycling rule, so every
+solve is deterministic and every certificate is bit-exact. The tableau holds
+each row as integer numerators over one exact positive denominator and
+pivots fraction-free (cross-multiply, then divide out the gcd); programs
+come in and every value comes out as ``fractions.Fraction``. Outcomes carry
+primal solutions, dual multipliers satisfying strong duality and
+complementary slackness exactly, and improving rays for unbounded programs.
+:func:`audit` re-verifies all of that from scratch and is switched on
+liberally in the test suite.
 
 Dual conventions, stated once and enforced by :func:`audit`:
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
 from .core import ONE, ZERO, FractionLike, as_fraction
@@ -150,75 +153,131 @@ class LpOutcome:
 # simplex core
 
 
-class _Tableau:
-    """Dense simplex tableau over Fractions; rhs lives in the last column."""
+def _eliminate(row: list[int], den: int, f: int, prow: list[int], pden: int,
+               nz: list[int]) -> tuple[list[int], int]:
+    """``row/den - (f/den) * prow/pden`` over ``len(row)`` columns.
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int], ncols: int):
+    ``nz`` lists the nonzero columns of ``prow`` below ``len(row)``. When
+    ``pden`` divides ``f`` only those entries change, in place; otherwise the
+    row is cross-multiplied and divided by the gcd of its entries and
+    denominator.
+    """
+    g = gcd(f, pden)
+    if g == pden:
+        mult = f // pden
+        for idx in nz:
+            row[idx] -= mult * prow[idx]
+        return row, den
+    scale, mult = pden // g, f // g
+    new = [a * scale - mult * b for a, b in zip(row, prow)]
+    den *= scale
+    g = gcd(den, *new)
+    if g > 1:
+        new = [v // g for v in new]
+        den //= g
+    return new, den
+
+
+class _Tableau:
+    """Dense simplex tableau of integer numerators; rhs in the last column.
+
+    Row r stands for ``rows[r][idx] / dens[r]`` with ``dens[r] > 0``, and the
+    reduced-cost row likewise for ``red[idx] / red_den``. A pivot rescales the
+    pivot row so its pivot entry equals the denominator, cross-multiplies the
+    other rows against it and divides each touched row by the gcd of its
+    entries and denominator, so the values stay exact rationals without any
+    Fraction arithmetic. Every Bland's-rule decision reads only a sign or an
+    exact ratio comparison, so the pivot sequence is the one a tableau of
+    Fractions would take.
+    """
+
+    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int], ncols: int):
         self.rows = rows
+        self.dens = dens
         self.basis = basis
         self.ncols = ncols  # structural + slack + artificial, excluding rhs
+        self.red: list[int] = []
+        self.red_den = 1
 
-    def pivot(self, pr: int, pc: int, red: list[Fraction]) -> None:
+    def pivot(self, pr: int, pc: int) -> None:
         prow = self.rows[pr]
-        piv = prow[pc]
-        if piv != 1:
-            inv = ONE / piv
-            for idx, v in enumerate(prow):
-                if v:
-                    prow[idx] = v * inv
+        pden = prow[pc]
+        if pden < 0:
+            prow = [-v for v in prow]
+            pden = -pden
+        g = gcd(*prow)
+        if g > 1:
+            prow = [v // g for v in prow]
+            pden //= g
+        self.rows[pr], self.dens[pr] = prow, pden
         nz = [idx for idx, v in enumerate(prow) if v]
-        for row in self.rows:
-            if row is prow:
-                continue
+        for r, row in enumerate(self.rows):
             f = row[pc]
-            if f:
-                for idx in nz:
-                    row[idx] -= f * prow[idx]
-        f = red[pc]
+            if f and r != pr:
+                self.rows[r], self.dens[r] = _eliminate(row, self.dens[r], f, prow, pden, nz)
+        f = self.red[pc]
         if f:
-            for idx in nz:
-                if idx < self.ncols:
-                    red[idx] -= f * prow[idx]
+            if nz[-1] == self.ncols:
+                nz.pop()  # the reduced-cost row has no rhs column
+            self.red, self.red_den = _eliminate(self.red, self.red_den, f, prow, pden, nz)
         self.basis[pr] = pc
 
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        red = list(cost)
-        for r, row in enumerate(self.rows):
-            cb = cost[self.basis[r]]
-            if cb:
-                for idx in range(self.ncols):
-                    if row[idx]:
-                        red[idx] -= cb * row[idx]
-        return red
+    def set_reduced_costs(self, cost: list[int], cost_den: int) -> None:
+        """Reduced costs of ``cost / cost_den`` against the current basis."""
+        basic = [(cost[b], r) for r, b in enumerate(self.basis) if cost[b]]
+        scale = lcm(*[self.dens[r] for _, r in basic])  # a list, see core._exact_rows
+        red = [c * scale for c in cost]
+        for cb, r in basic:
+            mult = cb * (scale // self.dens[r])
+            red = [a - mult * b for a, b in zip(red, self.rows[r])]
+        den = cost_den * scale
+        g = gcd(den, *red)
+        if g > 1:
+            red = [v // g for v in red]
+            den //= g
+        self.red, self.red_den = red, den
 
-    def run(self, cost: list[Fraction], enterable: Sequence[bool]) -> tuple[str, list[Fraction], int | None]:
-        """Bland-rule simplex to optimality; returns (status, reduced costs, entering col).
+    def reduced_cost(self, col: int) -> Fraction:
+        return Fraction(self.red[col], self.red_den)
+
+    def run(self, cost: list[int], cost_den: int,
+            enterable: Sequence[bool]) -> tuple[str, int | None]:
+        """Bland-rule simplex to optimality; returns (status, entering col).
 
         status "optimal" means no enterable column has negative reduced cost;
         "unbounded" reports the entering column whose ratio test found no
-        blocking row.
+        blocking row. The final reduced costs stay in ``red`` / ``red_den``.
         """
-        red = self.reduced_costs(cost)
+        self.set_reduced_costs(cost, cost_den)
         rows, basis = self.rows, self.basis
         while True:
+            red = self.red
             pc = -1
             for idx in range(self.ncols):
                 if enterable[idx] and red[idx] < 0:
                     pc = idx
                     break
             if pc < 0:
-                return OPTIMAL, red, None
+                return OPTIMAL, None
+            # Ratios rhs/a compare by cross-multiplication: the row's
+            # denominator cancels and both pivot entries are positive.
             pr = -1
-            best: Fraction | None = None
+            best_rhs = best_a = 0
             for r, row in enumerate(rows):
                 a = row[pc]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[r] < basis[pr]):
-                        pr, best = r, ratio
+                    diff = row[-1] * best_a - best_rhs * a
+                    if pr < 0 or diff < 0 or (diff == 0 and basis[r] < basis[pr]):
+                        pr, best_rhs, best_a = r, row[-1], a
             if pr < 0:
-                return UNBOUNDED, red, pc
-            self.pivot(pr, pc, red)
+                return UNBOUNDED, pc
+            self.pivot(pr, pc)
+
+
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of ``values`` over their least common denominator."""
+    scale = lcm(*[v.denominator for v in values])  # a list, see core._exact_rows
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -244,7 +303,6 @@ def solve(lp: LinearProgram) -> LpOutcome:
         if lp.lower[j] is None:
             neg_col[j] = ncols
             ncols += 1
-    n_struct = ncols
 
     slack_of: dict[int, int] = {}
     art_of: dict[int, int] = {}
@@ -267,38 +325,43 @@ def solve(lp: LinearProgram) -> LpOutcome:
             art_of[r] = ncols
             ncols += 1
 
+    # Each row is scaled to integers once, by the lcm of its denominators.
     m = len(internal)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
+    dens: list[int] = []
     basis: list[int] = []
     for r, (coeffs, rel, rhs, _, _) in enumerate(internal):
-        sgn = -ONE if flipped[r] else ONE
-        row = [ZERO] * (ncols + 1)
-        for j, c in coeffs.items():
+        nums, scale = _integer_row([*coeffs.values(), rhs])
+        sgn = -1 if flipped[r] else 1
+        row = [0] * (ncols + 1)
+        for j, c in zip(coeffs, nums):
             row[pos_col[j]] += sgn * c
             if neg_col[j] is not None:
                 row[neg_col[j]] -= sgn * c
-        row[-1] = sgn * rhs
+        row[-1] = sgn * nums[-1]
         eff = kinds[r]
         if eff == LE:
-            row[slack_of[r]] = ONE
+            row[slack_of[r]] = scale
             basis.append(slack_of[r])
         elif eff == GE:
-            row[slack_of[r]] = -ONE
-            row[art_of[r]] = ONE
+            row[slack_of[r]] = -scale
+            row[art_of[r]] = scale
             basis.append(art_of[r])
         else:
-            row[art_of[r]] = ONE
+            row[art_of[r]] = scale
             basis.append(art_of[r])
         rows.append(row)
+        dens.append(scale)
 
-    tab = _Tableau(rows, basis, ncols)
+    tab = _Tableau(rows, dens, basis, ncols)
     artificial = [False] * ncols
     for col in art_of.values():
         artificial[col] = True
 
     # Internal objective: minimize (negated for max), on structural columns.
-    cost2 = [ZERO] * ncols
-    for j, c in lp.objective.items():
+    cost_nums, cost_den = _integer_row(list(lp.objective.values()))
+    cost2 = [0] * ncols
+    for j, c in zip(lp.objective, cost_nums):
         c = c if minimize else -c
         cost2[pos_col[j]] += c
         if neg_col[j] is not None:
@@ -307,15 +370,14 @@ def solve(lp: LinearProgram) -> LpOutcome:
     row_ids = list(range(m))  # tableau row -> internal row
 
     if art_of:
-        cost1 = [ONE if artificial[idx] else ZERO for idx in range(ncols)]
+        cost1 = [1 if artificial[idx] else 0 for idx in range(ncols)]
         enterable = [True] * ncols
-        status, _, _ = tab.run(cost1, enterable)
-        assert status == OPTIMAL  # phase one is always bounded below by zero
+        status, _ = tab.run(cost1, 1, enterable)
+        check(status == OPTIMAL, "phase one is bounded below by zero but reported unbounded")
         if any(artificial[tab.basis[r]] and tab.rows[r][-1] != 0
                for r in range(len(tab.rows))):
             return LpOutcome(INFEASIBLE)
         # Drive artificials out of the basis; drop rows proven redundant.
-        red1 = tab.reduced_costs(cost1)
         drop: list[int] = []
         for r in range(len(tab.rows)):
             if not artificial[tab.basis[r]]:
@@ -326,19 +388,20 @@ def solve(lp: LinearProgram) -> LpOutcome:
             if pc is None:
                 drop.append(r)
             else:
-                tab.pivot(r, pc, red1)
+                tab.pivot(r, pc)
         for r in reversed(drop):
             del tab.rows[r]
+            del tab.dens[r]
             del tab.basis[r]
             del row_ids[r]
 
     enterable = [not artificial[idx] for idx in range(ncols)]
-    status, red, enter_col = tab.run(cost2, enterable)
+    status, enter_col = tab.run(cost2, cost_den, enterable)
 
     def structural_solution() -> list[Fraction]:
         sf = [ZERO] * ncols
         for r, b in enumerate(tab.basis):
-            sf[b] = tab.rows[r][-1]
+            sf[b] = Fraction(tab.rows[r][-1], tab.dens[r])
         x = []
         for j in range(lp.n_vars):
             v = sf[pos_col[j]]
@@ -351,12 +414,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
     value = sum((c * x[j] for j, c in lp.objective.items()), ZERO)
 
     if status == UNBOUNDED:
-        assert enter_col is not None
+        check(enter_col is not None, "unbounded phase two reported no entering column")
         direction = [ZERO] * ncols
         direction[enter_col] = ONE
         for r, row in enumerate(tab.rows):
             if row[enter_col]:
-                direction[tab.basis[r]] = -row[enter_col]
+                direction[tab.basis[r]] = Fraction(-row[enter_col], tab.dens[r])
         ray = []
         for j in range(lp.n_vars):
             v = direction[pos_col[j]]
@@ -372,11 +435,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
         if r not in kept:
             continue  # redundant row, multiplier zero
         if kinds[r] == LE:
-            y = -red[slack_of[r]]
+            y = -tab.reduced_cost(slack_of[r])
         elif kinds[r] == GE:
-            y = red[slack_of[r]]  # surplus column is -e_r
+            y = tab.reduced_cost(slack_of[r])  # surplus column is -e_r
         else:
-            y = -red[art_of[r]]
+            y = -tab.reduced_cost(art_of[r])
         if flipped[r]:
             y = -y
         y_internal[r] = y if minimize else -y
@@ -395,7 +458,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
 # post-solve audit
 
 
-def _check(ok: bool, message: str) -> None:
+def check(ok: bool, message: str) -> None:
+    """Raise :class:`LpAuditError` unless an exactness invariant holds.
+
+    Used instead of ``assert`` so that ``python -O`` keeps the check.
+    """
     if not ok:
         raise LpAuditError(message)
 
@@ -408,81 +475,81 @@ def audit(lp: LinearProgram, out: LpOutcome) -> None:
     """
     if out.status == INFEASIBLE:
         return
-    _check(out.x is not None and out.value is not None, "missing primal data")
+    check(out.x is not None and out.value is not None, "missing primal data")
     x = out.x
-    _check(len(x) == lp.n_vars, "primal solution has wrong length")
+    check(len(x) == lp.n_vars, "primal solution has wrong length")
     for j in range(lp.n_vars):
         if lp.lower[j] is not None:
-            _check(x[j] >= 0, f"x[{j}] = {x[j]} below lower bound 0")
+            check(x[j] >= 0, f"x[{j}] = {x[j]} below lower bound 0")
         if lp.upper[j] is not None:
-            _check(x[j] <= lp.upper[j], f"x[{j}] = {x[j]} above upper bound {lp.upper[j]}")
+            check(x[j] <= lp.upper[j], f"x[{j}] = {x[j]} above upper bound {lp.upper[j]}")
     for r, con in enumerate(lp.constraints):
-        _check(con.satisfied_by(x), f"constraint {r} violated")
+        check(con.satisfied_by(x), f"constraint {r} violated")
     value = sum((c * x[j] for j, c in lp.objective.items()), ZERO)
-    _check(value == out.value, "objective value mismatch")
+    check(value == out.value, "objective value mismatch")
 
     if out.status == UNBOUNDED:
         ray = out.ray
-        _check(ray is not None and len(ray) == lp.n_vars, "missing or malformed ray")
+        check(ray is not None and len(ray) == lp.n_vars, "missing or malformed ray")
         for j in range(lp.n_vars):
             if lp.lower[j] is not None:
-                _check(ray[j] >= 0, f"ray[{j}] leaves the lower bound")
+                check(ray[j] >= 0, f"ray[{j}] leaves the lower bound")
             if lp.upper[j] is not None:
-                _check(ray[j] <= 0, f"ray[{j}] leaves the upper bound {lp.upper[j]}")
+                check(ray[j] <= 0, f"ray[{j}] leaves the upper bound {lp.upper[j]}")
         for r, con in enumerate(lp.constraints):
             along = sum((c * ray[j] for j, c in con.coeffs.items()), ZERO)
             if con.rel == LE:
-                _check(along <= 0, f"ray violates constraint {r}")
+                check(along <= 0, f"ray violates constraint {r}")
             elif con.rel == GE:
-                _check(along >= 0, f"ray violates constraint {r}")
+                check(along >= 0, f"ray violates constraint {r}")
             else:
-                _check(along == 0, f"ray violates equality {r}")
+                check(along == 0, f"ray violates equality {r}")
         gain = sum((c * ray[j] for j, c in lp.objective.items()), ZERO)
         if lp.sense == "min":
-            _check(gain < 0, "ray does not improve a minimization")
+            check(gain < 0, "ray does not improve a minimization")
         else:
-            _check(gain > 0, "ray does not improve a maximization")
+            check(gain > 0, "ray does not improve a maximization")
         return
 
     duals, bound_duals = out.duals, out.bound_duals
-    _check(duals is not None and len(duals) == len(lp.constraints), "missing duals")
-    _check(bound_duals is not None and len(bound_duals) == lp.n_vars, "missing bound duals")
+    check(duals is not None and len(duals) == len(lp.constraints), "missing duals")
+    check(bound_duals is not None and len(bound_duals) == lp.n_vars, "missing bound duals")
     minimize = lp.sense == "min"
     for r, con in enumerate(lp.constraints):
         y = duals[r]
         if con.rel == EQ:
             pass
         elif (con.rel == GE) == minimize:
-            _check(y >= 0, f"dual {r} has wrong sign")
+            check(y >= 0, f"dual {r} has wrong sign")
         else:
-            _check(y <= 0, f"dual {r} has wrong sign")
-        _check(y * (con.evaluate(x) - con.rhs) == 0, f"complementary slackness fails on row {r}")
+            check(y <= 0, f"dual {r} has wrong sign")
+        check(y * (con.evaluate(x) - con.rhs) == 0, f"complementary slackness fails on row {r}")
     for j in range(lp.n_vars):
         yb = bound_duals[j]
         if lp.upper[j] is None:
-            _check(yb == 0, f"bound dual {j} set without an upper bound")
+            check(yb == 0, f"bound dual {j} set without an upper bound")
         else:
             if minimize:
-                _check(yb <= 0, f"bound dual {j} has wrong sign")
+                check(yb <= 0, f"bound dual {j} has wrong sign")
             else:
-                _check(yb >= 0, f"bound dual {j} has wrong sign")
-            _check(yb * (x[j] - lp.upper[j]) == 0, f"complementary slackness fails on bound {j}")
+                check(yb >= 0, f"bound dual {j} has wrong sign")
+            check(yb * (x[j] - lp.upper[j]) == 0, f"complementary slackness fails on bound {j}")
     for j in range(lp.n_vars):
         rc = lp.objective.get(j, ZERO) - bound_duals[j]
         rc -= sum((con.coeffs[j] * duals[r] for r, con in enumerate(lp.constraints)
                    if j in con.coeffs), ZERO)
         if lp.lower[j] is None:
-            _check(rc == 0, f"reduced cost of free variable {j} is {rc}, not 0")
+            check(rc == 0, f"reduced cost of free variable {j} is {rc}, not 0")
         elif minimize:
-            _check(rc >= 0, f"reduced cost of variable {j} is negative")
-            _check(rc * x[j] == 0, f"complementary slackness fails on variable {j}")
+            check(rc >= 0, f"reduced cost of variable {j} is negative")
+            check(rc * x[j] == 0, f"complementary slackness fails on variable {j}")
         else:
-            _check(rc <= 0, f"reduced cost of variable {j} is positive")
-            _check(rc * x[j] == 0, f"complementary slackness fails on variable {j}")
+            check(rc <= 0, f"reduced cost of variable {j} is positive")
+            check(rc * x[j] == 0, f"complementary slackness fails on variable {j}")
     dual_value = sum((duals[r] * con.rhs for r, con in enumerate(lp.constraints)), ZERO)
     dual_value += sum((bound_duals[j] * lp.upper[j] for j in range(lp.n_vars)
                        if lp.upper[j] is not None), ZERO)
-    _check(dual_value == out.value, f"strong duality gap: primal {out.value}, dual {dual_value}")
+    check(dual_value == out.value, f"strong duality gap: primal {out.value}, dual {dual_value}")
 
 
 # ---------------------------------------------------------------------------
@@ -509,17 +576,12 @@ Oracle = Callable[[LpOutcome], "list[Constraint] | None"]
 
 def _signature(con: Constraint) -> tuple:
     items = sorted(con.coeffs.items())
-    denom_lcm = 1
-    for _, c in items:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    denom_lcm = denom_lcm * con.rhs.denominator // gcd(denom_lcm, con.rhs.denominator)
-    ints = [int(c * denom_lcm) for _, c in items] + [int(con.rhs * denom_lcm)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints, _ = _integer_row([*(c for _, c in items), con.rhs])
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    return (tuple(j for j, _ in items), tuple(ints[:-1]), con.rel, ints[-1])
+    index = tuple([j for j, _ in items])  # a list, see core._exact_rows
+    return (index, tuple(ints[:-1]), con.rel, ints[-1])
 
 
 def _cut_is_violated(con: Constraint, out: LpOutcome) -> bool:

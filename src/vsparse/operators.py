@@ -38,7 +38,7 @@ from .core import (
     cut_metric,
     pair,
 )
-from .extension import MetricConeLp, min_extension
+from .extension import MetricConeLp, min_cut_via_flow, min_extension
 
 PhiAccessor = Callable[[Pair, Pair], Fraction]
 
@@ -209,7 +209,7 @@ def _membership_violations(n: int, k: int, phi_of: PhiAccessor,
             return False  # nonnegative metrics cannot push this row positive
         cone = MetricConeLp(k)
         result = cone.optimize("max", coeffs, [norm_row])
-        assert result.status == lp.OPTIMAL
+        lp.check(result.status == lp.OPTIMAL, "a normalized membership probe is bounded")
         if result.value > 0:
             found.append(MembershipViolation(kind, where, result.table, result.value))
             return True
@@ -285,7 +285,7 @@ def _distortion_witness(g: WeightedGraph, phi_of: PhiAccessor,
     cone = MetricConeLp(n)
     norm_row = ({xp: ONE for xp in all_pairs(n)}, lp.EQ, ONE)
     result = cone.optimize("max", objective, [norm_row])
-    assert result.status == lp.OPTIMAL
+    lp.check(result.status == lp.OPTIMAL, "a normalized distortion probe is bounded and feasible")
     if result.value > 0:
         return result.table, result.value
     return None
@@ -358,7 +358,7 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000,
 
     The master LP minimizes Q over (phi, Q) >= 0. It starts from the
     distortion constraints of all cut metrics (their minimum extensions are
-    terminal min cuts, cheap and binding surprisingly often) and then
+    terminal min cuts, found by max-flow and binding surprisingly often) and then
     alternates the two separation families, membership before distortion so
     no minimum extension is ever computed against a non-member candidate.
     With exact arithmetic every witness is a vertex of a fixed polytope, so
@@ -402,7 +402,7 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000,
             # A zero-cost witness zeroes every positive-weight terminal pair,
             # so the cut keeps a satisfiable zero right-hand side; see the
             # no-finite-distortion handling below for the infeasible case.
-            assert rhs == 0
+            lp.check(rhs == 0, "a zero-cost witness left a positive terminal term")
             del coeffs[0]
         return lp.Constraint(coeffs, lp.LE, rhs)
 
@@ -441,8 +441,10 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000,
     for mask in range(1, full):
         if not mask & 1:
             continue  # complements give the same cut metric
-        delta = cut_metric([p for p in range(k) if mask >> p & 1], k)
-        c_s = min_extension(g_c, delta).value
+        side = [p for p in range(k) if mask >> p & 1]
+        delta = cut_metric(side, k)
+        # equals min_extension(g_c, delta): the min-cut LP is integral
+        c_s = min_cut_via_flow(g_c, side)
         candidates.append((delta, c_s))
         warm = distortion_cut(delta, c_s)
         master.add_constraint(warm.coeffs, warm.rel, warm.rhs)

@@ -134,7 +134,7 @@ def metric_quality_upper(g: WeightedGraph, beta: Sparsifier) -> QualityReport:
     if result.status == lp.UNBOUNDED:
         witness = result.ray_table.restrict(g.terminals)
         return QualityReport(METRIC, UNBOUNDED, None, witness, EXACT)
-    assert result.status == lp.OPTIMAL
+    lp.check(result.status == lp.OPTIMAL, "a budgeted metric LP is feasible")
     witness = result.table.restrict(g.terminals)
     return QualityReport(METRIC, result.value, None, witness, EXACT)
 
@@ -203,7 +203,8 @@ def max_concurrent_flow(g: WeightedGraph | Sparsifier, demands: DemandSet) -> Fr
             row[key] = row.get(key, ZERO) + dem
     cone = MetricConeLp(g.n)
     result = cone.optimize("min", dict(g.weights), [(row, lp.GE, ONE)])
-    assert result.status == lp.OPTIMAL  # feasible by scaling, bounded below by 0
+    # feasible by scaling, bounded below by 0
+    lp.check(result.status == lp.OPTIMAL, "a concurrent-flow LP is always attained")
     return result.value
 
 
@@ -265,7 +266,7 @@ def evaluate_operator_distortion(phi: ExtensionOperator,
     result = cone.optimize("max", objective, [(dict(g_c.weights), lp.LE, ONE)])
     if result.status == lp.UNBOUNDED:
         return UNBOUNDED
-    assert result.status == lp.OPTIMAL
+    lp.check(result.status == lp.OPTIMAL, "a budgeted metric LP is feasible")
     return result.value
 
 

@@ -1,0 +1,162 @@
+"""Seeded cases for the golden bit-identity test, and their serialization.
+
+``lp_cases()`` builds about fifty small programs (seeded random ones plus
+Beale's cycling instance, infeasible and unbounded programs, free variables,
+upper bounds, negative right-hand sides and "=" rows); ``operator_cases()``
+lists the ``find_optimal_operator`` instances. Every outcome is serialized to
+plain JSON with exact fraction strings, so the fixture pins the pivot path's
+results bit for bit.
+
+Regenerate the fixture (only when a result is meant to change) with::
+
+    PYTHONPATH=src python tests/golden_cases.py > tests/data/golden.json
+"""
+
+import json
+import random
+from fractions import Fraction
+
+from vsparse import find_optimal_operator, lp
+from vsparse.sampling import random_graph
+
+F = Fraction
+
+OPERATOR_SHAPES = ((5, 3), (5, 4), (6, 3))
+OPERATOR_SEEDS = (1, 2, 3)
+
+
+def _random_lp(rng: random.Random) -> lp.LinearProgram:
+    n = rng.randint(1, 6)
+    sense = rng.choice(["min", "max"])
+    p = lp.LinearProgram(n, sense)
+    # Most programs are feasible by construction around a hidden point x0,
+    # with some rows tight there, so degenerate vertices come up often.
+    anchored = rng.random() < 0.7
+    x0 = []
+    for j in range(n):
+        if rng.random() < 0.8:
+            p.set_objective_coeff(j, F(rng.randint(-5, 5), rng.randint(1, 4)))
+        x0.append(F(rng.randint(0, 6), rng.randint(1, 3)))
+        roll = rng.random()
+        if roll < 0.2:
+            p.set_free(j)
+            x0[j] -= 2
+        elif roll < 0.45:
+            p.set_upper(j, x0[j] + rng.randint(0, 2))
+    for _ in range(rng.randint(1, 7)):
+        coeffs = {j: F(rng.randint(-6, 6), rng.randint(1, 5))
+                  for j in range(n) if rng.random() < 0.7}
+        rel = rng.choice([lp.LE, lp.LE, lp.GE, lp.EQ])
+        if anchored:
+            at = sum((c * x0[j] for j, c in coeffs.items()), F(0))
+            slack = F(rng.choice([0, 0, 1, 3]), rng.randint(1, 2))
+            rhs = at if rel == lp.EQ else at + slack if rel == lp.LE else at - slack
+        else:
+            rhs = F(rng.randint(-8, 12), rng.randint(1, 3))
+        p.add_constraint(coeffs, rel, rhs)
+    return p
+
+
+def _named_lps() -> list[tuple[str, lp.LinearProgram]]:
+    cases = []
+
+    beale = lp.LinearProgram(4, "min", {0: F(-3, 4), 1: 150, 2: F(-1, 50), 3: 6})
+    beale.add_constraint({0: F(1, 4), 1: -60, 2: F(-1, 25), 3: 9}, lp.LE, 0)
+    beale.add_constraint({0: F(1, 2), 1: -90, 2: F(-1, 50), 3: 3}, lp.LE, 0)
+    beale.add_constraint({2: 1}, lp.LE, 1)
+    cases.append(("beale", beale))
+
+    infeasible = lp.LinearProgram(2, "min", {0: 1})
+    infeasible.add_constraint({0: 1, 1: 1}, lp.LE, 1)
+    infeasible.add_constraint({0: 1, 1: 1}, lp.GE, 2)
+    cases.append(("infeasible", infeasible))
+
+    infeasible_eq = lp.LinearProgram(2, "max", {1: 1})
+    infeasible_eq.add_constraint({0: 1, 1: -1}, lp.EQ, -3)
+    infeasible_eq.set_upper(1, 2)
+    cases.append(("infeasible-eq-upper", infeasible_eq))
+
+    unbounded = lp.LinearProgram(3, "max", {0: 1, 1: F(1, 2)})
+    unbounded.add_constraint({0: 1, 1: -1}, lp.LE, 2)
+    unbounded.add_constraint({2: 1}, lp.EQ, F(5, 3))
+    cases.append(("unbounded", unbounded))
+
+    unbounded_free = lp.LinearProgram(2, "min", {0: 1, 1: 1})
+    unbounded_free.set_free(0)
+    unbounded_free.add_constraint({0: 1, 1: 2}, lp.LE, -1)
+    cases.append(("unbounded-free", unbounded_free))
+
+    negative_rhs = lp.LinearProgram(3, "min", {0: 2, 1: 3, 2: F(1, 3)})
+    negative_rhs.add_constraint({0: -1, 1: -1}, lp.LE, -4)
+    negative_rhs.add_constraint({1: 1, 2: -2}, lp.GE, F(-7, 2))
+    negative_rhs.add_constraint({0: 1, 2: 1}, lp.EQ, 3)
+    negative_rhs.set_upper(0, F(5, 2))
+    cases.append(("negative-rhs", negative_rhs))
+
+    redundant_eq = lp.LinearProgram(3, "max", {0: 1, 1: 1, 2: 1})
+    redundant_eq.add_constraint({0: 1, 1: 1}, lp.EQ, 2)
+    redundant_eq.add_constraint({0: 2, 1: 2}, lp.EQ, 4)
+    redundant_eq.add_constraint({2: 1, 0: -1}, lp.LE, 1)
+    cases.append(("redundant-eq", redundant_eq))
+
+    degenerate = lp.LinearProgram(3, "max", {0: 10, 1: -57, 2: -9})
+    degenerate.add_constraint({0: F(1, 2), 1: F(-11, 2), 2: F(-5, 2)}, lp.LE, 0)
+    degenerate.add_constraint({0: F(1, 2), 1: F(-3, 2), 2: F(-1, 2)}, lp.LE, 0)
+    degenerate.add_constraint({0: 1}, lp.LE, 1)
+    cases.append(("degenerate-kuhn", degenerate))
+    return cases
+
+
+def lp_cases() -> list[tuple[str, lp.LinearProgram]]:
+    cases = _named_lps()
+    for seed in range(42):
+        cases.append((f"random-{seed}", _random_lp(random.Random(seed))))
+    return cases
+
+
+def operator_cases() -> list[tuple[str, tuple[int, int, int]]]:
+    return [(f"operator-{n}-{k}-{s}", (n, k, s))
+            for n, k in OPERATOR_SHAPES for s in OPERATOR_SEEDS]
+
+
+def _fracs(values) -> list[str] | None:
+    return None if values is None else [str(v) for v in values]
+
+
+def outcome_record(out: lp.LpOutcome) -> dict:
+    return {
+        "status": out.status,
+        "x": _fracs(out.x),
+        "value": None if out.value is None else str(out.value),
+        "duals": _fracs(out.duals),
+        "bound_duals": _fracs(out.bound_duals),
+        "ray": _fracs(out.ray),
+    }
+
+
+def solve_operator(n: int, k: int, seed: int):
+    return find_optimal_operator(random_graph(random.Random(seed), n, k))
+
+
+def operator_record(report) -> dict:
+    return {
+        "q": str(report.q),
+        "iterations": report.iterations,
+        "membership_cuts": report.membership_cuts,
+        "coeffs": [[*xp, *yp, str(c)]
+                   for (xp, yp), c in sorted(report.operator.coeffs.items())],
+        "worst_metrics": [[[_fracs(row) for row in d.rows], str(c)]
+                          for d, c in report.worst_metrics],
+    }
+
+
+def build_fixture() -> dict:
+    return {
+        "lp": {name: outcome_record(lp.solve(p)) for name, p in lp_cases()},
+        "operators": {name: operator_record(solve_operator(*args))
+                      for name, args in operator_cases()},
+    }
+
+
+if __name__ == "__main__":
+    print(json.dumps(build_fixture(), indent=1, sort_keys=True))
