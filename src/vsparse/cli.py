@@ -119,7 +119,9 @@ def cmd_sparsify(cfg: RunConfig) -> int:
     if g_c.k >= 2:
         demand_sets = [random_demands(rng, g_c.k, g_c.k)
                        for _ in range(FLOW_DEMAND_SETS)]
-        flow_report = quality.flow_quality_probe(g_c, beta, demand_sets)
+        # the metric report's q_value is the exact upper bound the probe caps at
+        flow_report = quality.flow_quality_probe(g_c, beta, demand_sets,
+                                                 q_cap=metric_report.q_value)
     else:
         # a single terminal admits no demands; nothing to preserve
         flow_report = quality.QualityReport(quality.FLOW, Fraction(1), True, None,

@@ -1,7 +1,10 @@
 """Exact building blocks: finite semimetrics, weighted graphs, demands.
 
 Every quantity in this package is a ``fractions.Fraction``; nothing touches
-floating point. Vertex sets are 0-based ranges and the canonical key for an
+floating point. Hot comparisons (metric validation, shortest-path closure)
+run on integer numerators over one common positive denominator, which
+decides exactly as the Fractions would, while every value in and out stays a
+``Fraction``. Vertex sets are 0-based ranges and the canonical key for an
 edge or a distance is the unordered pair ``(i, j)`` with ``i < j``, counted
 once. Metrics are symmetric, zero on the diagonal, nonnegative and satisfy
 all triangle inequalities; zero distance between distinct points is allowed.
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Pair = tuple[int, int]
@@ -28,6 +32,21 @@ def as_fraction(value: FractionLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of ``values`` over their least common denominator.
+
+    The denominator is positive, so comparing numerators compares values.
+    """
+    scale = lcm(*[v.denominator for v in values])  # a list, see _exact_rows
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def integer_table(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """A table of Fractions as integer numerators over one common denominator."""
+    scale = lcm(*[v.denominator for row in rows for v in row])
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
 
 
 def pair(i: int, j: int) -> Pair:
@@ -83,25 +102,37 @@ def _exact_rows(table: Sequence[Sequence[FractionLike]]) -> tuple[tuple[Fraction
 
 
 def _table_violation(rows: Sequence[Sequence[Fraction]]) -> MetricViolation | None:
-    """Return the first violated semimetric condition of a square table, or None."""
+    """Return the first violated semimetric condition of a square table, or None.
+
+    The conditions are decided on integer numerators over the table's common
+    denominator; the messages print the Fraction entries.
+    """
     m = len(rows)
     for i, row in enumerate(rows):
         if len(row) != m:
             return MetricViolation("shape", (i,), f"row {i} has length {len(row)}, expected {m}")
+    ints, _ = integer_table(rows)
     for i in range(m):
-        if rows[i][i] != 0:
+        if ints[i][i] != 0:
             return MetricViolation("diagonal", (i,), f"d({i},{i}) = {rows[i][i]} != 0")
         for j in range(i + 1, m):
-            if rows[i][j] != rows[j][i]:
+            if ints[i][j] != ints[j][i]:
                 return MetricViolation("symmetry", (i, j), f"d({i},{j}) = {rows[i][j]} but d({j},{i}) = {rows[j][i]}")
-            if rows[i][j] < 0:
+            if ints[i][j] < 0:
                 return MetricViolation("negative", (i, j), f"d({i},{j}) = {rows[i][j]} < 0")
-    for i, j, l in itertools.permutations(range(m), 3):
-        if i < j and rows[i][j] > rows[i][l] + rows[l][j]:
-            return MetricViolation(
-                "triangle", (i, j, l),
-                f"d({i},{j}) = {rows[i][j]} > d({i},{l}) + d({l},{j}) = {rows[i][l] + rows[l][j]}",
-            )
+    # The table is symmetric from here on, so d(l,j) = d(j,l) and row j
+    # serves as column j. Points l = i and l = j give d(i,j) itself, never
+    # more, so the sums need no filtering before the first violation.
+    for i in range(m):
+        ri = ints[i]
+        for j in range(i + 1, m):
+            rj, dij = ints[j], ri[j]
+            if dij > min([a + b for a, b in zip(ri, rj)]):
+                l = next(l for l in range(m) if dij > ri[l] + rj[l])
+                return MetricViolation(
+                    "triangle", (i, j, l),
+                    f"d({i},{j}) = {rows[i][j]} > d({i},{l}) + d({l},{j}) = {rows[i][l] + rows[l][j]}",
+                )
     return None
 
 
@@ -205,16 +236,14 @@ def metric_closure(table: Sequence[Sequence[FractionLike]]) -> Metric:
         for j in range(m):
             if rows[i][j] != rows[j][i] or rows[i][j] < 0:
                 raise ValueError("closure input must be symmetric and nonnegative")
+    ints, scale = integer_table(rows)
+    # Floyd-Warshall on the numerators; the common denominator is positive.
     for l in range(m):
-        rl = rows[l]
+        rl = ints[l]
         for i in range(m):
-            ril = rows[i][l]
-            ri = rows[i]
-            for j in range(m):
-                via = ril + rl[j]
-                if via < ri[j]:
-                    ri[j] = via
-    return Metric(rows)
+            ril = ints[i][l]
+            ints[i] = [a if a <= ril + b else ril + b for a, b in zip(ints[i], rl)]
+    return Metric([[Fraction(v, scale) for v in row] for row in ints])
 
 
 def restrict(d: Metric, points: Sequence[int]) -> Metric:

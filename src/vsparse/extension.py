@@ -6,6 +6,10 @@ weighted cost counts each unordered pair once. Two independent oracles keep it
 honest: an augmenting-path max-flow (for cut metrics the minimum extension
 is exactly a terminal min cut) and exhaustive 0-extension enumeration
 (an upper bound for arbitrary metrics).
+
+Triangle separation and max-flow compare integer numerators over one common
+positive denominator, which decides exactly as the Fractions would; every
+value in and out stays a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .core import (
     all_pairs,
     alpha_cost,
     cut_metric,
+    integer_row,
     pair,
 )
 
@@ -68,11 +73,23 @@ class MetricConeLp:
             rows[pq[0]][pq[1]] = rows[pq[1]][pq[0]] = x[j]
         return rows
 
-    def _triangle_cuts(self, values: list[list[Fraction]]) -> list[lp.Constraint]:
+    def _triangle_cuts(self, x: Sequence[Fraction], pins_zero: bool) -> list[lp.Constraint]:
+        """The violated triangle rows at point ``x`` (or ray, pins read 0).
+
+        The values are scaled once to integers over their common
+        denominator; a positive scale decides each triangle as the
+        Fractions would.
+        """
+        m = self.m
+        pins = {} if pins_zero else self.pinned
+        nums, _ = integer_row([*x, *pins.values()])
+        ints = [[0] * m for _ in range(m)]
+        for (p, q), v in zip([*self.var_pairs, *pins], nums):
+            ints[p][q] = ints[q][p] = v
         cuts = []
-        for a, b, c in itertools.combinations(range(self.m), 3):
+        for a, b, c in itertools.combinations(range(m), 3):
             for i, j, l in ((a, b, c), (a, c, b), (b, c, a)):
-                if values[i][j] > values[i][l] + values[l][j]:
+                if ints[i][j] > ints[i][l] + ints[l][j]:
                     coeffs: dict[int, Fraction] = {}
                     rhs = ZERO
                     for key, sgn in ((pair(i, j), 1), (pair(i, l), -1), (pair(l, j), -1)):
@@ -123,8 +140,8 @@ class MetricConeLp:
 
         def oracle(out: lp.LpOutcome) -> list[lp.Constraint]:
             if out.status == lp.UNBOUNDED:
-                return self._triangle_cuts(self._full_values(out.ray, pins_zero=True))
-            return self._triangle_cuts(self._full_values(out.x, pins_zero=False))
+                return self._triangle_cuts(out.ray, pins_zero=True)
+            return self._triangle_cuts(out.x, pins_zero=False)
 
         # Every cut is one of the finitely many triangle rows and never
         # repeats, so the round cap is a formality.
@@ -182,15 +199,19 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
 # terminal min cuts, via LP and via max-flow
 
 
-def _max_flow(n: int, capacity: dict[tuple[int, int], Fraction], s: int, t: int) -> Fraction:
+def _max_flow(n: int, capacity: dict[tuple[int, int], int | Fraction],
+              s: int, t: int) -> int | Fraction:
     """Exact max-flow by shortest augmenting paths (arc count bounds the
-    number of augmentations, so rational capacities terminate)."""
-    residual: list[dict[int, Fraction]] = [dict() for _ in range(n)]
+    number of augmentations, so rational capacities terminate).
+
+    Capacities are ints or Fractions; the flow comes back in the same kind.
+    """
+    residual: list[dict[int, int | Fraction]] = [dict() for _ in range(n)]
     for (u, v), c in capacity.items():
         if c:
-            residual[u][v] = residual[u].get(v, ZERO) + c
-            residual[v][u] = residual[v].get(u, ZERO) + c
-    flow = ZERO
+            residual[u][v] = residual[u].get(v, 0) + c
+            residual[v][u] = residual[v].get(u, 0) + c
+    flow = 0
     while True:
         parent: list[int | None] = [None] * n
         parent[s] = s
@@ -216,7 +237,7 @@ def _max_flow(n: int, capacity: dict[tuple[int, int], Fraction], s: int, t: int)
         while v != s:
             u = parent[v]
             residual[u][v] -= bottleneck
-            residual[v][u] = residual[v].get(u, ZERO) + bottleneck
+            residual[v][u] = residual[v].get(u, 0) + bottleneck
             v = u
         flow += bottleneck
 
@@ -226,8 +247,10 @@ def min_cut_via_flow(g: WeightedGraph, side: Iterable[int]) -> Fraction:
     rest, non-terminals falling freely; computed by max-flow on the graph
     with each terminal group contracted to a single node.
 
-    ``side`` holds terminal-local indices and must be a nonempty proper
-    subset of 0..k-1.
+    The flow runs on integer capacities, the weights scaled by the lcm of
+    their denominators, and is scaled back to an exact Fraction. ``side``
+    holds terminal-local indices and must be a nonempty proper subset of
+    0..k-1.
     """
     side_set = set(side)
     if not side_set or len(side_set) >= g.k:
@@ -243,14 +266,15 @@ def min_cut_via_flow(g: WeightedGraph, side: Iterable[int]) -> Fraction:
         if v not in node_of:
             node_of[v] = nxt
             nxt += 1
-    capacity: dict[tuple[int, int], Fraction] = {}
-    for (i, j), w in g.weights.items():
+    weights, scale = integer_row(list(g.weights.values()))
+    capacity: dict[tuple[int, int], int] = {}
+    for (i, j), w in zip(g.weights, weights):
         u, v = node_of[i], node_of[j]
         if u == v or not w:
             continue
         key = (u, v) if u < v else (v, u)
-        capacity[key] = capacity.get(key, ZERO) + w
-    return _max_flow(nxt, capacity, 0, 1)
+        capacity[key] = capacity.get(key, 0) + w
+    return Fraction(_max_flow(nxt, capacity, 0, 1), scale)
 
 
 def min_cut_via_lp(g: WeightedGraph, side: Iterable[int]) -> Fraction:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
 
-from .core import ONE, ZERO, FractionLike, as_fraction
+from .core import ONE, ZERO, FractionLike, as_fraction, integer_row
 
 LE, GE, EQ = "<=", ">=", "="
 _RELATIONS = (LE, GE, EQ)
@@ -274,12 +274,6 @@ class _Tableau:
             self.pivot(pr, pc)
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Numerators of ``values`` over their least common denominator."""
-    scale = lcm(*[v.denominator for v in values])  # a list, see core._exact_rows
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; see module docstring for the outcome conventions."""
     if lp.n_vars == 0:
@@ -331,7 +325,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     dens: list[int] = []
     basis: list[int] = []
     for r, (coeffs, rel, rhs, _, _) in enumerate(internal):
-        nums, scale = _integer_row([*coeffs.values(), rhs])
+        nums, scale = integer_row([*coeffs.values(), rhs])
         sgn = -1 if flipped[r] else 1
         row = [0] * (ncols + 1)
         for j, c in zip(coeffs, nums):
@@ -359,7 +353,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
         artificial[col] = True
 
     # Internal objective: minimize (negated for max), on structural columns.
-    cost_nums, cost_den = _integer_row(list(lp.objective.values()))
+    cost_nums, cost_den = integer_row(list(lp.objective.values()))
     cost2 = [0] * ncols
     for j, c in zip(lp.objective, cost_nums):
         c = c if minimize else -c
@@ -575,8 +569,9 @@ Oracle = Callable[[LpOutcome], "list[Constraint] | None"]
 
 
 def _signature(con: Constraint) -> tuple:
+    """The row as (columns, coprime integer coefficients, relation, rhs)."""
     items = sorted(con.coeffs.items())
-    ints, _ = _integer_row([*(c for _, c in items), con.rhs])
+    ints, _ = integer_row([*(c for _, c in items), con.rhs])
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -584,19 +579,36 @@ def _signature(con: Constraint) -> tuple:
     return (index, tuple(ints[:-1]), con.rel, ints[-1])
 
 
-def _cut_is_violated(con: Constraint, out: LpOutcome) -> bool:
-    if out.status == OPTIMAL:
-        return not con.satisfied_by(out.x)
-    if out.status == UNBOUNDED:
-        if out.x is not None and not con.satisfied_by(out.x):
-            return True
-        along = sum((c * out.ray[j] for j, c in con.coeffs.items()), ZERO)
-        if con.rel == LE:
-            return along > 0
-        if con.rel == GE:
-            return along < 0
-        return along != 0
-    return False
+def _violates(sig: tuple, nums: list[int], scale: int) -> bool:
+    """Whether the signature row fails at the point ``nums / scale``.
+
+    ``scale`` is the point's positive common denominator; a ray is checked
+    with scale 0, which tests the row's homogeneous part along it.
+    """
+    index, coeffs, rel, rhs = sig
+    lhs = sum([c * nums[j] for j, c in zip(index, coeffs)])
+    rhs *= scale
+    if rel == LE:
+        return lhs > rhs
+    if rel == GE:
+        return lhs < rhs
+    return lhs != rhs
+
+
+def _integer_outcome(out: LpOutcome) -> tuple[list[int], int, list[int] | None]:
+    """The point as numerators over their common denominator, plus the ray's
+    numerators when the master is unbounded."""
+    x_nums, x_scale = integer_row(out.x)
+    ray_nums = integer_row(out.ray)[0] if out.status == UNBOUNDED else None
+    return x_nums, x_scale, ray_nums
+
+
+def _cut_is_violated(sig: tuple, point: tuple[list[int], int, list[int] | None]) -> bool:
+    """Whether the point breaks the row or, for an unbounded master, the ray
+    leaves it."""
+    x_nums, x_scale, ray_nums = point
+    return (_violates(sig, x_nums, x_scale)
+            or ray_nums is not None and _violates(sig, ray_nums, 0))
 
 
 def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
@@ -628,10 +640,11 @@ def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
                 break
         if not cuts:
             return CuttingPlaneResult(out, added, rounds, True)
+        point = _integer_outcome(out)  # scaled to integers once per round
         for cut in cuts:
-            if not _cut_is_violated(cut, out):
-                raise CuttingPlaneError("oracle returned a cut the current solution satisfies")
             sig = _signature(cut)
+            if not _cut_is_violated(sig, point):
+                raise CuttingPlaneError("oracle returned a cut the current solution satisfies")
             if sig in seen:
                 raise CuttingPlaneError(
                     "oracle returned a constraint already present and still violated")

@@ -209,7 +209,8 @@ def max_concurrent_flow(g: WeightedGraph | Sparsifier, demands: DemandSet) -> Fr
 
 
 def flow_quality_probe(g: WeightedGraph, beta: Sparsifier,
-                       demand_sets: Sequence[DemandSet]) -> QualityReport:
+                       demand_sets: Sequence[DemandSet],
+                       q_cap: Fraction | Unbounded | None = None) -> QualityReport:
     """Check the flow sandwich on sampled demand sets and report the tightest.
 
     For each demand set D: lambda_G(D) <= lambda_H(D) <= Q * lambda_G(D),
@@ -217,12 +218,15 @@ def flow_quality_probe(g: WeightedGraph, beta: Sparsifier,
     theorems for pipeline-produced sparsifiers, so a failure raises
     :class:`FlowProbeError` instead of being reported as data. The report's
     q_value is the largest observed lambda_H / lambda_G (1 if every flow
-    pair was zero), with the demand set achieving it as witness.
+    pair was zero), with the demand set achieving it as witness. A caller
+    that already holds ``metric_quality_upper(g, beta).q_value`` passes it as
+    ``q_cap``; otherwise it is computed here.
     """
     _check_k(g, beta)
     if not demand_sets:
         raise ValueError("flow probe needs at least one demand set")
-    q_cap = metric_quality_upper(g, beta).q_value
+    if q_cap is None:
+        q_cap = metric_quality_upper(g, beta).q_value
     best: Fraction | None = None
     best_set: DemandSet | None = None
     for ds in demand_sets:

@@ -3,8 +3,11 @@
 ``lp_cases()`` builds about fifty small programs (seeded random ones plus
 Beale's cycling instance, infeasible and unbounded programs, free variables,
 upper bounds, negative right-hand sides and "=" rows); ``operator_cases()``
-lists the ``find_optimal_operator`` instances. Every outcome is serialized to
-plain JSON with exact fraction strings, so the fixture pins the pivot path's
+lists the ``find_optimal_operator`` instances; ``metric_cone_fixture()``
+covers the metric-cone layer (``min_extension``, ``metric_quality_upper``,
+``max_concurrent_flow``, ``min_cut_via_flow`` and ``random_metric``) on
+seeded graphs with mixed denominators. Every outcome is serialized to plain
+JSON with exact fraction strings, so the fixture pins the pivot path's
 results bit for bit.
 
 Regenerate the fixture (only when a result is meant to change) with::
@@ -16,13 +19,21 @@ import json
 import random
 from fractions import Fraction
 
-from vsparse import find_optimal_operator, lp
-from vsparse.sampling import random_graph
+from vsparse import (Sparsifier, all_pairs, find_optimal_operator, lp,
+                     max_concurrent_flow, metric_quality_upper, min_cut_via_flow,
+                     min_extension)
+from vsparse.sampling import (random_demands, random_fraction, random_graph,
+                              random_metric)
 
 F = Fraction
 
 OPERATOR_SHAPES = ((5, 3), (5, 4), (6, 3))
 OPERATOR_SEEDS = (1, 2, 3)
+# (n, k, max_den, density) of the metric-cone graphs; max_den 7 and 12 mix
+# denominators whose lcm is far from any single one of them.
+CONE_SHAPES = ((5, 3, 4, 0.5), (6, 4, 7, 0.5), (7, 3, 12, 0.4), (7, 4, 4, 0.6),
+               (8, 5, 7, 0.3))
+CONE_SEEDS = (1, 2, 3, 4)
 
 
 def _random_lp(rng: random.Random) -> lp.LinearProgram:
@@ -150,9 +161,67 @@ def operator_record(report) -> dict:
     }
 
 
+def _rows(d) -> list[list[str]]:
+    return [_fracs(row) for row in d.rows]
+
+
+def cone_graph(n: int, k: int, max_den: int, density: float, seed: int):
+    """A seeded graph plus a terminal metric, sparsifier and demand set on it.
+
+    Odd seeds draw a sparse graph with no spanning tree, which often leaves
+    terminals in different components; their budgeted metric LP is then
+    unbounded, so the ray path of the cone is pinned too.
+    """
+    rng = random.Random(seed * 1000 + n * 10 + k)
+    connected = seed % 2 == 0
+    g = random_graph(rng, n, k, density=density if connected else 0.25,
+                     connected=connected, max_den=max_den)
+    d_y = random_metric(rng, k, max_den=max_den)
+    beta = Sparsifier(k, {pq: random_fraction(rng, 6, max_den, min_num=1)
+                          for pq in all_pairs(k)})
+    demands = random_demands(rng, k, 3, max_den=max_den)
+    return g, d_y, beta, demands
+
+
+def metric_cone_cases() -> list[tuple[str, tuple]]:
+    return [(f"cone-{n}-{k}-{den}-{s}", (n, k, den, density, s))
+            for n, k, den, density in CONE_SHAPES for s in CONE_SEEDS]
+
+
+def metric_cone_record(n: int, k: int, max_den: int, density: float, seed: int) -> dict:
+    g, d_y, beta, demands = cone_graph(n, k, max_den, density, seed)
+    ext = min_extension(g, d_y)
+    upper = metric_quality_upper(g, beta)
+    return {
+        "min_extension": {"value": str(ext.value), "witness": _rows(ext.witness)},
+        "metric_upper": {"q": str(upper.q_value), "witness": _rows(upper.witness)},
+        "concurrent_flow": str(max_concurrent_flow(g, demands)),
+        "min_cuts": [str(min_cut_via_flow(g, [p for p in range(k) if mask >> p & 1]))
+                     for mask in range(1, 1 << k, 2) if mask != (1 << k) - 1],
+    }
+
+
+def random_metric_cases() -> list[tuple[str, tuple[int, int, int]]]:
+    return [(f"random-metric-{m}-{den}-{s}", (m, den, s))
+            for m in (3, 5, 8) for den in (4, 9) for s in (1, 2)]
+
+
+def random_metric_record(m: int, max_den: int, seed: int) -> list[list[str]]:
+    return _rows(random_metric(random.Random(seed), m, max_den=max_den))
+
+
+def metric_cone_fixture() -> dict:
+    return {
+        "cases": {name: metric_cone_record(*args) for name, args in metric_cone_cases()},
+        "random_metric": {name: random_metric_record(*args)
+                          for name, args in random_metric_cases()},
+    }
+
+
 def build_fixture() -> dict:
     return {
         "lp": {name: outcome_record(lp.solve(p)) for name, p in lp_cases()},
+        "metric_cone": metric_cone_fixture(),
         "operators": {name: operator_record(solve_operator(*args))
                       for name, args in operator_cases()},
     }

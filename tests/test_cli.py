@@ -82,6 +82,16 @@ def test_sparsify_is_deterministic(tmp_path):
         assert first.endswith(b"\n")
 
 
+def test_sparsify_computes_metric_upper_bound_once(tmp_path, monkeypatch):
+    from vsparse import quality
+    calls = []
+    upper = quality.metric_quality_upper
+    monkeypatch.setattr(quality, "metric_quality_upper",
+                        lambda *args: calls.append(args) or upper(*args))
+    assert main(["sparsify", star_file(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 def test_sparsify_single_terminal_writes_vacuous_flow(tmp_path):
     g = WeightedGraph(2, [0], {(0, 1): 3})
     graph = write_json(tmp_path / "g.json", graph_to_json(g))

@@ -4,7 +4,9 @@
 that preceded the integer tableau. Bland's rule decides every pivot from
 signs and exact ratio comparisons only, so any exact arithmetic must
 reproduce the same pivot sequence and therefore the same vertex, duals,
-rays, operators, witnesses and round counts, bit for bit.
+rays, operators, witnesses and round counts, bit for bit. The metric-cone
+entries were recorded with the Fraction triangle separation, metric
+validation, cut re-check and max-flow that preceded their integer versions.
 """
 
 import json
@@ -14,10 +16,35 @@ from pathlib import Path
 import pytest
 
 from vsparse import lp
-from golden_cases import (lp_cases, operator_cases, operator_record,
-                          outcome_record, solve_operator)
+from golden_cases import (lp_cases, metric_cone_cases, metric_cone_record,
+                          operator_cases, operator_record, outcome_record,
+                          random_metric_cases, random_metric_record, solve_operator)
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
+
+# Every test here runs under a per-solve pivot budget. The most pivots one
+# solve of this fixture takes is 73 (a metric-cone LP; 10 for the LP cases,
+# 68 in an operator solve), so a solver that cycles, as Bland's rule with a
+# wrong tie-break can, fails at once instead of hanging the suite.
+PIVOT_BUDGET = 500
+
+
+class PivotBudgetExceeded(RuntimeError):
+    pass
+
+
+@pytest.fixture(autouse=True)
+def pivot_budget(monkeypatch):
+    pivot = lp._Tableau.pivot
+
+    def counted(self, pr, pc):
+        # one _Tableau per lp.solve, so the count is per solve
+        self.pivots_taken = getattr(self, "pivots_taken", 0) + 1
+        if self.pivots_taken > PIVOT_BUDGET:
+            raise PivotBudgetExceeded(f"one solve took more than {PIVOT_BUDGET} pivots")
+        pivot(self, pr, pc)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", counted)
 
 
 def test_fixture_covers_every_outcome_kind():
@@ -25,6 +52,11 @@ def test_fixture_covers_every_outcome_kind():
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
     assert len(FIXTURE["lp"]) == len(lp_cases()) >= 50
     assert len(FIXTURE["operators"]) == len(operator_cases()) == 9
+    cases = FIXTURE["metric_cone"]["cases"]
+    assert len(cases) == len(metric_cone_cases()) == 20
+    assert len(FIXTURE["metric_cone"]["random_metric"]) == len(random_metric_cases()) == 12
+    # both the optimal and the ray path of the budgeted metric LP are pinned
+    assert {rec["metric_upper"]["q"] == "unbounded" for rec in cases.values()} == {True, False}
 
 
 @pytest.mark.parametrize("name,program", [pytest.param(*c, id=c[0]) for c in lp_cases()])
@@ -40,3 +72,13 @@ def test_lp_outcome_is_bit_identical_and_audited(name, program):
 @pytest.mark.parametrize("name,args", [pytest.param(*c, id=c[0]) for c in operator_cases()])
 def test_operator_solve_is_bit_identical(name, args):
     assert operator_record(solve_operator(*args)) == FIXTURE["operators"][name]
+
+
+@pytest.mark.parametrize("name,args", [pytest.param(*c, id=c[0]) for c in metric_cone_cases()])
+def test_metric_cone_layer_is_bit_identical(name, args):
+    assert metric_cone_record(*args) == FIXTURE["metric_cone"]["cases"][name]
+
+
+@pytest.mark.parametrize("name,args", [pytest.param(*c, id=c[0]) for c in random_metric_cases()])
+def test_random_metric_is_bit_identical(name, args):
+    assert random_metric_record(*args) == FIXTURE["metric_cone"]["random_metric"][name]

@@ -1,0 +1,227 @@
+"""Integer metric-cone helpers against the Fraction code they replaced.
+
+Metric validation, shortest-path closure, triangle separation, the cutting
+plane's violation check and max-flow decide on integer numerators over one
+common positive denominator. The Fraction versions are kept here, verbatim in
+logic, as references: every decision, message, cut and order must agree.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from vsparse import (
+    MetricViolation,
+    all_pairs,
+    metric_closure,
+    min_cut_by_enumeration,
+    min_cut_via_flow,
+    pair,
+    validate_metric,
+)
+from vsparse import lp
+from vsparse.core import _exact_rows, _table_violation
+from vsparse.extension import MetricConeLp
+from vsparse.sampling import random_fraction, random_graph, random_metric
+
+F = Fraction
+ZERO = F(0)
+
+
+# --- Fraction references -------------------------------------------------
+
+def reference_violation(rows):
+    m = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != m:
+            return MetricViolation("shape", (i,), f"row {i} has length {len(row)}, expected {m}")
+    for i in range(m):
+        if rows[i][i] != 0:
+            return MetricViolation("diagonal", (i,), f"d({i},{i}) = {rows[i][i]} != 0")
+        for j in range(i + 1, m):
+            if rows[i][j] != rows[j][i]:
+                return MetricViolation("symmetry", (i, j), f"d({i},{j}) = {rows[i][j]} but d({j},{i}) = {rows[j][i]}")
+            if rows[i][j] < 0:
+                return MetricViolation("negative", (i, j), f"d({i},{j}) = {rows[i][j]} < 0")
+    for i, j, l in itertools.permutations(range(m), 3):
+        if i < j and rows[i][j] > rows[i][l] + rows[l][j]:
+            return MetricViolation(
+                "triangle", (i, j, l),
+                f"d({i},{j}) = {rows[i][j]} > d({i},{l}) + d({l},{j}) = {rows[i][l] + rows[l][j]}",
+            )
+    return None
+
+
+def reference_closure(table):
+    rows = [list(row) for row in table]
+    m = len(rows)
+    for l in range(m):
+        for i in range(m):
+            for j in range(m):
+                via = rows[i][l] + rows[l][j]
+                if via < rows[i][j]:
+                    rows[i][j] = via
+    return rows
+
+
+def reference_triangle_cuts(cone, x, pins_zero):
+    values = cone._full_values(x, pins_zero)
+    cuts = []
+    for a, b, c in itertools.combinations(range(cone.m), 3):
+        for i, j, l in ((a, b, c), (a, c, b), (b, c, a)):
+            if values[i][j] > values[i][l] + values[l][j]:
+                coeffs = {}
+                rhs = ZERO
+                for key, sgn in ((pair(i, j), 1), (pair(i, l), -1), (pair(l, j), -1)):
+                    if key in cone.index:
+                        coeffs[cone.index[key]] = coeffs.get(cone.index[key], ZERO) + sgn
+                    else:
+                        rhs -= sgn * cone.pinned[key]
+                cuts.append(lp.Constraint(coeffs, lp.LE, rhs))
+    return cuts
+
+
+def reference_cut_is_violated(con, out):
+    if out.status == lp.OPTIMAL:
+        return not con.satisfied_by(out.x)
+    if out.status == lp.UNBOUNDED:
+        if out.x is not None and not con.satisfied_by(out.x):
+            return True
+        along = sum((c * out.ray[j] for j, c in con.coeffs.items()), ZERO)
+        if con.rel == lp.LE:
+            return along > 0
+        if con.rel == lp.GE:
+            return along < 0
+        return along != 0
+    return False
+
+
+# --- seeded tables with planted faults ------------------------------------
+
+FAULTS = ("none", "shape", "diagonal", "symmetry", "negative", "triangle")
+
+
+def planted_table(rng, fault):
+    m = rng.randint(3, 7)
+    rows = [list(row) for row in random_metric(rng, m, max_den=rng.choice([4, 9, 35])).rows]
+    i, j = sorted(rng.sample(range(m), 2))
+    v = random_fraction(rng, 9, 12, min_num=1)
+    if fault == "shape":
+        rows[i] = rows[i][:-1] if rng.random() < 0.5 else rows[i] + [v]
+    elif fault == "diagonal":
+        rows[i][i] = v
+    elif fault == "symmetry":
+        rows[i][j] += v
+    elif fault == "negative":
+        rows[i][j] = rows[j][i] = -v
+    elif fault == "triangle":
+        rows[i][j] = rows[j][i] = sum((rows[i][l] + rows[l][j] for l in range(m)), v)
+    return rows
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("seed", range(8))
+def test_table_violation_matches_fraction_reference(fault, seed):
+    rows = _exact_rows(planted_table(random.Random(seed), fault))
+    got = _table_violation(rows)
+    assert got == reference_violation(rows)
+    assert (got is None) == (fault == "none")
+    if got is not None:
+        assert got.kind == fault
+        assert validate_metric(rows) == got
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_triangle_violation_picks_the_same_first_triple(seed):
+    # several independent triangle faults: the first in (i, j, l) order wins
+    rng = random.Random(seed)
+    m = rng.randint(4, 8)
+    rows = [[ZERO] * m for _ in range(m)]
+    for i, j in all_pairs(m):
+        rows[i][j] = rows[j][i] = random_fraction(rng, 9, rng.choice([2, 7, 12]))
+    rows = _exact_rows(rows)
+    assert _table_violation(rows) == reference_violation(rows)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_metric_closure_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 7)
+    table = [[ZERO] * m for _ in range(m)]
+    for i, j in all_pairs(m):
+        table[i][j] = table[j][i] = random_fraction(rng, 9, rng.choice([3, 8, 30]))
+    closed = metric_closure(table)
+    assert [list(row) for row in closed.rows] == reference_closure(table)
+    assert all(type(v) is Fraction for row in closed.rows for v in row)
+
+
+# --- triangle separation ---------------------------------------------------
+
+def cone_case(rng, pinned):
+    m = rng.randint(3, 7)
+    pins = {}
+    if pinned:
+        d = random_metric(rng, m, max_den=rng.choice([4, 9]))
+        pins = {pq: d.dist(*pq) for pq in all_pairs(m) if rng.random() < 0.4}
+    cone = MetricConeLp(m, pins)
+    x = [random_fraction(rng, 8, rng.choice([2, 5, 12])) for _ in cone.var_pairs]
+    return cone, x
+
+
+@pytest.mark.parametrize("pins_zero", [False, True], ids=["point", "ray"])
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+@pytest.mark.parametrize("seed", range(10))
+def test_triangle_cuts_match_fraction_reference(seed, pinned, pins_zero):
+    cone, x = cone_case(random.Random(seed), pinned)
+    cuts = cone._triangle_cuts(x, pins_zero)
+    assert cuts == reference_triangle_cuts(cone, x, pins_zero)
+    assert all(type(c) is Fraction for cut in cuts for c in (*cut.coeffs.values(), cut.rhs))
+
+
+def test_triangle_cuts_cover_some_violations():
+    # the seeded points above are far from metric, so the comparison is not vacuous
+    counts = [len(cone._triangle_cuts(x, False))
+              for cone, x in (cone_case(random.Random(s), True) for s in range(10))]
+    assert sum(counts) > 0
+
+
+# --- cutting-plane violation check ------------------------------------------
+
+def random_outcome(rng, n):
+    x = [random_fraction(rng, 6, rng.choice([1, 4, 9]), min_num=-3) for _ in range(n)]
+    if rng.random() < 0.5:
+        return lp.LpOutcome(lp.OPTIMAL, x=x, value=ZERO)
+    ray = [random_fraction(rng, 4, rng.choice([1, 3, 10]), min_num=-2) for _ in range(n)]
+    return lp.LpOutcome(lp.UNBOUNDED, x=x, value=ZERO, ray=ray)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cut_violation_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        out = random_outcome(rng, n)
+        coeffs = {j: random_fraction(rng, 5, rng.choice([1, 6]), min_num=-5)
+                  for j in range(n) if rng.random() < 0.7}
+        coeffs = {j: c for j, c in coeffs.items() if c}
+        con = lp.Constraint(coeffs, rng.choice([lp.LE, lp.GE, lp.EQ]),
+                            random_fraction(rng, 6, 5, min_num=-6))
+        got = lp._cut_is_violated(lp._signature(con), lp._integer_outcome(out))
+        assert got == reference_cut_is_violated(con, out)
+
+
+# --- max-flow ------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(10))
+def test_min_cut_via_flow_matches_enumeration_on_mixed_denominators(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(3, 8), rng.randint(2, 4),
+                     density=rng.choice([0.2, 0.5]), connected=rng.random() < 0.7,
+                     max_den=rng.choice([7, 12, 30]))
+    for r in range(1, g.k):
+        for side in itertools.combinations(range(g.k), r):
+            got = min_cut_via_flow(g, side)
+            assert type(got) is Fraction
+            assert got == min_cut_by_enumeration(g, side)

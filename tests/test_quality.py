@@ -396,6 +396,24 @@ def test_flow_probe_ratio_below_metric_upper(seed):
     assert report.witness in sets
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_flow_probe_same_report_with_passed_cap(seed):
+    rng = random.Random(seed)
+    g, _ = canonicalize(random_graph(rng, rng.randint(3, 5), rng.randint(2, 3)))
+    beta = operator_to_sparsifier(find_optimal_operator(g).operator, g)
+    sets = [random_demands(rng, g.k, rng.randint(1, 3)) for _ in range(3)]
+    upper = metric_quality_upper(g, beta).q_value
+    assert flow_quality_probe(g, beta, sets, q_cap=upper) == flow_quality_probe(g, beta, sets)
+
+
+def test_flow_probe_checks_against_passed_cap():
+    # doubling the path's edge doubles the flow: quality 2, so a cap of 3/2 breaks
+    beta, sets = Sparsifier(2, {(0, 1): 2}), [DemandSet([(0, 1, 1)])]
+    assert flow_quality_probe(path3(), beta, sets).q_value == 2
+    with pytest.raises(FlowProbeError, match="exceeds metric quality 3/2"):
+        flow_quality_probe(path3(), beta, sets, q_cap=F(3, 2))
+
+
 # --- operator distortion, solver-independent -----------------------------
 
 def test_evaluate_identity_operator_is_one():
