@@ -14,6 +14,7 @@ iteration cap, 4 unbounded quality or distortion, 5 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -274,8 +275,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parsing does not change a parser
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     cfg = _config(args)
     try:
         return _COMMANDS[cfg.command](cfg)

@@ -10,10 +10,17 @@ is exactly a terminal min cut) and exhaustive 0-extension enumeration
 Triangle separation and max-flow compare integer numerators over one common
 positive denominator, which decides exactly as the Fractions would; every
 value in and out stays a ``Fraction``.
+
+On at most five unpinned points the metric cone has a short list of extreme
+rays (:func:`cone_rays`), so a cone LP with one extra row is read off them
+when a single ray gives the unique optimal vertex; ties, unbounded and
+infeasible programs still go to the LP, whose pivots decide which optimal
+vertex comes back.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -23,15 +30,122 @@ from typing import Iterable, Mapping, Sequence
 from . import lp
 from .core import (
     ZERO,
+    FractionLike,
     Metric,
     Pair,
     WeightedGraph,
     all_pairs,
     alpha_cost,
+    as_fraction,
     cut_metric,
     integer_row,
     pair,
 )
+
+
+# ---------------------------------------------------------------------------
+# extreme rays of the metric cone on at most five points
+
+RAY_POINTS = 5  # cone_rays is known up to this many points
+
+
+@functools.cache
+def cone_rays(m: int) -> tuple[tuple[int, ...], ...]:
+    """The extreme rays of the metric cone on 2 <= m <= 5 points, as integer
+    distance vectors over ``all_pairs(m)``.
+
+    For m <= 4 the metric cone is the cut cone, whose extreme rays are the
+    2^(m-1) - 1 nonzero cut metrics. On five points the 10 path metrics of
+    K_{2,3} (distance 1 across the two sides, 2 within a side) join the 15
+    cuts (Deza & Laurent, *Geometry of Cuts and Metrics*, 1997). Every
+    metric on m points is a nonnegative combination of these rays.
+    """
+    if not 2 <= m <= RAY_POINTS:
+        raise ValueError(f"extreme rays are listed for 2..{RAY_POINTS} points, not {m}")
+    pairs = all_pairs(m)
+    rays = []
+    for mask in range(1, 1 << (m - 1)):  # sides avoiding point m-1: no complements
+        rays.append(tuple(int((mask >> p & 1) != (mask >> q & 1)) for p, q in pairs))
+    if m == 5:
+        for two in itertools.combinations(range(m), 2):
+            rays.append(tuple(1 if (p in two) != (q in two) else 2 for p, q in pairs))
+    return tuple(rays)
+
+
+@functools.cache
+def _pair_index(m: int) -> dict[Pair, int]:
+    return {pq: j for j, pq in enumerate(all_pairs(m))}
+
+
+def _pair_numerators(m: int, values: Mapping[Pair, FractionLike]) -> tuple[list[int], int]:
+    """A pair-keyed mapping as integer numerators over ``all_pairs(m)`` and
+    their positive common denominator."""
+    index = _pair_index(m)
+    dense = [ZERO] * len(index)
+    for pq, c in values.items():
+        dense[index[pq]] += as_fraction(c)
+    return integer_row(dense)
+
+
+def _on_rays(m: int, nums: Sequence[int]) -> list[int]:
+    nonzero = [(j, c) for j, c in enumerate(nums) if c]
+    return [sum([c * ray[j] for j, c in nonzero]) for ray in cone_rays(m)]
+
+
+def ray_values(m: int, objective: Mapping[Pair, FractionLike]) -> list[int]:
+    """``objective`` on every ray of ``cone_rays(m)``, times one positive
+    common factor: the signs, and every ratio of two values, are exact.
+
+    A linear objective is at most 0 on the whole cone exactly when every
+    entry is.
+    """
+    return _on_rays(m, _pair_numerators(m, objective)[0])
+
+
+def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
+                 row: tuple[Mapping[Pair, FractionLike], str, FractionLike]
+                 ) -> MetricLpResult | None:
+    """A one-row LP over the unpinned metric cone on m <= 5 points, read off
+    the extreme rays, or None when the LP has to decide.
+
+    With nonnegative row coefficients a and right-hand side b > 0, the
+    vertices of the feasible set are the points b * r / (a.r) of the rays
+    with a.r > 0, plus the apex 0 for a "<=" row; rays with a.r = 0 (every
+    ray for ">=") are recession directions. When none of those improves the
+    objective and exactly one vertex is optimal, that vertex is the basic
+    optimum any exact simplex returns. Ties, unbounded and infeasible
+    programs and an optimal apex are left to the LP, whose pivots pick the
+    vertex it returns.
+    """
+    coeffs, rel, rhs = row
+    rhs = as_fraction(rhs)
+    a_nums, a_scale = _pair_numerators(m, coeffs)
+    if (sense not in ("min", "max") or rel not in (lp.LE, lp.GE, lp.EQ)
+            or rhs <= 0 or min(a_nums) < 0):
+        return None
+    c_nums, c_scale = _pair_numerators(m, objective)
+    sign = 1 if sense == "max" else -1
+    best = None  # (ray index, sign * c.r, a.r) of the best vertex so far
+    tied = False
+    for r, (cr, ar) in enumerate(zip(_on_rays(m, c_nums), _on_rays(m, a_nums))):
+        cr *= sign
+        if cr > 0 and (ar == 0 or rel == lp.GE):
+            return None  # an improving recession direction: unbounded
+        if ar == 0:
+            continue
+        if best is None or cr * best[2] > best[1] * ar:
+            best, tied = (r, cr, ar), False
+        elif cr * best[2] == best[1] * ar:
+            tied = True
+    if best is None or tied or (rel == lp.LE and best[1] <= 0):
+        return None  # infeasible, a tie, or the apex is at least as good
+    r, cr, ar = best
+    step = rhs * Fraction(a_scale, ar)  # the optimal vertex is step * ray
+    table = [[ZERO] * m for _ in range(m)]
+    for (p, q), v in zip(all_pairs(m), cone_rays(m)[r]):
+        table[p][q] = table[q][p] = step * v
+    value = step * Fraction(sign * cr, c_scale)
+    return MetricLpResult(lp.OPTIMAL, value, Metric(table), None, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +158,7 @@ class MetricLpResult:
     value: Fraction | None      # objective value, pinned constants included
     table: Metric | None        # optimal point as a full metric (pins merged)
     ray_table: Metric | None    # improving direction when unbounded (pins read 0)
-    rounds: int
+    rounds: int                 # cutting-plane rounds; 0 when read off the rays
 
 
 class MetricConeLp:
@@ -55,7 +169,9 @@ class MetricConeLp:
     rest are nonnegative variables. Triangle inequalities are not
     materialized up front: a separation oracle adds the violated ones
     through :func:`lp.cutting_plane`, which is measurably faster and gives
-    bit-identical results.
+    bit-identical results. An unpinned cone on at most five points with one
+    extra row skips the LP when the extreme rays give a unique optimal
+    vertex (:func:`_ray_optimum`).
     """
 
     def __init__(self, m: int, pinned: Mapping[Pair, Fraction] | None = None):
@@ -112,6 +228,11 @@ class MetricConeLp:
         pinned pairs become constants. Returns the exact optimum with a full
         metric witness, or an improving ray direction when unbounded.
         """
+        extra_rows = list(extra_rows)
+        if not self.pinned and len(extra_rows) == 1 and 2 <= self.m <= RAY_POINTS:
+            result = _ray_optimum(self.m, sense, objective, extra_rows[0])
+            if result is not None:
+                return result
         if not self.var_pairs:
             # fully pinned (or single-point) cone: the program is a constant
             table = Metric(self._full_values([], pins_zero=False))

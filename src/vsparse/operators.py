@@ -7,7 +7,9 @@ of d_Y. The optimal operator is found by a master LP over (phi, Q) with two
 lazy separation families:
 
 * membership cuts force every triangle row of the image cone, maximizing
-  each row over the normalized metric polytope on the terminals;
+  each row over the normalized metric polytope on the terminals (for at
+  most five terminals a row that no extreme ray of the terminal metric
+  cone makes positive is settled without an LP);
 * distortion cuts bound the image cost against Q times the exact minimum
   extension of the restricted witness metric.
 
@@ -38,7 +40,7 @@ from .core import (
     cut_metric,
     pair,
 )
-from .extension import MetricConeLp, min_cut_via_flow, min_extension
+from .extension import RAY_POINTS, MetricConeLp, min_cut_via_flow, min_extension, ray_values
 
 PhiAccessor = Callable[[Pair, Pair], Fraction]
 
@@ -207,6 +209,8 @@ def _membership_violations(n: int, k: int, phi_of: PhiAccessor,
     def probe(kind: str, where: tuple[int, ...], coeffs: dict[Pair, Fraction]) -> bool:
         if all(v <= 0 for v in coeffs.values()):
             return False  # nonnegative metrics cannot push this row positive
+        if k <= RAY_POINTS and max(ray_values(k, coeffs)) <= 0:
+            return False  # nor can any extreme ray, so no metric can
         cone = MetricConeLp(k)
         result = cone.optimize("max", coeffs, [norm_row])
         lp.check(result.status == lp.OPTIMAL, "a normalized membership probe is bounded")

@@ -6,7 +6,9 @@ upper bounds, negative right-hand sides and "=" rows); ``operator_cases()``
 lists the ``find_optimal_operator`` instances; ``metric_cone_fixture()``
 covers the metric-cone layer (``min_extension``, ``metric_quality_upper``,
 ``max_concurrent_flow``, ``min_cut_via_flow`` and ``random_metric``) on
-seeded graphs with mixed denominators. Every outcome is serialized to plain
+seeded graphs with mixed denominators, plus seeded one-row
+``MetricConeLp(m).optimize`` programs on unpinned cones of 2..5 points
+(``cone_lp_cases()``). Every outcome is serialized to plain
 JSON with exact fraction strings, so the fixture pins the pivot path's
 results bit for bit.
 
@@ -22,6 +24,7 @@ from fractions import Fraction
 from vsparse import (Sparsifier, all_pairs, find_optimal_operator, lp,
                      max_concurrent_flow, metric_quality_upper, min_cut_via_flow,
                      min_extension)
+from vsparse.extension import MetricConeLp
 from vsparse.sampling import (random_demands, random_fraction, random_graph,
                               random_metric)
 
@@ -34,6 +37,9 @@ OPERATOR_SEEDS = (1, 2, 3)
 CONE_SHAPES = ((5, 3, 4, 0.5), (6, 4, 7, 0.5), (7, 3, 12, 0.4), (7, 4, 4, 0.6),
                (8, 5, 7, 0.3))
 CONE_SEEDS = (1, 2, 3, 4)
+# point counts and seeds of the one-row LPs over the unpinned metric cone
+CONE_LP_POINTS = (2, 3, 4, 5)
+CONE_LP_SEEDS = (1, 2, 3, 4)
 
 
 def _random_lp(rng: random.Random) -> lp.LinearProgram:
@@ -210,9 +216,81 @@ def random_metric_record(m: int, max_den: int, seed: int) -> list[list[str]]:
     return _rows(random_metric(random.Random(seed), m, max_den=max_den))
 
 
+def _signed_objective(rng: random.Random, m: int, low: int, high: int) -> dict:
+    """Coefficients in [low, high] / [1, 3] on every pair, zeros included."""
+    return {pq: F(rng.randint(low, high), rng.randint(1, 3)) for pq in all_pairs(m)}
+
+
+def _sparse_row(rng: random.Random, m: int, keep: float) -> dict:
+    """Positive coefficients on a random subset of pairs (never empty), so
+    the row vanishes on every ray that keeps that subset at distance 0."""
+    pairs = all_pairs(m)
+    row = {pq: F(rng.randint(1, 5), rng.randint(1, 3)) for pq in pairs if rng.random() < keep}
+    return row or {rng.choice(pairs): F(rng.randint(1, 5), rng.randint(1, 3))}
+
+
+def _cone_lp(family: str, m: int, seed: int) -> tuple:
+    """One seeded (m, sense, objective, (row, rel, rhs)) program.
+
+    ``eq-max`` is the normalized probe of membership and distortion
+    separation, ``ge-min`` the concurrent-flow LP (demand rows that vanish
+    on some rays), ``le-max`` the budgeted quality LP (unbounded when the
+    budget misses a pair the objective rewards); the named families pin
+    ties, all-nonpositive objectives and the apex.
+    """
+    rng = random.Random(seed * 1000 + m * 100 + CONE_LP_FAMILIES.index(family))
+    pairs = all_pairs(m)
+    ones = {pq: F(1) for pq in pairs}
+    if family == "eq-max":
+        return m, "max", _signed_objective(rng, m, -4, 4), (ones, lp.EQ, F(1))
+    if family == "eq-max-tied":
+        # every pair weighs the same, so every normalized ray ties
+        return m, "max", {pq: F(seed, 3) for pq in pairs}, (ones, lp.EQ, F(1))
+    if family == "eq-max-one-pair":
+        # d(0,1) over the total is 1/(m-1) on the cuts of {0} and of {1} alike: a tie
+        return m, "max", {(0, 1): F(seed)}, (ones, lp.EQ, F(1))
+    if family == "eq-max-nonpositive":
+        return m, "max", _signed_objective(rng, m, -4, 0), (ones, lp.EQ, F(1))
+    if family == "ge-min":
+        weights = {pq: F(rng.randint(0, 5), rng.randint(1, 3)) for pq in pairs}
+        return m, "min", weights, (_sparse_row(rng, m, 0.4), lp.GE, F(rng.randint(1, 3), 2))
+    if family == "le-max":
+        return (m, "max", _signed_objective(rng, m, -1, 5),
+                (_sparse_row(rng, m, 0.8), lp.LE, F(rng.randint(1, 4), 3)))
+    if family == "le-max-unbounded":
+        # the budget misses every pair at point 0, so the cut of point 0 is
+        # free and the objective rewards it
+        budget = {pq: F(rng.randint(1, 4)) for pq in pairs if pq[0] != 0}
+        return m, "max", {(0, 1): F(1), **budget}, (budget or {(0, 1): F(0)}, lp.LE, F(1))
+    if family == "le-max-apex":
+        return m, "max", _signed_objective(rng, m, -3, 0), (ones, lp.LE, F(2))
+    raise ValueError(family)
+
+
+CONE_LP_FAMILIES = ("eq-max", "eq-max-tied", "eq-max-one-pair", "eq-max-nonpositive",
+                    "ge-min", "le-max", "le-max-unbounded", "le-max-apex")
+
+
+def cone_lp_cases() -> list[tuple[str, tuple]]:
+    return [(f"cone-lp-{family}-{m}-{s}", (family, m, s))
+            for family in CONE_LP_FAMILIES for m in CONE_LP_POINTS for s in CONE_LP_SEEDS]
+
+
+def cone_lp_record(family: str, m: int, seed: int) -> dict:
+    m, sense, objective, row = _cone_lp(family, m, seed)
+    result = MetricConeLp(m).optimize(sense, objective, [row])
+    return {
+        "status": result.status,
+        "value": None if result.value is None else str(result.value),
+        "table": None if result.table is None else _rows(result.table),
+        "ray": None if result.ray_table is None else _rows(result.ray_table),
+    }
+
+
 def metric_cone_fixture() -> dict:
     return {
         "cases": {name: metric_cone_record(*args) for name, args in metric_cone_cases()},
+        "cone_lp": {name: cone_lp_record(*args) for name, args in cone_lp_cases()},
         "random_metric": {name: random_metric_record(*args)
                           for name, args in random_metric_cases()},
     }

@@ -18,6 +18,7 @@ from vsparse import (
     sparsifier_from_json,
     sparsifier_to_json,
 )
+from vsparse import cli
 from vsparse.cli import main
 from vsparse.jsonio import demands_to_json, dump_canonical, graph_to_json, loads
 from helpers import path3, unit_star
@@ -265,3 +266,60 @@ def test_stdout_report_is_canonical_json(tmp_path, capsys):
           "--semantics", "cut"])
     blob = capsys.readouterr().out
     assert blob == dump_canonical(json.loads(blob))
+
+
+def _run_mixed_calls(tmp_path, capsys, out_dir):
+    """Several subcommands through one process's main(): (exit, stdout,
+    stderr) of each call and every byte written under ``out_dir``."""
+    graph, beta = star_file(tmp_path), half_triangle_file(tmp_path)
+    demands = write_json(tmp_path / "d.json", demands_to_json(DemandSet([(0, 1, 1)])))
+    cert = write_json(tmp_path / "c.json",
+                      certificate_to_json(CutCertificate(path3(), [(1, 1)], [(1, 1)])))
+    calls = [
+        ["sparsify", graph, "--out", str(out_dir / "run"), "--seed", "3", "--samples", "5"],
+        ["quality", graph, beta, "--semantics", "metric", "--samples", "5"],
+        ["quality", graph, beta, "--semantics", "cut", "--out", str(out_dir / "cut.json")],
+        ["quality", graph, beta, "--semantics", "flow"],
+        ["quality", graph, beta, "--semantics", "flow", "--demands", demands],
+        ["certify", cert],
+        ["oracle", graph, "--mode", "zeroext", "--samples", "2"],
+        ["sparsify", graph, "--out", str(out_dir / "capped"), "--max-iters", "1"],
+        ["quality", graph],
+        ["sparsify", graph, "--out", str(out_dir / "again")],
+    ]
+    results = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        results.append((code, *capsys.readouterr()))
+    files = {str(path.relative_to(out_dir)): path.read_bytes()
+             for path in sorted(out_dir.rglob("*")) if path.is_file()}
+    return results, files
+
+
+def test_repeated_main_calls_match_fresh_parsers(tmp_path, capsys, monkeypatch):
+    reused = _run_mixed_calls(tmp_path, capsys, tmp_path / "reused")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    fresh = _run_mixed_calls(tmp_path, capsys, tmp_path / "fresh")
+    assert reused == fresh
+    codes = [code for code, _, _ in reused[0]]
+    assert codes == [0, 0, 0, 2, 0, 0, 0, 3, ("exit", 2), 0]
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        _run_mixed_calls(tmp_path, capsys, tmp_path / "out")
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]

@@ -1,0 +1,273 @@
+"""Cone optima read off the extreme rays, against the LP they replace.
+
+``cone_rays(m)`` lists the extreme rays of the metric cone on m <= 5
+points. ``MetricConeLp.optimize`` reads a one-row program on an unpinned
+cone off them when a single vertex is optimal, and the membership probe
+settles "max <= 0" from them. Every test compares with the triangle
+separation LP, taken with the ray path switched off.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from vsparse import (Metric, all_pairs, cut_metric, extension, lp, operators,
+                     zero_extension_operator)
+from vsparse.extension import MetricConeLp, cone_rays, ray_values
+
+F = Fraction
+
+
+def _table(m, vector):
+    rows = [[0] * m for _ in range(m)]
+    for (p, q), v in zip(all_pairs(m), vector):
+        rows[p][q] = rows[q][p] = v
+    return rows
+
+
+def _rank(rows):
+    rows = [list(map(F, row)) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _tight_rows(m, vector):
+    """Coefficient rows of the cone's defining inequalities tight at ``vector``."""
+    index = {pq: j for j, pq in enumerate(all_pairs(m))}
+    d = _table(m, vector)
+    tight = []
+    for j, (p, q) in enumerate(all_pairs(m)):
+        if d[p][q] == 0:
+            tight.append([int(t == j) for t in range(len(index))])
+    for i, j, l in itertools.permutations(range(m), 3):
+        if i < j and d[i][j] == d[i][l] + d[l][j]:
+            row = [0] * len(index)
+            row[index[(i, j)]] += 1
+            row[index[tuple(sorted((i, l)))]] -= 1
+            row[index[tuple(sorted((l, j)))]] -= 1
+            tight.append(row)
+    return tight
+
+
+# --- the ray table ------------------------------------------------------------
+
+@pytest.mark.parametrize("m,count", [(2, 1), (3, 3), (4, 7), (5, 25)])
+def test_cone_rays_are_distinct_valid_metrics(m, count):
+    rays = cone_rays(m)
+    assert len(rays) == len(set(rays)) == count
+    for ray in rays:
+        assert len(ray) == len(all_pairs(m))
+        assert all(type(v) is int for v in ray) and any(ray)
+        Metric(_table(m, ray))  # raises unless a valid semimetric
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_cone_rays_are_extreme(m):
+    # a cone point is on an extreme ray iff its tight rows have rank P - 1
+    for ray in cone_rays(m):
+        assert _rank(_tight_rows(m, ray)) == len(all_pairs(m)) - 1
+
+
+def _known_extreme_rays(m):
+    """Cut metrics, and for five points the graph metrics of K_{2,3}, built
+    without cone_rays: the extreme rays of the metric cone on m <= 5 points."""
+    rays = {tuple(cut_metric(side, m).dist(p, q) for p, q in all_pairs(m))
+            for size in range(1, m) for side in itertools.combinations(range(m), size)}
+    if m == 5:
+        for two in itertools.combinations(range(5), 2):
+            # shortest paths in K_{2,3}: edges join the two sides only
+            d = [[0 if p == q else 1 if (p in two) != (q in two) else None
+                  for q in range(5)] for p in range(5)]
+            for l, p, q in itertools.product(range(5), repeat=3):
+                if d[p][l] is not None and d[l][q] is not None:
+                    via = d[p][l] + d[l][q]
+                    if d[p][q] is None or via < d[p][q]:
+                        d[p][q] = via
+            rays.add(tuple(d[p][q] for p, q in all_pairs(5)))
+    return rays
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_cone_rays_are_the_known_extreme_rays(m):
+    assert set(cone_rays(m)) == _known_extreme_rays(m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_each_extreme_ray_is_the_optimum_of_its_own_objective(m, monkeypatch):
+    # d -> r.d / sum(d) peaks only at r itself, so a missing ray shows
+    ones = {pq: F(1) for pq in all_pairs(m)}
+    for ray in sorted(_known_extreme_rays(m)):
+        objective = dict(zip(all_pairs(m), map(F, ray)))
+        got = MetricConeLp(m).optimize("max", objective, [(ones, lp.EQ, F(1))])
+        with monkeypatch.context() as patch:
+            patch.setattr(extension, "_ray_optimum", lambda *args: None)
+            want = MetricConeLp(m).optimize("max", objective, [(ones, lp.EQ, F(1))])
+        assert _record(got) == _record(want)
+        assert got.rounds == 0
+        assert [got.table.dist(p, q) for p, q in all_pairs(m)] == [F(v, sum(ray)) for v in ray]
+
+
+def test_cone_rays_refuse_unlisted_sizes():
+    for m in (0, 1, 6):
+        with pytest.raises(ValueError):
+            cone_rays(m)
+
+
+def test_ray_values_scale_every_ray_by_one_positive_factor():
+    rng = random.Random(7)
+    for m in (2, 3, 4, 5):
+        objective = {pq: F(rng.choice([-5, -3, -1, 2, 4]), rng.randint(1, 6))
+                     for pq in all_pairs(m)}
+        exact = [sum((objective[pq] * v for pq, v in zip(all_pairs(m), ray)), F(0))
+                 for ray in cone_rays(m)]
+        scaled = ray_values(m, objective)
+        factors = {F(s) / e for s, e in zip(scaled, exact) if e}
+        assert len(factors) == 1 and min(factors) > 0
+        assert all(s == 0 for s, e in zip(scaled, exact) if not e)
+
+
+# --- optimize against the LP --------------------------------------------------
+
+def _program(rng, family, m):
+    pairs = all_pairs(m)
+    ones = {pq: F(1) for pq in pairs}
+    small = rng.random() < 0.5  # small integers: ties come up often
+
+    def signed(low, high):
+        if small:
+            return {pq: F(rng.randint(low, high)) for pq in pairs}
+        return {pq: F(rng.randint(4 * low, 4 * high), rng.randint(1, 5)) for pq in pairs}
+
+    def nonnegative_row(keep):
+        return {pq: F(rng.randint(1, 4), rng.randint(1, 3)) for pq in pairs
+                if rng.random() < keep}
+
+    if family == "eq-max":
+        return "max", signed(-2, 2), (ones, lp.EQ, F(1))
+    if family == "ge-min":
+        weights = {pq: c for pq, c in signed(0, 3).items() if rng.random() < 0.8}
+        return "min", weights, (nonnegative_row(0.5), lp.GE, F(rng.randint(1, 4), 3))
+    if family == "le-max":
+        return "max", signed(-1, 3), (nonnegative_row(0.8), lp.LE, F(rng.randint(1, 4), 2))
+    if family == "eq-min-weighted":
+        return "min", signed(-2, 2), (nonnegative_row(0.9), lp.EQ, F(rng.randint(1, 5), 2))
+    raise ValueError(family)
+
+
+def _record(result):
+    return (result.status, result.value, result.table, result.ray_table)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", ["eq-max", "ge-min", "le-max", "eq-min-weighted"])
+def test_optimize_equals_lp_reference(m, family, monkeypatch):
+    rng = random.Random(1000 * m + len(family))
+    read_off_rays = 0
+    for _ in range(60):
+        sense, objective, row = _program(rng, family, m)
+        got = MetricConeLp(m).optimize(sense, objective, [row])
+        read_off_rays += got.rounds == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(extension, "_ray_optimum", lambda *args: None)
+            want = MetricConeLp(m).optimize(sense, objective, [row])
+        assert want.rounds > 0
+        assert _record(got) == _record(want), (sense, objective, row)
+    assert read_off_rays >= 15  # the ray path is exercised, not only the LP
+
+
+def test_ray_path_needs_an_unpinned_cone_and_one_row(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ray path taken")
+
+    monkeypatch.setattr(extension, "_ray_optimum", refuse)
+    objective = {(0, 1): F(1), (1, 2): F(-1)}
+    norm = ({pq: F(1) for pq in all_pairs(3)}, lp.EQ, F(1))
+    MetricConeLp(3, {(0, 2): F(1)}).optimize("max", objective, [norm])
+    MetricConeLp(3).optimize("max", objective, [norm, ({(0, 1): F(1)}, lp.LE, F(1))])
+    MetricConeLp(6).optimize("max", objective, [({pq: F(1) for pq in all_pairs(6)},
+                                                 lp.EQ, F(1))])
+
+
+def test_ray_path_leaves_ties_unbounded_and_apex_to_the_lp():
+    m = 4
+    ones = {pq: F(1) for pq in all_pairs(m)}
+    tied = extension._ray_optimum(m, "max", ones, (ones, lp.EQ, F(1)))
+    unbounded = extension._ray_optimum(m, "max", {(0, 1): F(1)},
+                                       ({(2, 3): F(1)}, lp.LE, F(1)))
+    apex = extension._ray_optimum(m, "max", {(0, 1): F(-1)}, (ones, lp.LE, F(1)))
+    infeasible = extension._ray_optimum(m, "max", ones, ({}, lp.EQ, F(1)))
+    negative_row = extension._ray_optimum(m, "max", ones, ({(0, 1): F(-1)}, lp.GE, F(1)))
+    assert tied is unbounded is apex is infeasible is negative_row is None
+    unique = extension._ray_optimum(m, "max", {(0, 1): F(3), (0, 2): F(2), (0, 3): F(2)},
+                                    (ones, lp.EQ, F(2)))
+    assert unique.status == lp.OPTIMAL and unique.rounds == 0
+    assert unique.value == F(14, 3)  # the cut of point 0, scaled to total 2
+    assert unique.table.rows[0] == (0, F(2, 3), F(2, 3), F(2, 3))
+
+
+# --- membership probes --------------------------------------------------------
+
+def _random_phi(rng, n, k):
+    values = {}
+    for xp in all_pairs(n):
+        for yp in all_pairs(k):
+            if xp[1] >= k and rng.random() < 0.45:
+                values[(xp, yp)] = F(rng.randint(1, 4), rng.randint(1, 3))
+
+    def phi_of(xp, yp):
+        if xp[1] < k:
+            return F(int(xp == yp))
+        return values.get((xp, yp), F(0))
+    return phi_of
+
+
+def _phis():
+    rng = random.Random(11)
+    cases = []
+    for n, k in ((4, 2), (4, 3), (5, 3), (5, 4), (6, 4), (6, 5), (7, 5)):
+        for _ in range(3):
+            cases.append((n, k, _random_phi(rng, n, k)))
+        assignment = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        cases.append((n, k, zero_extension_operator(n, k, assignment).value))
+    return cases
+
+
+def _hits(n, k, phi_of, first_only):
+    return [(h.kind, h.where, h.witness, h.excess)
+            for h in operators._membership_violations(n, k, phi_of, first_only)]
+
+
+def test_membership_hits_equal_with_and_without_the_ray_precheck(monkeypatch):
+    with_precheck = [_hits(n, k, phi, first) for n, k, phi in _phis() for first in (False, True)]
+    monkeypatch.setattr(operators, "RAY_POINTS", 1)  # no k >= 2 takes the pre-check
+    without = [_hits(n, k, phi, first) for n, k, phi in _phis() for first in (False, True)]
+    assert with_precheck == without
+    assert sum(map(len, with_precheck)) > 20  # violated rows do come up
+    assert any(not hits for hits in with_precheck)  # and so do members
+
+
+def test_every_membership_lp_left_is_a_hit(monkeypatch):
+    calls = []
+    optimize = MetricConeLp.optimize
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.m)
+        return optimize(self, *args, **kwargs)
+
+    monkeypatch.setattr(MetricConeLp, "optimize", counted)
+    for n, k, phi in _phis():
+        calls.clear()
+        hits = _hits(n, k, phi, first_only=False)
+        assert len(calls) == len(hits)

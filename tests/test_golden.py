@@ -6,7 +6,10 @@ signs and exact ratio comparisons only, so any exact arithmetic must
 reproduce the same pivot sequence and therefore the same vertex, duals,
 rays, operators, witnesses and round counts, bit for bit. The metric-cone
 entries were recorded with the Fraction triangle separation, metric
-validation, cut re-check and max-flow that preceded their integer versions.
+validation, cut re-check and max-flow that preceded their integer versions,
+and the one-row cone LPs (``cone_lp``) with the triangle-separation LP
+that preceded reading their optima off the extreme rays. Every test runs
+under the suite's per-solve pivot budget (``tests/conftest.py``).
 """
 
 import json
@@ -16,35 +19,12 @@ from pathlib import Path
 import pytest
 
 from vsparse import lp
-from golden_cases import (lp_cases, metric_cone_cases, metric_cone_record,
-                          operator_cases, operator_record, outcome_record,
-                          random_metric_cases, random_metric_record, solve_operator)
+from golden_cases import (cone_lp_cases, cone_lp_record, lp_cases, metric_cone_cases,
+                          metric_cone_record, operator_cases, operator_record,
+                          outcome_record, random_metric_cases, random_metric_record,
+                          solve_operator)
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
-
-# Every test here runs under a per-solve pivot budget. The most pivots one
-# solve of this fixture takes is 73 (a metric-cone LP; 10 for the LP cases,
-# 68 in an operator solve), so a solver that cycles, as Bland's rule with a
-# wrong tie-break can, fails at once instead of hanging the suite.
-PIVOT_BUDGET = 500
-
-
-class PivotBudgetExceeded(RuntimeError):
-    pass
-
-
-@pytest.fixture(autouse=True)
-def pivot_budget(monkeypatch):
-    pivot = lp._Tableau.pivot
-
-    def counted(self, pr, pc):
-        # one _Tableau per lp.solve, so the count is per solve
-        self.pivots_taken = getattr(self, "pivots_taken", 0) + 1
-        if self.pivots_taken > PIVOT_BUDGET:
-            raise PivotBudgetExceeded(f"one solve took more than {PIVOT_BUDGET} pivots")
-        pivot(self, pr, pc)
-
-    monkeypatch.setattr(lp._Tableau, "pivot", counted)
 
 
 def test_fixture_covers_every_outcome_kind():
@@ -82,3 +62,14 @@ def test_metric_cone_layer_is_bit_identical(name, args):
 @pytest.mark.parametrize("name,args", [pytest.param(*c, id=c[0]) for c in random_metric_cases()])
 def test_random_metric_is_bit_identical(name, args):
     assert random_metric_record(*args) == FIXTURE["metric_cone"]["random_metric"][name]
+
+
+def test_cone_lp_fixture_covers_optimal_and_unbounded():
+    records = FIXTURE["metric_cone"]["cone_lp"]
+    assert len(records) == len(cone_lp_cases()) == 128
+    assert {rec["status"] for rec in records.values()} == {lp.OPTIMAL, lp.UNBOUNDED}
+
+
+@pytest.mark.parametrize("name,args", [pytest.param(*c, id=c[0]) for c in cone_lp_cases()])
+def test_cone_lp_is_bit_identical(name, args):
+    assert cone_lp_record(*args) == FIXTURE["metric_cone"]["cone_lp"][name]
