@@ -18,12 +18,11 @@ import functools
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import certificates, jsonio, operators, quality
-from .core import WeightedGraph, cut_metric, is_unbounded
+from .core import WeightedGraph, bipartitions, cut_metric, is_unbounded
 from .extension import (
     best_zero_extension,
     min_cut_by_enumeration,
@@ -36,40 +35,6 @@ from .sampling import random_demands, random_metric
 OK, PARSE_ERROR, NO_CONVERGENCE, UNBOUNDED_EXIT, ORACLE_MISMATCH = 0, 2, 3, 4, 5
 
 FLOW_DEMAND_SETS = 10
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One command's full configuration; the seed pins all sampling."""
-
-    command: str
-    inputs: tuple[Path, ...]
-    out: Path | None
-    seed: int
-    max_iters: int
-    budget: int
-    samples: int
-    semantics: str | None
-    mode: str | None
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    inputs = tuple(
-        Path(p) for p in (getattr(args, "graph", None), getattr(args, "sparsifier", None),
-                          getattr(args, "certificate", None), getattr(args, "demands", None))
-        if p is not None)
-    out = getattr(args, "out", None)
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        out=Path(out) if out is not None else None,
-        seed=getattr(args, "seed", 0),
-        max_iters=getattr(args, "max_iters", 10_000),
-        budget=getattr(args, "budget", 1_000_000),
-        samples=getattr(args, "samples", 100),
-        semantics=getattr(args, "semantics", None),
-        mode=getattr(args, "mode", None),
-    )
 
 
 def _load(path: Path) -> object:
@@ -90,12 +55,12 @@ def _emit(report: quality.QualityReport, out: Path | None) -> None:
         _write_atomic(out, blob)
 
 
-def cmd_sparsify(cfg: RunConfig) -> int:
-    graph = jsonio.graph_from_json(_load(cfg.inputs[0]))
-    out_dir = cfg.out
+def cmd_sparsify(args: argparse.Namespace) -> int:
+    graph = jsonio.graph_from_json(_load(args.graph))
+    out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        report = operators.find_optimal_operator(graph, max_iters=cfg.max_iters)
+        report = operators.find_optimal_operator(graph, max_iters=args.max_iters)
     except operators.NoFiniteDistortionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return UNBOUNDED_EXIT
@@ -105,17 +70,17 @@ def cmd_sparsify(cfg: RunConfig) -> int:
     _write_atomic(out_dir / "sparsifier.json",
                   jsonio.dump_canonical(quality.sparsifier_to_json(beta)))
     if not report.converged:
-        print(f"error: no convergence within {cfg.max_iters} rounds; "
+        print(f"error: no convergence within {args.max_iters} rounds; "
               "operator.json and sparsifier.json hold the best iterate",
               file=sys.stderr)
         return NO_CONVERGENCE
 
     # one master generator; every sampled artifact descends from it
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     metric_seed = rng.randrange(1 << 63)
     g_c = report.graph
     cut_report = quality.cut_quality(g_c, beta)
-    metric_report = quality.metric_quality(g_c, beta, samples=cfg.samples,
+    metric_report = quality.metric_quality(g_c, beta, samples=args.samples,
                                            seed=metric_seed)
     if g_c.k >= 2:
         demand_sets = [random_demands(rng, g_c.k, g_c.k)
@@ -137,31 +102,31 @@ def cmd_sparsify(cfg: RunConfig) -> int:
     return OK
 
 
-def cmd_quality(cfg: RunConfig) -> int:
-    graph = jsonio.graph_from_json(_load(cfg.inputs[0]))
-    beta = quality.sparsifier_from_json(_load(cfg.inputs[1]))
+def cmd_quality(args: argparse.Namespace) -> int:
+    graph = jsonio.graph_from_json(_load(args.graph))
+    beta = quality.sparsifier_from_json(_load(args.sparsifier))
     if beta.k != graph.k:
         print(f"error: sparsifier has {beta.k} terminals, graph has {graph.k}",
               file=sys.stderr)
         return PARSE_ERROR
-    if cfg.semantics == quality.CUT:
+    if args.semantics == quality.CUT:
         report = quality.cut_quality(graph, beta)
-    elif cfg.semantics == quality.METRIC:
-        report = quality.metric_quality(graph, beta, samples=cfg.samples, seed=cfg.seed)
+    elif args.semantics == quality.METRIC:
+        report = quality.metric_quality(graph, beta, samples=args.samples, seed=args.seed)
     else:
-        if len(cfg.inputs) < 3:
+        if args.demands is None:
             print("error: flow semantics requires --demands", file=sys.stderr)
             return PARSE_ERROR
-        demands = jsonio.demands_from_json(_load(cfg.inputs[2]))
+        demands = jsonio.demands_from_json(_load(args.demands))
         report = quality.flow_quality_probe(graph, beta, [demands])
-    _emit(report, cfg.out)
+    _emit(report, args.out)
     if is_unbounded(report.q_value):
         return UNBOUNDED_EXIT
     return OK
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    cert = certificates.certificate_from_json(_load(cfg.inputs[0]))
+def cmd_certify(args: argparse.Namespace) -> int:
+    cert = certificates.certificate_from_json(_load(args.certificate))
     if isinstance(cert, certificates.CutCertificate):
         value = certificates.certify_cut(cert)
     else:
@@ -172,10 +137,8 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 def _oracle_rows_mincut(graph: WeightedGraph, budget: int) -> list[tuple]:
     rows = []
-    for mask in range((1 << (graph.k - 1)) - 1):
-        side_mask = (mask << 1) | 1
-        side = [p for p in range(graph.k) if side_mask >> p & 1]
-        label = f"mincut S={side_mask:#0{graph.k + 2}b}"
+    for mask, side in bipartitions(graph.k):
+        label = f"mincut S={mask:#0{graph.k + 2}b}"
         lp_val = min_cut_via_lp(graph, side)
         flow_val = min_cut_via_flow(graph, side)
         enum_val = min_cut_by_enumeration(graph, side, budget=budget)
@@ -188,12 +151,11 @@ def _oracle_rows_zeroext(graph: WeightedGraph, budget: int, seed: int,
                          samples: int) -> list[tuple]:
     rows = []
     # cut metrics first: the cheapest 0-extension must hit the min cut exactly
-    for mask in range((1 << (graph.k - 1)) - 1):
-        side_mask = (mask << 1) | 1
-        delta = cut_metric([p for p in range(graph.k) if side_mask >> p & 1], graph.k)
+    for mask, side in bipartitions(graph.k):
+        delta = cut_metric(side, graph.k)
         lp_val = min_extension(graph, delta).value
         ze_val = best_zero_extension(graph, delta, budget=budget).cost
-        rows.append((f"zeroext S={side_mask:#0{graph.k + 2}b}", lp_val, ze_val, "=",
+        rows.append((f"zeroext S={mask:#0{graph.k + 2}b}", lp_val, ze_val, "=",
                      lp_val == ze_val))
     rng = random.Random(seed)
     for a in range(samples):
@@ -204,15 +166,15 @@ def _oracle_rows_zeroext(graph: WeightedGraph, budget: int, seed: int,
     return rows
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    graph = jsonio.graph_from_json(_load(cfg.inputs[0]))
+def cmd_oracle(args: argparse.Namespace) -> int:
+    graph = jsonio.graph_from_json(_load(args.graph))
     rows: list[tuple] = []
-    if cfg.mode in ("mincut", "all") and graph.k >= 2:
-        rows.extend(_oracle_rows_mincut(graph, cfg.budget))
-    if cfg.mode in ("zeroext", "all"):
-        samples = min(cfg.samples, 5)
+    if args.mode in ("mincut", "all") and graph.k >= 2:
+        rows.extend(_oracle_rows_mincut(graph, args.budget))
+    if args.mode in ("zeroext", "all"):
+        samples = min(args.samples, 5)
         if graph.k >= 2:
-            rows.extend(_oracle_rows_zeroext(graph, cfg.budget, cfg.seed, samples))
+            rows.extend(_oracle_rows_zeroext(graph, args.budget, args.seed, samples))
     width = max((len(r[0]) for r in rows), default=8)
     mismatch = False
     for name, lhs, rhs, rel, ok in rows:
@@ -239,27 +201,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sparsify = sub.add_parser("sparsify", help="solve for the optimal operator "
                                 "and write all artifacts")
-    p_sparsify.add_argument("graph", help="graph JSON file")
-    p_sparsify.add_argument("--out", required=True, help="output directory")
+    p_sparsify.add_argument("graph", type=Path, help="graph JSON file")
+    p_sparsify.add_argument("--out", type=Path, required=True, help="output directory")
     p_sparsify.add_argument("--max-iters", type=int, default=10_000, dest="max_iters",
                             help="cutting-plane round cap")
     common(p_sparsify)
 
     p_quality = sub.add_parser("quality", help="grade a sparsifier under one semantics")
-    p_quality.add_argument("graph", help="graph JSON file")
-    p_quality.add_argument("sparsifier", help="sparsifier JSON file")
+    p_quality.add_argument("graph", type=Path, help="graph JSON file")
+    p_quality.add_argument("sparsifier", type=Path, help="sparsifier JSON file")
     p_quality.add_argument("--semantics", required=True,
                            choices=[quality.CUT, quality.METRIC, quality.FLOW])
-    p_quality.add_argument("--demands", default=None,
+    p_quality.add_argument("--demands", type=Path, default=None,
                            help="demand-set JSON file (flow semantics)")
-    p_quality.add_argument("--out", default=None, help="report file (default stdout)")
+    p_quality.add_argument("--out", type=Path, default=None, help="report file (default stdout)")
     common(p_quality)
 
     p_certify = sub.add_parser("certify", help="verify a certificate file")
-    p_certify.add_argument("certificate", help="certificate JSON file")
+    p_certify.add_argument("certificate", type=Path, help="certificate JSON file")
 
     p_oracle = sub.add_parser("oracle", help="cross-check LP values against brute force")
-    p_oracle.add_argument("graph", help="graph JSON file")
+    p_oracle.add_argument("graph", type=Path, help="graph JSON file")
     p_oracle.add_argument("--mode", choices=["mincut", "zeroext", "all"], default="all")
     p_oracle.add_argument("--budget", type=int, default=1_000_000,
                           help="enumeration budget for brute-force oracles")
@@ -283,9 +245,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    cfg = _config(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except jsonio.JsonFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR

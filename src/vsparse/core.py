@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Pair = tuple[int, int]
 FractionLike = Union[Fraction, int, str]
@@ -59,6 +59,17 @@ def pair(i: int, j: int) -> Pair:
 def all_pairs(m: int) -> list[Pair]:
     """All unordered pairs on points 0..m-1, in lexicographic order."""
     return list(itertools.combinations(range(m), 2))
+
+
+def bipartitions(k: int) -> Iterator[tuple[int, list[int]]]:
+    """Each bipartition of terminals 0..k-1 once, as (mask, side).
+
+    Bit 0 stays on the inside, so the masks are the odd ones 1, 3, ...,
+    2^k - 3 in ascending order and a side and its complement never both
+    appear; ``side`` lists the terminals whose bits are set.
+    """
+    for mask in range(1, (1 << k) - 1, 2):
+        yield mask, [p for p in range(k) if mask >> p & 1]
 
 
 class Unbounded:

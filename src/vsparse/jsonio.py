@@ -10,6 +10,7 @@ two-space indent, trailing newline. Parse errors raise
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -31,6 +32,11 @@ def format_fraction(value: Fraction) -> str:
 def parse_fraction(text: Any, path: str = "value") -> Fraction:
     if not isinstance(text, str):
         raise JsonFormatError(path, f"expected a rational string, got {type(text).__name__}")
+    # Only "num/den" and bare integers: Fraction() alone would also take
+    # decimals, exponents ("1e999999999" builds a billion-digit integer),
+    # underscores, padding and non-ASCII digits.
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise JsonFormatError(path, f"bad rational {text!r}: expected \"num/den\" or an integer")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

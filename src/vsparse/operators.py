@@ -36,6 +36,7 @@ from .core import (
     WeightedGraph,
     all_pairs,
     as_fraction,
+    bipartitions,
     canonicalize,
     cut_metric,
     pair,
@@ -184,16 +185,14 @@ def _image_alpha(g: WeightedGraph, phi_of: PhiAccessor, d_y: Metric) -> Fraction
 
 @dataclass(frozen=True)
 class MembershipViolation:
-    """A defining row of the vertex metric cone the candidate image fails.
+    """A triangle row of the vertex metric cone the candidate image fails.
 
-    ``kind`` is "triangle" with ``where`` = (i, j, l) naming the row
-    d(i,j) <= d(i,l) + d(l,j), or "nonneg" with ``where`` = (i, j) naming
-    d(i,j) >= 0. On the witness terminal metric (normalized to total pair
-    mass 1) the image violates the row by ``excess`` > 0.
+    ``where`` = (i, j, l) names the row d(i,j) <= d(i,l) + d(l,j). On the
+    witness terminal metric (normalized to total pair mass 1) the image
+    violates the row by ``excess`` > 0.
     """
 
-    kind: str
-    where: tuple[int, ...]
+    where: tuple[int, int, int]
     witness: Metric
     excess: Fraction
 
@@ -205,51 +204,38 @@ def _membership_violations(n: int, k: int, phi_of: PhiAccessor,
     ypairs = all_pairs(k)
     norm_row = ({yp: ONE for yp in ypairs}, lp.EQ, ONE)
     found: list[MembershipViolation] = []
-
-    def probe(kind: str, where: tuple[int, ...], coeffs: dict[Pair, Fraction]) -> bool:
-        if all(v <= 0 for v in coeffs.values()):
-            return False  # nonnegative metrics cannot push this row positive
-        if k <= RAY_POINTS and max(ray_values(k, coeffs)) <= 0:
-            return False  # nor can any extreme ray, so no metric can
-        cone = MetricConeLp(k)
-        result = cone.optimize("max", coeffs, [norm_row])
-        lp.check(result.status == lp.OPTIMAL, "a normalized membership probe is bounded")
-        if result.value > 0:
-            found.append(MembershipViolation(kind, where, result.table, result.value))
-            return True
-        return False
-
     for i, j in all_pairs(n):
-        if j >= k:
-            # Nonnegativity row -phi(d)(i,j) <= 0; rows of terminal pairs
-            # reproduce a d_Y value and cannot go negative.
-            coeffs = {yp: -phi_of(pair(i, j), yp) for yp in ypairs}
-            if probe("nonneg", (i, j), coeffs) and first_only:
-                return found
         for l in range(n):
             if l == i or l == j:
                 continue
             if j < k and l < k:
                 continue  # row between terminal pairs holds by the identity
-            coeffs = {}
+            coeffs: dict[Pair, Fraction] = {}
             for key, sgn in ((pair(i, j), 1), (pair(i, l), -1), (pair(l, j), -1)):
                 for yp in ypairs:
                     c = phi_of(key, yp)
                     if c:
                         coeffs[yp] = coeffs.get(yp, ZERO) + sgn * c
-            if probe("triangle", (i, j, l), coeffs) and first_only:
-                return found
+            if all(v <= 0 for v in coeffs.values()):
+                continue  # nonnegative metrics cannot push this row positive
+            if k <= RAY_POINTS and max(ray_values(k, coeffs)) <= 0:
+                continue  # nor can any extreme ray, so no metric can
+            result = MetricConeLp(k).optimize("max", coeffs, [norm_row])
+            lp.check(result.status == lp.OPTIMAL, "a normalized membership probe is bounded")
+            if result.value > 0:
+                found.append(MembershipViolation((i, j, l), result.table, result.value))
+                if first_only:
+                    return found
     return found
 
 
 def membership_oracle(phi: ExtensionOperator) -> MembershipViolation | None:
     """Is phi(D_Y) inside the metric cone on the vertices?
 
-    Separates on every defining row of the cone: all triangle inequalities
-    and all nonnegativity rows of the image. For a nonnegative tensor the
-    nonnegativity rows can never fire and their sub-LPs are skipped by a
-    sign prefilter, so they cost nothing. Returns None for members,
-    otherwise the first violated row with its witness metric.
+    Separates on every triangle inequality of the image; the image of a
+    nonnegative tensor is nonnegative, so no other row of the cone can
+    fail. Returns None for members, otherwise the first violated row with
+    its witness metric.
     """
     hits = _membership_violations(phi.n, phi.k, phi.value, first_only=True)
     return hits[0] if hits else None
@@ -340,24 +326,7 @@ class OperatorSolveReport:
     order: tuple[int, ...]
 
 
-def _raw_operator(n: int, k: int, coeffs: Mapping[tuple[Pair, Pair], Fraction],
-                  distortion: Fraction) -> ExtensionOperator:
-    """Build without the nonnegativity check; only for the exploration path
-    that deliberately relaxes phi >= 0. Such operators may be rejected by
-    downstream conversions and do not round-trip through the wire format."""
-    phi = object.__new__(ExtensionOperator)
-    norm = {key: v for key, v in coeffs.items() if v}
-    for tp in all_pairs(k):
-        norm[(tp, tp)] = ONE
-    object.__setattr__(phi, "n", n)
-    object.__setattr__(phi, "k", k)
-    object.__setattr__(phi, "coeffs", norm)
-    object.__setattr__(phi, "distortion", distortion)
-    return phi
-
-
-def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000,
-                          allow_negative: bool = False) -> OperatorSolveReport:
+def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> OperatorSolveReport:
     """Minimize distortion over all extension operators of g, exactly.
 
     The master LP minimizes Q over (phi, Q) >= 0. It starts from the
@@ -368,11 +337,6 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000,
     With exact arithmetic every witness is a vertex of a fixed polytope, so
     the loop terminates; ``max_iters`` caps the rounds anyway and a capped
     run returns ``converged=False`` carrying the best master iterate.
-
-    ``allow_negative`` lifts the phi >= 0 bounds for exploration; the
-    membership oracle then also separates on image nonnegativity rows.
-    Nothing is asserted about the result beyond the master constraints, and
-    the returned operator may fail downstream conversions.
     """
     g_c, order = canonicalize(g)
     n, k = g_c.n, g_c.k
@@ -412,14 +376,6 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000,
 
     def membership_cut(hit: MembershipViolation) -> lp.Constraint:
         witness = hit.witness
-        if hit.kind == "nonneg":
-            # phi(d*)(i,j) >= 0; the pair is never terminal-terminal here
-            coeffs = {}
-            for yp in ypairs:
-                dv = witness.rows[yp[0]][yp[1]]
-                if dv:
-                    coeffs[position[(hit.where, yp)]] = dv
-            return lp.Constraint(coeffs, lp.GE, ZERO)
         i, j, l = hit.where
         coeffs = {}
         rhs = ZERO
@@ -435,17 +391,10 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000,
         return lp.Constraint(coeffs, lp.LE, rhs)
 
     master = lp.LinearProgram(1 + len(entries), "min", {0: ONE})
-    if allow_negative:
-        for e in range(1, master.n_vars):
-            master.set_free(e)
     candidates: list[tuple[Metric, Fraction]] = []
     counts = {"membership": 0, "distortion": 0}
 
-    full = (1 << k) - 1
-    for mask in range(1, full):
-        if not mask & 1:
-            continue  # complements give the same cut metric
-        side = [p for p in range(k) if mask >> p & 1]
+    for _, side in bipartitions(k):
         delta = cut_metric(side, k)
         # equals min_extension(g_c, delta): the min-cut LP is integral
         c_s = min_cut_via_flow(g_c, side)
@@ -478,10 +427,7 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000,
     x = result.outcome.x
     q = x[0]
     coeffs = {entry: x[position[entry]] for entry in entries if x[position[entry]]}
-    if allow_negative and any(v < 0 for v in coeffs.values()):
-        phi = _raw_operator(n, k, coeffs, q)
-    else:
-        phi = ExtensionOperator(n, k, coeffs, distortion=q)
+    phi = ExtensionOperator(n, k, coeffs, distortion=q)
     phi_of = phi_of_x(x)
     worst = [(d, c) for d, c in candidates if _image_alpha(g_c, phi_of, d) == q * c]
     return OperatorSolveReport(

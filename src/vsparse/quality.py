@@ -27,6 +27,7 @@ from .core import (
     Unbounded,
     WeightedGraph,
     all_pairs,
+    bipartitions,
     canonicalize,
     cut_metric,
     is_unbounded,
@@ -75,10 +76,9 @@ def _check_k(g: WeightedGraph, beta: Sparsifier) -> None:
 def cut_quality(g: WeightedGraph, beta: Sparsifier, cap: int = 20) -> QualityReport:
     """Worst ratio of sparsifier cut to terminal min cut, over all bipartitions.
 
-    Enumerates the 2^(k-1) - 1 bipartitions by bitmask (terminal 0 always on
-    the inside, ascending masks, ties to the smallest). Min cuts come from
-    the max-flow route, which keeps k = 20 within reach; the LP route is
-    cross-checked elsewhere. Bipartitions where both values are zero bind
+    Enumerates the 2^(k-1) - 1 bipartitions of :func:`core.bipartitions`,
+    ties to the smallest mask. Min cuts come from the max-flow route, which
+    keeps k = 20 within reach; the LP route is cross-checked elsewhere. Bipartitions where both values are zero bind
     nothing and are skipped; a zero min cut against a positive sparsifier
     cut makes the quality unbounded. With a single terminal there is
     nothing to preserve and the quality is 1 by convention.
@@ -90,21 +90,18 @@ def cut_quality(g: WeightedGraph, beta: Sparsifier, cap: int = 20) -> QualityRep
     best_mask: int | None = None
     unbounded_mask: int | None = None
     lower_ok = True
-    # bit 0 stays on the inside, so each bipartition appears exactly once
-    for mask in range((1 << (g.k - 1)) - 1):
-        side_mask = (mask << 1) | 1
-        side = [p for p in range(g.k) if side_mask >> p & 1]
+    for mask, side in bipartitions(g.k):
         h_val = beta.cut_value(side)
         g_val = min_cut_via_flow(g, side)
         if h_val < g_val:
             lower_ok = False
         if g_val == 0:
             if h_val > 0 and unbounded_mask is None:
-                unbounded_mask = side_mask
+                unbounded_mask = mask
             continue
         ratio = h_val / g_val
         if best is None or ratio > best:
-            best, best_mask = ratio, side_mask
+            best, best_mask = ratio, mask
     if unbounded_mask is not None:
         return QualityReport(CUT, UNBOUNDED, lower_ok, unbounded_mask, EXACT)
     if best is None:
@@ -153,9 +150,7 @@ def metric_lower_check(g: WeightedGraph, beta: Sparsifier, samples: int = 100,
     _check_k(g, beta)
     if g.k > cap:
         raise ValueError(f"cut enumeration over k = {g.k} terminals exceeds cap {cap}")
-    for mask in range((1 << (g.k - 1)) - 1):
-        side_mask = (mask << 1) | 1
-        side = [p for p in range(g.k) if side_mask >> p & 1]
+    for _, side in bipartitions(g.k):
         if beta.cut_value(side) < min_cut_via_flow(g, side):
             return QualityReport(METRIC, None, False, cut_metric(side, g.k), SAMPLED)
     rng = random.Random(seed)

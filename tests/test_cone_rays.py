@@ -245,7 +245,7 @@ def _phis():
 
 
 def _hits(n, k, phi_of, first_only):
-    return [(h.kind, h.where, h.witness, h.excess)
+    return [(h.where, h.witness, h.excess)
             for h in operators._membership_violations(n, k, phi_of, first_only)]
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from vsparse import (
     validate_metric,
     zero_metric,
 )
+from vsparse.core import bipartitions
 from helpers import path3, triangle_y, unit_star
 
 F = Fraction
@@ -159,6 +161,38 @@ def test_cut_metric_restriction_is_cut_metric():
             inner = [p for p, v in enumerate(y) if v in side]
             got = restrict(cut_metric(side, m), y)
             assert got.rows == cut_metric(inner, len(y)).rows
+
+
+# --- bipartitions ------------------------------------------------------
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_bipartitions_count_and_ascending_masks(k):
+    masks = [mask for mask, _ in bipartitions(k)]
+    assert len(masks) == 2 ** (k - 1) - 1
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_bipartition_sides_hold_terminal_zero_and_match_their_mask(k):
+    for mask, side in bipartitions(k):
+        assert 0 in side
+        assert side == sorted(set(side))
+        assert sum(1 << p for p in side) == mask
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_bipartitions_with_complements_cover_each_proper_subset_once(k):
+    seen = Counter()
+    for _, side in bipartitions(k):
+        seen[frozenset(side)] += 1
+        seen[frozenset(range(k)) - frozenset(side)] += 1
+    proper = Counter(frozenset(c) for r in range(1, k)
+                     for c in itertools.combinations(range(k), r))
+    assert seen == proper
+
+
+def test_one_terminal_has_no_bipartition():
+    assert list(bipartitions(1)) == []
 
 
 # --- restrict ----------------------------------------------------------

@@ -39,7 +39,9 @@ def test_parse_fraction_accepts_bare_integers():
     assert parse_fraction("5") == 5
 
 
-@pytest.mark.parametrize("bad", ["1/0", "a/b", "", "1/2/3", 3, None, True])
+@pytest.mark.parametrize("bad", ["1/0", "a/b", "", "1/2/3", 3, None, True,
+                                 "1.5", "1e3", " 1/2 ", "1_000", "\uff11/\uff12",
+                                 "1e999999999"])
 def test_parse_fraction_rejects_garbage(bad):
     with pytest.raises(JsonFormatError):
         parse_fraction(bad)
