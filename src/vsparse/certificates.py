@@ -224,4 +224,5 @@ def certificate_from_json(data: object,
         if isinstance(exc, jsonio.JsonFormatError):
             raise
         raise jsonio.JsonFormatError(path, str(exc)) from None
-    raise jsonio.JsonFormatError(f"{path}.type", f"unknown certificate type {kind!r}")
+    raise jsonio.JsonFormatError(f"{path}.type",
+                                 f"unknown certificate type {jsonio._quote(kind)}")

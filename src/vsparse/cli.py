@@ -18,10 +18,9 @@ import functools
 import os
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import certificates, jsonio, operators, quality
+from . import certificates, jsonio, lp, operators, quality
 from .core import WeightedGraph, bipartitions, cut_metric, is_unbounded
 from .extension import (
     best_zero_extension,
@@ -30,11 +29,9 @@ from .extension import (
     min_cut_via_lp,
     min_extension,
 )
-from .sampling import random_demands, random_metric
+from .sampling import random_metric
 
 OK, PARSE_ERROR, NO_CONVERGENCE, UNBOUNDED_EXIT, ORACLE_MISMATCH = 0, 2, 3, 4, 5
-
-FLOW_DEMAND_SETS = 10
 
 
 def _load(path: Path) -> object:
@@ -75,23 +72,16 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return NO_CONVERGENCE
 
-    # one master generator; every sampled artifact descends from it
-    rng = random.Random(args.seed)
-    metric_seed = rng.randrange(1 << 63)
+    # the sampled lower check's seed is drawn from --seed, not --seed itself
+    metric_seed = random.Random(args.seed).randrange(1 << 63)
     g_c = report.graph
     cut_report = quality.cut_quality(g_c, beta)
     metric_report = quality.metric_quality(g_c, beta, samples=args.samples,
                                            seed=metric_seed)
-    if g_c.k >= 2:
-        demand_sets = [random_demands(rng, g_c.k, g_c.k)
-                       for _ in range(FLOW_DEMAND_SETS)]
-        # the metric report's q_value is the exact upper bound the probe caps at
-        flow_report = quality.flow_quality_probe(g_c, beta, demand_sets,
-                                                 q_cap=metric_report.q_value)
-    else:
-        # a single terminal admits no demands; nothing to preserve
-        flow_report = quality.QualityReport(quality.FLOW, Fraction(1), True, None,
-                                            quality.SAMPLED)
+    # beta(d) = alpha(phi(d)) for a collapse, so the upper LP re-derives Q
+    lp.check(metric_report.q_value == report.q, f"metric upper Q {metric_report.q_value} "
+             f"of the collapse is not the operator's Q {report.q}")
+    flow_report = quality.flow_quality(g_c, beta, metric_report.q_value)
     for name, rep in (("quality_cut.json", cut_report),
                       ("quality_metric.json", metric_report),
                       ("quality_flow.json", flow_report)):
@@ -195,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for every sampled metric and demand set")
+                       help="seed for sampled metrics")
         p.add_argument("--samples", type=int, default=100,
                        help="random metrics for sampled lower checks")
 

@@ -25,6 +25,12 @@ class JsonFormatError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _quote(value: Any) -> str:
+    """``repr(value)`` cut to 60 characters, so a huge input cannot flood stderr."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -36,11 +42,11 @@ def parse_fraction(text: Any, path: str = "value") -> Fraction:
     # decimals, exponents ("1e999999999" builds a billion-digit integer),
     # underscores, padding and non-ASCII digits.
     if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
-        raise JsonFormatError(path, f"bad rational {text!r}: expected \"num/den\" or an integer")
+        raise JsonFormatError(path, f"bad rational {_quote(text)}: expected \"num/den\" or an integer")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise JsonFormatError(path, f"bad rational {text!r}: {exc}") from None
+        raise JsonFormatError(path, f"bad rational {_quote(text)}: {exc}") from None
     return value
 
 
@@ -58,7 +64,7 @@ def loads(text: str) -> Any:
 
 def _expect_int(value: Any, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise JsonFormatError(path, f"expected an integer, got {value!r}")
+        raise JsonFormatError(path, f"expected an integer, got {_quote(value)}")
     return value
 
 
@@ -122,9 +128,14 @@ def demands_to_json(ds: DemandSet) -> dict:
 
 def demands_from_json(data: Any, path: str = "demands") -> DemandSet:
     obj = _expect_object(data, path, ("demands",))
+    return _demand_rows(obj["demands"], f"{path}.demands")
+
+
+def _demand_rows(data: Any, path: str) -> DemandSet:
+    """A list of [s, t, demand] rows: a demand file's body or a flow witness."""
     rows = []
-    for a, entry in enumerate(_expect_list(obj["demands"], f"{path}.demands")):
-        epath = f"{path}.demands[{a}]"
+    for a, entry in enumerate(_expect_list(data, path)):
+        epath = f"{path}[{a}]"
         row = _expect_list(entry, epath)
         if len(row) != 3:
             raise JsonFormatError(epath, f"expected [s, t, demand], got {len(row)} items")

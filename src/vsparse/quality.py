@@ -4,15 +4,15 @@ Three semantics share one report shape: cut quality enumerates every
 terminal bipartition and compares the sparsifier's cut to the terminal min
 cut; metric quality bounds the sparsifier's value against the minimum
 extension through a single LP over the vertex metric cone; flow quality
-compares maximum concurrent-flow fractions through the dual LPs and checks
-the sandwich the metric bound implies. All values are exact rationals; a
-ratio against zero is reported as unbounded rather than clamped.
+compares maximum concurrent-flow fractions through the dual LPs, exactly
+at the sparsifier's own demands or on given ones. All values are exact
+rationals; a ratio against zero is reported as unbounded rather than clamped.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,7 +26,6 @@ from .core import (
     Sparsifier,
     Unbounded,
     WeightedGraph,
-    all_pairs,
     bipartitions,
     canonicalize,
     cut_metric,
@@ -34,7 +33,7 @@ from .core import (
     pair,
 )
 from .extension import MetricConeLp, min_cut_via_flow, min_extension
-from .operators import ExtensionOperator
+from .operators import ExtensionOperator, operator_to_sparsifier
 from .sampling import random_metric
 
 CUT, METRIC, FLOW = "cut", "metric", "flow"
@@ -56,9 +55,9 @@ class QualityReport:
     bound held everywhere checked; None when the evaluation does not check
     it. ``witness`` achieves q_value: a terminal-subset bitmask for cuts, a
     terminal metric for metric semantics (the violating metric instead when
-    the lower check fails), a demand set for flows. ``completeness`` is
-    "exact" for exhaustive evaluations and "sampled" where random probing
-    was involved.
+    the lower check fails), a demand set for flows (likewise). ``completeness``
+    is "exact" for exhaustive or proved evaluations and "sampled" where
+    random or given sets were probed.
     """
 
     semantics: str
@@ -206,14 +205,14 @@ def max_concurrent_flow(g: WeightedGraph | Sparsifier, demands: DemandSet) -> Fr
 def flow_quality_probe(g: WeightedGraph, beta: Sparsifier,
                        demand_sets: Sequence[DemandSet],
                        q_cap: Fraction | Unbounded | None = None) -> QualityReport:
-    """Check the flow sandwich on sampled demand sets and report the tightest.
+    """Check the flow sandwich on given demand sets and report the tightest.
 
     For each demand set D: lambda_G(D) <= lambda_H(D) <= Q * lambda_G(D),
-    where Q is the exact metric quality upper bound. Both inequalities are
-    theorems for pipeline-produced sparsifiers, so a failure raises
-    :class:`FlowProbeError` instead of being reported as data. The report's
-    q_value is the largest observed lambda_H / lambda_G (1 if every flow
-    pair was zero), with the demand set achieving it as witness. A caller
+    where Q is the exact metric quality upper bound. The upper one holds for
+    every beta, so its failure raises :class:`FlowProbeError`; the first set
+    failing the lower one sets ``lower_ok`` False and is the witness, as in
+    :func:`metric_quality`. Otherwise the witness achieves q_value, the
+    largest lambda_H / lambda_G (1 if every flow pair was zero). A caller
     that already holds ``metric_quality_upper(g, beta).q_value`` passes it as
     ``q_cap``; otherwise it is computed here.
     """
@@ -224,49 +223,55 @@ def flow_quality_probe(g: WeightedGraph, beta: Sparsifier,
         q_cap = metric_quality_upper(g, beta).q_value
     best: Fraction | None = None
     best_set: DemandSet | None = None
+    violated: DemandSet | None = None
     for ds in demand_sets:
         lam_g = max_concurrent_flow(g, ds)
         lam_h = max_concurrent_flow(beta, ds)
         if lam_h < lam_g:
-            raise FlowProbeError(
-                f"sparsifier routes less than the graph: {lam_h} < {lam_g} on {ds.demands}")
+            violated = violated or ds
         if not is_unbounded(q_cap) and lam_h > q_cap * lam_g:
             raise FlowProbeError(
                 f"flow ratio exceeds metric quality {q_cap}: "
                 f"{lam_h} > {q_cap} * {lam_g} on {ds.demands}")
         if lam_g > 0 and (best is None or lam_h / lam_g > best):
             best, best_set = lam_h / lam_g, ds
-    if best is None:
-        return QualityReport(FLOW, ONE, True, None, SAMPLED)
-    return QualityReport(FLOW, best, True, best_set, SAMPLED)
+    return QualityReport(FLOW, ONE if best is None else best, violated is None,
+                         violated or best_set, SAMPLED)
+
+
+def flow_quality(g: WeightedGraph, beta: Sparsifier,
+                 q_cap: Fraction | Unbounded) -> QualityReport:
+    """The worst lambda_H(D) / lambda_G(D) over all demand sets D, exactly.
+
+    By LP duality it is the metric upper quality Q = ``q_cap``, reached at
+    D = beta (positive entries, sorted): lambda_H(beta) = 1 and lambda_G(beta)
+    = 1/Q (Leighton & Moitra 2010; Charikar, Leighton, Li & Moitra 2010).
+    Needs 1 <= Q < unbounded, as for a collapsed operator of finite
+    distortion; the probe's report on D is checked to say so, else
+    :class:`FlowProbeError`. With no positive entry the report is a vacuous 1.
+    """
+    _check_k(g, beta)
+    demands = DemandSet([(p, q, w) for (p, q), w in sorted(beta.beta.items()) if w > 0])
+    if not demands.demands:
+        return QualityReport(FLOW, ONE, True, None, EXACT)
+    report = flow_quality_probe(g, beta, [demands], q_cap=q_cap)
+    if not report.lower_ok or report.q_value != q_cap:
+        raise FlowProbeError(f"flow ratio at D = beta is {report.q_value} (lower bound "
+                             f"held: {report.lower_ok}), metric upper quality is {q_cap}")
+    return replace(report, completeness=EXACT)
 
 
 def evaluate_operator_distortion(phi: ExtensionOperator,
                                  g: WeightedGraph) -> Fraction | Unbounded:
     """Exact supremum of alpha(phi(d_Y)) / minext(d_Y), independent of the solver.
 
-    One LP: maximize the image cost over the vertex metric cone sliced by
-    alpha(d) <= 1. The caller vouches for membership (the oracle is public).
-    For a solver-produced operator this reproduces the cutting-plane Q
-    exactly; unbounded means no finite distortion bound holds for phi.
+    That is the metric upper quality of phi's collapse, whose beta(d_Y) is
+    alpha(phi(d_Y)). The caller vouches for membership (the oracle is public).
+    It reproduces a solver-produced Q exactly; unbounded means no finite
+    distortion bound holds for phi.
     """
     g_c, _ = canonicalize(g)
-    if g_c.n != phi.n or g_c.k != phi.k:
-        raise ValueError(f"operator is {phi.n}/{phi.k} but graph is {g_c.n}/{g_c.k}")
-    objective: dict[tuple[int, int], Fraction] = {}
-    for xp, w in g_c.weights.items():
-        if not w:
-            continue
-        for yp in all_pairs(phi.k):
-            c = phi.value(xp, yp)
-            if c:
-                objective[yp] = objective.get(yp, ZERO) + w * c
-    cone = MetricConeLp(g_c.n)
-    result = cone.optimize("max", objective, [(dict(g_c.weights), lp.LE, ONE)])
-    if result.status == lp.UNBOUNDED:
-        return UNBOUNDED
-    lp.check(result.status == lp.OPTIMAL, "a budgeted metric LP is feasible")
-    return result.value
+    return metric_quality_upper(g_c, operator_to_sparsifier(phi, g_c)).q_value
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +315,7 @@ def _witness_to_json(semantics: str, witness: object) -> object:
         return witness
     if semantics == METRIC:
         return jsonio.metric_to_json(witness)
-    return [[s, t, jsonio.format_fraction(dem)] for s, t, dem in witness.demands]
+    return jsonio.demands_to_json(witness)["demands"]
 
 
 def _witness_from_json(semantics: str, data: object, path: str) -> object:
@@ -320,16 +325,7 @@ def _witness_from_json(semantics: str, data: object, path: str) -> object:
         return jsonio._expect_int(data, path)
     if semantics == METRIC:
         return jsonio.metric_from_json(data, path)
-    rows = jsonio._expect_list(data, path)
-    demands = []
-    for a, entry in enumerate(rows):
-        row = jsonio._expect_list(entry, f"{path}[{a}]")
-        if len(row) != 3:
-            raise jsonio.JsonFormatError(f"{path}[{a}]", "expected [s, t, demand]")
-        demands.append((jsonio._expect_int(row[0], f"{path}[{a}][0]"),
-                        jsonio._expect_int(row[1], f"{path}[{a}][1]"),
-                        jsonio.parse_fraction(row[2], f"{path}[{a}][2]")))
-    return DemandSet(demands)
+    return jsonio._demand_rows(data, path)
 
 
 def report_to_json(report: QualityReport) -> dict:
@@ -353,7 +349,8 @@ def report_from_json(data: object, path: str = "report") -> QualityReport:
         data, path, ("semantics", "q_value", "lower_ok", "witness", "completeness"))
     semantics = obj["semantics"]
     if semantics not in (CUT, METRIC, FLOW):
-        raise jsonio.JsonFormatError(f"{path}.semantics", f"unknown semantics {semantics!r}")
+        raise jsonio.JsonFormatError(f"{path}.semantics",
+                                     f"unknown semantics {jsonio._quote(semantics)}")
     raw_q = obj["q_value"]
     if raw_q is None:
         q: Fraction | Unbounded | None = None
@@ -367,6 +364,6 @@ def report_from_json(data: object, path: str = "report") -> QualityReport:
     completeness = obj["completeness"]
     if completeness not in (EXACT, SAMPLED):
         raise jsonio.JsonFormatError(f"{path}.completeness",
-                                     f"unknown completeness {completeness!r}")
+                                     f"unknown completeness {jsonio._quote(completeness)}")
     witness = _witness_from_json(semantics, obj["witness"], f"{path}.witness")
     return QualityReport(semantics, q, lower_ok, witness, completeness)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(): exit codes, artifacts, determinism."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from vsparse import (
     CutCertificate,
     DemandSet,
+    QualityReport,
     Sparsifier,
     WeightedGraph,
     certificate_to_json,
@@ -70,7 +72,9 @@ def test_sparsify_star(tmp_path, capsys):
     metric = report_from_json(loads((out / "quality_metric.json").read_text()))
     assert metric.q_value == F(4, 3) and metric.lower_ok is True
     flow = report_from_json(loads((out / "quality_flow.json").read_text()))
-    assert 1 <= flow.q_value <= F(4, 3) and flow.lower_ok is True
+    assert flow.q_value == F(4, 3) and flow.lower_ok is True
+    assert flow.witness == DemandSet([(p, q, w) for (p, q), w in sorted(beta.beta.items())])
+    assert flow.completeness == "exact"
 
 
 def test_sparsify_is_deterministic(tmp_path):
@@ -93,12 +97,48 @@ def test_sparsify_computes_metric_upper_bound_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_sparsify_solves_two_concurrent_flows(tmp_path, monkeypatch):
+    from vsparse import quality
+    calls = []
+    flow = quality.max_concurrent_flow
+    monkeypatch.setattr(quality, "max_concurrent_flow",
+                        lambda *args: calls.append(args) or flow(*args))
+    assert main(["sparsify", star_file(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2
+
+
+def test_sparsify_cross_checks_metric_upper_bound(tmp_path, monkeypatch):
+    from vsparse import lp, quality
+    upper = quality.metric_quality_upper
+    monkeypatch.setattr(quality, "metric_quality_upper",
+                        lambda *args: replace(upper(*args), q_value=F(5, 3)))
+    with pytest.raises(lp.LpAuditError, match="5/3 of the collapse is not the operator's Q 4/3"):
+        main(["sparsify", star_file(tmp_path), "--out", str(tmp_path / "out")])
+
+
+def test_sparsify_flow_report_ignores_seed(tmp_path):
+    graph = star_file(tmp_path)
+    for seed in ("1", "2"):
+        assert main(["sparsify", graph, "--out", str(tmp_path / seed), "--seed", seed]) == 0
+    flow = (tmp_path / "1" / "quality_flow.json").read_bytes()
+    assert flow == (tmp_path / "2" / "quality_flow.json").read_bytes()
+
+
 def test_sparsify_single_terminal_writes_vacuous_flow(tmp_path):
     g = WeightedGraph(2, [0], {(0, 1): 3})
     graph = write_json(tmp_path / "g.json", graph_to_json(g))
     assert main(["sparsify", graph, "--out", str(tmp_path / "out")]) == 0
     flow = report_from_json(loads((tmp_path / "out" / "quality_flow.json").read_text()))
     assert flow.q_value == 1 and flow.witness is None
+    assert flow.completeness == "exact"
+
+
+def test_sparsify_split_graph_writes_vacuous_flow(tmp_path, capsys):
+    # no path joins the terminals: Q = 0, the sparsifier is empty, every flow is 0
+    assert main(["sparsify", split_graph_file(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("Q = 0/1 ")
+    flow = report_from_json(loads((tmp_path / "out" / "quality_flow.json").read_text()))
+    assert flow == QualityReport("flow", F(1), True, None, "exact")
 
 
 def test_sparsify_iteration_cap(tmp_path, capsys):
@@ -163,6 +203,17 @@ def test_quality_flow_with_demands(tmp_path, capsys):
     report = report_from_json(loads(capsys.readouterr().out))
     assert report.semantics == "flow"
     assert report.q_value >= 1
+
+
+def test_quality_flow_underweight_reports_lower_failure(tmp_path, capsys):
+    graph = write_json(tmp_path / "g.json", graph_to_json(path3()))
+    beta = write_json(tmp_path / "b.json", sparsifier_to_json(Sparsifier(2, {(0, 1): F(1, 4)})))
+    demands = write_json(tmp_path / "d.json", demands_to_json(DemandSet([(0, 1, 1)])))
+    code = main(["quality", graph, beta, "--semantics", "flow", "--demands", demands])
+    assert code == 0
+    report = report_from_json(loads(capsys.readouterr().out))
+    assert report.q_value == F(1, 4) and report.lower_ok is False
+    assert report.witness == DemandSet([(0, 1, 1)]) and report.completeness == "sampled"
 
 
 def test_quality_terminal_count_mismatch(tmp_path, capsys):
@@ -252,6 +303,20 @@ def test_oracle_seed_changes_samples_not_verdict(tmp_path, capsys):
                      "--seed", seed]) == 0
         outputs.append(capsys.readouterr().out)
     assert all("MISMATCH" not in text for text in outputs)
+
+
+@pytest.mark.parametrize("n,weight", [
+    (2, "1." + "0" * 20_000),  # not a rational string
+    (2, "1" * 5_000 + "/1"),   # past the interpreter's int-string digit limit
+    ("9" * 20_000, "1/1"),     # not an integer
+], ids=["decimal", "long-numerator", "string-n"])
+def test_oracle_error_quotes_are_bounded(tmp_path, capsys, n, weight):
+    path = write_json(tmp_path / "g.json", {"n": n, "terminals": [0, 1],
+                                            "edges": [[0, 1, weight]]})
+    assert main(["oracle", path]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode("utf-8")) < 1024
+    assert " characters)" in err
 
 
 # --- argument handling ----------------------------------------------------------

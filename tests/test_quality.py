@@ -37,7 +37,7 @@ from vsparse import (
 from vsparse.extension import _max_flow
 from vsparse.jsonio import JsonFormatError, dump_canonical
 from vsparse.operators import ExtensionOperator
-from vsparse.quality import CUT, EXACT, FLOW, METRIC, SAMPLED
+from vsparse.quality import CUT, EXACT, FLOW, METRIC, SAMPLED, flow_quality
 from vsparse.sampling import random_demands, random_fraction, random_graph
 from helpers import path3, triangle_y, unit_star
 
@@ -370,10 +370,13 @@ def test_flow_probe_needs_demand_sets():
         flow_quality_probe(path3(), Sparsifier(2, {(0, 1): 1}), [])
 
 
-def test_flow_probe_underweight_sparsifier_raises():
-    with pytest.raises(FlowProbeError, match="routes less"):
-        flow_quality_probe(path3(), Sparsifier(2, {(0, 1): F(1, 2)}),
-                           [DemandSet([(0, 1, 1)])])
+def test_flow_probe_underweight_sparsifier_reports_lower_failure():
+    # the first set routes better in H, the second worse: the ratio comes
+    # from the first, the witness from the second, as in metric_quality
+    beta = Sparsifier(3, {(0, 1): 1, (0, 2): F(1, 4), (1, 2): F(1, 4)})
+    sets = [DemandSet([(0, 1, 1)]), DemandSet([(0, 2, 1)]), DemandSet([(1, 2, 1)])]
+    report = flow_quality_probe(unit_star(3), beta, sets)
+    assert report == QualityReport(FLOW, F(5, 4), False, sets[1], SAMPLED)
 
 
 def test_flow_probe_vacuous_on_disconnected_demands():
@@ -412,6 +415,43 @@ def test_flow_probe_checks_against_passed_cap():
     assert flow_quality_probe(path3(), beta, sets).q_value == 2
     with pytest.raises(FlowProbeError, match="exceeds metric quality 3/2"):
         flow_quality_probe(path3(), beta, sets, q_cap=F(3, 2))
+
+
+# --- exact flow quality ----------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flow_quality_exact_on_pipeline_instances(seed):
+    # D = beta: H routes it at lambda 1, G at 1/Q
+    rng = random.Random(seed)
+    g, _ = canonicalize(random_graph(rng, rng.randint(3, 5), rng.randint(2, 3)))
+    report = find_optimal_operator(g)
+    beta = operator_to_sparsifier(report.operator, g)
+    demands = DemandSet([(p, q, w) for (p, q), w in sorted(beta.beta.items()) if w])
+    assert max_concurrent_flow(beta, demands) == 1
+    assert max_concurrent_flow(g, demands) == 1 / report.q
+    assert flow_quality(g, beta, report.q) == \
+        QualityReport(FLOW, report.q, True, demands, EXACT)
+
+
+def test_flow_quality_vacuous_without_positive_entries():
+    empty = QualityReport(FLOW, F(1), True, None, EXACT)
+    assert flow_quality(split_graph(), Sparsifier(2, {}), F(0)) == empty
+    assert flow_quality(WeightedGraph(2, [0], {(0, 1): 3}), Sparsifier(1, {}), F(1)) == empty
+
+
+def test_flow_quality_raises_on_wrong_cap():
+    # Q = 4/3: a cap above it misses the ratio, one below breaks the sandwich
+    beta = Sparsifier(3, {(0, 1): F(2, 3), (0, 2): F(2, 3), (1, 2): F(2, 3)})
+    with pytest.raises(FlowProbeError, match="metric upper quality is 3/2"):
+        flow_quality(unit_star(3), beta, F(3, 2))
+    with pytest.raises(FlowProbeError, match="exceeds metric quality 5/4"):
+        flow_quality(unit_star(3), beta, F(5, 4))
+
+
+def test_flow_quality_raises_on_lower_failure():
+    # half the path's capacity: the ratio is the cap, but H routes less than G
+    with pytest.raises(FlowProbeError, match="lower bound held: False"):
+        flow_quality(path3(), Sparsifier(2, {(0, 1): F(1, 2)}), F(1, 2))
 
 
 # --- operator distortion, solver-independent -----------------------------
@@ -553,6 +593,7 @@ def test_report_json_shape():
     QualityReport(METRIC, None, False, cut_metric([0, 1], 3), SAMPLED),
     QualityReport(FLOW, F(1, 2), True, DemandSet([(0, 1, F(2)), (1, 2, F(1, 3))]), SAMPLED),
     QualityReport(FLOW, F(1), True, None, SAMPLED),
+    QualityReport(FLOW, F(4, 3), True, DemandSet([(0, 1, F(2, 3))]), EXACT),
 ])
 def test_report_json_round_trip(report):
     data = report_to_json(report)
