@@ -18,6 +18,7 @@ import functools
 import os
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import certificates, jsonio, lp, operators, quality
@@ -72,12 +73,12 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return NO_CONVERGENCE
 
-    # the sampled lower check's seed is drawn from --seed, not --seed itself
-    metric_seed = random.Random(args.seed).randrange(1 << 63)
     g_c = report.graph
+    # phi(d) is a metric extending d, so beta(d) = alpha(phi(d)) >= minext(d) for every d
+    lp.check(operators.membership_oracle(report.operator) is None,
+             "the solved operator is not a member of the operator cone")
     cut_report = quality.cut_quality(g_c, beta)
-    metric_report = quality.metric_quality(g_c, beta, samples=args.samples,
-                                           seed=metric_seed)
+    metric_report = replace(quality.metric_quality_upper(g_c, beta), lower_ok=True)
     # beta(d) = alpha(phi(d)) for a collapse, so the upper LP re-derives Q
     lp.check(metric_report.q_value == report.q, f"metric upper Q {metric_report.q_value} "
              f"of the collapse is not the operator's Q {report.q}")
@@ -185,9 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled metrics")
+                       help="seed for sampled metrics (sparsify ignores it)")
         p.add_argument("--samples", type=int, default=100,
-                       help="random metrics for sampled lower checks")
+                       help="random metrics for sampled lower checks "
+                            "(sparsify ignores it, oracle uses at most 5)")
 
     p_sparsify = sub.add_parser("sparsify", help="solve for the optimal operator "
                                 "and write all artifacts")

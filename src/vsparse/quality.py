@@ -141,10 +141,10 @@ def metric_lower_check(g: WeightedGraph, beta: Sparsifier, samples: int = 100,
 
     Checks every cut metric exactly (enough to refute cut semantics, by min
     cut LP integrality) and then ``samples`` seeded random terminal metrics.
-    Sparsifiers collapsed from valid operators can never violate, so this
-    guards externally supplied beta; a pass is marked "sampled" because
-    general metrics are only probed. The report fragment carries no upper
-    ratio.
+    It guards only sparsifiers supplied from outside: a collapse of a
+    member operator never violates, and ``sparsify`` proves that from
+    membership instead. A pass is marked "sampled" because general metrics
+    are only probed. The report fragment carries no upper ratio.
     """
     _check_k(g, beta)
     if g.k > cap:
@@ -212,18 +212,20 @@ def flow_quality_probe(g: WeightedGraph, beta: Sparsifier,
     every beta, so its failure raises :class:`FlowProbeError`; the first set
     failing the lower one sets ``lower_ok`` False and is the witness, as in
     :func:`metric_quality`. Otherwise the witness achieves q_value, the
-    largest lambda_H / lambda_G (1 if every flow pair was zero). A caller
-    that already holds ``metric_quality_upper(g, beta).q_value`` passes it as
-    ``q_cap``; otherwise it is computed here.
+    largest lambda_H / lambda_G: unbounded at the first set with lambda_G = 0
+    < lambda_H, else 1 if every flow pair was zero. A caller that already
+    holds ``metric_quality_upper(g, beta).q_value`` passes it as ``q_cap``;
+    otherwise it is computed here.
     """
     _check_k(g, beta)
     if not demand_sets:
         raise ValueError("flow probe needs at least one demand set")
     if q_cap is None:
         q_cap = metric_quality_upper(g, beta).q_value
-    best: Fraction | None = None
+    best: Fraction | Unbounded | None = None
     best_set: DemandSet | None = None
     violated: DemandSet | None = None
+    unbounded_set: DemandSet | None = None
     for ds in demand_sets:
         lam_g = max_concurrent_flow(g, ds)
         lam_h = max_concurrent_flow(beta, ds)
@@ -233,8 +235,12 @@ def flow_quality_probe(g: WeightedGraph, beta: Sparsifier,
             raise FlowProbeError(
                 f"flow ratio exceeds metric quality {q_cap}: "
                 f"{lam_h} > {q_cap} * {lam_g} on {ds.demands}")
-        if lam_g > 0 and (best is None or lam_h / lam_g > best):
+        if lam_g == 0 < lam_h:
+            unbounded_set = unbounded_set or ds
+        elif lam_g > 0 and (best is None or lam_h / lam_g > best):
             best, best_set = lam_h / lam_g, ds
+    if unbounded_set is not None:
+        best, best_set = UNBOUNDED, unbounded_set
     return QualityReport(FLOW, ONE if best is None else best, violated is None,
                          violated or best_set, SAMPLED)
 
@@ -246,9 +252,10 @@ def flow_quality(g: WeightedGraph, beta: Sparsifier,
     By LP duality it is the metric upper quality Q = ``q_cap``, reached at
     D = beta (positive entries, sorted): lambda_H(beta) = 1 and lambda_G(beta)
     = 1/Q (Leighton & Moitra 2010; Charikar, Leighton, Li & Moitra 2010).
-    Needs 1 <= Q < unbounded, as for a collapsed operator of finite
-    distortion; the probe's report on D is checked to say so, else
-    :class:`FlowProbeError`. With no positive entry the report is a vacuous 1.
+    An unbounded Q has lambda_G(beta) = 0 and gives an unbounded report.
+    The probe's report on D must pass its lower check and equal Q, as for a
+    collapsed operator, else :class:`FlowProbeError`. With no positive entry
+    the report is a vacuous 1.
     """
     _check_k(g, beta)
     demands = DemandSet([(p, q, w) for (p, q), w in sorted(beta.beta.items()) if w > 0])

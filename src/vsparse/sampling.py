@@ -12,9 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import DemandSet, Metric, WeightedGraph, all_pairs, metric_closure, pair
-
-ZERO = Fraction(0)
+from .core import ZERO, DemandSet, Metric, WeightedGraph, all_pairs, metric_closure, pair
 
 
 def random_fraction(rng: random.Random, max_num: int = 6, max_den: int = 4,

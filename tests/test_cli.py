@@ -13,6 +13,7 @@ from vsparse import (
     Sparsifier,
     WeightedGraph,
     certificate_to_json,
+    cut_metric,
     find_optimal_operator,
     harvest_certificate,
     operator_from_json,
@@ -71,6 +72,7 @@ def test_sparsify_star(tmp_path, capsys):
     assert cut.q_value == F(4, 3) and cut.lower_ok is True
     metric = report_from_json(loads((out / "quality_metric.json").read_text()))
     assert metric.q_value == F(4, 3) and metric.lower_ok is True
+    assert metric.completeness == "exact"
     flow = report_from_json(loads((out / "quality_flow.json").read_text()))
     assert flow.q_value == F(4, 3) and flow.lower_ok is True
     assert flow.witness == DemandSet([(p, q, w) for (p, q), w in sorted(beta.beta.items())])
@@ -116,12 +118,31 @@ def test_sparsify_cross_checks_metric_upper_bound(tmp_path, monkeypatch):
         main(["sparsify", star_file(tmp_path), "--out", str(tmp_path / "out")])
 
 
-def test_sparsify_flow_report_ignores_seed(tmp_path):
+def test_sparsify_proves_metric_lower_bound_from_membership(tmp_path, monkeypatch):
+    from vsparse import quality
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparsify must not sample a lower check")
+
+    monkeypatch.setattr(quality, "metric_lower_check", refuse)
+    assert main(["sparsify", star_file(tmp_path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_sparsify_checks_operator_membership(tmp_path, monkeypatch):
+    from vsparse import lp, operators
+    violation = operators.MembershipViolation((0, 1, 3), cut_metric([0], 3), F(1))
+    monkeypatch.setattr(operators, "membership_oracle", lambda phi: violation)
+    with pytest.raises(lp.LpAuditError, match="not a member of the operator cone"):
+        main(["sparsify", star_file(tmp_path), "--out", str(tmp_path / "out")])
+
+
+def test_sparsify_artifacts_ignore_seed_and_samples(tmp_path):
     graph = star_file(tmp_path)
-    for seed in ("1", "2"):
-        assert main(["sparsify", graph, "--out", str(tmp_path / seed), "--seed", seed]) == 0
-    flow = (tmp_path / "1" / "quality_flow.json").read_bytes()
-    assert flow == (tmp_path / "2" / "quality_flow.json").read_bytes()
+    for seed, samples in (("1", "0"), ("2", "100")):
+        assert main(["sparsify", graph, "--out", str(tmp_path / seed),
+                     "--seed", seed, "--samples", samples]) == 0
+    for name in ARTIFACTS:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_sparsify_single_terminal_writes_vacuous_flow(tmp_path):
@@ -230,6 +251,17 @@ def test_quality_unbounded_exit(tmp_path, capsys):
     assert code == 4
     data = loads(capsys.readouterr().out)
     assert data["q_value"] == "unbounded"
+
+
+@pytest.mark.parametrize("semantics", ["metric", "flow"])
+def test_quality_unbounded_like_cut(tmp_path, capsys, semantics):
+    # G does not join the terminals, the sparsifier does: unbounded, as under cut
+    beta = write_json(tmp_path / "b.json", sparsifier_to_json(Sparsifier(2, {(0, 1): F(1)})))
+    demands = write_json(tmp_path / "d.json", demands_to_json(DemandSet([(0, 1, 1)])))
+    code = main(["quality", split_graph_file(tmp_path), beta, "--semantics", semantics,
+                 "--demands", demands])
+    assert code == 4
+    assert loads(capsys.readouterr().out)["q_value"] == "unbounded"
 
 
 # --- certify -----------------------------------------------------------------

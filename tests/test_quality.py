@@ -386,6 +386,14 @@ def test_flow_probe_vacuous_on_disconnected_demands():
     assert report == QualityReport(FLOW, F(1), True, None, SAMPLED)
 
 
+def test_flow_probe_unbounded_when_graph_flow_is_zero():
+    # G cannot route the demand at all, H can: unbounded, as under cut and metric
+    beta = Sparsifier(2, {(0, 1): 1})
+    sets = [DemandSet([(0, 1, 2)]), DemandSet([(0, 1, 1)])]
+    report = flow_quality_probe(split_graph(), beta, sets)
+    assert report == QualityReport(FLOW, UNBOUNDED, True, sets[0], SAMPLED)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_flow_probe_ratio_below_metric_upper(seed):
     # collapsed operators satisfy the sandwich by construction
@@ -437,6 +445,13 @@ def test_flow_quality_vacuous_without_positive_entries():
     empty = QualityReport(FLOW, F(1), True, None, EXACT)
     assert flow_quality(split_graph(), Sparsifier(2, {}), F(0)) == empty
     assert flow_quality(WeightedGraph(2, [0], {(0, 1): 3}), Sparsifier(1, {}), F(1)) == empty
+
+
+def test_flow_quality_exact_when_unbounded():
+    beta = Sparsifier(2, {(0, 1): 1})
+    assert is_unbounded(metric_quality_upper(split_graph(), beta).q_value)
+    assert flow_quality(split_graph(), beta, UNBOUNDED) == \
+        QualityReport(FLOW, UNBOUNDED, True, DemandSet([(0, 1, 1)]), EXACT)
 
 
 def test_flow_quality_raises_on_wrong_cap():
