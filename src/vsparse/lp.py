@@ -1,14 +1,17 @@
 """Exact rational linear programming and a lazy-constraint driver.
 
 A small two-phase primal simplex with Bland's anti-cycling rule, so every
-solve is deterministic and every certificate is bit-exact. The tableau holds
-each row as integer numerators over one exact positive denominator and
-pivots fraction-free (cross-multiply, then divide out the gcd); programs
-come in and every value comes out as ``fractions.Fraction``. Outcomes carry
-primal solutions, dual multipliers satisfying strong duality and
-complementary slackness exactly, and improving rays for unbounded programs.
-:func:`audit` re-verifies all of that from scratch and is switched on
-liberally in the test suite.
+solve is deterministic and every certificate is bit-exact. An optimal
+outcome keeps its tableau: once more "<=" or ">=" rows are appended to the
+program, :func:`solve` re-solves from it by a dual simplex with the dual
+Bland rule and no phase one, which is how :func:`cutting_plane` runs every
+round after the first. The tableau holds each row as integer numerators
+over one exact positive denominator and pivots fraction-free (cross-multiply,
+then divide out the gcd); programs come in and every value comes out as
+``fractions.Fraction``. Outcomes carry primal solutions, dual multipliers
+satisfying strong duality and complementary slackness exactly, and improving
+rays for unbounded programs. :func:`audit` re-verifies all of that from
+scratch and is switched on liberally in the test suite.
 
 Dual conventions, stated once and enforced by :func:`audit`:
 
@@ -25,7 +28,7 @@ Strong duality reads ``value = sum_r duals[r] * rhs_r + sum_j bound_duals[j] * u
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Mapping, Sequence
@@ -139,6 +142,8 @@ class LpOutcome:
     (one per variable, 0 without a finite upper bound) are set.
     status "unbounded": x is a feasible point and ray an improving feasible
     direction from it. status "infeasible": everything else is None.
+    An optimal outcome of :func:`solve` also keeps its final ``tableau``, from
+    which a later solve of the same program with rows appended starts.
     """
 
     status: str
@@ -147,6 +152,7 @@ class LpOutcome:
     duals: list[Fraction] | None = None
     bound_duals: list[Fraction] | None = None
     ray: list[Fraction] | None = None
+    tableau: _Tableau | None = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +204,7 @@ class _Tableau:
         self.ncols = ncols  # structural + slack + artificial, excluding rhs
         self.red: list[int] = []
         self.red_den = 1
+        self.layout: _Layout | None = None
 
     def pivot(self, pr: int, pc: int) -> None:
         prow = self.rows[pr]
@@ -273,11 +280,141 @@ class _Tableau:
                 return UNBOUNDED, pc
             self.pivot(pr, pc)
 
+    def append_rows(self, rows: list[list[int]], dens: list[int]) -> None:
+        """Append rows whose last ``len(rows)`` columns before the rhs are
+        their own new slacks, entered basic.
 
-def solve(lp: LinearProgram) -> LpOutcome:
-    """Solve exactly; see module docstring for the outcome conventions."""
+        Every existing row gains zeros in the new columns, and so does the
+        reduced-cost row: a basic slack has reduced cost zero. Each new row
+        is reduced against the current basis, so it reads zero in every
+        basic column but its slack.
+        """
+        width = len(rows)
+        for row in self.rows:
+            row[-1:-1] = [0] * width
+        self.red += [0] * width
+        nonzero: dict[int, list[int]] = {}
+        for offset, (row, den) in enumerate(zip(rows, dens)):
+            for r, b in enumerate(self.basis):
+                f = row[b]
+                if f:
+                    prow = self.rows[r]
+                    if r not in nonzero:
+                        nonzero[r] = [idx for idx, v in enumerate(prow) if v]
+                    row, den = _eliminate(row, den, f, prow, self.dens[r], nonzero[r])
+            rows[offset], dens[offset] = row, den
+        slacks = range(self.ncols, self.ncols + width)
+        self.rows += rows
+        self.dens += dens
+        self.basis += slacks
+        self.ncols += width
+
+    def run_dual(self, enterable: Sequence[bool]) -> bool:
+        """Dual Bland-rule simplex from a dual feasible basis to optimality.
+
+        The leaving row is the one with a negative rhs whose basic column is
+        lowest; the entering column is the enterable column with a negative
+        entry in it that minimizes ``red_j / -a_rj``, ties to the lowest
+        column. Returns False when a leaving row has no such column, which
+        proves the program infeasible.
+        """
+        rows, basis = self.rows, self.basis
+        while True:
+            pr = -1
+            for r, row in enumerate(rows):
+                if row[-1] < 0 and (pr < 0 or basis[r] < basis[pr]):
+                    pr = r
+            if pr < 0:
+                return True
+            # Ratios red/-a compare by cross-multiplication: the common
+            # denominators cancel and both pivot entries are negative.
+            red = self.red
+            pc = -1
+            best_red = best_a = 0
+            for idx, a in enumerate(rows[pr][:-1]):
+                if a < 0 and enterable[idx] and (pc < 0 or red[idx] * best_a > best_red * a):
+                    pc, best_red, best_a = idx, red[idx], a
+            if pc < 0:
+                return False
+            self.pivot(pr, pc)
+
+
+@dataclass
+class _Layout:
+    """How a program sits in its tableau: enough to read an outcome off the
+    tableau and to append more rows of the same program to it."""
+
+    program: LinearProgram
+    shape: tuple  # sense, objective and bounds the tableau was built for
+    pos_col: list[int]
+    neg_col: list[int | None]
+    # per internal row: "user"/"bound", its index, the column whose reduced
+    # cost is its dual (None for a row phase one dropped), the dual's sign
+    duals: list[tuple[str, int, int | None, int]]
+    enterable: list[bool]
+    n_user: int  # user constraints in the tableau
+
+    def tableau_row(self, coeffs: Mapping[int, Fraction], rhs: Fraction, negate: bool,
+                    ncols: int) -> tuple[list[int], int]:
+        """The row scaled to integers once, by the lcm of its denominators,
+        over ``ncols`` columns plus the rhs; returns it with the scale."""
+        nums, scale = integer_row([*coeffs.values(), rhs])
+        sgn = -1 if negate else 1
+        row = [0] * (ncols + 1)
+        for j, c in zip(coeffs, nums):
+            row[self.pos_col[j]] += sgn * c
+            if self.neg_col[j] is not None:
+                row[self.neg_col[j]] -= sgn * c
+        row[-1] = sgn * nums[-1]
+        return row, scale
+
+    def structural(self, values: Sequence[Fraction]) -> list[Fraction]:
+        x = []
+        for pos, neg in zip(self.pos_col, self.neg_col):
+            x.append(values[pos] if neg is None else values[pos] - values[neg])
+        return x
+
+
+def _shape(lp: LinearProgram) -> tuple:
+    return lp.sense, tuple(lp.objective.items()), tuple(lp.lower), tuple(lp.upper)
+
+
+def _dual_sign(rel: str, flipped: bool, minimize: bool) -> int:
+    """Sign turning the reduced cost of a row's column into the row's dual:
+    the slack of a "<=" row and the artificial of an "=" row are +e_r, the
+    surplus of a ">=" row is -e_r."""
+    sign = 1 if rel == GE else -1
+    if flipped:
+        sign = -sign
+    return sign if minimize else -sign
+
+
+def solve(lp: LinearProgram, previous: LpOutcome | None = None) -> LpOutcome:
+    """Solve exactly; see module docstring for the outcome conventions.
+
+    ``previous`` may be an optimal outcome of this same program, solved before
+    more "<=" or ">=" rows were appended to it: its tableau is then extended
+    by those rows and re-solved by the dual simplex, without phase one. The
+    previous outcome gives up its tableau to the new one. Any other previous
+    outcome, or an appended "=" row, means a solve from scratch.
+    """
     if lp.n_vars == 0:
         raise LpError("program has no variables")
+    tab = previous.tableau if previous is not None else None
+    if tab is not None:
+        layout = tab.layout
+        if (layout.program is not lp or layout.shape != _shape(lp)
+                or len(lp.constraints) < layout.n_user):
+            raise LpError("previous outcome is not of this program with rows appended")
+        previous.tableau = None
+        new = lp.constraints[layout.n_user:]
+        if all(con.rel != EQ for con in new):
+            return _resolve(lp, tab, new)
+    return _solve_cold(lp)
+
+
+def _solve_cold(lp: LinearProgram) -> LpOutcome:
+    """Two-phase primal simplex from the slack and artificial basis."""
     minimize = lp.sense == "min"
 
     # Internal rows: user constraints then one "x_j <= u_j" row per bounded var.
@@ -319,20 +456,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
             art_of[r] = ncols
             ncols += 1
 
-    # Each row is scaled to integers once, by the lcm of its denominators.
-    m = len(internal)
+    layout = _Layout(lp, _shape(lp), pos_col, neg_col, [], [], len(lp.constraints))
     rows: list[list[int]] = []
     dens: list[int] = []
     basis: list[int] = []
-    for r, (coeffs, rel, rhs, _, _) in enumerate(internal):
-        nums, scale = integer_row([*coeffs.values(), rhs])
-        sgn = -1 if flipped[r] else 1
-        row = [0] * (ncols + 1)
-        for j, c in zip(coeffs, nums):
-            row[pos_col[j]] += sgn * c
-            if neg_col[j] is not None:
-                row[neg_col[j]] -= sgn * c
-        row[-1] = sgn * nums[-1]
+    for r, (coeffs, rel, rhs, kind, idx) in enumerate(internal):
+        row, scale = layout.tableau_row(coeffs, rhs, flipped[r], ncols)
         eff = kinds[r]
         if eff == LE:
             row[slack_of[r]] = scale
@@ -346,8 +475,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
             basis.append(art_of[r])
         rows.append(row)
         dens.append(scale)
+        col = art_of[r] if eff == EQ else slack_of[r]
+        layout.duals.append((kind, idx, col, _dual_sign(eff, flipped[r], minimize)))
 
     tab = _Tableau(rows, dens, basis, ncols)
+    tab.layout = layout
     artificial = [False] * ncols
     for col in art_of.values():
         artificial[col] = True
@@ -361,8 +493,6 @@ def solve(lp: LinearProgram) -> LpOutcome:
         if neg_col[j] is not None:
             cost2[neg_col[j]] -= c
 
-    row_ids = list(range(m))  # tableau row -> internal row
-
     if art_of:
         cost1 = [1 if artificial[idx] else 0 for idx in range(ncols)]
         enterable = [True] * ncols
@@ -372,6 +502,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
                for r in range(len(tab.rows))):
             return LpOutcome(INFEASIBLE)
         # Drive artificials out of the basis; drop rows proven redundant.
+        # No row is gone yet, so tableau row r is still internal row r.
         drop: list[int] = []
         for r in range(len(tab.rows)):
             if not artificial[tab.basis[r]]:
@@ -387,65 +518,70 @@ def solve(lp: LinearProgram) -> LpOutcome:
             del tab.rows[r]
             del tab.dens[r]
             del tab.basis[r]
-            del row_ids[r]
+            kind, idx, _, _ = layout.duals[r]
+            layout.duals[r] = (kind, idx, None, 0)  # redundant row, multiplier zero
 
-    enterable = [not artificial[idx] for idx in range(ncols)]
-    status, enter_col = tab.run(cost2, cost_den, enterable)
+    layout.enterable = [not artificial[idx] for idx in range(ncols)]
+    status, enter_col = tab.run(cost2, cost_den, layout.enterable)
+    return _outcome(lp, tab, status, enter_col)
 
-    def structural_solution() -> list[Fraction]:
-        sf = [ZERO] * ncols
-        for r, b in enumerate(tab.basis):
-            sf[b] = Fraction(tab.rows[r][-1], tab.dens[r])
-        x = []
-        for j in range(lp.n_vars):
-            v = sf[pos_col[j]]
-            if neg_col[j] is not None:
-                v -= sf[neg_col[j]]
-            x.append(v)
-        return x
 
-    x = structural_solution()
+def _resolve(lp: LinearProgram, tab: _Tableau, new: Sequence[Constraint]) -> LpOutcome:
+    """Append ``new`` (no "=" rows) to an optimal tableau and re-solve it by
+    the dual simplex: the old basis stays dual feasible, and each new row
+    enters with its slack basic, ">=" rows negated into "<=" rows."""
+    layout = tab.layout
+    minimize = lp.sense == "min"
+    ncols = tab.ncols + len(new)
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    for offset, con in enumerate(new):
+        flip = con.rel == GE
+        row, scale = layout.tableau_row(con.coeffs, con.rhs, flip, ncols)
+        slack = tab.ncols + offset
+        row[slack] = scale
+        rows.append(row)
+        dens.append(scale)
+        layout.duals.append(("user", layout.n_user + offset, slack,
+                             _dual_sign(LE, flip, minimize)))
+    layout.n_user += len(new)
+    layout.enterable += [True] * len(new)
+    tab.append_rows(rows, dens)
+    if not tab.run_dual(layout.enterable):
+        return LpOutcome(INFEASIBLE)
+    return _outcome(lp, tab, OPTIMAL, None)
+
+
+def _outcome(lp: LinearProgram, tab: _Tableau, status: str, enter_col: int | None) -> LpOutcome:
+    """Read the outcome off a final tableau; an optimal one keeps it."""
+    layout = tab.layout
+    values = [ZERO] * tab.ncols
+    for r, b in enumerate(tab.basis):
+        values[b] = Fraction(tab.rows[r][-1], tab.dens[r])
+    x = layout.structural(values)
     value = sum((c * x[j] for j, c in lp.objective.items()), ZERO)
 
     if status == UNBOUNDED:
         check(enter_col is not None, "unbounded phase two reported no entering column")
-        direction = [ZERO] * ncols
+        direction = [ZERO] * tab.ncols
         direction[enter_col] = ONE
         for r, row in enumerate(tab.rows):
             if row[enter_col]:
                 direction[tab.basis[r]] = Fraction(-row[enter_col], tab.dens[r])
-        ray = []
-        for j in range(lp.n_vars):
-            v = direction[pos_col[j]]
-            if neg_col[j] is not None:
-                v -= direction[neg_col[j]]
-            ray.append(v)
-        return LpOutcome(UNBOUNDED, x=x, value=value, ray=ray)
+        return LpOutcome(UNBOUNDED, x=x, value=value, ray=layout.structural(direction))
 
     # Duals from the reduced costs of the identity-seeded column of each row.
-    y_internal = [ZERO] * m
-    kept = set(row_ids)
-    for r in range(m):
-        if r not in kept:
-            continue  # redundant row, multiplier zero
-        if kinds[r] == LE:
-            y = -tab.reduced_cost(slack_of[r])
-        elif kinds[r] == GE:
-            y = tab.reduced_cost(slack_of[r])  # surplus column is -e_r
-        else:
-            y = -tab.reduced_cost(art_of[r])
-        if flipped[r]:
-            y = -y
-        y_internal[r] = y if minimize else -y
-
     duals = [ZERO] * len(lp.constraints)
     bound_duals = [ZERO] * lp.n_vars
-    for r, (_, _, _, kind, idx) in enumerate(internal):
-        if kind == "user":
-            duals[idx] = y_internal[r]
-        else:
-            bound_duals[idx] = y_internal[r]
-    return LpOutcome(OPTIMAL, x=x, value=value, duals=duals, bound_duals=bound_duals)
+    for kind, idx, col, sign in layout.duals:
+        if col is not None:
+            y = sign * tab.reduced_cost(col)
+            if kind == "user":
+                duals[idx] = y
+            else:
+                bound_duals[idx] = y
+    return LpOutcome(OPTIMAL, x=x, value=value, duals=duals, bound_duals=bound_duals,
+                     tableau=tab)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +754,12 @@ def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
     Each round solves the master and consults the oracles in order; the
     first oracle returning violated cuts ends the round and the cuts are
     appended (so later oracles never see a candidate an earlier oracle has
-    already rejected). The loop converges when no oracle objects, or
-    conclusively when the master goes infeasible. Every returned cut is
+    already rejected). Each round is one :func:`solve` call; after the
+    first, it passes the previous outcome, so an optimal round's tableau is
+    extended by the cuts and re-solved by the dual simplex. A round after an
+    unbounded one, or after an "=" cut, solves from scratch. The kept
+    tableau is dropped on return. The loop converges when no oracle objects,
+    or conclusively when the master goes infeasible. Every returned cut is
     checked to be genuinely violated, and a previously added cut coming
     back still violated raises :class:`CuttingPlaneError`, since with exact
     arithmetic that can only be a logic bug.
@@ -639,6 +779,7 @@ def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
                 cuts = list(got)
                 break
         if not cuts:
+            out.tableau = None
             return CuttingPlaneResult(out, added, rounds, True)
         point = _integer_outcome(out)  # scaled to integers once per round
         for cut in cuts:
@@ -652,7 +793,8 @@ def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
             lp.add_constraint(cut.coeffs, cut.rel, cut.rhs)
             added.append(cut)
         if rounds < max_rounds:
-            out = solve(lp)
+            out = solve(lp, out)
+    out.tableau = None
     return CuttingPlaneResult(out, added, max_rounds, False)
 
 

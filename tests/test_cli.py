@@ -58,7 +58,7 @@ def test_sparsify_star(tmp_path, capsys):
     code = main(["sparsify", star_file(tmp_path), "--out", str(out)])
     assert code == 0
     line = capsys.readouterr().out
-    assert line == "Q = 4/3 (3 rounds, 5 membership cuts, 0 distortion cuts)\n"
+    assert line == "Q = 4/3 (4 rounds, 7 membership cuts, 0 distortion cuts)\n"
     for name in ARTIFACTS:
         assert (out / name).is_file()
     assert not list(out.glob("*.tmp"))

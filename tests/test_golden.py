@@ -1,17 +1,25 @@
 """Golden bit-identity: exact solver results pinned against a recorded fixture.
 
-``tests/data/golden.json`` was recorded with the Fraction-tableau simplex
-that preceded the integer tableau. Bland's rule decides every pivot from
-signs and exact ratio comparisons only, so any exact arithmetic must
-reproduce the same pivot sequence and therefore the same vertex, duals,
-rays, operators, witnesses and round counts, bit for bit. The metric-cone
-entries were recorded with the Fraction triangle separation, metric
-validation, cut re-check and max-flow that preceded their integer versions,
-and the one-row cone LPs (``cone_lp``) with the triangle-separation LP
-that preceded reading their optima off the extreme rays. Every test runs
-under the suite's per-solve pivot budget (``tests/conftest.py``).
-"""
+``tests/data/golden.json`` was first recorded with the Fraction-tableau
+simplex that preceded the integer tableau. Bland's rule decides every pivot
+from signs and exact ratio comparisons only, so any exact arithmetic
+reproduces the same pivot sequence, and hence the same vertex, duals and
+rays, on a solve from scratch; the single programs (``lp``) pin that. The
+metric-cone entries were recorded with the Fraction triangle separation,
+metric validation, cut re-check and max-flow that preceded their integer
+versions, and the one-row cone LPs (``cone_lp``) with the
+triangle-separation LP that preceded reading their optima off the extreme
+rays.
 
+A cutting-plane loop (the operator master, and cone LPs that add triangle
+rows) re-solves every round after the first by the dual simplex from the
+kept tableau, a different pivot path from the cold two-phase solve. Where
+the optimum is a degenerate face it can end at another optimal vertex,
+so the fixture was re-recorded when that path came in: the round and
+membership-cut counts of four operators and one ``min_extension`` witness
+moved; every Q, optimal value and operator coefficient stayed. Every test
+runs under the suite's per-solve pivot budget (``tests/conftest.py``).
+"""
 import json
 from fractions import Fraction
 from pathlib import Path

@@ -305,6 +305,172 @@ def test_max_rounds_must_be_positive():
         lp.cutting_plane(lp.LinearProgram(1), [], max_rounds=0)
 
 
+# --- warm re-solve -----------------------------------------------------
+
+@pytest.fixture
+def replay(monkeypatch):
+    """Check every lp.solve against a cold solve of the same program.
+
+    Each outcome must pass the audit and agree with the cold solve in
+    status and value; returns the list of calls, True for each that
+    started from a kept tableau.
+    """
+    solve, calls = lp.solve, []
+
+    def checked(program, previous=None):
+        calls.append(previous is not None and previous.tableau is not None)
+        out = solve(program, previous)
+        lp.audit(program, out)
+        cold = solve(program)
+        assert (out.status, out.value) == (cold.status, cold.value)
+        return out
+
+    monkeypatch.setattr(lp, "solve", checked)
+    return calls
+
+
+@pytest.fixture
+def cold_solves(monkeypatch):
+    """Count solves from scratch."""
+    cold, calls = lp._solve_cold, []
+
+    def counted(program):
+        calls.append(program)
+        return cold(program)
+
+    monkeypatch.setattr(lp, "_solve_cold", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_operator_rounds_replay_warm_as_cold(replay, seed, k):
+    from vsparse.operators import find_optimal_operator
+    from vsparse.sampling import random_graph
+
+    report = find_optimal_operator(random_graph(random.Random(seed), 5, k))
+    assert report.converged
+    assert any(replay)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_metric_cone_rounds_replay_warm_as_cold(replay, seed):
+    from vsparse import all_pairs
+    from vsparse.extension import MetricConeLp, min_extension
+    from vsparse.sampling import random_graph, random_metric
+
+    rng = random.Random(seed)
+    g = random_graph(rng, 7, 3)
+    min_extension(g, random_metric(rng, 3))
+    objective = {pq: F(rng.randint(-4, 4), rng.randint(1, 3)) for pq in all_pairs(6)}
+    ones = {pq: F(1) for pq in all_pairs(6)}
+    probe = MetricConeLp(6).optimize("max", objective, [(ones, lp.EQ, F(1))])
+    assert probe.status == lp.OPTIMAL
+    assert any(replay)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_appended_rows_resolve_warm_as_cold(seed, cold_solves):
+    # The rows of a random program, boxed in so the first batch is bounded,
+    # arrive in two batches; "=" rows in the second batch send the re-solve
+    # back to the cold path.
+    rng = random.Random(3000 + seed)
+    p = random_program(rng)
+    box = [lp.Constraint({j: F(1)}, lp.GE, F(-10)) for j in range(p.n_vars) if p.lower[j] is None]
+    for j in range(p.n_vars):
+        if p.upper[j] is None:
+            p.set_upper(j, 10)
+    rows = box + p.constraints
+    split = rng.randint(len(box), len(rows) - 1)
+    p.constraints = rows[:split]
+    first = lp.solve(p)
+    p.constraints = rows
+    out = lp.solve(p, first)
+    lp.audit(p, out)
+    cold = lp.solve(p)
+    assert (out.status, out.value) == (cold.status, cold.value)
+    warm = first.status == lp.OPTIMAL and all(con.rel != lp.EQ for con in rows[split:])
+    assert len(cold_solves) == 3 - warm
+
+
+def test_infeasible_cut_ends_in_the_dual_ratio_test(cold_solves):
+    p = lp.LinearProgram(1, "min", {0: 1})
+    p.add_constraint({0: 1}, lp.LE, 1)
+    first = lp.solve(p)
+    p.add_constraint({0: 1}, lp.GE, 2)
+    assert lp.solve(p, first).status == lp.INFEASIBLE
+    assert len(cold_solves) == 1
+    assert first.tableau is None  # the re-solve took it over
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_ge_cut_enters_as_a_negated_row(sense, cold_solves):
+    sign = 1 if sense == "min" else -1
+    p = lp.LinearProgram(2, sense, {0: sign * 2, 1: sign * 3})
+    p.add_constraint({0: 1, 1: 1}, lp.LE, 4)
+    first = lp.solve(p)
+    assert first.value == 0
+    p.add_constraint({0: 1, 1: 2}, lp.GE, 3)
+    out = lp.solve(p, first)
+    lp.audit(p, out)
+    assert len(cold_solves) == 1
+    assert out.x == [F(0), F(3, 2)] and out.value == sign * F(9, 2)
+    assert out.duals == [F(0), sign * F(3, 2)]
+
+
+def test_round_after_unbounded_outcome_is_cold(cold_solves):
+    p = lp.LinearProgram(1, "max", {0: 1})
+    first = lp.solve(p)
+    assert first.status == lp.UNBOUNDED and first.tableau is None
+    p.add_constraint({0: 1}, lp.LE, 5)
+    out = lp.solve(p, first)
+    lp.audit(p, out)
+    assert out.value == 5 and len(cold_solves) == 2
+
+
+def test_equality_cut_is_cold(cold_solves):
+    p = lp.LinearProgram(2, "min", {0: 1, 1: 2})
+    first = lp.solve(p)
+
+    def fix_sum(out):
+        if out.x[0] + out.x[1] != 2:
+            return [lp.Constraint({0: F(1), 1: F(1)}, lp.EQ, F(2))]
+        return None
+
+    res = lp.cutting_plane(p, [fix_sum])
+    assert res.outcome.value == 2 and len(cold_solves) == 3
+    assert res.outcome.tableau is None
+    p.add_constraint({1: 1}, lp.GE, 1)
+    out = lp.solve(p, first)  # first belongs to the program before the "=" row
+    lp.audit(p, out)
+    assert out.value == 3 and len(cold_solves) == 4
+
+
+def test_previous_outcome_of_another_program_is_refused():
+    p = lp.LinearProgram(1, "min", {0: 1})
+    first = lp.solve(p)
+    with pytest.raises(lp.LpError):
+        lp.solve(lp.LinearProgram(1, "min", {0: 1}), first)
+    p.set_objective_coeff(0, 2)
+    with pytest.raises(lp.LpError):
+        lp.solve(p, first)
+
+
+def test_beale_dual_terminates_warm(cold_solves):
+    # The dual of Beale's cycling instance (see test_beale_cycling_instance_terminates):
+    # from the all-slack basis the dual simplex walks Beale's degenerate
+    # vertices, so a wrong tie-break cycles here.
+    p = lp.LinearProgram(3, "min", {2: 1})
+    first = lp.solve(p)
+    rows = [({0: F(1, 4), 1: F(1, 2)}, F(3, 4)), ({0: -60, 1: -90}, -150),
+            ({0: F(-1, 25), 1: F(-1, 50), 2: 1}, F(1, 50)), ({0: 9, 1: 3}, -6)]
+    for coeffs, rhs in rows:
+        p.add_constraint(coeffs, lp.GE, rhs)
+    out = lp.solve(p, first)
+    lp.audit(p, out)
+    assert out.value == F(1, 20) and len(cold_solves) == 1
+
+
 # --- debug dump --------------------------------------------------------
 
 def test_lp_text_dump_mentions_all_parts():
