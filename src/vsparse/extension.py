@@ -168,8 +168,9 @@ class MetricConeLp:
     Some pairs may be pinned to constants taken from a valid metric; the
     rest are nonnegative variables. Triangle inequalities are not
     materialized up front: a separation oracle adds the violated ones
-    through :func:`lp.cutting_plane`, which is measurably faster and gives
-    bit-identical results. An unpinned cone on at most five points with one
+    through :func:`lp.cutting_plane`, which is measurably faster and reaches
+    the same optimal value (on a degenerate optimal face the witness can be
+    another optimal vertex). An unpinned cone on at most five points with one
     extra row skips the LP when the extreme rays give a unique optimal
     vertex (:func:`_ray_optimum`).
     """

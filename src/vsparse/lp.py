@@ -194,17 +194,18 @@ class _Tableau:
     entries and denominator, so the values stay exact rationals without any
     Fraction arithmetic. Every Bland's-rule decision reads only a sign or an
     exact ratio comparison, so the pivot sequence is the one a tableau of
-    Fractions would take.
+    Fractions would take. ``layout`` maps the program onto the columns.
     """
 
-    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int], ncols: int):
+    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int], ncols: int,
+                 layout: _Layout):
         self.rows = rows
         self.dens = dens
         self.basis = basis
         self.ncols = ncols  # structural + slack + artificial, excluding rhs
         self.red: list[int] = []
         self.red_den = 1
-        self.layout: _Layout | None = None
+        self.layout = layout
 
     def pivot(self, pr: int, pc: int) -> None:
         prow = self.rows[pr]
@@ -339,20 +340,20 @@ class _Tableau:
             self.pivot(pr, pc)
 
 
-@dataclass
 class _Layout:
     """How a program sits in its tableau: enough to read an outcome off the
     tableau and to append more rows of the same program to it."""
 
-    program: LinearProgram
-    shape: tuple  # sense, objective and bounds the tableau was built for
-    pos_col: list[int]
-    neg_col: list[int | None]
-    # per internal row: "user"/"bound", its index, the column whose reduced
-    # cost is its dual (None for a row phase one dropped), the dual's sign
-    duals: list[tuple[str, int, int | None, int]]
-    enterable: list[bool]
-    n_user: int  # user constraints in the tableau
+    def __init__(self, program: LinearProgram, pos_col: list[int], neg_col: list[int | None]):
+        self.program = program
+        self.shape = _shape(program)  # sense, objective and bounds the tableau was built for
+        self.pos_col = pos_col
+        self.neg_col = neg_col
+        # per internal row: "user"/"bound", its index, the column whose reduced
+        # cost is its dual (None for a row phase one dropped), the dual's sign
+        self.duals: list[tuple[str, int, int | None, int]] = []
+        self.enterable: list[bool] = []
+        self.n_user = len(program.constraints)  # user constraints in the tableau
 
     def tableau_row(self, coeffs: Mapping[int, Fraction], rhs: Fraction, negate: bool,
                     ncols: int) -> tuple[list[int], int]:
@@ -456,7 +457,7 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
             art_of[r] = ncols
             ncols += 1
 
-    layout = _Layout(lp, _shape(lp), pos_col, neg_col, [], [], len(lp.constraints))
+    layout = _Layout(lp, pos_col, neg_col)
     rows: list[list[int]] = []
     dens: list[int] = []
     basis: list[int] = []
@@ -478,8 +479,7 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
         col = art_of[r] if eff == EQ else slack_of[r]
         layout.duals.append((kind, idx, col, _dual_sign(eff, flipped[r], minimize)))
 
-    tab = _Tableau(rows, dens, basis, ncols)
-    tab.layout = layout
+    tab = _Tableau(rows, dens, basis, ncols, layout)
     artificial = [False] * ncols
     for col in art_of.values():
         artificial[col] = True

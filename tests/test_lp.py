@@ -11,7 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from vsparse import lp
+from vsparse import all_pairs, lp
+from vsparse.extension import MetricConeLp, min_extension
+from vsparse.operators import find_optimal_operator
+from vsparse.sampling import random_graph, random_metric
 
 F = Fraction
 
@@ -345,9 +348,6 @@ def cold_solves(monkeypatch):
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_operator_rounds_replay_warm_as_cold(replay, seed, k):
-    from vsparse.operators import find_optimal_operator
-    from vsparse.sampling import random_graph
-
     report = find_optimal_operator(random_graph(random.Random(seed), 5, k))
     assert report.converged
     assert any(replay)
@@ -355,10 +355,6 @@ def test_operator_rounds_replay_warm_as_cold(replay, seed, k):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_metric_cone_rounds_replay_warm_as_cold(replay, seed):
-    from vsparse import all_pairs
-    from vsparse.extension import MetricConeLp, min_extension
-    from vsparse.sampling import random_graph, random_metric
-
     rng = random.Random(seed)
     g = random_graph(rng, 7, 3)
     min_extension(g, random_metric(rng, 3))
