@@ -485,13 +485,8 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
         artificial[col] = True
 
     # Internal objective: minimize (negated for max), on structural columns.
-    cost_nums, cost_den = integer_row(list(lp.objective.values()))
-    cost2 = [0] * ncols
-    for j, c in zip(lp.objective, cost_nums):
-        c = c if minimize else -c
-        cost2[pos_col[j]] += c
-        if neg_col[j] is not None:
-            cost2[neg_col[j]] -= c
+    cost2, cost_den = layout.tableau_row(lp.objective, ZERO, not minimize, ncols)
+    cost2.pop()  # no rhs
 
     if art_of:
         cost1 = [1 if artificial[idx] else 0 for idx in range(ncols)]

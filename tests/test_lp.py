@@ -453,9 +453,10 @@ def test_previous_outcome_of_another_program_is_refused():
 
 
 def test_beale_dual_terminates_warm(cold_solves):
-    # The dual of Beale's cycling instance (see test_beale_cycling_instance_terminates):
-    # from the all-slack basis the dual simplex walks Beale's degenerate
-    # vertices, so a wrong tie-break cycles here.
+    # The dual of Beale's cycling instance (see test_beale_cycling_instance_terminates),
+    # its rows appended as cuts. y0 and y1 cost nothing, so dual ratio tests
+    # tie at zero and termination rests on the tie rule; the suite's pivot
+    # budget bounds it.
     p = lp.LinearProgram(3, "min", {2: 1})
     first = lp.solve(p)
     rows = [({0: F(1, 4), 1: F(1, 2)}, F(3, 4)), ({0: -60, 1: -90}, -150),
