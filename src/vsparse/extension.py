@@ -364,6 +364,17 @@ def _max_flow(n: int, capacity: dict[tuple[int, int], int | Fraction],
         flow += bottleneck
 
 
+def _terminal_side(g: WeightedGraph, side: Iterable[int]) -> set[int]:
+    """``side`` as a set, checked to be a nonempty proper subset of 0..k-1."""
+    side_set = set(side)
+    if not side_set or len(side_set) >= g.k:
+        raise ValueError("cut side must be a nonempty proper subset of the terminals")
+    for p in side_set:
+        if not 0 <= p < g.k:
+            raise ValueError(f"terminal index {p} outside 0..{g.k - 1}")
+    return side_set
+
+
 def min_cut_via_flow(g: WeightedGraph, side: Iterable[int]) -> Fraction:
     """Minimum weight of edges separating the terminals in ``side`` from the
     rest, non-terminals falling freely; computed by max-flow on the graph
@@ -374,12 +385,7 @@ def min_cut_via_flow(g: WeightedGraph, side: Iterable[int]) -> Fraction:
     holds terminal-local indices and must be a nonempty proper subset of
     0..k-1.
     """
-    side_set = set(side)
-    if not side_set or len(side_set) >= g.k:
-        raise ValueError("cut side must be a nonempty proper subset of the terminals")
-    for p in side_set:
-        if not 0 <= p < g.k:
-            raise ValueError(f"terminal index {p} outside 0..{g.k - 1}")
+    side_set = _terminal_side(g, side)
     node_of: dict[int, int] = {}
     for p, t in enumerate(g.terminals):
         node_of[t] = 0 if p in side_set else 1
@@ -412,12 +418,7 @@ def min_cut_by_enumeration(g: WeightedGraph, side: Iterable[int],
     tie-breaking referee in oracle cross-checks. Raises ValueError when the
     enumeration would exceed ``budget`` bipartitions.
     """
-    side_set = set(side)
-    if not side_set or len(side_set) >= g.k:
-        raise ValueError("cut side must be a nonempty proper subset of the terminals")
-    for p in side_set:
-        if not 0 <= p < g.k:
-            raise ValueError(f"terminal index {p} outside 0..{g.k - 1}")
+    side_set = _terminal_side(g, side)
     free = [v for v in range(g.n) if v not in g.terminals]
     if 1 << len(free) > budget:
         raise ValueError(

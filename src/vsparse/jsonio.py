@@ -60,6 +60,8 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise JsonFormatError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
+    except RecursionError:
+        raise JsonFormatError("document", "nested too deeply to parse") from None
 
 
 def _expect_int(value: Any, path: str) -> int:

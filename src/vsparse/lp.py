@@ -13,17 +13,16 @@ satisfying strong duality and complementary slackness exactly, and improving
 rays for unbounded programs. :func:`audit` re-verifies all of that from
 scratch and is switched on liberally in the test suite.
 
-Dual conventions, stated once and enforced by :func:`audit`:
+Every variable is nonnegative and every other condition is a row, so a
+program is ``min`` or ``max`` of ``c.x`` over ``x >= 0`` and rows ``<=``,
+``>=`` or ``=``. Dual conventions, stated once and enforced by :func:`audit`:
 
 * sense ``min``: duals are >= 0 on ">=" rows, <= 0 on "<=" rows, free on
-  "=" rows; reduced costs ``c_j - y.A_j - ubdual_j`` are >= 0 on x_j >= 0
-  and 0 on free variables.
+  "=" rows; reduced costs ``c_j - y.A_j`` are >= 0.
 * sense ``max``: duals are >= 0 on "<=" rows, <= 0 on ">=" rows, free on
-  "=" rows; reduced costs are <= 0 on x_j >= 0 and 0 on free variables.
-* ``bound_duals[j]`` is the multiplier of the implicit row ``x_j <= u_j``
-  and follows the "<=" convention of the sense.
+  "=" rows; reduced costs are <= 0.
 
-Strong duality reads ``value = sum_r duals[r] * rhs_r + sum_j bound_duals[j] * u_j``.
+Strong duality reads ``value = sum_r duals[r] * rhs_r``.
 """
 
 from __future__ import annotations
@@ -78,10 +77,9 @@ class Constraint:
 class LinearProgram:
     """A linear program over exact rationals.
 
-    Variables are indexed 0..n_vars-1 with default bounds ``0 <= x_j``.
-    Call :meth:`set_free` for a (-inf, +inf) variable and :meth:`set_upper`
-    for a finite upper bound. Constraints are added in a fixed order that,
-    together with Bland's rule, makes every solve deterministic.
+    Variables are indexed 0..n_vars-1 and are all nonnegative; an upper
+    bound is a "<=" row like any other. Constraints are added in a fixed
+    order that, together with Bland's rule, makes every solve deterministic.
     """
 
     def __init__(self, n_vars: int, sense: str = "min",
@@ -97,8 +95,6 @@ class LinearProgram:
             for j, c in objective.items():
                 self.set_objective_coeff(j, c)
         self.constraints: list[Constraint] = []
-        self.lower: list[Fraction | None] = [ZERO] * n_vars  # None means -inf
-        self.upper: list[Fraction | None] = [None] * n_vars  # None means +inf
 
     def _check_var(self, j: int) -> None:
         if not 0 <= j < self.n_vars:
@@ -111,14 +107,6 @@ class LinearProgram:
             self.objective[j] = c
         else:
             self.objective.pop(j, None)
-
-    def set_free(self, j: int) -> None:
-        self._check_var(j)
-        self.lower[j] = None
-
-    def set_upper(self, j: int, u: FractionLike) -> None:
-        self._check_var(j)
-        self.upper[j] = as_fraction(u)
 
     def add_constraint(self, coeffs: Mapping[int, FractionLike], rel: str,
                        rhs: FractionLike) -> int:
@@ -138,8 +126,7 @@ class LinearProgram:
 class LpOutcome:
     """Result of an exact solve.
 
-    status "optimal": x, value, duals (one per constraint) and bound_duals
-    (one per variable, 0 without a finite upper bound) are set.
+    status "optimal": x, value and duals (one per constraint) are set.
     status "unbounded": x is a feasible point and ray an improving feasible
     direction from it. status "infeasible": everything else is None.
     An optimal outcome of :func:`solve` also keeps its final ``tableau``, from
@@ -150,7 +137,6 @@ class LpOutcome:
     x: list[Fraction] | None = None
     value: Fraction | None = None
     duals: list[Fraction] | None = None
-    bound_duals: list[Fraction] | None = None
     ray: list[Fraction] | None = None
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
 
@@ -342,42 +328,33 @@ class _Tableau:
 
 class _Layout:
     """How a program sits in its tableau: enough to read an outcome off the
-    tableau and to append more rows of the same program to it."""
+    tableau and to append more rows of the same program to it. Variable j
+    is column j."""
 
-    def __init__(self, program: LinearProgram, pos_col: list[int], neg_col: list[int | None]):
+    def __init__(self, program: LinearProgram):
         self.program = program
-        self.shape = _shape(program)  # sense, objective and bounds the tableau was built for
-        self.pos_col = pos_col
-        self.neg_col = neg_col
-        # per internal row: "user"/"bound", its index, the column whose reduced
-        # cost is its dual (None for a row phase one dropped), the dual's sign
-        self.duals: list[tuple[str, int, int | None, int]] = []
+        self.shape = _shape(program)  # sense and objective the tableau was built for
+        # per row of the program in the tableau: the column whose reduced cost
+        # is its dual (None for a row phase one dropped), and the dual's sign
+        self.duals: list[tuple[int | None, int]] = []
         self.enterable: list[bool] = []
-        self.n_user = len(program.constraints)  # user constraints in the tableau
 
-    def tableau_row(self, coeffs: Mapping[int, Fraction], rhs: Fraction, negate: bool,
-                    ncols: int) -> tuple[list[int], int]:
-        """The row scaled to integers once, by the lcm of its denominators,
-        over ``ncols`` columns plus the rhs; returns it with the scale."""
-        nums, scale = integer_row([*coeffs.values(), rhs])
-        sgn = -1 if negate else 1
-        row = [0] * (ncols + 1)
-        for j, c in zip(coeffs, nums):
-            row[self.pos_col[j]] += sgn * c
-            if self.neg_col[j] is not None:
-                row[self.neg_col[j]] -= sgn * c
-        row[-1] = sgn * nums[-1]
-        return row, scale
 
-    def structural(self, values: Sequence[Fraction]) -> list[Fraction]:
-        x = []
-        for pos, neg in zip(self.pos_col, self.neg_col):
-            x.append(values[pos] if neg is None else values[pos] - values[neg])
-        return x
+def _tableau_row(coeffs: Mapping[int, Fraction], rhs: Fraction, negate: bool,
+                 ncols: int) -> tuple[list[int], int]:
+    """The row scaled to integers once, by the lcm of its denominators, over
+    ``ncols`` columns plus the rhs; returns it with the scale."""
+    nums, scale = integer_row([*coeffs.values(), rhs])
+    sgn = -1 if negate else 1
+    row = [0] * (ncols + 1)
+    for j, c in zip(coeffs, nums):
+        row[j] = sgn * c
+    row[-1] = sgn * nums[-1]
+    return row, scale
 
 
 def _shape(lp: LinearProgram) -> tuple:
-    return lp.sense, tuple(lp.objective.items()), tuple(lp.lower), tuple(lp.upper)
+    return lp.sense, tuple(lp.objective.items())
 
 
 def _dual_sign(rel: str, flipped: bool, minimize: bool) -> int:
@@ -405,10 +382,10 @@ def solve(lp: LinearProgram, previous: LpOutcome | None = None) -> LpOutcome:
     if tab is not None:
         layout = tab.layout
         if (layout.program is not lp or layout.shape != _shape(lp)
-                or len(lp.constraints) < layout.n_user):
+                or len(lp.constraints) < len(layout.duals)):
             raise LpError("previous outcome is not of this program with rows appended")
         previous.tableau = None
-        new = lp.constraints[layout.n_user:]
+        new = lp.constraints[len(layout.duals):]
         if all(con.rel != EQ for con in new):
             return _resolve(lp, tab, new)
     return _solve_cold(lp)
@@ -418,31 +395,15 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
     """Two-phase primal simplex from the slack and artificial basis."""
     minimize = lp.sense == "min"
 
-    # Internal rows: user constraints then one "x_j <= u_j" row per bounded var.
-    internal: list[tuple[dict[int, Fraction], str, Fraction, str, int]] = []
-    for r, con in enumerate(lp.constraints):
-        internal.append((con.coeffs, con.rel, con.rhs, "user", r))
-    for j in range(lp.n_vars):
-        u = lp.upper[j]
-        if u is not None:
-            internal.append(({j: ONE}, LE, u, "bound", j))
-
-    # Column layout: positive part per variable, then negative parts of free vars.
-    pos_col = list(range(lp.n_vars))
-    neg_col: list[int | None] = [None] * lp.n_vars
+    # Columns: the variables, then each row's slack and/or artificial.
     ncols = lp.n_vars
-    for j in range(lp.n_vars):
-        if lp.lower[j] is None:
-            neg_col[j] = ncols
-            ncols += 1
-
     slack_of: dict[int, int] = {}
     art_of: dict[int, int] = {}
     flipped: list[bool] = []
     kinds: list[str] = []
-    for r, (coeffs, rel, rhs, _, _) in enumerate(internal):
-        flip = rhs < 0
-        eff = rel if not flip else {LE: GE, GE: LE, EQ: EQ}[rel]
+    for r, con in enumerate(lp.constraints):
+        flip = con.rhs < 0
+        eff = con.rel if not flip else {LE: GE, GE: LE, EQ: EQ}[con.rel]
         flipped.append(flip)
         kinds.append(eff)
         if eff == LE:
@@ -457,12 +418,12 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
             art_of[r] = ncols
             ncols += 1
 
-    layout = _Layout(lp, pos_col, neg_col)
+    layout = _Layout(lp)
     rows: list[list[int]] = []
     dens: list[int] = []
     basis: list[int] = []
-    for r, (coeffs, rel, rhs, kind, idx) in enumerate(internal):
-        row, scale = layout.tableau_row(coeffs, rhs, flipped[r], ncols)
+    for r, con in enumerate(lp.constraints):
+        row, scale = _tableau_row(con.coeffs, con.rhs, flipped[r], ncols)
         eff = kinds[r]
         if eff == LE:
             row[slack_of[r]] = scale
@@ -477,15 +438,15 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
         rows.append(row)
         dens.append(scale)
         col = art_of[r] if eff == EQ else slack_of[r]
-        layout.duals.append((kind, idx, col, _dual_sign(eff, flipped[r], minimize)))
+        layout.duals.append((col, _dual_sign(eff, flipped[r], minimize)))
 
     tab = _Tableau(rows, dens, basis, ncols, layout)
     artificial = [False] * ncols
     for col in art_of.values():
         artificial[col] = True
 
-    # Internal objective: minimize (negated for max), on structural columns.
-    cost2, cost_den = layout.tableau_row(lp.objective, ZERO, not minimize, ncols)
+    # Internal objective: minimize (negated for max), on the variable columns.
+    cost2, cost_den = _tableau_row(lp.objective, ZERO, not minimize, ncols)
     cost2.pop()  # no rhs
 
     if art_of:
@@ -497,7 +458,7 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
                for r in range(len(tab.rows))):
             return LpOutcome(INFEASIBLE)
         # Drive artificials out of the basis; drop rows proven redundant.
-        # No row is gone yet, so tableau row r is still internal row r.
+        # No row is gone yet, so tableau row r is still program row r.
         drop: list[int] = []
         for r in range(len(tab.rows)):
             if not artificial[tab.basis[r]]:
@@ -513,8 +474,7 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
             del tab.rows[r]
             del tab.dens[r]
             del tab.basis[r]
-            kind, idx, _, _ = layout.duals[r]
-            layout.duals[r] = (kind, idx, None, 0)  # redundant row, multiplier zero
+            layout.duals[r] = (None, 0)  # redundant row, multiplier zero
 
     layout.enterable = [not artificial[idx] for idx in range(ncols)]
     status, enter_col = tab.run(cost2, cost_den, layout.enterable)
@@ -532,14 +492,12 @@ def _resolve(lp: LinearProgram, tab: _Tableau, new: Sequence[Constraint]) -> LpO
     dens: list[int] = []
     for offset, con in enumerate(new):
         flip = con.rel == GE
-        row, scale = layout.tableau_row(con.coeffs, con.rhs, flip, ncols)
+        row, scale = _tableau_row(con.coeffs, con.rhs, flip, ncols)
         slack = tab.ncols + offset
         row[slack] = scale
         rows.append(row)
         dens.append(scale)
-        layout.duals.append(("user", layout.n_user + offset, slack,
-                             _dual_sign(LE, flip, minimize)))
-    layout.n_user += len(new)
+        layout.duals.append((slack, _dual_sign(LE, flip, minimize)))
     layout.enterable += [True] * len(new)
     tab.append_rows(rows, dens)
     if not tab.run_dual(layout.enterable):
@@ -553,7 +511,7 @@ def _outcome(lp: LinearProgram, tab: _Tableau, status: str, enter_col: int | Non
     values = [ZERO] * tab.ncols
     for r, b in enumerate(tab.basis):
         values[b] = Fraction(tab.rows[r][-1], tab.dens[r])
-    x = layout.structural(values)
+    x = values[:lp.n_vars]
     value = sum((c * x[j] for j, c in lp.objective.items()), ZERO)
 
     if status == UNBOUNDED:
@@ -563,20 +521,11 @@ def _outcome(lp: LinearProgram, tab: _Tableau, status: str, enter_col: int | Non
         for r, row in enumerate(tab.rows):
             if row[enter_col]:
                 direction[tab.basis[r]] = Fraction(-row[enter_col], tab.dens[r])
-        return LpOutcome(UNBOUNDED, x=x, value=value, ray=layout.structural(direction))
+        return LpOutcome(UNBOUNDED, x=x, value=value, ray=direction[:lp.n_vars])
 
     # Duals from the reduced costs of the identity-seeded column of each row.
-    duals = [ZERO] * len(lp.constraints)
-    bound_duals = [ZERO] * lp.n_vars
-    for kind, idx, col, sign in layout.duals:
-        if col is not None:
-            y = sign * tab.reduced_cost(col)
-            if kind == "user":
-                duals[idx] = y
-            else:
-                bound_duals[idx] = y
-    return LpOutcome(OPTIMAL, x=x, value=value, duals=duals, bound_duals=bound_duals,
-                     tableau=tab)
+    duals = [ZERO if col is None else sign * tab.reduced_cost(col) for col, sign in layout.duals]
+    return LpOutcome(OPTIMAL, x=x, value=value, duals=duals, tableau=tab)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +553,7 @@ def audit(lp: LinearProgram, out: LpOutcome) -> None:
     x = out.x
     check(len(x) == lp.n_vars, "primal solution has wrong length")
     for j in range(lp.n_vars):
-        if lp.lower[j] is not None:
-            check(x[j] >= 0, f"x[{j}] = {x[j]} below lower bound 0")
-        if lp.upper[j] is not None:
-            check(x[j] <= lp.upper[j], f"x[{j}] = {x[j]} above upper bound {lp.upper[j]}")
+        check(x[j] >= 0, f"x[{j}] = {x[j]} below lower bound 0")
     for r, con in enumerate(lp.constraints):
         check(con.satisfied_by(x), f"constraint {r} violated")
     value = sum((c * x[j] for j, c in lp.objective.items()), ZERO)
@@ -617,10 +563,7 @@ def audit(lp: LinearProgram, out: LpOutcome) -> None:
         ray = out.ray
         check(ray is not None and len(ray) == lp.n_vars, "missing or malformed ray")
         for j in range(lp.n_vars):
-            if lp.lower[j] is not None:
-                check(ray[j] >= 0, f"ray[{j}] leaves the lower bound")
-            if lp.upper[j] is not None:
-                check(ray[j] <= 0, f"ray[{j}] leaves the upper bound {lp.upper[j]}")
+            check(ray[j] >= 0, f"ray[{j}] leaves the lower bound")
         for r, con in enumerate(lp.constraints):
             along = sum((c * ray[j] for j, c in con.coeffs.items()), ZERO)
             if con.rel == LE:
@@ -636,9 +579,8 @@ def audit(lp: LinearProgram, out: LpOutcome) -> None:
             check(gain > 0, "ray does not improve a maximization")
         return
 
-    duals, bound_duals = out.duals, out.bound_duals
+    duals = out.duals
     check(duals is not None and len(duals) == len(lp.constraints), "missing duals")
-    check(bound_duals is not None and len(bound_duals) == lp.n_vars, "missing bound duals")
     minimize = lp.sense == "min"
     for r, con in enumerate(lp.constraints):
         y = duals[r]
@@ -650,30 +592,15 @@ def audit(lp: LinearProgram, out: LpOutcome) -> None:
             check(y <= 0, f"dual {r} has wrong sign")
         check(y * (con.evaluate(x) - con.rhs) == 0, f"complementary slackness fails on row {r}")
     for j in range(lp.n_vars):
-        yb = bound_duals[j]
-        if lp.upper[j] is None:
-            check(yb == 0, f"bound dual {j} set without an upper bound")
-        else:
-            if minimize:
-                check(yb <= 0, f"bound dual {j} has wrong sign")
-            else:
-                check(yb >= 0, f"bound dual {j} has wrong sign")
-            check(yb * (x[j] - lp.upper[j]) == 0, f"complementary slackness fails on bound {j}")
-    for j in range(lp.n_vars):
-        rc = lp.objective.get(j, ZERO) - bound_duals[j]
+        rc = lp.objective.get(j, ZERO)
         rc -= sum((con.coeffs[j] * duals[r] for r, con in enumerate(lp.constraints)
                    if j in con.coeffs), ZERO)
-        if lp.lower[j] is None:
-            check(rc == 0, f"reduced cost of free variable {j} is {rc}, not 0")
-        elif minimize:
+        if minimize:
             check(rc >= 0, f"reduced cost of variable {j} is negative")
-            check(rc * x[j] == 0, f"complementary slackness fails on variable {j}")
         else:
             check(rc <= 0, f"reduced cost of variable {j} is positive")
-            check(rc * x[j] == 0, f"complementary slackness fails on variable {j}")
+        check(rc * x[j] == 0, f"complementary slackness fails on variable {j}")
     dual_value = sum((duals[r] * con.rhs for r, con in enumerate(lp.constraints)), ZERO)
-    dual_value += sum((bound_duals[j] * lp.upper[j] for j in range(lp.n_vars)
-                       if lp.upper[j] is not None), ZERO)
     check(dual_value == out.value, f"strong duality gap: primal {out.value}, dual {dual_value}")
 
 
@@ -683,7 +610,8 @@ def audit(lp: LinearProgram, out: LpOutcome) -> None:
 
 @dataclass
 class CuttingPlaneResult:
-    """Final master outcome plus the cuts that produced it.
+    """Final master outcome of the lazy-constraint loop; its cuts are the
+    rows appended to the program.
 
     ``converged`` is True when the loop closed conclusively: the final
     solution violates no oracle (or the master became infeasible, which no
@@ -691,7 +619,6 @@ class CuttingPlaneResult:
     """
 
     outcome: LpOutcome
-    added: list[Constraint]
     rounds: int
     converged: bool
 
@@ -762,11 +689,10 @@ def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
     if max_rounds < 1:
         raise LpError("max_rounds must be positive")
     seen = {_signature(con) for con in lp.constraints}
-    added: list[Constraint] = []
     out = solve(lp)
     for rounds in range(1, max_rounds + 1):
         if out.status == INFEASIBLE:
-            return CuttingPlaneResult(out, added, rounds, True)
+            return CuttingPlaneResult(out, rounds, True)
         cuts: list[Constraint] = []
         for oracle in oracles:
             got = oracle(out)
@@ -775,7 +701,7 @@ def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
                 break
         if not cuts:
             out.tableau = None
-            return CuttingPlaneResult(out, added, rounds, True)
+            return CuttingPlaneResult(out, rounds, True)
         point = _integer_outcome(out)  # scaled to integers once per round
         for cut in cuts:
             sig = _signature(cut)
@@ -786,11 +712,10 @@ def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
                     "oracle returned a constraint already present and still violated")
             seen.add(sig)
             lp.add_constraint(cut.coeffs, cut.rel, cut.rhs)
-            added.append(cut)
         if rounds < max_rounds:
             out = solve(lp, out)
     out.tableau = None
-    return CuttingPlaneResult(out, added, max_rounds, False)
+    return CuttingPlaneResult(out, max_rounds, False)
 
 
 # ---------------------------------------------------------------------------
@@ -818,10 +743,5 @@ def to_lp_text(lp: LinearProgram, name: str = "lp") -> str:
              f" obj: {linear(lp.objective)}", "Subject To"]
     for r, con in enumerate(lp.constraints):
         lines.append(f" c{r}: {linear(con.coeffs)} {con.rel} {con.rhs}")
-    lines.append("Bounds")
-    for j in range(lp.n_vars):
-        lo = "-inf" if lp.lower[j] is None else "0"
-        hi = "+inf" if lp.upper[j] is None else str(lp.upper[j])
-        lines.append(f" {lo} <= x{j} <= {hi}")
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -163,22 +163,6 @@ def _require_canonical(phi: ExtensionOperator, g: WeightedGraph) -> None:
         raise ValueError(f"operator is {phi.n}/{phi.k} but graph is {g.n}/{g.k}")
 
 
-def _image_alpha(g: WeightedGraph, phi_of: PhiAccessor, d_y: Metric) -> Fraction:
-    """alpha(phi(d_Y)) evaluated without building the image metric."""
-    ypairs = all_pairs(d_y.size)
-    total = ZERO
-    for xp, w in g.weights.items():
-        if not w:
-            continue
-        for yp in ypairs:
-            dv = d_y.rows[yp[0]][yp[1]]
-            if dv:
-                c = phi_of(xp, yp)
-                if c:
-                    total += w * c * dv
-    return total
-
-
 # ---------------------------------------------------------------------------
 # separation oracles
 
@@ -296,7 +280,7 @@ def distortion_oracle(phi: ExtensionOperator, q: Fraction,
     witness, _ = hit
     restricted = witness.restrict(range(phi.k))
     c_star = min_extension(g, restricted).value
-    image = _image_alpha(g, phi.value, restricted)
+    image = operator_to_sparsifier(phi, g).cost(restricted)  # alpha(phi(d_Y*))
     return DistortionViolation(witness, restricted, c_star, image)
 
 
@@ -428,8 +412,8 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
     q = x[0]
     coeffs = {entry: x[position[entry]] for entry in entries if x[position[entry]]}
     phi = ExtensionOperator(n, k, coeffs, distortion=q)
-    phi_of = phi_of_x(x)
-    worst = [(d, c) for d, c in candidates if _image_alpha(g_c, phi_of, d) == q * c]
+    beta = operator_to_sparsifier(phi, g_c)  # beta(d) = alpha(phi(d))
+    worst = [(d, c) for d, c in candidates if beta.cost(d) == q * c]
     return OperatorSolveReport(
         operator=phi,
         q=q,

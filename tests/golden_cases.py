@@ -2,7 +2,13 @@
 
 ``lp_cases()`` builds about fifty small programs (seeded random ones plus
 Beale's cycling instance, infeasible and unbounded programs, free variables,
-upper bounds, negative right-hand sides and "=" rows); ``operator_cases()``
+upper bounds, negative right-hand sides and "=" rows). ``lp.solve`` takes
+nonnegative variables only, so each is a ``helpers.BoundedProgram``: a free
+variable is split into two nonnegative columns, an upper bound is a "<="
+row after the program's own rows, and the outcome is mapped back to the
+original variables, with bound duals read off those rows. That is the
+tableau the solver once built inside itself for such programs, so the
+recorded pins still hold bit for bit. ``operator_cases()``
 lists the ``find_optimal_operator`` instances; ``metric_cone_fixture()``
 covers the metric-cone layer (``min_extension``, ``metric_quality_upper``,
 ``max_concurrent_flow``, ``min_cut_via_flow`` and ``random_metric``) on
@@ -27,6 +33,7 @@ from vsparse import (Sparsifier, all_pairs, find_optimal_operator, lp,
 from vsparse.extension import MetricConeLp
 from vsparse.sampling import (random_demands, random_fraction, random_graph,
                               random_metric)
+from helpers import BoundedOutcome, BoundedProgram
 
 F = Fraction
 
@@ -42,10 +49,10 @@ CONE_LP_POINTS = (2, 3, 4, 5)
 CONE_LP_SEEDS = (1, 2, 3, 4)
 
 
-def _random_lp(rng: random.Random) -> lp.LinearProgram:
+def _random_lp(rng: random.Random) -> BoundedProgram:
     n = rng.randint(1, 6)
     sense = rng.choice(["min", "max"])
-    p = lp.LinearProgram(n, sense)
+    p = BoundedProgram(n, sense)
     # Most programs are feasible by construction around a hidden point x0,
     # with some rows tight there, so degenerate vertices come up often.
     anchored = rng.random() < 0.7
@@ -74,49 +81,49 @@ def _random_lp(rng: random.Random) -> lp.LinearProgram:
     return p
 
 
-def _named_lps() -> list[tuple[str, lp.LinearProgram]]:
+def _named_lps() -> list[tuple[str, BoundedProgram]]:
     cases = []
 
-    beale = lp.LinearProgram(4, "min", {0: F(-3, 4), 1: 150, 2: F(-1, 50), 3: 6})
+    beale = BoundedProgram(4, "min", {0: F(-3, 4), 1: 150, 2: F(-1, 50), 3: 6})
     beale.add_constraint({0: F(1, 4), 1: -60, 2: F(-1, 25), 3: 9}, lp.LE, 0)
     beale.add_constraint({0: F(1, 2), 1: -90, 2: F(-1, 50), 3: 3}, lp.LE, 0)
     beale.add_constraint({2: 1}, lp.LE, 1)
     cases.append(("beale", beale))
 
-    infeasible = lp.LinearProgram(2, "min", {0: 1})
+    infeasible = BoundedProgram(2, "min", {0: 1})
     infeasible.add_constraint({0: 1, 1: 1}, lp.LE, 1)
     infeasible.add_constraint({0: 1, 1: 1}, lp.GE, 2)
     cases.append(("infeasible", infeasible))
 
-    infeasible_eq = lp.LinearProgram(2, "max", {1: 1})
+    infeasible_eq = BoundedProgram(2, "max", {1: 1})
     infeasible_eq.add_constraint({0: 1, 1: -1}, lp.EQ, -3)
     infeasible_eq.set_upper(1, 2)
     cases.append(("infeasible-eq-upper", infeasible_eq))
 
-    unbounded = lp.LinearProgram(3, "max", {0: 1, 1: F(1, 2)})
+    unbounded = BoundedProgram(3, "max", {0: 1, 1: F(1, 2)})
     unbounded.add_constraint({0: 1, 1: -1}, lp.LE, 2)
     unbounded.add_constraint({2: 1}, lp.EQ, F(5, 3))
     cases.append(("unbounded", unbounded))
 
-    unbounded_free = lp.LinearProgram(2, "min", {0: 1, 1: 1})
+    unbounded_free = BoundedProgram(2, "min", {0: 1, 1: 1})
     unbounded_free.set_free(0)
     unbounded_free.add_constraint({0: 1, 1: 2}, lp.LE, -1)
     cases.append(("unbounded-free", unbounded_free))
 
-    negative_rhs = lp.LinearProgram(3, "min", {0: 2, 1: 3, 2: F(1, 3)})
+    negative_rhs = BoundedProgram(3, "min", {0: 2, 1: 3, 2: F(1, 3)})
     negative_rhs.add_constraint({0: -1, 1: -1}, lp.LE, -4)
     negative_rhs.add_constraint({1: 1, 2: -2}, lp.GE, F(-7, 2))
     negative_rhs.add_constraint({0: 1, 2: 1}, lp.EQ, 3)
     negative_rhs.set_upper(0, F(5, 2))
     cases.append(("negative-rhs", negative_rhs))
 
-    redundant_eq = lp.LinearProgram(3, "max", {0: 1, 1: 1, 2: 1})
+    redundant_eq = BoundedProgram(3, "max", {0: 1, 1: 1, 2: 1})
     redundant_eq.add_constraint({0: 1, 1: 1}, lp.EQ, 2)
     redundant_eq.add_constraint({0: 2, 1: 2}, lp.EQ, 4)
     redundant_eq.add_constraint({2: 1, 0: -1}, lp.LE, 1)
     cases.append(("redundant-eq", redundant_eq))
 
-    degenerate = lp.LinearProgram(3, "max", {0: 10, 1: -57, 2: -9})
+    degenerate = BoundedProgram(3, "max", {0: 10, 1: -57, 2: -9})
     degenerate.add_constraint({0: F(1, 2), 1: F(-11, 2), 2: F(-5, 2)}, lp.LE, 0)
     degenerate.add_constraint({0: F(1, 2), 1: F(-3, 2), 2: F(-1, 2)}, lp.LE, 0)
     degenerate.add_constraint({0: 1}, lp.LE, 1)
@@ -124,7 +131,7 @@ def _named_lps() -> list[tuple[str, lp.LinearProgram]]:
     return cases
 
 
-def lp_cases() -> list[tuple[str, lp.LinearProgram]]:
+def lp_cases() -> list[tuple[str, BoundedProgram]]:
     cases = _named_lps()
     for seed in range(42):
         cases.append((f"random-{seed}", _random_lp(random.Random(seed))))
@@ -140,7 +147,7 @@ def _fracs(values) -> list[str] | None:
     return None if values is None else [str(v) for v in values]
 
 
-def outcome_record(out: lp.LpOutcome) -> dict:
+def outcome_record(out: BoundedOutcome) -> dict:
     return {
         "status": out.status,
         "x": _fracs(out.x),
@@ -298,7 +305,7 @@ def metric_cone_fixture() -> dict:
 
 def build_fixture() -> dict:
     return {
-        "lp": {name: outcome_record(lp.solve(p)) for name, p in lp_cases()},
+        "lp": {name: outcome_record(p.solve()) for name, p in lp_cases()},
         "metric_cone": metric_cone_fixture(),
         "operators": {name: operator_record(solve_operator(*args))
                       for name, args in operator_cases()},

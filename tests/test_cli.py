@@ -351,6 +351,22 @@ def test_oracle_error_quotes_are_bounded(tmp_path, capsys, n, weight):
     assert " characters)" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["oracle", "{deep}"],
+    ["sparsify", "{deep}", "--out", "{out}"],
+    ["quality", "{deep}", "{deep}", "--semantics", "cut"],
+    ["certify", "{deep}"],
+], ids=lambda argv: argv[0])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, command):
+    # deeper than the parser's recursion limit: an error message, not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    argv = [arg.format(deep=deep, out=tmp_path / "out") for arg in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.encode("utf-8")) < 1024
+
+
 # --- argument handling ----------------------------------------------------------
 
 def test_unknown_command_exits_via_argparse():

@@ -4,7 +4,12 @@
 simplex that preceded the integer tableau. Bland's rule decides every pivot
 from signs and exact ratio comparisons only, so any exact arithmetic
 reproduces the same pivot sequence, and hence the same vertex, duals and
-rays, on a solve from scratch; the single programs (``lp``) pin that. The
+rays, on a solve from scratch; the single programs (``lp``) pin that. Those
+with free variables or upper bounds are solved in the sign-constrained form
+``lp.solve`` takes (``helpers.BoundedProgram``: a free variable split into
+two nonnegative columns, each upper bound a "<=" row after the program's
+own rows) and mapped back, bound duals included. That form is the tableau
+the solver built inside itself when the fixture was recorded. The
 metric-cone entries were recorded with the Fraction triangle separation,
 metric validation, cut re-check and max-flow that preceded their integer
 versions, and the one-row cone LPs (``cone_lp``) with the
@@ -27,12 +32,19 @@ from pathlib import Path
 import pytest
 
 from vsparse import lp
-from golden_cases import (cone_lp_cases, cone_lp_record, lp_cases, metric_cone_cases,
-                          metric_cone_record, operator_cases, operator_record,
-                          outcome_record, random_metric_cases, random_metric_record,
-                          solve_operator)
+from golden_cases import (build_fixture, cone_lp_cases, cone_lp_record, lp_cases,
+                          metric_cone_cases, metric_cone_record, operator_cases,
+                          operator_record, outcome_record, random_metric_cases,
+                          random_metric_record, solve_operator)
 
-FIXTURE = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
+FIXTURE_PATH = Path(__file__).parent / "data" / "golden.json"
+FIXTURE = json.loads(FIXTURE_PATH.read_text())
+
+
+def test_generator_reproduces_the_fixture_byte_for_byte():
+    # the fixture is what the generator prints, so it was not edited by hand
+    text = json.dumps(build_fixture(), indent=1, sort_keys=True) + "\n"
+    assert text.encode() == FIXTURE_PATH.read_bytes()
 
 
 def test_fixture_covers_every_outcome_kind():
@@ -49,8 +61,7 @@ def test_fixture_covers_every_outcome_kind():
 
 @pytest.mark.parametrize("name,program", [pytest.param(*c, id=c[0]) for c in lp_cases()])
 def test_lp_outcome_is_bit_identical_and_audited(name, program):
-    out = lp.solve(program)
-    lp.audit(program, out)
+    out = program.solve()  # audited on the sign-constrained program
     assert outcome_record(out) == FIXTURE["lp"][name]
     values = [out.value, *(v for field in (out.x, out.duals, out.bound_duals, out.ray)
                            if field is not None for v in field)]

@@ -3,7 +3,9 @@
 Every optimal outcome is re-verified by lp.audit, which checks primal
 feasibility, dual feasibility, complementary slackness and strong duality
 as exact rational identities; passing it is a complete optimality proof
-independent of the pivot path the solver took.
+independent of the pivot path the solver took. ``lp`` takes nonnegative
+variables only; programs with free variables or upper bounds are written
+in that form by ``helpers.BoundedProgram``.
 """
 
 import random
@@ -15,6 +17,7 @@ from vsparse import all_pairs, lp
 from vsparse.extension import MetricConeLp, min_extension
 from vsparse.operators import find_optimal_operator
 from vsparse.sampling import random_graph, random_metric
+from helpers import BoundedProgram
 
 F = Fraction
 
@@ -87,28 +90,29 @@ def test_beale_cycling_instance_terminates():
 def test_equality_rows_and_free_variables():
     # min x + y with x free, x + y = 3, y <= 1: push x down? No: objective
     # x + y = 3 is constant on the feasible set.
-    p = lp.LinearProgram(2, "min", {0: 1, 1: 1})
+    p = BoundedProgram(2, "min", {0: 1, 1: 1})
     p.set_free(0)
     p.add_constraint({0: 1, 1: 1}, lp.EQ, 3)
     p.add_constraint({1: 1}, lp.LE, 1)
-    out = solve_audited(p)
+    out = p.solve()
     assert out.value == 3
 
 
 def test_free_variable_goes_negative():
-    p = lp.LinearProgram(1, "min", {0: 1})
+    p = BoundedProgram(1, "min", {0: 1})
     p.set_free(0)
     p.add_constraint({0: 1}, lp.GE, -7)
-    out = solve_audited(p)
-    assert out.value == -7
+    out = p.solve()
+    assert out.value == -7 and out.x == [F(-7)]
 
 
 def test_upper_bounds_without_constraints():
-    p = lp.LinearProgram(2, "max", {0: 1, 1: 2})
+    p = BoundedProgram(2, "max", {0: 1, 1: 2})
     p.set_upper(0, F(1, 2))
     p.set_upper(1, F(1, 3))
-    out = solve_audited(p)
+    out = p.solve()
     assert out.value == F(1, 2) + F(2, 3)
+    assert out.bound_duals == [F(1), F(2)]  # each bound row prices its variable
 
 
 # --- input validation --------------------------------------------------
@@ -134,11 +138,11 @@ def test_empty_program_is_an_error():
 
 # --- properties over random programs -----------------------------------
 
-def random_program(rng: random.Random) -> lp.LinearProgram:
+def random_program(rng: random.Random) -> BoundedProgram:
     n = rng.randint(1, 4)
     sense = rng.choice(["min", "max"])
-    p = lp.LinearProgram(n, sense,
-                         {j: F(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(n)})
+    p = BoundedProgram(n, sense,
+                       {j: F(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(n)})
     for j in range(n):
         if rng.random() < 0.25:
             p.set_free(j)
@@ -153,13 +157,13 @@ def random_program(rng: random.Random) -> lp.LinearProgram:
 
 @pytest.mark.parametrize("seed", range(120))
 def test_every_outcome_passes_the_exact_audit(seed):
-    p = random_program(random.Random(seed))
+    p = random_program(random.Random(seed)).sign_constrained()
     out = lp.solve(p)
     lp.audit(p, out)
 
 
 def test_random_programs_cover_all_statuses():
-    statuses = {lp.solve(random_program(random.Random(seed))).status
+    statuses = {random_program(random.Random(seed)).solve().status
                 for seed in range(120)}
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
@@ -168,13 +172,13 @@ def test_random_programs_cover_all_statuses():
 def test_row_permutation_keeps_the_value(seed):
     rng = random.Random(1000 + seed)
     p = random_program(rng)
-    out = lp.solve(p)
-    q = lp.LinearProgram(p.n_vars, p.sense, p.objective)
-    q.lower = list(p.lower)
+    out = p.solve()
+    q = BoundedProgram(p.n_vars, p.sense, p.objective)
+    q.free = list(p.free)
     q.upper = list(p.upper)
     for con in rng.sample(p.constraints, len(p.constraints)):
         q.add_constraint(con.coeffs, con.rel, con.rhs)
-    out2 = lp.solve(q)
+    out2 = q.solve()
     assert out2.status == out.status
     if out.status == lp.OPTIMAL:
         assert out2.value == out.value
@@ -184,7 +188,7 @@ def test_row_permutation_keeps_the_value(seed):
 def test_solving_twice_is_deterministic(seed):
     p1 = random_program(random.Random(2000 + seed))
     p2 = random_program(random.Random(2000 + seed))
-    o1, o2 = lp.solve(p1), lp.solve(p2)
+    o1, o2 = p1.solve(), p2.solve()
     assert o1.status == o2.status and o1.x == o2.x and o1.value == o2.value
 
 
@@ -194,7 +198,7 @@ def test_no_oracles_returns_master_optimum_in_one_round():
     p = lp.LinearProgram(1, "min", {0: 1})
     res = lp.cutting_plane(p, [])
     assert res.converged and res.rounds == 1
-    assert res.outcome.value == 0 and res.added == []
+    assert res.outcome.value == 0 and p.constraints == []
 
 
 def test_single_cut_convergence():
@@ -208,25 +212,33 @@ def test_single_cut_convergence():
     res = lp.cutting_plane(p, [want_q_at_least_3])
     assert res.converged
     assert res.outcome.value == 3
-    assert len(res.added) == 1
+    assert len(p.constraints) == 1
 
 
 def test_converged_point_satisfies_every_oracle_cut():
     # Approximate a disc by tangent cuts at a fixed set of slopes; the
-    # converged point must satisfy each tangent exactly.
+    # converged point must satisfy each tangent exactly. y is free, so the
+    # master runs on its sign-constrained form and the oracle reads the
+    # point and, while the master is unbounded, the ray in x and y.
     slopes = [(F(1), F(1), F(4)), (F(1), F(-1), F(3)), (F(1), F(3), F(6))]
-    p = lp.LinearProgram(2, "max", {0: 1, 1: 1})
-    p.set_free(1)
+    bounded = BoundedProgram(2, "max", {0: 1, 1: 1})
+    bounded.set_free(1)
+    p = bounded.sign_constrained()
 
     def oracle(out):
+        mapped = bounded.outcome(out)
         for a, b, rhs in slopes:
-            if a * out.x[0] + b * out.x[1] > rhs:
-                return [lp.Constraint({0: a, 1: b}, lp.LE, rhs)]
+            tangent = lp.Constraint(bounded.signed_row({0: a, 1: b}), lp.LE, rhs)
+            if a * mapped.x[0] + b * mapped.x[1] > rhs:
+                return [tangent]
+            if mapped.ray is not None and a * mapped.ray[0] + b * mapped.ray[1] > 0:
+                return [tangent]
         return None
 
     res = lp.cutting_plane(p, [oracle])
-    assert res.converged
-    x = res.outcome.x
+    assert res.converged and res.outcome.status == lp.OPTIMAL
+    assert res.outcome.value == 4 and len(p.constraints) >= 1
+    x = bounded.outcome(res.outcome).x
     assert all(a * x[0] + b * x[1] <= rhs for a, b, rhs in slopes)
     assert oracle(res.outcome) is None
 
@@ -371,13 +383,16 @@ def test_appended_rows_resolve_warm_as_cold(seed, cold_solves):
     # arrive in two batches; "=" rows in the second batch send the re-solve
     # back to the cold path.
     rng = random.Random(3000 + seed)
-    p = random_program(rng)
-    box = [lp.Constraint({j: F(1)}, lp.GE, F(-10)) for j in range(p.n_vars) if p.lower[j] is None]
-    for j in range(p.n_vars):
-        if p.upper[j] is None:
-            p.set_upper(j, 10)
-    rows = box + p.constraints
-    split = rng.randint(len(box), len(rows) - 1)
+    bounded = random_program(rng)
+    n_rows = len(bounded.constraints)
+    for j in range(bounded.n_vars):
+        if bounded.free[j]:
+            bounded.add_constraint({j: 1}, lp.GE, -10)
+        if bounded.upper[j] is None:
+            bounded.set_upper(j, 10)
+    p = bounded.sign_constrained()
+    rows = p.constraints[n_rows:] + p.constraints[:n_rows]  # the box first
+    split = rng.randint(len(rows) - n_rows, len(rows) - 1)
     p.constraints = rows[:split]
     first = lp.solve(p)
     p.constraints = rows
@@ -471,9 +486,11 @@ def test_beale_dual_terminates_warm(cold_solves):
 # --- debug dump --------------------------------------------------------
 
 def test_lp_text_dump_mentions_all_parts():
-    p = lp.LinearProgram(2, "max", {0: 1, 1: F(1, 2)})
+    p = BoundedProgram(2, "max", {0: 1, 1: F(1, 2)})
     p.add_constraint({0: 1, 1: 1}, lp.LE, 3)
     p.set_upper(0, 7)
-    text = lp.to_lp_text(p, "demo")
+    text = lp.to_lp_text(p.sign_constrained(), "demo")
     assert "Maximize" in text and "x0" in text and "x1" in text
     assert "3" in text and "demo" in text
+    assert " c1: x0 <= 7\n" in text  # the upper bound is a row
+    assert "Bounds" not in text  # LP format's default bounds, [0, +inf), are lp's
