@@ -83,23 +83,20 @@ def _pair_numerators(m: int, values: Mapping[Pair, FractionLike]) -> tuple[list[
     index = _pair_index(m)
     dense = [ZERO] * len(index)
     for pq, c in values.items():
-        dense[index[pq]] += as_fraction(c)
+        dense[index[pq]] = as_fraction(c)
     return integer_row(dense)
 
 
 def _on_rays(m: int, nums: Sequence[int]) -> list[int]:
-    nonzero = [(j, c) for j, c in enumerate(nums) if c]
-    return [sum([c * ray[j] for j, c in nonzero]) for ray in cone_rays(m)]
+    """A linear functional, given as integer numerators over ``all_pairs(m)``
+    and one positive denominator, on every ray of ``cone_rays(m)``, times
+    that denominator: the signs, and every ratio of two values, are exact.
 
-
-def ray_values(m: int, objective: Mapping[Pair, FractionLike]) -> list[int]:
-    """``objective`` on every ray of ``cone_rays(m)``, times one positive
-    common factor: the signs, and every ratio of two values, are exact.
-
-    A linear objective is at most 0 on the whole cone exactly when every
+    A linear functional is at most 0 on the whole cone exactly when every
     entry is.
     """
-    return _on_rays(m, _pair_numerators(m, objective)[0])
+    nonzero = [(j, c) for j, c in enumerate(nums) if c]
+    return [sum([c * ray[j] for j, c in nonzero]) for ray in cone_rays(m)]
 
 
 def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],

@@ -7,9 +7,12 @@ of d_Y. The optimal operator is found by a master LP over (phi, Q) with two
 lazy separation families:
 
 * membership cuts force every triangle row of the image cone, maximizing
-  each row over the normalized metric polytope on the terminals (for at
-  most five terminals a row that no extreme ray of the terminal metric
-  cone makes positive is settled without an LP);
+  each row over the normalized metric polytope on the terminals. The scan
+  runs on the image tensor as integer numerators over one positive
+  denominator: a row with no positive coefficient, or (for at most five
+  terminals) one that no extreme ray of the terminal metric cone makes
+  positive, is settled on integers without an LP, and only the rows left
+  become ``Fraction`` objectives;
 * distortion cuts bound the image cost against Q times the exact minimum
   extension of the restricted witness metric.
 
@@ -21,6 +24,7 @@ relabels its input accordingly and reports the relabeling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -39,9 +43,11 @@ from .core import (
     bipartitions,
     canonicalize,
     cut_metric,
+    integer_row,
+    integer_table,
     pair,
 )
-from .extension import RAY_POINTS, MetricConeLp, min_cut_via_flow, min_extension, ray_values
+from .extension import RAY_POINTS, MetricConeLp, _on_rays, min_cut_via_flow, min_extension
 
 PhiAccessor = Callable[[Pair, Pair], Fraction]
 
@@ -181,35 +187,54 @@ class MembershipViolation:
     excess: Fraction
 
 
-def _membership_violations(n: int, k: int, phi_of: PhiAccessor,
+@functools.cache
+def _triangle_rows(n: int, k: int) -> tuple[tuple[tuple[int, int, int], int, int, int], ...]:
+    """The triangle rows (i, j, l) of the vertex metric cone, each with the
+    positions of pairs ij, il and lj in ``all_pairs(n)``; rows between
+    terminal pairs are left out, since the identity rows imply them."""
+    index = {xp: a for a, xp in enumerate(all_pairs(n))}
+    rows = []
+    for i, j in all_pairs(n):
+        for l in range(n):
+            if l == i or l == j or (j < k and l < k):
+                continue
+            rows.append(((i, j, l), index[(i, j)], index[pair(i, l)], index[pair(l, j)]))
+    return tuple(rows)
+
+
+def _membership_violations(n: int, k: int, table: Sequence[Sequence[int]], scale: int,
                            first_only: bool) -> list[MembershipViolation]:
+    """The triangle rows of the image cone that some terminal metric violates.
+
+    ``table[a][b]`` is the coefficient phi_{xp, yp} of the a-th X-pair of
+    ``all_pairs(n)`` and the b-th Y-pair of ``all_pairs(k)`` as an integer
+    numerator over the positive denominator ``scale``; a terminal row is
+    ``scale`` on its own pair and 0 elsewhere. Each row's functional on the
+    terminal metric is one integer list. A functional with no positive entry
+    is at most 0 on every nonnegative metric, and one at most 0 on every
+    extreme ray of ``cone_rays(k)`` is at most 0 on the whole cone; either
+    way the row holds without an LP. Only the rows left are maximized over
+    the normalized metric polytope on the terminals, with the functional
+    back in ``Fraction``s; a positive optimum is a violation.
+    """
     if k < 2:
         return []  # a single terminal admits only the zero metric
     ypairs = all_pairs(k)
     norm_row = ({yp: ONE for yp in ypairs}, lp.EQ, ONE)
     found: list[MembershipViolation] = []
-    for i, j in all_pairs(n):
-        for l in range(n):
-            if l == i or l == j:
-                continue
-            if j < k and l < k:
-                continue  # row between terminal pairs holds by the identity
-            coeffs: dict[Pair, Fraction] = {}
-            for key, sgn in ((pair(i, j), 1), (pair(i, l), -1), (pair(l, j), -1)):
-                for yp in ypairs:
-                    c = phi_of(key, yp)
-                    if c:
-                        coeffs[yp] = coeffs.get(yp, ZERO) + sgn * c
-            if all(v <= 0 for v in coeffs.values()):
-                continue  # nonnegative metrics cannot push this row positive
-            if k <= RAY_POINTS and max(ray_values(k, coeffs)) <= 0:
-                continue  # nor can any extreme ray, so no metric can
-            result = MetricConeLp(k).optimize("max", coeffs, [norm_row])
-            lp.check(result.status == lp.OPTIMAL, "a normalized membership probe is bounded")
-            if result.value > 0:
-                found.append(MembershipViolation((i, j, l), result.table, result.value))
-                if first_only:
-                    return found
+    for where, ij, il, lj in _triangle_rows(n, k):
+        row = [a - b - c for a, b, c in zip(table[ij], table[il], table[lj])]
+        if max(row) <= 0:
+            continue  # nonnegative metrics cannot push this row positive
+        if k <= RAY_POINTS and max(_on_rays(k, row)) <= 0:
+            continue  # nor can any extreme ray, so no metric can
+        objective = {yp: Fraction(v, scale) for yp, v in zip(ypairs, row) if v}
+        result = MetricConeLp(k).optimize("max", objective, [norm_row])
+        lp.check(result.status == lp.OPTIMAL, "a normalized membership probe is bounded")
+        if result.value > 0:
+            found.append(MembershipViolation(where, result.table, result.value))
+            if first_only:
+                return found
     return found
 
 
@@ -221,7 +246,10 @@ def membership_oracle(phi: ExtensionOperator) -> MembershipViolation | None:
     fail. Returns None for members, otherwise the first violated row with
     its witness metric.
     """
-    hits = _membership_violations(phi.n, phi.k, phi.value, first_only=True)
+    ypairs = all_pairs(phi.k)
+    table, scale = integer_table([[phi.value(xp, yp) for yp in ypairs]
+                                  for xp in all_pairs(phi.n)])
+    hits = _membership_violations(phi.n, phi.k, table, scale, first_only=True)
     return hits[0] if hits else None
 
 
@@ -359,20 +387,21 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         return lp.Constraint(coeffs, lp.LE, rhs)
 
     def membership_cut(hit: MembershipViolation) -> lp.Constraint:
-        witness = hit.witness
+        # row ij - il - lj on the witness, terminal rows folded into the rhs;
+        # the three X-pairs differ, so each column is written once
+        d, s = integer_table(hit.witness.rows)
         i, j, l = hit.where
         coeffs = {}
-        rhs = ZERO
+        rhs = 0
         for key, sgn in ((pair(i, j), 1), (pair(i, l), -1), (pair(l, j), -1)):
             if key[1] < k:
-                rhs -= sgn * witness.rows[key[0]][key[1]]
+                rhs -= sgn * d[key[0]][key[1]]
                 continue
             for yp in ypairs:
-                dv = witness.rows[yp[0]][yp[1]]
+                dv = d[yp[0]][yp[1]]
                 if dv:
-                    e = position[(key, yp)]
-                    coeffs[e] = coeffs.get(e, ZERO) + sgn * dv
-        return lp.Constraint(coeffs, lp.LE, rhs)
+                    coeffs[position[(key, yp)]] = Fraction(sgn * dv, s)
+        return lp.Constraint(coeffs, lp.LE, Fraction(rhs, s))
 
     master = lp.LinearProgram(1 + len(entries), "min", {0: ONE})
     candidates: list[tuple[Metric, Fraction]] = []
@@ -387,8 +416,10 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         master.add_constraint(warm.coeffs, warm.rel, warm.rhs)
 
     def membership_cb(out: lp.LpOutcome) -> list[lp.Constraint]:
-        phi_of = phi_of_x(out.x)
-        hits = _membership_violations(n, k, phi_of, first_only=False)
+        nums, scale = integer_row(out.x)
+        table = [[scale if yp == xp else 0 for yp in ypairs] if xp[1] < k
+                 else [nums[position[(xp, yp)]] for yp in ypairs] for xp in all_pairs(n)]
+        hits = _membership_violations(n, k, table, scale, first_only=False)
         counts["membership"] += len(hits)
         return [membership_cut(hit) for hit in hits]
 

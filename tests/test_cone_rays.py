@@ -4,7 +4,9 @@
 points. ``MetricConeLp.optimize`` reads a one-row program on an unpinned
 cone off them when a single vertex is optimal, and the membership probe
 settles "max <= 0" from them. Every test compares with the triangle
-separation LP, taken with the ray path switched off.
+separation LP, taken with the ray path switched off. The membership scan
+runs on integer numerators; the Fraction scan it replaced is kept here as
+its reference.
 """
 
 import itertools
@@ -13,11 +15,19 @@ from fractions import Fraction
 
 import pytest
 
-from vsparse import (Metric, all_pairs, cut_metric, extension, lp, operators,
-                     zero_extension_operator)
-from vsparse.extension import MetricConeLp, cone_rays, ray_values
+from vsparse import (Metric, all_pairs, cut_metric, extension, find_optimal_operator, lp,
+                     operators, pair, zero_extension_operator)
+from vsparse.core import integer_table
+from vsparse.extension import MetricConeLp, cone_rays
+from vsparse.sampling import random_graph
 
 F = Fraction
+
+
+def ray_values(m, objective):
+    """A pair-keyed objective on every ray of ``cone_rays(m)``, as the ray
+    test computes it: integer numerators over one positive denominator."""
+    return extension._on_rays(m, extension._pair_numerators(m, objective)[0])
 
 
 def _table(m, vector):
@@ -219,12 +229,12 @@ def test_ray_path_leaves_ties_unbounded_and_apex_to_the_lp():
 
 # --- membership probes --------------------------------------------------------
 
-def _random_phi(rng, n, k):
+def _random_phi(rng, n, k, draw=lambda rng: F(rng.randint(1, 4), rng.randint(1, 3))):
     values = {}
     for xp in all_pairs(n):
         for yp in all_pairs(k):
             if xp[1] >= k and rng.random() < 0.45:
-                values[(xp, yp)] = F(rng.randint(1, 4), rng.randint(1, 3))
+                values[(xp, yp)] = draw(rng)
 
     def phi_of(xp, yp):
         if xp[1] < k:
@@ -244,9 +254,103 @@ def _phis():
     return cases
 
 
+def _coprime_phis():
+    """Operators whose coefficients have coprime denominators 3, 7 and 11."""
+    rng = random.Random(13)
+    return [(n, k, _random_phi(rng, n, k, lambda rng: F(rng.choice((1, 2, 5)),
+                                                        rng.choice((3, 7, 11)))))
+            for n, k in ((4, 3), (5, 3), (5, 4), (6, 4), (6, 5)) for _ in range(3)]
+
+
 def _hits(n, k, phi_of, first_only):
+    table, scale = integer_table([[phi_of(xp, yp) for yp in all_pairs(k)]
+                                  for xp in all_pairs(n)])
     return [(h.where, h.witness, h.excess)
-            for h in operators._membership_violations(n, k, phi_of, first_only)]
+            for h in operators._membership_violations(n, k, table, scale, first_only)]
+
+
+def _fraction_scan(n, k, phi_of, first_only):
+    """The membership scan as it ran on Fractions before the integer table:
+    the reference every hit, witness, excess and their order must match."""
+    if k < 2:
+        return []
+    ypairs = all_pairs(k)
+    norm_row = ({yp: F(1) for yp in ypairs}, lp.EQ, F(1))
+    found = []
+    for i, j in all_pairs(n):
+        for l in range(n):
+            if l == i or l == j or (j < k and l < k):
+                continue
+            coeffs = {}
+            for key, sgn in ((pair(i, j), 1), (pair(i, l), -1), (pair(l, j), -1)):
+                for yp in ypairs:
+                    c = phi_of(key, yp)
+                    if c:
+                        coeffs[yp] = coeffs.get(yp, F(0)) + sgn * c
+            if all(v <= 0 for v in coeffs.values()):
+                continue
+            if k <= extension.RAY_POINTS and max(ray_values(k, coeffs)) <= 0:
+                continue
+            result = MetricConeLp(k).optimize("max", coeffs, [norm_row])
+            if result.value > 0:
+                found.append(((i, j, l), result.table, result.value))
+                if first_only:
+                    return found
+    return found
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (5, 3), (6, 5), (7, 7)])
+def test_triangle_rows_leave_out_only_rows_between_terminals(n, k):
+    pairs = all_pairs(n)
+    want = [((i, j, l), pairs.index((i, j)), pairs.index(pair(i, l)), pairs.index(pair(l, j)))
+            for i, j in pairs for l in range(n) if l not in (i, j) and max(j, l) >= k]
+    assert list(operators._triangle_rows(n, k)) == want
+
+
+@pytest.mark.parametrize("cases", [_phis, _coprime_phis])
+def test_integer_scan_matches_the_fraction_reference(cases):
+    hits = 0
+    for n, k, phi in cases():
+        for first in (False, True):
+            got = _hits(n, k, phi, first)
+            assert got == _fraction_scan(n, k, phi, first)
+            hits += len(got)
+    assert hits > 10
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integer_scan_matches_the_fraction_reference_on_master_iterates(seed, k, monkeypatch):
+    points, scans = [], []
+    scan, cutting_plane = operators._membership_violations, lp.cutting_plane
+
+    def recorded_scan(*args, **kwargs):
+        hits = scan(*args, **kwargs)
+        scans.append([(h.where, h.witness, h.excess) for h in hits])
+        return hits
+
+    def recorded_loop(program, oracles, **kwargs):
+        if len(oracles) == 2:  # the operator master: membership, then distortion
+            membership = oracles[0]
+            oracles = [lambda out: points.append(out.x) or membership(out), oracles[1]]
+        return cutting_plane(program, oracles, **kwargs)
+
+    monkeypatch.setattr(operators, "_membership_violations", recorded_scan)
+    monkeypatch.setattr(lp, "cutting_plane", recorded_loop)
+    report = find_optimal_operator(random_graph(random.Random(seed), 5, k))
+    monkeypatch.undo()
+    assert report.converged and len(points) == len(scans) == report.iterations
+    n = report.graph.n
+    ypairs = all_pairs(k)
+    entries = [(xp, yp) for xp in all_pairs(n) if xp[1] >= k for yp in ypairs]
+    for x, in_solve in zip(points, scans):
+        values = {entry: x[1 + e] for e, entry in enumerate(entries)}
+
+        def phi_of(xp, yp):
+            return F(int(xp == yp)) if xp[1] < k else values[(xp, yp)]
+        assert in_solve == _fraction_scan(n, k, phi_of, first_only=False)
+        assert _hits(n, k, phi_of, True) == _fraction_scan(n, k, phi_of, first_only=True)
+    assert sum(map(len, scans)) == report.membership_cuts > 0
 
 
 def test_membership_hits_equal_with_and_without_the_ray_precheck(monkeypatch):
