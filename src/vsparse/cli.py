@@ -20,6 +20,7 @@ import random
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from . import certificates, jsonio, lp, operators, quality
 from .core import WeightedGraph, bipartitions, cut_metric, is_unbounded
@@ -178,6 +179,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return ORACLE_MISMATCH if mismatch else OK
 
 
+def _at_least(least: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``least``."""
+    def at_least(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return at_least
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vsparse",
@@ -187,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled metrics (sparsify ignores it)")
-        p.add_argument("--samples", type=int, default=100,
+        p.add_argument("--samples", type=_at_least(0), default=100,
                        help="random metrics for sampled lower checks "
                             "(sparsify ignores it, oracle uses at most 5)")
 
@@ -195,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "and write all artifacts")
     p_sparsify.add_argument("graph", type=Path, help="graph JSON file")
     p_sparsify.add_argument("--out", type=Path, required=True, help="output directory")
-    p_sparsify.add_argument("--max-iters", type=int, default=10_000, dest="max_iters",
+    p_sparsify.add_argument("--max-iters", type=_at_least(1), default=10_000, dest="max_iters",
                             help="cutting-plane round cap")
     common(p_sparsify)
 

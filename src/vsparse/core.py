@@ -192,10 +192,6 @@ class Metric:
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
         ])
 
-    def pair_values(self) -> dict[Pair, Fraction]:
-        """Distances keyed by canonical pair."""
-        return {(i, j): self.rows[i][j] for i, j in all_pairs(self.size)}
-
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)
 

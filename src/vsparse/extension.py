@@ -433,23 +433,6 @@ def min_cut_by_enumeration(g: WeightedGraph, side: Iterable[int],
     return best
 
 
-def terminal_min_cut(g: WeightedGraph, side: Iterable[int]) -> Fraction:
-    """Terminal min cut computed along both routes, checked equal.
-
-    The LP route extends the cut metric of ``side``; the combinatorial
-    route contracts and runs max-flow. They must agree exactly; a mismatch
-    is a solver bug, not data dependent.
-    """
-    side = list(side)
-    via_lp = min_cut_via_lp(g, side)
-    via_flow = min_cut_via_flow(g, side)
-    if via_lp != via_flow:
-        raise lp.LpAuditError(
-            f"terminal min cut mismatch on side {sorted(set(side))}: "
-            f"LP {via_lp} vs max-flow {via_flow}")
-    return via_flow
-
-
 # ---------------------------------------------------------------------------
 # exhaustive 0-extension
 

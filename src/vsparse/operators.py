@@ -4,7 +4,8 @@ An extension operator is a nonnegative tensor phi taking a terminal metric
 d_Y to a vertex metric phi(d_Y) that extends it; its distortion Q is the
 worst ratio of the weighted cost of phi(d_Y) to the minimum extension cost
 of d_Y. The optimal operator is found by a master LP over (phi, Q) with two
-lazy separation families:
+lazy separation families, each found by the public oracle of the same name
+run on the operator of the master iterate:
 
 * membership cuts force every triangle row of the image cone, maximizing
   each row over the normalized metric polytope on the terminals. The scan
@@ -15,6 +16,9 @@ lazy separation families:
   become ``Fraction`` objectives;
 * distortion cuts bound the image cost against Q times the exact minimum
   extension of the restricted witness metric.
+
+Both cut families are one linear form, sum_x c_x * phi(d_Y)(x) <= c_Q * Q
+on a witness d_Y, written by a single builder on integer numerators.
 
 Everything runs in exact rational arithmetic, so the converged master value
 is the true optimum, not an approximation. Operators index vertices in the
@@ -27,7 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import jsonio, lp
 from .core import (
@@ -48,9 +52,6 @@ from .core import (
     pair,
 )
 from .extension import RAY_POINTS, MetricConeLp, _on_rays, min_cut_via_flow, min_extension
-
-PhiAccessor = Callable[[Pair, Pair], Fraction]
-
 
 class NoFiniteDistortionError(RuntimeError):
     """No operator of finite distortion exists under these weights."""
@@ -202,24 +203,25 @@ def _triangle_rows(n: int, k: int) -> tuple[tuple[tuple[int, int, int], int, int
     return tuple(rows)
 
 
-def _membership_violations(n: int, k: int, table: Sequence[Sequence[int]], scale: int,
-                           first_only: bool) -> list[MembershipViolation]:
+def _membership_violations(phi: ExtensionOperator, first_only: bool) -> list[MembershipViolation]:
     """The triangle rows of the image cone that some terminal metric violates.
 
-    ``table[a][b]`` is the coefficient phi_{xp, yp} of the a-th X-pair of
-    ``all_pairs(n)`` and the b-th Y-pair of ``all_pairs(k)`` as an integer
-    numerator over the positive denominator ``scale``; a terminal row is
-    ``scale`` on its own pair and 0 elsewhere. Each row's functional on the
-    terminal metric is one integer list. A functional with no positive entry
-    is at most 0 on every nonnegative metric, and one at most 0 on every
-    extreme ray of ``cone_rays(k)`` is at most 0 on the whole cone; either
-    way the row holds without an LP. Only the rows left are maximized over
-    the normalized metric polytope on the terminals, with the functional
-    back in ``Fraction``s; a positive optimum is a violation.
+    The scan runs on ``integer_table`` over ``phi.value``: row a, column b
+    holds the coefficient of the a-th X-pair of ``all_pairs(n)`` and the b-th
+    Y-pair of ``all_pairs(k)`` as an integer numerator over one positive
+    denominator. Each row's functional on the terminal metric is one integer
+    list. A functional with no positive entry is at most 0 on every
+    nonnegative metric, and one at most 0 on every extreme ray of
+    ``cone_rays(k)`` is at most 0 on the whole cone; either way the row
+    holds without an LP. Only the rows left are maximized over the
+    normalized metric polytope on the terminals, with the functional back in
+    ``Fraction``s; a positive optimum is a violation.
     """
+    n, k = phi.n, phi.k
     if k < 2:
         return []  # a single terminal admits only the zero metric
     ypairs = all_pairs(k)
+    table, scale = integer_table([[phi.value(xp, yp) for yp in ypairs] for xp in all_pairs(n)])
     norm_row = ({yp: ONE for yp in ypairs}, lp.EQ, ONE)
     found: list[MembershipViolation] = []
     for where, ij, il, lj in _triangle_rows(n, k):
@@ -246,10 +248,7 @@ def membership_oracle(phi: ExtensionOperator) -> MembershipViolation | None:
     fail. Returns None for members, otherwise the first violated row with
     its witness metric.
     """
-    ypairs = all_pairs(phi.k)
-    table, scale = integer_table([[phi.value(xp, yp) for yp in ypairs]
-                                  for xp in all_pairs(phi.n)])
-    hits = _membership_violations(phi.n, phi.k, table, scale, first_only=True)
+    hits = _membership_violations(phi, first_only=True)
     return hits[0] if hits else None
 
 
@@ -268,48 +267,38 @@ class DistortionViolation:
     image_cost: Fraction
 
 
-def _distortion_witness(g: WeightedGraph, phi_of: PhiAccessor,
-                        q: Fraction) -> tuple[Metric, Fraction] | None:
-    """Maximize alpha(phi(d|_Y)) - q * alpha(d) over the normalized metric
-    polytope on the vertices; a positive optimum witnesses excess distortion."""
-    n, k = g.n, g.k
-    if n < 2:
-        return None  # a single point carries no nonzero metric
-    objective: dict[Pair, Fraction] = {}
-    for xp, w in g.weights.items():
-        if not w:
-            continue
-        objective[xp] = objective.get(xp, ZERO) - q * w
-        for yp in all_pairs(k):
-            c = phi_of(xp, yp)
-            if c:
-                objective[yp] = objective.get(yp, ZERO) + w * c
-    cone = MetricConeLp(n)
-    norm_row = ({xp: ONE for xp in all_pairs(n)}, lp.EQ, ONE)
-    result = cone.optimize("max", objective, [norm_row])
-    lp.check(result.status == lp.OPTIMAL, "a normalized distortion probe is bounded and feasible")
-    if result.value > 0:
-        return result.table, result.value
-    return None
-
-
 def distortion_oracle(phi: ExtensionOperator, q: Fraction,
                       g: WeightedGraph) -> DistortionViolation | None:
     """Does some terminal metric stretch beyond q times its minimum extension?
 
     ``phi`` must be a member of the operator cone and ``g`` the canonical
-    graph it was built for. Returns None when alpha(phi(d_Y)) <= q *
+    graph it was built for. Maximizes alpha(phi(d|_Y)) - q * alpha(d) over
+    the normalized metric polytope on the vertices; a positive optimum
+    witnesses excess distortion. Returns None when alpha(phi(d_Y)) <= q *
     minext(d_Y) holds for every d_Y.
     """
     _require_canonical(phi, g)
-    hit = _distortion_witness(g, phi.value, as_fraction(q))
-    if hit is None:
+    n, k = phi.n, phi.k
+    if n < 2:
+        return None  # a single point carries no nonzero metric
+    q = as_fraction(q)
+    ypairs = all_pairs(k)
+    objective: dict[Pair, Fraction] = {}
+    for xp, w in g.weights.items():
+        objective[xp] = objective.get(xp, ZERO) - q * w
+        for yp in ypairs:
+            c = phi.value(xp, yp)
+            if c:
+                objective[yp] = objective.get(yp, ZERO) + w * c
+    norm_row = ({xp: ONE for xp in all_pairs(n)}, lp.EQ, ONE)
+    result = MetricConeLp(n).optimize("max", objective, [norm_row])
+    lp.check(result.status == lp.OPTIMAL, "a normalized distortion probe is bounded and feasible")
+    if result.value <= 0:
         return None
-    witness, _ = hit
-    restricted = witness.restrict(range(phi.k))
+    restricted = result.table.restrict(range(k))
     c_star = min_extension(g, restricted).value
     image = operator_to_sparsifier(phi, g).cost(restricted)  # alpha(phi(d_Y*))
-    return DistortionViolation(witness, restricted, c_star, image)
+    return DistortionViolation(result.table, restricted, c_star, image)
 
 
 # ---------------------------------------------------------------------------
@@ -356,52 +345,36 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
     entries = [(xp, yp) for xp in all_pairs(n) if xp[1] >= k for yp in ypairs]
     position = {entry: 1 + e for e, entry in enumerate(entries)}
 
-    def phi_of_x(x: Sequence[Fraction]) -> PhiAccessor:
-        def phi_of(xp: Pair, yp: Pair) -> Fraction:
-            if xp[1] < k:
-                return ONE if xp == yp else ZERO
-            return x[position[(xp, yp)]]
-        return phi_of
+    def operator_at(x: Sequence[Fraction]) -> ExtensionOperator:
+        return ExtensionOperator(n, k, {entry: x[e] for entry, e in position.items() if x[e]},
+                                 distortion=x[0])
 
-    def distortion_cut(d_y: Metric, c_star: Fraction) -> lp.Constraint:
-        # alpha(phi(d_y)) <= Q * c_star, terminal rows folded into the rhs
-        coeffs: dict[int, Fraction] = {0: -c_star}
-        rhs = ZERO
-        for xp, w in g_c.weights.items():
-            if not w:
-                continue
-            if xp[1] < k:
-                rhs -= w * d_y.rows[xp[0]][xp[1]]
-                continue
-            for yp in ypairs:
-                dv = d_y.rows[yp[0]][yp[1]]
-                if dv:
-                    e = position[(xp, yp)]
-                    coeffs[e] = coeffs.get(e, ZERO) + w * dv
-        if c_star == 0:
-            # A zero-cost witness zeroes every positive-weight terminal pair,
-            # so the cut keeps a satisfiable zero right-hand side; see the
-            # no-finite-distortion handling below for the infeasible case.
-            lp.check(rhs == 0, "a zero-cost witness left a positive terminal term")
-            del coeffs[0]
-        return lp.Constraint(coeffs, lp.LE, rhs)
-
-    def membership_cut(hit: MembershipViolation) -> lp.Constraint:
-        # row ij - il - lj on the witness, terminal rows folded into the rhs;
-        # the three X-pairs differ, so each column is written once
-        d, s = integer_table(hit.witness.rows)
-        i, j, l = hit.where
-        coeffs = {}
+    def image_cut(c_x: Mapping[Pair, FractionLike], d_y: Metric,
+                  c_q: Fraction) -> lp.Constraint:
+        # sum_xp c_x[xp] * phi(d_y)(xp) <= c_q * Q, terminal rows folded into
+        # the rhs; the X-pairs of c_x differ, so each column is written once
+        cs, c_scale = integer_row(list(c_x.values()))
+        d, d_scale = integer_table(d_y.rows)
+        scale = c_scale * d_scale
+        coeffs: dict[int, Fraction] = {0: -c_q} if c_q else {}
         rhs = 0
-        for key, sgn in ((pair(i, j), 1), (pair(i, l), -1), (pair(l, j), -1)):
-            if key[1] < k:
-                rhs -= sgn * d[key[0]][key[1]]
+        for xp, c in zip(c_x, cs):
+            if xp[1] < k:
+                rhs -= c * d[xp[0]][xp[1]]
                 continue
             for yp in ypairs:
                 dv = d[yp[0]][yp[1]]
                 if dv:
-                    coeffs[position[(key, yp)]] = Fraction(sgn * dv, s)
-        return lp.Constraint(coeffs, lp.LE, Fraction(rhs, s))
+                    coeffs[position[(xp, yp)]] = Fraction(c * dv, scale)
+        return lp.Constraint(coeffs, lp.LE, Fraction(rhs, scale))
+
+    def distortion_cut(d_y: Metric, c_star: Fraction) -> lp.Constraint:
+        cut = image_cut(g_c.weights, d_y, c_star)
+        # A zero-cost witness zeroes every positive-weight terminal pair, so
+        # the cut keeps a satisfiable zero right-hand side; see the
+        # no-finite-distortion handling below for the infeasible case.
+        lp.check(c_star != 0 or cut.rhs == 0, "a zero-cost witness left a positive terminal term")
+        return cut
 
     master = lp.LinearProgram(1 + len(entries), "min", {0: ONE})
     candidates: list[tuple[Metric, Fraction]] = []
@@ -416,33 +389,28 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         master.add_constraint(warm.coeffs, warm.rel, warm.rhs)
 
     def membership_cb(out: lp.LpOutcome) -> list[lp.Constraint]:
-        nums, scale = integer_row(out.x)
-        table = [[scale if yp == xp else 0 for yp in ypairs] if xp[1] < k
-                 else [nums[position[(xp, yp)]] for yp in ypairs] for xp in all_pairs(n)]
-        hits = _membership_violations(n, k, table, scale, first_only=False)
+        hits = _membership_violations(operator_at(out.x), first_only=False)
         counts["membership"] += len(hits)
-        return [membership_cut(hit) for hit in hits]
+        cuts = []
+        for hit in hits:
+            i, j, l = hit.where  # row ij - il - lj of the image on the witness
+            cuts.append(image_cut({(i, j): 1, pair(i, l): -1, pair(l, j): -1}, hit.witness, ZERO))
+        return cuts
 
     def distortion_cb(out: lp.LpOutcome) -> list[lp.Constraint]:
-        phi_of = phi_of_x(out.x)
-        hit = _distortion_witness(g_c, phi_of, out.x[0])
+        hit = distortion_oracle(operator_at(out.x), out.x[0], g_c)
         if hit is None:
             return []
-        witness, _ = hit
-        restricted = witness.restrict(range(k))
-        c_star = min_extension(g_c, restricted).value
-        candidates.append((restricted, c_star))
+        candidates.append((hit.restricted, hit.min_extension_value))
         counts["distortion"] += 1
-        return [distortion_cut(restricted, c_star)]
+        return [distortion_cut(hit.restricted, hit.min_extension_value)]
 
     result = lp.cutting_plane(master, [membership_cb, distortion_cb], max_rounds=max_iters)
     if result.outcome.status == lp.INFEASIBLE:
         raise NoFiniteDistortionError(
             "no operator of finite distortion exists under these weights")
-    x = result.outcome.x
-    q = x[0]
-    coeffs = {entry: x[position[entry]] for entry in entries if x[position[entry]]}
-    phi = ExtensionOperator(n, k, coeffs, distortion=q)
+    phi = operator_at(result.outcome.x)
+    q = phi.distortion
     beta = operator_to_sparsifier(phi, g_c)  # beta(d) = alpha(phi(d))
     worst = [(d, c) for d, c in candidates if beta.cost(d) == q * c]
     return OperatorSolveReport(

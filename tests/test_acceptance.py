@@ -29,11 +29,11 @@ from vsparse import (
     max_concurrent_flow,
     metric_quality_upper,
     min_cut_by_enumeration,
+    min_cut_via_flow,
     min_extension,
     operator_to_sparsifier,
     report_from_json,
     sparsifier_to_json,
-    terminal_min_cut,
     zero_extension_operator,
 )
 from vsparse.cli import main
@@ -114,7 +114,7 @@ def test_criterion_03_mincut_lp_integrality():
         g = random_graph(rng, n, k, connected=False)
         for side_mask, side in _bipartitions(k):
             lp_val = min_extension(g, cut_metric(side, k)).value
-            cut_val = terminal_min_cut(g, side)
+            cut_val = min_cut_via_flow(g, side)
             if lp_val != cut_val:
                 failures.append((trial, side_mask, lp_val, cut_val))
     _grade(3, "mincut-lp-integral-on-every-bipartition", failures)

@@ -374,6 +374,39 @@ def test_unknown_command_exits_via_argparse():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    (["quality", "{graph}", "{beta}", "--semantics", "metric"], "--samples", "-3"),
+    (["oracle", "{graph}"], "--samples", "-2"),
+    (["sparsify", "{graph}", "--out", "{out}"], "--max-iters", "0"),
+    (["sparsify", "{graph}", "--out", "{out}"], "--max-iters", "-1"),
+])
+def test_out_of_range_counts_are_parse_errors(tmp_path, capsys, command, flag, value):
+    names = {"graph": star_file(tmp_path), "beta": half_triangle_file(tmp_path),
+             "out": str(tmp_path / "out")}
+    with pytest.raises(SystemExit) as exc:
+        main([part.format(**names) for part in command] + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--max-iters"])
+def test_count_flags_reject_non_integers(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sparsify", star_file(tmp_path), "--out", str(tmp_path / "o"), flag, "2.5"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: '2.5'" in capsys.readouterr().err
+
+
+def test_zero_samples_are_legal(tmp_path, capsys):
+    graph, beta = star_file(tmp_path), half_triangle_file(tmp_path)
+    assert main(["quality", graph, beta, "--semantics", "metric", "--samples", "0"]) == 0
+    assert report_from_json(loads(capsys.readouterr().out)).semantics == "metric"
+    assert main(["oracle", graph, "--samples", "0"]) == 0
+    assert "zeroext sample" not in capsys.readouterr().out
+    assert main(["sparsify", graph, "--out", str(tmp_path / "out"), "--samples", "0"]) == 0
+
+
 def test_stdout_report_is_canonical_json(tmp_path, capsys):
     main(["quality", star_file(tmp_path), half_triangle_file(tmp_path),
           "--semantics", "cut"])

@@ -15,9 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from vsparse import (Metric, all_pairs, cut_metric, extension, find_optimal_operator, lp,
-                     operators, pair, zero_extension_operator)
-from vsparse.core import integer_table
+from vsparse import (ExtensionOperator, Metric, all_pairs, cut_metric, extension,
+                     find_optimal_operator, lp, operators, pair, zero_extension_operator)
 from vsparse.extension import MetricConeLp, cone_rays
 from vsparse.sampling import random_graph
 
@@ -263,10 +262,10 @@ def _coprime_phis():
 
 
 def _hits(n, k, phi_of, first_only):
-    table, scale = integer_table([[phi_of(xp, yp) for yp in all_pairs(k)]
-                                  for xp in all_pairs(n)])
+    phi = ExtensionOperator(n, k, {(xp, yp): phi_of(xp, yp) for xp in all_pairs(n)
+                                   if xp[1] >= k for yp in all_pairs(k)})
     return [(h.where, h.witness, h.excess)
-            for h in operators._membership_violations(n, k, table, scale, first_only)]
+            for h in operators._membership_violations(phi, first_only)]
 
 
 def _fraction_scan(n, k, phi_of, first_only):

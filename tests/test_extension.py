@@ -17,7 +17,6 @@ from vsparse import (
     min_cut_via_lp,
     min_extension,
     restrict,
-    terminal_min_cut,
     zero_metric,
 )
 from vsparse.extension import MetricConeLp
@@ -129,21 +128,28 @@ def test_extension_is_homogeneous(seed):
 
 # --- terminal min cuts -------------------------------------------------
 
+def min_cut(g, side):
+    """The terminal min cut by max-flow, checked against the LP route."""
+    by_flow = min_cut_via_flow(g, side)
+    assert min_cut_via_lp(g, side) == by_flow
+    return by_flow
+
+
 def test_star_cuts_by_hand():
     g = unit_star(3)
-    assert terminal_min_cut(g, [0]) == 1
-    assert terminal_min_cut(g, [0, 1]) == 1  # the single edge to leaf 2 is cheaper
+    assert min_cut(g, [0]) == 1
+    assert min_cut(g, [0, 1]) == 1  # the single edge to leaf 2 is cheaper
 
 
 def test_edgeless_graph_has_zero_cuts():
     g = WeightedGraph(4, [0, 1], {})
-    assert terminal_min_cut(g, [0]) == 0
+    assert min_cut(g, [0]) == 0
 
 
 def test_weighted_star_cut_picks_the_lighter_side():
     g = weighted_star([5, F(1, 2), 3])
-    assert terminal_min_cut(g, [0]) == F(1, 2) + 3  # center joins leaf 0
-    assert terminal_min_cut(g, [1]) == F(1, 2)
+    assert min_cut(g, [0]) == F(1, 2) + 3  # center joins leaf 0
+    assert min_cut(g, [1]) == F(1, 2)
 
 
 @pytest.mark.parametrize("side", [[], [0, 1, 2], [5]])
@@ -177,7 +183,7 @@ def test_exhaustive_cut_cross_check_on_five_terminals():
     g = random_graph(rng, 7, 5)
     for bits in range(1, (1 << g.k) - 1):
         side = [p for p in range(g.k) if bits >> p & 1]
-        assert min_extension(g, cut_metric(side, g.k)).value == terminal_min_cut(g, side)
+        assert min_extension(g, cut_metric(side, g.k)).value == min_cut_via_flow(g, side)
 
 
 # --- best_zero_extension ----------------------------------------------

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from vsparse import (
+    Metric,
     WeightedGraph,
+    all_pairs,
     alpha_cost,
     apply,
     best_zero_extension,
@@ -21,11 +23,14 @@ from vsparse import (
     operator_from_json,
     operator_to_json,
     operator_to_sparsifier,
+    pair,
     restrict,
-    terminal_min_cut,
     zero_extension_operator,
     zero_metric,
 )
+from vsparse import operators
+from vsparse.core import is_unbounded
+from vsparse.extension import cone_rays
 from vsparse.jsonio import JsonFormatError, dump_canonical
 from vsparse.operators import ExtensionOperator
 from vsparse.sampling import random_graph, random_metric
@@ -143,6 +148,120 @@ def test_all_zero_rows_violate_a_triangle():
 
 def test_membership_accepts_k1_operators():
     assert membership_oracle(ExtensionOperator(3, 1, {})) is None
+
+
+def image_value(phi, d_y, xp):
+    """phi(d_Y) at the X-pair ``xp``, read off the tensor (any d_Y, member or not)."""
+    return sum((phi.value(xp, yp) * d_y.dist(*yp) for yp in all_pairs(phi.k)), F(0))
+
+
+def maps_rays_to_metrics(phi):
+    """phi is linear, so it maps every terminal metric to a metric exactly
+    when it maps each extreme ray of the terminal metric cone to one."""
+    for ray in cone_rays(phi.k):
+        table = [[0] * phi.k for _ in range(phi.k)]
+        for (p, q), v in zip(all_pairs(phi.k), ray):
+            table[p][q] = table[q][p] = v
+        try:
+            apply(phi, Metric(table))
+        except ValueError:
+            return False
+    return True
+
+
+def check_membership_hit(phi, hit):
+    i, j, l = hit.where
+    assert hit.witness.size == phi.k and hit.excess > 0
+    assert sum((hit.witness.dist(*yp) for yp in all_pairs(phi.k)), F(0)) == 1
+    broken = (image_value(phi, hit.witness, (i, j)) - image_value(phi, hit.witness, pair(i, l))
+              - image_value(phi, hit.witness, pair(l, j)))
+    assert broken == hit.excess
+
+
+def check_distortion_hit(phi, q, g, hit):
+    assert hit.restricted == hit.witness.restrict(range(g.k))
+    assert hit.min_extension_value == min_extension(g, hit.restricted).value
+    assert hit.image_cost == alpha_cost(g, apply(phi, hit.restricted))
+    assert hit.image_cost > q * hit.min_extension_value
+
+
+def random_operator(rng, n, k):
+    density = rng.choice((0.1, 0.3, 0.6))
+    return ExtensionOperator(n, k, {
+        (xp, yp): F(rng.randint(1, 4), rng.randint(1, 3))
+        for xp in all_pairs(n) if xp[1] >= k for yp in all_pairs(k) if rng.random() < density})
+
+
+def solve_recording_oracles(g, monkeypatch):
+    """Solve g, recording every master iterate the two oracles were asked
+    about: (phi, hits) for membership, (phi, q, graph, hit) for distortion."""
+    scans, probes = [], []
+    scan, probe = operators._membership_violations, operators.distortion_oracle
+
+    def recorded_scan(phi, first_only):
+        scans.append((phi, scan(phi, first_only)))
+        return scans[-1][1]
+
+    def recorded_probe(phi, q, graph):
+        probes.append((phi, q, graph, probe(phi, q, graph)))
+        return probes[-1][3]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_membership_violations", recorded_scan)
+        patch.setattr(operators, "distortion_oracle", recorded_probe)
+        report = find_optimal_operator(g)
+    return report, scans, probes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_membership_matches_the_images_of_the_extreme_rays(seed, monkeypatch):
+    rng = random.Random(500 + seed)
+    phis = []
+    for _ in range(12):
+        k = rng.randint(2, 5)
+        n = rng.randint(k + 1, k + 2)
+        phis.append(random_operator(rng, n, k))
+        phis.append(zero_extension_operator(n, k, random_assignment(rng, n, k)))
+    k = 3 + seed % 3
+    report, scans, _ = solve_recording_oracles(random_graph(rng, k + 2, k), monkeypatch)
+    phis += [phi for phi, _ in scans] + [report.operator]
+    verdicts = []
+    for phi in phis:
+        hit = membership_oracle(phi)
+        verdicts.append(hit is None)
+        assert verdicts[-1] == maps_rays_to_metrics(phi)
+        if hit is not None:
+            check_membership_hit(phi, hit)
+    assert any(verdicts) and not all(verdicts)
+    for phi, hits in scans:  # the solve's own scan: every violated row, members none
+        assert (not hits) == maps_rays_to_metrics(phi)
+        for hit in hits:
+            check_membership_hit(phi, hit)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distortion_hits_overshoot_by_the_image_cost(seed):
+    rng = random.Random(600 + seed)
+    for _ in range(4):
+        k = rng.randint(2, 4)
+        n = rng.randint(k + 1, k + 3)
+        g, _ = canonicalize(random_graph(rng, n, k))
+        phi = zero_extension_operator(n, k, random_assignment(rng, n, k))
+        q_phi = evaluate_operator_distortion(phi, g)
+        assert 0 < q_phi and not is_unbounded(q_phi)  # random graphs are connected
+        for q in (F(0), q_phi / 2, q_phi * F(9, 10)):
+            check_distortion_hit(phi, q, g, distortion_oracle(phi, q, g))
+        assert distortion_oracle(phi, q_phi, g) is None
+
+
+def test_the_solves_distortion_hits_overshoot_by_the_image_cost(monkeypatch):
+    g, _ = canonicalize(random_graph(random.Random(6), 7, 5, density=1.0))
+    report, _, probes = solve_recording_oracles(g, monkeypatch)
+    hits = [(phi, q, graph, hit) for phi, q, graph, hit in probes if hit is not None]
+    assert len(hits) == report.distortion_cuts > 0  # a rare event on random graphs
+    for phi, q, graph, hit in hits:
+        assert membership_oracle(phi) is None and q == phi.distortion
+        check_distortion_hit(phi, q, graph, hit)
 
 
 # --- distortion oracle -------------------------------------------------
