@@ -3,15 +3,18 @@
 A small two-phase primal simplex with Bland's anti-cycling rule, so every
 solve is deterministic and every certificate is bit-exact. An optimal
 outcome keeps its tableau: once more "<=" or ">=" rows are appended to the
-program, :func:`solve` re-solves from it by a dual simplex with the dual
-Bland rule and no phase one, which is how :func:`cutting_plane` runs every
-round after the first. The tableau holds each row as integer numerators
-over one exact positive denominator and pivots fraction-free (cross-multiply,
-then divide out the gcd); programs come in and every value comes out as
+program, :func:`solve` re-solves from it by a dual simplex with no phase
+one, which is how :func:`cutting_plane` runs every round after the first.
+The dual simplex picks its leaving row by exact dual steepest edge and falls
+back to the dual Bland rule only while a basis it has already visited comes
+back. The tableau holds each row as integer numerators over one exact
+positive denominator and pivots fraction-free (cross-multiply, then divide
+out the gcd); programs come in and every value comes out as
 ``fractions.Fraction``. Outcomes carry primal solutions, dual multipliers
-satisfying strong duality and complementary slackness exactly, and improving
-rays for unbounded programs. :func:`audit` re-verifies all of that from
-scratch and is switched on liberally in the test suite.
+satisfying strong duality and complementary slackness exactly (built from
+the final reduced costs on first read), and improving rays for unbounded
+programs. :func:`audit` re-verifies all of that from scratch and is switched
+on liberally in the test suite.
 
 Every variable is nonnegative and every other condition is a row, so a
 program is ``min`` or ``max`` of ``c.x`` over ``x >= 0`` and rows ``<=``,
@@ -30,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .core import ONE, ZERO, FractionLike, as_fraction, integer_row
@@ -79,7 +83,7 @@ class LinearProgram:
 
     Variables are indexed 0..n_vars-1 and are all nonnegative; an upper
     bound is a "<=" row like any other. Constraints are added in a fixed
-    order that, together with Bland's rule, makes every solve deterministic.
+    order that, together with the pivot rules, makes every solve deterministic.
     """
 
     def __init__(self, n_vars: int, sense: str = "min",
@@ -131,14 +135,29 @@ class LpOutcome:
     direction from it. status "infeasible": everything else is None.
     An optimal outcome of :func:`solve` also keeps its final ``tableau``, from
     which a later solve of the same program with rows appended starts.
+    Its duals are built on first read from ``dual_source``, a copy of the
+    final reduced-cost row (numerators, denominator) and of each row's
+    ``(column, sign)``, taken because a later solve takes the tableau over.
     """
 
     status: str
     x: list[Fraction] | None = None
     value: Fraction | None = None
-    duals: list[Fraction] | None = None
     ray: list[Fraction] | None = None
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
+    dual_source: tuple[list[int], int, list[tuple[int | None, int]]] | None = field(
+        default=None, repr=False, compare=False)
+    _duals: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def duals(self) -> list[Fraction] | None:
+        """One multiplier per constraint of an optimal outcome, else None."""
+        if self._duals is None and self.dual_source is not None:
+            red, den, entries = self.dual_source
+            self._duals = [ZERO if col is None else sign * Fraction(red[col], den)
+                           for col, sign in entries]
+            self.dual_source = None
+        return self._duals
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +189,11 @@ def _eliminate(row: list[int], den: int, f: int, prow: list[int], pden: int,
     return new, den
 
 
+def _row_norm(row: list[int]) -> int:
+    """The sum of squares of a tableau row's numerators outside the rhs."""
+    return sum(map(mul, row, row)) - row[-1] * row[-1]
+
+
 class _Tableau:
     """Dense simplex tableau of integer numerators; rhs in the last column.
 
@@ -178,9 +202,12 @@ class _Tableau:
     pivot row so its pivot entry equals the denominator, cross-multiplies the
     other rows against it and divides each touched row by the gcd of its
     entries and denominator, so the values stay exact rationals without any
-    Fraction arithmetic. Every Bland's-rule decision reads only a sign or an
-    exact ratio comparison, so the pivot sequence is the one a tableau of
-    Fractions would take. ``layout`` maps the program onto the columns.
+    Fraction arithmetic. Every pivoting decision reads only a sign or an
+    exact comparison of integer products, so the pivot sequence is the one a
+    tableau of Fractions would take. ``norms[r]`` caches the sum of squares
+    of row r's numerators outside the rhs, ``None`` once the row has changed;
+    the dual simplex fills it in when it needs it. ``layout`` maps the
+    program onto the columns.
     """
 
     def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int], ncols: int,
@@ -189,6 +216,7 @@ class _Tableau:
         self.dens = dens
         self.basis = basis
         self.ncols = ncols  # structural + slack + artificial, excluding rhs
+        self.norms: list[int | None] = [None] * len(rows)
         self.red: list[int] = []
         self.red_den = 1
         self.layout = layout
@@ -204,11 +232,14 @@ class _Tableau:
             prow = [v // g for v in prow]
             pden //= g
         self.rows[pr], self.dens[pr] = prow, pden
+        norms = self.norms
+        norms[pr] = None
         nz = [idx for idx, v in enumerate(prow) if v]
         for r, row in enumerate(self.rows):
             f = row[pc]
             if f and r != pr:
                 self.rows[r], self.dens[r] = _eliminate(row, self.dens[r], f, prow, pden, nz)
+                norms[r] = None
         f = self.red[pc]
         if f:
             if nz[-1] == self.ncols:
@@ -230,9 +261,6 @@ class _Tableau:
             red = [v // g for v in red]
             den //= g
         self.red, self.red_den = red, den
-
-    def reduced_cost(self, col: int) -> Fraction:
-        return Fraction(self.red[col], self.red_den)
 
     def run(self, cost: list[int], cost_den: int,
             enterable: Sequence[bool]) -> tuple[str, int | None]:
@@ -272,14 +300,16 @@ class _Tableau:
         their own new slacks, entered basic.
 
         Every existing row gains zeros in the new columns, and so does the
-        reduced-cost row: a basic slack has reduced cost zero. Each new row
-        is reduced against the current basis, so it reads zero in every
-        basic column but its slack.
+        reduced-cost row: a basic slack has reduced cost zero. The zeros leave
+        the old rows' norms as they were; the new rows have none yet. Each
+        new row is reduced against the current basis, so it reads zero in
+        every basic column but its slack.
         """
         width = len(rows)
         for row in self.rows:
             row[-1:-1] = [0] * width
         self.red += [0] * width
+        self.norms += [None] * width
         nonzero: dict[int, list[int]] = {}
         for offset, (row, den) in enumerate(zip(rows, dens)):
             for r, b in enumerate(self.basis):
@@ -297,20 +327,45 @@ class _Tableau:
         self.ncols += width
 
     def run_dual(self, enterable: Sequence[bool]) -> bool:
-        """Dual Bland-rule simplex from a dual feasible basis to optimality.
+        """Dual simplex from a dual feasible basis to optimality.
 
-        The leaving row is the one with a negative rhs whose basic column is
-        lowest; the entering column is the enterable column with a negative
-        entry in it that minimizes ``red_j / -a_rj``, ties to the lowest
-        column. Returns False when a leaving row has no such column, which
-        proves the program infeasible.
+        The leaving row is chosen by exact dual steepest edge: among the rows
+        with a negative rhs, the one with the largest ``rhs_r**2 / N_r``,
+        where ``N_r`` is the row's cached norm (its denominator cancels),
+        ties to the lowest basic column. The entering column is the
+        enterable column with a negative entry in that row that minimizes
+        ``red_j / -a_rj``, ties to the lowest column. Returns False when a
+        leaving row has no such column, which proves the program infeasible.
+
+        A dual-degenerate pivot (entering reduced cost zero) leaves the dual
+        objective where it was, so only a run of them can cycle. The sorted
+        basis before each is remembered until the next nondegenerate pivot;
+        if one comes back, the leaving row is the dual Bland rule's (the
+        lowest basic column with a negative rhs) until the next
+        nondegenerate pivot. Bland's rule cannot cycle, so neither can this.
         """
-        rows, basis = self.rows, self.basis
+        rows, basis, norms = self.rows, self.basis, self.norms
+        seen: set[tuple[int, ...]] = set()
+        bland = False
         while True:
             pr = -1
+            best_sq = best_norm = 0
             for r, row in enumerate(rows):
-                if row[-1] < 0 and (pr < 0 or basis[r] < basis[pr]):
-                    pr = r
+                rhs = row[-1]
+                if rhs >= 0:
+                    continue
+                if bland:
+                    if pr < 0 or basis[r] < basis[pr]:
+                        pr = r
+                    continue
+                norm = norms[r]
+                if norm is None:
+                    norm = norms[r] = _row_norm(row)
+                # rhs_r**2 / N_r against the best so far, cross-multiplied.
+                sq = rhs * rhs
+                diff = sq * best_norm - best_sq * norm
+                if pr < 0 or diff > 0 or (diff == 0 and basis[r] < basis[pr]):
+                    pr, best_sq, best_norm = r, sq, norm
             if pr < 0:
                 return True
             # Ratios red/-a compare by cross-multiplication: the common
@@ -323,6 +378,13 @@ class _Tableau:
                     pc, best_red, best_a = idx, red[idx], a
             if pc < 0:
                 return False
+            if red[pc]:
+                seen.clear()
+                bland = False
+            elif not bland:
+                key = tuple(sorted(basis))
+                bland = key in seen
+                seen.add(key)
             self.pivot(pr, pc)
 
 
@@ -474,6 +536,7 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
             del tab.rows[r]
             del tab.dens[r]
             del tab.basis[r]
+            del tab.norms[r]
             layout.duals[r] = (None, 0)  # redundant row, multiplier zero
 
     layout.enterable = [not artificial[idx] for idx in range(ncols)]
@@ -524,8 +587,8 @@ def _outcome(lp: LinearProgram, tab: _Tableau, status: str, enter_col: int | Non
         return LpOutcome(UNBOUNDED, x=x, value=value, ray=direction[:lp.n_vars])
 
     # Duals from the reduced costs of the identity-seeded column of each row.
-    duals = [ZERO if col is None else sign * tab.reduced_cost(col) for col, sign in layout.duals]
-    return LpOutcome(OPTIMAL, x=x, value=value, duals=duals, tableau=tab)
+    return LpOutcome(OPTIMAL, x=x, value=value, tableau=tab,
+                     dual_source=(tab.red[:], tab.red_den, layout.duals[:]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vsparse import all_pairs, lp
 from vsparse.extension import MetricConeLp, min_extension
@@ -190,6 +191,46 @@ def test_solving_twice_is_deterministic(seed):
     p2 = random_program(random.Random(2000 + seed))
     o1, o2 = p1.solve(), p2.solve()
     assert o1.status == o2.status and o1.x == o2.x and o1.value == o2.value
+
+
+small_int = st.integers(-3, 3)
+
+
+@st.composite
+def programs_in_two_batches(draw):
+    """A program boxed in by ``x_j <= u_j`` rows, so its first solve is
+    bounded, and a second batch of "<=" / ">=" rows to append. Right-hand
+    sides of zero are as likely as any other, so degenerate bases abound."""
+    n = draw(st.integers(1, 4))
+    p = lp.LinearProgram(n, draw(st.sampled_from(["min", "max"])),
+                         {j: draw(small_int) for j in range(n)})
+    for j in range(n):
+        p.add_constraint({j: 1}, lp.LE, draw(st.integers(0, 3)))
+
+    def rows(rels, min_size):
+        return draw(st.lists(st.tuples(st.lists(small_int, min_size=n, max_size=n),
+                                       st.sampled_from(rels), small_int),
+                             min_size=min_size, max_size=5))
+
+    for coeffs, rel, rhs in rows([lp.LE, lp.GE, lp.EQ], 0):
+        p.add_constraint(dict(enumerate(coeffs)), rel, rhs)
+    return p, rows([lp.LE, lp.GE], 1)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(programs_in_two_batches())
+def test_warm_resolve_agrees_with_cold_solve(case):
+    p, later = case
+    first = lp.solve(p)
+    lp.audit(p, first)
+    for coeffs, rel, rhs in later:
+        p.add_constraint(dict(enumerate(coeffs)), rel, rhs)
+    out = lp.solve(p, first)
+    lp.audit(p, out)
+    cold = lp.solve(p)
+    lp.audit(p, cold)
+    assert (out.status, out.value) == (cold.status, cold.value)
 
 
 # --- cutting plane -----------------------------------------------------
@@ -481,6 +522,79 @@ def test_beale_dual_terminates_warm(cold_solves):
     out = lp.solve(p, first)
     lp.audit(p, out)
     assert out.value == F(1, 20) and len(cold_solves) == 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_zero_objective_cuts_resolve_by_degenerate_pivots(seed, monkeypatch):
+    # With no objective every reduced cost is zero, so every dual pivot is
+    # degenerate and only the repeated-basis guard bounds the run; the
+    # suite's pivot budget holds it to that.
+    rng = random.Random(4000 + seed)
+    n = rng.randint(2, 6)
+    p = lp.LinearProgram(n, "min")
+    first = lp.solve(p)
+    p.add_constraint({j: rng.randint(1, 2) for j in range(n)}, lp.GE, 1)
+    for _ in range(rng.randint(2, 9)):
+        p.add_constraint({j: rng.randint(-2, 2) for j in range(n)},
+                         rng.choice([lp.LE, lp.GE]), rng.randint(-2, 2))
+    pivot, reduced = lp._Tableau.pivot, []
+
+    def recorded(self, pr, pc):
+        reduced.append(self.red[pc])
+        pivot(self, pr, pc)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recorded)
+    out = lp.solve(p, first)
+    lp.audit(p, out)
+    assert not any(reduced)
+    assert reduced or out.status == lp.INFEASIBLE
+    assert out.status == lp.solve(p).status
+
+
+def test_a_repeated_basis_hands_the_leaving_row_to_bland(monkeypatch):
+    # With every norm read as 1 the leaving row is the one of most negative
+    # rhs numerator, a rule that cycles on this zero-objective program (found
+    # by a random search; steepest edge revisited no basis on any program
+    # searched). Every pivot is degenerate, so a basis seen twice is the
+    # guard handing the leaving row to Bland's rule, which ends the run.
+    monkeypatch.setattr(lp, "_row_norm", lambda row: 1)
+    p = lp.LinearProgram(4, "min")
+    first = lp.solve(p)
+    for coeffs, rhs in [([-5, -4, 3, 4], 1), ([-8, -6, 5, 4], -2), ([-7, 7, -2, -4], -8),
+                        ([-4, -9, -7, -6], -2), ([-2, 6, 5, 9], 9)]:
+        p.add_constraint(dict(enumerate(coeffs)), lp.GE, rhs)
+    pivot, bases = lp._Tableau.pivot, []
+
+    def recorded(self, pr, pc):
+        bases.append(tuple(sorted(self.basis)))
+        pivot(self, pr, pc)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recorded)
+    out = lp.solve(p, first)
+    assert len(set(bases)) < len(bases)
+    assert out.status == lp.INFEASIBLE == lp.solve(p).status
+
+
+def test_duals_of_a_taken_over_tableau_are_its_own():
+    # A warm solve extends the kept tableau's reduced-cost row and dual
+    # layout in place and pivots on them; the earlier outcome still reads
+    # the duals it was solved with.
+    def program():
+        p = lp.LinearProgram(2, "max", {0: 3, 1: 2})
+        p.add_constraint({0: 1, 1: 1}, lp.LE, 4)
+        p.add_constraint({0: 1}, lp.LE, 2)
+        p.add_constraint({1: 1}, lp.LE, 3)
+        return p
+
+    p, before = program(), program()
+    first = lp.solve(p)
+    p.add_constraint({0: 1, 1: 3}, lp.LE, 5)
+    p.add_constraint({0: 2, 1: 1}, lp.LE, 3)
+    out = lp.solve(p, first)
+    assert first.tableau is None  # taken over
+    lp.audit(p, out)
+    lp.audit(before, first)
+    assert first.duals == [F(2), F(1), F(0)]
 
 
 # --- debug dump --------------------------------------------------------
