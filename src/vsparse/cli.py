@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="cross-check LP values against brute force")
     p_oracle.add_argument("graph", type=Path, help="graph JSON file")
     p_oracle.add_argument("--mode", choices=["mincut", "zeroext", "all"], default="all")
-    p_oracle.add_argument("--budget", type=int, default=1_000_000,
+    p_oracle.add_argument("--budget", type=_at_least(1), default=1_000_000,
                           help="enumeration budget for brute-force oracles")
     common(p_oracle)
     return parser

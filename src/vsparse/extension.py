@@ -12,10 +12,9 @@ positive denominator, which decides exactly as the Fractions would; every
 value in and out stays a ``Fraction``.
 
 On at most five unpinned points the metric cone has a short list of extreme
-rays (:func:`cone_rays`), so a cone LP with one extra row is read off them
-when a single ray gives the unique optimal vertex; ties, unbounded and
-infeasible programs still go to the LP, whose pivots decide which optimal
-vertex comes back.
+rays (:func:`cone_rays`), so a cone LP with one extra row is read off them:
+its optimal vertex, the apex, an improving ray or infeasibility. The LP
+decides pinned cones, cones on more points and rows the rays cannot read.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import lp
 from .core import (
+    ONE,
     ZERO,
     FractionLike,
     Metric,
@@ -40,6 +40,7 @@ from .core import (
     cut_metric,
     integer_row,
     pair,
+    zero_metric,
 )
 
 
@@ -108,41 +109,47 @@ def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
     With nonnegative row coefficients a and right-hand side b > 0, the
     vertices of the feasible set are the points b * r / (a.r) of the rays
     with a.r > 0, plus the apex 0 for a "<=" row; rays with a.r = 0 (every
-    ray for ">=") are recession directions. When none of those improves the
-    objective and exactly one vertex is optimal, that vertex is the basic
-    optimum any exact simplex returns. Ties, unbounded and infeasible
-    programs and an optimal apex are left to the LP, whose pivots pick the
-    vertex it returns.
+    ray for ">=") are recession directions. In this order: a ">=" row with
+    a = 0 (a.r = 0 on every ray) is infeasible; the first recession ray that
+    improves the objective is returned as the unbounded ``ray_table``;
+    otherwise the optimum is the vertex of the best c.r / a.r, ties to the
+    first ray in ``cone_rays(m)`` order, or for a "<=" row the apex
+    ``zero_metric(m)`` when no ray beats 0. Every answer is a vertex or an
+    extreme ray of the program. A negative coefficient or b <= 0 is left to
+    the LP.
     """
     coeffs, rel, rhs = row
+    if sense not in ("min", "max") or rel not in (lp.LE, lp.GE):
+        raise lp.LpError(f"cannot {sense!r} over a {rel!r} row")
     rhs = as_fraction(rhs)
     a_nums, a_scale = _pair_numerators(m, coeffs)
-    if (sense not in ("min", "max") or rel not in (lp.LE, lp.GE, lp.EQ)
-            or rhs <= 0 or min(a_nums) < 0):
+    if rhs <= 0 or min(a_nums) < 0:
         return None
+    if rel == lp.GE and not any(a_nums):
+        return MetricLpResult(lp.INFEASIBLE, None, None, None, 0)
     c_nums, c_scale = _pair_numerators(m, objective)
     sign = 1 if sense == "max" else -1
     best = None  # (ray index, sign * c.r, a.r) of the best vertex so far
-    tied = False
     for r, (cr, ar) in enumerate(zip(_on_rays(m, c_nums), _on_rays(m, a_nums))):
         cr *= sign
         if cr > 0 and (ar == 0 or rel == lp.GE):
-            return None  # an improving recession direction: unbounded
-        if ar == 0:
-            continue
-        if best is None or cr * best[2] > best[1] * ar:
-            best, tied = (r, cr, ar), False
-        elif cr * best[2] == best[1] * ar:
-            tied = True
-    if best is None or tied or (rel == lp.LE and best[1] <= 0):
-        return None  # infeasible, a tie, or the apex is at least as good
+            return MetricLpResult(lp.UNBOUNDED, None, None, _ray_metric(m, r, ONE), 0)
+        if ar and (best is None or cr * best[2] > best[1] * ar):
+            best = (r, cr, ar)
+    if rel == lp.LE and (best is None or best[1] <= 0):
+        return MetricLpResult(lp.OPTIMAL, ZERO, zero_metric(m), None, 0)
     r, cr, ar = best
     step = rhs * Fraction(a_scale, ar)  # the optimal vertex is step * ray
+    value = step * Fraction(sign * cr, c_scale)
+    return MetricLpResult(lp.OPTIMAL, value, _ray_metric(m, r, step), None, 0)
+
+
+def _ray_metric(m: int, r: int, step: Fraction) -> Metric:
+    """``step`` times the r-th ray of ``cone_rays(m)``, as a metric."""
     table = [[ZERO] * m for _ in range(m)]
     for (p, q), v in zip(all_pairs(m), cone_rays(m)[r]):
         table[p][q] = table[q][p] = step * v
-    value = step * Fraction(sign * cr, c_scale)
-    return MetricLpResult(lp.OPTIMAL, value, Metric(table), None, 0)
+    return Metric(table)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +175,9 @@ class MetricConeLp:
     through :func:`lp.cutting_plane`, which is measurably faster and reaches
     the same optimal value (on a degenerate optimal face the witness can be
     another optimal vertex). An unpinned cone on at most five points with one
-    extra row skips the LP when the extreme rays give a unique optimal
-    vertex (:func:`_ray_optimum`).
+    extra row with nonnegative coefficients and a positive right-hand side
+    skips the LP: its answer is read off the extreme rays
+    (:func:`_ray_optimum`).
     """
 
     def __init__(self, m: int, pinned: Mapping[Pair, Fraction] | None = None):
@@ -236,8 +244,10 @@ class MetricConeLp:
             table = Metric(self._full_values([], pins_zero=False))
             value = sum((c * table.dist(*pq) for pq, c in objective.items()), ZERO)
             for coeffs, rel, rhs in extra_rows:
+                if rel not in (lp.LE, lp.GE):
+                    raise lp.LpError(f"relation must be {lp.LE!r} or {lp.GE!r}, got {rel!r}")
                 lhs = sum((c * table.dist(*pq) for pq, c in coeffs.items()), ZERO)
-                ok = lhs <= rhs if rel == lp.LE else lhs >= rhs if rel == lp.GE else lhs == rhs
+                ok = lhs <= rhs if rel == lp.LE else lhs >= rhs
                 if not ok:
                     return MetricLpResult(lp.INFEASIBLE, None, None, None, 1)
             return MetricLpResult(lp.OPTIMAL, value, table, None, 1)

@@ -2,9 +2,9 @@
 
 A small two-phase primal simplex with Bland's anti-cycling rule, so every
 solve is deterministic and every certificate is bit-exact. An optimal
-outcome keeps its tableau: once more "<=" or ">=" rows are appended to the
-program, :func:`solve` re-solves from it by a dual simplex with no phase
-one, which is how :func:`cutting_plane` runs every round after the first.
+outcome keeps its tableau: once more rows are appended to the program,
+:func:`solve` re-solves from it by a dual simplex with no phase one, which
+is how :func:`cutting_plane` runs every round after the first.
 The dual simplex picks its leaving row by exact dual steepest edge and falls
 back to the dual Bland rule only while a basis it has already visited comes
 back. The tableau holds each row as integer numerators over one exact
@@ -16,14 +16,15 @@ the final reduced costs on first read), and improving rays for unbounded
 programs. :func:`audit` re-verifies all of that from scratch and is switched
 on liberally in the test suite.
 
-Every variable is nonnegative and every other condition is a row, so a
-program is ``min`` or ``max`` of ``c.x`` over ``x >= 0`` and rows ``<=``,
-``>=`` or ``=``. Dual conventions, stated once and enforced by :func:`audit`:
+Every variable is nonnegative and every other condition is an inequality
+row, so a program is ``min`` or ``max`` of ``c.x`` over ``x >= 0`` and rows
+``<=`` or ``>=``; an equation is the pair of them. Dual conventions, stated
+once and enforced by :func:`audit`:
 
-* sense ``min``: duals are >= 0 on ">=" rows, <= 0 on "<=" rows, free on
-  "=" rows; reduced costs ``c_j - y.A_j`` are >= 0.
-* sense ``max``: duals are >= 0 on "<=" rows, <= 0 on ">=" rows, free on
-  "=" rows; reduced costs are <= 0.
+* sense ``min``: duals are >= 0 on ">=" rows and <= 0 on "<=" rows;
+  reduced costs ``c_j - y.A_j`` are >= 0.
+* sense ``max``: duals are >= 0 on "<=" rows and <= 0 on ">=" rows;
+  reduced costs are <= 0.
 
 Strong duality reads ``value = sum_r duals[r] * rhs_r``.
 """
@@ -38,8 +39,8 @@ from typing import Callable, Mapping, Sequence
 
 from .core import ONE, ZERO, FractionLike, as_fraction, integer_row
 
-LE, GE, EQ = "<=", ">=", "="
-_RELATIONS = (LE, GE, EQ)
+LE, GE = "<=", ">="
+_RELATIONS = (LE, GE)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -73,9 +74,7 @@ class Constraint:
         lhs = self.evaluate(x)
         if self.rel == LE:
             return lhs <= self.rhs
-        if self.rel == GE:
-            return lhs >= self.rhs
-        return lhs == self.rhs
+        return lhs >= self.rhs
 
 
 class LinearProgram:
@@ -145,7 +144,7 @@ class LpOutcome:
     value: Fraction | None = None
     ray: list[Fraction] | None = None
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
-    dual_source: tuple[list[int], int, list[tuple[int | None, int]]] | None = field(
+    dual_source: tuple[list[int], int, list[tuple[int, int]]] | None = field(
         default=None, repr=False, compare=False)
     _duals: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -154,8 +153,7 @@ class LpOutcome:
         """One multiplier per constraint of an optimal outcome, else None."""
         if self._duals is None and self.dual_source is not None:
             red, den, entries = self.dual_source
-            self._duals = [ZERO if col is None else sign * Fraction(red[col], den)
-                           for col, sign in entries]
+            self._duals = [sign * Fraction(red[col], den) for col, sign in entries]
             self.dual_source = None
         return self._duals
 
@@ -397,8 +395,8 @@ class _Layout:
         self.program = program
         self.shape = _shape(program)  # sense and objective the tableau was built for
         # per row of the program in the tableau: the column whose reduced cost
-        # is its dual (None for a row phase one dropped), and the dual's sign
-        self.duals: list[tuple[int | None, int]] = []
+        # is its dual, and the dual's sign
+        self.duals: list[tuple[int, int]] = []
         self.enterable: list[bool] = []
 
 
@@ -419,13 +417,11 @@ def _shape(lp: LinearProgram) -> tuple:
     return lp.sense, tuple(lp.objective.items())
 
 
-def _dual_sign(rel: str, flipped: bool, minimize: bool) -> int:
-    """Sign turning the reduced cost of a row's column into the row's dual:
-    the slack of a "<=" row and the artificial of an "=" row are +e_r, the
-    surplus of a ">=" row is -e_r."""
+def _dual_sign(rel: str, minimize: bool) -> int:
+    """Sign turning the reduced cost of a row's slack column into the row's
+    dual: the slack of a "<=" row is +e_r and that of a ">=" row -e_r,
+    whichever sign the tableau stores the row with."""
     sign = 1 if rel == GE else -1
-    if flipped:
-        sign = -sign
     return sign if minimize else -sign
 
 
@@ -433,10 +429,10 @@ def solve(lp: LinearProgram, previous: LpOutcome | None = None) -> LpOutcome:
     """Solve exactly; see module docstring for the outcome conventions.
 
     ``previous`` may be an optimal outcome of this same program, solved before
-    more "<=" or ">=" rows were appended to it: its tableau is then extended
-    by those rows and re-solved by the dual simplex, without phase one. The
-    previous outcome gives up its tableau to the new one. Any other previous
-    outcome, or an appended "=" row, means a solve from scratch.
+    more rows were appended to it: its tableau is then extended by those
+    rows and re-solved by the dual simplex, without phase one. The previous
+    outcome gives up its tableau to the new one. Any other previous outcome
+    means a solve from scratch.
     """
     if lp.n_vars == 0:
         raise LpError("program has no variables")
@@ -447,9 +443,7 @@ def solve(lp: LinearProgram, previous: LpOutcome | None = None) -> LpOutcome:
                 or len(lp.constraints) < len(layout.duals)):
             raise LpError("previous outcome is not of this program with rows appended")
         previous.tableau = None
-        new = lp.constraints[len(layout.duals):]
-        if all(con.rel != EQ for con in new):
-            return _resolve(lp, tab, new)
+        return _resolve(lp, tab, lp.constraints[len(layout.duals):])
     return _solve_cold(lp)
 
 
@@ -457,26 +451,15 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
     """Two-phase primal simplex from the slack and artificial basis."""
     minimize = lp.sense == "min"
 
-    # Columns: the variables, then each row's slack and/or artificial.
+    # Columns: the variables, then each row's slack, followed by an
+    # artificial when the row is ">=" once its rhs is made nonnegative.
     ncols = lp.n_vars
-    slack_of: dict[int, int] = {}
+    slack_of: list[int] = []
     art_of: dict[int, int] = {}
-    flipped: list[bool] = []
-    kinds: list[str] = []
     for r, con in enumerate(lp.constraints):
-        flip = con.rhs < 0
-        eff = con.rel if not flip else {LE: GE, GE: LE, EQ: EQ}[con.rel]
-        flipped.append(flip)
-        kinds.append(eff)
-        if eff == LE:
-            slack_of[r] = ncols
-            ncols += 1
-        elif eff == GE:
-            slack_of[r] = ncols
-            ncols += 1
-            art_of[r] = ncols
-            ncols += 1
-        else:
+        slack_of.append(ncols)
+        ncols += 1
+        if (con.rel == GE) != (con.rhs < 0):
             art_of[r] = ncols
             ncols += 1
 
@@ -485,22 +468,17 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
     dens: list[int] = []
     basis: list[int] = []
     for r, con in enumerate(lp.constraints):
-        row, scale = _tableau_row(con.coeffs, con.rhs, flipped[r], ncols)
-        eff = kinds[r]
-        if eff == LE:
-            row[slack_of[r]] = scale
-            basis.append(slack_of[r])
-        elif eff == GE:
+        row, scale = _tableau_row(con.coeffs, con.rhs, con.rhs < 0, ncols)
+        if r in art_of:
             row[slack_of[r]] = -scale
             row[art_of[r]] = scale
             basis.append(art_of[r])
         else:
-            row[art_of[r]] = scale
-            basis.append(art_of[r])
+            row[slack_of[r]] = scale
+            basis.append(slack_of[r])
         rows.append(row)
         dens.append(scale)
-        col = art_of[r] if eff == EQ else slack_of[r]
-        layout.duals.append((col, _dual_sign(eff, flipped[r], minimize)))
+        layout.duals.append((slack_of[r], _dual_sign(con.rel, minimize)))
 
     tab = _Tableau(rows, dens, basis, ncols, layout)
     artificial = [False] * ncols
@@ -519,25 +497,17 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
         if any(artificial[tab.basis[r]] and tab.rows[r][-1] != 0
                for r in range(len(tab.rows))):
             return LpOutcome(INFEASIBLE)
-        # Drive artificials out of the basis; drop rows proven redundant.
-        # No row is gone yet, so tableau row r is still program row r.
-        drop: list[int] = []
+        # Drive the artificials left basic at zero out of the basis. Every
+        # row has a slack column of its own, so the rows are independent
+        # outside the artificial columns and none of them vanishes there.
         for r in range(len(tab.rows)):
             if not artificial[tab.basis[r]]:
                 continue
             row = tab.rows[r]
             pc = next((idx for idx in range(ncols)
                        if not artificial[idx] and row[idx]), None)
-            if pc is None:
-                drop.append(r)
-            else:
-                tab.pivot(r, pc)
-        for r in reversed(drop):
-            del tab.rows[r]
-            del tab.dens[r]
-            del tab.basis[r]
-            del tab.norms[r]
-            layout.duals[r] = (None, 0)  # redundant row, multiplier zero
+            check(pc is not None, f"tableau row {r} is zero outside the artificial columns")
+            tab.pivot(r, pc)
 
     layout.enterable = [not artificial[idx] for idx in range(ncols)]
     status, enter_col = tab.run(cost2, cost_den, layout.enterable)
@@ -545,9 +515,9 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
 
 
 def _resolve(lp: LinearProgram, tab: _Tableau, new: Sequence[Constraint]) -> LpOutcome:
-    """Append ``new`` (no "=" rows) to an optimal tableau and re-solve it by
-    the dual simplex: the old basis stays dual feasible, and each new row
-    enters with its slack basic, ">=" rows negated into "<=" rows."""
+    """Append ``new`` to an optimal tableau and re-solve it by the dual
+    simplex: the old basis stays dual feasible, and each new row enters with
+    its slack basic, ">=" rows negated into "<=" rows."""
     layout = tab.layout
     minimize = lp.sense == "min"
     ncols = tab.ncols + len(new)
@@ -560,7 +530,7 @@ def _resolve(lp: LinearProgram, tab: _Tableau, new: Sequence[Constraint]) -> LpO
         row[slack] = scale
         rows.append(row)
         dens.append(scale)
-        layout.duals.append((slack, _dual_sign(LE, flip, minimize)))
+        layout.duals.append((slack, _dual_sign(con.rel, minimize)))
     layout.enterable += [True] * len(new)
     tab.append_rows(rows, dens)
     if not tab.run_dual(layout.enterable):
@@ -631,10 +601,8 @@ def audit(lp: LinearProgram, out: LpOutcome) -> None:
             along = sum((c * ray[j] for j, c in con.coeffs.items()), ZERO)
             if con.rel == LE:
                 check(along <= 0, f"ray violates constraint {r}")
-            elif con.rel == GE:
-                check(along >= 0, f"ray violates constraint {r}")
             else:
-                check(along == 0, f"ray violates equality {r}")
+                check(along >= 0, f"ray violates constraint {r}")
         gain = sum((c * ray[j] for j, c in lp.objective.items()), ZERO)
         if lp.sense == "min":
             check(gain < 0, "ray does not improve a minimization")
@@ -647,9 +615,7 @@ def audit(lp: LinearProgram, out: LpOutcome) -> None:
     minimize = lp.sense == "min"
     for r, con in enumerate(lp.constraints):
         y = duals[r]
-        if con.rel == EQ:
-            pass
-        elif (con.rel == GE) == minimize:
+        if (con.rel == GE) == minimize:
             check(y >= 0, f"dual {r} has wrong sign")
         else:
             check(y <= 0, f"dual {r} has wrong sign")
@@ -711,9 +677,7 @@ def _violates(sig: tuple, nums: list[int], scale: int) -> bool:
     rhs *= scale
     if rel == LE:
         return lhs > rhs
-    if rel == GE:
-        return lhs < rhs
-    return lhs != rhs
+    return lhs < rhs
 
 
 def _integer_outcome(out: LpOutcome) -> tuple[list[int], int, list[int] | None]:
@@ -742,12 +706,12 @@ def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
     already rejected). Each round is one :func:`solve` call; after the
     first, it passes the previous outcome, so an optimal round's tableau is
     extended by the cuts and re-solved by the dual simplex. A round after an
-    unbounded one, or after an "=" cut, solves from scratch. The kept
-    tableau is dropped on return. The loop converges when no oracle objects,
-    or conclusively when the master goes infeasible. Every returned cut is
-    checked to be genuinely violated, and a previously added cut coming
-    back still violated raises :class:`CuttingPlaneError`, since with exact
-    arithmetic that can only be a logic bug.
+    unbounded one solves from scratch. The kept tableau is dropped on
+    return. The loop converges when no oracle objects, or conclusively when
+    the master goes infeasible. Every returned cut is checked to be
+    genuinely violated, and a previously added cut coming back still
+    violated raises :class:`CuttingPlaneError`, since with exact arithmetic
+    that can only be a logic bug.
     """
     if max_rounds < 1:
         raise LpError("max_rounds must be positive")

@@ -8,17 +8,22 @@ lazy separation families, each found by the public oracle of the same name
 run on the operator of the master iterate:
 
 * membership cuts force every triangle row of the image cone, maximizing
-  each row over the normalized metric polytope on the terminals. The scan
+  each row over the slice sum d <= 1 of the terminal metric cone. The scan
   runs on the image tensor as integer numerators over one positive
   denominator: a row with no positive coefficient, or (for at most five
   terminals) one that no extreme ray of the terminal metric cone makes
-  positive, is settled on integers without an LP, and only the rows left
-  become ``Fraction`` objectives;
+  positive, is settled on integers, and only the rows left become
+  ``Fraction`` objectives;
 * distortion cuts bound the image cost against Q times the exact minimum
   extension of the restricted witness metric.
 
 Both cut families are one linear form, sum_x c_x * phi(d_Y)(x) <= c_Q * Q
-on a witness d_Y, written by a single builder on integer numerators.
+on a witness d_Y, written by a single builder on integer numerators. Both
+probes are homogeneous, so a positive optimum over the slice sum d <= 1
+is one over sum d = 1, with the same optimal face; a non-positive one reads
+0 at the apex, which both oracles take as no violation. On at most five
+points a probe is read off the extreme rays of the cone
+(:func:`extension.cone_rays`) without an LP.
 
 Everything runs in exact rational arithmetic, so the converged master value
 is the true optimum, not an approximation. Operators index vertices in the
@@ -213,8 +218,8 @@ def _membership_violations(phi: ExtensionOperator, first_only: bool) -> list[Mem
     list. A functional with no positive entry is at most 0 on every
     nonnegative metric, and one at most 0 on every extreme ray of
     ``cone_rays(k)`` is at most 0 on the whole cone; either way the row
-    holds without an LP. Only the rows left are maximized over the
-    normalized metric polytope on the terminals, with the functional back in
+    holds without a probe. Only the rows left are maximized over the slice
+    sum d <= 1 of the terminal metric cone, with the functional back in
     ``Fraction``s; a positive optimum is a violation.
     """
     n, k = phi.n, phi.k
@@ -222,7 +227,7 @@ def _membership_violations(phi: ExtensionOperator, first_only: bool) -> list[Mem
         return []  # a single terminal admits only the zero metric
     ypairs = all_pairs(k)
     table, scale = integer_table([[phi.value(xp, yp) for yp in ypairs] for xp in all_pairs(n)])
-    norm_row = ({yp: ONE for yp in ypairs}, lp.EQ, ONE)
+    norm_row = ({yp: ONE for yp in ypairs}, lp.LE, ONE)
     found: list[MembershipViolation] = []
     for where, ij, il, lj in _triangle_rows(n, k):
         row = [a - b - c for a, b, c in zip(table[ij], table[il], table[lj])]
@@ -243,10 +248,11 @@ def _membership_violations(phi: ExtensionOperator, first_only: bool) -> list[Mem
 def membership_oracle(phi: ExtensionOperator) -> MembershipViolation | None:
     """Is phi(D_Y) inside the metric cone on the vertices?
 
-    Separates on every triangle inequality of the image; the image of a
+    Separates on every triangle inequality of the image, each maximized over
+    the slice sum d <= 1 of the terminal metric cone; the image of a
     nonnegative tensor is nonnegative, so no other row of the cone can
     fail. Returns None for members, otherwise the first violated row with
-    its witness metric.
+    its witness metric, which then has sum d = 1.
     """
     hits = _membership_violations(phi, first_only=True)
     return hits[0] if hits else None
@@ -273,8 +279,9 @@ def distortion_oracle(phi: ExtensionOperator, q: Fraction,
 
     ``phi`` must be a member of the operator cone and ``g`` the canonical
     graph it was built for. Maximizes alpha(phi(d|_Y)) - q * alpha(d) over
-    the normalized metric polytope on the vertices; a positive optimum
-    witnesses excess distortion. Returns None when alpha(phi(d_Y)) <= q *
+    the slice sum d <= 1 of the vertex metric cone; a positive optimum, at
+    a witness with sum d = 1, shows excess distortion, and otherwise the
+    optimum is 0 at the apex. Returns None when alpha(phi(d_Y)) <= q *
     minext(d_Y) holds for every d_Y.
     """
     _require_canonical(phi, g)
@@ -290,7 +297,7 @@ def distortion_oracle(phi: ExtensionOperator, q: Fraction,
             c = phi.value(xp, yp)
             if c:
                 objective[yp] = objective.get(yp, ZERO) + w * c
-    norm_row = ({xp: ONE for xp in all_pairs(n)}, lp.EQ, ONE)
+    norm_row = ({xp: ONE for xp in all_pairs(n)}, lp.LE, ONE)
     result = MetricConeLp(n).optimize("max", objective, [norm_row])
     lp.check(result.status == lp.OPTIMAL, "a normalized distortion probe is bounded and feasible")
     if result.value <= 0:

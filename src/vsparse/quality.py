@@ -38,6 +38,7 @@ from .sampling import random_metric
 
 CUT, METRIC, FLOW = "cut", "metric", "flow"
 EXACT, SAMPLED = "exact", "sampled"
+CUT_CAP = 20  # the most terminals whose 2^(k-1) - 1 bipartitions are enumerated
 
 
 class FlowProbeError(AssertionError):
@@ -72,19 +73,20 @@ def _check_k(g: WeightedGraph, beta: Sparsifier) -> None:
         raise ValueError(f"sparsifier has {beta.k} terminals, graph has {g.k}")
 
 
-def cut_quality(g: WeightedGraph, beta: Sparsifier, cap: int = 20) -> QualityReport:
+def cut_quality(g: WeightedGraph, beta: Sparsifier) -> QualityReport:
     """Worst ratio of sparsifier cut to terminal min cut, over all bipartitions.
 
     Enumerates the 2^(k-1) - 1 bipartitions of :func:`core.bipartitions`,
-    ties to the smallest mask. Min cuts come from the max-flow route, which
-    keeps k = 20 within reach; the LP route is cross-checked elsewhere. Bipartitions where both values are zero bind
-    nothing and are skipped; a zero min cut against a positive sparsifier
-    cut makes the quality unbounded. With a single terminal there is
-    nothing to preserve and the quality is 1 by convention.
+    ties to the smallest mask, for at most ``CUT_CAP`` terminals. Min cuts
+    come from the max-flow route, which keeps that many within reach; the LP
+    route is cross-checked elsewhere. Bipartitions where both values are
+    zero bind nothing and are skipped; a zero min cut against a positive
+    sparsifier cut makes the quality unbounded. With a single terminal
+    there is nothing to preserve and the quality is 1 by convention.
     """
     _check_k(g, beta)
-    if g.k > cap:
-        raise ValueError(f"cut enumeration over k = {g.k} terminals exceeds cap {cap}")
+    if g.k > CUT_CAP:
+        raise ValueError(f"cut enumeration over k = {g.k} terminals exceeds cap {CUT_CAP}")
     best: Fraction | None = None
     best_mask: int | None = None
     unbounded_mask: int | None = None
@@ -136,19 +138,20 @@ def metric_quality_upper(g: WeightedGraph, beta: Sparsifier) -> QualityReport:
 
 
 def metric_lower_check(g: WeightedGraph, beta: Sparsifier, samples: int = 100,
-                       seed: int = 0, cap: int = 20) -> QualityReport:
+                       seed: int = 0) -> QualityReport:
     """Search for minext(d_Y) > beta(d_Y), the lower-bound violation.
 
     Checks every cut metric exactly (enough to refute cut semantics, by min
-    cut LP integrality) and then ``samples`` seeded random terminal metrics.
+    cut LP integrality; at most ``CUT_CAP`` terminals) and then ``samples``
+    seeded random terminal metrics.
     It guards only sparsifiers supplied from outside: a collapse of a
     member operator never violates, and ``sparsify`` proves that from
     membership instead. A pass is marked "sampled" because general metrics
     are only probed. The report fragment carries no upper ratio.
     """
     _check_k(g, beta)
-    if g.k > cap:
-        raise ValueError(f"cut enumeration over k = {g.k} terminals exceeds cap {cap}")
+    if g.k > CUT_CAP:
+        raise ValueError(f"cut enumeration over k = {g.k} terminals exceeds cap {CUT_CAP}")
     for _, side in bipartitions(g.k):
         if beta.cut_value(side) < min_cut_via_flow(g, side):
             return QualityReport(METRIC, None, False, cut_metric(side, g.k), SAMPLED)

@@ -2,13 +2,14 @@
 
 ``lp_cases()`` builds about fifty small programs (seeded random ones plus
 Beale's cycling instance, infeasible and unbounded programs, free variables,
-upper bounds, negative right-hand sides and "=" rows). ``lp.solve`` takes
-nonnegative variables only, so each is a ``helpers.BoundedProgram``: a free
-variable is split into two nonnegative columns, an upper bound is a "<="
-row after the program's own rows, and the outcome is mapped back to the
-original variables, with bound duals read off those rows. That is the
-tableau the solver once built inside itself for such programs, so the
-recorded pins still hold bit for bit. ``operator_cases()``
+upper bounds, negative right-hand sides and equations). ``lp.solve`` takes
+nonnegative variables and inequality rows only, so each is a
+``helpers.BoundedProgram``: a free variable is split into two nonnegative
+columns, an equation is a "<=" row followed by a ">=" row, an upper bound
+is a "<=" row after the program's own rows, and the outcome is mapped back
+to the original variables and rows: an equation's dual is the sum of its
+pair's duals, and bound duals are read off the bound rows.
+``operator_cases()``
 lists the ``find_optimal_operator`` instances; ``metric_cone_fixture()``
 covers the metric-cone layer (``min_extension``, ``metric_quality_upper``,
 ``max_concurrent_flow``, ``min_cut_via_flow`` and ``random_metric``) on
@@ -33,7 +34,7 @@ from vsparse import (Sparsifier, all_pairs, find_optimal_operator, lp,
 from vsparse.extension import MetricConeLp
 from vsparse.sampling import (random_demands, random_fraction, random_graph,
                               random_metric)
-from helpers import BoundedOutcome, BoundedProgram
+from helpers import EQ, BoundedOutcome, BoundedProgram
 
 F = Fraction
 
@@ -70,11 +71,11 @@ def _random_lp(rng: random.Random) -> BoundedProgram:
     for _ in range(rng.randint(1, 7)):
         coeffs = {j: F(rng.randint(-6, 6), rng.randint(1, 5))
                   for j in range(n) if rng.random() < 0.7}
-        rel = rng.choice([lp.LE, lp.LE, lp.GE, lp.EQ])
+        rel = rng.choice([lp.LE, lp.LE, lp.GE, EQ])
         if anchored:
             at = sum((c * x0[j] for j, c in coeffs.items()), F(0))
             slack = F(rng.choice([0, 0, 1, 3]), rng.randint(1, 2))
-            rhs = at if rel == lp.EQ else at + slack if rel == lp.LE else at - slack
+            rhs = at if rel == EQ else at + slack if rel == lp.LE else at - slack
         else:
             rhs = F(rng.randint(-8, 12), rng.randint(1, 3))
         p.add_constraint(coeffs, rel, rhs)
@@ -96,13 +97,13 @@ def _named_lps() -> list[tuple[str, BoundedProgram]]:
     cases.append(("infeasible", infeasible))
 
     infeasible_eq = BoundedProgram(2, "max", {1: 1})
-    infeasible_eq.add_constraint({0: 1, 1: -1}, lp.EQ, -3)
+    infeasible_eq.add_constraint({0: 1, 1: -1}, EQ, -3)
     infeasible_eq.set_upper(1, 2)
     cases.append(("infeasible-eq-upper", infeasible_eq))
 
     unbounded = BoundedProgram(3, "max", {0: 1, 1: F(1, 2)})
     unbounded.add_constraint({0: 1, 1: -1}, lp.LE, 2)
-    unbounded.add_constraint({2: 1}, lp.EQ, F(5, 3))
+    unbounded.add_constraint({2: 1}, EQ, F(5, 3))
     cases.append(("unbounded", unbounded))
 
     unbounded_free = BoundedProgram(2, "min", {0: 1, 1: 1})
@@ -113,13 +114,13 @@ def _named_lps() -> list[tuple[str, BoundedProgram]]:
     negative_rhs = BoundedProgram(3, "min", {0: 2, 1: 3, 2: F(1, 3)})
     negative_rhs.add_constraint({0: -1, 1: -1}, lp.LE, -4)
     negative_rhs.add_constraint({1: 1, 2: -2}, lp.GE, F(-7, 2))
-    negative_rhs.add_constraint({0: 1, 2: 1}, lp.EQ, 3)
+    negative_rhs.add_constraint({0: 1, 2: 1}, EQ, 3)
     negative_rhs.set_upper(0, F(5, 2))
     cases.append(("negative-rhs", negative_rhs))
 
     redundant_eq = BoundedProgram(3, "max", {0: 1, 1: 1, 2: 1})
-    redundant_eq.add_constraint({0: 1, 1: 1}, lp.EQ, 2)
-    redundant_eq.add_constraint({0: 2, 1: 2}, lp.EQ, 4)
+    redundant_eq.add_constraint({0: 1, 1: 1}, EQ, 2)
+    redundant_eq.add_constraint({0: 2, 1: 2}, EQ, 4)
     redundant_eq.add_constraint({2: 1, 0: -1}, lp.LE, 1)
     cases.append(("redundant-eq", redundant_eq))
 
@@ -239,25 +240,26 @@ def _sparse_row(rng: random.Random, m: int, keep: float) -> dict:
 def _cone_lp(family: str, m: int, seed: int) -> tuple:
     """One seeded (m, sense, objective, (row, rel, rhs)) program.
 
-    ``eq-max`` is the normalized probe of membership and distortion
-    separation, ``ge-min`` the concurrent-flow LP (demand rows that vanish
-    on some rays), ``le-max`` the budgeted quality LP (unbounded when the
-    budget misses a pair the objective rewards); the named families pin
-    ties, all-nonpositive objectives and the apex.
+    ``eq-max`` is the probe of membership and distortion separation over
+    the slice sum d <= 1 (the ``eq-max`` families keep the names their
+    fixture keys have), ``ge-min`` the concurrent-flow LP (demand rows that
+    vanish on some rays), ``le-max`` the budgeted quality LP (unbounded
+    when the budget misses a pair the objective rewards); the named
+    families pin ties, all-nonpositive objectives and the apex.
     """
     rng = random.Random(seed * 1000 + m * 100 + CONE_LP_FAMILIES.index(family))
     pairs = all_pairs(m)
     ones = {pq: F(1) for pq in pairs}
     if family == "eq-max":
-        return m, "max", _signed_objective(rng, m, -4, 4), (ones, lp.EQ, F(1))
+        return m, "max", _signed_objective(rng, m, -4, 4), (ones, lp.LE, F(1))
     if family == "eq-max-tied":
         # every pair weighs the same, so every normalized ray ties
-        return m, "max", {pq: F(seed, 3) for pq in pairs}, (ones, lp.EQ, F(1))
+        return m, "max", {pq: F(seed, 3) for pq in pairs}, (ones, lp.LE, F(1))
     if family == "eq-max-one-pair":
         # d(0,1) over the total is 1/(m-1) on the cuts of {0} and of {1} alike: a tie
-        return m, "max", {(0, 1): F(seed)}, (ones, lp.EQ, F(1))
+        return m, "max", {(0, 1): F(seed)}, (ones, lp.LE, F(1))
     if family == "eq-max-nonpositive":
-        return m, "max", _signed_objective(rng, m, -4, 0), (ones, lp.EQ, F(1))
+        return m, "max", _signed_objective(rng, m, -4, 0), (ones, lp.LE, F(1))
     if family == "ge-min":
         weights = {pq: F(rng.randint(0, 5), rng.randint(1, 3)) for pq in pairs}
         return m, "min", weights, (_sparse_row(rng, m, 0.4), lp.GE, F(rng.randint(1, 3), 2))

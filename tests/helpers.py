@@ -44,20 +44,32 @@ class BoundedOutcome:
     ray: list[Fraction] | None
 
 
+EQ = "="  # an equation row of a BoundedProgram
+
+
 class BoundedProgram(lp.LinearProgram):
-    """A linear program whose variables may be free or bounded above,
-    solved as the sign-constrained program ``lp.solve`` takes.
+    """A linear program whose variables may be free or bounded above, and
+    whose rows may be equations, solved as the sign-constrained
+    inequality program ``lp.solve`` takes.
 
     A free x_j is written x_j - x_j' with x_j' on a new column after the
-    original ones, in the order of j; each ``x_j <= u_j`` becomes a "<="
-    row after the program's own rows, in the order of j, and its dual is
-    the bound dual of x_j (0 for a variable without an upper bound).
+    original ones, in the order of j. An ``EQ`` row is written as a "<="
+    row followed by a ">=" row with the same coefficients and right-hand
+    side; its dual is the sum of the pair's duals. Each ``x_j <= u_j``
+    becomes a "<=" row after the program's own rows, in the order of j, and
+    its dual is the bound dual of x_j (0 for a variable without an upper
+    bound).
     """
 
     def __init__(self, n_vars: int, sense: str = "min", objective=None):
         super().__init__(n_vars, sense, objective)
         self.free = [False] * n_vars
         self.upper: list[Fraction | None] = [None] * n_vars
+
+    def add_constraint(self, coeffs, rel: str, rhs) -> int:
+        r = super().add_constraint(coeffs, lp.LE if rel == EQ else rel, rhs)
+        self.constraints[r].rel = rel
+        return r
 
     def set_free(self, j: int) -> None:
         self._check_var(j)
@@ -82,7 +94,8 @@ class BoundedProgram(lp.LinearProgram):
         program = lp.LinearProgram(self.n_vars + len(self._neg_cols()), self.sense,
                                    self.signed_row(self.objective))
         for con in self.constraints:
-            program.add_constraint(self.signed_row(con.coeffs), con.rel, con.rhs)
+            for rel in (lp.LE, lp.GE) if con.rel == EQ else (con.rel,):
+                program.add_constraint(self.signed_row(con.coeffs), rel, con.rhs)
         for j, u in enumerate(self.upper):
             if u is not None:
                 program.add_constraint(self.signed_row({j: 1}), lp.LE, u)
@@ -101,10 +114,12 @@ class BoundedProgram(lp.LinearProgram):
 
         duals = bound_duals = None
         if out.duals is not None:
-            m = len(self.constraints)
-            duals, bound_duals = out.duals[:m], [Fraction(0)] * self.n_vars
+            rows = iter(out.duals)
+            duals = [next(rows) + next(rows) if con.rel == EQ else next(rows)
+                     for con in self.constraints]
+            bound_duals = [Fraction(0)] * self.n_vars
             bounded = [j for j, u in enumerate(self.upper) if u is not None]
-            for j, y in zip(bounded, out.duals[m:]):
+            for j, y in zip(bounded, rows):
                 bound_duals[j] = y
         return BoundedOutcome(out.status, back(out.x), out.value, duals, bound_duals,
                               back(out.ray))

@@ -379,6 +379,8 @@ def test_unknown_command_exits_via_argparse():
     (["oracle", "{graph}"], "--samples", "-2"),
     (["sparsify", "{graph}", "--out", "{out}"], "--max-iters", "0"),
     (["sparsify", "{graph}", "--out", "{out}"], "--max-iters", "-1"),
+    (["oracle", "{graph}"], "--budget", "-5"),
+    (["oracle", "{graph}"], "--budget", "0"),
 ])
 def test_out_of_range_counts_are_parse_errors(tmp_path, capsys, command, flag, value):
     names = {"graph": star_file(tmp_path), "beta": half_triangle_file(tmp_path),

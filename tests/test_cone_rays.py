@@ -2,11 +2,13 @@
 
 ``cone_rays(m)`` lists the extreme rays of the metric cone on m <= 5
 points. ``MetricConeLp.optimize`` reads a one-row program on an unpinned
-cone off them when a single vertex is optimal, and the membership probe
-settles "max <= 0" from them. Every test compares with the triangle
-separation LP, taken with the ray path switched off. The membership scan
-runs on integer numerators; the Fraction scan it replaced is kept here as
-its reference.
+cone off them (its optimal vertex, the apex, an improving ray or
+infeasibility), and the membership probe settles "max <= 0" from them.
+The reads are compared with the triangle separation LP, taken with the ray
+path switched off, in status and value; on a tie the two may return
+different optimal vertices, so the read's own answer is checked to be a
+vertex or ray of the program instead. The membership scan runs on integer
+numerators; the Fraction scan it replaced is kept here as its reference.
 """
 
 import itertools
@@ -14,9 +16,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from vsparse import (ExtensionOperator, Metric, all_pairs, cut_metric, extension,
-                     find_optimal_operator, lp, operators, pair, zero_extension_operator)
+                     find_optimal_operator, lp, operators, pair, zero_extension_operator,
+                     zero_metric)
 from vsparse.extension import MetricConeLp, cone_rays
 from vsparse.sampling import random_graph
 
@@ -119,11 +123,11 @@ def test_each_extreme_ray_is_the_optimum_of_its_own_objective(m, monkeypatch):
     ones = {pq: F(1) for pq in all_pairs(m)}
     for ray in sorted(_known_extreme_rays(m)):
         objective = dict(zip(all_pairs(m), map(F, ray)))
-        got = MetricConeLp(m).optimize("max", objective, [(ones, lp.EQ, F(1))])
+        got = MetricConeLp(m).optimize("max", objective, [(ones, lp.LE, F(1))])
         with monkeypatch.context() as patch:
             patch.setattr(extension, "_ray_optimum", lambda *args: None)
-            want = MetricConeLp(m).optimize("max", objective, [(ones, lp.EQ, F(1))])
-        assert _record(got) == _record(want)
+            want = MetricConeLp(m).optimize("max", objective, [(ones, lp.LE, F(1))])
+        assert (got.status, got.value, got.table) == (want.status, want.value, want.table)
         assert got.rounds == 0
         assert [got.table.dist(p, q) for p, q in all_pairs(m)] == [F(v, sum(ray)) for v in ray]
 
@@ -150,6 +154,8 @@ def test_ray_values_scale_every_ray_by_one_positive_factor():
 # --- optimize against the LP --------------------------------------------------
 
 def _program(rng, family, m):
+    """One seeded program of a family; ``eq-max`` and ``eq-min-weighted``
+    keep the names their tests are known by, over a "<=" row."""
     pairs = all_pairs(m)
     ones = {pq: F(1) for pq in pairs}
     small = rng.random() < 0.5  # small integers: ties come up often
@@ -164,36 +170,90 @@ def _program(rng, family, m):
                 if rng.random() < keep}
 
     if family == "eq-max":
-        return "max", signed(-2, 2), (ones, lp.EQ, F(1))
+        return "max", signed(-2, 2), (ones, lp.LE, F(1))
     if family == "ge-min":
         weights = {pq: c for pq, c in signed(0, 3).items() if rng.random() < 0.8}
         return "min", weights, (nonnegative_row(0.5), lp.GE, F(rng.randint(1, 4), 3))
     if family == "le-max":
         return "max", signed(-1, 3), (nonnegative_row(0.8), lp.LE, F(rng.randint(1, 4), 2))
     if family == "eq-min-weighted":
-        return "min", signed(-2, 2), (nonnegative_row(0.9), lp.EQ, F(rng.randint(1, 5), 2))
+        return "min", signed(-2, 2), (nonnegative_row(0.9), lp.LE, F(rng.randint(1, 5), 2))
     raise ValueError(family)
 
 
-def _record(result):
-    return (result.status, result.value, result.table, result.ray_table)
+def _value(coeffs, d):
+    return sum((c * d.dist(*pq) for pq, c in coeffs.items()), F(0))
+
+
+def _is_ray(m, d, scaled):
+    """Whether d is a ray of ``cone_rays(m)``, or with ``scaled`` a positive
+    multiple of one."""
+    vector = [d.dist(p, q) for p, q in all_pairs(m)]
+    for ray in cone_rays(m):
+        j = next(j for j, v in enumerate(ray) if v)
+        factor = vector[j] / ray[j] if scaled else 1
+        if factor > 0 and vector == [factor * v for v in ray]:
+            return True
+    return False
+
+
+def _check_ray_read(m, sense, objective, row, monkeypatch):
+    """The ray read of a one-row program against the LP: equal in status and
+    value, and its answer a vertex or an improving ray of the program."""
+    got = MetricConeLp(m).optimize(sense, objective, [row])
+    with monkeypatch.context() as patch:
+        patch.setattr(extension, "_ray_optimum", lambda *args: None)
+        want = MetricConeLp(m).optimize(sense, objective, [row])
+    assert (got.status, got.value) == (want.status, want.value), (sense, objective, row)
+    assert got.rounds == 0 < want.rounds
+    coeffs, rel, rhs = row
+    if got.status == lp.OPTIMAL:
+        lhs = _value(coeffs, got.table)
+        assert lhs <= rhs if rel == lp.LE else lhs >= rhs
+        assert _value(objective, got.table) == got.value
+        assert got.table.is_zero() or _is_ray(m, got.table, scaled=True)
+    elif got.status == lp.UNBOUNDED:
+        gain = _value(objective, got.ray_table)
+        assert gain > 0 if sense == "max" else gain < 0
+        assert _is_ray(m, got.ray_table, scaled=False)
+        assert rel == lp.GE or _value(coeffs, got.ray_table) == 0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("family", ["eq-max", "ge-min", "le-max", "eq-min-weighted"])
 def test_optimize_equals_lp_reference(m, family, monkeypatch):
     rng = random.Random(1000 * m + len(family))
-    read_off_rays = 0
     for _ in range(60):
-        sense, objective, row = _program(rng, family, m)
-        got = MetricConeLp(m).optimize(sense, objective, [row])
-        read_off_rays += got.rounds == 0
-        with monkeypatch.context() as patch:
-            patch.setattr(extension, "_ray_optimum", lambda *args: None)
-            want = MetricConeLp(m).optimize(sense, objective, [row])
-        assert want.rounds > 0
-        assert _record(got) == _record(want), (sense, objective, row)
-    assert read_off_rays >= 15  # the ray path is exercised, not only the LP
+        _check_ray_read(m, *_program(rng, family, m), monkeypatch)
+
+
+fractions = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+weights = st.builds(F, st.integers(0, 3), st.integers(1, 3))
+
+
+@st.composite
+def one_row_cone_programs(draw):
+    """A one-row program the ray path reads: nonnegative row coefficients
+    (an empty row included) and a positive right-hand side."""
+    m = draw(st.integers(2, 5))
+    pairs = st.sampled_from(all_pairs(m))
+    objective = draw(st.dictionaries(pairs, fractions))
+    row = (draw(st.dictionaries(pairs, weights)), draw(st.sampled_from([lp.LE, lp.GE])),
+           draw(st.builds(F, st.integers(1, 4), st.integers(1, 3))))
+    return m, draw(st.sampled_from(["min", "max"])), objective, row
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(one_row_cone_programs())
+@example((2, "max", {(0, 1): F(1)}, ({}, lp.GE, F(3, 2))))  # infeasible before unbounded
+@example((4, "min", {(0, 1): F(1)}, ({}, lp.GE, F(1))))  # infeasible
+@example((4, "max", {(0, 1): F(1)}, ({(2, 3): F(1)}, lp.LE, F(1))))  # unbounded
+@example((4, "max", {(0, 1): F(-1)}, ({(0, 1): F(1)}, lp.LE, F(1))))  # the apex
+@example((5, "max", {pq: F(1) for pq in all_pairs(5)},
+          ({pq: F(1) for pq in all_pairs(5)}, lp.LE, F(1))))  # every ray ties
+def test_ray_read_agrees_with_the_lp(monkeypatch, case):
+    _check_ray_read(*case, monkeypatch)
 
 
 def test_ray_path_needs_an_unpinned_cone_and_one_row(monkeypatch):
@@ -202,28 +262,48 @@ def test_ray_path_needs_an_unpinned_cone_and_one_row(monkeypatch):
 
     monkeypatch.setattr(extension, "_ray_optimum", refuse)
     objective = {(0, 1): F(1), (1, 2): F(-1)}
-    norm = ({pq: F(1) for pq in all_pairs(3)}, lp.EQ, F(1))
+    norm = ({pq: F(1) for pq in all_pairs(3)}, lp.LE, F(1))
     MetricConeLp(3, {(0, 2): F(1)}).optimize("max", objective, [norm])
     MetricConeLp(3).optimize("max", objective, [norm, ({(0, 1): F(1)}, lp.LE, F(1))])
     MetricConeLp(6).optimize("max", objective, [({pq: F(1) for pq in all_pairs(6)},
-                                                 lp.EQ, F(1))])
+                                                 lp.LE, F(1))])
 
 
-def test_ray_path_leaves_ties_unbounded_and_apex_to_the_lp():
+def test_ray_path_reads_ties_unbounded_apex_and_infeasible_programs():
     m = 4
     ones = {pq: F(1) for pq in all_pairs(m)}
-    tied = extension._ray_optimum(m, "max", ones, (ones, lp.EQ, F(1)))
-    unbounded = extension._ray_optimum(m, "max", {(0, 1): F(1)},
-                                       ({(2, 3): F(1)}, lp.LE, F(1)))
+    cut_of_0 = cut_metric([0], m)  # the first ray of cone_rays(4)
+    tied = extension._ray_optimum(m, "max", ones, (ones, lp.LE, F(1)))
+    assert (tied.status, tied.value, tied.table) == (lp.OPTIMAL, F(1), cut_of_0.scale(F(1, 3)))
+    unbounded = extension._ray_optimum(m, "max", {(0, 1): F(1)}, ({(2, 3): F(1)}, lp.LE, F(1)))
+    assert (unbounded.status, unbounded.ray_table) == (lp.UNBOUNDED, cut_of_0)
     apex = extension._ray_optimum(m, "max", {(0, 1): F(-1)}, (ones, lp.LE, F(1)))
-    infeasible = extension._ray_optimum(m, "max", ones, ({}, lp.EQ, F(1)))
-    negative_row = extension._ray_optimum(m, "max", ones, ({(0, 1): F(-1)}, lp.GE, F(1)))
-    assert tied is unbounded is apex is infeasible is negative_row is None
+    assert (apex.status, apex.value, apex.table) == (lp.OPTIMAL, F(0), zero_metric(m))
+    infeasible = extension._ray_optimum(m, "max", ones, ({}, lp.GE, F(1)))
+    assert infeasible.status == lp.INFEASIBLE
+    assert all(r.rounds == 0 for r in (tied, unbounded, apex, infeasible))
     unique = extension._ray_optimum(m, "max", {(0, 1): F(3), (0, 2): F(2), (0, 3): F(2)},
-                                    (ones, lp.EQ, F(2)))
+                                    (ones, lp.LE, F(2)))
     assert unique.status == lp.OPTIMAL and unique.rounds == 0
     assert unique.value == F(14, 3)  # the cut of point 0, scaled to total 2
     assert unique.table.rows[0] == (0, F(2, 3), F(2, 3), F(2, 3))
+
+
+def test_ray_path_leaves_negative_rows_and_nonpositive_bounds_to_the_lp():
+    m = 4
+    ones = {pq: F(1) for pq in all_pairs(m)}
+    assert extension._ray_optimum(m, "max", ones, ({(0, 1): F(-1)}, lp.GE, F(1))) is None
+    assert extension._ray_optimum(m, "max", ones, (ones, lp.LE, F(0))) is None
+    assert extension._ray_optimum(m, "max", ones, (ones, lp.GE, F(-1))) is None
+
+
+@pytest.mark.parametrize("cone", [MetricConeLp(4), MetricConeLp(6),
+                                  MetricConeLp(2, {(0, 1): F(1)})],
+                         ids=["rays", "lp", "constant"])
+def test_every_cone_path_refuses_an_equation_row(cone):
+    ones = {pq: F(1) for pq in all_pairs(cone.m)}
+    with pytest.raises(lp.LpError):
+        cone.optimize("max", ones, [(ones, "=", F(1))])
 
 
 # --- membership probes --------------------------------------------------------
@@ -274,7 +354,7 @@ def _fraction_scan(n, k, phi_of, first_only):
     if k < 2:
         return []
     ypairs = all_pairs(k)
-    norm_row = ({yp: F(1) for yp in ypairs}, lp.EQ, F(1))
+    norm_row = ({yp: F(1) for yp in ypairs}, lp.LE, F(1))
     found = []
     for i, j in all_pairs(n):
         for l in range(n):

@@ -5,16 +5,22 @@ simplex that preceded the integer tableau. Bland's rule decides every pivot
 from signs and exact ratio comparisons only, so any exact arithmetic
 reproduces the same pivot sequence, and hence the same vertex, duals and
 rays, on a solve from scratch; the single programs (``lp``) pin that. Those
-with free variables or upper bounds are solved in the sign-constrained form
-``lp.solve`` takes (``helpers.BoundedProgram``: a free variable split into
-two nonnegative columns, each upper bound a "<=" row after the program's
-own rows) and mapped back, bound duals included. That form is the tableau
-the solver built inside itself when the fixture was recorded. The
-metric-cone entries were recorded with the Fraction triangle separation,
-metric validation, cut re-check and max-flow that preceded their integer
-versions, and the one-row cone LPs (``cone_lp``) with the
-triangle-separation LP that preceded reading their optima off the extreme
-rays.
+with free variables, upper bounds or equations are solved in the
+sign-constrained inequality form ``lp.solve`` takes
+(``helpers.BoundedProgram``: a free variable split into two nonnegative
+columns, an equation a "<=" row followed by a ">=" row, each upper bound a
+"<=" row after the program's own rows) and mapped back, bound duals
+included. The metric-cone entries were recorded with the Fraction triangle
+separation, metric validation, cut re-check and max-flow that preceded
+their integer versions. The one-row cone LPs (``cone_lp``) are read off
+the extreme rays; on a tie that read returns the optimal vertex of the
+first ray in ``cone_rays`` order.
+
+When the exact LP lost its "=" rows, each equation of ``lp`` became such a
+pair of rows, which moved the duals of three programs on degenerate
+optima, and the normalized cone probes became "<=" slices, which moved
+their non-positive optima to the apex; no operator, extension or quality
+pin moved.
 
 A cutting-plane loop (the operator master, and cone LPs that add triangle
 rows) re-solves every round after the first by the dual simplex from the

@@ -4,8 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vsparse import DemandSet, Metric, WeightedGraph, cut_metric
+from vsparse import (UNBOUNDED, CutCertificate, DemandSet, ExtensionOperator, Metric,
+                     MetricCertificate, QualityReport, Sparsifier, WeightedGraph, all_pairs,
+                     certificate_from_json, certificate_to_json, cut_metric,
+                     operator_from_json, operator_to_json, report_from_json, report_to_json,
+                     sparsifier_from_json, sparsifier_to_json, zero_metric)
 from vsparse.jsonio import (
     JsonFormatError,
     demands_from_json,
@@ -147,3 +152,99 @@ def test_metric_parse_rejects_invalid_tables():
 def test_metric_parse_rejects_non_list():
     with pytest.raises(JsonFormatError):
         metric_from_json({"0": "0/1"})
+
+
+# --- round trips of every artifact type ------------------------------------------
+
+ratios = st.builds(F, st.integers(0, 40), st.integers(1, 12))
+
+
+@st.composite
+def graphs(draw, k=None):
+    n = draw(st.integers(1, 6) if k is None else st.integers(k, k + 3))
+    order = draw(st.permutations(range(n)))
+    terminals = order[:draw(st.integers(1, n)) if k is None else k]
+    pairs = all_pairs(n)
+    weights = draw(st.dictionaries(st.sampled_from(pairs), ratios)) if pairs else {}
+    return WeightedGraph(n, terminals, weights)
+
+
+@st.composite
+def metrics(draw, m):
+    """A nonnegative combination of cut metrics on m points."""
+    d = zero_metric(m)
+    for mask, w in draw(st.lists(st.tuples(st.integers(0, (1 << m) - 1), ratios), max_size=4)):
+        d = d + cut_metric([p for p in range(m) if mask >> p & 1], m).scale(w)
+    return d
+
+
+@st.composite
+def demand_sets(draw):
+    rows = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), ratios), max_size=5))
+    return DemandSet([(s, t, dem) for s, t, dem in rows if s != t])
+
+
+@st.composite
+def sparsifiers(draw):
+    k = draw(st.integers(1, 5))
+    pairs = all_pairs(k)
+    return Sparsifier(k, draw(st.dictionaries(st.sampled_from(pairs), ratios)) if pairs else {})
+
+
+@st.composite
+def operators(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, k + 2))
+    entries = [(xp, yp) for xp in all_pairs(n) if xp[1] >= k for yp in all_pairs(k)]
+    coeffs = draw(st.dictionaries(st.sampled_from(entries), ratios)) if entries else {}
+    return ExtensionOperator(n, k, coeffs, distortion=draw(ratios))
+
+
+@st.composite
+def reports(draw):
+    semantics = draw(st.sampled_from(["cut", "metric", "flow"]))
+    k = draw(st.integers(1, 4))
+    witness = {"cut": st.integers(0, (1 << k) - 1), "metric": metrics(k),
+               "flow": demand_sets()}[semantics]
+    return QualityReport(semantics, draw(st.one_of(st.none(), st.just(UNBOUNDED), ratios)),
+                         draw(st.one_of(st.none(), st.booleans())),
+                         draw(st.one_of(st.none(), witness)),
+                         draw(st.sampled_from(["exact", "sampled"])))
+
+
+@st.composite
+def distributions(draw, k):
+    masks = draw(st.lists(st.tuples(st.integers(0, (1 << k) - 1), st.integers(1, 9)),
+                          min_size=1, max_size=4))
+    total = sum(w for _, w in masks)
+    return [(mask, F(w, total)) for mask, w in masks]
+
+
+@st.composite
+def certificates(draw):
+    k = draw(st.integers(1, 4))
+    g = draw(graphs(k))
+    if draw(st.booleans()):
+        return CutCertificate(g, draw(distributions(k)), draw(distributions(k)))
+    return MetricCertificate(g, draw(st.lists(metrics(k), min_size=1, max_size=3)))
+
+
+@pytest.mark.parametrize("artifacts,to_json,from_json", [
+    (graphs(), graph_to_json, graph_from_json),
+    (demand_sets(), demands_to_json, demands_from_json),
+    (st.integers(1, 5).flatmap(metrics), metric_to_json, metric_from_json),
+    (sparsifiers(), sparsifier_to_json, sparsifier_from_json),
+    (operators(), operator_to_json, operator_from_json),
+    (reports(), report_to_json, report_from_json),
+    (certificates(), certificate_to_json, certificate_from_json),
+], ids=["graph", "demands", "metric", "sparsifier", "operator", "report", "certificate"])
+def test_every_artifact_round_trips_byte_for_byte(artifacts, to_json, from_json):
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(artifacts)
+    def round_trip(x):
+        text = dump_canonical(to_json(x))
+        back = from_json(loads(text))
+        assert back == x
+        assert dump_canonical(to_json(back)) == text
+
+    round_trip()

@@ -4,8 +4,8 @@ Every optimal outcome is re-verified by lp.audit, which checks primal
 feasibility, dual feasibility, complementary slackness and strong duality
 as exact rational identities; passing it is a complete optimality proof
 independent of the pivot path the solver took. ``lp`` takes nonnegative
-variables only; programs with free variables or upper bounds are written
-in that form by ``helpers.BoundedProgram``.
+variables and "<=" / ">=" rows only; programs with free variables, upper
+bounds or equations are written in that form by ``helpers.BoundedProgram``.
 """
 
 import random
@@ -18,7 +18,7 @@ from vsparse import all_pairs, lp
 from vsparse.extension import MetricConeLp, min_extension
 from vsparse.operators import find_optimal_operator
 from vsparse.sampling import random_graph, random_metric
-from helpers import BoundedProgram
+from helpers import EQ, BoundedProgram
 
 F = Fraction
 
@@ -93,7 +93,7 @@ def test_equality_rows_and_free_variables():
     # x + y = 3 is constant on the feasible set.
     p = BoundedProgram(2, "min", {0: 1, 1: 1})
     p.set_free(0)
-    p.add_constraint({0: 1, 1: 1}, lp.EQ, 3)
+    p.add_constraint({0: 1, 1: 1}, EQ, 3)
     p.add_constraint({1: 1}, lp.LE, 1)
     out = p.solve()
     assert out.value == 3
@@ -127,6 +127,8 @@ def test_rejects_bad_construction():
     with pytest.raises(lp.LpError):
         p.add_constraint({0: 1}, "<", 0)
     with pytest.raises(lp.LpError):
+        p.add_constraint({0: 1}, "=", 0)  # an equation is a "<=" and a ">=" row
+    with pytest.raises(lp.LpError):
         p.add_constraint({1: 1}, lp.LE, 0)
     with pytest.raises(lp.LpError):
         p.set_objective_coeff(3, 1)
@@ -151,7 +153,7 @@ def random_program(rng: random.Random) -> BoundedProgram:
             p.set_upper(j, F(rng.randint(0, 6), rng.randint(1, 2)))
     for _ in range(rng.randint(1, 5)):
         coeffs = {j: F(rng.randint(-3, 3)) for j in range(n) if rng.random() < 0.8}
-        p.add_constraint(coeffs, rng.choice([lp.LE, lp.GE, lp.EQ]),
+        p.add_constraint(coeffs, rng.choice([lp.LE, lp.GE, EQ]),
                          F(rng.randint(-5, 5), rng.randint(1, 2)))
     return p
 
@@ -199,7 +201,8 @@ small_int = st.integers(-3, 3)
 @st.composite
 def programs_in_two_batches(draw):
     """A program boxed in by ``x_j <= u_j`` rows, so its first solve is
-    bounded, and a second batch of "<=" / ">=" rows to append. Right-hand
+    bounded, and a second batch of "<=" / ">=" rows to append. An equation
+    of the first batch is a "<=" row followed by a ">=" row. Right-hand
     sides of zero are as likely as any other, so degenerate bases abound."""
     n = draw(st.integers(1, 4))
     p = lp.LinearProgram(n, draw(st.sampled_from(["min", "max"])),
@@ -212,8 +215,9 @@ def programs_in_two_batches(draw):
                                        st.sampled_from(rels), small_int),
                              min_size=min_size, max_size=5))
 
-    for coeffs, rel, rhs in rows([lp.LE, lp.GE, lp.EQ], 0):
-        p.add_constraint(dict(enumerate(coeffs)), rel, rhs)
+    for coeffs, rel, rhs in rows([lp.LE, lp.GE, EQ], 0):
+        for half in (lp.LE, lp.GE) if rel == EQ else (rel,):
+            p.add_constraint(dict(enumerate(coeffs)), half, rhs)
     return p, rows([lp.LE, lp.GE], 1)
 
 
@@ -413,7 +417,7 @@ def test_metric_cone_rounds_replay_warm_as_cold(replay, seed):
     min_extension(g, random_metric(rng, 3))
     objective = {pq: F(rng.randint(-4, 4), rng.randint(1, 3)) for pq in all_pairs(6)}
     ones = {pq: F(1) for pq in all_pairs(6)}
-    probe = MetricConeLp(6).optimize("max", objective, [(ones, lp.EQ, F(1))])
+    probe = MetricConeLp(6).optimize("max", objective, [(ones, lp.LE, F(1))])
     assert probe.status == lp.OPTIMAL
     assert any(replay)
 
@@ -421,11 +425,10 @@ def test_metric_cone_rounds_replay_warm_as_cold(replay, seed):
 @pytest.mark.parametrize("seed", range(120))
 def test_appended_rows_resolve_warm_as_cold(seed, cold_solves):
     # The rows of a random program, boxed in so the first batch is bounded,
-    # arrive in two batches; "=" rows in the second batch send the re-solve
-    # back to the cold path.
+    # arrive in two batches; the second re-solves warm from the first.
     rng = random.Random(3000 + seed)
     bounded = random_program(rng)
-    n_rows = len(bounded.constraints)
+    n_rows = sum(2 if con.rel == EQ else 1 for con in bounded.constraints)
     for j in range(bounded.n_vars):
         if bounded.free[j]:
             bounded.add_constraint({j: 1}, lp.GE, -10)
@@ -441,8 +444,7 @@ def test_appended_rows_resolve_warm_as_cold(seed, cold_solves):
     lp.audit(p, out)
     cold = lp.solve(p)
     assert (out.status, out.value) == (cold.status, cold.value)
-    warm = first.status == lp.OPTIMAL and all(con.rel != lp.EQ for con in rows[split:])
-    assert len(cold_solves) == 3 - warm
+    assert len(cold_solves) == 3 - (first.status == lp.OPTIMAL)
 
 
 def test_infeasible_cut_ends_in_the_dual_ratio_test(cold_solves):
@@ -478,24 +480,6 @@ def test_round_after_unbounded_outcome_is_cold(cold_solves):
     out = lp.solve(p, first)
     lp.audit(p, out)
     assert out.value == 5 and len(cold_solves) == 2
-
-
-def test_equality_cut_is_cold(cold_solves):
-    p = lp.LinearProgram(2, "min", {0: 1, 1: 2})
-    first = lp.solve(p)
-
-    def fix_sum(out):
-        if out.x[0] + out.x[1] != 2:
-            return [lp.Constraint({0: F(1), 1: F(1)}, lp.EQ, F(2))]
-        return None
-
-    res = lp.cutting_plane(p, [fix_sum])
-    assert res.outcome.value == 2 and len(cold_solves) == 3
-    assert res.outcome.tableau is None
-    p.add_constraint({1: 1}, lp.GE, 1)
-    out = lp.solve(p, first)  # first belongs to the program before the "=" row
-    lp.audit(p, out)
-    assert out.value == 3 and len(cold_solves) == 4
 
 
 def test_previous_outcome_of_another_program_is_refused():

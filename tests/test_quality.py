@@ -34,6 +34,7 @@ from vsparse import (
     sparsifier_to_json,
     zero_extension_operator,
 )
+from vsparse import quality
 from vsparse.extension import _max_flow
 from vsparse.jsonio import JsonFormatError, dump_canonical
 from vsparse.operators import ExtensionOperator
@@ -161,9 +162,16 @@ def test_cut_quality_lower_violation_is_flagged():
     assert report.q_value < 1
 
 
-def test_cut_quality_cap_and_k_mismatch():
-    with pytest.raises(ValueError, match="exceeds cap"):
-        cut_quality(unit_star(3), half_triangle(3), cap=2)
+def refuse_flows(monkeypatch):
+    def no_flow(*args):
+        raise AssertionError("a min cut ran")
+    monkeypatch.setattr(quality, "min_cut_via_flow", no_flow)
+
+
+def test_cut_quality_cap_and_k_mismatch(monkeypatch):
+    refuse_flows(monkeypatch)  # the cap refuses before any flow runs
+    with pytest.raises(ValueError, match="k = 21 terminals exceeds cap 20"):
+        cut_quality(unit_star(21), Sparsifier(21, {}))
     with pytest.raises(ValueError, match="terminals"):
         cut_quality(unit_star(3), half_triangle(4))
 
@@ -255,9 +263,10 @@ def test_metric_lower_passes_on_exact_sparsifier():
     assert report == QualityReport(METRIC, None, True, None, SAMPLED)
 
 
-def test_metric_lower_cap():
-    with pytest.raises(ValueError, match="exceeds cap"):
-        metric_lower_check(unit_star(4), half_triangle(4), cap=3)
+def test_metric_lower_cap(monkeypatch):
+    refuse_flows(monkeypatch)
+    with pytest.raises(ValueError, match="k = 21 terminals exceeds cap 20"):
+        metric_lower_check(unit_star(21), Sparsifier(21, {}))
 
 
 @pytest.mark.parametrize("seed", range(6))
