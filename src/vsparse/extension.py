@@ -8,8 +8,12 @@ is exactly a terminal min cut) and exhaustive 0-extension enumeration
 (an upper bound for arbitrary metrics).
 
 Triangle separation and max-flow compare integer numerators over one common
-positive denominator, which decides exactly as the Fractions would; every
-value in and out stays a ``Fraction``.
+positive denominator, which decides exactly as the Fractions would. In a
+metric-cone LP the pins are scaled once, each round's point or ray comes from
+the LP outcome as integers, and each violated triangle row goes back to it as
+integers (:meth:`lp.Constraint.from_integers`); ``Fraction``s are built only
+for the objective, the extra rows and the result, so every value in and out
+stays a ``Fraction``.
 
 On at most five unpinned points the metric cone has a short list of extreme
 rays (:func:`cone_rays`), so a cone LP with one extra row is read off them:
@@ -165,6 +169,19 @@ class MetricLpResult:
     rounds: int                 # cutting-plane rounds; 0 when read off the rays
 
 
+@functools.cache
+def _cone_triangles(m: int) -> tuple[tuple[int, int, int], ...]:
+    """The triangle rows d(i,j) <= d(i,l) + d(l,j) on m points in the order
+    triangle separation scans them, each as the positions of pairs ij, il
+    and lj in ``all_pairs(m)``."""
+    index = _pair_index(m)
+    rows = []
+    for a, b, c in itertools.combinations(range(m), 3):
+        for i, j, l in ((a, b, c), (a, c, b), (b, c, a)):
+            rows.append((index[(i, j)], index[pair(i, l)], index[pair(l, j)]))
+    return tuple(rows)
+
+
 class MetricConeLp:
     """An LP whose variables are pair distances on m points, kept inside the
     metric cone.
@@ -174,10 +191,15 @@ class MetricConeLp:
     materialized up front: a separation oracle adds the violated ones
     through :func:`lp.cutting_plane`, which is measurably faster and reaches
     the same optimal value (on a degenerate optimal face the witness can be
-    another optimal vertex). An unpinned cone on at most five points with one
-    extra row with nonnegative coefficients and a positive right-hand side
-    skips the LP: its answer is read off the extreme rays
-    (:func:`_ray_optimum`).
+    another optimal vertex). Rows and points cross that loop as integers:
+    the pins are scaled once to numerators over one denominator, each round's
+    point or ray is read as the outcome's integer numerators, and each
+    violated row is built from coefficients of plus or minus one and pin
+    numerators (:meth:`lp.Constraint.from_integers`). ``Fraction``s are
+    built only for the objective, the extra rows and the returned result. An
+    unpinned cone on at most five points with one extra row with nonnegative
+    coefficients and a positive right-hand side skips the LP: its answer is
+    read off the extreme rays (:func:`_ray_optimum`).
     """
 
     def __init__(self, m: int, pinned: Mapping[Pair, Fraction] | None = None):
@@ -185,6 +207,11 @@ class MetricConeLp:
         self.pinned = dict(pinned) if pinned else {}
         self.var_pairs = [pq for pq in all_pairs(m) if pq not in self.pinned]
         self.index = {pq: j for j, pq in enumerate(self.var_pairs)}
+        pin_nums, self.pin_scale = integer_row(list(self.pinned.values()))
+        pin_of = dict(zip(self.pinned, pin_nums))
+        # per pair of all_pairs(m): its variable's column, or None and the
+        # pin's numerator over pin_scale
+        self.slots = [(self.index.get(pq), pin_of.get(pq, 0)) for pq in all_pairs(m)]
 
     def _full_values(self, x: Sequence[Fraction], pins_zero: bool) -> list[list[Fraction]]:
         rows = [[ZERO] * self.m for _ in range(self.m)]
@@ -195,31 +222,34 @@ class MetricConeLp:
             rows[pq[0]][pq[1]] = rows[pq[1]][pq[0]] = x[j]
         return rows
 
-    def _triangle_cuts(self, x: Sequence[Fraction], pins_zero: bool) -> list[lp.Constraint]:
-        """The violated triangle rows at point ``x`` (or ray, pins read 0).
+    def _triangle_cuts(self, nums: Sequence[int], scale: int) -> list[lp.Constraint]:
+        """The violated triangle rows at the point ``nums / scale``, or along
+        the ray ``nums`` with the pins read 0 when ``scale`` is 0.
 
-        The values are scaled once to integers over their common
-        denominator; a positive scale decides each triangle as the
-        Fractions would.
+        Every distance is compared as its value times ``scale * pin_scale``,
+        which decides each triangle as the Fractions would. Two triangles
+        with only one unpinned pair can give the same row; it is returned
+        once.
         """
-        m = self.m
-        pins = {} if pins_zero else self.pinned
-        nums, _ = integer_row([*x, *pins.values()])
-        ints = [[0] * m for _ in range(m)]
-        for (p, q), v in zip([*self.var_pairs, *pins], nums):
-            ints[p][q] = ints[q][p] = v
+        ps, slots = self.pin_scale, self.slots
+        vals = [pin * scale if j is None else nums[j] * ps for j, pin in slots]
         cuts = []
-        for a, b, c in itertools.combinations(range(m), 3):
-            for i, j, l in ((a, b, c), (a, c, b), (b, c, a)):
-                if ints[i][j] > ints[i][l] + ints[l][j]:
-                    coeffs: dict[int, Fraction] = {}
-                    rhs = ZERO
-                    for key, sgn in ((pair(i, j), 1), (pair(i, l), -1), (pair(l, j), -1)):
-                        if key in self.index:
-                            coeffs[self.index[key]] = coeffs.get(self.index[key], ZERO) + sgn
-                        else:
-                            rhs -= sgn * self.pinned[key]
-                    cuts.append(lp.Constraint(coeffs, lp.LE, rhs))
+        rows = set()
+        for ij, il, lj in _cone_triangles(self.m):
+            if vals[ij] > vals[il] + vals[lj]:
+                coeffs: dict[int, int] = {}
+                rhs = 0
+                for pos, sgn in ((ij, 1), (il, -1), (lj, -1)):
+                    j, pin = slots[pos]
+                    if j is None:
+                        rhs -= sgn * pin
+                    else:
+                        coeffs[j] = sgn * ps
+                cut = lp.Constraint.from_integers(coeffs, lp.LE, rhs, ps)
+                row = (cut.cols, cut.nums, cut.rhs_num)
+                if row not in rows:
+                    rows.add(row)
+                    cuts.append(cut)
         return cuts
 
     def optimize(
@@ -269,8 +299,8 @@ class MetricConeLp:
 
         def oracle(out: lp.LpOutcome) -> list[lp.Constraint]:
             if out.status == lp.UNBOUNDED:
-                return self._triangle_cuts(out.ray, pins_zero=True)
-            return self._triangle_cuts(out.x, pins_zero=False)
+                return self._triangle_cuts(out.direction[0], 0)
+            return self._triangle_cuts(*out.point)
 
         # Every cut is one of the finitely many triangle rows and never
         # repeats, so the round cap is a formality.

@@ -9,12 +9,18 @@ The dual simplex picks its leaving row by exact dual steepest edge and falls
 back to the dual Bland rule only while a basis it has already visited comes
 back. The tableau holds each row as integer numerators over one exact
 positive denominator and pivots fraction-free (cross-multiply, then divide
-out the gcd); programs come in and every value comes out as
-``fractions.Fraction``. Outcomes carry primal solutions, dual multipliers
-satisfying strong duality and complementary slackness exactly (built from
-the final reduced costs on first read), and improving rays for unbounded
-programs. :func:`audit` re-verifies all of that from scratch and is switched
-on liberally in the test suite.
+out the gcd). Rows and points cross the cutting-plane loop as integers too:
+a :class:`Constraint` keeps its row once as numerators over its least common
+denominator, which the tableau and the loop's violation and repeat checks
+read, and an outcome keeps its point and ray as numerators over one
+positive denominator, read off the tableau. Programs come in, and every
+value comes out, as ``fractions.Fraction``, built only at that boundary: a
+row built from integers makes its coefficients on first read, and an
+outcome its ``x``, ``ray`` and ``duals``. Outcomes carry primal solutions,
+dual multipliers satisfying strong duality and complementary slackness
+exactly (built from the final reduced costs), and improving rays for
+unbounded programs. :func:`audit` re-verifies all of that from scratch and
+is switched on liberally in the test suite.
 
 Every variable is nonnegative and every other condition is an inequality
 row, so a program is ``min`` or ``max`` of ``c.x`` over ``x >= 0`` and rows
@@ -35,9 +41,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import ONE, ZERO, FractionLike, as_fraction, integer_row
+from .core import ZERO, FractionLike, as_fraction, integer_row
 
 LE, GE = "<=", ">="
 _RELATIONS = (LE, GE)
@@ -59,13 +65,69 @@ class CuttingPlaneError(RuntimeError):
     """The lazy-constraint loop detected an oracle exactness bug."""
 
 
-@dataclass
 class Constraint:
-    """A sparse linear row ``sum coeffs[j] * x_j  rel  rhs``."""
+    """A sparse linear row ``sum coeffs[j] * x_j  rel  rhs``.
 
-    coeffs: dict[int, Fraction]
-    rel: str
-    rhs: Fraction
+    The row is kept once as integers: its columns ``cols`` in increasing
+    order, their numerators ``nums`` and the rhs numerator ``rhs_num``, all
+    over one positive ``scale``, the least common denominator of the row
+    (as :func:`core.integer_row` scales it). Zero coefficients are dropped.
+    The tableau and the cutting-plane checks read only that form; ``coeffs``
+    and ``rhs`` are ``Fraction``s, built on first read when the row was
+    built from integers (:meth:`from_integers`).
+    """
+
+    __slots__ = ("cols", "nums", "rel", "rhs_num", "scale", "_coeffs", "_rhs")
+
+    def __init__(self, coeffs: Mapping[int, FractionLike], rel: str, rhs: FractionLike):
+        items = sorted((j, as_fraction(c)) for j, c in coeffs.items())
+        items = [(j, c) for j, c in items if c]
+        rhs = as_fraction(rhs)
+        nums, self.scale = integer_row([*(c for _, c in items), rhs])
+        self.cols = tuple([j for j, _ in items])
+        self.nums = tuple(nums[:-1])
+        self.rhs_num = nums[-1]
+        self.rel = rel
+        self._coeffs: dict[int, Fraction] | None = dict(items)
+        self._rhs: Fraction | None = rhs
+
+    @classmethod
+    def from_integers(cls, coeffs: Mapping[int, int], rel: str, rhs: int,
+                      scale: int) -> Constraint:
+        """The row ``sum coeffs[j] / scale * x_j  rel  rhs / scale`` for
+        integer ``coeffs`` and ``rhs`` and a positive integer ``scale``,
+        reduced to the least common denominator without a ``Fraction``."""
+        if scale <= 0:
+            raise LpError(f"scale must be positive, got {scale}")
+        items = sorted((j, c) for j, c in coeffs.items() if c)
+        g = gcd(scale, rhs, *[c for _, c in items])
+        con = cls.__new__(cls)
+        con.cols = tuple([j for j, _ in items])
+        con.nums = tuple([c // g for _, c in items])
+        con.rhs_num, con.scale, con.rel = rhs // g, scale // g, rel
+        con._coeffs = con._rhs = None
+        return con
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        if self._coeffs is None:
+            self._coeffs = {j: Fraction(c, self.scale) for j, c in zip(self.cols, self.nums)}
+        return self._coeffs
+
+    @property
+    def rhs(self) -> Fraction:
+        if self._rhs is None:
+            self._rhs = Fraction(self.rhs_num, self.scale)
+        return self._rhs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        return ((self.cols, self.nums, self.rel, self.rhs_num, self.scale)
+                == (other.cols, other.nums, other.rel, other.rhs_num, other.scale))
+
+    def __repr__(self) -> str:
+        return f"Constraint({self.coeffs!r}, {self.rel!r}, {self.rhs!r})"
 
     def evaluate(self, x: Sequence[Fraction]) -> Fraction:
         return sum((c * x[j] for j, c in self.coeffs.items()), ZERO)
@@ -113,15 +175,17 @@ class LinearProgram:
 
     def add_constraint(self, coeffs: Mapping[int, FractionLike], rel: str,
                        rhs: FractionLike) -> int:
-        if rel not in _RELATIONS:
-            raise LpError(f"relation must be one of {_RELATIONS}, got {rel!r}")
-        row: dict[int, Fraction] = {}
-        for j, c in coeffs.items():
+        for j in coeffs:
             self._check_var(j)
-            c = as_fraction(c)
-            if c:
-                row[j] = c
-        self.constraints.append(Constraint(row, rel, as_fraction(rhs)))
+        return self.add(Constraint(coeffs, rel, rhs))
+
+    def add(self, con: Constraint) -> int:
+        """Append a built row as it is; returns its index."""
+        if con.rel not in _RELATIONS:
+            raise LpError(f"relation must be one of {_RELATIONS}, got {con.rel!r}")
+        for j in con.cols:
+            self._check_var(j)
+        self.constraints.append(con)
         return len(self.constraints) - 1
 
 
@@ -129,9 +193,13 @@ class LinearProgram:
 class LpOutcome:
     """Result of an exact solve.
 
-    status "optimal": x, value and duals (one per constraint) are set.
-    status "unbounded": x is a feasible point and ray an improving feasible
-    direction from it. status "infeasible": everything else is None.
+    status "optimal": the point, value and duals (one per constraint) are
+    set. status "unbounded": the point is feasible and the direction an
+    improving feasible ray from it. status "infeasible": everything else is
+    None. The point is kept as integers, ``point = (numerators, scale)`` over
+    the least common denominator of its entries (as :func:`core.integer_row`
+    scales them), and so is ``direction``; ``x`` and ``ray`` are their
+    ``Fraction``s, built on first read.
     An optimal outcome of :func:`solve` also keeps its final ``tableau``, from
     which a later solve of the same program with rows appended starts.
     Its duals are built on first read from ``dual_source``, a copy of the
@@ -140,13 +208,29 @@ class LpOutcome:
     """
 
     status: str
-    x: list[Fraction] | None = None
     value: Fraction | None = None
-    ray: list[Fraction] | None = None
+    point: tuple[list[int], int] | None = None
+    direction: tuple[list[int], int] | None = None
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
     dual_source: tuple[list[int], int, list[tuple[int, int]]] | None = field(
         default=None, repr=False, compare=False)
+    _x: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
+    _ray: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
     _duals: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def x(self) -> list[Fraction] | None:
+        """The point as Fractions, or None when infeasible."""
+        if self._x is None and self.point is not None:
+            self._x = _fractions(*self.point)
+        return self._x
+
+    @property
+    def ray(self) -> list[Fraction] | None:
+        """The improving direction of an unbounded outcome, else None."""
+        if self._ray is None and self.direction is not None:
+            self._ray = _fractions(*self.direction)
+        return self._ray
 
     @property
     def duals(self) -> list[Fraction] | None:
@@ -156,6 +240,10 @@ class LpOutcome:
             self._duals = [sign * Fraction(red[col], den) for col, sign in entries]
             self.dual_source = None
         return self._duals
+
+
+def _fractions(nums: list[int], scale: int) -> list[Fraction]:
+    return [Fraction(v, scale) for v in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +482,24 @@ class _Layout:
     def __init__(self, program: LinearProgram):
         self.program = program
         self.shape = _shape(program)  # sense and objective the tableau was built for
+        # the objective as columns and numerators over one positive denominator
+        self.cost_cols = list(program.objective)
+        self.cost_nums, self.cost_den = integer_row(list(program.objective.values()))
         # per row of the program in the tableau: the column whose reduced cost
         # is its dual, and the dual's sign
         self.duals: list[tuple[int, int]] = []
         self.enterable: list[bool] = []
 
 
-def _tableau_row(coeffs: Mapping[int, Fraction], rhs: Fraction, negate: bool,
-                 ncols: int) -> tuple[list[int], int]:
-    """The row scaled to integers once, by the lcm of its denominators, over
-    ``ncols`` columns plus the rhs; returns it with the scale."""
-    nums, scale = integer_row([*coeffs.values(), rhs])
+def _tableau_row(cols: Sequence[int], nums: Sequence[int], rhs: int, negate: bool,
+                 ncols: int) -> list[int]:
+    """Integer numerators on their columns, over ``ncols`` columns plus the rhs."""
     sgn = -1 if negate else 1
     row = [0] * (ncols + 1)
-    for j, c in zip(coeffs, nums):
+    for j, c in zip(cols, nums):
         row[j] = sgn * c
-    row[-1] = sgn * nums[-1]
-    return row, scale
+    row[-1] = sgn * rhs
+    return row
 
 
 def _shape(lp: LinearProgram) -> tuple:
@@ -459,7 +548,7 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
     for r, con in enumerate(lp.constraints):
         slack_of.append(ncols)
         ncols += 1
-        if (con.rel == GE) != (con.rhs < 0):
+        if (con.rel == GE) != (con.rhs_num < 0):
             art_of[r] = ncols
             ncols += 1
 
@@ -468,16 +557,16 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
     dens: list[int] = []
     basis: list[int] = []
     for r, con in enumerate(lp.constraints):
-        row, scale = _tableau_row(con.coeffs, con.rhs, con.rhs < 0, ncols)
+        row = _tableau_row(con.cols, con.nums, con.rhs_num, con.rhs_num < 0, ncols)
         if r in art_of:
-            row[slack_of[r]] = -scale
-            row[art_of[r]] = scale
+            row[slack_of[r]] = -con.scale
+            row[art_of[r]] = con.scale
             basis.append(art_of[r])
         else:
-            row[slack_of[r]] = scale
+            row[slack_of[r]] = con.scale
             basis.append(slack_of[r])
         rows.append(row)
-        dens.append(scale)
+        dens.append(con.scale)
         layout.duals.append((slack_of[r], _dual_sign(con.rel, minimize)))
 
     tab = _Tableau(rows, dens, basis, ncols, layout)
@@ -486,7 +575,7 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
         artificial[col] = True
 
     # Internal objective: minimize (negated for max), on the variable columns.
-    cost2, cost_den = _tableau_row(lp.objective, ZERO, not minimize, ncols)
+    cost2 = _tableau_row(layout.cost_cols, layout.cost_nums, 0, not minimize, ncols)
     cost2.pop()  # no rhs
 
     if art_of:
@@ -510,7 +599,7 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
             tab.pivot(r, pc)
 
     layout.enterable = [not artificial[idx] for idx in range(ncols)]
-    status, enter_col = tab.run(cost2, cost_den, layout.enterable)
+    status, enter_col = tab.run(cost2, layout.cost_den, layout.enterable)
     return _outcome(lp, tab, status, enter_col)
 
 
@@ -524,13 +613,11 @@ def _resolve(lp: LinearProgram, tab: _Tableau, new: Sequence[Constraint]) -> LpO
     rows: list[list[int]] = []
     dens: list[int] = []
     for offset, con in enumerate(new):
-        flip = con.rel == GE
-        row, scale = _tableau_row(con.coeffs, con.rhs, flip, ncols)
-        slack = tab.ncols + offset
-        row[slack] = scale
+        row = _tableau_row(con.cols, con.nums, con.rhs_num, con.rel == GE, ncols)
+        row[tab.ncols + offset] = con.scale  # the row's slack
         rows.append(row)
-        dens.append(scale)
-        layout.duals.append((slack, _dual_sign(con.rel, minimize)))
+        dens.append(con.scale)
+        layout.duals.append((tab.ncols + offset, _dual_sign(con.rel, minimize)))
     layout.enterable += [True] * len(new)
     tab.append_rows(rows, dens)
     if not tab.run_dual(layout.enterable):
@@ -538,26 +625,38 @@ def _resolve(lp: LinearProgram, tab: _Tableau, new: Sequence[Constraint]) -> LpO
     return _outcome(lp, tab, OPTIMAL, None)
 
 
+def _common(entries: Iterable[tuple[int, int, int]], n: int) -> tuple[list[int], int]:
+    """A vector of length n from ``(index, numerator, denominator)`` entries
+    (zero elsewhere), as numerators over the least common denominator."""
+    entries = [e for e in entries if e[1]]
+    scale = lcm(*[d for _, _, d in entries])
+    nums = [0] * n
+    for j, v, d in entries:
+        nums[j] = v * (scale // d)
+    g = gcd(scale, *nums)
+    if g > 1:
+        nums = [v // g for v in nums]
+        scale //= g
+    return nums, scale
+
+
 def _outcome(lp: LinearProgram, tab: _Tableau, status: str, enter_col: int | None) -> LpOutcome:
     """Read the outcome off a final tableau; an optimal one keeps it."""
-    layout = tab.layout
-    values = [ZERO] * tab.ncols
-    for r, b in enumerate(tab.basis):
-        values[b] = Fraction(tab.rows[r][-1], tab.dens[r])
-    x = values[:lp.n_vars]
-    value = sum((c * x[j] for j, c in lp.objective.items()), ZERO)
+    layout, n = tab.layout, lp.n_vars
+    rows, dens = tab.rows, tab.dens
+    x_nums, x_scale = point = _common(
+        [(b, rows[r][-1], dens[r]) for r, b in enumerate(tab.basis) if b < n], n)
+    value = Fraction(sum([c * x_nums[j] for j, c in zip(layout.cost_cols, layout.cost_nums)]),
+                     layout.cost_den * x_scale)
 
     if status == UNBOUNDED:
         check(enter_col is not None, "unbounded phase two reported no entering column")
-        direction = [ZERO] * tab.ncols
-        direction[enter_col] = ONE
-        for r, row in enumerate(tab.rows):
-            if row[enter_col]:
-                direction[tab.basis[r]] = Fraction(-row[enter_col], tab.dens[r])
-        return LpOutcome(UNBOUNDED, x=x, value=value, ray=direction[:lp.n_vars])
+        entries = [(enter_col, 1, 1)] if enter_col < n else []
+        entries += [(b, -rows[r][enter_col], dens[r]) for r, b in enumerate(tab.basis) if b < n]
+        return LpOutcome(UNBOUNDED, value, point, _common(entries, n))
 
     # Duals from the reduced costs of the identity-seeded column of each row.
-    return LpOutcome(OPTIMAL, x=x, value=value, tableau=tab,
+    return LpOutcome(OPTIMAL, value, point, tableau=tab,
                      dual_source=(tab.red[:], tab.red_den, layout.duals[:]))
 
 
@@ -657,13 +756,11 @@ Oracle = Callable[[LpOutcome], "list[Constraint] | None"]
 
 def _signature(con: Constraint) -> tuple:
     """The row as (columns, coprime integer coefficients, relation, rhs)."""
-    items = sorted(con.coeffs.items())
-    ints, _ = integer_row([*(c for _, c in items), con.rhs])
-    g = gcd(*ints)
+    nums, rhs = con.nums, con.rhs_num
+    g = gcd(rhs, *nums)
     if g > 1:
-        ints = [v // g for v in ints]
-    index = tuple([j for j, _ in items])  # a list, see core._exact_rows
-    return (index, tuple(ints[:-1]), con.rel, ints[-1])
+        nums, rhs = tuple([v // g for v in nums]), rhs // g
+    return (con.cols, nums, con.rel, rhs)
 
 
 def _violates(sig: tuple, nums: list[int], scale: int) -> bool:
@@ -680,20 +777,11 @@ def _violates(sig: tuple, nums: list[int], scale: int) -> bool:
     return lhs < rhs
 
 
-def _integer_outcome(out: LpOutcome) -> tuple[list[int], int, list[int] | None]:
-    """The point as numerators over their common denominator, plus the ray's
-    numerators when the master is unbounded."""
-    x_nums, x_scale = integer_row(out.x)
-    ray_nums = integer_row(out.ray)[0] if out.status == UNBOUNDED else None
-    return x_nums, x_scale, ray_nums
-
-
-def _cut_is_violated(sig: tuple, point: tuple[list[int], int, list[int] | None]) -> bool:
-    """Whether the point breaks the row or, for an unbounded master, the ray
-    leaves it."""
-    x_nums, x_scale, ray_nums = point
-    return (_violates(sig, x_nums, x_scale)
-            or ray_nums is not None and _violates(sig, ray_nums, 0))
+def _cut_is_violated(sig: tuple, out: LpOutcome) -> bool:
+    """Whether the outcome's point breaks the row or, for an unbounded
+    master, its ray leaves it; both are read as integers."""
+    return (_violates(sig, *out.point)
+            or out.direction is not None and _violates(sig, out.direction[0], 0))
 
 
 def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
@@ -729,16 +817,15 @@ def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
         if not cuts:
             out.tableau = None
             return CuttingPlaneResult(out, rounds, True)
-        point = _integer_outcome(out)  # scaled to integers once per round
         for cut in cuts:
             sig = _signature(cut)
-            if not _cut_is_violated(sig, point):
+            if not _cut_is_violated(sig, out):
                 raise CuttingPlaneError("oracle returned a cut the current solution satisfies")
             if sig in seen:
                 raise CuttingPlaneError(
                     "oracle returned a constraint already present and still violated")
             seen.add(sig)
-            lp.add_constraint(cut.coeffs, cut.rel, cut.rhs)
+            lp.add(cut)
         if rounds < max_rounds:
             out = solve(lp, out)
     out.tableau = None

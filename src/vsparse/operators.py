@@ -359,11 +359,13 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
     def image_cut(c_x: Mapping[Pair, FractionLike], d_y: Metric,
                   c_q: Fraction) -> lp.Constraint:
         # sum_xp c_x[xp] * phi(d_y)(xp) <= c_q * Q, terminal rows folded into
-        # the rhs; the X-pairs of c_x differ, so each column is written once
+        # the rhs, written as integers over one denominator; the X-pairs of
+        # c_x differ, so each column is written once
         cs, c_scale = integer_row(list(c_x.values()))
         d, d_scale = integer_table(d_y.rows)
+        q_den = c_q.denominator
         scale = c_scale * d_scale
-        coeffs: dict[int, Fraction] = {0: -c_q} if c_q else {}
+        coeffs = {0: -c_q.numerator * scale} if c_q else {}
         rhs = 0
         for xp, c in zip(c_x, cs):
             if xp[1] < k:
@@ -372,15 +374,15 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
             for yp in ypairs:
                 dv = d[yp[0]][yp[1]]
                 if dv:
-                    coeffs[position[(xp, yp)]] = Fraction(c * dv, scale)
-        return lp.Constraint(coeffs, lp.LE, Fraction(rhs, scale))
+                    coeffs[position[(xp, yp)]] = c * dv * q_den
+        return lp.Constraint.from_integers(coeffs, lp.LE, rhs * q_den, scale * q_den)
 
     def distortion_cut(d_y: Metric, c_star: Fraction) -> lp.Constraint:
         cut = image_cut(g_c.weights, d_y, c_star)
         # A zero-cost witness zeroes every positive-weight terminal pair, so
         # the cut keeps a satisfiable zero right-hand side; see the
         # no-finite-distortion handling below for the infeasible case.
-        lp.check(c_star != 0 or cut.rhs == 0, "a zero-cost witness left a positive terminal term")
+        lp.check(c_star != 0 or cut.rhs_num == 0, "a zero-cost witness left a positive terminal term")
         return cut
 
     master = lp.LinearProgram(1 + len(entries), "min", {0: ONE})
@@ -393,7 +395,7 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         c_s = min_cut_via_flow(g_c, side)
         candidates.append((delta, c_s))
         warm = distortion_cut(delta, c_s)
-        master.add_constraint(warm.coeffs, warm.rel, warm.rhs)
+        master.add(warm)
 
     def membership_cb(out: lp.LpOutcome) -> list[lp.Constraint]:
         hits = _membership_violations(operator_at(out.x), first_only=False)

@@ -37,6 +37,17 @@ def test_cone_lp_minimizes_pinned_triangle_slack():
     assert high.table.dist(0, 1) == 2
 
 
+@pytest.mark.parametrize("cap", [None, F(5)], ids=["ray", "point"])
+def test_cone_lp_adds_a_row_two_triangles_share_once(cap):
+    # With every pair but (0, 1) pinned to 0, the triangles (0, 1, 2) and
+    # (0, 1, 3) both give d(0,1) <= 0; the separation returns it once, on
+    # the unbounded first ray and on the capped first point alike.
+    cone = MetricConeLp(4, {pq: F(0) for pq in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]})
+    rows = [] if cap is None else [({(0, 1): F(1)}, "<=", cap)]
+    got = cone.optimize("min", {(0, 1): F(-1)}, rows)
+    assert (got.value, got.rounds) == (0, 2)
+
+
 def test_cone_lp_reports_rays():
     cone = MetricConeLp(2)
     out = cone.optimize("max", {(0, 1): F(1)})

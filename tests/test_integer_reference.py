@@ -2,8 +2,10 @@
 
 Metric validation, shortest-path closure, triangle separation, the cutting
 plane's violation check and max-flow decide on integer numerators over one
-common positive denominator. The Fraction versions are kept here, verbatim in
-logic, as references: every decision, message, cut and order must agree.
+common positive denominator; triangle separation and the violation check read
+the point as the integers an outcome carries. The Fraction versions are kept
+here, verbatim in logic, as references: every decision, message, cut and order
+must agree.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from vsparse import (
     validate_metric,
 )
 from vsparse import lp
-from vsparse.core import _exact_rows, _table_violation
+from vsparse.core import _exact_rows, _table_violation, integer_row
 from vsparse.extension import MetricConeLp
 from vsparse.sampling import random_fraction, random_graph, random_metric
 
@@ -79,7 +81,9 @@ def reference_triangle_cuts(cone, x, pins_zero):
                         coeffs[cone.index[key]] = coeffs.get(cone.index[key], ZERO) + sgn
                     else:
                         rhs -= sgn * cone.pinned[key]
-                cuts.append(lp.Constraint(coeffs, lp.LE, rhs))
+                cut = lp.Constraint(coeffs, lp.LE, rhs)
+                if cut not in cuts:  # two triangles can give one row
+                    cuts.append(cut)
     return cuts
 
 
@@ -168,19 +172,33 @@ def cone_case(rng, pinned):
     return cone, x
 
 
+def integer_cuts(cone, x, pins_zero):
+    # the separation reads the point as numerators over one denominator,
+    # and a ray with the pins at 0 as its numerators with scale 0
+    nums, scale = integer_row(x)
+    return cone._triangle_cuts(nums, 0 if pins_zero else scale)
+
+
 @pytest.mark.parametrize("pins_zero", [False, True], ids=["point", "ray"])
 @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
 @pytest.mark.parametrize("seed", range(10))
 def test_triangle_cuts_match_fraction_reference(seed, pinned, pins_zero):
     cone, x = cone_case(random.Random(seed), pinned)
-    cuts = cone._triangle_cuts(x, pins_zero)
-    assert cuts == reference_triangle_cuts(cone, x, pins_zero)
+    cuts = integer_cuts(cone, x, pins_zero)
+    reference = reference_triangle_cuts(cone, x, pins_zero)
+    assert cuts == reference
     assert all(type(c) is Fraction for cut in cuts for c in (*cut.coeffs.values(), cut.rhs))
+    for cut, ref in zip(cuts, reference):
+        # the stored integer row is the Fraction row scaled by its lcm
+        cols = sorted(ref.coeffs)
+        nums, scale = integer_row([*(ref.coeffs[j] for j in cols), ref.rhs])
+        assert (list(cut.cols), [*cut.nums, cut.rhs_num], cut.scale) == (cols, nums, scale)
+        assert (cut.coeffs, cut.rel, cut.rhs) == (ref.coeffs, ref.rel, ref.rhs)
 
 
 def test_triangle_cuts_cover_some_violations():
     # the seeded points above are far from metric, so the comparison is not vacuous
-    counts = [len(cone._triangle_cuts(x, False))
+    counts = [len(integer_cuts(cone, x, False))
               for cone, x in (cone_case(random.Random(s), True) for s in range(10))]
     assert sum(counts) > 0
 
@@ -188,11 +206,16 @@ def test_triangle_cuts_cover_some_violations():
 # --- cutting-plane violation check ------------------------------------------
 
 def random_outcome(rng, n):
+    # the outcome carries its point (and ray) as integers; x and ray are read lazily
     x = [random_fraction(rng, 6, rng.choice([1, 4, 9]), min_num=-3) for _ in range(n)]
     if rng.random() < 0.5:
-        return lp.LpOutcome(lp.OPTIMAL, x=x, value=ZERO)
-    ray = [random_fraction(rng, 4, rng.choice([1, 3, 10]), min_num=-2) for _ in range(n)]
-    return lp.LpOutcome(lp.UNBOUNDED, x=x, value=ZERO, ray=ray)
+        out = lp.LpOutcome(lp.OPTIMAL, ZERO, integer_row(x))
+        ray = None
+    else:
+        ray = [random_fraction(rng, 4, rng.choice([1, 3, 10]), min_num=-2) for _ in range(n)]
+        out = lp.LpOutcome(lp.UNBOUNDED, ZERO, integer_row(x), integer_row(ray))
+    assert (out.x, out.ray) == (x, ray)
+    return out
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -206,7 +229,7 @@ def test_cut_violation_matches_fraction_reference(seed):
         coeffs = {j: c for j, c in coeffs.items() if c}
         con = lp.Constraint(coeffs, rng.choice([lp.LE, lp.GE]),
                             random_fraction(rng, 6, 5, min_num=-6))
-        got = lp._cut_is_violated(lp._signature(con), lp._integer_outcome(out))
+        got = lp._cut_is_violated(lp._signature(con), out)
         assert got == reference_cut_is_violated(con, out)
 
 

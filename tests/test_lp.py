@@ -10,11 +10,13 @@ bounds or equations are written in that form by ``helpers.BoundedProgram``.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from vsparse import all_pairs, lp
+from vsparse.core import integer_row
 from vsparse.extension import MetricConeLp, min_extension
 from vsparse.operators import find_optimal_operator
 from vsparse.sampling import random_graph, random_metric
@@ -163,6 +165,11 @@ def test_every_outcome_passes_the_exact_audit(seed):
     p = random_program(random.Random(seed)).sign_constrained()
     out = lp.solve(p)
     lp.audit(p, out)
+    # the integer point and ray sit over their least common denominators
+    if out.point is not None:
+        assert out.point == integer_row(out.x)
+    if out.direction is not None:
+        assert out.direction == integer_row(out.ray)
 
 
 def test_random_programs_cover_all_statuses():
@@ -235,6 +242,56 @@ def test_warm_resolve_agrees_with_cold_solve(case):
     cold = lp.solve(p)
     lp.audit(p, cold)
     assert (out.status, out.value) == (cold.status, cold.value)
+
+
+@st.composite
+def cones_unbounded_at_first(draw):
+    """A metric cone on 3..6 points, some pairs pinned to a sum of cut
+    metrics, and a "min" objective negative on some variable pair, so the
+    first batch (no triangle row yet) is unbounded and triangle separation
+    starts from its ray, pins read 0."""
+    m = draw(st.integers(3, 6))
+    pairs = all_pairs(m)
+    d = dict.fromkeys(pairs, 0)
+    for mask, w in draw(st.lists(st.tuples(st.integers(1, (1 << m) - 2), st.integers(1, 3)),
+                                 max_size=3)):
+        for p, q in pairs:
+            d[(p, q)] += w * ((mask >> p & 1) != (mask >> q & 1))
+    pinned = {pq: F(d[pq]) for pq, pin in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if pin}
+    free = [pq for pq in pairs if pq not in pinned]
+    assume(free)
+    objective = {pq: F(draw(small_int), draw(st.integers(1, 3))) for pq in pairs}
+    objective[draw(st.sampled_from(free))] = F(-draw(st.integers(1, 3)))
+    return MetricConeLp(m, pinned), objective
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(cones_unbounded_at_first())
+def test_cutting_plane_from_an_unbounded_first_batch_agrees_with_cold_solve(case):
+    cone, objective = case
+    real, runs = lp.cutting_plane, []
+
+    def recorded(program, oracles, max_rounds):
+        seen = []
+
+        def oracle(out):
+            seen.append(out.status)
+            return oracles[0](out)
+
+        result = real(program, [oracle], max_rounds)
+        runs.append((program, result, seen))
+        return result
+
+    with mock.patch.object(lp, "cutting_plane", recorded):
+        got = cone.optimize("min", objective)
+    [(program, result, seen)] = runs
+    assert seen[0] == lp.UNBOUNDED
+    lp.audit(program, result.outcome)
+    cold = lp.solve(program)
+    lp.audit(program, cold)
+    assert (result.outcome.status, result.outcome.value) == (cold.status, cold.value)
+    assert got.status == cold.status
 
 
 # --- cutting plane -----------------------------------------------------
