@@ -138,18 +138,46 @@ def certify_metric(cert: MetricCertificate) -> Fraction | None:
     Sum of the family's minimum extensions over the minimum extension of
     the family's sum; subadditivity makes this at least 1 whenever the
     denominator is positive, and any valid sparsifier's quality must reach
-    it. A zero denominator certifies nothing.
+    it. A zero denominator certifies nothing. A member or sum that is a
+    scaled cut metric takes its minimum extension from max-flow, not an LP.
     """
     g = cert.graph
     total = zero_metric(g.k)
     numerator = ZERO
     for d in cert.metrics:
-        numerator += min_extension(g, d).value
+        numerator += _min_extension_value(g, d)
         total = total + d
-    denominator = min_extension(g, total).value
+    denominator = _min_extension_value(g, total)
     if denominator == 0:
         return None
     return numerator / denominator
+
+
+def _cut_scale(d: Metric) -> tuple[Fraction, list[int]] | None:
+    """``(c, side)`` when ``d`` is ``c > 0`` times the cut metric of
+    ``side``, a nonempty proper subset of its points; else None."""
+    first = d.rows[0]
+    side = [j for j, v in enumerate(first) if not v]
+    c = next((v for v in first if v), None)
+    if c is None:
+        return None
+    inside = set(side)
+    for i, row in enumerate(d.rows):
+        for j, v in enumerate(row):
+            if v != (c if (i in inside) != (j in inside) else 0):
+                return None
+    return c, side
+
+
+def _min_extension_value(g: WeightedGraph, d: Metric) -> Fraction:
+    """``min_extension(g, d).value``, in closed form on a scaled cut metric
+    ``c * delta_S``: c times the terminal min cut of S, since the min-cut LP
+    is integral."""
+    cut = _cut_scale(d)
+    if cut is None:
+        return min_extension(g, d).value
+    c, side = cut
+    return c * min_cut_via_flow(g, side)
 
 
 def harvest_certificate(report: OperatorSolveReport) -> MetricCertificate:

@@ -4,23 +4,25 @@ A small two-phase primal simplex with Bland's anti-cycling rule, so every
 solve is deterministic and every certificate is bit-exact. An optimal
 outcome keeps its tableau: once more rows are appended to the program,
 :func:`solve` re-solves from it by a dual simplex with no phase one, which
-is how :func:`cutting_plane` runs every round after the first.
-The dual simplex picks its leaving row by exact dual steepest edge and falls
-back to the dual Bland rule only while a basis it has already visited comes
-back. The tableau holds each row as integer numerators over one exact
-positive denominator and pivots fraction-free (cross-multiply, then divide
-out the gcd). Rows and points cross the cutting-plane loop as integers too:
-a :class:`Constraint` keeps its row once as numerators over its least common
-denominator, which the tableau and the loop's violation and repeat checks
-read, and an outcome keeps its point and ray as numerators over one
-positive denominator, read off the tableau. Programs come in, and every
-value comes out, as ``fractions.Fraction``, built only at that boundary: a
-row built from integers makes its coefficients on first read, and an
-outcome its ``x``, ``ray`` and ``duals``. Outcomes carry primal solutions,
-dual multipliers satisfying strong duality and complementary slackness
-exactly (built from the final reduced costs), and improving rays for
-unbounded programs. :func:`audit` re-verifies all of that from scratch and
-is switched on liberally in the test suite.
+is how :func:`cutting_plane` runs every round after the first. The dual
+simplex picks its leaving row by exact dual steepest edge and falls back to
+the dual Bland rule only while a basis it has already visited comes back.
+The tableau keeps only the columns of nonbasic variables (a row's basic
+entry and its zeros under the other basic variables are implicit), holds
+each row as integer numerators over one exact positive denominator and
+pivots fraction-free (cross-multiply, then divide out the gcd). Rows and
+points cross the cutting-plane loop as integers too: a :class:`Constraint`
+keeps its row once as numerators over its least common denominator, which
+the tableau and the loop's violation and repeat checks read, and an outcome
+keeps its point and ray as numerators over one positive denominator, read
+off the tableau. Programs come in, and every value comes out, as
+``fractions.Fraction``, built only at that boundary: a row built from
+integers makes its coefficients on first read, and an outcome its ``x``,
+``ray`` and ``duals``. Outcomes carry primal solutions, dual multipliers
+satisfying strong duality and complementary slackness exactly (built from
+the final reduced costs), and improving rays for unbounded programs.
+:func:`audit` re-verifies all of that from scratch and is switched on
+liberally in the test suite.
 
 Every variable is nonnegative and every other condition is an inequality
 row, so a program is ``min`` or ``max`` of ``c.x`` over ``x >= 0`` and rows
@@ -203,8 +205,8 @@ class LpOutcome:
     An optimal outcome of :func:`solve` also keeps its final ``tableau``, from
     which a later solve of the same program with rows appended starts.
     Its duals are built on first read from ``dual_source``, a copy of the
-    final reduced-cost row (numerators, denominator) and of each row's
-    ``(column, sign)``, taken because a later solve takes the tableau over.
+    final reduced costs (numerators, labels, denominator) and of each row's
+    ``(slack label, sign)``, taken as a later solve takes the tableau over.
     """
 
     status: str
@@ -212,7 +214,7 @@ class LpOutcome:
     point: tuple[list[int], int] | None = None
     direction: tuple[list[int], int] | None = None
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
-    dual_source: tuple[list[int], int, list[tuple[int, int]]] | None = field(
+    dual_source: tuple[list[int], list[int], int, list[tuple[int, int]]] | None = field(
         default=None, repr=False, compare=False)
     _x: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
     _ray: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
@@ -236,8 +238,9 @@ class LpOutcome:
     def duals(self) -> list[Fraction] | None:
         """One multiplier per constraint of an optimal outcome, else None."""
         if self._duals is None and self.dual_source is not None:
-            red, den, entries = self.dual_source
-            self._duals = [sign * Fraction(red[col], den) for col, sign in entries]
+            red, cols, den, entries = self.dual_source
+            red_of = dict(zip(cols, red))  # a basic label's reduced cost is 0
+            self._duals = [sign * Fraction(red_of.get(col, 0), den) for col, sign in entries]
             self.dual_source = None
         return self._duals
 
@@ -254,10 +257,9 @@ def _eliminate(row: list[int], den: int, f: int, prow: list[int], pden: int,
                nz: list[int]) -> tuple[list[int], int]:
     """``row/den - (f/den) * prow/pden`` over ``len(row)`` columns.
 
-    ``nz`` lists the nonzero columns of ``prow`` below ``len(row)``. When
-    ``pden`` divides ``f`` only those entries change, in place; otherwise the
-    row is cross-multiplied and divided by the gcd of its entries and
-    denominator.
+    ``nz`` lists the nonzero columns of ``prow`` below ``len(row)``, the
+    only entries that change: in place when ``pden`` divides ``f``, else in
+    the scaled row, divided then by the gcd of its entries and denominator.
     """
     g = gcd(f, pden)
     if g == pden:
@@ -266,7 +268,9 @@ def _eliminate(row: list[int], den: int, f: int, prow: list[int], pden: int,
             row[idx] -= mult * prow[idx]
         return row, den
     scale, mult = pden // g, f // g
-    new = [a * scale - mult * b for a, b in zip(row, prow)]
+    new = [a * scale for a in row]
+    for idx in nz:
+        new[idx] -= mult * prow[idx]
     den *= scale
     g = gcd(den, *new)
     if g > 1:
@@ -275,96 +279,109 @@ def _eliminate(row: list[int], den: int, f: int, prow: list[int], pden: int,
     return new, den
 
 
-def _row_norm(row: list[int]) -> int:
-    """The sum of squares of a tableau row's numerators outside the rhs."""
-    return sum(map(mul, row, row)) - row[-1] * row[-1]
+def _row_norm(row: list[int], den: int) -> int:
+    """The sum of squares of a row's numerators outside the rhs, ``den`` included."""
+    return den * den + sum(map(mul, row, row)) - row[-1] * row[-1]
 
 
 class _Tableau:
-    """Dense simplex tableau of integer numerators; rhs in the last column.
+    """Condensed simplex tableau of integer numerators: one column per
+    nonbasic label, then the rhs.
 
-    Row r stands for ``rows[r][idx] / dens[r]`` with ``dens[r] > 0``, and the
-    reduced-cost row likewise for ``red[idx] / red_den``. A pivot rescales the
-    pivot row so its pivot entry equals the denominator, cross-multiplies the
-    other rows against it and divides each touched row by the gcd of its
-    entries and denominator, so the values stay exact rationals without any
-    Fraction arithmetic. Every pivoting decision reads only a sign or an
-    exact comparison of integer products, so the pivot sequence is the one a
-    tableau of Fractions would take. ``norms[r]`` caches the sum of squares
-    of row r's numerators outside the rhs, ``None`` once the row has changed;
-    the dual simplex fills it in when it needs it. ``layout`` maps the
-    program onto the columns.
+    Labels name the program's columns: its variables, then each row's slack,
+    with an artificial right after the slack of a row that needs one.
+    ``cols[p]`` is the label at position p and ``basis[r]`` the label basic
+    in row r. Row r stands for ``rows[r][p] / dens[r]`` with ``dens[r] > 0``;
+    its own basic entry, always ``dens[r]``, and its zeros under the other
+    basic labels are implicit. The reduced-cost row ``red[p] / red_den`` is
+    zero on basic labels. A pivot swaps labels: the entering position takes
+    the leaving label, whose entry is the pivot row's old denominator and
+    zero in every other row. It then rescales the pivot row so its pivot
+    entry equals the denominator, cross-multiplies the other rows against it
+    and divides each touched row by the gcd of its entries and denominator,
+    so the values stay exact rationals without any Fraction arithmetic.
+    Every pivoting decision reads only a sign or an exact comparison of
+    integer products and breaks ties by label, so the pivot sequence is the
+    one a full tableau of Fractions would take. ``norms[r]`` caches
+    :func:`_row_norm` of row r, ``None`` once the row has changed; the dual
+    simplex fills it in when it needs it. There are ``len(cols) + len(rows)``
+    labels, and ``layout`` maps the program onto them.
     """
 
-    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int], ncols: int,
-                 layout: _Layout):
+    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int],
+                 cols: list[int], layout: _Layout):
         self.rows = rows
         self.dens = dens
         self.basis = basis
-        self.ncols = ncols  # structural + slack + artificial, excluding rhs
+        self.cols = cols
         self.norms: list[int | None] = [None] * len(rows)
         self.red: list[int] = []
         self.red_den = 1
         self.layout = layout
 
     def pivot(self, pr: int, pc: int) -> None:
-        prow = self.rows[pr]
+        rows, dens, norms = self.rows, self.dens, self.norms
+        prow = rows[pr]
         pden = prow[pc]
+        prow[pc] = dens[pr]  # the leaving label's entry
         if pden < 0:
             prow = [-v for v in prow]
             pden = -pden
-        g = gcd(*prow)
+        g = gcd(pden, *prow)
         if g > 1:
             prow = [v // g for v in prow]
             pden //= g
-        self.rows[pr], self.dens[pr] = prow, pden
-        norms = self.norms
+        rows[pr], dens[pr] = prow, pden
         norms[pr] = None
         nz = [idx for idx, v in enumerate(prow) if v]
-        for r, row in enumerate(self.rows):
+        for r, row in enumerate(rows):
             f = row[pc]
             if f and r != pr:
-                self.rows[r], self.dens[r] = _eliminate(row, self.dens[r], f, prow, pden, nz)
+                row[pc] = 0
+                rows[r], dens[r] = _eliminate(row, dens[r], f, prow, pden, nz)
                 norms[r] = None
         f = self.red[pc]
         if f:
-            if nz[-1] == self.ncols:
+            self.red[pc] = 0
+            if nz[-1] == len(self.red):
                 nz.pop()  # the reduced-cost row has no rhs column
             self.red, self.red_den = _eliminate(self.red, self.red_den, f, prow, pden, nz)
-        self.basis[pr] = pc
+        self.basis[pr], self.cols[pc] = self.cols[pc], self.basis[pr]
 
-    def set_reduced_costs(self, cost: list[int], cost_den: int) -> None:
-        """Reduced costs of ``cost / cost_den`` against the current basis."""
-        basic = [(cost[b], r) for r, b in enumerate(self.basis) if cost[b]]
+    def _reduce(self, row: list[int], den: int,
+                basic: list[tuple[int, int]]) -> tuple[list[int], int]:
+        """``row / den`` minus ``c / den`` times row r for each ``(c, r)`` of
+        ``basic``, over one positive denominator with the common factor of the
+        entries divided out."""
         scale = lcm(*[self.dens[r] for _, r in basic])  # a list, see core._exact_rows
-        red = [c * scale for c in cost]
-        for cb, r in basic:
-            mult = cb * (scale // self.dens[r])
-            red = [a - mult * b for a, b in zip(red, self.rows[r])]
-        den = cost_den * scale
-        g = gcd(den, *red)
+        row = [v * scale for v in row]
+        for c, r in basic:
+            mult = c * (scale // self.dens[r])
+            row = [a - mult * b for a, b in zip(row, self.rows[r])]
+        den *= scale
+        g = gcd(den, *row)
         if g > 1:
-            red = [v // g for v in red]
+            row = [v // g for v in row]
             den //= g
-        self.red, self.red_den = red, den
+        return row, den
 
     def run(self, cost: list[int], cost_den: int,
             enterable: Sequence[bool]) -> tuple[str, int | None]:
-        """Bland-rule simplex to optimality; returns (status, entering col).
+        """Bland-rule simplex on ``cost / cost_den``, one cost per label, to
+        optimality; returns (status, entering position).
 
-        status "optimal" means no enterable column has negative reduced cost;
-        "unbounded" reports the entering column whose ratio test found no
+        status "optimal" means no enterable label has negative reduced cost;
+        "unbounded" reports the entering position whose ratio test found no
         blocking row. The final reduced costs stay in ``red`` / ``red_den``.
         """
-        self.set_reduced_costs(cost, cost_den)
-        rows, basis = self.rows, self.basis
+        rows, basis, cols = self.rows, self.basis, self.cols
+        basic = [(cost[b], r) for r, b in enumerate(basis) if cost[b]]
+        self.red, self.red_den = self._reduce([cost[c] for c in cols], cost_den, basic)
         while True:
-            red = self.red
             pc = -1
-            for idx in range(self.ncols):
-                if enterable[idx] and red[idx] < 0:
+            for idx, rc in enumerate(self.red):
+                if rc < 0 and enterable[cols[idx]] and (pc < 0 or cols[idx] < cols[pc]):
                     pc = idx
-                    break
             if pc < 0:
                 return OPTIMAL, None
             # Ratios rhs/a compare by cross-multiplication: the row's
@@ -381,36 +398,31 @@ class _Tableau:
                 return UNBOUNDED, pc
             self.pivot(pr, pc)
 
-    def append_rows(self, rows: list[list[int]], dens: list[int]) -> None:
-        """Append rows whose last ``len(rows)`` columns before the rhs are
-        their own new slacks, entered basic.
+    def append_rows(self, new: Sequence[Constraint]) -> None:
+        """Append constraints as rows with new slack labels, entered basic,
+        ">=" rows negated into "<=" rows.
 
-        Every existing row gains zeros in the new columns, and so does the
-        reduced-cost row: a basic slack has reduced cost zero. The zeros leave
-        the old rows' norms as they were; the new rows have none yet. Each
-        new row is reduced against the current basis, so it reads zero in
-        every basic column but its slack.
+        The old rows and the reduced costs do not change: a basic label has
+        no column. Each new row is reduced against the basic rows of the
+        labels it touches, so it reads zero under every basic label but its
+        slack; it has no norm yet.
         """
-        width = len(rows)
-        for row in self.rows:
-            row[-1:-1] = [0] * width
-        self.red += [0] * width
-        self.norms += [None] * width
-        nonzero: dict[int, list[int]] = {}
-        for offset, (row, den) in enumerate(zip(rows, dens)):
-            for r, b in enumerate(self.basis):
-                f = row[b]
-                if f:
-                    prow = self.rows[r]
-                    if r not in nonzero:
-                        nonzero[r] = [idx for idx, v in enumerate(prow) if v]
-                    row, den = _eliminate(row, den, f, prow, self.dens[r], nonzero[r])
-            rows[offset], dens[offset] = row, den
-        slacks = range(self.ncols, self.ncols + width)
-        self.rows += rows
-        self.dens += dens
-        self.basis += slacks
-        self.ncols += width
+        pos = {c: p for p, c in enumerate(self.cols)}
+        row_of = {b: r for r, b in enumerate(self.basis)}
+        for con in new:
+            sgn = -1 if con.rel == GE else 1
+            row = [0] * len(pos) + [sgn * con.rhs_num]
+            basic = []
+            for j, c in zip(con.cols, con.nums):
+                if j in pos:
+                    row[pos[j]] = sgn * c
+                else:
+                    basic.append((sgn * c, row_of[j]))
+            row, den = self._reduce(row, con.scale, basic)
+            self.basis.append(len(self.cols) + len(self.rows))  # the new slack label
+            self.rows.append(row)
+            self.dens.append(den)
+            self.norms.append(None)
 
     def run_dual(self, enterable: Sequence[bool]) -> bool:
         """Dual simplex from a dual feasible basis to optimality.
@@ -418,19 +430,19 @@ class _Tableau:
         The leaving row is chosen by exact dual steepest edge: among the rows
         with a negative rhs, the one with the largest ``rhs_r**2 / N_r``,
         where ``N_r`` is the row's cached norm (its denominator cancels),
-        ties to the lowest basic column. The entering column is the
-        enterable column with a negative entry in that row that minimizes
-        ``red_j / -a_rj``, ties to the lowest column. Returns False when a
-        leaving row has no such column, which proves the program infeasible.
+        ties to the lowest basic label. The entering position is the
+        enterable one with a negative entry in that row that minimizes
+        ``red_j / -a_rj``, ties to the lowest label. Returns False when a
+        leaving row has no such position, which proves the program infeasible.
 
         A dual-degenerate pivot (entering reduced cost zero) leaves the dual
         objective where it was, so only a run of them can cycle. The sorted
         basis before each is remembered until the next nondegenerate pivot;
         if one comes back, the leaving row is the dual Bland rule's (the
-        lowest basic column with a negative rhs) until the next
+        lowest basic label with a negative rhs) until the next
         nondegenerate pivot. Bland's rule cannot cycle, so neither can this.
         """
-        rows, basis, norms = self.rows, self.basis, self.norms
+        rows, dens, basis, cols, norms = self.rows, self.dens, self.basis, self.cols, self.norms
         seen: set[tuple[int, ...]] = set()
         bland = False
         while True:
@@ -446,7 +458,7 @@ class _Tableau:
                     continue
                 norm = norms[r]
                 if norm is None:
-                    norm = norms[r] = _row_norm(row)
+                    norm = norms[r] = _row_norm(row, dens[r])
                 # rhs_r**2 / N_r against the best so far, cross-multiplied.
                 sq = rhs * rhs
                 diff = sq * best_norm - best_sq * norm
@@ -460,8 +472,10 @@ class _Tableau:
             pc = -1
             best_red = best_a = 0
             for idx, a in enumerate(rows[pr][:-1]):
-                if a < 0 and enterable[idx] and (pc < 0 or red[idx] * best_a > best_red * a):
-                    pc, best_red, best_a = idx, red[idx], a
+                if a < 0 and enterable[cols[idx]]:
+                    diff = red[idx] * best_a - best_red * a
+                    if pc < 0 or diff > 0 or (diff == 0 and cols[idx] < cols[pc]):
+                        pc, best_red, best_a = idx, red[idx], a
             if pc < 0:
                 return False
             if red[pc]:
@@ -477,7 +491,7 @@ class _Tableau:
 class _Layout:
     """How a program sits in its tableau: enough to read an outcome off the
     tableau and to append more rows of the same program to it. Variable j
-    is column j."""
+    is label j."""
 
     def __init__(self, program: LinearProgram):
         self.program = program
@@ -485,8 +499,8 @@ class _Layout:
         # the objective as columns and numerators over one positive denominator
         self.cost_cols = list(program.objective)
         self.cost_nums, self.cost_den = integer_row(list(program.objective.values()))
-        # per row of the program in the tableau: the column whose reduced cost
-        # is its dual, and the dual's sign
+        # per row of the program in the tableau: the label whose reduced cost
+        # is its dual, and the dual's sign; and per label, whether it may enter
         self.duals: list[tuple[int, int]] = []
         self.enterable: list[bool] = []
 
@@ -539,66 +553,55 @@ def solve(lp: LinearProgram, previous: LpOutcome | None = None) -> LpOutcome:
 def _solve_cold(lp: LinearProgram) -> LpOutcome:
     """Two-phase primal simplex from the slack and artificial basis."""
     minimize = lp.sense == "min"
-
-    # Columns: the variables, then each row's slack, followed by an
-    # artificial when the row is ">=" once its rhs is made nonnegative.
-    ncols = lp.n_vars
-    slack_of: list[int] = []
-    art_of: dict[int, int] = {}
-    for r, con in enumerate(lp.constraints):
-        slack_of.append(ncols)
-        ncols += 1
-        if (con.rel == GE) != (con.rhs_num < 0):
-            art_of[r] = ncols
-            ncols += 1
-
     layout = _Layout(lp)
+
+    # Labels: the variables, then each row's slack, followed by an artificial
+    # when the row is ">=" once its rhs is made nonnegative. The artificial,
+    # or else the slack, starts basic; the variables and the slacks beside an
+    # artificial start nonbasic, in that order.
+    needs_art = [(con.rel == GE) != (con.rhs_num < 0) for con in lp.constraints]
+    ncols = lp.n_vars
+    cols = list(range(ncols))
+    width = ncols + sum(needs_art)
     rows: list[list[int]] = []
-    dens: list[int] = []
     basis: list[int] = []
-    for r, con in enumerate(lp.constraints):
-        row = _tableau_row(con.cols, con.nums, con.rhs_num, con.rhs_num < 0, ncols)
-        if r in art_of:
-            row[slack_of[r]] = -con.scale
-            row[art_of[r]] = con.scale
-            basis.append(art_of[r])
-        else:
-            row[slack_of[r]] = con.scale
-            basis.append(slack_of[r])
+    for con, art in zip(lp.constraints, needs_art):
+        layout.duals.append((ncols, _dual_sign(con.rel, minimize)))
+        row = _tableau_row(con.cols, con.nums, con.rhs_num, con.rhs_num < 0, width)
+        if art:
+            row[len(cols)] = -con.scale
+            cols.append(ncols)
+            ncols += 1
         rows.append(row)
-        dens.append(con.scale)
-        layout.duals.append((slack_of[r], _dual_sign(con.rel, minimize)))
-
-    tab = _Tableau(rows, dens, basis, ncols, layout)
+        basis.append(ncols)
+        ncols += 1
+    tab = _Tableau(rows, [con.scale for con in lp.constraints], basis, cols, layout)
     artificial = [False] * ncols
-    for col in art_of.values():
-        artificial[col] = True
+    for b, art in zip(basis, needs_art):
+        artificial[b] = art
 
-    # Internal objective: minimize (negated for max), on the variable columns.
+    # Internal objective: minimize (negated for max), on the variable labels.
     cost2 = _tableau_row(layout.cost_cols, layout.cost_nums, 0, not minimize, ncols)
     cost2.pop()  # no rhs
 
-    if art_of:
-        cost1 = [1 if artificial[idx] else 0 for idx in range(ncols)]
-        enterable = [True] * ncols
-        status, _ = tab.run(cost1, 1, enterable)
+    if any(artificial):
+        status, _ = tab.run([int(a) for a in artificial], 1, [True] * ncols)
         check(status == OPTIMAL, "phase one is bounded below by zero but reported unbounded")
-        if any(artificial[tab.basis[r]] and tab.rows[r][-1] != 0
-               for r in range(len(tab.rows))):
+        if any(artificial[b] and row[-1] for b, row in zip(basis, tab.rows)):
             return LpOutcome(INFEASIBLE)
         # Drive the artificials left basic at zero out of the basis. Every
-        # row has a slack column of its own, so the rows are independent
-        # outside the artificial columns and none of them vanishes there.
+        # row has a slack label of its own, so the rows are independent
+        # outside the artificial labels and none of them vanishes there.
         for r in range(len(tab.rows)):
-            if not artificial[tab.basis[r]]:
+            if not artificial[basis[r]]:
                 continue
-            row = tab.rows[r]
-            pc = next((idx for idx in range(ncols)
-                       if not artificial[idx] and row[idx]), None)
-            check(pc is not None, f"tableau row {r} is zero outside the artificial columns")
+            pc = min((idx for idx, v in enumerate(tab.rows[r][:-1])
+                      if v and not artificial[cols[idx]]), key=cols.__getitem__, default=None)
+            check(pc is not None, f"tableau row {r} is zero outside the artificial labels")
             tab.pivot(r, pc)
 
-    layout.enterable = [not artificial[idx] for idx in range(ncols)]
+    # The artificials keep their columns, never to enter again.
+    layout.enterable = [not a for a in artificial]
     status, enter_col = tab.run(cost2, layout.cost_den, layout.enterable)
     return _outcome(lp, tab, status, enter_col)
 
@@ -606,20 +609,13 @@ def _solve_cold(lp: LinearProgram) -> LpOutcome:
 def _resolve(lp: LinearProgram, tab: _Tableau, new: Sequence[Constraint]) -> LpOutcome:
     """Append ``new`` to an optimal tableau and re-solve it by the dual
     simplex: the old basis stays dual feasible, and each new row enters with
-    its slack basic, ">=" rows negated into "<=" rows."""
+    its slack basic."""
     layout = tab.layout
     minimize = lp.sense == "min"
-    ncols = tab.ncols + len(new)
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    for offset, con in enumerate(new):
-        row = _tableau_row(con.cols, con.nums, con.rhs_num, con.rel == GE, ncols)
-        row[tab.ncols + offset] = con.scale  # the row's slack
-        rows.append(row)
-        dens.append(con.scale)
-        layout.duals.append((tab.ncols + offset, _dual_sign(con.rel, minimize)))
+    layout.duals += [(len(layout.enterable) + offset, _dual_sign(con.rel, minimize))
+                     for offset, con in enumerate(new)]
     layout.enterable += [True] * len(new)
-    tab.append_rows(rows, dens)
+    tab.append_rows(new)
     if not tab.run_dual(layout.enterable):
         return LpOutcome(INFEASIBLE)
     return _outcome(lp, tab, OPTIMAL, None)
@@ -651,13 +647,14 @@ def _outcome(lp: LinearProgram, tab: _Tableau, status: str, enter_col: int | Non
 
     if status == UNBOUNDED:
         check(enter_col is not None, "unbounded phase two reported no entering column")
-        entries = [(enter_col, 1, 1)] if enter_col < n else []
+        label = tab.cols[enter_col]
+        entries = [(label, 1, 1)] if label < n else []
         entries += [(b, -rows[r][enter_col], dens[r]) for r, b in enumerate(tab.basis) if b < n]
         return LpOutcome(UNBOUNDED, value, point, _common(entries, n))
 
-    # Duals from the reduced costs of the identity-seeded column of each row.
+    # Duals from the reduced costs of each row's slack label.
     return LpOutcome(OPTIMAL, value, point, tableau=tab,
-                     dual_source=(tab.red[:], tab.red_den, layout.duals[:]))
+                     dual_source=(tab.red[:], tab.cols[:], tab.red_den, layout.duals[:]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from vsparse import certificates
+from vsparse.core import bipartitions
 from vsparse import (
     CutCertificate,
     MetricCertificate,
@@ -162,6 +164,66 @@ def test_metric_certificate_scaling_invariance():
         scaled = [Metric([[c * d.dist(p, q) for q in range(3)] for p in range(3)])
                   for d in family]
         assert certify_metric(MetricCertificate(g, scaled)) == base
+
+
+@pytest.fixture
+def lp_extensions(monkeypatch):
+    """The metrics certificates hands to the min_extension LP, in order."""
+    real, calls = certificates.min_extension, []
+
+    def counted(g, d):
+        calls.append(d)
+        return real(g, d)
+
+    monkeypatch.setattr(certificates, "min_extension", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scaled_cut_metrics_take_the_min_cut_closed_form(seed, lp_extensions):
+    rng = random.Random(seed)
+    g, _ = canonicalize(random_graph(rng, rng.randint(4, 6), rng.randint(2, 4)))
+    for mask in range(1, (1 << g.k) - 1):
+        side = [p for p in range(g.k) if mask >> p & 1]
+        for c in (F(1), F(rng.randint(1, 9), rng.randint(1, 4))):
+            d = cut_metric(side, g.k).scale(c)
+            scale, read = certificates._cut_scale(d)
+            assert scale == c and cut_metric(read, g.k) == cut_metric(side, g.k)
+            assert certificates._min_extension_value(g, d) == min_extension(g, d).value
+    assert not lp_extensions
+
+
+def test_other_metrics_go_to_the_lp(lp_extensions):
+    g = unit_star(3)
+    others = [Metric([[0] * 3] * 3), Metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+              Metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), cut_metric([0], 3) + cut_metric([1], 3)]
+    for d in others:
+        assert certificates._cut_scale(d) is None
+        assert certificates._min_extension_value(g, d) == min_extension(g, d).value
+    assert lp_extensions == others
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cut_scale_reads_exactly_the_scaled_cut_metrics(seed):
+    rng = random.Random(seed)
+    k = rng.randint(2, 4)
+    d = random_metric(rng, k, max_num=2, max_den=1)
+    cuts = [(d.dist(p, q), side) for _, side in bipartitions(k)
+            for p in side for q in range(k) if q not in side]
+    expected = any(c > 0 and d == cut_metric(side, k).scale(c) for c, side in cuts)
+    assert (certificates._cut_scale(d) is not None) == expected
+
+
+def test_certify_metric_solves_lps_only_off_the_cut_metrics(lp_extensions):
+    g = unit_star(3)
+    cut, path = cut_metric([0], 3).scale(2), Metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    bound = certify_metric(MetricCertificate(g, [cut, path]))
+    assert lp_extensions == [path, cut + path]
+    values = [min_extension(g, d).value for d in (cut, path, cut + path)]
+    assert bound == (values[0] + values[1]) / values[2]
+    lp_extensions.clear()
+    assert certify_metric(MetricCertificate(g, [cut, cut_metric([0], 3)])) == 1
+    assert not lp_extensions
 
 
 def test_metric_certificate_validation():

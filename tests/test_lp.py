@@ -598,7 +598,7 @@ def test_a_repeated_basis_hands_the_leaving_row_to_bland(monkeypatch):
     # by a random search; steepest edge revisited no basis on any program
     # searched). Every pivot is degenerate, so a basis seen twice is the
     # guard handing the leaving row to Bland's rule, which ends the run.
-    monkeypatch.setattr(lp, "_row_norm", lambda row: 1)
+    monkeypatch.setattr(lp, "_row_norm", lambda row, den: 1)
     p = lp.LinearProgram(4, "min")
     first = lp.solve(p)
     for coeffs, rhs in [([-5, -4, 3, 4], 1), ([-8, -6, 5, 4], -2), ([-7, 7, -2, -4], -8),
