@@ -86,10 +86,11 @@ def _pair_numerators(m: int, values: Mapping[Pair, FractionLike]) -> tuple[list[
     """A pair-keyed mapping as integer numerators over ``all_pairs(m)`` and
     their positive common denominator."""
     index = _pair_index(m)
-    dense = [ZERO] * len(index)
-    for pq, c in values.items():
-        dense[index[pq]] = as_fraction(c)
-    return integer_row(dense)
+    nums, scale = integer_row([as_fraction(c) for c in values.values()])
+    dense = [0] * len(index)
+    for pq, v in zip(values, nums):
+        dense[index[pq]] = v
+    return dense, scale
 
 
 def _on_rays(m: int, nums: Sequence[int]) -> list[int]:
@@ -143,9 +144,12 @@ def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
     if rel == lp.LE and (best is None or best[1] <= 0):
         return MetricLpResult(lp.OPTIMAL, ZERO, zero_metric(m), None, 0)
     r, cr, ar = best
-    step = rhs * Fraction(a_scale, ar)  # the optimal vertex is step * ray
-    value = step * Fraction(sign * cr, c_scale)
-    return MetricLpResult(lp.OPTIMAL, value, _ray_metric(m, r, step), None, 0)
+    # the optimal vertex is step * ray with step = rhs * a_scale / ar
+    step_num, step_den = rhs.numerator * a_scale, rhs.denominator * ar
+    value = Fraction(step_num * sign * cr, step_den * c_scale)
+    witness = (_normalized_ray(m, r) if step_num * sum(cone_rays(m)[r]) == step_den
+               else _ray_metric(m, r, Fraction(step_num, step_den)))
+    return MetricLpResult(lp.OPTIMAL, value, witness, None, 0)
 
 
 def _ray_metric(m: int, r: int, step: Fraction) -> Metric:
@@ -154,6 +158,13 @@ def _ray_metric(m: int, r: int, step: Fraction) -> Metric:
     for (p, q), v in zip(all_pairs(m), cone_rays(m)[r]):
         table[p][q] = table[q][p] = step * v
     return Metric(table)
+
+
+@functools.cache
+def _normalized_ray(m: int, r: int) -> Metric:
+    """The r-th ray of ``cone_rays(m)`` over its pair mass: the vertex it
+    gives a program normalized by sum d <= 1, such as the membership probe."""
+    return _ray_metric(m, r, Fraction(1, sum(cone_rays(m)[r])))
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +218,16 @@ class MetricConeLp:
         self.pinned = dict(pinned) if pinned else {}
         self.var_pairs = [pq for pq in all_pairs(m) if pq not in self.pinned]
         self.index = {pq: j for j, pq in enumerate(self.var_pairs)}
-        pin_nums, self.pin_scale = integer_row(list(self.pinned.values()))
+
+    @functools.cached_property
+    def _scaled_pins(self) -> tuple[list[tuple[int | None, int]], int]:
+        """Per pair of ``all_pairs(m)``, its variable's column, or None and the
+        pin's numerator; and the pins' positive common denominator. Built on
+        the first triangle separation, so a cone read off its rays never
+        scales its pins."""
+        pin_nums, pin_scale = integer_row(list(self.pinned.values()))
         pin_of = dict(zip(self.pinned, pin_nums))
-        # per pair of all_pairs(m): its variable's column, or None and the
-        # pin's numerator over pin_scale
-        self.slots = [(self.index.get(pq), pin_of.get(pq, 0)) for pq in all_pairs(m)]
+        return [(self.index.get(pq), pin_of.get(pq, 0)) for pq in all_pairs(self.m)], pin_scale
 
     def _full_values(self, x: Sequence[Fraction], pins_zero: bool) -> list[list[Fraction]]:
         rows = [[ZERO] * self.m for _ in range(self.m)]
@@ -231,7 +247,7 @@ class MetricConeLp:
         with only one unpinned pair can give the same row; it is returned
         once.
         """
-        ps, slots = self.pin_scale, self.slots
+        slots, ps = self._scaled_pins
         vals = [pin * scale if j is None else nums[j] * ps for j, pin in slots]
         cuts = []
         rows = set()

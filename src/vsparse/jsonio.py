@@ -35,19 +35,23 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# Only "num/den" and bare integers: Fraction() alone would also take
+# decimals, exponents ("1e999999999" builds a billion-digit integer),
+# underscores, padding and non-ASCII digits.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_fraction(text: Any, path: str = "value") -> Fraction:
     if not isinstance(text, str):
         raise JsonFormatError(path, f"expected a rational string, got {type(text).__name__}")
-    # Only "num/den" and bare integers: Fraction() alone would also take
-    # decimals, exponents ("1e999999999" builds a billion-digit integer),
-    # underscores, padding and non-ASCII digits.
-    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
         raise JsonFormatError(path, f"bad rational {_quote(text)}: expected \"num/den\" or an integer")
+    num, den = match.groups()
     try:
-        value = Fraction(text)
+        return Fraction(int(num), int(den) if den else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise JsonFormatError(path, f"bad rational {_quote(text)}: {exc}") from None
-    return value
 
 
 def dump_canonical(data: Any) -> str:

@@ -4,16 +4,17 @@ An extension operator is a nonnegative tensor phi taking a terminal metric
 d_Y to a vertex metric phi(d_Y) that extends it; its distortion Q is the
 worst ratio of the weighted cost of phi(d_Y) to the minimum extension cost
 of d_Y. The optimal operator is found by a master LP over (phi, Q) with two
-lazy separation families, each found by the public oracle of the same name
-run on the operator of the master iterate:
+lazy separation families, each separated as the public oracle of the same
+name separates it:
 
 * membership cuts force every triangle row of the image cone, maximizing
   each row over the slice sum d <= 1 of the terminal metric cone. The scan
-  runs on the image tensor as integer numerators over one positive
-  denominator: a row with no positive coefficient, or (for at most five
-  terminals) one that no extreme ray of the terminal metric cone makes
-  positive, is settled on integers, and only the rows left become
-  ``Fraction`` objectives;
+  runs on the operator as integer numerators over one positive
+  denominator, for the master straight from its integer point. On at most
+  five terminals it takes the image of each extreme ray of the terminal
+  metric cone once and settles every row that no ray image violates; on
+  more it settles the rows with no positive coefficient. Only the rows
+  left become ``Fraction`` objectives;
 * distortion cuts bound the image cost against Q times the exact minimum
   extension of the restricted witness metric.
 
@@ -34,8 +35,10 @@ relabels its input accordingly and reports the relabeling.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, gt, mul
 from typing import Mapping, Sequence
 
 from . import jsonio, lp
@@ -56,7 +59,7 @@ from .core import (
     integer_table,
     pair,
 )
-from .extension import RAY_POINTS, MetricConeLp, _on_rays, min_cut_via_flow, min_extension
+from .extension import RAY_POINTS, MetricConeLp, cone_rays, min_cut_via_flow, min_extension
 
 class NoFiniteDistortionError(RuntimeError):
     """No operator of finite distortion exists under these weights."""
@@ -208,33 +211,38 @@ def _triangle_rows(n: int, k: int) -> tuple[tuple[tuple[int, int, int], int, int
     return tuple(rows)
 
 
-def _membership_violations(phi: ExtensionOperator, first_only: bool) -> list[MembershipViolation]:
+def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]], scale: int,
+                     first_only: bool) -> list[MembershipViolation]:
     """The triangle rows of the image cone that some terminal metric violates.
 
-    The scan runs on ``integer_table`` over ``phi.value``: row a, column b
-    holds the coefficient of the a-th X-pair of ``all_pairs(n)`` and the b-th
-    Y-pair of ``all_pairs(k)`` as an integer numerator over one positive
-    denominator. Each row's functional on the terminal metric is one integer
-    list. A functional with no positive entry is at most 0 on every
-    nonnegative metric, and one at most 0 on every extreme ray of
-    ``cone_rays(k)`` is at most 0 on the whole cone; either way the row
-    holds without a probe. Only the rows left are maximized over the slice
-    sum d <= 1 of the terminal metric cone, with the functional back in
-    ``Fraction``s; a positive optimum is a violation.
+    ``table`` holds the operator as integer numerators over the positive
+    denominator ``scale``: row a, column b is the coefficient of the a-th
+    X-pair of ``all_pairs(n)`` and the b-th Y-pair of ``all_pairs(k)``,
+    terminal rows included. On at most ``RAY_POINTS`` terminals the image
+    phi(r) of each extreme ray r of ``cone_rays(k)`` is taken on every X-pair
+    once; a row that no ray image violates is at most 0 on every ray, so on
+    the whole cone, and holds without a probe. On more terminals a row with
+    no positive coefficient is at most 0 on every nonnegative metric and
+    holds. Only the rows left are maximized over the slice sum d <= 1 of the
+    terminal metric cone, with the functional in ``Fraction``s; a positive
+    optimum is a violation.
     """
-    n, k = phi.n, phi.k
     if k < 2:
         return []  # a single terminal admits only the zero metric
     ypairs = all_pairs(k)
-    table, scale = integer_table([[phi.value(xp, yp) for yp in ypairs] for xp in all_pairs(n)])
     norm_row = ({yp: ONE for yp in ypairs}, lp.LE, ONE)
+    rows = _triangle_rows(n, k)
+    if k <= RAY_POINTS:
+        rays = cone_rays(k)
+        images = [[sum(map(mul, t, ray)) for ray in rays] if any(t) else [0] * len(rays)
+                  for t in table]
+        rows = [row for row in rows
+                if any(map(gt, images[row[1]], map(add, images[row[2]], images[row[3]])))]
     found: list[MembershipViolation] = []
-    for where, ij, il, lj in _triangle_rows(n, k):
+    for where, ij, il, lj in rows:
         row = [a - b - c for a, b, c in zip(table[ij], table[il], table[lj])]
         if max(row) <= 0:
             continue  # nonnegative metrics cannot push this row positive
-        if k <= RAY_POINTS and max(_on_rays(k, row)) <= 0:
-            continue  # nor can any extreme ray, so no metric can
         objective = {yp: Fraction(v, scale) for yp, v in zip(ypairs, row) if v}
         result = MetricConeLp(k).optimize("max", objective, [norm_row])
         lp.check(result.status == lp.OPTIMAL, "a normalized membership probe is bounded")
@@ -243,6 +251,17 @@ def _membership_violations(phi: ExtensionOperator, first_only: bool) -> list[Mem
             if first_only:
                 return found
     return found
+
+
+def _operator_table(phi: ExtensionOperator) -> tuple[list[list[int]], int]:
+    """``phi.coeffs`` as the integer table :func:`_membership_scan` reads."""
+    nums, scale = integer_row(list(phi.coeffs.values()))
+    ycol = {yp: b for b, yp in enumerate(all_pairs(phi.k))}
+    xrow = {xp: a for a, xp in enumerate(all_pairs(phi.n))}
+    table = [[0] * len(ycol) for _ in xrow]
+    for (xp, yp), v in zip(phi.coeffs, nums):
+        table[xrow[xp]][ycol[yp]] = v
+    return table, scale
 
 
 def membership_oracle(phi: ExtensionOperator) -> MembershipViolation | None:
@@ -254,7 +273,7 @@ def membership_oracle(phi: ExtensionOperator) -> MembershipViolation | None:
     fail. Returns None for members, otherwise the first violated row with
     its witness metric, which then has sum d = 1.
     """
-    hits = _membership_violations(phi, first_only=True)
+    hits = _membership_scan(phi.n, phi.k, *_operator_table(phi), first_only=True)
     return hits[0] if hits else None
 
 
@@ -397,8 +416,19 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         warm = distortion_cut(delta, c_s)
         master.add(warm)
 
+    # per X-pair of all_pairs(n): where its row starts in the master point,
+    # or None and the 0/1 identity row of a terminal pair
+    starts = itertools.count(1, len(ypairs))
+    xrows = [(None, [int(yp == xp) for yp in ypairs]) if xp[1] < k else (next(starts), None)
+             for xp in all_pairs(n)]
+
     def membership_cb(out: lp.LpOutcome) -> list[lp.Constraint]:
-        hits = _membership_violations(operator_at(out.x), first_only=False)
+        # the iterate as the integer table of _membership_scan, over the
+        # point's own denominator
+        nums, scale = out.point
+        table = [[scale * u for u in unit] if start is None else nums[start:start + len(ypairs)]
+                 for start, unit in xrows]
+        hits = _membership_scan(n, k, table, scale, first_only=False)
         counts["membership"] += len(hits)
         cuts = []
         for hit in hits:

@@ -344,8 +344,8 @@ def _coprime_phis():
 def _hits(n, k, phi_of, first_only):
     phi = ExtensionOperator(n, k, {(xp, yp): phi_of(xp, yp) for xp in all_pairs(n)
                                    if xp[1] >= k for yp in all_pairs(k)})
-    return [(h.where, h.witness, h.excess)
-            for h in operators._membership_violations(phi, first_only)]
+    return [(h.where, h.witness, h.excess) for h in operators._membership_scan(
+        n, k, *operators._operator_table(phi), first_only)]
 
 
 def _fraction_scan(n, k, phi_of, first_only):
@@ -401,7 +401,7 @@ def test_integer_scan_matches_the_fraction_reference(cases):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_integer_scan_matches_the_fraction_reference_on_master_iterates(seed, k, monkeypatch):
     points, scans = [], []
-    scan, cutting_plane = operators._membership_violations, lp.cutting_plane
+    scan, cutting_plane = operators._membership_scan, lp.cutting_plane
 
     def recorded_scan(*args, **kwargs):
         hits = scan(*args, **kwargs)
@@ -414,7 +414,7 @@ def test_integer_scan_matches_the_fraction_reference_on_master_iterates(seed, k,
             oracles = [lambda out: points.append(out.x) or membership(out), oracles[1]]
         return cutting_plane(program, oracles, **kwargs)
 
-    monkeypatch.setattr(operators, "_membership_violations", recorded_scan)
+    monkeypatch.setattr(operators, "_membership_scan", recorded_scan)
     monkeypatch.setattr(lp, "cutting_plane", recorded_loop)
     report = find_optimal_operator(random_graph(random.Random(seed), 5, k))
     monkeypatch.undo()
@@ -454,3 +454,48 @@ def test_every_membership_lp_left_is_a_hit(monkeypatch):
         calls.clear()
         hits = _hits(n, k, phi, first_only=False)
         assert len(calls) == len(hits)
+
+
+@st.composite
+def scan_tensors(draw):
+    """(n, k, phi_of): an all-zero tensor, a random one with small
+    coefficients, or a member (a convex combination of two 0-extensions)."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(max(k, 2), 7))
+    kind = draw(st.sampled_from(["zero", "random", "member"]))
+    entries = [(xp, yp) for xp in all_pairs(n) if xp[1] >= k for yp in all_pairs(k)]
+    if kind == "zero":
+        values = {}
+    elif kind == "random":
+        coeffs = st.sampled_from([F(0), F(0), F(1), F(2), F(1, 2), F(2, 3), F(3, 7)])
+        values = dict(zip(entries, draw(st.lists(coeffs, min_size=len(entries),
+                                                  max_size=len(entries)))))
+    else:
+        assign = st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k)
+        weight = draw(st.sampled_from([F(1), F(1, 2), F(1, 3)]))
+        values = {}
+        for w, free in ((weight, draw(assign)), (1 - weight, draw(assign))):
+            phi = zero_extension_operator(n, k, list(range(k)) + free)
+            for entry in entries:
+                values[entry] = values.get(entry, F(0)) + w * phi.value(*entry)
+
+    def phi_of(xp, yp):
+        if xp[1] < k:
+            return F(int(xp == yp))
+        return values.get((xp, yp), F(0))
+    return n, k, phi_of
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(scan_tensors())
+def test_the_integer_scan_equals_the_fraction_reference_on_any_tensor(case):
+    n, k, phi_of = case
+    for first in (False, True):
+        assert _hits(n, k, phi_of, first) == _fraction_scan(n, k, phi_of, first)
+
+
+@pytest.mark.parametrize("m", range(2, extension.RAY_POINTS + 1))
+def test_cached_normalized_rays_are_the_rays_over_their_pair_mass(m):
+    for r, ray in enumerate(cone_rays(m)):
+        want = Metric(_table(m, [F(v, sum(ray)) for v in ray]))
+        assert extension._normalized_ray(m, r) == want

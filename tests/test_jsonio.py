@@ -44,9 +44,14 @@ def test_parse_fraction_accepts_bare_integers():
     assert parse_fraction("5") == 5
 
 
+@pytest.mark.parametrize("text,value", [("-0/3", F(0)), ("007/010", F(7, 10))])
+def test_parse_fraction_accepts_signed_zero_and_leading_zeros(text, value):
+    assert parse_fraction(text) == value
+
+
 @pytest.mark.parametrize("bad", ["1/0", "a/b", "", "1/2/3", 3, None, True,
                                  "1.5", "1e3", " 1/2 ", "1_000", "\uff11/\uff12",
-                                 "1e999999999"])
+                                 "1e999999999", "1/2\n", "+1/2"])
 def test_parse_fraction_rejects_garbage(bad):
     with pytest.raises(JsonFormatError):
         parse_fraction(bad)

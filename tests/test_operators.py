@@ -194,12 +194,17 @@ def random_operator(rng, n, k):
 
 def solve_recording_oracles(g, monkeypatch):
     """Solve g, recording every master iterate the two oracles were asked
-    about: (phi, hits) for membership, (phi, q, graph, hit) for distortion."""
+    about: (phi, hits) for membership, (phi, q, graph, hit) for distortion.
+    The membership scan reads the iterate as an integer table; phi is
+    rebuilt from it."""
     scans, probes = [], []
-    scan, probe = operators._membership_violations, operators.distortion_oracle
+    scan, probe = operators._membership_scan, operators.distortion_oracle
 
-    def recorded_scan(phi, first_only):
-        scans.append((phi, scan(phi, first_only)))
+    def recorded_scan(n, k, table, scale, first_only):
+        phi = ExtensionOperator(n, k, {
+            (xp, yp): F(table[a][b], scale) for a, xp in enumerate(all_pairs(n))
+            for b, yp in enumerate(all_pairs(k)) if xp[1] >= k})
+        scans.append((phi, scan(n, k, table, scale, first_only)))
         return scans[-1][1]
 
     def recorded_probe(phi, q, graph):
@@ -207,9 +212,10 @@ def solve_recording_oracles(g, monkeypatch):
         return probes[-1][3]
 
     with monkeypatch.context() as patch:
-        patch.setattr(operators, "_membership_violations", recorded_scan)
+        patch.setattr(operators, "_membership_scan", recorded_scan)
         patch.setattr(operators, "distortion_oracle", recorded_probe)
         report = find_optimal_operator(g)
+    assert len(scans) == report.iterations  # one scan per master round
     return report, scans, probes
 
 
