@@ -203,15 +203,8 @@ def _distribution_to_json(mu: Distribution) -> list:
     return [[mask, jsonio.format_fraction(prob)] for mask, prob in mu]
 
 
-def _distribution_from_json(data: object, path: str) -> list[tuple[int, Fraction]]:
-    entries = []
-    for a, entry in enumerate(jsonio._expect_list(data, path)):
-        row = jsonio._expect_list(entry, f"{path}[{a}]")
-        if len(row) != 2:
-            raise jsonio.JsonFormatError(f"{path}[{a}]", "expected [mask, probability]")
-        entries.append((jsonio._expect_int(row[0], f"{path}[{a}][0]"),
-                        jsonio.parse_fraction(row[1], f"{path}[{a}][1]")))
-    return entries
+def _distribution_from_json(data: object, path: str) -> list[list]:
+    return [values for _, values in jsonio._rows(data, path, "[mask, probability]")]
 
 
 def certificate_to_json(cert: CutCertificate | MetricCertificate) -> dict:
@@ -234,23 +227,18 @@ def certificate_from_json(data: object,
     obj = jsonio._expect_object(data, path, ("type", "graph"))
     kind = obj["type"]
     graph = jsonio.graph_from_json(obj["graph"], f"{path}.graph")
-    try:
-        if kind == "cut":
-            missing = [key for key in ("mu1", "mu2") if key not in obj]
-            if missing:
-                raise jsonio.JsonFormatError(path, f"missing fields: {missing}")
-            return CutCertificate(graph,
-                                  _distribution_from_json(obj["mu1"], f"{path}.mu1"),
-                                  _distribution_from_json(obj["mu2"], f"{path}.mu2"))
-        if kind == "metric":
-            if "metrics" not in obj:
-                raise jsonio.JsonFormatError(path, "missing fields: ['metrics']")
-            metrics = [jsonio.metric_from_json(d, f"{path}.metrics[{a}]")
-                       for a, d in enumerate(jsonio._expect_list(obj["metrics"], f"{path}.metrics"))]
-            return MetricCertificate(graph, metrics)
-    except ValueError as exc:
-        if isinstance(exc, jsonio.JsonFormatError):
-            raise
-        raise jsonio.JsonFormatError(path, str(exc)) from None
+    if kind == "cut":
+        missing = [key for key in ("mu1", "mu2") if key not in obj]
+        if missing:
+            raise jsonio.JsonFormatError(path, f"missing fields: {missing}")
+        return jsonio._build(path, CutCertificate, graph,
+                             _distribution_from_json(obj["mu1"], f"{path}.mu1"),
+                             _distribution_from_json(obj["mu2"], f"{path}.mu2"))
+    if kind == "metric":
+        if "metrics" not in obj:
+            raise jsonio.JsonFormatError(path, "missing fields: ['metrics']")
+        metrics = [jsonio.metric_from_json(d, f"{path}.metrics[{a}]")
+                   for a, d in enumerate(jsonio._expect_list(obj["metrics"], f"{path}.metrics"))]
+        return jsonio._build(path, MetricCertificate, graph, metrics)
     raise jsonio.JsonFormatError(f"{path}.type",
                                  f"unknown certificate type {jsonio._quote(kind)}")

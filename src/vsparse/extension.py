@@ -285,18 +285,6 @@ class MetricConeLp:
             result = _ray_optimum(self.m, sense, objective, extra_rows[0])
             if result is not None:
                 return result
-        if not self.var_pairs:
-            # fully pinned (or single-point) cone: the program is a constant
-            table = Metric(self._full_values([], pins_zero=False))
-            value = sum((c * table.dist(*pq) for pq, c in objective.items()), ZERO)
-            for coeffs, rel, rhs in extra_rows:
-                if rel not in (lp.LE, lp.GE):
-                    raise lp.LpError(f"relation must be {lp.LE!r} or {lp.GE!r}, got {rel!r}")
-                lhs = sum((c * table.dist(*pq) for pq, c in coeffs.items()), ZERO)
-                ok = lhs <= rhs if rel == lp.LE else lhs >= rhs
-                if not ok:
-                    return MetricLpResult(lp.INFEASIBLE, None, None, None, 1)
-            return MetricLpResult(lp.OPTIMAL, value, table, None, 1)
         program = lp.LinearProgram(len(self.var_pairs), sense)
         const = ZERO
         for pq, c in objective.items():

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
-from .core import DemandSet, Metric, Pair, WeightedGraph
+from .core import DemandSet, Metric, WeightedGraph
 
 
 class JsonFormatError(ValueError):
@@ -89,6 +89,40 @@ def _expect_object(value: Any, path: str, required: Sequence[str]) -> dict:
     return value
 
 
+def _rows(data: Any, path: str, shape: str) -> Iterator[tuple[str, list]]:
+    """The rows of the list ``data``, each of the ``shape`` it names, such as
+    ``"[i, j, weight]"``: integers, then one rational. Yields each row's path
+    and its values, the last parsed to a ``Fraction``; a bad row raises at
+    its own path, or at its field's, when it is reached."""
+    last = shape.count(",")
+    tail = f"[{last}]"  # the rational's path suffix, formatted once per list
+    for a, row in enumerate(_expect_list(data, path)):
+        rpath = f"{path}[{a}]"
+        _expect_list(row, rpath)
+        if len(row) != last + 1:
+            raise JsonFormatError(rpath, f"expected {shape}, got {len(row)} items")
+        values = row[:last]
+        for v in values:
+            if type(v) is not int:  # rows of plain ints build no field paths
+                for t, u in enumerate(values):
+                    _expect_int(u, f"{rpath}[{t}]")
+                break
+        values.append(parse_fraction(row[last], rpath + tail))
+        yield rpath, values
+
+
+_T = TypeVar("_T")
+
+
+def _build(path: str, make: Callable[..., _T], *args: Any) -> _T:
+    """``make(*args)``, with a ``ValueError`` it raises reported as a
+    :class:`JsonFormatError` at ``path``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise JsonFormatError(path, str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -108,20 +142,8 @@ def graph_from_json(data: Any, path: str = "graph") -> WeightedGraph:
         _expect_int(t, f"{path}.terminals[{a}]")
         for a, t in enumerate(_expect_list(obj["terminals"], f"{path}.terminals"))
     ]
-    edges = []
-    for a, entry in enumerate(_expect_list(obj["edges"], f"{path}.edges")):
-        epath = f"{path}.edges[{a}]"
-        row = _expect_list(entry, epath)
-        if len(row) != 3:
-            raise JsonFormatError(epath, f"expected [i, j, weight], got {len(row)} items")
-        i = _expect_int(row[0], f"{epath}[0]")
-        j = _expect_int(row[1], f"{epath}[1]")
-        w = parse_fraction(row[2], f"{epath}[2]")
-        edges.append((i, j, w))
-    try:
-        return WeightedGraph(n, terminals, edges)
-    except ValueError as exc:
-        raise JsonFormatError(path, str(exc)) from None
+    edges = [values for _, values in _rows(obj["edges"], f"{path}.edges", "[i, j, weight]")]
+    return _build(path, WeightedGraph, n, terminals, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +161,8 @@ def demands_from_json(data: Any, path: str = "demands") -> DemandSet:
 
 def _demand_rows(data: Any, path: str) -> DemandSet:
     """A list of [s, t, demand] rows: a demand file's body or a flow witness."""
-    rows = []
-    for a, entry in enumerate(_expect_list(data, path)):
-        epath = f"{path}[{a}]"
-        row = _expect_list(entry, epath)
-        if len(row) != 3:
-            raise JsonFormatError(epath, f"expected [s, t, demand], got {len(row)} items")
-        rows.append((
-            _expect_int(row[0], f"{epath}[0]"),
-            _expect_int(row[1], f"{epath}[1]"),
-            parse_fraction(row[2], f"{epath}[2]"),
-        ))
-    try:
-        return DemandSet(rows)
-    except ValueError as exc:
-        raise JsonFormatError(path, str(exc)) from None
+    rows = [values for _, values in _rows(data, path, "[s, t, demand]")]
+    return _build(path, DemandSet, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +180,4 @@ def metric_from_json(data: Any, path: str = "metric") -> Metric:
             parse_fraction(v, f"{path}[{i}][{j}]")
             for j, v in enumerate(_expect_list(row, f"{path}[{i}]"))
         ])
-    try:
-        return Metric(rows)
-    except ValueError as exc:
-        raise JsonFormatError(path, str(exc)) from None
+    return _build(path, Metric, rows)

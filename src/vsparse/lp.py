@@ -537,8 +537,6 @@ def solve(lp: LinearProgram, previous: LpOutcome | None = None) -> LpOutcome:
     outcome gives up its tableau to the new one. Any other previous outcome
     means a solve from scratch.
     """
-    if lp.n_vars == 0:
-        raise LpError("program has no variables")
     tab = previous.tableau if previous is not None else None
     if tab is not None:
         layout = tab.layout

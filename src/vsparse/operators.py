@@ -297,34 +297,26 @@ def distortion_oracle(phi: ExtensionOperator, q: Fraction,
     """Does some terminal metric stretch beyond q times its minimum extension?
 
     ``phi`` must be a member of the operator cone and ``g`` the canonical
-    graph it was built for. Maximizes alpha(phi(d|_Y)) - q * alpha(d) over
-    the slice sum d <= 1 of the vertex metric cone; a positive optimum, at
-    a witness with sum d = 1, shows excess distortion, and otherwise the
-    optimum is 0 at the apex. Returns None when alpha(phi(d_Y)) <= q *
-    minext(d_Y) holds for every d_Y.
+    graph it was built for. Maximizes beta(d|_Y) - q * alpha(d), with beta
+    the collapse of phi (so beta(d_Y) = alpha(phi(d_Y))), over the slice
+    sum d <= 1 of the vertex metric cone; a positive optimum, at a witness
+    with sum d = 1, shows excess distortion, and otherwise the optimum is 0
+    at the apex. Returns None when alpha(phi(d_Y)) <= q * minext(d_Y) holds
+    for every d_Y.
     """
-    _require_canonical(phi, g)
-    n, k = phi.n, phi.k
-    if n < 2:
-        return None  # a single point carries no nonzero metric
+    beta = operator_to_sparsifier(phi, g)  # also checks that g is canonical
     q = as_fraction(q)
-    ypairs = all_pairs(k)
-    objective: dict[Pair, Fraction] = {}
-    for xp, w in g.weights.items():
-        objective[xp] = objective.get(xp, ZERO) - q * w
-        for yp in ypairs:
-            c = phi.value(xp, yp)
-            if c:
-                objective[yp] = objective.get(yp, ZERO) + w * c
-    norm_row = ({xp: ONE for xp in all_pairs(n)}, lp.LE, ONE)
-    result = MetricConeLp(n).optimize("max", objective, [norm_row])
+    objective = {xp: -q * w for xp, w in g.weights.items()}
+    for yp, b in beta.beta.items():
+        objective[yp] = objective.get(yp, ZERO) + b
+    norm_row = ({xp: ONE for xp in all_pairs(phi.n)}, lp.LE, ONE)
+    result = MetricConeLp(phi.n).optimize("max", objective, [norm_row])
     lp.check(result.status == lp.OPTIMAL, "a normalized distortion probe is bounded and feasible")
     if result.value <= 0:
         return None
-    restricted = result.table.restrict(range(k))
+    restricted = result.table.restrict(range(phi.k))
     c_star = min_extension(g, restricted).value
-    image = operator_to_sparsifier(phi, g).cost(restricted)  # alpha(phi(d_Y*))
-    return DistortionViolation(result.table, restricted, c_star, image)
+    return DistortionViolation(result.table, restricted, c_star, beta.cost(restricted))
 
 
 # ---------------------------------------------------------------------------
@@ -491,17 +483,10 @@ def operator_from_json(data: object, path: str = "operator") -> ExtensionOperato
     k = jsonio._expect_int(obj["k"], f"{path}.k")
     q = jsonio.parse_fraction(obj["Q"], f"{path}.Q")
     coeffs: dict[tuple[Pair, Pair], Fraction] = {}
-    for a, entry in enumerate(jsonio._expect_list(obj["coeffs"], f"{path}.coeffs")):
-        epath = f"{path}.coeffs[{a}]"
-        row = jsonio._expect_list(entry, epath)
-        if len(row) != 5:
-            raise jsonio.JsonFormatError(epath, f"expected [i, j, p, q, value], got {len(row)} items")
-        i, j, p, qq = (jsonio._expect_int(row[t], f"{epath}[{t}]") for t in range(4))
+    for epath, (i, j, p, qq, c) in jsonio._rows(obj["coeffs"], f"{path}.coeffs",
+                                                "[i, j, p, q, value]"):
         key = ((i, j), (p, qq))
         if key in coeffs:
             raise jsonio.JsonFormatError(epath, f"duplicate coefficient for {key}")
-        coeffs[key] = jsonio.parse_fraction(row[4], f"{epath}[4]")
-    try:
-        return ExtensionOperator(n, k, coeffs, distortion=q)
-    except ValueError as exc:
-        raise jsonio.JsonFormatError(path, str(exc)) from None
+        coeffs[key] = c
+    return jsonio._build(path, ExtensionOperator, n, k, coeffs, q)

@@ -22,7 +22,6 @@ from .core import (
     UNBOUNDED,
     ZERO,
     DemandSet,
-    Metric,
     Sparsifier,
     Unbounded,
     WeightedGraph,
@@ -299,23 +298,14 @@ def sparsifier_from_json(data: object, path: str = "sparsifier") -> Sparsifier:
     obj = jsonio._expect_object(data, path, ("k", "beta"))
     k = jsonio._expect_int(obj["k"], f"{path}.k")
     beta: dict[tuple[int, int], Fraction] = {}
-    for a, entry in enumerate(jsonio._expect_list(obj["beta"], f"{path}.beta")):
-        epath = f"{path}.beta[{a}]"
-        row = jsonio._expect_list(entry, epath)
-        if len(row) != 3:
-            raise jsonio.JsonFormatError(epath, f"expected [p, q, value], got {len(row)} items")
-        p = jsonio._expect_int(row[0], f"{epath}[0]")
-        q = jsonio._expect_int(row[1], f"{epath}[1]")
+    for epath, (p, q, w) in jsonio._rows(obj["beta"], f"{path}.beta", "[p, q, value]"):
         if p == q:
             raise jsonio.JsonFormatError(epath, "pair endpoints must differ")
         key = pair(p, q)
         if key in beta:
             raise jsonio.JsonFormatError(epath, f"duplicate pair ({p}, {q})")
-        beta[key] = jsonio.parse_fraction(row[2], f"{epath}[2]")
-    try:
-        return Sparsifier(k, beta)
-    except ValueError as exc:
-        raise jsonio.JsonFormatError(path, str(exc)) from None
+        beta[key] = w
+    return jsonio._build(path, Sparsifier, k, beta)
 
 
 def _witness_to_json(semantics: str, witness: object) -> object:

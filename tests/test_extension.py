@@ -61,6 +61,22 @@ def test_cone_lp_counts_pinned_constants_in_the_value():
     assert out.value == 10  # 2*5 plus the free minimum 0
 
 
+@pytest.mark.parametrize("rel,rhs,status", [
+    ("<=", F(13, 2), "optimal"), ("<=", F(6), "infeasible"),
+    (">=", F(13, 2), "optimal"), (">=", F(7), "infeasible"),
+])
+def test_cone_lp_on_a_fully_pinned_cone_checks_its_row(rel, rhs, status):
+    # Every pair pinned: the program is the constant 2*2 + 3 = 7 under the
+    # row 2*d(0,1) + d(1,2) = 13/2 rel rhs, checked once.
+    pins = {(0, 1): F(2), (0, 2): F(3), (1, 2): F(5, 2)}
+    out = MetricConeLp(3, pins).optimize(
+        "max", {(0, 1): F(2), (0, 2): F(1)}, [({(0, 1): F(2), (1, 2): F(1)}, rel, rhs)])
+    assert (out.status, out.rounds) == (status, 1)
+    if status == "optimal":
+        assert out.value == 7
+        assert [out.table.dist(*pq) for pq in pins] == list(pins.values())
+
+
 # --- min_extension -----------------------------------------------------
 
 def test_extension_with_nothing_to_extend():

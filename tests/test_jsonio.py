@@ -159,6 +159,46 @@ def test_metric_parse_rejects_non_list():
         metric_from_json({"0": "0/1"})
 
 
+# --- the row formats: integers, then one rational ---------------------------
+
+ROW_FORMATS = [
+    # parser, a document whose rows are at ``key``, their path, shape, a good row
+    (graph_from_json, {"n": 3, "terminals": [0, 1]}, "edges", "graph.edges",
+     "[i, j, weight]", [0, 2, "1/2"]),
+    (demands_from_json, {}, "demands", "demands.demands", "[s, t, demand]", [0, 1, "1/2"]),
+    (sparsifier_from_json, {"k": 2}, "beta", "sparsifier.beta", "[p, q, value]", [0, 1, "1/2"]),
+    (operator_from_json, {"n": 3, "k": 2, "Q": "1/1"}, "coeffs", "operator.coeffs",
+     "[i, j, p, q, value]", [0, 2, 0, 1, "1/2"]),
+    (certificate_from_json,
+     {"type": "cut", "graph": {"n": 2, "terminals": [0, 1], "edges": []}, "mu2": [[1, "1/1"]]},
+     "mu1", "certificate.mu1", "[mask, probability]", [1, "1/1"]),
+]
+
+
+@pytest.mark.parametrize("parse,doc,key,where,shape,row", ROW_FORMATS,
+                         ids=["graph", "demands", "sparsifier", "operator", "certificate"])
+def test_every_row_format_reports_a_bad_row_at_its_path(parse, doc, key, where, shape, row):
+    def fault(bad_row: list) -> JsonFormatError:
+        with pytest.raises(JsonFormatError) as err:
+            parse({**doc, key: [bad_row]})
+        return err.value
+
+    parse({**doc, key: [row]})
+    path = f"{where}[0]"
+    for bad_row in (row[:-1], row + [0]):
+        err = fault(bad_row)
+        assert (err.path, str(err)) == (
+            path, f"{path}: expected {shape}, got {len(bad_row)} items")
+    last = len(row) - 1
+    for t in range(last):
+        for bad in ("0", True, 0.0):
+            err = fault(row[:t] + [bad] + row[t + 1:])
+            assert (err.path, str(err)) == (
+                f"{path}[{t}]", f"{path}[{t}]: expected an integer, got {bad!r}")
+    err = fault(row[:last] + ["1/0"])
+    assert err.path == f"{path}[{last}]" and "bad rational '1/0'" in str(err)
+
+
 # --- round trips of every artifact type ------------------------------------------
 
 ratios = st.builds(F, st.integers(0, 40), st.integers(1, 12))

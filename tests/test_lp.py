@@ -136,9 +136,16 @@ def test_rejects_bad_construction():
         p.set_objective_coeff(3, 1)
 
 
-def test_empty_program_is_an_error():
-    with pytest.raises(lp.LpError):
-        lp.solve(lp.LinearProgram(0))
+def test_program_without_variables_is_a_constant():
+    empty = lp.LinearProgram(0, "max")
+    out = solve_audited(empty)
+    assert (out.status, out.value, out.x) == (lp.OPTIMAL, 0, [])
+    empty.add_constraint({}, lp.LE, 1)
+    out = solve_audited(empty)
+    assert (out.status, out.value, out.duals) == (lp.OPTIMAL, 0, [0])
+    impossible = lp.LinearProgram(0)
+    impossible.add_constraint({}, lp.GE, 1)  # 0 >= 1
+    assert solve_audited(impossible).status == lp.INFEASIBLE
 
 
 # --- properties over random programs -----------------------------------
