@@ -237,9 +237,9 @@ def metric_closure(table: Sequence[Sequence[FractionLike]]) -> Metric:
     """
     rows = [[as_fraction(v) for v in row] for row in table]
     m = len(rows)
+    if any(len(row) != m or row[i] != 0 for i, row in enumerate(rows)):
+        raise ValueError("closure input must be square with zero diagonal")
     for i in range(m):
-        if len(rows[i]) != m or rows[i][i] != 0:
-            raise ValueError("closure input must be square with zero diagonal")
         for j in range(m):
             if rows[i][j] != rows[j][i] or rows[i][j] < 0:
                 raise ValueError("closure input must be symmetric and nonnegative")

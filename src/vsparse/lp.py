@@ -1,12 +1,15 @@
 """Exact rational linear programming and a lazy-constraint driver.
 
-A small two-phase primal simplex with Bland's anti-cycling rule, so every
-solve is deterministic and every certificate is bit-exact. An optimal
-outcome keeps its tableau: once more rows are appended to the program,
-:func:`solve` re-solves from it by a dual simplex with no phase one, which
-is how :func:`cutting_plane` runs every round after the first. The dual
-simplex picks its leaving row by exact dual steepest edge and falls back to
-the dual Bland rule only while a basis it has already visited comes back.
+A small exact simplex: a solve from scratch starts at the slack basis,
+reaches a feasible basis by the dual simplex on the zero cost (at which
+every basis is dual feasible), then optimizes by the primal simplex under
+Bland's anti-cycling rule, so every solve is deterministic and every
+certificate is bit-exact. An optimal outcome keeps its tableau: once more
+rows are appended to the program, :func:`solve` re-solves from it by the
+same dual simplex on the program's own cost, which is how
+:func:`cutting_plane` runs every round after the first. The dual simplex
+picks its leaving row by exact dual steepest edge and falls back to the
+dual Bland rule only while a basis it has already visited comes back.
 The tableau keeps only the columns of nonbasic variables (a row's basic
 entry and its zeros under the other basic variables are implicit), holds
 each row as integer numerators over one exact positive denominator and
@@ -205,8 +208,8 @@ class LpOutcome:
     An optimal outcome of :func:`solve` also keeps its final ``tableau``, from
     which a later solve of the same program with rows appended starts.
     Its duals are built on first read from ``dual_source``, a copy of the
-    final reduced costs (numerators, labels, denominator) and of each row's
-    ``(slack label, sign)``, taken as a later solve takes the tableau over.
+    final reduced costs (numerators, labels, denominator) and of the list of
+    rows, with the sense, taken as a later solve takes the tableau over.
     """
 
     status: str
@@ -214,7 +217,7 @@ class LpOutcome:
     point: tuple[list[int], int] | None = None
     direction: tuple[list[int], int] | None = None
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
-    dual_source: tuple[list[int], list[int], int, list[tuple[int, int]]] | None = field(
+    dual_source: tuple[list[int], list[int], int, list[Constraint], bool] | None = field(
         default=None, repr=False, compare=False)
     _x: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
     _ray: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
@@ -238,9 +241,14 @@ class LpOutcome:
     def duals(self) -> list[Fraction] | None:
         """One multiplier per constraint of an optimal outcome, else None."""
         if self._duals is None and self.dual_source is not None:
-            red, cols, den, entries = self.dual_source
-            red_of = dict(zip(cols, red))  # a basic label's reduced cost is 0
-            self._duals = [sign * Fraction(red_of.get(col, 0), den) for col, sign in entries]
+            red, cols, den, rows, minimize = self.dual_source
+            # Row r's dual is the reduced cost of its slack, label n + r with
+            # n = len(cols); a basic slack's is zero.
+            n, self._duals = len(cols), [ZERO] * len(rows)
+            for label, rc in zip(cols, red):
+                if label >= n and rc:
+                    r = label - n
+                    self._duals[r] = _dual_sign(rows[r].rel, minimize) * Fraction(rc, den)
             self.dual_source = None
         return self._duals
 
@@ -288,18 +296,20 @@ class _Tableau:
     """Condensed simplex tableau of integer numerators: one column per
     nonbasic label, then the rhs.
 
-    Labels name the program's columns: its variables, then each row's slack,
-    with an artificial right after the slack of a row that needs one.
-    ``cols[p]`` is the label at position p and ``basis[r]`` the label basic
-    in row r. Row r stands for ``rows[r][p] / dens[r]`` with ``dens[r] > 0``;
-    its own basic entry, always ``dens[r]``, and its zeros under the other
-    basic labels are implicit. The reduced-cost row ``red[p] / red_den`` is
-    zero on basic labels. A pivot swaps labels: the entering position takes
-    the leaving label, whose entry is the pivot row's old denominator and
-    zero in every other row. It then rescales the pivot row so its pivot
-    entry equals the denominator, cross-multiplies the other rows against it
-    and divides each touched row by the gcd of its entries and denominator,
-    so the values stay exact rationals without any Fraction arithmetic.
+    Labels name the program's columns: its variables, then one slack per
+    row in row order. Each row is stored in "<=" form, a ">=" row negated,
+    so its slack has coefficient +1 in it. ``cols[p]`` is the label at
+    position p and ``basis[r]`` the label basic in row r. Row r stands for
+    ``rows[r][p] / dens[r]`` with ``dens[r] > 0``; its own basic entry,
+    always ``dens[r]``, and its zeros under the other basic labels are
+    implicit. The reduced-cost row ``red[p] / red_den`` is zero on basic
+    labels, and everywhere until :meth:`run` prices a cost. A pivot swaps
+    labels: the entering position takes the leaving label, whose entry is
+    the pivot row's old denominator and zero in every other row. It then
+    rescales the pivot row so its pivot entry equals the denominator,
+    cross-multiplies the other rows against it and divides each touched row
+    by the gcd of its entries and denominator, so the values stay exact
+    rationals without any Fraction arithmetic.
     Every pivoting decision reads only a sign or an exact comparison of
     integer products and breaks ties by label, so the pivot sequence is the
     one a full tableau of Fractions would take. ``norms[r]`` caches
@@ -315,7 +325,7 @@ class _Tableau:
         self.basis = basis
         self.cols = cols
         self.norms: list[int | None] = [None] * len(rows)
-        self.red: list[int] = []
+        self.red: list[int] = [0] * len(cols)
         self.red_den = 1
         self.layout = layout
 
@@ -365,12 +375,11 @@ class _Tableau:
             den //= g
         return row, den
 
-    def run(self, cost: list[int], cost_den: int,
-            enterable: Sequence[bool]) -> tuple[str, int | None]:
+    def run(self, cost: list[int], cost_den: int) -> tuple[str, int | None]:
         """Bland-rule simplex on ``cost / cost_den``, one cost per label, to
         optimality; returns (status, entering position).
 
-        status "optimal" means no enterable label has negative reduced cost;
+        status "optimal" means no label has negative reduced cost;
         "unbounded" reports the entering position whose ratio test found no
         blocking row. The final reduced costs stay in ``red`` / ``red_den``.
         """
@@ -380,7 +389,7 @@ class _Tableau:
         while True:
             pc = -1
             for idx, rc in enumerate(self.red):
-                if rc < 0 and enterable[cols[idx]] and (pc < 0 or cols[idx] < cols[pc]):
+                if rc < 0 and (pc < 0 or cols[idx] < cols[pc]):
                     pc = idx
             if pc < 0:
                 return OPTIMAL, None
@@ -424,14 +433,14 @@ class _Tableau:
             self.dens.append(den)
             self.norms.append(None)
 
-    def run_dual(self, enterable: Sequence[bool]) -> bool:
+    def run_dual(self) -> bool:
         """Dual simplex from a dual feasible basis to optimality.
 
         The leaving row is chosen by exact dual steepest edge: among the rows
         with a negative rhs, the one with the largest ``rhs_r**2 / N_r``,
         where ``N_r`` is the row's cached norm (its denominator cancels),
-        ties to the lowest basic label. The entering position is the
-        enterable one with a negative entry in that row that minimizes
+        ties to the lowest basic label. The entering position is the one
+        with a negative entry in that row that minimizes
         ``red_j / -a_rj``, ties to the lowest label. Returns False when a
         leaving row has no such position, which proves the program infeasible.
 
@@ -472,7 +481,7 @@ class _Tableau:
             pc = -1
             best_red = best_a = 0
             for idx, a in enumerate(rows[pr][:-1]):
-                if a < 0 and enterable[cols[idx]]:
+                if a < 0:
                     diff = red[idx] * best_a - best_red * a
                     if pc < 0 or diff > 0 or (diff == 0 and cols[idx] < cols[pc]):
                         pc, best_red, best_a = idx, red[idx], a
@@ -499,10 +508,6 @@ class _Layout:
         # the objective as columns and numerators over one positive denominator
         self.cost_cols = list(program.objective)
         self.cost_nums, self.cost_den = integer_row(list(program.objective.values()))
-        # per row of the program in the tableau: the label whose reduced cost
-        # is its dual, and the dual's sign; and per label, whether it may enter
-        self.duals: list[tuple[int, int]] = []
-        self.enterable: list[bool] = []
 
 
 def _tableau_row(cols: Sequence[int], nums: Sequence[int], rhs: int, negate: bool,
@@ -522,8 +527,8 @@ def _shape(lp: LinearProgram) -> tuple:
 
 def _dual_sign(rel: str, minimize: bool) -> int:
     """Sign turning the reduced cost of a row's slack column into the row's
-    dual: the slack of a "<=" row is +e_r and that of a ">=" row -e_r,
-    whichever sign the tableau stores the row with."""
+    dual: the slack of a "<=" row is +e_r, and that of a ">=" row, which the
+    tableau stores negated, is -e_r."""
     sign = 1 if rel == GE else -1
     return sign if minimize else -sign
 
@@ -531,92 +536,49 @@ def _dual_sign(rel: str, minimize: bool) -> int:
 def solve(lp: LinearProgram, previous: LpOutcome | None = None) -> LpOutcome:
     """Solve exactly; see module docstring for the outcome conventions.
 
+    A solve from scratch runs the dual simplex on the zero cost from the
+    slack basis, then the primal simplex on the program's cost.
     ``previous`` may be an optimal outcome of this same program, solved before
     more rows were appended to it: its tableau is then extended by those
-    rows and re-solved by the dual simplex, without phase one. The previous
-    outcome gives up its tableau to the new one. Any other previous outcome
-    means a solve from scratch.
+    rows and re-solved by the dual simplex on the program's cost alone. The
+    previous outcome gives up its tableau to the new one. Any other previous
+    outcome means a solve from scratch.
     """
     tab = previous.tableau if previous is not None else None
-    if tab is not None:
-        layout = tab.layout
-        if (layout.program is not lp or layout.shape != _shape(lp)
-                or len(lp.constraints) < len(layout.duals)):
-            raise LpError("previous outcome is not of this program with rows appended")
-        previous.tableau = None
-        return _resolve(lp, tab, lp.constraints[len(layout.duals):])
-    return _solve_cold(lp)
+    if tab is None:
+        return _solve_cold(lp)
+    if (tab.layout.program is not lp or tab.layout.shape != _shape(lp)
+            or len(lp.constraints) < len(tab.rows)):
+        raise LpError("previous outcome is not of this program with rows appended")
+    previous.tableau = None
+    # The old basis stays dual feasible, and each new row enters with its slack basic.
+    tab.append_rows(lp.constraints[len(tab.rows):])
+    if not tab.run_dual():
+        return LpOutcome(INFEASIBLE)
+    return _outcome(lp, tab, OPTIMAL, None)
 
 
 def _solve_cold(lp: LinearProgram) -> LpOutcome:
-    """Two-phase primal simplex from the slack and artificial basis."""
+    """Solve from the slack basis of the rows in "<=" form.
+
+    At zero cost every basis is dual feasible, so the dual simplex reaches a
+    primal feasible basis or proves the program infeasible (phase one); the
+    primal simplex then optimizes the program's cost from there.
+    """
     minimize = lp.sense == "min"
     layout = _Layout(lp)
-
-    # Labels: the variables, then each row's slack, followed by an artificial
-    # when the row is ">=" once its rhs is made nonnegative. The artificial,
-    # or else the slack, starts basic; the variables and the slacks beside an
-    # artificial start nonbasic, in that order.
-    needs_art = [(con.rel == GE) != (con.rhs_num < 0) for con in lp.constraints]
-    ncols = lp.n_vars
-    cols = list(range(ncols))
-    width = ncols + sum(needs_art)
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    for con, art in zip(lp.constraints, needs_art):
-        layout.duals.append((ncols, _dual_sign(con.rel, minimize)))
-        row = _tableau_row(con.cols, con.nums, con.rhs_num, con.rhs_num < 0, width)
-        if art:
-            row[len(cols)] = -con.scale
-            cols.append(ncols)
-            ncols += 1
-        rows.append(row)
-        basis.append(ncols)
-        ncols += 1
-    tab = _Tableau(rows, [con.scale for con in lp.constraints], basis, cols, layout)
-    artificial = [False] * ncols
-    for b, art in zip(basis, needs_art):
-        artificial[b] = art
-
-    # Internal objective: minimize (negated for max), on the variable labels.
-    cost2 = _tableau_row(layout.cost_cols, layout.cost_nums, 0, not minimize, ncols)
-    cost2.pop()  # no rhs
-
-    if any(artificial):
-        status, _ = tab.run([int(a) for a in artificial], 1, [True] * ncols)
-        check(status == OPTIMAL, "phase one is bounded below by zero but reported unbounded")
-        if any(artificial[b] and row[-1] for b, row in zip(basis, tab.rows)):
-            return LpOutcome(INFEASIBLE)
-        # Drive the artificials left basic at zero out of the basis. Every
-        # row has a slack label of its own, so the rows are independent
-        # outside the artificial labels and none of them vanishes there.
-        for r in range(len(tab.rows)):
-            if not artificial[basis[r]]:
-                continue
-            pc = min((idx for idx, v in enumerate(tab.rows[r][:-1])
-                      if v and not artificial[cols[idx]]), key=cols.__getitem__, default=None)
-            check(pc is not None, f"tableau row {r} is zero outside the artificial labels")
-            tab.pivot(r, pc)
-
-    # The artificials keep their columns, never to enter again.
-    layout.enterable = [not a for a in artificial]
-    status, enter_col = tab.run(cost2, layout.cost_den, layout.enterable)
-    return _outcome(lp, tab, status, enter_col)
-
-
-def _resolve(lp: LinearProgram, tab: _Tableau, new: Sequence[Constraint]) -> LpOutcome:
-    """Append ``new`` to an optimal tableau and re-solve it by the dual
-    simplex: the old basis stays dual feasible, and each new row enters with
-    its slack basic."""
-    layout = tab.layout
-    minimize = lp.sense == "min"
-    layout.duals += [(len(layout.enterable) + offset, _dual_sign(con.rel, minimize))
-                     for offset, con in enumerate(new)]
-    layout.enterable += [True] * len(new)
-    tab.append_rows(new)
-    if not tab.run_dual(layout.enterable):
+    n, m = lp.n_vars, len(lp.constraints)
+    tab = _Tableau([_tableau_row(con.cols, con.nums, con.rhs_num, con.rel == GE, n)
+                    for con in lp.constraints],
+                   [con.scale for con in lp.constraints], list(range(n, n + m)),
+                   list(range(n)), layout)
+    if not tab.run_dual():
         return LpOutcome(INFEASIBLE)
-    return _outcome(lp, tab, OPTIMAL, None)
+    # Internal objective: minimize (negated for max), on the variable labels.
+    cost = _tableau_row(layout.cost_cols, layout.cost_nums, 0, not minimize, n + m)
+    cost.pop()  # no rhs
+    status, enter_col = tab.run(cost, layout.cost_den)
+    return _outcome(lp, tab, status, enter_col)
 
 
 def _common(entries: Iterable[tuple[int, int, int]], n: int) -> tuple[list[int], int]:
@@ -652,7 +614,8 @@ def _outcome(lp: LinearProgram, tab: _Tableau, status: str, enter_col: int | Non
 
     # Duals from the reduced costs of each row's slack label.
     return LpOutcome(OPTIMAL, value, point, tableau=tab,
-                     dual_source=(tab.red[:], tab.cols[:], tab.red_den, layout.duals[:]))
+                     dual_source=(tab.red[:], tab.cols[:], tab.red_den, lp.constraints[:],
+                                  lp.sense == "min"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Every tier-1 test runs under a per-solve pivot budget. A cutting-plane loop
 keeps one tableau across its rounds, so the count restarts at each call of
 ``lp.solve`` rather than with each tableau. The most pivots one solve in this
-suite takes is 132, so a solver that cycles, as Bland's rule with a wrong
+suite takes is 69, so a solver that cycles, as Bland's rule with a wrong
 tie-break can, fails the test at once instead of hanging the suite.
 """
 

@@ -238,10 +238,14 @@ def test_quality_flow_underweight_reports_lower_failure(tmp_path, capsys):
 
 
 def test_quality_terminal_count_mismatch(tmp_path, capsys):
+    # quality's own check, which main turns into exit 2, under every semantics
     path = write_json(tmp_path / "p.json", graph_to_json(path3()))
-    code = main(["quality", path, half_triangle_file(tmp_path), "--semantics", "cut"])
-    assert code == 2
-    assert "sparsifier has 3 terminals, graph has 2" in capsys.readouterr().err
+    beta = half_triangle_file(tmp_path)
+    demands = write_json(tmp_path / "d.json", demands_to_json(DemandSet([(0, 1, 1)])))
+    for semantics in ["cut", "metric", "flow"]:
+        code = main(["quality", path, beta, "--semantics", semantics, "--demands", demands])
+        assert code == 2
+        assert capsys.readouterr().err == "error: sparsifier has 3 terminals, graph has 2\n"
 
 
 def test_quality_unbounded_exit(tmp_path, capsys):

@@ -222,6 +222,18 @@ def test_closure_shortcuts_slack_entries():
     assert d.dist(0, 1) == 2
 
 
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1, 0], [0, 0]], "square"),
+    ([[0, 1], [1, 1]], "square"),
+    ([[0, 1, 2], [1, 0, 3], [2]], "square"),  # a short row after a full one
+    ([[0, 1], [2, 0]], "symmetric"),
+    ([[0, -1], [-1, 0]], "nonnegative"),
+])
+def test_closure_rejects_bad_tables(table, message):
+    with pytest.raises(ValueError, match=message):
+        metric_closure(table)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_closure_matches_floyd_warshall(seed):
     rng = random.Random(100 + seed)

@@ -24,12 +24,21 @@ pin moved.
 
 A cutting-plane loop (the operator master, and cone LPs that add triangle
 rows) re-solves every round after the first by the dual simplex from the
-kept tableau, a different pivot path from the cold two-phase solve. Where
+kept tableau, a different pivot path from a solve from scratch. Where
 the optimum is a degenerate face it can end at another optimal vertex,
 so the fixture was re-recorded when that path came in: the round and
 membership-cut counts of four operators and one ``min_extension`` witness
-moved; every Q, optimal value and operator coefficient stayed. Every test
-runs under the suite's per-solve pivot budget (``tests/conftest.py``).
+moved; every Q, optimal value and operator coefficient stayed.
+
+A solve from scratch first ran a primal phase one on artificial columns.
+It now reaches feasibility by the dual simplex on the zero cost from the
+slack basis, which is another pivot path, so the fixture was re-recorded
+again: the duals of ``random-15``, the duals and bound duals of
+``random-25`` (both degenerate optima), the feasible point, its value and
+the ray of the unbounded ``random-35``, and the membership-cut counts of
+seven operators moved; every q, optimal value, operator coefficient,
+round count and worst metric stayed. Every test runs under the suite's
+per-solve pivot budget (``tests/conftest.py``).
 """
 import json
 from fractions import Fraction

@@ -429,6 +429,70 @@ def test_max_rounds_must_be_positive():
         lp.cutting_plane(lp.LinearProgram(1), [], max_rounds=0)
 
 
+# --- phase one: the dual simplex on the zero cost ---------------------
+
+def test_a_cold_tableau_holds_only_the_variables_columns():
+    # Phase one starts at the slack basis, so the tableau stores one column
+    # per variable however many ">=" rows there are.
+    p = lp.LinearProgram(3, "min", {0: 1, 1: 2, 2: 3})
+    p.add_constraint({0: 1, 1: 1}, lp.GE, 2)
+    p.add_constraint({1: 1, 2: 1}, lp.GE, 3)
+    p.add_constraint({0: 1, 2: 1}, lp.LE, 4)
+    tab = solve_audited(p).tableau
+    assert len(tab.cols) == p.n_vars
+    assert all(len(row) == p.n_vars + 1 for row in tab.rows)
+    assert sorted(tab.cols + tab.basis) == list(range(p.n_vars + len(p.constraints)))
+
+
+def test_phase_one_hands_a_repeated_basis_to_bland(monkeypatch):
+    # With every norm read as 1 the zero-cost dual simplex revisits a basis
+    # on this feasible program (found by a random search). Every phase-one
+    # pivot is degenerate, so once a basis has come back, every later
+    # leaving row is the dual Bland rule's: the lowest basic label with a
+    # negative rhs.
+    monkeypatch.setattr(lp, "_row_norm", lambda row, den: 1)
+    p = lp.LinearProgram(4, "min")
+    for coeffs, rel, rhs in [([8, 8, -2, -9], lp.LE, -1), ([-9, 0, 1, -6], lp.LE, -3),
+                             ([5, 7, 8, 6], lp.LE, 8), ([-2, -3, -2, 5], lp.GE, 3),
+                             ([4, -9, 6, 5], lp.LE, 8)]:
+        p.add_constraint(dict(enumerate(coeffs)), rel, rhs)
+    pivot, bases, bland = lp._Tableau.pivot, [], []
+
+    def recorded(self, pr, pc):
+        bases.append(tuple(sorted(self.basis)))
+        bland.append(self.basis[pr] == min(b for b, row in zip(self.basis, self.rows)
+                                           if row[-1] < 0))
+        pivot(self, pr, pc)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recorded)
+    out = solve_audited(p)
+    first_repeat = next(i for i, key in enumerate(bases) if key in bases[:i])
+    assert out.status == lp.OPTIMAL
+    assert len(bland) > first_repeat + 1 and all(bland[first_repeat + 1:])
+
+
+def test_phase_one_proves_conflicting_rows_infeasible(monkeypatch):
+    # x + y <= 1 caps x + 2y at 2, so x + 2y >= 3 cannot hold: phase one ends
+    # in the dual ratio test and the primal simplex never runs. With the
+    # ">=" row at 2 phase one reaches a feasible basis, and the optimum the
+    # primal simplex finds from it passes the audit.
+    run, runs = lp._Tableau.run, []
+
+    def counted(self, cost, cost_den):
+        runs.append(cost)
+        return run(self, cost, cost_den)
+
+    monkeypatch.setattr(lp._Tableau, "run", counted)
+    for rhs, status in [(3, lp.INFEASIBLE), (2, lp.OPTIMAL)]:
+        p = lp.LinearProgram(2, "max", {0: 2, 1: 1})
+        p.add_constraint({0: 1, 1: 1}, lp.LE, 1)
+        p.add_constraint({0: 1, 1: 2}, lp.GE, rhs)
+        out = solve_audited(p)
+        assert out.status == status
+    assert len(runs) == 1
+    assert out.x == [F(0), F(1)] and out.value == 1
+
+
 # --- warm re-solve -----------------------------------------------------
 
 @pytest.fixture

@@ -49,7 +49,7 @@ class FullTableau:
     def __init__(self, rows, dens, basis, ncols):
         self.rows, self.dens, self.basis, self.ncols = rows, dens, basis, ncols
         self.norms = [None] * len(rows)
-        self.red, self.red_den = [], 1
+        self.red, self.red_den = [0] * ncols, 1
         self.pivots = []
 
     def pivot(self, pr, pc):
@@ -92,12 +92,12 @@ class FullTableau:
             den //= g
         self.red, self.red_den = red, den
 
-    def run(self, cost, cost_den, enterable):
+    def run(self, cost, cost_den):
         self.set_reduced_costs(cost, cost_den)
         rows, basis = self.rows, self.basis
         while True:
             red = self.red
-            pc = next((idx for idx in range(self.ncols) if enterable[idx] and red[idx] < 0), -1)
+            pc = next((idx for idx in range(self.ncols) if red[idx] < 0), -1)
             if pc < 0:
                 return OPTIMAL, None
             pr = -1
@@ -131,7 +131,7 @@ class FullTableau:
         self.basis += range(self.ncols, self.ncols + width)
         self.ncols += width
 
-    def run_dual(self, enterable):
+    def run_dual(self):
         rows, basis, norms = self.rows, self.basis, self.norms
         seen, bland = set(), False
         while True:
@@ -157,7 +157,7 @@ class FullTableau:
             pc = -1
             best_red = best_a = 0
             for idx, a in enumerate(rows[pr][:-1]):
-                if a < 0 and enterable[idx] and (pc < 0 or red[idx] * best_a > best_red * a):
+                if a < 0 and (pc < 0 or red[idx] * best_a > best_red * a):
                     pc, best_red, best_a = idx, red[idx], a
             if pc < 0:
                 return False
@@ -193,47 +193,26 @@ class ReferenceSolver:
         return row
 
     def cold(self):
+        # Phase one is the dual simplex on the zero cost from the slack
+        # basis, every row in "<=" form; phase two the primal simplex.
         p = self.program
         minimize = p.sense == "min"
-        ncols, slack_of, art_of = p.n_vars, [], {}
+        n, m = p.n_vars, len(p.constraints)
+        rows, dens = [], []
         for r, con in enumerate(p.constraints):
-            slack_of.append(ncols)
-            ncols += 1
-            if (con.rel == GE) != (con.rhs_num < 0):
-                art_of[r] = ncols
-                ncols += 1
-        rows, dens, basis = [], [], []
-        self.duals = []
-        for r, con in enumerate(p.constraints):
-            row = self.row(con, con.rhs_num < 0, ncols)
-            if r in art_of:
-                row[slack_of[r]], row[art_of[r]] = -con.scale, con.scale
-                basis.append(art_of[r])
-            else:
-                row[slack_of[r]] = con.scale
-                basis.append(slack_of[r])
+            row = self.row(con, con.rel == GE, n + m)
+            row[n + r] = con.scale
             rows.append(row)
             dens.append(con.scale)
-            self.duals.append((slack_of[r], dual_sign(con.rel, minimize)))
-        tab = self.tab = FullTableau(rows, dens, basis, ncols)
-        artificial = [idx in art_of.values() for idx in range(ncols)]
+        self.duals = [(n + r, dual_sign(con.rel, minimize)) for r, con in enumerate(p.constraints)]
+        tab = self.tab = FullTableau(rows, dens, list(range(n, n + m)), n + m)
+        if not tab.run_dual():
+            self.tab = None
+            return (INFEASIBLE, None, None, None), tab.pivots
         nums, cost_den = integer_row(list(p.objective.values()))
         cost = dict(zip(p.objective, nums))
         sgn = 1 if minimize else -1
-        cost2 = [sgn * cost.get(idx, 0) for idx in range(ncols)]
-        if art_of:
-            status, _ = tab.run([int(a) for a in artificial], 1, [True] * ncols)
-            assert status == OPTIMAL
-            if any(artificial[b] and row[-1] for b, row in zip(tab.basis, tab.rows)):
-                self.tab = None
-                return (INFEASIBLE, None, None, None), tab.pivots
-            for r in range(len(tab.rows)):
-                if artificial[tab.basis[r]]:
-                    row = tab.rows[r]
-                    tab.pivot(r, next(idx for idx in range(ncols)
-                                      if not artificial[idx] and row[idx]))
-        self.enterable = [not a for a in artificial]
-        status, enter_col = tab.run(cost2, cost_den, self.enterable)
+        status, enter_col = tab.run([sgn * cost.get(idx, 0) for idx in range(n + m)], cost_den)
         return self.outcome(status, enter_col), tab.pivots
 
     def warm(self, new):
@@ -247,10 +226,9 @@ class ReferenceSolver:
             rows.append(row)
             dens.append(con.scale)
             self.duals.append((tab.ncols + offset, dual_sign(con.rel, minimize)))
-        self.enterable += [True] * len(new)
         tab.append_rows(rows, dens)
         tab.pivots = []
-        if not tab.run_dual(self.enterable):
+        if not tab.run_dual():
             self.tab = None
             return (INFEASIBLE, None, None, None), tab.pivots
         return self.outcome(OPTIMAL, None), tab.pivots
