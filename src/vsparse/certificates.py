@@ -88,15 +88,23 @@ class MetricCertificate:
         object.__setattr__(self, "metrics", family)
 
 
-def _expected_min_cut(g: WeightedGraph, mu: Distribution) -> Fraction:
-    """E_{S ~ mu}[minext(delta_S)]; empty and full subsets extend for free."""
+def _expected_min_cut(g: WeightedGraph, mu: Distribution,
+                      cuts: dict[int, Fraction]) -> Fraction:
+    """E_{S ~ mu}[minext(delta_S)]; empty and full subsets extend for free.
+
+    A side and its complement have the same terminal min cut, so ``cuts``
+    caches each bipartition's once, keyed by the mask of its side holding
+    terminal 0, and the same cache serves both distributions.
+    """
     full = (1 << g.k) - 1
     total = ZERO
     for mask, prob in mu:
         if not prob or mask == 0 or mask == full:
             continue
-        side = [p for p in range(g.k) if mask >> p & 1]
-        total += prob * min_cut_via_flow(g, side)
+        key = mask if mask & 1 else full ^ mask
+        if key not in cuts:
+            cuts[key] = min_cut_via_flow(g, [p for p in range(g.k) if key >> p & 1])
+        total += prob * cuts[key]
     return total
 
 
@@ -124,8 +132,9 @@ def certify_cut(cert: CutCertificate) -> Fraction | None:
                     return None
                 continue  # 0/0 pairs impose nothing
             c_min = max(c_min, m1 / m2)
-    e1 = _expected_min_cut(g, cert.mu1)
-    e2 = _expected_min_cut(g, cert.mu2)
+    cuts: dict[int, Fraction] = {}
+    e1 = _expected_min_cut(g, cert.mu1, cuts)
+    e2 = _expected_min_cut(g, cert.mu2, cuts)
     if e1 <= 0 or e2 <= 0:
         return None
     # e1 > 0 forces a separated pair under mu1, so c_min > 0 here

@@ -244,13 +244,19 @@ def metric_closure(table: Sequence[Sequence[FractionLike]]) -> Metric:
             if rows[i][j] != rows[j][i] or rows[i][j] < 0:
                 raise ValueError("closure input must be symmetric and nonnegative")
     ints, scale = integer_table(rows)
-    # Floyd-Warshall on the numerators; the common denominator is positive.
+    floyd_warshall(ints)  # on the numerators; the common denominator is positive
+    return Metric([[Fraction(v, scale) for v in row] for row in ints])
+
+
+def floyd_warshall(ints: list[list[int]]) -> None:
+    """Replace each entry of a square table of nonnegative integer lengths
+    with zero diagonal by its shortest-path length, in place."""
+    m = len(ints)
     for l in range(m):
         rl = ints[l]
         for i in range(m):
             ril = ints[i][l]
             ints[i] = [a if a <= ril + b else ril + b for a, b in zip(ints[i], rl)]
-    return Metric([[Fraction(v, scale) for v in row] for row in ints])
 
 
 def restrict(d: Metric, points: Sequence[int]) -> Metric:

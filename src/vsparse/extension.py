@@ -2,32 +2,40 @@
 
 ``min_extension`` computes, by exact LP, the cheapest semimetric on all
 vertices that agrees with a prescribed semimetric on the terminals; the
-weighted cost counts each unordered pair once. Two independent oracles keep it
-honest: an augmenting-path max-flow (for cut metrics the minimum extension
-is exactly a terminal min cut) and exhaustive 0-extension enumeration
-(an upper bound for arbitrary metrics).
+weighted cost counts each unordered pair once. Its LP runs over edge
+lengths, one per weighted edge with a non-terminal endpoint, with a row
+for each terminal pair whose shortest path through non-terminals is too
+short, found by Dijkstra on the integer lengths; the witness is the
+shortest-path closure of the optimal lengths. Two independent oracles keep
+it honest: an augmenting-path max-flow (for cut metrics the minimum
+extension is exactly a terminal min cut) and exhaustive 0-extension
+enumeration (an upper bound for arbitrary metrics).
 
-Triangle separation and max-flow compare integer numerators over one common
-positive denominator, which decides exactly as the Fractions would. In a
-metric-cone LP the pins are scaled once, each round's point or ray comes from
-the LP outcome as integers, and each violated triangle row goes back to it as
-integers (:meth:`lp.Constraint.from_integers`); ``Fraction``s are built only
-for the objective, the extra rows and the result, so every value in and out
-stays a ``Fraction``.
+``MetricConeLp`` optimizes a linear objective over the metric cone on m
+points, every pair distance a variable, under extra rows. Triangle
+separation, path separation and max-flow compare integer numerators over
+one common positive denominator, which decides exactly as the Fractions
+would: each round's point or ray comes from the LP outcome as integers,
+and each violated row goes back to it as integers
+(:meth:`lp.Constraint.from_integers`); ``Fraction``s are built only for the
+objective, the extra rows and the result, so every value in and out stays
+a ``Fraction``.
 
-On at most five unpinned points the metric cone has a short list of extreme
-rays (:func:`cone_rays`), so a cone LP with one extra row is read off them:
-its optimal vertex, the apex, an improving ray or infeasibility. The LP
-decides pinned cones, cones on more points and rows the rays cannot read.
+On at most five points the metric cone has a short list of extreme rays
+(:func:`cone_rays`), so a cone LP with one extra row is read off them: its
+optimal vertex, the apex, an improving ray or infeasibility. The LP decides
+cones on more points and rows the rays cannot read.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import lp
@@ -42,7 +50,9 @@ from .core import (
     alpha_cost,
     as_fraction,
     cut_metric,
+    floyd_warshall,
     integer_row,
+    integer_table,
     pair,
     zero_metric,
 )
@@ -108,7 +118,7 @@ def _on_rays(m: int, nums: Sequence[int]) -> list[int]:
 def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
                  row: tuple[Mapping[Pair, FractionLike], str, FractionLike]
                  ) -> MetricLpResult | None:
-    """A one-row LP over the unpinned metric cone on m <= 5 points, read off
+    """A one-row LP over the metric cone on m <= 5 points, read off
     the extreme rays, or None when the LP has to decide.
 
     With nonnegative row coefficients a and right-hand side b > 0, the
@@ -152,12 +162,17 @@ def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
     return MetricLpResult(lp.OPTIMAL, value, witness, None, 0)
 
 
+def _pair_metric(m: int, values: Sequence[Fraction]) -> Metric:
+    """The metric on m points with the given distances over ``all_pairs(m)``."""
+    table = [[ZERO] * m for _ in range(m)]
+    for (p, q), v in zip(all_pairs(m), values):
+        table[p][q] = table[q][p] = v
+    return Metric(table)
+
+
 def _ray_metric(m: int, r: int, step: Fraction) -> Metric:
     """``step`` times the r-th ray of ``cone_rays(m)``, as a metric."""
-    table = [[ZERO] * m for _ in range(m)]
-    for (p, q), v in zip(all_pairs(m), cone_rays(m)[r]):
-        table[p][q] = table[q][p] = step * v
-    return Metric(table)
+    return _pair_metric(m, [step * v for v in cone_rays(m)[r]])
 
 
 @functools.cache
@@ -174,9 +189,9 @@ def _normalized_ray(m: int, r: int) -> Metric:
 @dataclass
 class MetricLpResult:
     status: str
-    value: Fraction | None      # objective value, pinned constants included
-    table: Metric | None        # optimal point as a full metric (pins merged)
-    ray_table: Metric | None    # improving direction when unbounded (pins read 0)
+    value: Fraction | None      # objective value
+    table: Metric | None        # optimal point as a full metric
+    ray_table: Metric | None    # improving direction when unbounded
     rounds: int                 # cutting-plane rounds; 0 when read off the rays
 
 
@@ -194,79 +209,33 @@ def _cone_triangles(m: int) -> tuple[tuple[int, int, int], ...]:
 
 
 class MetricConeLp:
-    """An LP whose variables are pair distances on m points, kept inside the
+    """An LP whose variables are the pair distances on m points, one
+    nonnegative variable per pair of ``all_pairs(m)``, kept inside the
     metric cone.
 
-    Some pairs may be pinned to constants taken from a valid metric; the
-    rest are nonnegative variables. Triangle inequalities are not
-    materialized up front: a separation oracle adds the violated ones
-    through :func:`lp.cutting_plane`, which is measurably faster and reaches
-    the same optimal value (on a degenerate optimal face the witness can be
-    another optimal vertex). Rows and points cross that loop as integers:
-    the pins are scaled once to numerators over one denominator, each round's
-    point or ray is read as the outcome's integer numerators, and each
-    violated row is built from coefficients of plus or minus one and pin
-    numerators (:meth:`lp.Constraint.from_integers`). ``Fraction``s are
-    built only for the objective, the extra rows and the returned result. An
-    unpinned cone on at most five points with one extra row with nonnegative
-    coefficients and a positive right-hand side skips the LP: its answer is
-    read off the extreme rays (:func:`_ray_optimum`).
+    Triangle inequalities are not materialized up front: a separation
+    oracle adds the violated ones through :func:`lp.cutting_plane`, which is
+    measurably faster and reaches the same optimal value (on a degenerate
+    optimal face the witness can be another optimal vertex). Rows and points
+    cross that loop as integers: each round's point or ray is read as the
+    outcome's integer numerators, and each violated row, with coefficients
+    of plus or minus one, goes back built from integers
+    (:meth:`lp.Constraint.from_integers`). ``Fraction``s are built only for
+    the objective, the extra rows and the returned result. A cone on at
+    most five points with one extra row with nonnegative coefficients and a
+    positive right-hand side skips the LP: its answer is read off the
+    extreme rays (:func:`_ray_optimum`).
     """
 
-    def __init__(self, m: int, pinned: Mapping[Pair, Fraction] | None = None):
+    def __init__(self, m: int):
         self.m = m
-        self.pinned = dict(pinned) if pinned else {}
-        self.var_pairs = [pq for pq in all_pairs(m) if pq not in self.pinned]
-        self.index = {pq: j for j, pq in enumerate(self.var_pairs)}
 
-    @functools.cached_property
-    def _scaled_pins(self) -> tuple[list[tuple[int | None, int]], int]:
-        """Per pair of ``all_pairs(m)``, its variable's column, or None and the
-        pin's numerator; and the pins' positive common denominator. Built on
-        the first triangle separation, so a cone read off its rays never
-        scales its pins."""
-        pin_nums, pin_scale = integer_row(list(self.pinned.values()))
-        pin_of = dict(zip(self.pinned, pin_nums))
-        return [(self.index.get(pq), pin_of.get(pq, 0)) for pq in all_pairs(self.m)], pin_scale
-
-    def _full_values(self, x: Sequence[Fraction], pins_zero: bool) -> list[list[Fraction]]:
-        rows = [[ZERO] * self.m for _ in range(self.m)]
-        for pq, v in self.pinned.items():
-            val = ZERO if pins_zero else v
-            rows[pq[0]][pq[1]] = rows[pq[1]][pq[0]] = val
-        for pq, j in self.index.items():
-            rows[pq[0]][pq[1]] = rows[pq[1]][pq[0]] = x[j]
-        return rows
-
-    def _triangle_cuts(self, nums: Sequence[int], scale: int) -> list[lp.Constraint]:
-        """The violated triangle rows at the point ``nums / scale``, or along
-        the ray ``nums`` with the pins read 0 when ``scale`` is 0.
-
-        Every distance is compared as its value times ``scale * pin_scale``,
-        which decides each triangle as the Fractions would. Two triangles
-        with only one unpinned pair can give the same row; it is returned
-        once.
-        """
-        slots, ps = self._scaled_pins
-        vals = [pin * scale if j is None else nums[j] * ps for j, pin in slots]
-        cuts = []
-        rows = set()
-        for ij, il, lj in _cone_triangles(self.m):
-            if vals[ij] > vals[il] + vals[lj]:
-                coeffs: dict[int, int] = {}
-                rhs = 0
-                for pos, sgn in ((ij, 1), (il, -1), (lj, -1)):
-                    j, pin = slots[pos]
-                    if j is None:
-                        rhs -= sgn * pin
-                    else:
-                        coeffs[j] = sgn * ps
-                cut = lp.Constraint.from_integers(coeffs, lp.LE, rhs, ps)
-                row = (cut.cols, cut.nums, cut.rhs_num)
-                if row not in rows:
-                    rows.add(row)
-                    cuts.append(cut)
-        return cuts
+    def _triangle_cuts(self, nums: Sequence[int]) -> list[lp.Constraint]:
+        """The triangle rows violated at the point, or along the ray, whose
+        integer numerators over ``all_pairs(m)`` are ``nums``; the positive
+        common denominator changes no comparison, so it is not needed."""
+        return [lp.Constraint.from_integers({ij: 1, il: -1, lj: -1}, lp.LE, 0, 1)
+                for ij, il, lj in _cone_triangles(self.m) if nums[ij] > nums[il] + nums[lj]]
 
     def optimize(
         self,
@@ -274,37 +243,31 @@ class MetricConeLp:
         objective: Mapping[Pair, Fraction],
         extra_rows: Iterable[tuple[Mapping[Pair, Fraction], str, Fraction]] = (),
     ) -> MetricLpResult:
-        """Optimize a linear objective over the (pinned) metric cone.
+        """Optimize a linear objective over the metric cone.
 
-        ``objective`` and each extra row are keyed by pair; coefficients on
-        pinned pairs become constants. Returns the exact optimum with a full
-        metric witness, or an improving ray direction when unbounded.
+        ``objective`` and each extra row are keyed by pair. Returns the
+        exact optimum with a full metric witness, or an improving ray
+        direction when unbounded.
         """
         extra_rows = list(extra_rows)
-        if not self.pinned and len(extra_rows) == 1 and 2 <= self.m <= RAY_POINTS:
+        if len(extra_rows) == 1 and 2 <= self.m <= RAY_POINTS:
             result = _ray_optimum(self.m, sense, objective, extra_rows[0])
             if result is not None:
                 return result
-        program = lp.LinearProgram(len(self.var_pairs), sense)
-        const = ZERO
+        index = _pair_index(self.m)
+        program = lp.LinearProgram(len(index), sense)
         for pq, c in objective.items():
-            if pq in self.index:
-                program.set_objective_coeff(self.index[pq], c)
-            else:
-                const += c * self.pinned[pq]
+            program.set_objective_coeff(index[pq], c)
         for coeffs, rel, rhs in extra_rows:
             row: dict[int, Fraction] = {}
             for pq, c in coeffs.items():
-                if pq in self.index:
-                    row[self.index[pq]] = row.get(self.index[pq], ZERO) + c
-                else:
-                    rhs = rhs - c * self.pinned[pq]
+                row[index[pq]] = row.get(index[pq], ZERO) + c
             program.add_constraint(row, rel, rhs)
 
         def oracle(out: lp.LpOutcome) -> list[lp.Constraint]:
             if out.status == lp.UNBOUNDED:
-                return self._triangle_cuts(out.direction[0], 0)
-            return self._triangle_cuts(*out.point)
+                return self._triangle_cuts(out.direction[0])
+            return self._triangle_cuts(out.point[0])
 
         # Every cut is one of the finitely many triangle rows and never
         # repeats, so the round cap is a formality.
@@ -313,16 +276,16 @@ class MetricConeLp:
             raise lp.CuttingPlaneError("triangle separation did not converge")
         out = result.outcome
         if out.status == lp.OPTIMAL:
-            table = Metric(self._full_values(out.x, pins_zero=False))
-            return MetricLpResult(out.status, out.value + const, table, None, result.rounds)
+            return MetricLpResult(out.status, out.value, _pair_metric(self.m, out.x), None,
+                                  result.rounds)
         if out.status == lp.UNBOUNDED:
-            ray = Metric(self._full_values(out.ray, pins_zero=True))
-            return MetricLpResult(out.status, None, None, ray, result.rounds)
+            return MetricLpResult(out.status, None, None, _pair_metric(self.m, out.ray),
+                                  result.rounds)
         return MetricLpResult(out.status, None, None, None, result.rounds)
 
 
 # ---------------------------------------------------------------------------
-# minimum metric extension
+# minimum metric extension, over edge lengths
 
 
 @dataclass(frozen=True)
@@ -336,26 +299,124 @@ class ExtensionResult:
 def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
     """Cheapest semimetric on all of g's vertices agreeing with d_y on terminals.
 
-    d_y is indexed terminal-locally: d_y(p, q) pins the distance between
+    d_y is indexed terminal-locally: d_y(p, q) fixes the distance between
     g.terminals[p] and g.terminals[q]. The witness is a full metric whose
     restriction to the terminals reproduces d_y exactly and whose weighted
     cost equals the returned value exactly. Always attained: extensions are
     never infeasible and the nonnegative objective is never unbounded.
+
+    The LP runs over edge lengths, the form of the metric relaxation of
+    0-extension in Karzanov (1998) and Calinescu, Karloff & Rabani (2001):
+    one length l_e >= 0 at cost w_e * l_e per weighted edge with a
+    non-terminal endpoint, and the row sum_{e in P} l_e >= d_y(p, q) for
+    each path P from terminal p to terminal q through non-terminals, added
+    lazily by shortest-path separation (:func:`_path_cuts`). An edge
+    between two terminals adds the constant w * d_y(p, q). The value is the
+    minimum extension's: an extension d gives feasible lengths l_e = d(e) at
+    the same cost, by the triangle inequality along each path, and feasible
+    lengths give an extension that costs no more, the witness
+    (:func:`_extension_witness`).
     """
     if d_y.size != g.k:
         raise ValueError(f"metric has {d_y.size} points but the graph has {g.k} terminals")
-    pinned = {
-        pair(g.terminals[p], g.terminals[q]): d_y.dist(p, q)
-        for p, q in all_pairs(g.k)
-    }
-    cone = MetricConeLp(g.n, pinned)
-    objective = {pq: w for pq, w in g.weights.items() if w}
-    result = cone.optimize("min", objective)
-    lp.check(result.status == lp.OPTIMAL, "a minimum extension always exists")
-    witness = result.table
+    local = {t: p for p, t in enumerate(g.terminals)}
+    edges = sorted(pq for pq in g.weights if pq[0] not in local or pq[1] not in local)
+    program = lp.LinearProgram(len(edges), "min", {j: g.weights[pq] for j, pq in enumerate(edges)})
+    const = sum((w * d_y.dist(local[i], local[j]) for (i, j), w in g.weights.items()
+                 if i in local and j in local), ZERO)
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for j, (u, v) in enumerate(edges):
+        adjacent[u].append((v, j))
+        adjacent[v].append((u, j))
+    d_nums, d_scale = integer_table(d_y.rows)
+
+    def oracle(out: lp.LpOutcome) -> list[lp.Constraint]:
+        return _path_cuts(g.terminals, adjacent, d_nums, d_scale, *out.point)
+
+    # Every cut is the row of one of the finitely many paths and never
+    # repeats, so the round cap is a formality.
+    result = lp.cutting_plane(program, [oracle], max_rounds=100_000)
+    if not result.converged:
+        raise lp.CuttingPlaneError("shortest-path separation did not converge")
+    out = result.outcome
+    lp.check(out.status == lp.OPTIMAL, "a minimum extension always exists")
+    witness = _extension_witness(g, edges, out.point, d_nums, d_scale)
+    value = out.value + const
     lp.check(witness.restrict(g.terminals) == d_y, "extension witness moved a terminal distance")
-    lp.check(alpha_cost(g, witness) == result.value, "extension witness cost differs from LP value")
-    return ExtensionResult(result.value, witness)
+    lp.check(alpha_cost(g, witness) == value, "extension witness cost differs from LP value")
+    return ExtensionResult(value, witness)
+
+
+def _path_cuts(terminals: Sequence[int], adjacent: Sequence[Sequence[tuple[int, int]]],
+               d_nums: Sequence[Sequence[int]], d_scale: int,
+               nums: Sequence[int], scale: int) -> list[lp.Constraint]:
+    """The rows sum_{e in P} l_e >= d_y(p, q) for the terminal pairs p < q,
+    in that order, whose shortest path P through non-terminals is shorter
+    than d_y(p, q) at the lengths ``nums / scale``.
+
+    ``adjacent[u]`` lists u's neighbours v with the column of edge uv;
+    ``d_nums / d_scale`` is d_y. Path lengths and d_y are compared cross-
+    multiplied as integers, which decides as the Fractions would. Dijkstra
+    settles a tie of distances at the lowest vertex index and keeps the
+    first predecessor that reaches a vertex, so the rows are deterministic.
+    """
+    cuts = []
+    is_terminal = set(terminals)
+    for p, source in enumerate(terminals):
+        need = d_nums[p]
+        if not any(need[p + 1:]):
+            continue
+        dist, via, done = {source: 0}, {}, set()
+        heap = [(0, source)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if u in done:
+                continue
+            done.add(u)
+            if u != source and u in is_terminal:
+                continue  # a path through a terminal is implied by its pieces
+            for v, j in adjacent[u]:
+                dv = du + nums[j]
+                if v not in dist or dv < dist[v]:
+                    dist[v], via[v] = dv, (u, j)
+                    heapq.heappush(heap, (dv, v))
+        for q in range(p + 1, len(terminals)):
+            t = terminals[q]
+            if t in dist and dist[t] * d_scale < need[q] * scale:
+                path = {}
+                while t != source:
+                    t, j = via[t]
+                    path[j] = d_scale
+                cuts.append(lp.Constraint.from_integers(path, lp.GE, need[q], d_scale))
+    return cuts
+
+
+def _extension_witness(g: WeightedGraph, edges: Sequence[Pair],
+                       point: tuple[Sequence[int], int],
+                       d_nums: Sequence[Sequence[int]], d_scale: int) -> Metric:
+    """The shortest-path metric of the edge lengths ``point`` with d_y laid
+    over the terminal pairs, by :func:`core.floyd_warshall` on integers.
+
+    Every other pair starts at a sentinel longer than any path. A vertex
+    with no path to a terminal sits on the first terminal.
+    """
+    nums, scale = point
+    common = lcm(scale, d_scale)
+    lengths = [v * (common // scale) for v in nums]
+    terminal_lengths = [[v * (common // d_scale) for v in row] for row in d_nums]
+    absent = 1 + sum(lengths) + sum(map(sum, terminal_lengths))
+    ints = [[absent] * g.n for _ in range(g.n)]
+    for v in range(g.n):
+        ints[v][v] = 0
+    for (u, v), length in zip(edges, lengths):
+        ints[u][v] = ints[v][u] = length
+    for p, t in enumerate(g.terminals):
+        for q, s in enumerate(g.terminals):
+            ints[t][s] = terminal_lengths[p][q]
+    floyd_warshall(ints)
+    first = g.terminals[0]
+    at = [v if ints[first][v] < absent else first for v in range(g.n)]
+    return Metric([[Fraction(ints[u][v], common) for v in at] for u in at])
 
 
 # ---------------------------------------------------------------------------

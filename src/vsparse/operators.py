@@ -91,7 +91,7 @@ class ExtensionOperator:
             xp, yp = pair(*xp), pair(*yp)
             if xp[0] < 0 or xp[1] >= n:
                 raise ValueError(f"X-pair {xp} outside 0..{n - 1}")
-            if yp[1] >= k:
+            if yp[0] < 0 or yp[1] >= k:
                 raise ValueError(f"Y-pair {yp} outside 0..{k - 1}")
             v = as_fraction(value)
             if v < 0:

@@ -14,7 +14,7 @@ lists the ``find_optimal_operator`` instances; ``metric_cone_fixture()``
 covers the metric-cone layer (``min_extension``, ``metric_quality_upper``,
 ``max_concurrent_flow``, ``min_cut_via_flow`` and ``random_metric``) on
 seeded graphs with mixed denominators, plus seeded one-row
-``MetricConeLp(m).optimize`` programs on unpinned cones of 2..5 points
+``MetricConeLp(m).optimize`` programs on cones of 2..5 points
 (``cone_lp_cases()``). Every outcome is serialized to plain
 JSON with exact fraction strings, so the fixture pins the pivot path's
 results bit for bit.
@@ -45,7 +45,7 @@ OPERATOR_SEEDS = (1, 2, 3)
 CONE_SHAPES = ((5, 3, 4, 0.5), (6, 4, 7, 0.5), (7, 3, 12, 0.4), (7, 4, 4, 0.6),
                (8, 5, 7, 0.3))
 CONE_SEEDS = (1, 2, 3, 4)
-# point counts and seeds of the one-row LPs over the unpinned metric cone
+# point counts and seeds of the one-row LPs over the metric cone
 CONE_LP_POINTS = (2, 3, 4, 5)
 CONE_LP_SEEDS = (1, 2, 3, 4)
 

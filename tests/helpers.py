@@ -7,7 +7,8 @@ bipartitions, exhaustive 0-extensions) stay instant.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from vsparse import WeightedGraph, lp
+from vsparse import WeightedGraph, all_pairs, lp, pair
+from vsparse.extension import MetricConeLp
 
 
 def path3() -> WeightedGraph:
@@ -30,6 +31,25 @@ def weighted_star(weights) -> WeightedGraph:
 def triangle_y() -> WeightedGraph:
     """Complete graph on 3 terminals (Y = X), unit weights."""
     return WeightedGraph(3, [0, 1, 2], {(0, 1): 1, (0, 2): 1, (1, 2): 1})
+
+
+def held_rows(values):
+    """Each pair of ``values`` held at its value, as a "<=" and a ">=" row."""
+    rows = []
+    for pq, v in values.items():
+        rows += [({pq: Fraction(1)}, lp.LE, v), ({pq: Fraction(1)}, lp.GE, v)]
+    return rows
+
+
+def reference_min_extension(g: WeightedGraph, d_y):
+    """The minimum extension as a metric-cone LP over all n vertices, each
+    terminal distance held by a pair of rows; its ``MetricLpResult``.
+
+    Rows come in pairs, so the cone never reads the one-row program off
+    its rays: the LP with lazy triangle rows decides.
+    """
+    held = {pair(g.terminals[p], g.terminals[q]): d_y.dist(p, q) for p, q in all_pairs(g.k)}
+    return MetricConeLp(g.n).optimize("min", dict(g.weights), held_rows(held))
 
 
 @dataclass

@@ -103,6 +103,35 @@ def test_cut_certificate_complement_invariance():
     assert certify_cut(CutCertificate(g, mu1, mu2)) == F(3, 4)
 
 
+def test_cut_certificate_runs_one_flow_per_bipartition(monkeypatch):
+    # mu2 holds each side of mu1 and its complement, so the two share masks
+    # and complements: three bipartitions in all, each cut once, keyed by
+    # the side holding terminal 0
+    g, _ = canonicalize(random_graph(random.Random(7), 7, 4))
+    mu1 = [(0b0011, F(1, 2)), (0b0100, F(1, 4)), (0b1101, F(1, 4))]
+    mu2 = [(mask, F(1, 6)) for mask in (0b0011, 0b1100, 0b0100, 0b1011, 0b1101, 0b0010)]
+    real, sides = certificates.min_cut_via_flow, []
+
+    def counted(g, side):
+        sides.append(side)
+        return real(g, side)
+
+    monkeypatch.setattr(certificates, "min_cut_via_flow", counted)
+    got = certify_cut(CutCertificate(g, mu1, mu2))
+    assert sides == [[0, 1], [0, 1, 3], [0, 2, 3]]
+    # the bound with every mask's own side cut by its own flow
+    def side_of(mask):
+        return [p for p in range(g.k) if mask >> p & 1]
+
+    def separating(mu, p, q):
+        return sum(prob for mask, prob in mu if mask >> p & 1 and not mask >> q & 1)
+
+    e1, e2 = (sum(prob * real(g, side_of(mask)) for mask, prob in mu) for mu in (mu1, mu2))
+    c = max(separating(mu1, p, q) / separating(mu2, p, q)
+            for p in range(g.k) for q in range(g.k) if p != q)
+    assert got is not None and got == e1 / (c * e2)
+
+
 def test_duplicate_masks_merge():
     cert = CutCertificate(path3(), [(1, F(1, 2)), (1, F(1, 2))], [(1, 1)])
     assert cert.mu1 == ((1, F(1)),)

@@ -1,8 +1,8 @@
 """Cone optima read off the extreme rays, against the LP they replace.
 
 ``cone_rays(m)`` lists the extreme rays of the metric cone on m <= 5
-points. ``MetricConeLp.optimize`` reads a one-row program on an unpinned
-cone off them (its optimal vertex, the apex, an improving ray or
+points. ``MetricConeLp.optimize`` reads a one-row program on such a cone
+off them (its optimal vertex, the apex, an improving ray or
 infeasibility), and the membership probe settles "max <= 0" from them.
 The reads are compared with the triangle separation LP, taken with the ray
 path switched off, in status and value; on a tie the two may return
@@ -23,6 +23,7 @@ from vsparse import (ExtensionOperator, Metric, all_pairs, cut_metric, extension
                      zero_metric)
 from vsparse.extension import MetricConeLp, cone_rays
 from vsparse.sampling import random_graph
+from helpers import held_rows
 
 F = Fraction
 
@@ -256,14 +257,13 @@ def test_ray_read_agrees_with_the_lp(monkeypatch, case):
     _check_ray_read(*case, monkeypatch)
 
 
-def test_ray_path_needs_an_unpinned_cone_and_one_row(monkeypatch):
+def test_ray_path_needs_one_row_on_at_most_five_points(monkeypatch):
     def refuse(*args):
         raise AssertionError("ray path taken")
 
     monkeypatch.setattr(extension, "_ray_optimum", refuse)
     objective = {(0, 1): F(1), (1, 2): F(-1)}
     norm = ({pq: F(1) for pq in all_pairs(3)}, lp.LE, F(1))
-    MetricConeLp(3, {(0, 2): F(1)}).optimize("max", objective, [norm])
     MetricConeLp(3).optimize("max", objective, [norm, ({(0, 1): F(1)}, lp.LE, F(1))])
     MetricConeLp(6).optimize("max", objective, [({pq: F(1) for pq in all_pairs(6)},
                                                  lp.LE, F(1))])
@@ -297,13 +297,12 @@ def test_ray_path_leaves_negative_rows_and_nonpositive_bounds_to_the_lp():
     assert extension._ray_optimum(m, "max", ones, (ones, lp.GE, F(-1))) is None
 
 
-@pytest.mark.parametrize("cone", [MetricConeLp(4), MetricConeLp(6),
-                                  MetricConeLp(2, {(0, 1): F(1)})],
+@pytest.mark.parametrize("m,held", [(4, {}), (6, {}), (2, {(0, 1): F(1)})],
                          ids=["rays", "lp", "constant"])
-def test_every_cone_path_refuses_an_equation_row(cone):
-    ones = {pq: F(1) for pq in all_pairs(cone.m)}
+def test_every_cone_path_refuses_an_equation_row(m, held):
+    ones = {pq: F(1) for pq in all_pairs(m)}
     with pytest.raises(lp.LpError):
-        cone.optimize("max", ones, [(ones, "=", F(1))])
+        MetricConeLp(m).optimize("max", ones, [*held_rows(held), (ones, "=", F(1))])
 
 
 # --- membership probes --------------------------------------------------------

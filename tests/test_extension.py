@@ -3,14 +3,17 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vsparse import (
     WeightedGraph,
     alpha_cost,
     best_zero_extension,
     cut_metric,
+    lp,
     metric_closure,
     min_cut_by_enumeration,
     min_cut_via_flow,
@@ -21,7 +24,7 @@ from vsparse import (
 )
 from vsparse.extension import MetricConeLp
 from vsparse.sampling import random_graph, random_metric
-from helpers import path3, unit_star, weighted_star
+from helpers import held_rows, path3, reference_min_extension, unit_star, weighted_star
 
 F = Fraction
 
@@ -29,23 +32,13 @@ F = Fraction
 # --- the metric-cone LP ------------------------------------------------
 
 def test_cone_lp_minimizes_pinned_triangle_slack():
-    # min d(0,1) with d(0,2) = d(1,2) = 1 pinned: interval [0, 2].
-    cone = MetricConeLp(3, {(0, 2): F(1), (1, 2): F(1)})
-    low = cone.optimize("min", {(0, 1): F(1)})
-    high = cone.optimize("max", {(0, 1): F(1)})
+    # min d(0,1) with d(0,2) = d(1,2) = 1 held by rows: interval [0, 2].
+    cone = MetricConeLp(3)
+    rows = held_rows({(0, 2): F(1), (1, 2): F(1)})
+    low = cone.optimize("min", {(0, 1): F(1)}, rows)
+    high = cone.optimize("max", {(0, 1): F(1)}, rows)
     assert (low.value, high.value) == (0, 2)
     assert high.table.dist(0, 1) == 2
-
-
-@pytest.mark.parametrize("cap", [None, F(5)], ids=["ray", "point"])
-def test_cone_lp_adds_a_row_two_triangles_share_once(cap):
-    # With every pair but (0, 1) pinned to 0, the triangles (0, 1, 2) and
-    # (0, 1, 3) both give d(0,1) <= 0; the separation returns it once, on
-    # the unbounded first ray and on the capped first point alike.
-    cone = MetricConeLp(4, {pq: F(0) for pq in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]})
-    rows = [] if cap is None else [({(0, 1): F(1)}, "<=", cap)]
-    got = cone.optimize("min", {(0, 1): F(-1)}, rows)
-    assert (got.value, got.rounds) == (0, 2)
 
 
 def test_cone_lp_reports_rays():
@@ -56,8 +49,8 @@ def test_cone_lp_reports_rays():
 
 
 def test_cone_lp_counts_pinned_constants_in_the_value():
-    cone = MetricConeLp(3, {(0, 1): F(5)})
-    out = cone.optimize("min", {(0, 1): F(2), (0, 2): F(1)})
+    out = MetricConeLp(3).optimize("min", {(0, 1): F(2), (0, 2): F(1)},
+                                   held_rows({(0, 1): F(5)}))
     assert out.value == 10  # 2*5 plus the free minimum 0
 
 
@@ -66,11 +59,12 @@ def test_cone_lp_counts_pinned_constants_in_the_value():
     (">=", F(13, 2), "optimal"), (">=", F(7), "infeasible"),
 ])
 def test_cone_lp_on_a_fully_pinned_cone_checks_its_row(rel, rhs, status):
-    # Every pair pinned: the program is the constant 2*2 + 3 = 7 under the
-    # row 2*d(0,1) + d(1,2) = 13/2 rel rhs, checked once.
+    # Every pair held by rows: the program is the constant 2*2 + 3 = 7 under
+    # the row 2*d(0,1) + d(1,2) = 13/2 rel rhs, decided in one round.
     pins = {(0, 1): F(2), (0, 2): F(3), (1, 2): F(5, 2)}
-    out = MetricConeLp(3, pins).optimize(
-        "max", {(0, 1): F(2), (0, 2): F(1)}, [({(0, 1): F(2), (1, 2): F(1)}, rel, rhs)])
+    out = MetricConeLp(3).optimize(
+        "max", {(0, 1): F(2), (0, 2): F(1)},
+        [*held_rows(pins), ({(0, 1): F(2), (1, 2): F(1)}, rel, rhs)])
     assert (out.status, out.rounds) == (status, 1)
     if status == "optimal":
         assert out.value == 7
@@ -151,6 +145,102 @@ def test_extension_is_homogeneous(seed):
     d = random_metric(rng, g.k)
     c = F(rng.randint(0, 7), rng.randint(1, 4))
     assert min_extension(g, d.scale(c)).value == c * min_extension(g, d).value
+
+
+# --- min_extension against the pinned metric-cone reference -------------
+
+def recorded_min_extension(g, d):
+    """``min_extension(g, d)``, its edge-length LP and the LP's final outcome."""
+    real, runs = lp.cutting_plane, []
+
+    def recorded(program, oracles, max_rounds):
+        result = real(program, oracles, max_rounds)
+        runs.append((program, result.outcome))
+        return result
+
+    with mock.patch.object(lp, "cutting_plane", recorded):
+        res = min_extension(g, d)
+    [(program, out)] = runs
+    return res, program, out
+
+
+def shortest_paths_over(g, d, witness):
+    """Shortest-path distances over g's edges at the witness's values and the
+    terminal pairs at d's, or None where no path exists."""
+    dist = [[F(0) if u == v else None for v in range(g.n)] for u in range(g.n)]
+    for u, v in g.weights:
+        dist[u][v] = dist[v][u] = witness.dist(u, v)
+    for p, t in enumerate(g.terminals):
+        for q, s in enumerate(g.terminals):
+            dist[t][s] = d.dist(p, q)
+    for l in range(g.n):
+        for i in range(g.n):
+            for j in range(g.n):
+                if dist[i][l] is not None and dist[l][j] is not None:
+                    via = dist[i][l] + dist[l][j]
+                    if dist[i][j] is None or via < dist[i][j]:
+                        dist[i][j] = via
+    return dist
+
+
+def check_extension(g, d):
+    """min_extension(g, d) against the reference, its LP audited and its
+    witness checked to be the closure the edge lengths give."""
+    res, program, out = recorded_min_extension(g, d)
+    lp.audit(program, out)
+    assert all(con.rel == lp.GE and len(set(con.nums)) == 1 for con in program.constraints)
+    ref = reference_min_extension(g, d)
+    assert ref.status == lp.OPTIMAL and res.value == ref.value
+    assert res.witness.restrict(g.terminals) == d
+    assert alpha_cost(g, res.witness) == res.value
+    # the witness is the shortest-path metric of its own edge values with d
+    # over the terminal pairs; a vertex with no path to a terminal sits on
+    # the first terminal
+    paths = shortest_paths_over(g, d, res.witness)
+    first = g.terminals[0]
+    at = [v if paths[first][v] is not None else first for v in range(g.n)]
+    assert [list(row) for row in res.witness.rows] == [[paths[u][v] for v in at] for u in at]
+    return res
+
+
+@st.composite
+def extension_instances(draw):
+    """A seeded random graph on 1 <= k <= n <= 7 vertices, connected or not,
+    with unsorted terminals, and a terminal metric, the zero one included."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    g = random_graph(rng, n, k, density=draw(st.sampled_from([0.2, 0.5, 1.0])),
+                     connected=draw(st.booleans()))
+    d = random_metric(rng, k, max_den=draw(st.sampled_from([1, 4, 9])))
+    return g, d.scale(draw(st.sampled_from([F(0), F(1), F(3, 2)])))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(extension_instances())
+def test_min_extension_matches_the_pinned_cone_reference(case):
+    check_extension(*case)
+
+
+def test_extension_puts_a_vertex_without_terminal_paths_on_the_first_terminal():
+    # terminals 3 and 0, unsorted; vertices 2 and 4 form a component of their own
+    g = WeightedGraph(5, [3, 0], {(0, 1): 1, (1, 3): 2, (2, 4): 5})
+    res = check_extension(g, cut_metric([0], 2).scale(3))
+    assert res.value == 3  # all of d(3, 0) = 3 on the edge of weight 1
+    assert res.witness.rows[2] == res.witness.rows[4] == res.witness.rows[3]
+
+
+def test_extension_with_every_vertex_a_terminal_is_the_metric_itself():
+    g = WeightedGraph(3, [2, 0, 1], {(0, 1): 1, (1, 2): F(1, 2), (0, 2): 3})
+    d = metric_closure([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    res = check_extension(g, d)
+    assert res.value == 1 * 1 + F(1, 2) * 2 + 3 * 1
+
+
+def test_extension_of_a_single_terminal_is_free():
+    g = random_graph(random.Random(3), 6, 1, connected=False)
+    res = check_extension(g, zero_metric(1))
+    assert res.value == 0 and res.witness.is_zero()
 
 
 # --- terminal min cuts -------------------------------------------------

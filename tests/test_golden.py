@@ -37,8 +37,16 @@ again: the duals of ``random-15``, the duals and bound duals of
 ``random-25`` (both degenerate optima), the feasible point, its value and
 the ray of the unbounded ``random-35``, and the membership-cut counts of
 seven operators moved; every q, optimal value, operator coefficient,
-round count and worst metric stayed. Every test runs under the suite's
-per-solve pivot budget (``tests/conftest.py``).
+round count and worst metric stayed.
+
+``min_extension`` first ran on the metric cone over all pair distances with
+the terminal pairs pinned. It now runs over edge lengths with shortest-path
+rows, and its witness is the shortest-path closure of the optimal lengths,
+another optimal extension, so the fixture was re-recorded once more: the
+``min_extension`` witnesses of ``cone-5-3-4-1``, ``cone-5-3-4-3``,
+``cone-6-4-7-1``, ``cone-7-3-12-3`` and ``cone-7-4-4-1`` moved; every value
+stayed. Every test runs under the suite's per-solve pivot budget
+(``tests/conftest.py``).
 """
 import json
 from fractions import Fraction

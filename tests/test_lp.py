@@ -20,7 +20,7 @@ from vsparse.core import integer_row
 from vsparse.extension import MetricConeLp, min_extension
 from vsparse.operators import find_optimal_operator
 from vsparse.sampling import random_graph, random_metric
-from helpers import EQ, BoundedProgram
+from helpers import EQ, BoundedProgram, held_rows
 
 F = Fraction
 
@@ -253,10 +253,10 @@ def test_warm_resolve_agrees_with_cold_solve(case):
 
 @st.composite
 def cones_unbounded_at_first(draw):
-    """A metric cone on 3..6 points, some pairs pinned to a sum of cut
-    metrics, and a "min" objective negative on some variable pair, so the
-    first batch (no triangle row yet) is unbounded and triangle separation
-    starts from its ray, pins read 0."""
+    """A metric cone on 3..6 points, some pairs held by rows at a sum of cut
+    metrics, and a "min" objective negative on some pair no row holds, so
+    the first batch (no triangle row yet) is unbounded and triangle
+    separation starts from its ray."""
     m = draw(st.integers(3, 6))
     pairs = all_pairs(m)
     d = dict.fromkeys(pairs, 0)
@@ -264,19 +264,19 @@ def cones_unbounded_at_first(draw):
                                  max_size=3)):
         for p, q in pairs:
             d[(p, q)] += w * ((mask >> p & 1) != (mask >> q & 1))
-    pinned = {pq: F(d[pq]) for pq, pin in zip(pairs, draw(st.lists(
-        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if pin}
-    free = [pq for pq in pairs if pq not in pinned]
+    held = {pq: F(d[pq]) for pq, hold in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if hold}
+    free = [pq for pq in pairs if pq not in held]
     assume(free)
     objective = {pq: F(draw(small_int), draw(st.integers(1, 3))) for pq in pairs}
     objective[draw(st.sampled_from(free))] = F(-draw(st.integers(1, 3)))
-    return MetricConeLp(m, pinned), objective
+    return MetricConeLp(m), objective, held_rows(held)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(cones_unbounded_at_first())
 def test_cutting_plane_from_an_unbounded_first_batch_agrees_with_cold_solve(case):
-    cone, objective = case
+    cone, objective, rows = case
     real, runs = lp.cutting_plane, []
 
     def recorded(program, oracles, max_rounds):
@@ -291,7 +291,7 @@ def test_cutting_plane_from_an_unbounded_first_batch_agrees_with_cold_solve(case
         return result
 
     with mock.patch.object(lp, "cutting_plane", recorded):
-        got = cone.optimize("min", objective)
+        got = cone.optimize("min", objective, rows)
     [(program, result, seen)] = runs
     assert seen[0] == lp.UNBOUNDED
     lp.audit(program, result.outcome)

@@ -63,6 +63,7 @@ def test_explicit_identity_rows_are_accepted():
     {((0, 2), (0, 1)): -1},           # negative coefficient
     {((0, 3), (0, 1)): 1},            # X-pair out of range
     {((0, 2), (0, 2)): 1},            # Y-pair out of range
+    {((0, 2), (-1, 0)): 1},           # Y-pair with a negative index
 ])
 def test_tensor_validation(coeffs):
     with pytest.raises(ValueError):
@@ -505,6 +506,7 @@ def test_operator_json_requires_distortion():
     (lambda d: d["coeffs"][0].pop(), "expected [i, j, p, q, value]"),
     (lambda d: d["coeffs"].append([2, 3, 0, 1, "-1/2"]), "negative"),
     (lambda d: d["coeffs"].append([0, 1, 0, 1, "1/2"]), "duplicate"),
+    (lambda d: d["coeffs"].append([2, 3, -1, 0, "1/1"]), "Y-pair (-1, 0) outside 0..2"),
 ])
 def test_operator_json_errors(mangle, fragment):
     data = operator_to_json(find_optimal_operator(unit_star(3)).operator)
