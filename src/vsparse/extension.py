@@ -11,6 +11,14 @@ it honest: an augmenting-path max-flow (for cut metrics the minimum
 extension is exactly a terminal min cut) and exhaustive 0-extension
 enumeration (an upper bound for arbitrary metrics).
 
+``terminal_pair_lp`` is the program behind the metric upper quality and
+the maximum concurrent flow: the ratio of a weighted sum of terminal
+distances to alpha(d), over vertex metrics d. Past ``RAY_POINTS`` vertices
+it runs over edge lengths too, with a distance column per terminal pair
+that is not an edge and path rows for each pair whose shortest path,
+through terminals too, is shorter than its distance; the witness is again
+the shortest-path closure, restricted to the terminals.
+
 ``MetricConeLp`` optimizes a linear objective over the metric cone on m
 points, every pair distance a variable, under extra rows. Triangle
 separation, path separation and max-flow compare integer numerators over
@@ -33,10 +41,10 @@ import functools
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from . import lp
 from .core import (
@@ -47,7 +55,6 @@ from .core import (
     Pair,
     WeightedGraph,
     all_pairs,
-    alpha_cost,
     as_fraction,
     cut_metric,
     floyd_warshall,
@@ -115,6 +122,13 @@ def _on_rays(m: int, nums: Sequence[int]) -> list[int]:
     return [sum([c * ray[j] for j, c in nonzero]) for ray in cone_rays(m)]
 
 
+@functools.cache
+def _ray_masses(m: int) -> tuple[int, ...]:
+    """The pair mass sum d of every ray of ``cone_rays(m)``: the
+    normalization row sum d <= 1 on the rays."""
+    return tuple([sum(ray) for ray in cone_rays(m)])
+
+
 def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
                  row: tuple[Mapping[Pair, FractionLike], str, FractionLike]
                  ) -> MetricLpResult | None:
@@ -137,15 +151,21 @@ def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
     if sense not in ("min", "max") or rel not in (lp.LE, lp.GE):
         raise lp.LpError(f"cannot {sense!r} over a {rel!r} row")
     rhs = as_fraction(rhs)
-    a_nums, a_scale = _pair_numerators(m, coeffs)
-    if rhs <= 0 or min(a_nums) < 0:
+    if rhs <= 0:
         return None
-    if rel == lp.GE and not any(a_nums):
+    if len(coeffs) == len(_pair_index(m)) and all(c == 1 for c in coeffs.values()):
+        a_rays, a_scale = _ray_masses(m), 1  # the normalization sum d <= 1
+    else:
+        a_nums, a_scale = _pair_numerators(m, coeffs)
+        if min(a_nums) < 0:
+            return None
+        a_rays = _on_rays(m, a_nums)
+    if rel == lp.GE and not any(a_rays):
         return MetricLpResult(lp.INFEASIBLE, None, None, None, 0)
     c_nums, c_scale = _pair_numerators(m, objective)
     sign = 1 if sense == "max" else -1
     best = None  # (ray index, sign * c.r, a.r) of the best vertex so far
-    for r, (cr, ar) in enumerate(zip(_on_rays(m, c_nums), _on_rays(m, a_nums))):
+    for r, (cr, ar) in enumerate(zip(_on_rays(m, c_nums), a_rays)):
         cr *= sign
         if cr > 0 and (ar == 0 or rel == lp.GE):
             return MetricLpResult(lp.UNBOUNDED, None, None, _ray_metric(m, r, ONE), 0)
@@ -157,7 +177,7 @@ def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
     # the optimal vertex is step * ray with step = rhs * a_scale / ar
     step_num, step_den = rhs.numerator * a_scale, rhs.denominator * ar
     value = Fraction(step_num * sign * cr, step_den * c_scale)
-    witness = (_normalized_ray(m, r) if step_num * sum(cone_rays(m)[r]) == step_den
+    witness = (_normalized_ray(m, r) if step_num * _ray_masses(m)[r] == step_den
                else _ray_metric(m, r, Fraction(step_num, step_den)))
     return MetricLpResult(lp.OPTIMAL, value, witness, None, 0)
 
@@ -179,7 +199,7 @@ def _ray_metric(m: int, r: int, step: Fraction) -> Metric:
 def _normalized_ray(m: int, r: int) -> Metric:
     """The r-th ray of ``cone_rays(m)`` over its pair mass: the vertex it
     gives a program normalized by sum d <= 1, such as the membership probe."""
-    return _ray_metric(m, r, Fraction(1, sum(cone_rays(m)[r])))
+    return _ray_metric(m, r, Fraction(1, _ray_masses(m)[r]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +305,92 @@ class MetricConeLp:
 
 
 # ---------------------------------------------------------------------------
+# shortest paths and closures of integer edge lengths
+
+
+def _adjacency(n: int, edges: Sequence[Pair]) -> list[list[tuple[int, int]]]:
+    """Each vertex's neighbours along ``edges``, with the edge's column."""
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, (u, v) in enumerate(edges):
+        adjacent[u].append((v, j))
+        adjacent[v].append((u, j))
+    return adjacent
+
+
+def _shortest_paths(source: int, adjacent: Sequence[Sequence[tuple[int, int]]],
+                    nums: Sequence[int], blocked: Container[int]
+                    ) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
+    """Dijkstra from ``source`` at the integer edge lengths ``nums``, never
+    continuing through a vertex of ``blocked`` other than the source: the
+    distance of every vertex reached, and the vertex and edge column it was
+    reached by.
+
+    ``adjacent`` is as :func:`_adjacency` builds it. A tie of distances
+    settles at the lowest vertex index and the first predecessor that
+    reaches a vertex is kept, so the paths are deterministic.
+    """
+    dist, via, done = {source: 0}, {}, set()
+    heap = [(0, source)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u != source and u in blocked:
+            continue
+        for v, j in adjacent[u]:
+            dv = du + nums[j]
+            if v not in dist or dv < dist[v]:
+                dist[v], via[v] = dv, (u, j)
+                heapq.heappush(heap, (dv, v))
+    return dist, via
+
+
+def _path(via: Mapping[int, tuple[int, int]], source: int, t: int) -> list[int]:
+    """The edge columns of the path from ``source`` to t that
+    :func:`_shortest_paths` found."""
+    cols = []
+    while t != source:
+        t, j = via[t]
+        cols.append(j)
+    return cols
+
+
+def _closure(n: int, entries: Iterable[tuple[int, int, int]]) -> tuple[list[list[int]], int]:
+    """The shortest-path table on n vertices of the integer lengths
+    ``(u, v, length)``, by :func:`core.floyd_warshall`, and the sentinel,
+    longer than any path, at which every pair with no path stays."""
+    entries = list(entries)
+    absent = 1 + sum([length for _, _, length in entries])
+    ints = [[absent] * n for _ in range(n)]
+    for v in range(n):
+        ints[v][v] = 0
+    for u, v, length in entries:
+        ints[u][v] = ints[v][u] = length
+    floyd_warshall(ints)
+    return ints, absent
+
+
+# ---------------------------------------------------------------------------
 # minimum metric extension, over edge lengths
 
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """Optimal value and an optimal extension witness."""
+    """Optimal value and an optimal extension witness.
+
+    ``witness``, a full metric on the graph's vertices, is built from the
+    integer closure ``(table, at, scale)`` on first read: vertex u sits at
+    ``at[u]`` and d(u, v) is ``table[at[u]][at[v]] / scale``.
+    """
 
     value: Fraction
-    witness: Metric
+    _closure: tuple[list[list[int]], list[int], int] = field(repr=False)
+
+    @functools.cached_property
+    def witness(self) -> Metric:
+        table, at, scale = self._closure
+        return Metric([[Fraction(table[u][v], scale) for v in at] for u in at])
 
 
 def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
@@ -302,8 +399,9 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
     d_y is indexed terminal-locally: d_y(p, q) fixes the distance between
     g.terminals[p] and g.terminals[q]. The witness is a full metric whose
     restriction to the terminals reproduces d_y exactly and whose weighted
-    cost equals the returned value exactly. Always attained: extensions are
-    never infeasible and the nonnegative objective is never unbounded.
+    cost equals the returned value exactly; both are checked on its integer
+    table before it is built. Always attained: extensions are never
+    infeasible and the nonnegative objective is never unbounded.
 
     The LP runs over edge lengths, the form of the metric relaxation of
     0-extension in Karzanov (1998) and Calinescu, Karloff & Rabani (2001):
@@ -314,8 +412,10 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
     between two terminals adds the constant w * d_y(p, q). The value is the
     minimum extension's: an extension d gives feasible lengths l_e = d(e) at
     the same cost, by the triangle inequality along each path, and feasible
-    lengths give an extension that costs no more, the witness
-    (:func:`_extension_witness`).
+    lengths give an extension that costs no more, the witness: the
+    shortest-path metric of the optimal lengths with d_y laid over the
+    terminal pairs. A vertex with no path to a terminal sits on the first
+    terminal.
     """
     if d_y.size != g.k:
         raise ValueError(f"metric has {d_y.size} points but the graph has {g.k} terminals")
@@ -324,10 +424,7 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
     program = lp.LinearProgram(len(edges), "min", {j: g.weights[pq] for j, pq in enumerate(edges)})
     const = sum((w * d_y.dist(local[i], local[j]) for (i, j), w in g.weights.items()
                  if i in local and j in local), ZERO)
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for j, (u, v) in enumerate(edges):
-        adjacent[u].append((v, j))
-        adjacent[v].append((u, j))
+    adjacent = _adjacency(g.n, edges)
     d_nums, d_scale = integer_table(d_y.rows)
 
     def oracle(out: lp.LpOutcome) -> list[lp.Constraint]:
@@ -340,11 +437,20 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
         raise lp.CuttingPlaneError("shortest-path separation did not converge")
     out = result.outcome
     lp.check(out.status == lp.OPTIMAL, "a minimum extension always exists")
-    witness = _extension_witness(g, edges, out.point, d_nums, d_scale)
+    nums, scale = out.point
+    common = lcm(scale, d_scale)
+    held = [(t, s, d_nums[p][q] * (common // d_scale))
+            for (p, t), (q, s) in itertools.combinations(enumerate(g.terminals), 2)]
+    ints, absent = _closure(g.n, [(u, v, x * (common // scale))
+                                  for (u, v), x in zip(edges, nums)] + held)
+    lp.check(all(ints[t][s] == length for t, s, length in held),
+             "extension witness moved a terminal distance")
+    first = g.terminals[0]
+    at = [v if ints[first][v] < absent else first for v in range(g.n)]
     value = out.value + const
-    lp.check(witness.restrict(g.terminals) == d_y, "extension witness moved a terminal distance")
-    lp.check(alpha_cost(g, witness) == value, "extension witness cost differs from LP value")
-    return ExtensionResult(value, witness)
+    lp.check(sum((w * ints[at[u]][at[v]] for (u, v), w in g.weights.items()), ZERO)
+             == value * common, "extension witness cost differs from LP value")
+    return ExtensionResult(value, (ints, at, common))
 
 
 def _path_cuts(terminals: Sequence[int], adjacent: Sequence[Sequence[tuple[int, int]]],
@@ -354,11 +460,8 @@ def _path_cuts(terminals: Sequence[int], adjacent: Sequence[Sequence[tuple[int, 
     in that order, whose shortest path P through non-terminals is shorter
     than d_y(p, q) at the lengths ``nums / scale``.
 
-    ``adjacent[u]`` lists u's neighbours v with the column of edge uv;
     ``d_nums / d_scale`` is d_y. Path lengths and d_y are compared cross-
-    multiplied as integers, which decides as the Fractions would. Dijkstra
-    settles a tie of distances at the lowest vertex index and keeps the
-    first predecessor that reaches a vertex, so the rows are deterministic.
+    multiplied as integers, which decides as the Fractions would.
     """
     cuts = []
     is_terminal = set(terminals)
@@ -366,57 +469,151 @@ def _path_cuts(terminals: Sequence[int], adjacent: Sequence[Sequence[tuple[int, 
         need = d_nums[p]
         if not any(need[p + 1:]):
             continue
-        dist, via, done = {source: 0}, {}, set()
-        heap = [(0, source)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            if u != source and u in is_terminal:
-                continue  # a path through a terminal is implied by its pieces
-            for v, j in adjacent[u]:
-                dv = du + nums[j]
-                if v not in dist or dv < dist[v]:
-                    dist[v], via[v] = dv, (u, j)
-                    heapq.heappush(heap, (dv, v))
+        dist, via = _shortest_paths(source, adjacent, nums, is_terminal)
         for q in range(p + 1, len(terminals)):
             t = terminals[q]
             if t in dist and dist[t] * d_scale < need[q] * scale:
-                path = {}
-                while t != source:
-                    t, j = via[t]
-                    path[j] = d_scale
+                path = dict.fromkeys(_path(via, source, t), d_scale)
                 cuts.append(lp.Constraint.from_integers(path, lp.GE, need[q], d_scale))
     return cuts
 
 
-def _extension_witness(g: WeightedGraph, edges: Sequence[Pair],
-                       point: tuple[Sequence[int], int],
-                       d_nums: Sequence[Sequence[int]], d_scale: int) -> Metric:
-    """The shortest-path metric of the edge lengths ``point`` with d_y laid
-    over the terminal pairs, by :func:`core.floyd_warshall` on integers.
+# ---------------------------------------------------------------------------
+# metric upper quality and concurrent flow, over edge lengths
 
-    Every other pair starts at a sentinel longer than any path. A vertex
-    with no path to a terminal sits on the first terminal.
+
+@dataclass(frozen=True)
+class PairLpResult:
+    """An outcome of :func:`terminal_pair_lp`.
+
+    ``witness`` is a terminal metric: the restriction of an optimal point,
+    or of an improving direction when the program is unbounded, in which
+    case ``value`` is None.
     """
-    nums, scale = point
-    common = lcm(scale, d_scale)
-    lengths = [v * (common // scale) for v in nums]
-    terminal_lengths = [[v * (common // d_scale) for v in row] for row in d_nums]
-    absent = 1 + sum(lengths) + sum(map(sum, terminal_lengths))
-    ints = [[absent] * g.n for _ in range(g.n)]
-    for v in range(g.n):
-        ints[v][v] = 0
-    for (u, v), length in zip(edges, lengths):
-        ints[u][v] = ints[v][u] = length
-    for p, t in enumerate(g.terminals):
-        for q, s in enumerate(g.terminals):
-            ints[t][s] = terminal_lengths[p][q]
-    floyd_warshall(ints)
-    first = g.terminals[0]
-    at = [v if ints[first][v] < absent else first for v in range(g.n)]
-    return Metric([[Fraction(ints[u][v], common) for v in at] for u in at])
+
+    status: str
+    value: Fraction | None
+    witness: Metric
+
+
+def terminal_pair_lp(g: WeightedGraph, sense: str,
+                     coeffs: Mapping[Pair, Fraction]) -> PairLpResult:
+    """The ratio of c(d) = sum coeffs[p, q] * d(p, q) to alpha(d) over the
+    metrics d on g's vertices, in one of its two normalizations.
+
+    ``coeffs`` is keyed by terminal-local pair and nonnegative. Sense "max"
+    maximizes c(d) subject to alpha(d) <= 1: the metric upper quality of a
+    sparsifier with beta = coeffs. Sense "min" minimizes alpha(d) subject to
+    c(d) >= 1: the maximum concurrent flow of the demands coeffs, which needs
+    a positive entry.
+
+    A graph on at most ``RAY_POINTS`` vertices is read off the extreme rays
+    of its metric cone (:class:`MetricConeLp`); a larger one runs over edge
+    lengths (:func:`_edge_length_lp`).
+    """
+    if g.n > RAY_POINTS:
+        return _edge_length_lp(g, sense, coeffs)
+    objective = _vertex_pairs(g, coeffs)
+    if sense == "max":
+        result = MetricConeLp(g.n).optimize("max", objective, [(g.weights, lp.LE, ONE)])
+    else:
+        result = MetricConeLp(g.n).optimize("min", g.weights, [(objective, lp.GE, ONE)])
+    table = result.ray_table if result.status == lp.UNBOUNDED else result.table
+    return PairLpResult(result.status, result.value, table.restrict(g.terminals))
+
+
+def _vertex_pairs(g: WeightedGraph, coeffs: Mapping[Pair, Fraction]) -> dict[Pair, Fraction]:
+    """The nonzero coefficients of terminal-local pairs, keyed by the pairs
+    of their terminal vertices."""
+    return {pair(g.terminals[p], g.terminals[q]): c for (p, q), c in coeffs.items() if c}
+
+
+def _edge_length_lp(g: WeightedGraph, sense: str,
+                    coeffs: Mapping[Pair, Fraction]) -> PairLpResult:
+    """:func:`terminal_pair_lp` over edge lengths.
+
+    One length l_e >= 0 per weighted edge, then one distance x_pq >= 0 per
+    pair of terminals with a coefficient that is not an edge, each in sorted
+    pair order; a pair that is an edge reads its length. Sense "max" is
+    max sum c * x subject to sum w * l <= 1, sense "min" is min sum w * l
+    subject to sum c * x >= 1, and both keep x_pq - sum_{e in P} l_e <= 0
+    for the paths P from p to q, through terminals too. Those rows come
+    lazily: for each pair whose distance exceeds its shortest path at the
+    round's integer point (:func:`_shortest_paths`), the row of that path
+    and of every other two-edge path shorter than the distance, which saves
+    a dense graph rounds. Before the first solve each distance column gets
+    the row of its shortest path at the lengths 1 / w_e, so every round is
+    bounded and every round after the first is warm. Each program is the
+    metric one's: a metric gives feasible lengths and distances by the
+    triangle inequality, and the shortest-path closure of optimal lengths is
+    a metric that does as well, the witness. Terminals with no path between
+    them sit at the closure's sentinel distance.
+
+    A pair with no path between its terminals makes the ratio unbounded
+    before any LP runs. For the first such pair (u, v), u < v, the cut
+    metric of u's component extends at cost 0 and has c > 0: for "max" it
+    is the improving direction, and "min" has the value 0 at it, scaled to
+    c = 1.
+    """
+    objective = _vertex_pairs(g, coeffs)
+    edges = sorted(g.weights)
+    column = {pq: j for j, pq in enumerate(edges)}
+    extra = sorted(pq for pq in objective if pq not in column)
+    column.update((pq, len(edges) + i) for i, pq in enumerate(extra))
+    adjacent = _adjacency(g.n, edges)
+    inverse = integer_row([1 / g.weights[pq] for pq in edges])[0] if extra else []
+    seeds = []
+    for u, v in extra:
+        dist, via = _shortest_paths(u, adjacent, inverse, ())
+        if v not in dist:
+            cut = cut_metric([p for p, t in enumerate(g.terminals) if t in dist], g.k)
+            if sense == "max":
+                return PairLpResult(lp.UNBOUNDED, None, cut)
+            mass = sum((c for (p, q), c in objective.items() if (p in dist) != (q in dist)), ZERO)
+            return PairLpResult(lp.OPTIMAL, ZERO, cut.scale(1 / mass))
+        seeds.append(_distance_row(column[(u, v)], _path(via, u, v)))
+    costs, row, rel = ((objective, g.weights, lp.LE) if sense == "max"
+                       else (g.weights, objective, lp.GE))
+    program = lp.LinearProgram(len(column), sense, {column[pq]: c for pq, c in costs.items()})
+    program.add_constraint({column[pq]: c for pq, c in row.items()}, rel, ONE)
+    for con in seeds:
+        program.add(con)
+    targets: dict[int, list[tuple[int, int]]] = {}
+    for u, v in sorted(objective):
+        targets.setdefault(u, []).append((v, column[(u, v)]))
+
+    def oracle(out: lp.LpOutcome) -> list[lp.Constraint]:
+        nums, cuts = out.point[0], []
+        for u, ends in targets.items():
+            dist, via = _shortest_paths(u, adjacent, nums, ())
+            for v, j in ends:
+                if dist[v] < nums[j]:
+                    path = _path(via, u, v)
+                    cuts.append(_distance_row(j, path))
+                    near_u = dict(adjacent[u])  # each neighbour's edge column
+                    cuts += [_distance_row(j, [near_u[w], b]) for w, b in adjacent[v]
+                             if w in near_u and nums[near_u[w]] + nums[b] < nums[j]
+                             and {near_u[w], b} != set(path)]
+        return cuts
+
+    # Every cut is the row of one of the finitely many paths and never
+    # repeats, so the round cap is a formality.
+    result = lp.cutting_plane(program, [oracle], max_rounds=100_000)
+    if not result.converged:
+        raise lp.CuttingPlaneError("shortest-path separation did not converge")
+    out = result.outcome
+    lp.check(out.status == lp.OPTIMAL, "a pair LP with a path for every pair is attained")
+    nums, scale = out.point
+    ints, _ = _closure(g.n, [(u, v, x) for (u, v), x in zip(edges, nums)])
+    lp.check(sum((c * ints[u][v] for (u, v), c in costs.items()), ZERO) == out.value * scale,
+             "the closure of the optimal lengths misses the LP value")
+    witness = Metric([[Fraction(ints[t][s], scale) for s in g.terminals] for t in g.terminals])
+    return PairLpResult(lp.OPTIMAL, out.value, witness)
+
+
+def _distance_row(j: int, path: Sequence[int]) -> lp.Constraint:
+    """The row x_j - sum_{e in path} l_e <= 0."""
+    return lp.Constraint.from_integers({j: 1, **dict.fromkeys(path, -1)}, lp.LE, 0, 1)
 
 
 # ---------------------------------------------------------------------------

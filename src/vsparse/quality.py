@@ -3,10 +3,14 @@
 Three semantics share one report shape: cut quality enumerates every
 terminal bipartition and compares the sparsifier's cut to the terminal min
 cut; metric quality bounds the sparsifier's value against the minimum
-extension through a single LP over the vertex metric cone; flow quality
-compares maximum concurrent-flow fractions through the dual LPs, exactly
-at the sparsifier's own demands or on given ones. All values are exact
-rationals; a ratio against zero is reported as unbounded rather than clamped.
+extension through a single LP; flow quality compares maximum
+concurrent-flow fractions through the dual LPs, exactly at the
+sparsifier's own demands or on given ones. The metric and flow LPs are one
+program in two normalizations (:func:`extension.terminal_pair_lp`): over
+edge lengths with shortest-path rows on a graph of more than
+``RAY_POINTS`` vertices, read off the extreme rays of the vertex metric
+cone on a smaller one. All values are exact rationals; a ratio against
+zero is reported as unbounded rather than clamped.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .core import (
     is_unbounded,
     pair,
 )
-from .extension import MetricConeLp, min_cut_via_flow, min_extension
+from .extension import min_cut_via_flow, min_extension, terminal_pair_lp
 from .operators import ExtensionOperator, operator_to_sparsifier
 from .sampling import random_metric
 
@@ -112,28 +116,25 @@ def cut_quality(g: WeightedGraph, beta: Sparsifier) -> QualityReport:
 def metric_quality_upper(g: WeightedGraph, beta: Sparsifier) -> QualityReport:
     """Supremum of beta(d_Y) / minext(d_Y), as one LP.
 
-    Maximizes beta over the restriction of the vertex metric cone sliced by
-    alpha(d) <= 1; that slice projects to exactly the terminal metrics of
-    minimum extension at most 1, so the optimum is the worst ratio. An
-    unbounded LP yields an unbounded report whose witness is a ray: a
-    terminal metric with zero-cost extension but positive beta. The lower
-    bound is not examined here.
+    Maximizes beta(d) over the vertex metrics d with alpha(d) <= 1; their
+    restrictions are exactly the terminal metrics of minimum extension at
+    most 1, so the optimum is the worst ratio and the witness, the optimal
+    metric's restriction, attains it with minimum extension 1. A graph on
+    more than ``RAY_POINTS`` vertices runs over edge lengths with
+    shortest-path rows, and a smaller one is read off the extreme rays of
+    its metric cone (:func:`extension.terminal_pair_lp`). An unbounded
+    program yields an unbounded report whose witness is a terminal metric
+    with zero-cost extension but positive beta: past ``RAY_POINTS``
+    vertices, the cut metric of a component, taken at the first pair of
+    terminal vertices (sorted) with positive beta and no path between them.
+    The lower bound is not examined here.
     """
     _check_k(g, beta)
-    cone = MetricConeLp(g.n)
-    objective: dict[tuple[int, int], Fraction] = {}
-    for (p, q), w in beta.beta.items():
-        if w:
-            key = pair(g.terminals[p], g.terminals[q])
-            objective[key] = objective.get(key, ZERO) + w
-    budget_row = (dict(g.weights), lp.LE, ONE)
-    result = cone.optimize("max", objective, [budget_row])
+    result = terminal_pair_lp(g, "max", beta.beta)
     if result.status == lp.UNBOUNDED:
-        witness = result.ray_table.restrict(g.terminals)
-        return QualityReport(METRIC, UNBOUNDED, None, witness, EXACT)
+        return QualityReport(METRIC, UNBOUNDED, None, result.witness, EXACT)
     lp.check(result.status == lp.OPTIMAL, "a budgeted metric LP is feasible")
-    witness = result.table.restrict(g.terminals)
-    return QualityReport(METRIC, result.value, None, witness, EXACT)
+    return QualityReport(METRIC, result.value, None, result.witness, EXACT)
 
 
 def metric_lower_check(g: WeightedGraph, beta: Sparsifier, samples: int = 100,
@@ -180,10 +181,13 @@ def max_concurrent_flow(g: WeightedGraph | Sparsifier, demands: DemandSet) -> Fr
     """The largest fraction lambda of all demands routable at once.
 
     Computed from the dual: minimize alpha(d) over vertex metrics with the
-    demand-weighted terminal distances summing to at least 1. Demand
-    endpoints are terminal-local, so one demand set applies to a graph and
-    to its sparsifier unchanged. Demands must include a positive entry,
-    otherwise lambda is meaningless.
+    demand-weighted terminal distances summing to at least 1: over edge
+    lengths with shortest-path rows past ``RAY_POINTS`` vertices, read off
+    the metric cone's extreme rays on fewer (:func:`extension.terminal_pair_lp`).
+    It is 0 when a positive demand joins terminals with no path between
+    them. Demand endpoints are terminal-local, so one demand set applies to
+    a graph and to its sparsifier unchanged. Demands must include a positive
+    entry, otherwise lambda is meaningless.
     """
     if isinstance(g, Sparsifier):
         g = g.as_graph()
@@ -192,13 +196,12 @@ def max_concurrent_flow(g: WeightedGraph | Sparsifier, demands: DemandSet) -> Fr
     if demands.max_endpoint() >= g.k:
         raise ValueError(
             f"demand endpoint {demands.max_endpoint()} outside terminals 0..{g.k - 1}")
-    row: dict[tuple[int, int], Fraction] = {}
+    coeffs: dict[tuple[int, int], Fraction] = {}
     for s, t, dem in demands.demands:
         if dem:
-            key = pair(g.terminals[s], g.terminals[t])
-            row[key] = row.get(key, ZERO) + dem
-    cone = MetricConeLp(g.n)
-    result = cone.optimize("min", dict(g.weights), [(row, lp.GE, ONE)])
+            key = pair(s, t)
+            coeffs[key] = coeffs.get(key, ZERO) + dem
+    result = terminal_pair_lp(g, "min", coeffs)
     # feasible by scaling, bounded below by 0
     lp.check(result.status == lp.OPTIMAL, "a concurrent-flow LP is always attained")
     return result.value

@@ -52,6 +52,28 @@ def reference_min_extension(g: WeightedGraph, d_y):
     return MetricConeLp(g.n).optimize("min", dict(g.weights), held_rows(held))
 
 
+def reference_pair_lp(g: WeightedGraph, sense: str, coeffs):
+    """The metric upper quality ("max", beta = coeffs) or the concurrent
+    flow ("min", demands coeffs) as the metric-cone LP over all n vertices;
+    its ``MetricLpResult``.
+
+    ``coeffs`` is keyed by terminal-local pair. "max" maximizes
+    sum coeffs * d(p, q) subject to alpha(d) <= 1, "min" minimizes alpha(d)
+    subject to sum coeffs * d(p, q) >= 1. On at most five points the cone
+    reads the one-row program off its extreme rays, elsewhere the LP with
+    lazy triangle rows decides.
+    """
+    objective = {}
+    for (p, q), c in coeffs.items():
+        if c:
+            key = pair(g.terminals[p], g.terminals[q])
+            objective[key] = objective.get(key, Fraction(0)) + c
+    cone = MetricConeLp(g.n)
+    if sense == "max":
+        return cone.optimize("max", objective, [(dict(g.weights), lp.LE, Fraction(1))])
+    return cone.optimize("min", dict(g.weights), [(objective, lp.GE, Fraction(1))])
+
+
 @dataclass
 class BoundedOutcome:
     """An outcome of a :class:`BoundedProgram` in its own variables."""

@@ -498,3 +498,29 @@ def test_cached_normalized_rays_are_the_rays_over_their_pair_mass(m):
     for r, ray in enumerate(cone_rays(m)):
         want = Metric(_table(m, [F(v, sum(ray)) for v in ray]))
         assert extension._normalized_ray(m, r) == want
+
+
+@pytest.mark.parametrize("m", range(2, extension.RAY_POINTS + 1))
+def test_the_normalization_row_reads_the_cached_pair_masses(m, monkeypatch):
+    # sum d <= 1 and the same slice written as sum 2d <= 2 give one answer,
+    # the first from the cached masses and the second from the row's values
+    ones = {pq: F(1) for pq in all_pairs(m)}
+    twos = {pq: F(2) for pq in all_pairs(m)}
+    assert extension._ray_masses(m) == tuple(extension._on_rays(m, [1] * len(ones)))
+    rng = random.Random(m)
+    for _ in range(20):
+        objective = {pq: F(rng.randint(-5, 5), rng.randint(1, 3)) for pq in all_pairs(m)}
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(extension, "_on_rays", _counted(extension._on_rays, calls))
+            got = MetricConeLp(m).optimize("max", objective, [(ones, lp.LE, F(1))])
+        assert len(calls) == 1  # the objective's values alone
+        want = MetricConeLp(m).optimize("max", objective, [(twos, lp.LE, F(2))])
+        assert (got.status, got.value, got.table) == (want.status, want.value, want.table)
+
+
+def _counted(fn, calls):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vsparse import (
+    Sparsifier,
     WeightedGraph,
+    all_pairs,
     alpha_cost,
     best_zero_extension,
     cut_metric,
@@ -19,12 +21,15 @@ from vsparse import (
     min_cut_via_flow,
     min_cut_via_lp,
     min_extension,
+    pair,
     restrict,
     zero_metric,
 )
-from vsparse.extension import MetricConeLp
-from vsparse.sampling import random_graph, random_metric
-from helpers import held_rows, path3, reference_min_extension, unit_star, weighted_star
+from vsparse import extension
+from vsparse.extension import MetricConeLp, terminal_pair_lp
+from vsparse.sampling import random_fraction, random_graph, random_metric
+from helpers import (held_rows, path3, reference_min_extension, reference_pair_lp, unit_star,
+                     weighted_star)
 
 F = Fraction
 
@@ -149,18 +154,24 @@ def test_extension_is_homogeneous(seed):
 
 # --- min_extension against the pinned metric-cone reference -------------
 
-def recorded_min_extension(g, d):
-    """``min_extension(g, d)``, its edge-length LP and the LP's final outcome."""
+def recorded(call, *args):
+    """``call(*args)``, and the program and final outcome of each
+    cutting-plane loop it ran."""
     real, runs = lp.cutting_plane, []
 
-    def recorded(program, oracles, max_rounds):
+    def recording(program, oracles, max_rounds):
         result = real(program, oracles, max_rounds)
         runs.append((program, result.outcome))
         return result
 
-    with mock.patch.object(lp, "cutting_plane", recorded):
-        res = min_extension(g, d)
-    [(program, out)] = runs
+    with mock.patch.object(lp, "cutting_plane", recording):
+        res = call(*args)
+    return res, runs
+
+
+def recorded_min_extension(g, d):
+    """``min_extension(g, d)``, its edge-length LP and the LP's final outcome."""
+    res, [(program, out)] = recorded(min_extension, g, d)
     return res, program, out
 
 
@@ -241,6 +252,122 @@ def test_extension_of_a_single_terminal_is_free():
     g = random_graph(random.Random(3), 6, 1, connected=False)
     res = check_extension(g, zero_metric(1))
     assert res.value == 0 and res.witness.is_zero()
+
+
+def test_extension_witness_is_built_on_first_read():
+    res = min_extension(path3(), cut_metric([0], 2))
+    assert "witness" not in vars(res)
+    assert res.witness.rows == ((0, 1, 1), (1, 0, 0), (1, 0, 0))
+    assert vars(res)["witness"] is res.witness
+
+
+# --- metric upper quality and concurrent flow over edge lengths ---------
+
+@st.composite
+def pair_lp_instances(draw):
+    """A seeded random graph on 1 <= k <= n <= 7 vertices, k = 1 only for
+    n = 1, connected or not, with some edges drawn at weight 0, a sense,
+    and terminal-pair coefficients, some or all of them zero; "min" gets a
+    positive one."""
+    n = draw(st.sampled_from([7, 6, 5, 4, 3, 2, 1]))
+    k = draw(st.integers(min(2, n), n))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    g = random_graph(rng, n, k, density=draw(st.sampled_from([0.2, 0.5, 1.0])),
+                     connected=draw(st.booleans()))
+    keep = rng.choice([0.0, 0.5, 1.0, 1.0, 1.0])
+    coeffs = {pq: random_fraction(rng, 6, 4) for pq in all_pairs(k) if rng.random() < keep}
+    sense = rng.choice(["max", "min"])
+    if sense == "min" and not any(coeffs.values()):
+        sense = "max"
+    return g, sense, coeffs
+
+
+def check_pair_lp(g, sense, coeffs):
+    """The edge-length LP and the public dispatch against the metric-cone
+    reference, the LP audited, and each witness checked to attain its
+    program: for "max", c(witness) = Q at minimum extension 1 when Q > 0,
+    for "min", minext(witness) = lambda at c(witness) = 1, and an unbounded
+    witness extends at cost 0 with c > 0."""
+    res, runs = recorded(extension._edge_length_lp, g, sense, coeffs)
+    for program, out in runs:
+        lp.audit(program, out)
+        assert all(con.rel == lp.LE and con.rhs_num == 0 for con in program.constraints[1:])
+    ref = reference_pair_lp(g, sense, coeffs)
+    public = terminal_pair_lp(g, sense, coeffs)
+    c = Sparsifier(g.k, coeffs)
+    for got in (res, public):
+        assert (got.status, got.value) == (ref.status, ref.value)
+        if got.status == lp.UNBOUNDED:
+            assert min_extension(g, got.witness).value == 0 < c.cost(got.witness)
+        elif sense == "min":
+            assert c.cost(got.witness) == 1
+            assert min_extension(g, got.witness).value == got.value
+        elif got.value > 0:
+            assert c.cost(got.witness) == got.value
+            assert min_extension(g, got.witness).value == 1
+        else:
+            assert not any(coeffs.values())
+    return res
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(pair_lp_instances())
+def test_edge_length_lp_matches_the_metric_cone_reference(case):
+    check_pair_lp(*case)
+
+
+def split_six():
+    """Two triangles 0-1-2 and 3-4-5 with terminals 0, 3, 1, 4 and a
+    zero-weight edge between them."""
+    return WeightedGraph(6, [0, 3, 1, 4], {(0, 1): 1, (1, 2): 2, (0, 2): 1, (2, 3): 0,
+                                           (3, 4): F(1, 2), (4, 5): 1, (3, 5): 3})
+
+
+def test_a_pair_with_no_path_is_unbounded_before_any_lp():
+    beta = {(0, 2): 1, (0, 1): 2, (2, 3): F(1, 3)}
+    res, runs = recorded(terminal_pair_lp, split_six(), "max", beta)
+    assert runs == [] and res.status == lp.UNBOUNDED
+    # vertices (0, 3) are the first pair with no path; 0's component holds terminals 0 and 2
+    assert res.witness == cut_metric([0, 2], 4)
+    flow, runs = recorded(terminal_pair_lp, split_six(), "min", beta)
+    assert runs == [] and flow.value == 0
+    assert flow.witness == cut_metric([0, 2], 4).scale(F(3, 7))  # c = 2 + 1/3 across
+    check_pair_lp(split_six(), "max", beta)
+    check_pair_lp(split_six(), "min", beta)
+
+
+def test_terminals_with_no_path_and_no_coefficient_sit_at_the_sentinel():
+    res = check_pair_lp(split_six(), "max", {(0, 2): 1, (1, 3): 1})
+    assert res.status == lp.OPTIMAL and res.value > 0
+    assert res.witness.dist(0, 1) > res.witness.dist(0, 2) + res.witness.dist(1, 3)
+
+
+def test_a_complete_graph_needs_no_distance_column():
+    g = random_graph(random.Random(4), 7, 4, density=1.0)
+    beta = {(p, q): F(p + q + 1, 2) for p, q in all_pairs(4)}
+    res, [(program, _)] = recorded(terminal_pair_lp, g, "max", beta)
+    assert program.n_vars == len(g.weights) == 21
+    assert res.value == check_pair_lp(g, "max", beta).value
+
+
+def test_edge_length_lp_rounds_are_bounded_and_warm_after_the_first():
+    g = random_graph(random.Random(7), 8, 5, density=0.3)
+    beta = {pq: F(1) for pq in all_pairs(5)}
+    # some pairs get a distance column, bounded from the first solve by its seeded row
+    assert any(pair(g.terminals[p], g.terminals[q]) not in g.weights for p, q in all_pairs(5))
+    real, solves = lp.solve, []
+
+    def recording(program, previous=None):
+        out = real(program, previous)
+        solves.append((previous is None, out.status))
+        return out
+
+    for sense in ("max", "min"):
+        solves.clear()
+        with mock.patch.object(lp, "solve", recording):
+            terminal_pair_lp(g, sense, beta)
+        assert solves[0] == (True, lp.OPTIMAL) and len(solves) > 1
+        assert all(s == (False, lp.OPTIMAL) for s in solves[1:])
 
 
 # --- terminal min cuts -------------------------------------------------

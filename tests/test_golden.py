@@ -45,8 +45,12 @@ rows, and its witness is the shortest-path closure of the optimal lengths,
 another optimal extension, so the fixture was re-recorded once more: the
 ``min_extension`` witnesses of ``cone-5-3-4-1``, ``cone-5-3-4-3``,
 ``cone-6-4-7-1``, ``cone-7-3-12-3`` and ``cone-7-4-4-1`` moved; every value
-stayed. Every test runs under the suite's per-solve pivot budget
-(``tests/conftest.py``).
+stayed. The metric upper quality and the concurrent flow of a graph on more
+than five vertices then left the metric cone for the same edge-length form,
+with a distance column per terminal pair that is not an edge; no entry
+moved, the unbounded rays of ``cone-6-4-7-1`` and ``cone-6-4-7-3`` included,
+which the cut metric of a component reproduces. Every test runs under the
+suite's per-solve pivot budget (``tests/conftest.py``).
 """
 import json
 from fractions import Fraction
