@@ -63,7 +63,7 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
     except operators.NoFiniteDistortionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return UNBOUNDED_EXIT
-    beta = operators.operator_to_sparsifier(report.operator, report.graph)
+    beta = report.sparsifier
     _write_atomic(out_dir / "operator.json",
                   jsonio.dump_canonical(operators.operator_to_json(report.operator)))
     _write_atomic(out_dir / "sparsifier.json",
@@ -79,8 +79,8 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
     lp.check(operators.membership_oracle(report.operator) is None,
              "the solved operator is not a member of the operator cone")
     cut_report = quality.cut_quality(g_c, beta)
-    metric_report = replace(quality.metric_quality_upper(g_c, beta), lower_ok=True)
-    # beta(d) = alpha(phi(d)) for a collapse, so the upper LP re-derives Q
+    # the final distortion probe graded the collapse, beta(d) = alpha(phi(d)), and re-derives Q
+    metric_report = replace(report.metric_upper, lower_ok=True)
     lp.check(metric_report.q_value == report.q, f"metric upper Q {metric_report.q_value} "
              f"of the collapse is not the operator's Q {report.q}")
     flow_report = quality.flow_quality(g_c, beta, metric_report.q_value)

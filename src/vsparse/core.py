@@ -12,6 +12,7 @@ all triangle inequalities; zero distance between distinct points is allowed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,6 +172,11 @@ class Metric:
 
     def dist(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
+
+    @functools.cached_property
+    def integers(self) -> tuple[list[list[int]], int]:
+        """``integer_table(rows)``, built on first read and kept; read only."""
+        return integer_table(self.rows)
 
     def restrict(self, points: Sequence[int]) -> "Metric":
         """The induced metric on the given points, in the given order."""

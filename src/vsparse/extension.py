@@ -59,7 +59,6 @@ from .core import (
     cut_metric,
     floyd_warshall,
     integer_row,
-    integer_table,
     pair,
     zero_metric,
 )
@@ -425,7 +424,7 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
     const = sum((w * d_y.dist(local[i], local[j]) for (i, j), w in g.weights.items()
                  if i in local and j in local), ZERO)
     adjacent = _adjacency(g.n, edges)
-    d_nums, d_scale = integer_table(d_y.rows)
+    d_nums, d_scale = d_y.integers
 
     def oracle(out: lp.LpOutcome) -> list[lp.Constraint]:
         return _path_cuts(g.terminals, adjacent, d_nums, d_scale, *out.point)

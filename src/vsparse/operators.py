@@ -15,16 +15,11 @@ name separates it:
   metric cone once and settles every row that no ray image violates; on
   more it settles the rows with no positive coefficient. Only the rows
   left become ``Fraction`` objectives;
-* distortion cuts bound the image cost against Q times the exact minimum
-  extension of the restricted witness metric.
+* distortion cuts bound the image cost against Q on the witness of the
+  metric upper quality of the iterate's collapse, which extends at cost 1.
 
 Both cut families are one linear form, sum_x c_x * phi(d_Y)(x) <= c_Q * Q
-on a witness d_Y, written by a single builder on integer numerators. Both
-probes are homogeneous, so a positive optimum over the slice sum d <= 1
-is one over sum d = 1, with the same optimal face; a non-positive one reads
-0 at the apex, which both oracles take as no violation. On at most five
-points a probe is read off the extreme rays of the cone
-(:func:`extension.cone_rays`) without an LP.
+on a witness d_Y, written by a single builder on integer numerators.
 
 Everything runs in exact rational arithmetic, so the converged master value
 is the true optimum, not an approximation. Operators index vertices in the
@@ -41,7 +36,7 @@ from fractions import Fraction
 from operator import add, gt, mul
 from typing import Mapping, Sequence
 
-from . import jsonio, lp
+from . import jsonio, lp, quality
 from .core import (
     ONE,
     ZERO,
@@ -56,10 +51,10 @@ from .core import (
     canonicalize,
     cut_metric,
     integer_row,
-    integer_table,
+    is_unbounded,
     pair,
 )
-from .extension import RAY_POINTS, MetricConeLp, cone_rays, min_cut_via_flow, min_extension
+from .extension import RAY_POINTS, MetricConeLp, cone_rays, min_cut_via_flow
 
 class NoFiniteDistortionError(RuntimeError):
     """No operator of finite distortion exists under these weights."""
@@ -279,17 +274,28 @@ def membership_oracle(phi: ExtensionOperator) -> MembershipViolation | None:
 
 @dataclass(frozen=True)
 class DistortionViolation:
-    """A normalized vertex metric on which the candidate overshoots Q.
+    """A terminal metric ``restricted`` = d_Y* on which the candidate overshoots Q.
 
-    ``restricted`` is its terminal restriction d_Y*, ``min_extension_value``
-    the exact minext(d_Y*), and ``image_cost`` = alpha(phi(d_Y*)), which
-    exceeds Q * min_extension_value.
+    ``min_extension_value`` is minext(d_Y*): 1, or 0 when no finite
+    distortion bound holds. ``image_cost`` = alpha(phi(d_Y*)) exceeds
+    Q * min_extension_value.
     """
 
-    witness: Metric
     restricted: Metric
     min_extension_value: Fraction
     image_cost: Fraction
+
+
+def _distortion_probe(phi: ExtensionOperator, q: Fraction, g: WeightedGraph
+                      ) -> tuple[quality.QualityReport, DistortionViolation | None]:
+    """The metric upper quality report of phi's collapse and the violation
+    of q it shows, if any; see :func:`distortion_oracle`."""
+    beta = operator_to_sparsifier(phi, g)  # also checks that g is canonical
+    upper = quality.metric_quality_upper(g, beta)
+    if is_unbounded(upper.q_value):
+        return upper, DistortionViolation(upper.witness, ZERO, beta.cost(upper.witness))
+    hit = upper.q_value > q  # at minimum extension 1, see distortion_oracle
+    return upper, DistortionViolation(upper.witness, ONE, upper.q_value) if hit else None
 
 
 def distortion_oracle(phi: ExtensionOperator, q: Fraction,
@@ -297,26 +303,13 @@ def distortion_oracle(phi: ExtensionOperator, q: Fraction,
     """Does some terminal metric stretch beyond q times its minimum extension?
 
     ``phi`` must be a member of the operator cone and ``g`` the canonical
-    graph it was built for. Maximizes beta(d|_Y) - q * alpha(d), with beta
-    the collapse of phi (so beta(d_Y) = alpha(phi(d_Y))), over the slice
-    sum d <= 1 of the vertex metric cone; a positive optimum, at a witness
-    with sum d = 1, shows excess distortion, and otherwise the optimum is 0
-    at the apex. Returns None when alpha(phi(d_Y)) <= q * minext(d_Y) holds
-    for every d_Y.
+    graph it was built for. The worst alpha(phi(d_Y)) / minext(d_Y) is the
+    metric upper quality of phi's collapse beta, as beta(d_Y) =
+    alpha(phi(d_Y)); its witness d_Y* violates when that exceeds q, with
+    minext(d_Y*) = 1 (d_Y* / minext(d_Y*) would raise beta), or is unbounded,
+    with minext(d_Y*) = 0. Returns None when no d_Y violates.
     """
-    beta = operator_to_sparsifier(phi, g)  # also checks that g is canonical
-    q = as_fraction(q)
-    objective = {xp: -q * w for xp, w in g.weights.items()}
-    for yp, b in beta.beta.items():
-        objective[yp] = objective.get(yp, ZERO) + b
-    norm_row = ({xp: ONE for xp in all_pairs(phi.n)}, lp.LE, ONE)
-    result = MetricConeLp(phi.n).optimize("max", objective, [norm_row])
-    lp.check(result.status == lp.OPTIMAL, "a normalized distortion probe is bounded and feasible")
-    if result.value <= 0:
-        return None
-    restricted = result.table.restrict(range(phi.k))
-    c_star = min_extension(g, restricted).value
-    return DistortionViolation(result.table, restricted, c_star, beta.cost(restricted))
+    return _distortion_probe(phi, as_fraction(q), g)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +324,8 @@ class OperatorSolveReport:
     constraints are binding at the final solution, paired with their exact
     minimum extension values; they certify the optimum. ``graph`` is the
     canonical relabeling actually solved and ``order[new] = old`` maps its
-    vertices back to the input.
+    vertices back to the input. ``metric_upper``, the final distortion
+    probe, grades the collapse ``sparsifier`` at ``q``; None unless converged.
     """
 
     operator: ExtensionOperator
@@ -343,6 +337,8 @@ class OperatorSolveReport:
     worst_metrics: list[tuple[Metric, Fraction]]
     graph: WeightedGraph
     order: tuple[int, ...]
+    sparsifier: Sparsifier
+    metric_upper: quality.QualityReport | None
 
 
 def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> OperatorSolveReport:
@@ -352,7 +348,7 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
     distortion constraints of all cut metrics (their minimum extensions are
     terminal min cuts, found by max-flow and binding surprisingly often) and then
     alternates the two separation families, membership before distortion so
-    no minimum extension is ever computed against a non-member candidate.
+    that only member candidates meet the distortion probe.
     With exact arithmetic every witness is a vertex of a fixed polytope, so
     the loop terminates; ``max_iters`` caps the rounds anyway and a capped
     run returns ``converged=False`` carrying the best master iterate.
@@ -373,7 +369,7 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         # the rhs, written as integers over one denominator; the X-pairs of
         # c_x differ, so each column is written once
         cs, c_scale = integer_row(list(c_x.values()))
-        d, d_scale = integer_table(d_y.rows)
+        d, d_scale = d_y.integers
         q_den = c_q.denominator
         scale = c_scale * d_scale
         coeffs = {0: -c_q.numerator * scale} if c_q else {}
@@ -398,6 +394,7 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
 
     master = lp.LinearProgram(1 + len(entries), "min", {0: ONE})
     candidates: list[tuple[Metric, Fraction]] = []
+    probed: list[quality.QualityReport] = []  # one metric upper report per distortion probe
     counts = {"membership": 0, "distortion": 0}
 
     for _, side in bipartitions(k):
@@ -429,7 +426,9 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         return cuts
 
     def distortion_cb(out: lp.LpOutcome) -> list[lp.Constraint]:
-        hit = distortion_oracle(operator_at(out.x), out.x[0], g_c)
+        upper, hit = _distortion_probe(operator_at(out.x), out.x[0], g_c)
+        lp.check(not is_unbounded(upper.q_value), "the seeded cut rows bound the distortion probe")
+        probed.append(upper)
         if hit is None:
             return []
         candidates.append((hit.restricted, hit.min_extension_value))
@@ -454,6 +453,8 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         worst_metrics=worst,
         graph=g_c,
         order=order,
+        sparsifier=beta,
+        metric_upper=probed[-1] if result.converged else None,
     )
 
 

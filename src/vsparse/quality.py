@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import jsonio, lp
 from .core import (
@@ -36,8 +36,10 @@ from .core import (
     pair,
 )
 from .extension import min_cut_via_flow, min_extension, terminal_pair_lp
-from .operators import ExtensionOperator, operator_to_sparsifier
 from .sampling import random_metric
+
+if TYPE_CHECKING:
+    from .operators import ExtensionOperator
 
 CUT, METRIC, FLOW = "cut", "metric", "flow"
 EXACT, SAMPLED = "exact", "sampled"
@@ -275,13 +277,15 @@ def flow_quality(g: WeightedGraph, beta: Sparsifier,
 
 def evaluate_operator_distortion(phi: ExtensionOperator,
                                  g: WeightedGraph) -> Fraction | Unbounded:
-    """Exact supremum of alpha(phi(d_Y)) / minext(d_Y), independent of the solver.
+    """Exact supremum of alpha(phi(d_Y)) / minext(d_Y), from phi and g alone.
 
     That is the metric upper quality of phi's collapse, whose beta(d_Y) is
-    alpha(phi(d_Y)). The caller vouches for membership (the oracle is public).
-    It reproduces a solver-produced Q exactly; unbounded means no finite
-    distortion bound holds for phi.
+    alpha(phi(d_Y)), the program of the solver's distortion probe. The caller
+    vouches for membership (the oracle is public). It reproduces a
+    solver-produced Q exactly; unbounded means no finite distortion bound
+    holds for phi.
     """
+    from .operators import operator_to_sparsifier  # operators imports this module
     g_c, _ = canonicalize(g)
     return metric_quality_upper(g_c, operator_to_sparsifier(phi, g_c)).q_value
 

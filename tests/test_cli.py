@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(): exit codes, artifacts, determinism."""
 
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,18 +13,23 @@ from vsparse import (
     QualityReport,
     Sparsifier,
     WeightedGraph,
+    canonicalize,
     certificate_to_json,
     cut_metric,
     find_optimal_operator,
     harvest_certificate,
+    metric_quality_upper,
     operator_from_json,
+    operator_to_sparsifier,
     report_from_json,
+    report_to_json,
     sparsifier_from_json,
     sparsifier_to_json,
 )
 from vsparse import cli
 from vsparse.cli import main
 from vsparse.jsonio import demands_to_json, dump_canonical, graph_to_json, loads
+from vsparse.sampling import random_graph
 from helpers import path3, unit_star
 
 F = Fraction
@@ -110,12 +116,28 @@ def test_sparsify_solves_two_concurrent_flows(tmp_path, monkeypatch):
 
 
 def test_sparsify_cross_checks_metric_upper_bound(tmp_path, monkeypatch):
+    # a value below Q passes the solve's distortion probe; one above it
+    # would be a distortion hit instead
     from vsparse import lp, quality
     upper = quality.metric_quality_upper
     monkeypatch.setattr(quality, "metric_quality_upper",
-                        lambda *args: replace(upper(*args), q_value=F(5, 3)))
-    with pytest.raises(lp.LpAuditError, match="5/3 of the collapse is not the operator's Q 4/3"):
+                        lambda *args: replace(upper(*args), q_value=F(6, 5)))
+    with pytest.raises(lp.LpAuditError, match="6/5 of the collapse is not the operator's Q 4/3"):
         main(["sparsify", star_file(tmp_path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (5, 4)])
+def test_sparsify_writes_the_solves_metric_upper_report(tmp_path, n, k):
+    # the report of the final distortion probe, as a fresh grading of the
+    # collapse writes it
+    g = random_graph(random.Random(10 * n + k), n, k)
+    graph = write_json(tmp_path / "graph.json", graph_to_json(g))
+    assert main(["sparsify", graph, "--out", str(tmp_path / "out")]) == 0
+    g_c, _ = canonicalize(g)
+    phi = operator_from_json(loads((tmp_path / "out" / "operator.json").read_text()))
+    fresh = replace(metric_quality_upper(g_c, operator_to_sparsifier(phi, g_c)), lower_ok=True)
+    assert (tmp_path / "out" / "quality_metric.json").read_text() == \
+        dump_canonical(report_to_json(fresh))
 
 
 def test_sparsify_proves_metric_lower_bound_from_membership(tmp_path, monkeypatch):

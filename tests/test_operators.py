@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vsparse import (
     Metric,
@@ -180,10 +181,24 @@ def check_membership_hit(phi, hit):
 
 
 def check_distortion_hit(phi, q, g, hit):
-    assert hit.restricted == hit.witness.restrict(range(g.k))
-    assert hit.min_extension_value == min_extension(g, hit.restricted).value
+    # 1 at a positive optimum of the metric upper quality, 0 when unbounded
+    assert hit.min_extension_value in (0, 1)
+    assert min_extension(g, hit.restricted).value == hit.min_extension_value
     assert hit.image_cost == alpha_cost(g, apply(phi, hit.restricted))
     assert hit.image_cost > q * hit.min_extension_value
+
+
+def mixed_zero_extensions(rng, n, k):
+    """A random convex combination of two or three zero-extension operators:
+    a member of the operator cone, which is convex, and seldom a zero
+    extension itself."""
+    weights = [F(rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
+    coeffs = {}
+    for w in weights:
+        for key, c in zero_extension_operator(n, k, random_assignment(rng, n, k)).coeffs.items():
+            if key[0][1] >= k:  # the constructor injects the identity rows
+                coeffs[key] = coeffs.get(key, F(0)) + c * w / sum(weights)
+    return ExtensionOperator(n, k, coeffs)
 
 
 def random_operator(rng, n, k):
@@ -194,12 +209,12 @@ def random_operator(rng, n, k):
 
 
 def solve_recording_oracles(g, monkeypatch):
-    """Solve g, recording every master iterate the two oracles were asked
+    """Solve g, recording every master iterate the two probes were asked
     about: (phi, hits) for membership, (phi, q, graph, hit) for distortion.
     The membership scan reads the iterate as an integer table; phi is
     rebuilt from it."""
     scans, probes = [], []
-    scan, probe = operators._membership_scan, operators.distortion_oracle
+    scan, probe = operators._membership_scan, operators._distortion_probe
 
     def recorded_scan(n, k, table, scale, first_only):
         phi = ExtensionOperator(n, k, {
@@ -209,12 +224,13 @@ def solve_recording_oracles(g, monkeypatch):
         return scans[-1][1]
 
     def recorded_probe(phi, q, graph):
-        probes.append((phi, q, graph, probe(phi, q, graph)))
-        return probes[-1][3]
+        got = probe(phi, q, graph)
+        probes.append((phi, q, graph, got[1]))
+        return got
 
     with monkeypatch.context() as patch:
         patch.setattr(operators, "_membership_scan", recorded_scan)
-        patch.setattr(operators, "distortion_oracle", recorded_probe)
+        patch.setattr(operators, "_distortion_probe", recorded_probe)
         report = find_optimal_operator(g)
     assert len(scans) == report.iterations  # one scan per master round
     return report, scans, probes
@@ -261,6 +277,35 @@ def test_distortion_hits_overshoot_by_the_image_cost(seed):
         assert distortion_oracle(phi, q_phi, g) is None
 
 
+@st.composite
+def probe_instances(draw):
+    """A canonical seeded random graph on 2 <= k < n <= 7 vertices,
+    connected or not, so that both routes of the metric upper quality run,
+    and a member operator: a zero extension or a mix of them."""
+    n = draw(st.integers(3, 7))
+    k = draw(st.integers(2, n - 1))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    g, _ = canonicalize(random_graph(rng, n, k, density=draw(st.sampled_from([0.3, 1.0])),
+                                     connected=draw(st.booleans())))
+    if draw(st.booleans()):
+        return g, zero_extension_operator(n, k, random_assignment(rng, n, k))
+    return g, mixed_zero_extensions(rng, n, k)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(probe_instances())
+def test_distortion_oracle_hits_exactly_above_the_operator_distortion(case):
+    g, phi = case
+    q_phi = evaluate_operator_distortion(phi, g)
+    bounded = not is_unbounded(q_phi)
+    for q in ((F(0), q_phi / 2, q_phi * F(9, 10), q_phi) if bounded else (F(0), F(1))):
+        hit = distortion_oracle(phi, q, g)
+        assert (hit is not None) == (not bounded or q_phi > q)
+        if hit is not None:
+            check_distortion_hit(phi, q, g, hit)
+            assert hit.min_extension_value == (1 if bounded else 0)
+
+
 def test_the_solves_distortion_hits_overshoot_by_the_image_cost(monkeypatch):
     g, _ = canonicalize(random_graph(random.Random(6), 7, 5, density=1.0))
     report, _, probes = solve_recording_oracles(g, monkeypatch)
@@ -294,9 +339,23 @@ def test_double_paying_operator_is_caught_at_q_one():
     assert membership_oracle(phi) is None
     hit = distortion_oracle(phi, F(1), g)
     assert hit is not None
-    assert hit.min_extension_value > 0
+    check_distortion_hit(phi, F(1), g, hit)
+    assert hit.restricted == cut_metric([0], 2)  # d(a, b) = 1 extends at cost 1
+    assert hit.min_extension_value == 1
     assert hit.image_cost == 2 * hit.min_extension_value
-    assert restrict(hit.witness, range(2)).rows == hit.restricted.rows
+
+
+def test_an_operator_across_disconnected_terminals_has_unbounded_distortion():
+    # two paths, 0-2-4 and 1-3-5; the zero extension pulls 2 and 4 onto
+    # terminal 1, so beta(0, 1) = 1 while the cut metric of 0's component
+    # extends at cost 0
+    g = WeightedGraph(6, [0, 1], {(0, 2): 1, (2, 4): 1, (1, 3): 1, (3, 5): 1})
+    phi = zero_extension_operator(6, 2, (0, 1, 1, 1, 1, 1))
+    assert is_unbounded(evaluate_operator_distortion(phi, g))
+    hit = distortion_oracle(phi, F(7), g)
+    check_distortion_hit(phi, F(7), g, hit)
+    assert hit.restricted == cut_metric([0], 2)
+    assert hit.min_extension_value == 0 and hit.image_cost == 1
 
 
 def test_distortion_oracle_requires_canonical_graph():
