@@ -237,15 +237,12 @@ def certificate_from_json(data: object,
     kind = obj["type"]
     graph = jsonio.graph_from_json(obj["graph"], f"{path}.graph")
     if kind == "cut":
-        missing = [key for key in ("mu1", "mu2") if key not in obj]
-        if missing:
-            raise jsonio.JsonFormatError(path, f"missing fields: {missing}")
+        jsonio._expect_object(obj, path, ("mu1", "mu2"))
         return jsonio._build(path, CutCertificate, graph,
                              _distribution_from_json(obj["mu1"], f"{path}.mu1"),
                              _distribution_from_json(obj["mu2"], f"{path}.mu2"))
     if kind == "metric":
-        if "metrics" not in obj:
-            raise jsonio.JsonFormatError(path, "missing fields: ['metrics']")
+        jsonio._expect_object(obj, path, ("metrics",))
         metrics = [jsonio.metric_from_json(d, f"{path}.metrics[{a}]")
                    for a, d in enumerate(jsonio._expect_list(obj["metrics"], f"{path}.metrics"))]
         return jsonio._build(path, MetricCertificate, graph, metrics)

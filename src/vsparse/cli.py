@@ -249,13 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except jsonio.JsonFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a jsonio.JsonFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
 

@@ -215,15 +215,19 @@ class MetricLpResult:
 
 
 @functools.cache
-def _cone_triangles(m: int) -> tuple[tuple[int, int, int], ...]:
-    """The triangle rows d(i,j) <= d(i,l) + d(l,j) on m points in the order
-    triangle separation scans them, each as the positions of pairs ij, il
-    and lj in ``all_pairs(m)``."""
-    index = _pair_index(m)
+def _triangle_rows(n: int, k: int = 0) -> tuple[tuple[tuple[int, int, int], int, int, int], ...]:
+    """The triangle rows (i, j, l), d(i,j) <= d(i,l) + d(l,j), on n points in
+    the order the scans read them, each with the positions of pairs ij, il
+    and lj in ``all_pairs(n)``. Rows among the first k points are left out:
+    there they are an operator's terminal rows, which the identity rows
+    imply."""
+    index = _pair_index(n)
     rows = []
-    for a, b, c in itertools.combinations(range(m), 3):
-        for i, j, l in ((a, b, c), (a, c, b), (b, c, a)):
-            rows.append((index[(i, j)], index[pair(i, l)], index[pair(l, j)]))
+    for i, j in index:
+        for l in range(n):
+            if l == i or l == j or (j < k and l < k):
+                continue
+            rows.append(((i, j, l), index[(i, j)], index[pair(i, l)], index[pair(l, j)]))
     return tuple(rows)
 
 
@@ -254,7 +258,7 @@ class MetricConeLp:
         integer numerators over ``all_pairs(m)`` are ``nums``; the positive
         common denominator changes no comparison, so it is not needed."""
         return [lp.Constraint.from_integers({ij: 1, il: -1, lj: -1}, lp.LE, 0, 1)
-                for ij, il, lj in _cone_triangles(self.m) if nums[ij] > nums[il] + nums[lj]]
+                for _, ij, il, lj in _triangle_rows(self.m) if nums[ij] > nums[il] + nums[lj]]
 
     def optimize(
         self,

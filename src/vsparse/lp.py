@@ -1,12 +1,14 @@
 """Exact rational linear programming and a lazy-constraint driver.
 
-A small exact simplex: a solve from scratch starts at the slack basis,
+A small exact simplex. Every row enters the tableau through
+``_Tableau.append_rows``, with its slack basic. A solve from scratch starts
+from the program's empty tableau (no rows, every variable nonbasic),
 reaches a feasible basis by the dual simplex on the zero cost (at which
 every basis is dual feasible), then optimizes by the primal simplex under
 Bland's anti-cycling rule, so every solve is deterministic and every
 certificate is bit-exact. An optimal outcome keeps its tableau: once more
-rows are appended to the program, :func:`solve` re-solves from it by the
-same dual simplex on the program's own cost, which is how
+rows are appended to the program, :func:`solve` appends them to it and
+re-solves by the same dual simplex on the program's own cost, which is how
 :func:`cutting_plane` runs every round after the first. The dual simplex
 picks its leaving row by exact dual steepest edge and falls back to the
 dual Bland rule only while a basis it has already visited comes back.
@@ -315,19 +317,25 @@ class _Tableau:
     one a full tableau of Fractions would take. ``norms[r]`` caches
     :func:`_row_norm` of row r, ``None`` once the row has changed; the dual
     simplex fills it in when it needs it. There are ``len(cols) + len(rows)``
-    labels, and ``layout`` maps the program onto them.
+    labels. ``_Tableau(program)`` is the program's empty tableau: no rows,
+    every variable nonbasic (label j is variable j) and zero reduced costs;
+    every row enters through :meth:`append_rows`. It also keeps the
+    ``program``, its sense and objective (``shape``), and that objective as
+    numerators ``cost_nums`` on columns ``cost_cols`` over ``cost_den``.
     """
 
-    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int],
-                 cols: list[int], layout: _Layout):
-        self.rows = rows
-        self.dens = dens
-        self.basis = basis
-        self.cols = cols
-        self.norms: list[int | None] = [None] * len(rows)
-        self.red: list[int] = [0] * len(cols)
+    def __init__(self, program: LinearProgram):
+        self.program = program
+        self.shape = _shape(program)
+        self.cost_cols = list(program.objective)
+        self.cost_nums, self.cost_den = integer_row(list(program.objective.values()))
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
+        self.basis: list[int] = []
+        self.cols = list(range(program.n_vars))
+        self.norms: list[int | None] = []
+        self.red = [0] * program.n_vars
         self.red_den = 1
-        self.layout = layout
 
     def pivot(self, pr: int, pc: int) -> None:
         rows, dens, norms = self.rows, self.dens, self.norms
@@ -497,30 +505,6 @@ class _Tableau:
             self.pivot(pr, pc)
 
 
-class _Layout:
-    """How a program sits in its tableau: enough to read an outcome off the
-    tableau and to append more rows of the same program to it. Variable j
-    is label j."""
-
-    def __init__(self, program: LinearProgram):
-        self.program = program
-        self.shape = _shape(program)  # sense and objective the tableau was built for
-        # the objective as columns and numerators over one positive denominator
-        self.cost_cols = list(program.objective)
-        self.cost_nums, self.cost_den = integer_row(list(program.objective.values()))
-
-
-def _tableau_row(cols: Sequence[int], nums: Sequence[int], rhs: int, negate: bool,
-                 ncols: int) -> list[int]:
-    """Integer numerators on their columns, over ``ncols`` columns plus the rhs."""
-    sgn = -1 if negate else 1
-    row = [0] * (ncols + 1)
-    for j, c in zip(cols, nums):
-        row[j] = sgn * c
-    row[-1] = sgn * rhs
-    return row
-
-
 def _shape(lp: LinearProgram) -> tuple:
     return lp.sense, tuple(lp.objective.items())
 
@@ -536,48 +520,34 @@ def _dual_sign(rel: str, minimize: bool) -> int:
 def solve(lp: LinearProgram, previous: LpOutcome | None = None) -> LpOutcome:
     """Solve exactly; see module docstring for the outcome conventions.
 
-    A solve from scratch runs the dual simplex on the zero cost from the
-    slack basis, then the primal simplex on the program's cost.
-    ``previous`` may be an optimal outcome of this same program, solved before
-    more rows were appended to it: its tableau is then extended by those
-    rows and re-solved by the dual simplex on the program's cost alone. The
-    previous outcome gives up its tableau to the new one. Any other previous
-    outcome means a solve from scratch.
+    ``previous`` may be an optimal outcome of this same program, solved
+    before more rows were appended to it: the solve takes its tableau over.
+    Any other previous outcome means a solve from the program's empty
+    tableau. The rows not yet in the tableau enter with their slacks basic,
+    which keeps the basis dual feasible (a kept one on the program's cost,
+    an empty one at zero cost), so the dual simplex reaches an optimal
+    basis, or from scratch a feasible one, or proves the program infeasible.
+    From scratch, the primal simplex then optimizes the program's cost.
     """
     tab = previous.tableau if previous is not None else None
-    if tab is None:
-        return _solve_cold(lp)
-    if (tab.layout.program is not lp or tab.layout.shape != _shape(lp)
-            or len(lp.constraints) < len(tab.rows)):
+    fresh = tab is None
+    if fresh:
+        tab = _Tableau(lp)
+    elif tab.program is not lp or tab.shape != _shape(lp) or len(lp.constraints) < len(tab.rows):
         raise LpError("previous outcome is not of this program with rows appended")
-    previous.tableau = None
-    # The old basis stays dual feasible, and each new row enters with its slack basic.
+    else:
+        previous.tableau = None
     tab.append_rows(lp.constraints[len(tab.rows):])
     if not tab.run_dual():
         return LpOutcome(INFEASIBLE)
-    return _outcome(lp, tab, OPTIMAL, None)
-
-
-def _solve_cold(lp: LinearProgram) -> LpOutcome:
-    """Solve from the slack basis of the rows in "<=" form.
-
-    At zero cost every basis is dual feasible, so the dual simplex reaches a
-    primal feasible basis or proves the program infeasible (phase one); the
-    primal simplex then optimizes the program's cost from there.
-    """
-    minimize = lp.sense == "min"
-    layout = _Layout(lp)
-    n, m = lp.n_vars, len(lp.constraints)
-    tab = _Tableau([_tableau_row(con.cols, con.nums, con.rhs_num, con.rel == GE, n)
-                    for con in lp.constraints],
-                   [con.scale for con in lp.constraints], list(range(n, n + m)),
-                   list(range(n)), layout)
-    if not tab.run_dual():
-        return LpOutcome(INFEASIBLE)
+    if not fresh:
+        return _outcome(lp, tab, OPTIMAL, None)
     # Internal objective: minimize (negated for max), on the variable labels.
-    cost = _tableau_row(layout.cost_cols, layout.cost_nums, 0, not minimize, n + m)
-    cost.pop()  # no rhs
-    status, enter_col = tab.run(cost, layout.cost_den)
+    sgn = 1 if lp.sense == "min" else -1
+    cost = [0] * (len(tab.cols) + len(tab.rows))
+    for j, c in zip(tab.cost_cols, tab.cost_nums):
+        cost[j] = sgn * c
+    status, enter_col = tab.run(cost, tab.cost_den)
     return _outcome(lp, tab, status, enter_col)
 
 
@@ -598,12 +568,11 @@ def _common(entries: Iterable[tuple[int, int, int]], n: int) -> tuple[list[int],
 
 def _outcome(lp: LinearProgram, tab: _Tableau, status: str, enter_col: int | None) -> LpOutcome:
     """Read the outcome off a final tableau; an optimal one keeps it."""
-    layout, n = tab.layout, lp.n_vars
-    rows, dens = tab.rows, tab.dens
+    n, rows, dens = lp.n_vars, tab.rows, tab.dens
     x_nums, x_scale = point = _common(
         [(b, rows[r][-1], dens[r]) for r, b in enumerate(tab.basis) if b < n], n)
-    value = Fraction(sum([c * x_nums[j] for j, c in zip(layout.cost_cols, layout.cost_nums)]),
-                     layout.cost_den * x_scale)
+    value = Fraction(sum([c * x_nums[j] for j, c in zip(tab.cost_cols, tab.cost_nums)]),
+                     tab.cost_den * x_scale)
 
     if status == UNBOUNDED:
         check(enter_col is not None, "unbounded phase two reported no entering column")

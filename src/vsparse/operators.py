@@ -29,7 +29,6 @@ relabels its input accordingly and reports the relabeling.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +53,14 @@ from .core import (
     is_unbounded,
     pair,
 )
-from .extension import RAY_POINTS, MetricConeLp, cone_rays, min_cut_via_flow
+from .extension import (
+    RAY_POINTS,
+    MetricConeLp,
+    _pair_index,
+    _triangle_rows,
+    cone_rays,
+    min_cut_via_flow,
+)
 
 class NoFiniteDistortionError(RuntimeError):
     """No operator of finite distortion exists under these weights."""
@@ -191,21 +197,6 @@ class MembershipViolation:
     excess: Fraction
 
 
-@functools.cache
-def _triangle_rows(n: int, k: int) -> tuple[tuple[tuple[int, int, int], int, int, int], ...]:
-    """The triangle rows (i, j, l) of the vertex metric cone, each with the
-    positions of pairs ij, il and lj in ``all_pairs(n)``; rows between
-    terminal pairs are left out, since the identity rows imply them."""
-    index = {xp: a for a, xp in enumerate(all_pairs(n))}
-    rows = []
-    for i, j in all_pairs(n):
-        for l in range(n):
-            if l == i or l == j or (j < k and l < k):
-                continue
-            rows.append(((i, j, l), index[(i, j)], index[pair(i, l)], index[pair(l, j)]))
-    return tuple(rows)
-
-
 def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]], scale: int,
                      first_only: bool) -> list[MembershipViolation]:
     """The triangle rows of the image cone that some terminal metric violates.
@@ -251,8 +242,7 @@ def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]], scale: int,
 def _operator_table(phi: ExtensionOperator) -> tuple[list[list[int]], int]:
     """``phi.coeffs`` as the integer table :func:`_membership_scan` reads."""
     nums, scale = integer_row(list(phi.coeffs.values()))
-    ycol = {yp: b for b, yp in enumerate(all_pairs(phi.k))}
-    xrow = {xp: a for a, xp in enumerate(all_pairs(phi.n))}
+    ycol, xrow = _pair_index(phi.k), _pair_index(phi.n)
     table = [[0] * len(ycol) for _ in xrow]
     for (xp, yp), v in zip(phi.coeffs, nums):
         table[xrow[xp]][ycol[yp]] = v

@@ -350,7 +350,7 @@ def test_metric_certificate_round_trip():
 @pytest.mark.parametrize("mangle,fragment", [
     (lambda d: d.pop("graph"), "missing"),
     (lambda d: d.update(type="flow"), "unknown certificate type"),
-    (lambda d: d.pop("mu2"), "missing fields: ['mu2']"),
+    (lambda d: d.pop("mu2"), "missing required key 'mu2'"),
     (lambda d: d.update(mu1=[[1]]), "expected [mask, probability]"),
     (lambda d: d.update(mu1=[["1", "1/1"]]), "expected an integer"),
     (lambda d: d.update(mu1=[[1, "1/0"]]), "bad rational"),
@@ -368,7 +368,7 @@ def test_cut_certificate_json_errors(mangle, fragment):
 def test_metric_certificate_json_errors():
     data = certificate_to_json(MetricCertificate(path3(), [cut_metric([0], 2)]))
     del data["metrics"]
-    with pytest.raises(JsonFormatError, match="missing fields"):
+    with pytest.raises(JsonFormatError, match="missing required key 'metrics'"):
         certificate_from_json(data)
     data = certificate_to_json(MetricCertificate(path3(), [cut_metric([0], 2)]))
     data["metrics"] = []

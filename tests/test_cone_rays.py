@@ -377,12 +377,12 @@ def _fraction_scan(n, k, phi_of, first_only):
     return found
 
 
-@pytest.mark.parametrize("n,k", [(3, 2), (5, 3), (6, 5), (7, 7)])
+@pytest.mark.parametrize("n,k", [(3, 2), (5, 3), (6, 5), (7, 7), (5, 0)])
 def test_triangle_rows_leave_out_only_rows_between_terminals(n, k):
     pairs = all_pairs(n)
     want = [((i, j, l), pairs.index((i, j)), pairs.index(pair(i, l)), pairs.index(pair(l, j)))
             for i, j in pairs for l in range(n) if l not in (i, j) and max(j, l) >= k]
-    assert list(operators._triangle_rows(n, k)) == want
+    assert list(extension._triangle_rows(n, k)) == want
 
 
 @pytest.mark.parametrize("cases", [_phis, _coprime_phis])

@@ -72,9 +72,9 @@ def reference_triangle_cuts(cone, x):
     pairs = all_pairs(cone.m)
     index = {pq: j for j, pq in enumerate(pairs)}
     cuts = []
-    for a, b, c in itertools.combinations(range(cone.m), 3):
-        for i, j, l in ((a, b, c), (a, c, b), (b, c, a)):
-            if x[index[(i, j)]] > x[index[pair(i, l)]] + x[index[pair(l, j)]]:
+    for i, j in pairs:
+        for l in range(cone.m):
+            if l not in (i, j) and x[index[(i, j)]] > x[index[pair(i, l)]] + x[index[pair(l, j)]]:
                 coeffs = {index[(i, j)]: 1, index[pair(i, l)]: -1, index[pair(l, j)]: -1}
                 cuts.append(lp.Constraint(coeffs, lp.LE, ZERO))
     return cuts

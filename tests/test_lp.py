@@ -519,14 +519,14 @@ def replay(monkeypatch):
 
 @pytest.fixture
 def cold_solves(monkeypatch):
-    """Count solves from scratch."""
-    cold, calls = lp._solve_cold, []
+    """Count solves from scratch: each starts from a new empty tableau."""
+    init, calls = lp._Tableau.__init__, []
 
-    def counted(program):
+    def counted(self, program):
         calls.append(program)
-        return cold(program)
+        init(self, program)
 
-    monkeypatch.setattr(lp, "_solve_cold", counted)
+    monkeypatch.setattr(lp._Tableau, "__init__", counted)
     return calls
 
 
