@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import lcm
+from typing import Iterable, Sequence
 
 from . import jsonio
 from .core import (
@@ -23,7 +24,7 @@ from .core import (
     Metric,
     WeightedGraph,
     as_fraction,
-    zero_metric,
+    integer_row,
 )
 from .extension import min_cut_via_flow, min_extension
 from .operators import OperatorSolveReport
@@ -88,22 +89,26 @@ class MetricCertificate:
         object.__setattr__(self, "metrics", family)
 
 
-def _expected_min_cut(g: WeightedGraph, mu: Distribution,
-                      cuts: dict[int, Fraction]) -> Fraction:
-    """E_{S ~ mu}[minext(delta_S)]; empty and full subsets extend for free.
+def _expected_min_cut(g: WeightedGraph, mu: Distribution, nums: Sequence[int],
+                      cuts: dict[int, int]) -> int:
+    """E_{S ~ mu}[minext(delta_S)] on numerators: the probabilities as
+    ``nums`` over their common denominator, each min cut over the common
+    denominator of g's weights. Empty and full subsets extend for free.
 
     A side and its complement have the same terminal min cut, so ``cuts``
     caches each bipartition's once, keyed by the mask of its side holding
     terminal 0, and the same cache serves both distributions.
     """
     full = (1 << g.k) - 1
-    total = ZERO
-    for mask, prob in mu:
+    scale = g.integers[1]
+    total = 0
+    for (mask, _), prob in zip(mu, nums):
         if not prob or mask == 0 or mask == full:
             continue
         key = mask if mask & 1 else full ^ mask
         if key not in cuts:
-            cuts[key] = min_cut_via_flow(g, [p for p in range(g.k) if key >> p & 1])
+            cut = min_cut_via_flow(g, [p for p in range(g.k) if key >> p & 1])
+            cuts[key] = cut.numerator * (scale // cut.denominator)
         total += prob * cuts[key]
     return total
 
@@ -118,27 +123,32 @@ def certify_cut(cert: CutCertificate) -> Fraction | None:
     both come back as None.
     """
     g = cert.graph
-    c_min = ZERO
+    nums1 = integer_row([prob for _, prob in cert.mu1])[0]
+    nums2 = integer_row([prob for _, prob in cert.mu2])[0]
+    top, bottom = 0, 1  # the largest m1 / m2 so far, on the numerators
     for p in range(g.k):
         for q in range(g.k):
             if p == q:
                 continue
-            m1 = sum((prob for mask, prob in cert.mu1
-                      if mask >> p & 1 and not mask >> q & 1), ZERO)
-            m2 = sum((prob for mask, prob in cert.mu2
-                      if mask >> p & 1 and not mask >> q & 1), ZERO)
+            m1 = sum([v for (mask, _), v in zip(cert.mu1, nums1)
+                      if mask >> p & 1 and not mask >> q & 1])
+            m2 = sum([v for (mask, _), v in zip(cert.mu2, nums2)
+                      if mask >> p & 1 and not mask >> q & 1])
             if m2 == 0:
                 if m1 > 0:
                     return None
                 continue  # 0/0 pairs impose nothing
-            c_min = max(c_min, m1 / m2)
-    cuts: dict[int, Fraction] = {}
-    e1 = _expected_min_cut(g, cert.mu1, cuts)
-    e2 = _expected_min_cut(g, cert.mu2, cuts)
+            if m1 * bottom > top * m2:
+                top, bottom = m1, m2
+    cuts: dict[int, int] = {}
+    e1 = _expected_min_cut(g, cert.mu1, nums1, cuts)
+    e2 = _expected_min_cut(g, cert.mu2, nums2, cuts)
     if e1 <= 0 or e2 <= 0:
         return None
-    # e1 > 0 forces a separated pair under mu1, so c_min > 0 here
-    return e1 / (c_min * e2)
+    # e1 > 0 forces a separated pair under mu1, so top > 0 here. c_min is
+    # top / bottom times the ratio of the two distributions' denominators,
+    # which cancels against the same ratio in e1 / e2.
+    return Fraction(e1 * bottom, top * e2)
 
 
 def certify_metric(cert: MetricCertificate) -> Fraction | None:
@@ -149,14 +159,17 @@ def certify_metric(cert: MetricCertificate) -> Fraction | None:
     denominator is positive, and any valid sparsifier's quality must reach
     it. A zero denominator certifies nothing. A member or sum that is a
     scaled cut metric takes its minimum extension from max-flow, not an LP.
+    The sum is taken on the members' integer views.
     """
     g = cert.graph
-    total = zero_metric(g.k)
+    common = lcm(*[d.integers[1] for d in cert.metrics])
+    total = [[0] * g.k for _ in range(g.k)]
     numerator = ZERO
     for d in cert.metrics:
         numerator += _min_extension_value(g, d)
-        total = total + d
-    denominator = _min_extension_value(g, total)
+        nums, scale = d.integers
+        total = [[a + b * (common // scale) for a, b in zip(ra, rb)] for ra, rb in zip(total, nums)]
+    denominator = _min_extension_value(g, Metric([[Fraction(v, common) for v in row] for row in total]))
     if denominator == 0:
         return None
     return numerator / denominator
@@ -165,17 +178,18 @@ def certify_metric(cert: MetricCertificate) -> Fraction | None:
 def _cut_scale(d: Metric) -> tuple[Fraction, list[int]] | None:
     """``(c, side)`` when ``d`` is ``c > 0`` times the cut metric of
     ``side``, a nonempty proper subset of its points; else None."""
-    first = d.rows[0]
+    nums, scale = d.integers
+    first = nums[0]
     side = [j for j, v in enumerate(first) if not v]
     c = next((v for v in first if v), None)
     if c is None:
         return None
     inside = set(side)
-    for i, row in enumerate(d.rows):
+    for i, row in enumerate(nums):
         for j, v in enumerate(row):
             if v != (c if (i in inside) != (j in inside) else 0):
                 return None
-    return c, side
+    return Fraction(c, scale), side
 
 
 def _min_extension_value(g: WeightedGraph, d: Metric) -> Fraction:

@@ -14,6 +14,7 @@ iteration cap, 4 unbounded quality or distortion, 5 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import random
@@ -42,8 +43,13 @@ def _load(path: Path) -> object:
 
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the write may have failed before creating it
+            tmp.unlink()
+        raise
 
 
 def _emit(report: quality.QualityReport, out: Path | None) -> None:

@@ -1,10 +1,11 @@
 """Exact building blocks: finite semimetrics, weighted graphs, demands.
 
 Every quantity in this package is a ``fractions.Fraction``; nothing touches
-floating point. Hot comparisons (metric validation, shortest-path closure)
-run on integer numerators over one common positive denominator, which
-decides exactly as the Fractions would, while every value in and out stays a
-``Fraction``. Vertex sets are 0-based ranges and the canonical key for an
+floating point. Hot comparisons and sums (metric validation, shortest-path
+closure, a sparsifier's cut values and costs) run on integer numerators over
+one common positive denominator, cached per metric, graph and sparsifier as
+its ``integers`` view, which decides exactly as the Fractions would, while
+every value in and out stays a ``Fraction``. Vertex sets are 0-based ranges and the canonical key for an
 edge or a distance is the unordered pair ``(i, j)`` with ``i < j``, counted
 once. Metrics are symmetric, zero on the diagonal, nonnegative and satisfy
 all triangle inequalities; zero distance between distinct points is allowed.
@@ -329,6 +330,13 @@ class WeightedGraph:
     def weight(self, i: int, j: int) -> Fraction:
         return self.weights.get(pair(i, j), ZERO)
 
+    @functools.cached_property
+    def integers(self) -> tuple[tuple[int, ...], int]:
+        """The weights, in ``weights`` order, as numerators over their least
+        common denominator (:func:`integer_row`), built on first read and kept; read only."""
+        nums, scale = integer_row(list(self.weights.values()))
+        return tuple(nums), scale
+
     def edges(self) -> list[tuple[int, int, Fraction]]:
         """Stored edges as (i, j, weight) triples in pair order."""
         return [(i, j, w) for (i, j), w in sorted(self.weights.items())]
@@ -398,18 +406,26 @@ class Sparsifier:
     def weight(self, p: int, q: int) -> Fraction:
         return self.beta.get(pair(p, q), ZERO)
 
+    @functools.cached_property
+    def integers(self) -> tuple[tuple[int, ...], int]:
+        """The weights, in ``beta`` order, as numerators over their least
+        common denominator (:func:`integer_row`), built on first read and kept; read only."""
+        nums, scale = integer_row(list(self.beta.values()))
+        return tuple(nums), scale
+
     def cost(self, d_y: Metric) -> Fraction:
         """The weighted sum of terminal distances, each pair counted once."""
         if d_y.size != self.k:
             raise ValueError(f"metric has {d_y.size} points, sparsifier has {self.k}")
-        return sum((w * d_y.rows[p][q] for (p, q), w in self.beta.items()), ZERO)
+        nums, scale = self.integers
+        d, d_scale = d_y.integers
+        return Fraction(sum([w * d[p][q] for (p, q), w in zip(self.beta, nums)]), scale * d_scale)
 
     def cut_value(self, side: Iterable[int]) -> Fraction:
         side_set = set(side)
-        return sum(
-            (w for (p, q), w in self.beta.items() if (p in side_set) != (q in side_set)),
-            ZERO,
-        )
+        nums, scale = self.integers
+        return Fraction(sum([w for (p, q), w in zip(self.beta, nums)
+                             if (p in side_set) != (q in side_set)]), scale)
 
     def as_graph(self) -> "WeightedGraph":
         """The sparsifier as a standalone graph whose vertices are all terminals."""

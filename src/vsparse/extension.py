@@ -425,10 +425,11 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
     local = {t: p for p, t in enumerate(g.terminals)}
     edges = sorted(pq for pq in g.weights if pq[0] not in local or pq[1] not in local)
     program = lp.LinearProgram(len(edges), "min", {j: g.weights[pq] for j, pq in enumerate(edges)})
-    const = sum((w * d_y.dist(local[i], local[j]) for (i, j), w in g.weights.items()
-                 if i in local and j in local), ZERO)
     adjacent = _adjacency(g.n, edges)
+    w_nums, w_scale = g.integers
     d_nums, d_scale = d_y.integers
+    const = Fraction(sum([w * d_nums[local[i]][local[j]] for (i, j), w in zip(g.weights, w_nums)
+                          if i in local and j in local]), w_scale * d_scale)
 
     def oracle(out: lp.LpOutcome) -> list[lp.Constraint]:
         return _path_cuts(g.terminals, adjacent, d_nums, d_scale, *out.point)
@@ -451,8 +452,9 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
     first = g.terminals[0]
     at = [v if ints[first][v] < absent else first for v in range(g.n)]
     value = out.value + const
-    lp.check(sum((w * ints[at[u]][at[v]] for (u, v), w in g.weights.items()), ZERO)
-             == value * common, "extension witness cost differs from LP value")
+    lp.check(sum([w * ints[at[u]][at[v]] for (u, v), w in zip(g.weights, w_nums)])
+             * value.denominator == value.numerator * common * w_scale,
+             "extension witness cost differs from LP value")
     return ExtensionResult(value, (ints, at, common))
 
 
@@ -564,7 +566,9 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
     extra = sorted(pq for pq in objective if pq not in column)
     column.update((pq, len(edges) + i) for i, pq in enumerate(extra))
     adjacent = _adjacency(g.n, edges)
-    inverse = integer_row([1 / g.weights[pq] for pq in edges])[0] if extra else []
+    w_nums = dict(zip(g.weights, g.integers[0]))
+    top = lcm(*w_nums.values())
+    inverse = [top // w_nums[pq] for pq in edges]  # the lengths 1 / w_e, scaled
     seeds = []
     for u, v in extra:
         dist, via = _shortest_paths(u, adjacent, inverse, ())
@@ -577,6 +581,7 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
         seeds.append(_distance_row(column[(u, v)], _path(via, u, v)))
     costs, row, rel = ((objective, g.weights, lp.LE) if sense == "max"
                        else (g.weights, objective, lp.GE))
+    c_nums, c_scale = integer_row(list(objective.values())) if sense == "max" else g.integers
     program = lp.LinearProgram(len(column), sense, {column[pq]: c for pq, c in costs.items()})
     program.add_constraint({column[pq]: c for pq, c in row.items()}, rel, ONE)
     for con in seeds:
@@ -608,7 +613,8 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
     lp.check(out.status == lp.OPTIMAL, "a pair LP with a path for every pair is attained")
     nums, scale = out.point
     ints, _ = _closure(g.n, [(u, v, x) for (u, v), x in zip(edges, nums)])
-    lp.check(sum((c * ints[u][v] for (u, v), c in costs.items()), ZERO) == out.value * scale,
+    lp.check(sum([c * ints[u][v] for (u, v), c in zip(costs, c_nums)]) * out.value.denominator
+             == out.value.numerator * scale * c_scale,
              "the closure of the optimal lengths misses the LP value")
     witness = Metric([[Fraction(ints[t][s], scale) for s in g.terminals] for t in g.terminals])
     return PairLpResult(lp.OPTIMAL, out.value, witness)
@@ -682,8 +688,9 @@ def min_cut_via_flow(g: WeightedGraph, side: Iterable[int]) -> Fraction:
     rest, non-terminals falling freely; computed by max-flow on the graph
     with each terminal group contracted to a single node.
 
-    The flow runs on integer capacities, the weights scaled by the lcm of
-    their denominators, and is scaled back to an exact Fraction. ``side``
+    The flow runs on integer capacities, the graph's integer view (its
+    weights scaled by the lcm of their denominators), and is scaled back to
+    an exact Fraction. ``side``
     holds terminal-local indices and must be a nonempty proper subset of
     0..k-1.
     """
@@ -696,7 +703,7 @@ def min_cut_via_flow(g: WeightedGraph, side: Iterable[int]) -> Fraction:
         if v not in node_of:
             node_of[v] = nxt
             nxt += 1
-    weights, scale = integer_row(list(g.weights.values()))
+    weights, scale = g.integers
     capacity: dict[tuple[int, int], int] = {}
     for (i, j), w in zip(g.weights, weights):
         u, v = node_of[i], node_of[j]

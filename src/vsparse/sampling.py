@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .core import ZERO, DemandSet, Metric, WeightedGraph, all_pairs, metric_closure, pair
+from .core import DemandSet, Metric, WeightedGraph, all_pairs, floyd_warshall, integer_row, pair
 
 
 def random_fraction(rng: random.Random, max_num: int = 6, max_den: int = 4,
@@ -23,12 +23,15 @@ def random_fraction(rng: random.Random, max_num: int = 6, max_den: int = 4,
 
 def random_metric(rng: random.Random, m: int, max_num: int = 6,
                   max_den: int = 4) -> Metric:
-    """A random semimetric on m points: the closure of a random pair table."""
-    table = [[ZERO] * m for _ in range(m)]
-    for i, j in all_pairs(m):
-        v = random_fraction(rng, max_num, max_den)
-        table[i][j] = table[j][i] = v
-    return metric_closure(table)
+    """A random semimetric on m points: the closure of a random pair table,
+    taken on the draws' numerators over their least common denominator."""
+    pairs = all_pairs(m)
+    nums, scale = integer_row([random_fraction(rng, max_num, max_den) for _ in pairs])
+    ints = [[0] * m for _ in range(m)]
+    for (i, j), v in zip(pairs, nums):
+        ints[i][j] = ints[j][i] = v
+    floyd_warshall(ints)
+    return Metric([[Fraction(v, scale) for v in row] for row in ints])
 
 
 def random_graph(rng: random.Random, n: int, k: int, density: float = 0.5,

@@ -7,8 +7,17 @@ bipartitions, exhaustive 0-extensions) stay instant.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from vsparse import WeightedGraph, all_pairs, lp, pair
+from vsparse import (
+    WeightedGraph,
+    all_pairs,
+    lp,
+    min_cut_by_enumeration,
+    min_extension,
+    pair,
+    zero_metric,
+)
 from vsparse.extension import MetricConeLp
+from vsparse.sampling import random_fraction
 
 
 def path3() -> WeightedGraph:
@@ -72,6 +81,73 @@ def reference_pair_lp(g: WeightedGraph, sense: str, coeffs):
     if sense == "max":
         return cone.optimize("max", objective, [(dict(g.weights), lp.LE, Fraction(1))])
     return cone.optimize("min", dict(g.weights), [(objective, lp.GE, Fraction(1))])
+
+
+def reference_cut_value(beta, side) -> Fraction:
+    """``Sparsifier.cut_value`` summed as Fractions."""
+    side = set(side)
+    return sum((w for (p, q), w in beta.beta.items() if (p in side) != (q in side)), Fraction(0))
+
+
+def reference_cost(beta, d_y) -> Fraction:
+    """``Sparsifier.cost`` summed as Fractions."""
+    return sum((w * d_y.dist(p, q) for (p, q), w in beta.beta.items()), Fraction(0))
+
+
+def reference_certify_cut(cert):
+    """``certificates.certify_cut`` on Fractions, with each expected min cut
+    taken by enumeration instead of max-flow."""
+    g = cert.graph
+    c_min = Fraction(0)
+    for p in range(g.k):
+        for q in range(g.k):
+            if p == q:
+                continue
+            m1 = sum((prob for mask, prob in cert.mu1 if mask >> p & 1 and not mask >> q & 1),
+                     Fraction(0))
+            m2 = sum((prob for mask, prob in cert.mu2 if mask >> p & 1 and not mask >> q & 1),
+                     Fraction(0))
+            if m2 == 0:
+                if m1 > 0:
+                    return None
+                continue
+            c_min = max(c_min, m1 / m2)
+
+    def expected(mu):
+        full = (1 << g.k) - 1
+        return sum((prob * min_cut_by_enumeration(g, [p for p in range(g.k) if mask >> p & 1])
+                    for mask, prob in mu if prob and mask not in (0, full)), Fraction(0))
+
+    e1, e2 = expected(cert.mu1), expected(cert.mu2)
+    if e1 <= 0 or e2 <= 0:
+        return None
+    return e1 / (c_min * e2)
+
+
+def reference_certify_metric(cert):
+    """``certificates.certify_metric`` on Fractions: the family summed as
+    Metrics, and every minimum extension taken by the LP, cut metrics too."""
+    g = cert.graph
+    total = zero_metric(g.k)
+    for d in cert.metrics:
+        total = total + d
+    denominator = min_extension(g, total).value
+    if denominator == 0:
+        return None
+    return sum((min_extension(g, d).value for d in cert.metrics), Fraction(0)) / denominator
+
+
+def reference_random_metric(rng, m: int, max_num: int = 6, max_den: int = 4):
+    """The table of ``sampling.random_metric``: the same draws, closed by
+    Floyd-Warshall on Fractions."""
+    table = [[Fraction(0)] * m for _ in range(m)]
+    for i, j in all_pairs(m):
+        table[i][j] = table[j][i] = random_fraction(rng, max_num, max_den)
+    for l in range(m):
+        for i in range(m):
+            for j in range(m):
+                table[i][j] = min(table[i][j], table[i][l] + table[l][j])
+    return table
 
 
 @dataclass

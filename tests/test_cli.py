@@ -290,6 +290,30 @@ def test_quality_unbounded_like_cut(tmp_path, capsys, semantics):
     assert loads(capsys.readouterr().out)["q_value"] == "unbounded"
 
 
+def test_quality_out_to_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    # the report goes to D.tmp, and replacing the directory D with it fails
+    out = tmp_path / "D"
+    out.mkdir()
+    code = main(["quality", star_file(tmp_path), half_triangle_file(tmp_path),
+                 "--semantics", "cut", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}.tmp' -> '{out}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "beta.json", "graph.json"]
+    assert not any(out.iterdir())
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def disk_full(self, text, encoding):
+        with open(self, "w", encoding=encoding) as f:
+            f.write(text[:1])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.Path, "write_text", disk_full)
+    with pytest.raises(OSError, match="No space left on device"):
+        cli._write_atomic(tmp_path / "report.json", "{}\n")
+    assert not any(tmp_path.iterdir())
+
+
 # --- certify -----------------------------------------------------------------
 
 def test_certify_cut_certificate(tmp_path, capsys):

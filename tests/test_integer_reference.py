@@ -5,7 +5,8 @@ plane's violation check and max-flow decide on integer numerators over one
 common positive denominator; triangle separation and the violation check read
 the point as the integers an outcome carries. The Fraction versions are kept
 here, verbatim in logic, as references: every decision, message, cut and order
-must agree.
+must agree. So does the grading arithmetic on the integer views of graphs and
+sparsifiers, against the Fraction references in ``helpers``.
 """
 
 import itertools
@@ -13,10 +14,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vsparse import (
+    CutCertificate,
+    MetricCertificate,
     MetricViolation,
+    Sparsifier,
+    WeightedGraph,
     all_pairs,
+    certify_cut,
+    certify_metric,
+    cut_metric,
     metric_closure,
     min_cut_by_enumeration,
     min_cut_via_flow,
@@ -24,9 +33,16 @@ from vsparse import (
     validate_metric,
 )
 from vsparse import lp
-from vsparse.core import _exact_rows, _table_violation, integer_row
+from vsparse.core import _exact_rows, _table_violation, bipartitions, integer_row
 from vsparse.extension import MetricConeLp
 from vsparse.sampling import random_fraction, random_graph, random_metric
+from helpers import (
+    reference_certify_cut,
+    reference_certify_metric,
+    reference_cost,
+    reference_cut_value,
+    reference_random_metric,
+)
 
 F = Fraction
 ZERO = F(0)
@@ -239,3 +255,73 @@ def test_min_cut_via_flow_matches_enumeration_on_mixed_denominators(seed):
             got = min_cut_via_flow(g, side)
             assert type(got) is Fraction
             assert got == min_cut_by_enumeration(g, side)
+
+
+# --- grading on the integer views of graphs and sparsifiers --------------------
+
+# zero numerators and denominators with few common factors
+rationals = st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 3, 5, 7, 12, 30]))
+
+
+@st.composite
+def pair_weights(draw, m):
+    """Weights on a random subset of the pairs on m points; zeros included."""
+    return {pq: draw(rationals) for pq in all_pairs(m) if draw(st.booleans())}
+
+
+@st.composite
+def distributions(draw, k):
+    masks = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=6))
+    weights = draw(st.lists(rationals, min_size=len(masks), max_size=len(masks)))
+    if not any(weights):
+        weights[0] = F(1)
+    total = sum(weights, ZERO)
+    return [(mask, w / total) for mask, w in zip(masks, weights)]
+
+
+@st.composite
+def grading_cases(draw):
+    """A graph with k <= 6 terminals, often with a terminal cut off, a
+    sparsifier and a cut certificate on it, a seeded random metric's seed
+    and denominator bound, and a scaled cut metric."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k, k + 3))
+    terminals = draw(st.permutations(range(n)))[:k]
+    g = WeightedGraph(n, terminals, draw(pair_weights(n)))
+    beta = Sparsifier(k, draw(pair_weights(k)))
+    cert = CutCertificate(g, draw(distributions(k)), draw(distributions(k)))
+    mask = draw(st.integers(0, (1 << k) - 1))
+    cut = cut_metric([p for p in range(k) if mask >> p & 1], k).scale(draw(rationals))
+    return g, beta, cert, draw(st.integers(0, 2**32)), draw(st.sampled_from([1, 4, 9, 30])), cut
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(grading_cases())
+def test_integer_grading_matches_fraction_references(case):
+    g, beta, cert, seed, max_den, cut = case
+    for _, side in bipartitions(g.k):
+        got = beta.cut_value(side)
+        assert type(got) is Fraction and got == reference_cut_value(beta, side)
+        flow = min_cut_via_flow(g, side)
+        assert type(flow) is Fraction and flow == min_cut_by_enumeration(g, side)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    d = random_metric(rng, g.k, max_den=max_den)
+    # the same draws in the same order, closed to the same table
+    assert [list(row) for row in d.rows] == reference_random_metric(ref_rng, g.k, max_den=max_den)
+    assert rng.getstate() == ref_rng.getstate()
+    cost = beta.cost(d)
+    assert type(cost) is Fraction and cost == reference_cost(beta, d)
+    assert certify_cut(cert) == reference_certify_cut(cert)
+    family = MetricCertificate(g, [d, cut, random_metric(rng, g.k, max_den=max_den)])
+    assert certify_metric(family) == reference_certify_metric(family)
+
+
+def test_integer_views_are_kept_and_match_integer_row():
+    g = WeightedGraph(4, [2, 0], {(0, 1): F(3, 4), (1, 2): F(5, 6), (2, 3): 0, (0, 3): 2})
+    beta = Sparsifier(2, {(0, 1): F(7, 10)})
+    for view, values in ((g.integers, g.weights), (beta.integers, beta.beta)):
+        nums, scale = view
+        assert type(nums) is tuple and (list(nums), scale) == integer_row(list(values.values()))
+    assert g.integers == ((9, 10, 24), 12)
+    assert g.integers is g.integers and beta.integers is beta.integers
+    assert WeightedGraph(2, [0], {}).integers == ((), 1)
