@@ -70,11 +70,14 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return UNBOUNDED_EXIT
     beta = report.sparsifier
+    graded = ("quality_cut.json", "quality_metric.json", "quality_flow.json")
     _write_atomic(out_dir / "operator.json",
                   jsonio.dump_canonical(operators.operator_to_json(report.operator)))
     _write_atomic(out_dir / "sparsifier.json",
                   jsonio.dump_canonical(quality.sparsifier_to_json(beta)))
     if not report.converged:
+        for name in graded:  # a reused --out may hold an earlier run's reports
+            (out_dir / name).unlink(missing_ok=True)
         print(f"error: no convergence within {args.max_iters} rounds; "
               "operator.json and sparsifier.json hold the best iterate",
               file=sys.stderr)
@@ -90,9 +93,7 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
     lp.check(metric_report.q_value == report.q, f"metric upper Q {metric_report.q_value} "
              f"of the collapse is not the operator's Q {report.q}")
     flow_report = quality.flow_quality(g_c, beta, metric_report.q_value)
-    for name, rep in (("quality_cut.json", cut_report),
-                      ("quality_metric.json", metric_report),
-                      ("quality_flow.json", flow_report)):
+    for name, rep in zip(graded, (cut_report, metric_report, flow_report)):
         _write_atomic(out_dir / name, jsonio.dump_canonical(quality.report_to_json(rep)))
     print(f"Q = {jsonio.format_fraction(report.q)} "
           f"({report.iterations} rounds, {report.membership_cuts} membership cuts, "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -114,17 +114,18 @@ def _exact_rows(table: Sequence[Sequence[FractionLike]]) -> tuple[tuple[Fraction
     return tuple([tuple([as_fraction(v) for v in row]) for row in table])
 
 
-def _table_violation(rows: Sequence[Sequence[Fraction]]) -> MetricViolation | None:
+def _table_violation(rows: Sequence[Sequence[Fraction]],
+                     ints: Sequence[Sequence[int]]) -> MetricViolation | None:
     """Return the first violated semimetric condition of a square table, or None.
 
-    The conditions are decided on integer numerators over the table's common
-    denominator; the messages print the Fraction entries.
+    The conditions are decided on ``ints``, the table's integer numerators
+    over its common denominator (``integer_table(rows)``); the messages print
+    the Fraction entries.
     """
     m = len(rows)
     for i, row in enumerate(rows):
         if len(row) != m:
             return MetricViolation("shape", (i,), f"row {i} has length {len(row)}, expected {m}")
-    ints, _ = integer_table(rows)
     for i in range(m):
         if ints[i][i] != 0:
             return MetricViolation("diagonal", (i,), f"d({i},{i}) = {rows[i][i]} != 0")
@@ -159,13 +160,17 @@ class Metric:
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
+    # integer_table(rows), the numerators the constructor validated; read only
+    integers: tuple[list[list[int]], int] = field(repr=False, compare=False)
 
     def __init__(self, table: Sequence[Sequence[FractionLike]]):
         rows = _exact_rows(table)
-        bad = _table_violation(rows)
+        ints = integer_table(rows)
+        bad = _table_violation(rows, ints[0])
         if bad is not None:
             raise ValueError(str(bad))
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "integers", ints)
 
     @property
     def size(self) -> int:
@@ -173,11 +178,6 @@ class Metric:
 
     def dist(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
-
-    @functools.cached_property
-    def integers(self) -> tuple[list[list[int]], int]:
-        """``integer_table(rows)``, built on first read and kept; read only."""
-        return integer_table(self.rows)
 
     def restrict(self, points: Sequence[int]) -> "Metric":
         """The induced metric on the given points, in the given order."""
@@ -213,7 +213,7 @@ def validate_metric(table: Sequence[Sequence[FractionLike]]) -> Metric | MetricV
         rows = _exact_rows(table)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         return MetricViolation("value", (), str(exc))
-    bad = _table_violation(rows)
+    bad = _table_violation(rows, integer_table(rows)[0])
     if bad is not None:
         return bad
     return Metric(rows)

@@ -7,9 +7,12 @@ lengths, one per weighted edge with a non-terminal endpoint, with a row
 for each terminal pair whose shortest path through non-terminals is too
 short, found by Dijkstra on the integer lengths; the witness is the
 shortest-path closure of the optimal lengths. Two independent oracles keep
-it honest: an augmenting-path max-flow (for cut metrics the minimum
-extension is exactly a terminal min cut) and exhaustive 0-extension
-enumeration (an upper bound for arbitrary metrics).
+it honest: max-flow (for cut metrics the minimum extension is exactly a
+terminal min cut) and exhaustive 0-extension enumeration (an upper bound
+for arbitrary metrics). ``min_cut_via_flow`` is the package's one max-flow:
+shortest augmenting paths on an integer capacity matrix, the graph's
+integer weights summed between the two contracted terminal sides and the
+non-terminals.
 
 ``terminal_pair_lp`` is the program behind the metric upper quality and
 the maximum concurrent flow: the ratio of a weighted sum of terminal
@@ -40,7 +43,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -629,49 +631,6 @@ def _distance_row(j: int, path: Sequence[int]) -> lp.Constraint:
 # terminal min cuts, via LP and via max-flow
 
 
-def _max_flow(n: int, capacity: dict[tuple[int, int], int | Fraction],
-              s: int, t: int) -> int | Fraction:
-    """Exact max-flow by shortest augmenting paths (arc count bounds the
-    number of augmentations, so rational capacities terminate).
-
-    Capacities are ints or Fractions; the flow comes back in the same kind.
-    """
-    residual: list[dict[int, int | Fraction]] = [dict() for _ in range(n)]
-    for (u, v), c in capacity.items():
-        if c:
-            residual[u][v] = residual[u].get(v, 0) + c
-            residual[v][u] = residual[v].get(u, 0) + c
-    flow = 0
-    while True:
-        parent: list[int | None] = [None] * n
-        parent[s] = s
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if u == t:
-                break
-            for v, c in residual[u].items():
-                if c > 0 and parent[v] is None:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[t] is None:
-            return flow
-        bottleneck = None
-        v = t
-        while v != s:
-            u = parent[v]
-            c = residual[u][v]
-            bottleneck = c if bottleneck is None or c < bottleneck else bottleneck
-            v = u
-        v = t
-        while v != s:
-            u = parent[v]
-            residual[u][v] -= bottleneck
-            residual[v][u] = residual[v].get(u, 0) + bottleneck
-            v = u
-        flow += bottleneck
-
-
 def _terminal_side(g: WeightedGraph, side: Iterable[int]) -> set[int]:
     """``side`` as a set, checked to be a nonempty proper subset of 0..k-1."""
     side_set = set(side)
@@ -688,30 +647,55 @@ def min_cut_via_flow(g: WeightedGraph, side: Iterable[int]) -> Fraction:
     rest, non-terminals falling freely; computed by max-flow on the graph
     with each terminal group contracted to a single node.
 
-    The flow runs on integer capacities, the graph's integer view (its
-    weights scaled by the lcm of their denominators), and is scaled back to
-    an exact Fraction. ``side``
-    holds terminal-local indices and must be a nonempty proper subset of
-    0..k-1.
+    The terminals in ``side`` become node 0, the other terminals node 1 and
+    the non-terminals nodes 2, 3, ...; the graph's integer view (its weights
+    scaled by the lcm of their denominators) summed into a capacity matrix
+    on those nodes carries the flow, by shortest augmenting paths, and the
+    flow is scaled back to an exact Fraction. ``side`` holds terminal-local
+    indices and must be a nonempty proper subset of 0..k-1.
     """
     side_set = _terminal_side(g, side)
     node_of: dict[int, int] = {}
     for p, t in enumerate(g.terminals):
         node_of[t] = 0 if p in side_set else 1
-    nxt = 2
+    m = 2
     for v in range(g.n):
         if v not in node_of:
-            node_of[v] = nxt
-            nxt += 1
+            node_of[v] = m
+            m += 1
+    residual = [[0] * m for _ in range(m)]
     weights, scale = g.integers
-    capacity: dict[tuple[int, int], int] = {}
     for (i, j), w in zip(g.weights, weights):
         u, v = node_of[i], node_of[j]
-        if u == v or not w:
-            continue
-        key = (u, v) if u < v else (v, u)
-        capacity[key] = capacity.get(key, 0) + w
-    return Fraction(_max_flow(nxt, capacity, 0, 1), scale)
+        if u != v:
+            residual[u][v] += w
+            residual[v][u] += w
+    flow = 0
+    nodes = range(m)
+    while True:
+        parent = [-1] * m
+        parent[0] = 0
+        queue = [0]  # breadth-first: the loop reads what it appends
+        for u in queue:
+            if u == 1:
+                break
+            row = residual[u]
+            for v in nodes:
+                if row[v] and parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+        if parent[1] < 0:
+            return Fraction(flow, scale)
+        path = []
+        v = 1
+        while v:  # back to the source, node 0
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min([residual[u][v] for u, v in path])
+        for u, v in path:
+            residual[u][v] -= bottleneck
+            residual[v][u] += bottleneck
+        flow += bottleneck
 
 
 def min_cut_via_lp(g: WeightedGraph, side: Iterable[int]) -> Fraction:

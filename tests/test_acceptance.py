@@ -38,7 +38,6 @@ from vsparse import (
 )
 from vsparse.cli import main
 from vsparse.core import Metric
-from vsparse.extension import _max_flow
 from vsparse.jsonio import dump_canonical, graph_to_json, loads
 from vsparse.operators import operator_to_json
 from vsparse.sampling import random_demands, random_fraction, random_graph, random_metric
@@ -99,7 +98,7 @@ def test_criterion_02_two_terminal_instances():
         g, _ = canonicalize(random_graph(rng, n, 2))
         report = find_optimal_operator(g)
         beta = operator_to_sparsifier(report.operator, g)
-        mincut = _max_flow(g.n, dict(g.weights), 0, 1)
+        mincut = min_cut_via_flow(g, [0])
         if report.q != 1 or beta.beta.get((0, 1), F(0)) != mincut:
             failures.append((trial, n, report.q, beta.beta))
     _grade(2, "two-terminals-q1-beta-is-mincut", failures)

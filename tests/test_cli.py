@@ -185,14 +185,18 @@ def test_sparsify_split_graph_writes_vacuous_flow(tmp_path, capsys):
 
 
 def test_sparsify_iteration_cap(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["sparsify", star_file(tmp_path), "--out", str(out), "--max-iters", "1"])
-    assert code == 3
-    assert "no convergence within 1 rounds" in capsys.readouterr().err
-    # the best iterate is still written, the quality reports are not
-    assert (out / "operator.json").is_file()
-    assert (out / "sparsifier.json").is_file()
-    assert not (out / "quality_cut.json").exists()
+    graph = star_file(tmp_path)
+    for reused in (False, True):
+        out = tmp_path / f"out-{reused}"
+        if reused:  # a converged run's reports are in --out already
+            assert main(["sparsify", graph, "--out", str(out)]) == 0
+        code = main(["sparsify", graph, "--out", str(out), "--max-iters", "1"])
+        assert code == 3
+        assert "no convergence within 1 rounds" in capsys.readouterr().err
+        # the best iterate is still written, no quality report is left
+        assert (out / "operator.json").is_file()
+        assert (out / "sparsifier.json").is_file()
+        assert not list(out.glob("quality_*.json"))
 
 
 def test_sparsify_parse_error(tmp_path, capsys):

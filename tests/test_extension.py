@@ -396,6 +396,15 @@ def test_weighted_star_cut_picks_the_lighter_side():
     assert min_cut(g, [1]) == F(1, 2)
 
 
+def test_flow_cancels_an_earlier_augmenting_path():
+    # The first shortest augmenting path, 0-3-2-1, sends 1 from 3 to 2; the
+    # last, 0-4-2-3-5-1, must cancel it and send 1 more from 2 to 3, which
+    # the residual allows only beyond the edge's own capacity 1.
+    g = WeightedGraph(6, [0, 1], {(0, 3): 1, (0, 4): 2, (1, 2): 1, (1, 5): 2,
+                                  (2, 3): 1, (2, 4): 3, (3, 5): 3})
+    assert min_cut(g, [0]) == 3  # around {0, 2, 4}
+
+
 @pytest.mark.parametrize("side", [[], [0, 1, 2], [5]])
 def test_cut_side_validation(side):
     g = unit_star(3)

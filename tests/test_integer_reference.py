@@ -33,7 +33,7 @@ from vsparse import (
     validate_metric,
 )
 from vsparse import lp
-from vsparse.core import _exact_rows, _table_violation, bipartitions, integer_row
+from vsparse.core import _exact_rows, _table_violation, bipartitions, integer_row, integer_table
 from vsparse.extension import MetricConeLp
 from vsparse.sampling import random_fraction, random_graph, random_metric
 from helpers import (
@@ -136,7 +136,7 @@ def planted_table(rng, fault):
 @pytest.mark.parametrize("seed", range(8))
 def test_table_violation_matches_fraction_reference(fault, seed):
     rows = _exact_rows(planted_table(random.Random(seed), fault))
-    got = _table_violation(rows)
+    got = _table_violation(rows, integer_table(rows)[0])
     assert got == reference_violation(rows)
     assert (got is None) == (fault == "none")
     if got is not None:
@@ -153,7 +153,7 @@ def test_triangle_violation_picks_the_same_first_triple(seed):
     for i, j in all_pairs(m):
         rows[i][j] = rows[j][i] = random_fraction(rng, 9, rng.choice([2, 7, 12]))
     rows = _exact_rows(rows)
-    assert _table_violation(rows) == reference_violation(rows)
+    assert _table_violation(rows, integer_table(rows)[0]) == reference_violation(rows)
 
 
 @pytest.mark.parametrize("seed", range(12))

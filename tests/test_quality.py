@@ -25,6 +25,7 @@ from vsparse import (
     metric_quality,
     metric_quality_upper,
     min_cut_by_enumeration,
+    min_cut_via_flow,
     min_extension,
     operator_to_sparsifier,
     pair,
@@ -35,7 +36,6 @@ from vsparse import (
     zero_extension_operator,
 )
 from vsparse import quality
-from vsparse.extension import _max_flow
 from vsparse.jsonio import JsonFormatError, dump_canonical
 from vsparse.operators import ExtensionOperator
 from vsparse.quality import CUT, EXACT, FLOW, METRIC, SAMPLED, flow_quality
@@ -332,7 +332,8 @@ def test_single_commodity_flow_matches_max_flow(seed):
     s, t = rng.sample(range(g.k), 2)
     dem = random_fraction(rng, min_num=1)
     lam = max_concurrent_flow(g, DemandSet([(s, t, dem)]))
-    assert lam == _max_flow(g.n, dict(g.weights), g.terminals[s], g.terminals[t]) / dem
+    s_t = WeightedGraph(g.n, [g.terminals[s], g.terminals[t]], g.weights)
+    assert lam == min_cut_via_flow(s_t, [0]) / dem
 
 
 @pytest.mark.parametrize("seed", range(12))
