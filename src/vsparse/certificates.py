@@ -169,7 +169,7 @@ def certify_metric(cert: MetricCertificate) -> Fraction | None:
         numerator += _min_extension_value(g, d)
         nums, scale = d.integers
         total = [[a + b * (common // scale) for a, b in zip(ra, rb)] for ra, rb in zip(total, nums)]
-    denominator = _min_extension_value(g, Metric([[Fraction(v, common) for v in row] for row in total]))
+    denominator = _min_extension_value(g, Metric.from_integers(total, common))
     if denominator == 0:
         return None
     return numerator / denominator

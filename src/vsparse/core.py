@@ -17,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Pair = tuple[int, int]
@@ -165,12 +165,28 @@ class Metric:
 
     def __init__(self, table: Sequence[Sequence[FractionLike]]):
         rows = _exact_rows(table)
-        ints = integer_table(rows)
+        self._settle(rows, integer_table(rows))
+
+    def _settle(self, rows: tuple[tuple[Fraction, ...], ...], ints: tuple[list[list[int]], int]):
         bad = _table_violation(rows, ints[0])
         if bad is not None:
             raise ValueError(str(bad))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "integers", ints)
+
+    @classmethod
+    def from_integers(cls, ints: Sequence[Sequence[int]], scale: int) -> "Metric":
+        """The metric of the integers ``ints`` over the positive ``scale``,
+        validated once on them; dividing out their gcd with ``scale`` leaves
+        ``integer_table(rows)``."""
+        if scale <= 0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        common = gcd(scale, *[v for row in ints for v in row])
+        nums, scale = [[v // common for v in row] for row in ints], scale // common
+        metric = cls.__new__(cls)
+        metric._settle(tuple([tuple([Fraction(v, scale) for v in row]) for row in nums]),
+                       (nums, scale))
+        return metric
 
     @property
     def size(self) -> int:
@@ -252,7 +268,7 @@ def metric_closure(table: Sequence[Sequence[FractionLike]]) -> Metric:
                 raise ValueError("closure input must be symmetric and nonnegative")
     ints, scale = integer_table(rows)
     floyd_warshall(ints)  # on the numerators; the common denominator is positive
-    return Metric([[Fraction(v, scale) for v in row] for row in ints])
+    return Metric.from_integers(ints, scale)
 
 
 def floyd_warshall(ints: list[list[int]]) -> None:

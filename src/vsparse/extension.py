@@ -2,40 +2,30 @@
 
 ``min_extension`` computes, by exact LP, the cheapest semimetric on all
 vertices that agrees with a prescribed semimetric on the terminals; the
-weighted cost counts each unordered pair once. Its LP runs over edge
-lengths, one per weighted edge with a non-terminal endpoint, with a row
-for each terminal pair whose shortest path through non-terminals is too
-short, found by Dijkstra on the integer lengths; the witness is the
-shortest-path closure of the optimal lengths. Two independent oracles keep
+weighted cost counts each unordered pair once. Two independent oracles keep
 it honest: max-flow (for cut metrics the minimum extension is exactly a
 terminal min cut) and exhaustive 0-extension enumeration (an upper bound
-for arbitrary metrics). ``min_cut_via_flow`` is the package's one max-flow:
-shortest augmenting paths on an integer capacity matrix, the graph's
-integer weights summed between the two contracted terminal sides and the
-non-terminals.
+for arbitrary metrics). ``min_cut_via_flow`` is the package's one max-flow,
+by shortest augmenting paths on an integer capacity matrix of the graph
+with its two terminal sides contracted.
 
 ``terminal_pair_lp`` is the program behind the metric upper quality and
 the maximum concurrent flow: the ratio of a weighted sum of terminal
 distances to alpha(d), over vertex metrics d. Past ``RAY_POINTS`` vertices
-it runs over edge lengths too, with a distance column per terminal pair
-that is not an edge and path rows for each pair whose shortest path,
-through terminals too, is shorter than its distance; the witness is again
-the shortest-path closure, restricted to the terminals.
+it runs, as ``min_extension`` does, over edge lengths, and its witness is
+the shortest-path closure of the optimal lengths. Both add path rows by one
+rule (:func:`_short_paths`): at a round's integer lengths, a terminal pair
+whose shortest path is shorter than its bound, d_y or the pair's distance,
+gets the row of that path and of every other two-edge path shorter too.
 
 ``MetricConeLp`` optimizes a linear objective over the metric cone on m
-points, every pair distance a variable, under extra rows. Triangle
-separation, path separation and max-flow compare integer numerators over
-one common positive denominator, which decides exactly as the Fractions
-would: each round's point or ray comes from the LP outcome as integers,
-and each violated row goes back to it as integers
-(:meth:`lp.Constraint.from_integers`); ``Fraction``s are built only for the
-objective, the extra rows and the result, so every value in and out stays
-a ``Fraction``.
-
-On at most five points the metric cone has a short list of extreme rays
-(:func:`cone_rays`), so a cone LP with one extra row is read off them: its
-optimal vertex, the apex, an improving ray or infeasibility. The LP decides
-cones on more points and rows the rays cannot read.
+points, every pair distance a variable, under extra rows; its triangle rows
+and the path rows go through one cutting-plane driver (:func:`_separate`).
+Separation and max-flow compare integer numerators over one common positive
+denominator, which decides exactly as the Fractions would, and every value
+in and out stays a ``Fraction``. On at most five points the metric cone has
+a short list of extreme rays (:func:`cone_rays`), so a cone LP with one
+extra row is read off them.
 """
 
 from __future__ import annotations
@@ -233,23 +223,25 @@ def _triangle_rows(n: int, k: int = 0) -> tuple[tuple[tuple[int, int, int], int,
     return tuple(rows)
 
 
+def _separate(program: lp.LinearProgram, oracle: lp.Oracle, rows: str) -> lp.CuttingPlaneResult:
+    """``program`` solved under the rows ``oracle`` adds, by
+    :func:`lp.cutting_plane`. Each row is one of the finitely many triangle
+    or path ``rows`` and never repeats, so the round cap is a formality."""
+    result = lp.cutting_plane(program, [oracle], max_rounds=100_000)
+    if not result.converged:
+        raise lp.CuttingPlaneError(f"{rows} separation did not converge")
+    return result
+
+
 class MetricConeLp:
     """An LP whose variables are the pair distances on m points, one
     nonnegative variable per pair of ``all_pairs(m)``, kept inside the
-    metric cone.
-
-    Triangle inequalities are not materialized up front: a separation
-    oracle adds the violated ones through :func:`lp.cutting_plane`, which is
-    measurably faster and reaches the same optimal value (on a degenerate
-    optimal face the witness can be another optimal vertex). Rows and points
-    cross that loop as integers: each round's point or ray is read as the
-    outcome's integer numerators, and each violated row, with coefficients
-    of plus or minus one, goes back built from integers
-    (:meth:`lp.Constraint.from_integers`). ``Fraction``s are built only for
-    the objective, the extra rows and the returned result. A cone on at
-    most five points with one extra row with nonnegative coefficients and a
-    positive right-hand side skips the LP: its answer is read off the
-    extreme rays (:func:`_ray_optimum`).
+    metric cone by triangle rows added as they are violated, which is
+    measurably faster than all rows up front and reaches the same optimal
+    value (on a degenerate optimal face the witness can be another optimal
+    vertex). A cone on at most five points with one extra row with
+    nonnegative coefficients and a positive right-hand side skips the LP:
+    its answer is read off the extreme rays (:func:`_ray_optimum`).
     """
 
     def __init__(self, m: int):
@@ -289,16 +281,8 @@ class MetricConeLp:
                 row[index[pq]] = row.get(index[pq], ZERO) + c
             program.add_constraint(row, rel, rhs)
 
-        def oracle(out: lp.LpOutcome) -> list[lp.Constraint]:
-            if out.status == lp.UNBOUNDED:
-                return self._triangle_cuts(out.direction[0])
-            return self._triangle_cuts(out.point[0])
-
-        # Every cut is one of the finitely many triangle rows and never
-        # repeats, so the round cap is a formality.
-        result = lp.cutting_plane(program, [oracle], max_rounds=100_000)
-        if not result.converged:
-            raise lp.CuttingPlaneError("triangle separation did not converge")
+        result = _separate(program, lambda out: self._triangle_cuts(
+            (out.direction if out.status == lp.UNBOUNDED else out.point)[0]), "triangle")
         out = result.outcome
         if out.status == lp.OPTIMAL:
             return MetricLpResult(out.status, out.value, _pair_metric(self.m, out.x), None,
@@ -325,14 +309,11 @@ def _adjacency(n: int, edges: Sequence[Pair]) -> list[list[tuple[int, int]]]:
 def _shortest_paths(source: int, adjacent: Sequence[Sequence[tuple[int, int]]],
                     nums: Sequence[int], blocked: Container[int]
                     ) -> tuple[dict[int, int], dict[int, tuple[int, int]]]:
-    """Dijkstra from ``source`` at the integer edge lengths ``nums``, never
-    continuing through a vertex of ``blocked`` other than the source: the
-    distance of every vertex reached, and the vertex and edge column it was
-    reached by.
-
-    ``adjacent`` is as :func:`_adjacency` builds it. A tie of distances
-    settles at the lowest vertex index and the first predecessor that
-    reaches a vertex is kept, so the paths are deterministic.
+    """Dijkstra from ``source`` at the integer edge lengths ``nums`` over
+    ``adjacent`` (:func:`_adjacency`), never continuing through a vertex of
+    ``blocked`` but the source: each reached vertex's distance, and the
+    vertex and edge column it was reached by. Ties settle at the lowest
+    vertex and keep the first predecessor, so the paths are deterministic.
     """
     dist, via, done = {source: 0}, {}, set()
     heap = [(0, source)]
@@ -359,6 +340,29 @@ def _path(via: Mapping[int, tuple[int, int]], source: int, t: int) -> list[int]:
         t, j = via[t]
         cols.append(j)
     return cols
+
+
+def _short_paths(source: int, adjacent: Sequence[Sequence[tuple[int, int]]],
+                 nums: Sequence[int], blocked: Container[int],
+                 bounds: Mapping[int, int]) -> list[tuple[int, list[int]]]:
+    """The paths from ``source`` shorter than their target's bound at the
+    integer edge lengths ``nums``, as (target, edge columns): for each
+    target of ``bounds`` in turn whose shortest path not continuing through
+    ``blocked`` (:func:`_shortest_paths`) is too short, that path and then
+    every other too-short two-edge path through a vertex outside ``blocked``,
+    which saves a dense graph rounds. Bounds are on the scale of ``nums``.
+    """
+    dist, via = _shortest_paths(source, adjacent, nums, blocked)
+    near = dict(adjacent[source])  # each neighbour's edge column
+    found = []
+    for t, bound in bounds.items():
+        if t in dist and dist[t] < bound:
+            path = _path(via, source, t)
+            found.append((t, path))
+            found += [(t, [near[w], b]) for w, b in adjacent[t]
+                      if w in near and w not in blocked and nums[near[w]] + nums[b] < bound
+                      and {near[w], b} != set(path)]
+    return found
 
 
 def _closure(n: int, entries: Iterable[tuple[int, int, int]]) -> tuple[list[list[int]], int]:
@@ -395,7 +399,7 @@ class ExtensionResult:
     @functools.cached_property
     def witness(self) -> Metric:
         table, at, scale = self._closure
-        return Metric([[Fraction(table[u][v], scale) for v in at] for u in at])
+        return Metric.from_integers([[table[u][v] for v in at] for u in at], scale)
 
 
 def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
@@ -413,7 +417,7 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
     one length l_e >= 0 at cost w_e * l_e per weighted edge with a
     non-terminal endpoint, and the row sum_{e in P} l_e >= d_y(p, q) for
     each path P from terminal p to terminal q through non-terminals, added
-    lazily by shortest-path separation (:func:`_path_cuts`). An edge
+    lazily by shortest-path separation (:func:`_short_paths`). An edge
     between two terminals adds the constant w * d_y(p, q). The value is the
     minimum extension's: an extension d gives feasible lengths l_e = d(e) at
     the same cost, by the triangle inequality along each path, and feasible
@@ -434,13 +438,18 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
                           if i in local and j in local]), w_scale * d_scale)
 
     def oracle(out: lp.LpOutcome) -> list[lp.Constraint]:
-        return _path_cuts(g.terminals, adjacent, d_nums, d_scale, *out.point)
+        nums, scale = out.point  # lengths nums / scale against d_y, cross-multiplied
+        lengths, cuts = [x * d_scale for x in nums], []
+        for p, source in enumerate(g.terminals):
+            need = d_nums[p]
+            bounds = {g.terminals[q]: need[q] * scale for q in range(p + 1, g.k) if need[q]}
+            if bounds:
+                cuts += [lp.Constraint.from_integers(dict.fromkeys(path, d_scale), lp.GE,
+                                                     need[local[t]], d_scale)
+                         for t, path in _short_paths(source, adjacent, lengths, local, bounds)]
+        return cuts
 
-    # Every cut is the row of one of the finitely many paths and never
-    # repeats, so the round cap is a formality.
-    result = lp.cutting_plane(program, [oracle], max_rounds=100_000)
-    if not result.converged:
-        raise lp.CuttingPlaneError("shortest-path separation did not converge")
+    result = _separate(program, oracle, "shortest-path")
     out = result.outcome
     lp.check(out.status == lp.OPTIMAL, "a minimum extension always exists")
     nums, scale = out.point
@@ -458,31 +467,6 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
              * value.denominator == value.numerator * common * w_scale,
              "extension witness cost differs from LP value")
     return ExtensionResult(value, (ints, at, common))
-
-
-def _path_cuts(terminals: Sequence[int], adjacent: Sequence[Sequence[tuple[int, int]]],
-               d_nums: Sequence[Sequence[int]], d_scale: int,
-               nums: Sequence[int], scale: int) -> list[lp.Constraint]:
-    """The rows sum_{e in P} l_e >= d_y(p, q) for the terminal pairs p < q,
-    in that order, whose shortest path P through non-terminals is shorter
-    than d_y(p, q) at the lengths ``nums / scale``.
-
-    ``d_nums / d_scale`` is d_y. Path lengths and d_y are compared cross-
-    multiplied as integers, which decides as the Fractions would.
-    """
-    cuts = []
-    is_terminal = set(terminals)
-    for p, source in enumerate(terminals):
-        need = d_nums[p]
-        if not any(need[p + 1:]):
-            continue
-        dist, via = _shortest_paths(source, adjacent, nums, is_terminal)
-        for q in range(p + 1, len(terminals)):
-            t = terminals[q]
-            if t in dist and dist[t] * d_scale < need[q] * scale:
-                path = dict.fromkeys(_path(via, source, t), d_scale)
-                cuts.append(lp.Constraint.from_integers(path, lp.GE, need[q], d_scale))
-    return cuts
 
 
 # ---------------------------------------------------------------------------
@@ -544,17 +528,15 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
     pair order; a pair that is an edge reads its length. Sense "max" is
     max sum c * x subject to sum w * l <= 1, sense "min" is min sum w * l
     subject to sum c * x >= 1, and both keep x_pq - sum_{e in P} l_e <= 0
-    for the paths P from p to q, through terminals too. Those rows come
-    lazily: for each pair whose distance exceeds its shortest path at the
-    round's integer point (:func:`_shortest_paths`), the row of that path
-    and of every other two-edge path shorter than the distance, which saves
-    a dense graph rounds. Before the first solve each distance column gets
-    the row of its shortest path at the lengths 1 / w_e, so every round is
-    bounded and every round after the first is warm. Each program is the
-    metric one's: a metric gives feasible lengths and distances by the
-    triangle inequality, and the shortest-path closure of optimal lengths is
-    a metric that does as well, the witness. Terminals with no path between
-    them sit at the closure's sentinel distance.
+    for the paths P from p to q, through terminals too, added lazily by
+    :func:`_short_paths` with each pair's distance as its bound. Before the
+    first solve each distance column gets the row of its shortest path at
+    the lengths 1 / w_e, so every round is bounded and every round after
+    the first is warm. Each program is the metric one's: a metric gives
+    feasible lengths and distances by the triangle inequality, and the
+    shortest-path closure of optimal lengths is a metric that does as well,
+    the witness. Terminals with no path between them sit at the closure's
+    sentinel distance.
 
     A pair with no path between its terminals makes the ratio unbounded
     before any LP runs. For the first such pair (u, v), u < v, the cut
@@ -572,15 +554,16 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
     top = lcm(*w_nums.values())
     inverse = [top // w_nums[pq] for pq in edges]  # the lengths 1 / w_e, scaled
     seeds = []
-    for u, v in extra:
+    for u, pairs in itertools.groupby(extra, key=lambda pq: pq[0]):
         dist, via = _shortest_paths(u, adjacent, inverse, ())
-        if v not in dist:
-            cut = cut_metric([p for p, t in enumerate(g.terminals) if t in dist], g.k)
-            if sense == "max":
-                return PairLpResult(lp.UNBOUNDED, None, cut)
-            mass = sum((c for (p, q), c in objective.items() if (p in dist) != (q in dist)), ZERO)
-            return PairLpResult(lp.OPTIMAL, ZERO, cut.scale(1 / mass))
-        seeds.append(_distance_row(column[(u, v)], _path(via, u, v)))
+        for _, v in pairs:
+            if v not in dist:
+                cut = cut_metric([p for p, t in enumerate(g.terminals) if t in dist], g.k)
+                if sense == "max":
+                    return PairLpResult(lp.UNBOUNDED, None, cut)
+                mass = sum([c for (p, q), c in objective.items() if (p in dist) != (q in dist)])
+                return PairLpResult(lp.OPTIMAL, ZERO, cut.scale(ONE / mass))
+            seeds.append(_distance_row(column[(u, v)], _path(via, u, v)))
     costs, row, rel = ((objective, g.weights, lp.LE) if sense == "max"
                        else (g.weights, objective, lp.GE))
     c_nums, c_scale = integer_row(list(objective.values())) if sense == "max" else g.integers
@@ -588,29 +571,17 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
     program.add_constraint({column[pq]: c for pq, c in row.items()}, rel, ONE)
     for con in seeds:
         program.add(con)
-    targets: dict[int, list[tuple[int, int]]] = {}
+    targets: dict[int, dict[int, int]] = {}  # each pair's column, by its two vertices
     for u, v in sorted(objective):
-        targets.setdefault(u, []).append((v, column[(u, v)]))
+        targets.setdefault(u, {})[v] = column[(u, v)]
 
     def oracle(out: lp.LpOutcome) -> list[lp.Constraint]:
-        nums, cuts = out.point[0], []
-        for u, ends in targets.items():
-            dist, via = _shortest_paths(u, adjacent, nums, ())
-            for v, j in ends:
-                if dist[v] < nums[j]:
-                    path = _path(via, u, v)
-                    cuts.append(_distance_row(j, path))
-                    near_u = dict(adjacent[u])  # each neighbour's edge column
-                    cuts += [_distance_row(j, [near_u[w], b]) for w, b in adjacent[v]
-                             if w in near_u and nums[near_u[w]] + nums[b] < nums[j]
-                             and {near_u[w], b} != set(path)]
-        return cuts
+        nums = out.point[0]
+        return [_distance_row(ends[v], path) for u, ends in targets.items()
+                for v, path in _short_paths(u, adjacent, nums, (),
+                                            {v: nums[j] for v, j in ends.items()})]
 
-    # Every cut is the row of one of the finitely many paths and never
-    # repeats, so the round cap is a formality.
-    result = lp.cutting_plane(program, [oracle], max_rounds=100_000)
-    if not result.converged:
-        raise lp.CuttingPlaneError("shortest-path separation did not converge")
+    result = _separate(program, oracle, "shortest-path")
     out = result.outcome
     lp.check(out.status == lp.OPTIMAL, "a pair LP with a path for every pair is attained")
     nums, scale = out.point
@@ -618,7 +589,7 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
     lp.check(sum([c * ints[u][v] for (u, v), c in zip(costs, c_nums)]) * out.value.denominator
              == out.value.numerator * scale * c_scale,
              "the closure of the optimal lengths misses the LP value")
-    witness = Metric([[Fraction(ints[t][s], scale) for s in g.terminals] for t in g.terminals])
+    witness = Metric.from_integers([[ints[t][s] for s in g.terminals] for t in g.terminals], scale)
     return PairLpResult(lp.OPTIMAL, out.value, witness)
 
 

@@ -59,9 +59,19 @@ def dump_canonical(data: Any) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """An object's members; a repeated key is an error, not its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for a, key in enumerate(keys) if key in keys[:a])
+        raise JsonFormatError("document", f"repeated object key {_quote(key)}")
+    return obj
+
+
 def loads(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise JsonFormatError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
     except RecursionError:

@@ -31,7 +31,7 @@ def random_metric(rng: random.Random, m: int, max_num: int = 6,
     for (i, j), v in zip(pairs, nums):
         ints[i][j] = ints[j][i] = v
     floyd_warshall(ints)
-    return Metric([[Fraction(v, scale) for v in row] for row in ints])
+    return Metric.from_integers(ints, scale)
 
 
 def random_graph(rng: random.Random, n: int, k: int, density: float = 0.5,

@@ -405,6 +405,15 @@ def test_oracle_error_quotes_are_bounded(tmp_path, capsys, n, weight):
     assert " characters)" in err
 
 
+def test_a_repeated_key_is_a_parse_error_not_the_last_value(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "terminals": [0, 1], "edges": [[0, 2, "1/1"]], '
+                    '"edges": [[0, 1, "5/1"], [1, 2, "1/1"]]}', encoding="utf-8")
+    assert main(["oracle", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "repeated object key 'edges'" in captured.err
+
+
 @pytest.mark.parametrize("command", [
     ["oracle", "{deep}"],
     ["sparsify", "{deep}", "--out", "{out}"],

@@ -261,6 +261,79 @@ def test_extension_witness_is_built_on_first_read():
     assert vars(res)["witness"] is res.witness
 
 
+def test_extension_adds_every_too_short_two_edge_path_at_once():
+    # terminal 1 is cut off from terminals 2 and 3; at the first round's zero
+    # lengths both 1-0-2, the shortest path, and 1-4-2 are too short, so both
+    # rows come, though the lengths on 1-0 and 1-4 that answer 1-0-2 and
+    # 1-4-3 would satisfy 1-4-2 as well; columns are (0,1) (0,2) (1,4) (2,4) (3,4)
+    g = WeightedGraph(5, [1, 2, 3], {(0, 1): F(3, 4), (0, 2): F(3, 2), (1, 2): F(1, 4), (1, 3): 1,
+                                     (1, 4): F(5, 4), (2, 3): 2, (2, 4): F(5, 4), (3, 4): 2})
+    d = cut_metric([0], 3)
+    res, program, _ = recorded_min_extension(g, d)
+    assert [con.cols for con in program.constraints] == [(0, 1), (2, 3), (2, 4)]
+    assert res.value == F(3, 4) + F(5, 4) + F(1, 4) + 1 == check_extension(g, d).value
+
+
+@st.composite
+def short_path_instances(draw):
+    """A random graph on n <= 7 vertices with integer edge lengths, a source,
+    a blocked set that may hold it, and integer bounds on some targets."""
+    n = draw(st.integers(2, 7))
+    edges = draw(st.lists(st.sampled_from(all_pairs(n)), unique=True))
+    nums = draw(st.lists(st.integers(0, 5), min_size=len(edges), max_size=len(edges)))
+    source = draw(st.integers(0, n - 1))
+    blocked = draw(st.sets(st.integers(0, n - 1)))
+    targets = draw(st.lists(st.integers(0, n - 1).filter(lambda t: t != source), unique=True))
+    bounds = {t: draw(st.integers(0, 12)) for t in targets}
+    return n, edges, nums, source, blocked, bounds
+
+
+def walk(edges, cols, source):
+    """The vertices of the path from ``source`` along the edge columns
+    ``cols``, each used once, or None when they do not form a walk."""
+    vertices, left = [source], set(cols)
+    while left:
+        step = [j for j in left if vertices[-1] in edges[j]]
+        if len(step) != 1:
+            return None
+        left.remove(step[0])
+        u, v = edges[step[0]]
+        vertices.append(v if u == vertices[-1] else u)
+    return vertices
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(short_path_instances())
+def test_short_paths_are_simple_unblocked_and_too_short(case):
+    n, edges, nums, source, blocked, bounds = case
+    found = extension._short_paths(source, extension._adjacency(n, edges), nums, blocked, bounds)
+    for t, cols in found:
+        vertices = walk(edges, cols, source)
+        assert vertices is not None and len(set(vertices)) == len(vertices)
+        assert vertices[-1] == t and not blocked.intersection(vertices[1:-1])
+        assert sum(nums[j] for j in cols) < bounds[t]
+    # per target: a shortest unblocked path first, when it is too short, then
+    # every other too-short two-edge path, in ``bounds`` order
+    reach = {source: 0}
+    for _ in range(n):
+        for j, (u, v) in enumerate(edges):
+            for a, b in ((u, v), (v, u)):
+                if a in reach and (a == source or a not in blocked):
+                    reach[b] = min(reach.get(b, reach[a] + nums[j]), reach[a] + nums[j])
+    want = [t for t in bounds if reach.get(t, bounds[t]) < bounds[t]]
+    assert [t for t, _ in found if t in want] == [t for t, _ in found]
+    assert list(dict.fromkeys(t for t, _ in found)) == want
+    for t in want:
+        paths = [cols for s, cols in found if s == t]
+        assert sum(nums[j] for j in paths[0]) == reach[t]
+        twos = {frozenset((i, j)) for i, (a, b) in enumerate(edges) for j, (c, d) in enumerate(edges)
+                if {a, b} & {c, d} and len({a, b, c, d}) == 3 and source in (a, b)
+                and t in (c, d) and ({a, b} & {c, d}).isdisjoint(blocked | {source, t})
+                and nums[i] + nums[j] < bounds[t]}
+        others = twos - {frozenset(paths[0])}
+        assert len(paths) == 1 + len(others) and {frozenset(c) for c in paths[1:]} == others
+
+
 # --- metric upper quality and concurrent flow over edge lengths ---------
 
 @st.composite

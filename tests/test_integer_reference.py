@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from vsparse import (
     CutCertificate,
+    Metric,
     MetricCertificate,
     MetricViolation,
     Sparsifier,
@@ -166,6 +167,29 @@ def test_metric_closure_matches_fraction_reference(seed):
     closed = metric_closure(table)
     assert [list(row) for row in closed.rows] == reference_closure(table)
     assert all(type(v) is Fraction for row in closed.rows for v in row)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_metric_from_integers_is_the_metric_of_its_fractions(seed):
+    # numerators times a common factor, over the denominator times it: the
+    # factor divides out, so the integer view is integer_table(rows) again
+    rng = random.Random(seed)
+    d = random_metric(rng, rng.randint(0, 6), max_den=rng.choice([1, 4, 9]))
+    nums, scale = d.integers
+    factor = rng.randint(1, 6)
+    got = Metric.from_integers([[v * factor for v in row] for row in nums], scale * factor)
+    assert got == d and got.integers == integer_table(got.rows) == d.integers
+    assert all(type(v) is Fraction for row in got.rows for v in row)
+
+
+@pytest.mark.parametrize("ints,scale,message", [
+    ([[0, 2], [4, 0]], 6, "symmetry"),
+    ([[0, 1, 4], [1, 0, 1], [4, 1, 0]], 2, "triangle"),
+    ([[0, 1], [1, 0]], 0, "positive"),
+])
+def test_metric_from_integers_rejects_what_the_constructor_rejects(ints, scale, message):
+    with pytest.raises(ValueError, match=message):
+        Metric.from_integers(ints, scale)
 
 
 # --- triangle separation ---------------------------------------------------

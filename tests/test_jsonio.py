@@ -68,6 +68,15 @@ def test_loads_reports_position():
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "edges": [], "edges": [[0, 1, "1/1"]]}',
+    '[{"terminals": [0], "n": 1, "terminals": [0]}]',
+], ids=["top-level", "nested"])
+def test_loads_rejects_a_repeated_key(text):
+    with pytest.raises(JsonFormatError, match="repeated object key '(edges|terminals)'"):
+        loads(text)
+
+
 # --- graphs ------------------------------------------------------------
 
 def test_graph_round_trip_simple():
