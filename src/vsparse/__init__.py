@@ -13,7 +13,6 @@ from .core import (
     UNBOUNDED,
     DemandSet,
     Metric,
-    MetricViolation,
     Sparsifier,
     Unbounded,
     WeightedGraph,
@@ -22,10 +21,7 @@ from .core import (
     canonicalize,
     cut_metric,
     is_unbounded,
-    metric_closure,
     pair,
-    restrict,
-    validate_metric,
     zero_metric,
 )
 from .extension import (
@@ -43,8 +39,6 @@ from .operators import (
     DistortionViolation,
     NoFiniteDistortionError,
     OperatorSolveReport,
-    apply,
-    distortion_oracle,
     find_optimal_operator,
     membership_oracle,
     operator_from_json,
@@ -83,7 +77,6 @@ __all__ = [
     "UNBOUNDED",
     "DemandSet",
     "Metric",
-    "MetricViolation",
     "Sparsifier",
     "Unbounded",
     "WeightedGraph",
@@ -92,10 +85,7 @@ __all__ = [
     "canonicalize",
     "cut_metric",
     "is_unbounded",
-    "metric_closure",
     "pair",
-    "restrict",
-    "validate_metric",
     "zero_metric",
     "ExtensionResult",
     "ZeroExtension",
@@ -109,8 +99,6 @@ __all__ = [
     "DistortionViolation",
     "NoFiniteDistortionError",
     "OperatorSolveReport",
-    "apply",
-    "distortion_oracle",
     "find_optimal_operator",
     "membership_oracle",
     "operator_from_json",

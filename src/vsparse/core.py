@@ -25,6 +25,7 @@ FractionLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+CUT_CAP = 20  # the most terminals whose 2^(k-1) - 1 bipartitions are enumerated
 
 
 def as_fraction(value: FractionLike) -> Fraction:
@@ -68,10 +69,12 @@ def bipartitions(k: int) -> Iterator[tuple[int, list[int]]]:
 
     Bit 0 stays on the inside, so the masks are the odd ones 1, 3, ...,
     2^k - 3 in ascending order and a side and its complement never both
-    appear; ``side`` lists the terminals whose bits are set.
+    appear; ``side`` lists the terminals whose bits are set. More than
+    ``CUT_CAP`` terminals raise ValueError at the call.
     """
-    for mask in range(1, (1 << k) - 1, 2):
-        yield mask, [p for p in range(k) if mask >> p & 1]
+    if k > CUT_CAP:
+        raise ValueError(f"bipartition enumeration over k = {k} terminals exceeds cap {CUT_CAP}")
+    return ((mask, [p for p in range(k) if mask >> p & 1]) for mask in range(1, (1 << k) - 1, 2))
 
 
 class Unbounded:
@@ -95,18 +98,6 @@ def is_unbounded(value: object) -> bool:
     return value is UNBOUNDED
 
 
-@dataclass(frozen=True)
-class MetricViolation:
-    """First reason a distance table fails to be a semimetric."""
-
-    kind: str  # "shape" | "value" | "diagonal" | "symmetry" | "negative" | "triangle"
-    where: tuple[int, ...]
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind} violation at {self.where}: {self.detail}"
-
-
 def _exact_rows(table: Sequence[Sequence[FractionLike]]) -> tuple[tuple[Fraction, ...], ...]:
     # Built from lists, not generators: tuple() of a generator grows by
     # resizing, which bypasses CPython's tuple free list, so every freed row
@@ -115,25 +106,25 @@ def _exact_rows(table: Sequence[Sequence[FractionLike]]) -> tuple[tuple[Fraction
 
 
 def _table_violation(rows: Sequence[Sequence[Fraction]],
-                     ints: Sequence[Sequence[int]]) -> MetricViolation | None:
-    """Return the first violated semimetric condition of a square table, or None.
-
-    The conditions are decided on ``ints``, the table's integer numerators
-    over its common denominator (``integer_table(rows)``); the messages print
-    the Fraction entries.
+                     ints: Sequence[Sequence[int]]) -> str | None:
+    """The first violated semimetric condition of a square table (shape,
+    diagonal, symmetry, negative, triangle, in check order) as the message
+    ``"<kind> violation at <where>: <detail>"``, or None. The conditions are
+    decided on ``ints``, the table's integer numerators over its common
+    denominator (``integer_table(rows)``); the messages print the Fractions.
     """
     m = len(rows)
     for i, row in enumerate(rows):
         if len(row) != m:
-            return MetricViolation("shape", (i,), f"row {i} has length {len(row)}, expected {m}")
+            return f"shape violation at {(i,)}: row {i} has length {len(row)}, expected {m}"
     for i in range(m):
         if ints[i][i] != 0:
-            return MetricViolation("diagonal", (i,), f"d({i},{i}) = {rows[i][i]} != 0")
+            return f"diagonal violation at {(i,)}: d({i},{i}) = {rows[i][i]} != 0"
         for j in range(i + 1, m):
             if ints[i][j] != ints[j][i]:
-                return MetricViolation("symmetry", (i, j), f"d({i},{j}) = {rows[i][j]} but d({j},{i}) = {rows[j][i]}")
+                return f"symmetry violation at {(i, j)}: d({i},{j}) = {rows[i][j]} but d({j},{i}) = {rows[j][i]}"
             if ints[i][j] < 0:
-                return MetricViolation("negative", (i, j), f"d({i},{j}) = {rows[i][j]} < 0")
+                return f"negative violation at {(i, j)}: d({i},{j}) = {rows[i][j]} < 0"
     # The table is symmetric from here on, so d(l,j) = d(j,l) and row j
     # serves as column j. Points l = i and l = j give d(i,j) itself, never
     # more, so the sums need no filtering before the first violation.
@@ -143,10 +134,8 @@ def _table_violation(rows: Sequence[Sequence[Fraction]],
             rj, dij = ints[j], ri[j]
             if dij > min([a + b for a, b in zip(ri, rj)]):
                 l = next(l for l in range(m) if dij > ri[l] + rj[l])
-                return MetricViolation(
-                    "triangle", (i, j, l),
-                    f"d({i},{j}) = {rows[i][j]} > d({i},{l}) + d({l},{j}) = {rows[i][l] + rows[l][j]}",
-                )
+                return (f"triangle violation at {(i, j, l)}: d({i},{j}) = {rows[i][j]} > "
+                        f"d({i},{l}) + d({l},{j}) = {rows[i][l] + rows[l][j]}")
     return None
 
 
@@ -155,8 +144,8 @@ class Metric:
     """A finite semimetric on points 0..m-1, stored as a full distance table.
 
     The constructor normalizes entries to Fraction and validates all three
-    semimetric conditions exactly, so holding a Metric is proof of validity.
-    Use :func:`validate_metric` to classify a table without raising.
+    semimetric conditions exactly, so holding a Metric is proof of validity;
+    a table that fails raises ValueError naming the first violation.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -170,7 +159,7 @@ class Metric:
     def _settle(self, rows: tuple[tuple[Fraction, ...], ...], ints: tuple[list[list[int]], int]):
         bad = _table_violation(rows, ints[0])
         if bad is not None:
-            raise ValueError(str(bad))
+            raise ValueError(bad)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "integers", ints)
 
@@ -208,32 +197,6 @@ class Metric:
             raise ValueError("metrics are only closed under nonnegative scaling")
         return Metric([[c * v for v in row] for row in self.rows])
 
-    def __add__(self, other: "Metric") -> "Metric":
-        if self.size != other.size:
-            raise ValueError("cannot add metrics of different sizes")
-        return Metric([
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ])
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
-
-
-def validate_metric(table: Sequence[Sequence[FractionLike]]) -> Metric | MetricViolation:
-    """Check a square distance table; return a Metric or the first violation found.
-
-    Conditions, in check order: square shape with exact rational entries,
-    zero diagonal, symmetry, nonnegativity, and every triangle inequality.
-    """
-    try:
-        rows = _exact_rows(table)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        return MetricViolation("value", (), str(exc))
-    bad = _table_violation(rows, integer_table(rows)[0])
-    if bad is not None:
-        return bad
-    return Metric(rows)
-
 
 def zero_metric(m: int) -> Metric:
     return Metric([[ZERO] * m for _ in range(m)])
@@ -252,25 +215,6 @@ def cut_metric(side: Iterable[int], m: int) -> Metric:
     return Metric(table)
 
 
-def metric_closure(table: Sequence[Sequence[FractionLike]]) -> Metric:
-    """Shortest-path closure of a symmetric nonnegative table with zero diagonal.
-
-    The closure is the largest semimetric pointwise below the table, which is
-    how arbitrary nonnegative pair data is turned into a valid metric.
-    """
-    rows = [[as_fraction(v) for v in row] for row in table]
-    m = len(rows)
-    if any(len(row) != m or row[i] != 0 for i, row in enumerate(rows)):
-        raise ValueError("closure input must be square with zero diagonal")
-    for i in range(m):
-        for j in range(m):
-            if rows[i][j] != rows[j][i] or rows[i][j] < 0:
-                raise ValueError("closure input must be symmetric and nonnegative")
-    ints, scale = integer_table(rows)
-    floyd_warshall(ints)  # on the numerators; the common denominator is positive
-    return Metric.from_integers(ints, scale)
-
-
 def floyd_warshall(ints: list[list[int]]) -> None:
     """Replace each entry of a square table of nonnegative integer lengths
     with zero diagonal by its shortest-path length, in place."""
@@ -280,11 +224,6 @@ def floyd_warshall(ints: list[list[int]]) -> None:
         for i in range(m):
             ril = ints[i][l]
             ints[i] = [a if a <= ril + b else ril + b for a, b in zip(ints[i], rl)]
-
-
-def restrict(d: Metric, points: Sequence[int]) -> Metric:
-    """Module-level alias for :meth:`Metric.restrict`."""
-    return d.restrict(points)
 
 
 @dataclass(frozen=True, eq=True)
@@ -342,9 +281,6 @@ class WeightedGraph:
     @property
     def k(self) -> int:
         return len(self.terminals)
-
-    def weight(self, i: int, j: int) -> Fraction:
-        return self.weights.get(pair(i, j), ZERO)
 
     @functools.cached_property
     def integers(self) -> tuple[tuple[int, ...], int]:
@@ -418,9 +354,6 @@ class Sparsifier:
                 norm[key] = norm.get(key, ZERO) + wf
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "beta", norm)
-
-    def weight(self, p: int, q: int) -> Fraction:
-        return self.beta.get(pair(p, q), ZERO)
 
     @functools.cached_property
     def integers(self) -> tuple[tuple[int, ...], int]:

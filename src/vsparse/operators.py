@@ -4,8 +4,8 @@ An extension operator is a nonnegative tensor phi taking a terminal metric
 d_Y to a vertex metric phi(d_Y) that extends it; its distortion Q is the
 worst ratio of the weighted cost of phi(d_Y) to the minimum extension cost
 of d_Y. The optimal operator is found by a master LP over (phi, Q) with two
-lazy separation families, each separated as the public oracle of the same
-name separates it:
+lazy separation families, the first separated as the public
+:func:`membership_oracle` separates it:
 
 * membership cuts force every triangle row of the image cone, maximizing
   each row over the slice sum d <= 1 of the terminal metric cone. The scan
@@ -109,28 +109,8 @@ class ExtensionOperator:
         object.__setattr__(self, "coeffs", norm)
         object.__setattr__(self, "distortion", None if distortion is None else as_fraction(distortion))
 
-    def value(self, xp: Pair, yp: Pair) -> Fraction:
-        return self.coeffs.get((xp, yp), ZERO)
-
     def __hash__(self) -> int:
         return hash((self.n, self.k, tuple(sorted(self.coeffs.items()))))
-
-
-def apply(phi: ExtensionOperator, d_y: Metric) -> Metric:
-    """The image metric phi(d_Y) on all n vertices.
-
-    Raises ValueError if the image violates a metric condition, which for a
-    well-formed phi means it is not a member of the operator cone.
-    """
-    if d_y.size != phi.k:
-        raise ValueError(f"metric has {d_y.size} points, operator expects {phi.k}")
-    table = [[ZERO] * phi.n for _ in range(phi.n)]
-    for ((i, j), yp), c in phi.coeffs.items():
-        v = c * d_y.rows[yp[0]][yp[1]]
-        if v:
-            table[i][j] += v
-            table[j][i] += v
-    return Metric(table)
 
 
 def operator_to_sparsifier(phi: ExtensionOperator, g: WeightedGraph) -> Sparsifier:
@@ -278,28 +258,20 @@ class DistortionViolation:
 
 def _distortion_probe(phi: ExtensionOperator, q: Fraction, g: WeightedGraph
                       ) -> tuple[quality.QualityReport, DistortionViolation | None]:
-    """The metric upper quality report of phi's collapse and the violation
-    of q it shows, if any; see :func:`distortion_oracle`."""
+    """The metric upper quality report of phi's collapse, and the terminal
+    metric stretched beyond q times its minimum extension, or None.
+
+    ``phi`` must be a member of the operator cone and ``g`` the canonical
+    graph it was built for. The collapse beta has beta(d_Y) = alpha(phi(d_Y)),
+    so the worst alpha(phi(d_Y)) / minext(d_Y) is its metric upper quality,
+    and the witness d_Y* violates when that exceeds q, with minext(d_Y*) = 1
+    (d_Y* / minext(d_Y*) would raise beta), or is unbounded, minext(d_Y*) = 0.
+    """
     beta = operator_to_sparsifier(phi, g)  # also checks that g is canonical
     upper = quality.metric_quality_upper(g, beta)
     if is_unbounded(upper.q_value):
         return upper, DistortionViolation(upper.witness, ZERO, beta.cost(upper.witness))
-    hit = upper.q_value > q  # at minimum extension 1, see distortion_oracle
-    return upper, DistortionViolation(upper.witness, ONE, upper.q_value) if hit else None
-
-
-def distortion_oracle(phi: ExtensionOperator, q: Fraction,
-                      g: WeightedGraph) -> DistortionViolation | None:
-    """Does some terminal metric stretch beyond q times its minimum extension?
-
-    ``phi`` must be a member of the operator cone and ``g`` the canonical
-    graph it was built for. The worst alpha(phi(d_Y)) / minext(d_Y) is the
-    metric upper quality of phi's collapse beta, as beta(d_Y) =
-    alpha(phi(d_Y)); its witness d_Y* violates when that exceeds q, with
-    minext(d_Y*) = 1 (d_Y* / minext(d_Y*) would raise beta), or is unbounded,
-    with minext(d_Y*) = 0. Returns None when no d_Y violates.
-    """
-    return _distortion_probe(phi, as_fraction(q), g)[1]
+    return upper, DistortionViolation(upper.witness, ONE, upper.q_value) if upper.q_value > q else None
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ if TYPE_CHECKING:
 
 CUT, METRIC, FLOW = "cut", "metric", "flow"
 EXACT, SAMPLED = "exact", "sampled"
-CUT_CAP = 20  # the most terminals whose 2^(k-1) - 1 bipartitions are enumerated
 
 
 class FlowProbeError(AssertionError):
@@ -82,7 +81,7 @@ def cut_quality(g: WeightedGraph, beta: Sparsifier) -> QualityReport:
     """Worst ratio of sparsifier cut to terminal min cut, over all bipartitions.
 
     Enumerates the 2^(k-1) - 1 bipartitions of :func:`core.bipartitions`,
-    ties to the smallest mask, for at most ``CUT_CAP`` terminals. Min cuts
+    ties to the smallest mask, for at most ``core.CUT_CAP`` terminals. Min cuts
     come from the max-flow route, which keeps that many within reach; the LP
     route is cross-checked elsewhere. Bipartitions where both values are
     zero bind nothing and are skipped; a zero min cut against a positive
@@ -90,8 +89,6 @@ def cut_quality(g: WeightedGraph, beta: Sparsifier) -> QualityReport:
     there is nothing to preserve and the quality is 1 by convention.
     """
     _check_k(g, beta)
-    if g.k > CUT_CAP:
-        raise ValueError(f"cut enumeration over k = {g.k} terminals exceeds cap {CUT_CAP}")
     best: Fraction | None = None
     best_mask: int | None = None
     unbounded_mask: int | None = None
@@ -144,7 +141,7 @@ def metric_lower_check(g: WeightedGraph, beta: Sparsifier, samples: int = 100,
     """Search for minext(d_Y) > beta(d_Y), the lower-bound violation.
 
     Checks every cut metric exactly (enough to refute cut semantics, by min
-    cut LP integrality; at most ``CUT_CAP`` terminals) and then ``samples``
+    cut LP integrality; at most ``core.CUT_CAP`` terminals) and then ``samples``
     seeded random terminal metrics.
     It guards only sparsifiers supplied from outside: a collapse of a
     member operator never violates, and ``sparsify`` proves that from
@@ -152,8 +149,6 @@ def metric_lower_check(g: WeightedGraph, beta: Sparsifier, samples: int = 100,
     are only probed. The report fragment carries no upper ratio.
     """
     _check_k(g, beta)
-    if g.k > CUT_CAP:
-        raise ValueError(f"cut enumeration over k = {g.k} terminals exceeds cap {CUT_CAP}")
     for _, side in bipartitions(g.k):
         if beta.cut_value(side) < min_cut_via_flow(g, side):
             return QualityReport(METRIC, None, False, cut_metric(side, g.k), SAMPLED)
@@ -171,10 +166,11 @@ def metric_quality(g: WeightedGraph, beta: Sparsifier, samples: int = 100,
 
     The witness is the upper LP's worst metric unless the lower check finds
     a violation, which is the more important fact and takes the witness
-    slot. Completeness is "sampled" because the lower side always is.
+    slot. Completeness is "sampled" because the lower side always is. The
+    lower check runs first: it refuses more than ``core.CUT_CAP`` terminals.
     """
-    upper = metric_quality_upper(g, beta)
     lower = metric_lower_check(g, beta, samples=samples, seed=seed)
+    upper = metric_quality_upper(g, beta)
     witness = upper.witness if lower.lower_ok else lower.witness
     return QualityReport(METRIC, upper.q_value, lower.lower_ok, witness, SAMPLED)
 

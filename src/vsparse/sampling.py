@@ -37,11 +37,11 @@ def random_metric(rng: random.Random, m: int, max_num: int = 6,
 def random_graph(rng: random.Random, n: int, k: int, density: float = 0.5,
                  connected: bool = True, max_num: int = 6,
                  max_den: int = 4) -> WeightedGraph:
-    """A random weighted graph with k terminals in random positions.
+    """A random weighted graph with k terminals in random (unsorted) positions.
 
-    With ``connected`` a random spanning tree with strictly positive weights
-    comes first; every remaining pair then gets an edge with probability
-    ``density``. Terminal order is a random sample, deliberately unsorted.
+    With ``connected`` a random spanning tree of positive weights comes first.
+    Every other pair draws a weight with probability ``density``; a draw of 0
+    (1 in max_num + 1) adds no edge, so density 1 need not give a complete graph.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k = {k}, n = {n}")

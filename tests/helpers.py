@@ -1,21 +1,26 @@
-"""Shared instance builders for the test suite.
+"""Shared instance builders and Fraction references for the test suite.
 
 Every graph here is small enough that brute-force oracles (exhaustive
-bipartitions, exhaustive 0-extensions) stay instant.
+bipartitions, exhaustive 0-extensions) stay instant. The references
+(an operator's image, a shortest-path closure, a sum of metrics, the
+metric validation message) are what the tests compare the package against;
+the package itself does not need them.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from vsparse import (
+    Metric,
     WeightedGraph,
     all_pairs,
     lp,
     min_cut_by_enumeration,
     min_extension,
     pair,
-    zero_metric,
 )
+from vsparse.core import floyd_warshall, integer_table
 from vsparse.extension import MetricConeLp
 from vsparse.sampling import random_fraction
 
@@ -40,6 +45,71 @@ def weighted_star(weights) -> WeightedGraph:
 def triangle_y() -> WeightedGraph:
     """Complete graph on 3 terminals (Y = X), unit weights."""
     return WeightedGraph(3, [0, 1, 2], {(0, 1): 1, (0, 2): 1, (1, 2): 1})
+
+
+def apply(phi, d_y) -> Metric:
+    """The image metric phi(d_Y) on all n vertices, summed as Fractions.
+
+    Raises ValueError if the image violates a metric condition, which for a
+    well-formed phi means it is not a member of the operator cone.
+    """
+    if d_y.size != phi.k:
+        raise ValueError(f"metric has {d_y.size} points, operator expects {phi.k}")
+    table = [[Fraction(0)] * phi.n for _ in range(phi.n)]
+    for ((i, j), (p, q)), c in phi.coeffs.items():
+        table[i][j] += c * d_y.dist(p, q)
+        table[j][i] = table[i][j]
+    return Metric(table)
+
+
+def metric_closure(table) -> Metric:
+    """Shortest-path closure of a symmetric nonnegative table with zero
+    diagonal: the largest metric pointwise below it, closed by
+    ``core.floyd_warshall`` on its numerators."""
+    rows = [[Fraction(v) for v in row] for row in table]
+    m = len(rows)
+    if any(len(row) != m or row[i] != 0 for i, row in enumerate(rows)):
+        raise ValueError("closure input must be square with zero diagonal")
+    if any(rows[i][j] != rows[j][i] or rows[i][j] < 0 for i in range(m) for j in range(m)):
+        raise ValueError("closure input must be symmetric and nonnegative")
+    ints, scale = integer_table(rows)
+    floyd_warshall(ints)  # on the numerators; the common denominator is positive
+    return Metric.from_integers(ints, scale)
+
+
+def metric_sum(m: int, metrics) -> Metric:
+    """The entrywise sum of metrics on m points, a metric again; the zero
+    metric when there are none."""
+    table = [[Fraction(0)] * m for _ in range(m)]
+    for d in metrics:
+        if d.size != m:
+            raise ValueError(f"cannot add a metric on {d.size} points to one on {m}")
+        table = [[a + b for a, b in zip(row, d_row)] for row, d_row in zip(table, d.rows)]
+    return Metric(table)
+
+
+def reference_violation(rows):
+    """The constructor's message for the first violated semimetric
+    condition of a table of Fractions, or None, decided on the Fractions
+    and with every triple of points tried in order."""
+    m = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != m:
+            return f"shape violation at {(i,)}: row {i} has length {len(row)}, expected {m}"
+    for i in range(m):
+        if rows[i][i] != 0:
+            return f"diagonal violation at {(i,)}: d({i},{i}) = {rows[i][i]} != 0"
+        for j in range(i + 1, m):
+            if rows[i][j] != rows[j][i]:
+                return (f"symmetry violation at {(i, j)}: "
+                        f"d({i},{j}) = {rows[i][j]} but d({j},{i}) = {rows[j][i]}")
+            if rows[i][j] < 0:
+                return f"negative violation at {(i, j)}: d({i},{j}) = {rows[i][j]} < 0"
+    for i, j, l in itertools.permutations(range(m), 3):
+        if i < j and rows[i][j] > rows[i][l] + rows[l][j]:
+            return (f"triangle violation at {(i, j, l)}: d({i},{j}) = {rows[i][j]} > "
+                    f"d({i},{l}) + d({l},{j}) = {rows[i][l] + rows[l][j]}")
+    return None
 
 
 def held_rows(values):
@@ -128,10 +198,7 @@ def reference_certify_metric(cert):
     """``certificates.certify_metric`` on Fractions: the family summed as
     Metrics, and every minimum extension taken by the LP, cut metrics too."""
     g = cert.graph
-    total = zero_metric(g.k)
-    for d in cert.metrics:
-        total = total + d
-    denominator = min_extension(g, total).value
+    denominator = min_extension(g, metric_sum(g.k, cert.metrics)).value
     if denominator == 0:
         return None
     return sum((min_extension(g, d).value for d in cert.metrics), Fraction(0)) / denominator

@@ -16,7 +16,6 @@ from vsparse import (
     MetricCertificate,
     Sparsifier,
     alpha_cost,
-    apply,
     canonicalize,
     certify_cut,
     certify_metric,
@@ -41,7 +40,7 @@ from vsparse.core import Metric
 from vsparse.jsonio import dump_canonical, graph_to_json, loads
 from vsparse.operators import operator_to_json
 from vsparse.sampling import random_demands, random_fraction, random_graph, random_metric
-from helpers import path3, triangle_y, unit_star
+from helpers import apply, path3, triangle_y, unit_star
 
 F = Fraction
 

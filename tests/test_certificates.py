@@ -29,7 +29,7 @@ from vsparse import (
 )
 from vsparse.jsonio import JsonFormatError, dump_canonical
 from vsparse.sampling import random_fraction, random_graph, random_metric
-from helpers import path3, triangle_y, unit_star
+from helpers import metric_sum, path3, triangle_y, unit_star
 
 F = Fraction
 
@@ -225,7 +225,7 @@ def test_scaled_cut_metrics_take_the_min_cut_closed_form(seed, lp_extensions):
 def test_other_metrics_go_to_the_lp(lp_extensions):
     g = unit_star(3)
     others = [Metric([[0] * 3] * 3), Metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
-              Metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), cut_metric([0], 3) + cut_metric([1], 3)]
+              Metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), metric_sum(3, [cut_metric([0], 3), cut_metric([1], 3)])]
     for d in others:
         assert certificates._cut_scale(d) is None
         assert certificates._min_extension_value(g, d) == min_extension(g, d).value
@@ -247,8 +247,9 @@ def test_certify_metric_solves_lps_only_off_the_cut_metrics(lp_extensions):
     g = unit_star(3)
     cut, path = cut_metric([0], 3).scale(2), Metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     bound = certify_metric(MetricCertificate(g, [cut, path]))
-    assert lp_extensions == [path, cut + path]
-    values = [min_extension(g, d).value for d in (cut, path, cut + path)]
+    total = metric_sum(3, [cut, path])
+    assert lp_extensions == [path, total]
+    values = [min_extension(g, d).value for d in (cut, path, total)]
     assert bound == (values[0] + values[1]) / values[2]
     lp_extensions.clear()
     assert certify_metric(MetricCertificate(g, [cut, cut_metric([0], 3)])) == 1

@@ -26,7 +26,7 @@ from vsparse import (
     sparsifier_from_json,
     sparsifier_to_json,
 )
-from vsparse import cli
+from vsparse import cli, extension, lp, operators, quality
 from vsparse.cli import main
 from vsparse.jsonio import demands_to_json, dump_canonical, graph_to_json, loads
 from vsparse.sampling import random_graph
@@ -210,6 +210,31 @@ def test_sparsify_missing_file(tmp_path, capsys):
     code = main(["sparsify", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["sparsify", "--out", "OUT"],
+    ["oracle"],
+    ["quality", "BETA", "--semantics", "cut"],
+    ["quality", "BETA", "--semantics", "metric"],
+], ids=["sparsify", "oracle", "quality-cut", "quality-metric"])
+def test_more_terminals_than_the_cut_cap_are_refused_before_any_work(tmp_path, capsys,
+                                                                     monkeypatch, command):
+    # 21 terminals have 2^20 - 1 bipartitions: no max-flow, LP or artifact
+    # may come before the refusal
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the terminal count was checked")
+
+    for module in (extension, operators, quality, cli):
+        monkeypatch.setattr(module, "min_cut_via_flow", never)
+    monkeypatch.setattr(lp, "solve", never)
+    graph = write_json(tmp_path / "star.json", graph_to_json(unit_star(21)))
+    beta = write_json(tmp_path / "beta.json", sparsifier_to_json(Sparsifier(21, {})))
+    out = tmp_path / "out"
+    names = {"OUT": str(out), "BETA": beta}
+    assert main([command[0], graph, *[names.get(arg, arg) for arg in command[1:]]]) == 2
+    assert "k = 21 terminals exceeds cap 20" in capsys.readouterr().err
+    assert not (out / "operator.json").exists()
 
 
 # --- quality ---------------------------------------------------------------

@@ -212,7 +212,7 @@ def _check_ray_read(m, sense, objective, row, monkeypatch):
         lhs = _value(coeffs, got.table)
         assert lhs <= rhs if rel == lp.LE else lhs >= rhs
         assert _value(objective, got.table) == got.value
-        assert got.table.is_zero() or _is_ray(m, got.table, scaled=True)
+        assert got.table == zero_metric(m) or _is_ray(m, got.table, scaled=True)
     elif got.status == lp.UNBOUNDED:
         gain = _value(objective, got.ray_table)
         assert gain > 0 if sense == "max" else gain < 0
@@ -321,6 +321,11 @@ def _random_phi(rng, n, k, draw=lambda rng: F(rng.randint(1, 4), rng.randint(1, 
     return phi_of
 
 
+def _coefficients(phi):
+    """phi's coefficient of an (X-pair, Y-pair), 0 where it has none."""
+    return lambda xp, yp: phi.coeffs.get((xp, yp), F(0))
+
+
 def _phis():
     rng = random.Random(11)
     cases = []
@@ -328,7 +333,7 @@ def _phis():
         for _ in range(3):
             cases.append((n, k, _random_phi(rng, n, k)))
         assignment = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
-        cases.append((n, k, zero_extension_operator(n, k, assignment).value))
+        cases.append((n, k, _coefficients(zero_extension_operator(n, k, assignment))))
     return cases
 
 
@@ -476,7 +481,7 @@ def scan_tensors(draw):
         for w, free in ((weight, draw(assign)), (1 - weight, draw(assign))):
             phi = zero_extension_operator(n, k, list(range(k)) + free)
             for entry in entries:
-                values[entry] = values.get(entry, F(0)) + w * phi.value(*entry)
+                values[entry] = values.get(entry, F(0)) + w * phi.coeffs.get(entry, 0)
 
     def phi_of(xp, yp):
         if xp[1] < k:

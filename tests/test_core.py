@@ -10,7 +10,6 @@ import pytest
 from vsparse import (
     DemandSet,
     Metric,
-    MetricViolation,
     Sparsifier,
     Unbounded,
     WeightedGraph,
@@ -19,14 +18,11 @@ from vsparse import (
     canonicalize,
     cut_metric,
     is_unbounded,
-    metric_closure,
     pair,
-    restrict,
-    validate_metric,
     zero_metric,
 )
-from vsparse.core import bipartitions
-from helpers import path3, triangle_y, unit_star
+from vsparse.core import CUT_CAP, bipartitions
+from helpers import metric_closure, metric_sum, path3, reference_violation, triangle_y, unit_star
 
 F = Fraction
 
@@ -76,19 +72,18 @@ def test_unbounded_singleton():
     assert not is_unbounded(F(5))
 
 
-# --- validate_metric ---------------------------------------------------
+# --- metric validation -------------------------------------------------
 
 def test_zero_table_is_valid():
-    d = validate_metric([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert isinstance(d, Metric)
-    assert d.is_zero()
+    d = Metric([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert d == zero_metric(3)
 
 
 def test_triangle_violation_reported():
-    # d(1,2)=1, d(2,3)=1, d(1,3)=3 fails because 1+1 < 3 (0-based below).
-    bad = validate_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
-    assert isinstance(bad, MetricViolation)
-    assert bad.kind == "triangle"
+    # d(0,2) = 3 > d(0,1) + d(1,2) = 1 + 1
+    with pytest.raises(ValueError) as info:
+        Metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+    assert str(info.value) == "triangle violation at (0, 2, 1): d(0,2) = 3 > d(0,1) + d(1,2) = 2"
 
 
 @pytest.mark.parametrize("table,kind", [
@@ -99,9 +94,10 @@ def test_triangle_violation_reported():
     ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], "triangle"),
 ])
 def test_violations_distinctly_reported(table, kind):
-    out = validate_metric(table)
-    assert isinstance(out, MetricViolation)
-    assert out.kind == kind
+    with pytest.raises(ValueError) as info:
+        Metric(table)
+    assert str(info.value).startswith(f"{kind} violation at ")
+    assert str(info.value) == reference_violation([[F(v) for v in row] for row in table])
 
 
 def test_metric_constructor_rejects_bad_tables():
@@ -121,8 +117,7 @@ def test_shortest_path_tables_are_metrics(seed):
         if (i, j) not in weights and rng.random() < 0.4:
             weights[(i, j)] = F(rng.randint(1, 6), rng.randint(1, 4))
     table = shortest_paths(n, weights)
-    d = validate_metric(table)
-    assert isinstance(d, Metric)
+    d = Metric(table)
     assert triples_ok(d)
 
 
@@ -134,8 +129,8 @@ def test_singleton_cut_on_two_points():
 
 
 def test_empty_and_full_cuts_are_zero():
-    assert cut_metric([], 4).is_zero()
-    assert cut_metric(range(4), 4).is_zero()
+    assert cut_metric([], 4) == zero_metric(4)
+    assert cut_metric(range(4), 4) == zero_metric(4)
 
 
 def test_two_two_cut_separates_four_pairs():
@@ -159,7 +154,7 @@ def test_cut_metric_restriction_is_cut_metric():
         for ybits in range(1, 1 << m):
             y = [i for i in range(m) if ybits >> i & 1]
             inner = [p for p, v in enumerate(y) if v in side]
-            got = restrict(cut_metric(side, m), y)
+            got = cut_metric(side, m).restrict(y)
             assert got.rows == cut_metric(inner, len(y)).rows
 
 
@@ -195,24 +190,30 @@ def test_one_terminal_has_no_bipartition():
     assert list(bipartitions(1)) == []
 
 
+def test_bipartitions_refuse_more_than_the_cap_at_the_call():
+    with pytest.raises(ValueError, match=f"k = {CUT_CAP + 1} terminals exceeds cap {CUT_CAP}"):
+        bipartitions(CUT_CAP + 1)  # raised before the first bipartition is asked for
+    assert next(bipartitions(CUT_CAP)) == (1, [0])
+
+
 # --- restrict ----------------------------------------------------------
 
 def test_restrict_to_everything_is_identity():
     d = metric_closure([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
-    assert restrict(d, [0, 1, 2]).rows == d.rows
+    assert d.restrict([0, 1, 2]).rows == d.rows
 
 
 def test_restrict_path_metric_keeps_long_distance():
     # a-c-b with unit steps: d(a,b) = 2 survives dropping c.
     d = Metric([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
-    got = restrict(d, [0, 1])
+    got = d.restrict([0, 1])
     assert got.dist(0, 1) == 2
 
 
 def test_restrict_rejects_out_of_range():
     d = zero_metric(3)
     with pytest.raises(ValueError):
-        restrict(d, [0, 3])
+        d.restrict([0, 3])
 
 
 # --- metric closure ----------------------------------------------------
@@ -282,7 +283,7 @@ def test_cost_is_linear(seed):
     d2 = random_metric(rng, n)
     a = F(rng.randint(0, 4), rng.randint(1, 3))
     b = F(rng.randint(0, 4), rng.randint(1, 3))
-    combo = d1.scale(a) + d2.scale(b)
+    combo = metric_sum(n, [d1.scale(a), d2.scale(b)])
     assert alpha_cost(g, combo) == a * alpha_cost(g, d1) + b * alpha_cost(g, d2)
 
 
@@ -300,8 +301,8 @@ def test_convex_combinations_stay_valid(seed):
     d1 = random_metric(rng, m)
     d2 = random_metric(rng, m)
     lam = F(rng.randint(0, 8), 8)
-    combo = d1.scale(lam) + d2.scale(1 - lam)
-    assert isinstance(validate_metric(combo.rows), Metric)
+    combo = metric_sum(m, [d1.scale(lam), d2.scale(1 - lam)])  # raises unless a metric
+    assert triples_ok(combo)
 
 
 # --- graphs ------------------------------------------------------------
@@ -309,8 +310,8 @@ def test_convex_combinations_stay_valid(seed):
 def test_graph_basics():
     g = unit_star()
     assert g.n == 4 and g.k == 3
-    assert g.weight(0, 3) == 1
-    assert g.weight(0, 1) == 0  # absent pair means weight 0
+    assert g.weights[(0, 3)] == 1
+    assert (0, 1) not in g.weights  # absent pair means weight 0
     assert g.is_canonical()
 
 
@@ -331,7 +332,7 @@ def test_graph_rejects_bad_inputs(n, terminals, weights):
 def test_graph_drops_zero_weight_edges():
     g = WeightedGraph(3, [0], {(0, 1): 0, (1, 2): 1})
     assert (0, 1) not in g.weights
-    assert g.weight(1, 2) == 1
+    assert g.weights[(1, 2)] == 1
 
 
 def test_canonicalize_puts_terminals_first():
@@ -341,8 +342,8 @@ def test_canonicalize_puts_terminals_first():
     assert gc.terminals == (0, 1)
     assert gc.is_canonical()
     # edge (2,3) maps to (0,3), edge (0,1) maps to (1,2)
-    assert gc.weight(0, 3) == F(1, 2)
-    assert gc.weight(1, 2) == 1
+    assert gc.weights[(0, 3)] == F(1, 2)
+    assert gc.weights[(1, 2)] == 1
 
 
 def test_canonicalize_is_identity_on_canonical_graphs():
@@ -368,15 +369,14 @@ def test_sparsifier_cost_and_cut_value():
     assert h.cost(cut_metric([0], 3)) == 1
     assert h.cut_value([0]) == 1
     assert h.cut_value([0, 1]) == 1
-    assert h.weight(1, 0) == F(1, 2)
+    assert h.beta[(0, 1)] == F(1, 2)
 
 
 def test_sparsifier_as_graph_round_trip():
     h = Sparsifier(3, {(0, 1): 2, (1, 2): F(1, 3)})
     g = h.as_graph()
     assert g.n == 3 and g.terminals == (0, 1, 2)
-    assert g.weight(0, 1) == 2 and g.weight(1, 2) == F(1, 3)
-    assert g.weight(0, 2) == 0
+    assert g.weights == {(0, 1): 2, (1, 2): F(1, 3)}
 
 
 @pytest.mark.parametrize("k,beta", [

@@ -4,9 +4,10 @@ Metric validation, shortest-path closure, triangle separation, the cutting
 plane's violation check and max-flow decide on integer numerators over one
 common positive denominator; triangle separation and the violation check read
 the point as the integers an outcome carries. The Fraction versions are kept
-here, verbatim in logic, as references: every decision, message, cut and order
-must agree. So does the grading arithmetic on the integer views of graphs and
-sparsifiers, against the Fraction references in ``helpers``.
+here, verbatim in logic, as references (metric validation's in ``helpers``):
+every decision, message, cut and order must agree. So does the grading
+arithmetic on the integer views of graphs and sparsifiers, against the
+Fraction references in ``helpers``.
 """
 
 import itertools
@@ -20,29 +21,28 @@ from vsparse import (
     CutCertificate,
     Metric,
     MetricCertificate,
-    MetricViolation,
     Sparsifier,
     WeightedGraph,
     all_pairs,
     certify_cut,
     certify_metric,
     cut_metric,
-    metric_closure,
     min_cut_by_enumeration,
     min_cut_via_flow,
     pair,
-    validate_metric,
 )
 from vsparse import lp
 from vsparse.core import _exact_rows, _table_violation, bipartitions, integer_row, integer_table
 from vsparse.extension import MetricConeLp
 from vsparse.sampling import random_fraction, random_graph, random_metric
 from helpers import (
+    metric_closure,
     reference_certify_cut,
     reference_certify_metric,
     reference_cost,
     reference_cut_value,
     reference_random_metric,
+    reference_violation,
 )
 
 F = Fraction
@@ -50,28 +50,6 @@ ZERO = F(0)
 
 
 # --- Fraction references -------------------------------------------------
-
-def reference_violation(rows):
-    m = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != m:
-            return MetricViolation("shape", (i,), f"row {i} has length {len(row)}, expected {m}")
-    for i in range(m):
-        if rows[i][i] != 0:
-            return MetricViolation("diagonal", (i,), f"d({i},{i}) = {rows[i][i]} != 0")
-        for j in range(i + 1, m):
-            if rows[i][j] != rows[j][i]:
-                return MetricViolation("symmetry", (i, j), f"d({i},{j}) = {rows[i][j]} but d({j},{i}) = {rows[j][i]}")
-            if rows[i][j] < 0:
-                return MetricViolation("negative", (i, j), f"d({i},{j}) = {rows[i][j]} < 0")
-    for i, j, l in itertools.permutations(range(m), 3):
-        if i < j and rows[i][j] > rows[i][l] + rows[l][j]:
-            return MetricViolation(
-                "triangle", (i, j, l),
-                f"d({i},{j}) = {rows[i][j]} > d({i},{l}) + d({l},{j}) = {rows[i][l] + rows[l][j]}",
-            )
-    return None
-
 
 def reference_closure(table):
     rows = [list(row) for row in table]
@@ -141,8 +119,10 @@ def test_table_violation_matches_fraction_reference(fault, seed):
     assert got == reference_violation(rows)
     assert (got is None) == (fault == "none")
     if got is not None:
-        assert got.kind == fault
-        assert validate_metric(rows) == got
+        assert got.startswith(f"{fault} violation at ")
+        with pytest.raises(ValueError) as info:
+            Metric(rows)
+        assert str(info.value) == got
 
 
 @pytest.mark.parametrize("seed", range(20))

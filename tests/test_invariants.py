@@ -1,14 +1,16 @@
-"""Package-wide source invariants.
+"""Package-wide source invariants and the public surface.
 
 Exactness invariants are raised, never asserted: ``python -O`` strips
 ``assert`` statements, so the package checks its invariants with explicit
 raises (``lp.check`` raises ``LpAuditError``, an ``AssertionError``
 subclass). And the package has zero runtime dependencies: it imports only
-the standard library.
+the standard library. Every name in ``vsparse.__all__`` resolves, and
+README's Library block runs as written.
 """
 
 import ast
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from vsparse import lp
 
 PACKAGE = Path(vsparse.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_source_has_no_assert_statements():
@@ -50,3 +53,21 @@ def test_check_raises_an_audit_error_that_is_an_assertion_error():
     with pytest.raises(lp.LpAuditError, match="broken") as info:
         lp.check(False, "broken")
     assert isinstance(info.value, AssertionError)
+
+
+def test_every_public_name_resolves_once():
+    names = vsparse.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(vsparse, name)]
+    assert not missing, f"names in vsparse.__all__ that vsparse lacks: {missing}"
+
+
+def test_readme_library_block_runs_as_written():
+    block = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    *body, last = block.strip().splitlines()
+    namespace: dict = {}
+    exec("\n".join(body), namespace)
+    assert namespace["report"].q == Fraction(4, 3)
+    assert last.startswith("cut_quality(g, beta).q_value")
+    assert eval(last, namespace) == Fraction(4, 3)  # the block's last line, its comment ignored

@@ -10,7 +10,7 @@ from vsparse import (UNBOUNDED, CutCertificate, DemandSet, ExtensionOperator, Me
                      MetricCertificate, QualityReport, Sparsifier, WeightedGraph, all_pairs,
                      certificate_from_json, certificate_to_json, cut_metric,
                      operator_from_json, operator_to_json, report_from_json, report_to_json,
-                     sparsifier_from_json, sparsifier_to_json, zero_metric)
+                     sparsifier_from_json, sparsifier_to_json)
 from vsparse.jsonio import (
     JsonFormatError,
     demands_from_json,
@@ -25,6 +25,7 @@ from vsparse.jsonio import (
     parse_fraction,
 )
 from vsparse.sampling import random_graph, random_metric
+from helpers import metric_sum
 
 F = Fraction
 
@@ -226,10 +227,9 @@ def graphs(draw, k=None):
 @st.composite
 def metrics(draw, m):
     """A nonnegative combination of cut metrics on m points."""
-    d = zero_metric(m)
-    for mask, w in draw(st.lists(st.tuples(st.integers(0, (1 << m) - 1), ratios), max_size=4)):
-        d = d + cut_metric([p for p in range(m) if mask >> p & 1], m).scale(w)
-    return d
+    draws = draw(st.lists(st.tuples(st.integers(0, (1 << m) - 1), ratios), max_size=4))
+    return metric_sum(m, [cut_metric([p for p in range(m) if mask >> p & 1], m).scale(w)
+                          for mask, w in draws])
 
 
 @st.composite
