@@ -63,7 +63,6 @@ def _emit(report: quality.QualityReport, out: Path | None) -> None:
 def cmd_sparsify(args: argparse.Namespace) -> int:
     graph = jsonio.graph_from_json(_load(args.graph))
     out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         report = operators.find_optimal_operator(graph, max_iters=args.max_iters)
     except operators.NoFiniteDistortionError as exc:
@@ -71,6 +70,7 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
         return UNBOUNDED_EXIT
     beta = report.sparsifier
     graded = ("quality_cut.json", "quality_metric.json", "quality_flow.json")
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once there is an artifact to write
     _write_atomic(out_dir / "operator.json",
                   jsonio.dump_canonical(operators.operator_to_json(report.operator)))
     _write_atomic(out_dir / "sparsifier.json",

@@ -23,9 +23,10 @@ points, every pair distance a variable, under extra rows; its triangle rows
 and the path rows go through one cutting-plane driver (:func:`_separate`).
 Separation and max-flow compare integer numerators over one common positive
 denominator, which decides exactly as the Fractions would, and every value
-in and out stays a ``Fraction``. On at most five points the metric cone has
-a short list of extreme rays (:func:`cone_rays`), so a cone LP with one
-extra row is read off them.
+in and out stays a ``Fraction``. On at most six points the metric cone has
+a short list of extreme rays (:func:`cone_rays`: the cut metrics, with 10
+more on five points and the 265 non-cut rays on six, 296 in all), so a
+cone LP with one extra row is read off them.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Container, Iterable, Mapping, Sequence
 
 from . import lp
@@ -57,21 +60,36 @@ from .core import (
 
 
 # ---------------------------------------------------------------------------
-# extreme rays of the metric cone on at most five points
+# extreme rays of the metric cone on at most six points
 
-RAY_POINTS = 5  # cone_rays is known up to this many points
+RAY_POINTS = 6  # cone_rays is known up to this many points
+
+# One ray of each orbit of the 265 non-cut extreme rays on six points under
+# relabeling, over all_pairs(6): the path metrics of K_{2,3} with a point
+# doubled on its side of two (60 rays) or of three (90), of K_{2,4} (15), of
+# K_{3,3} (10) and of K_{3,3} less an edge (90).
+_SIX_POINT_ORBITS = (
+    (0, 1, 1, 1, 2, 1, 1, 1, 2, 2, 2, 1, 2, 1, 1),
+    (0, 1, 1, 2, 2, 1, 1, 2, 2, 2, 1, 1, 1, 1, 2),
+    (1, 1, 1, 1, 2, 2, 2, 2, 1, 2, 2, 1, 2, 1, 1),
+    (1, 1, 1, 2, 2, 2, 2, 1, 1, 2, 1, 1, 1, 1, 2),
+    (1, 1, 1, 2, 2, 2, 2, 1, 1, 2, 1, 1, 1, 3, 2),
+)
 
 
 @functools.cache
 def cone_rays(m: int) -> tuple[tuple[int, ...], ...]:
-    """The extreme rays of the metric cone on 2 <= m <= 5 points, as integer
-    distance vectors over ``all_pairs(m)``.
+    """The extreme rays of the metric cone on 2 <= m <= 6 points, as integer
+    distance vectors over ``all_pairs(m)``, the cut metrics first.
 
     For m <= 4 the metric cone is the cut cone, whose extreme rays are the
     2^(m-1) - 1 nonzero cut metrics. On five points the 10 path metrics of
     K_{2,3} (distance 1 across the two sides, 2 within a side) join the 15
-    cuts (Deza & Laurent, *Geometry of Cuts and Metrics*, 1997). Every
-    metric on m points is a nonnegative combination of these rays.
+    cuts. On six points 265 non-cut rays, in the five orbits of
+    ``_SIX_POINT_ORBITS``, join the 31 cuts, in sorted order: 296 in all
+    (Avis 1980; Deza & Laurent, *Geometry of Cuts and Metrics*, 1997). Every
+    metric on m points is a nonnegative combination of these rays. Built on
+    first use.
     """
     if not 2 <= m <= RAY_POINTS:
         raise ValueError(f"extreme rays are listed for 2..{RAY_POINTS} points, not {m}")
@@ -82,6 +100,14 @@ def cone_rays(m: int) -> tuple[tuple[int, ...], ...]:
     if m == 5:
         for two in itertools.combinations(range(m), 2):
             rays.append(tuple(1 if (p in two) != (q in two) else 2 for p, q in pairs))
+    elif m == 6:
+        # relabeled rays as bytes, which sort as the tuples do: the 3335
+        # repeats would otherwise park on CPython's tuple free list
+        index, orbits = _pair_index(m), set()
+        for s in itertools.permutations(range(m)):
+            at = [index[pair(s[p], s[q])] for p, q in pairs]  # where s takes each pair
+            orbits.update(bytes([ray[j] for j in at]) for ray in _SIX_POINT_ORBITS)
+        rays += [tuple(ray) for ray in sorted(orbits)]
     return tuple(rays)
 
 
@@ -101,16 +127,46 @@ def _pair_numerators(m: int, values: Mapping[Pair, FractionLike]) -> tuple[list[
     return dense, scale
 
 
+_SLOT = 64  # bits per ray in a packed column of the ray table
+
+
+@functools.cache
+def _ray_columns(m: int) -> tuple[tuple[int, ...], int, int]:
+    """The ray table of ``cone_rays(m)`` by columns, one per pair of
+    ``all_pairs(m)``, each packed into one integer that holds the r-th
+    ray's distance in bits 64r to 64r + 63; the bias with bit 63 of every
+    slot set; and the largest distance on any ray."""
+    rays = cone_rays(m)
+    columns = tuple(sum(v << (_SLOT * r) for r, v in enumerate(column))
+                    for column in zip(*rays))
+    bias = sum(1 << (_SLOT * r + _SLOT - 1) for r in range(len(rays)))
+    return columns, bias, max(map(max, rays))
+
+
 def _on_rays(m: int, nums: Sequence[int]) -> list[int]:
     """A linear functional, given as integer numerators over ``all_pairs(m)``
     and one positive denominator, on every ray of ``cone_rays(m)``, times
     that denominator: the signs, and every ratio of two values, are exact.
 
+    By columns: the bias plus c times the packed column of each nonzero c
+    (:func:`_ray_columns`) holds every value v plus 2^63 in its own 64-bit
+    slot, as long as the coefficients keep each value below 2^63 in size,
+    and flipping the bias bits leaves v's two's complement there, read back
+    as signed 64-bit integers in one pass. Larger coefficients take one dot
+    product per ray.
+
     A linear functional is at most 0 on the whole cone exactly when every
     entry is.
     """
-    nonzero = [(j, c) for j, c in enumerate(nums) if c]
-    return [sum([c * ray[j] for j, c in nonzero]) for ray in cone_rays(m)]
+    columns, bias, top = _ray_columns(m)
+    if sum(map(abs, nums)) * top >> (_SLOT - 1):
+        return [sum(map(mul, nums, ray)) for ray in cone_rays(m)]
+    total = bias
+    for column, c in zip(columns, nums):
+        if c:
+            total += c * column
+    packed = (total ^ bias).to_bytes(len(cone_rays(m)) * _SLOT // 8, sys.byteorder)
+    return memoryview(packed).cast("q").tolist()
 
 
 @functools.cache
@@ -123,7 +179,7 @@ def _ray_masses(m: int) -> tuple[int, ...]:
 def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
                  row: tuple[Mapping[Pair, FractionLike], str, FractionLike]
                  ) -> MetricLpResult | None:
-    """A one-row LP over the metric cone on m <= 5 points, read off
+    """A one-row LP over the metric cone on m <= 6 points, read off
     the extreme rays, or None when the LP has to decide.
 
     With nonnegative row coefficients a and right-hand side b > 0, the
@@ -155,16 +211,15 @@ def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
         return MetricLpResult(lp.INFEASIBLE, None, None, None, 0)
     c_nums, c_scale = _pair_numerators(m, objective)
     sign = 1 if sense == "max" else -1
-    best = None  # (ray index, sign * c.r, a.r) of the best vertex so far
-    for r, (cr, ar) in enumerate(zip(_on_rays(m, c_nums), a_rays)):
-        cr *= sign
+    best = None  # (sign * c.r, a.r, ray index) of the best vertex so far
+    for r, cr, ar in zip(itertools.count(), _on_rays(m, [sign * c for c in c_nums]), a_rays):
         if cr > 0 and (ar == 0 or rel == lp.GE):
             return MetricLpResult(lp.UNBOUNDED, None, None, _ray_metric(m, r, ONE), 0)
-        if ar and (best is None or cr * best[2] > best[1] * ar):
-            best = (r, cr, ar)
-    if rel == lp.LE and (best is None or best[1] <= 0):
+        if ar and (best is None or cr * best[1] > best[0] * ar):
+            best = (cr, ar, r)
+    if rel == lp.LE and (best is None or best[0] <= 0):
         return MetricLpResult(lp.OPTIMAL, ZERO, zero_metric(m), None, 0)
-    r, cr, ar = best
+    cr, ar, r = best
     # the optimal vertex is step * ray with step = rhs * a_scale / ar
     step_num, step_den = rhs.numerator * a_scale, rhs.denominator * ar
     value = Fraction(step_num * sign * cr, step_den * c_scale)
@@ -182,8 +237,12 @@ def _pair_metric(m: int, values: Sequence[Fraction]) -> Metric:
 
 
 def _ray_metric(m: int, r: int, step: Fraction) -> Metric:
-    """``step`` times the r-th ray of ``cone_rays(m)``, as a metric."""
-    return _pair_metric(m, [step * v for v in cone_rays(m)[r]])
+    """``step`` times the r-th ray of ``cone_rays(m)``, as a metric built
+    from the ray's integers and validated once on them."""
+    table = [[0] * m for _ in range(m)]
+    for (p, q), v in zip(all_pairs(m), cone_rays(m)[r]):
+        table[p][q] = table[q][p] = v * step.numerator
+    return Metric.from_integers(table, step.denominator)
 
 
 @functools.cache
@@ -239,7 +298,7 @@ class MetricConeLp:
     metric cone by triangle rows added as they are violated, which is
     measurably faster than all rows up front and reaches the same optimal
     value (on a degenerate optimal face the witness can be another optimal
-    vertex). A cone on at most five points with one extra row with
+    vertex). A cone on at most six points with one extra row with
     nonnegative coefficients and a positive right-hand side skips the LP:
     its answer is read off the extreme rays (:func:`_ray_optimum`).
     """

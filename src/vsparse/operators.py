@@ -11,10 +11,11 @@ lazy separation families, the first separated as the public
   each row over the slice sum d <= 1 of the terminal metric cone. The scan
   runs on the operator as integer numerators over one positive
   denominator, for the master straight from its integer point. On at most
-  five terminals it takes the image of each extreme ray of the terminal
-  metric cone once and settles every row that no ray image violates; on
-  more it settles the rows with no positive coefficient. Only the rows
-  left become ``Fraction`` objectives;
+  six terminals it takes the image of each extreme ray of the terminal
+  metric cone once (on six, the 31 cut metrics and 265 non-cut rays) and
+  settles every row that no ray image violates; on more it settles the
+  rows with no positive coefficient. Only the rows left become
+  ``Fraction`` objectives;
 * distortion cuts bound the image cost against Q on the witness of the
   metric upper quality of the iterate's collapse, which extends at cost 1.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, gt, mul
+from operator import add, gt
 from typing import Mapping, Sequence
 
 from . import jsonio, lp, quality
@@ -56,9 +57,9 @@ from .core import (
 from .extension import (
     RAY_POINTS,
     MetricConeLp,
+    _on_rays,
     _pair_index,
     _triangle_rows,
-    cone_rays,
     min_cut_via_flow,
 )
 
@@ -186,12 +187,12 @@ def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]], scale: int,
     X-pair of ``all_pairs(n)`` and the b-th Y-pair of ``all_pairs(k)``,
     terminal rows included. On at most ``RAY_POINTS`` terminals the image
     phi(r) of each extreme ray r of ``cone_rays(k)`` is taken on every X-pair
-    once; a row that no ray image violates is at most 0 on every ray, so on
-    the whole cone, and holds without a probe. On more terminals a row with
-    no positive coefficient is at most 0 on every nonnegative metric and
-    holds. Only the rows left are maximized over the slice sum d <= 1 of the
-    terminal metric cone, with the functional in ``Fraction``s; a positive
-    optimum is a violation.
+    once, by :func:`extension._on_rays`; a row that no ray image violates is
+    at most 0 on every ray, so on the whole cone, and holds without a probe.
+    On more terminals a row with no positive coefficient is at most 0 on
+    every nonnegative metric and holds. Only the rows left are maximized
+    over the slice sum d <= 1 of the terminal metric cone, with the
+    functional in ``Fraction``s; a positive optimum is a violation.
     """
     if k < 2:
         return []  # a single terminal admits only the zero metric
@@ -199,9 +200,7 @@ def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]], scale: int,
     norm_row = ({yp: ONE for yp in ypairs}, lp.LE, ONE)
     rows = _triangle_rows(n, k)
     if k <= RAY_POINTS:
-        rays = cone_rays(k)
-        images = [[sum(map(mul, t, ray)) for ray in rays] if any(t) else [0] * len(rays)
-                  for t in table]
+        images = [_on_rays(k, t) for t in table]
         rows = [row for row in rows
                 if any(map(gt, images[row[1]], map(add, images[row[2]], images[row[3]])))]
     found: list[MembershipViolation] = []

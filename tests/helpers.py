@@ -138,7 +138,7 @@ def reference_pair_lp(g: WeightedGraph, sense: str, coeffs):
 
     ``coeffs`` is keyed by terminal-local pair. "max" maximizes
     sum coeffs * d(p, q) subject to alpha(d) <= 1, "min" minimizes alpha(d)
-    subject to sum coeffs * d(p, q) >= 1. On at most five points the cone
+    subject to sum coeffs * d(p, q) >= 1. On at most six points the cone
     reads the one-row program off its extreme rays, elsewhere the LP with
     lazy triangle rows decides.
     """

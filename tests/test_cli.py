@@ -237,6 +237,21 @@ def test_more_terminals_than_the_cut_cap_are_refused_before_any_work(tmp_path, c
     assert not (out / "operator.json").exists()
 
 
+@pytest.mark.parametrize("code", [2, 4], ids=["too-many-terminals", "no-finite-distortion"])
+def test_sparsify_refusals_create_no_out_directory(tmp_path, monkeypatch, code):
+    # neither refusal writes an artifact, so neither may leave --out behind
+    if code == 2:  # 21 terminals, over the cut cap
+        graph = write_json(tmp_path / "star21.json", graph_to_json(unit_star(21)))
+    else:
+        def no_operator(*args, **kwargs):
+            raise operators.NoFiniteDistortionError("no operator of finite distortion")
+
+        monkeypatch.setattr(operators, "find_optimal_operator", no_operator)
+        graph = star_file(tmp_path)
+    assert main(["sparsify", graph, "--out", str(tmp_path / "out")]) == code
+    assert not (tmp_path / "out").exists()
+
+
 # --- quality ---------------------------------------------------------------
 
 def test_quality_cut_to_stdout(tmp_path, capsys):

@@ -1,29 +1,39 @@
 """Cone optima read off the extreme rays, against the LP they replace.
 
-``cone_rays(m)`` lists the extreme rays of the metric cone on m <= 5
-points. ``MetricConeLp.optimize`` reads a one-row program on such a cone
-off them (its optimal vertex, the apex, an improving ray or
-infeasibility), and the membership probe settles "max <= 0" from them.
-The reads are compared with the triangle separation LP, taken with the ray
-path switched off, in status and value; on a tie the two may return
-different optimal vertices, so the read's own answer is checked to be a
-vertex or ray of the program instead. The membership scan runs on integer
-numerators; the Fraction scan it replaced is kept here as its reference.
+``cone_rays(m)`` lists the extreme rays of the metric cone on m <= 6
+points: the cut metrics, the 10 K_{2,3} metrics on five points and the 265
+non-cut rays on six. They are checked against a double description of the
+cone built here. ``MetricConeLp.optimize`` reads a one-row program on such
+a cone off them (its optimal vertex, the apex, an improving ray or
+infeasibility), the membership probe settles "max <= 0" from them, and on
+six vertices the metric upper quality and the concurrent flow are read off
+them instead of solved over edge lengths. The reads are compared with the
+LP they replace, taken with the ray path switched off, in status and
+value; on a tie the two may return different optimal vertices, so the
+read's own answer is checked to be a vertex or ray of the program instead.
+The membership scan runs on integer numerators; the Fraction scan it
+replaced is kept here as its reference.
 """
 
+import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from vsparse import (ExtensionOperator, Metric, all_pairs, cut_metric, extension,
-                     find_optimal_operator, lp, operators, pair, zero_extension_operator,
-                     zero_metric)
+from vsparse import (ExtensionOperator, Metric, WeightedGraph, all_pairs, cut_metric,
+                     extension, find_optimal_operator, lp, operators, pair,
+                     zero_extension_operator, zero_metric)
 from vsparse.extension import MetricConeLp, cone_rays
 from vsparse.sampling import random_graph
-from helpers import held_rows
+from helpers import held_rows, unit_star
 
 F = Fraction
 
@@ -77,7 +87,7 @@ def _tight_rows(m, vector):
 
 # --- the ray table ------------------------------------------------------------
 
-@pytest.mark.parametrize("m,count", [(2, 1), (3, 3), (4, 7), (5, 25)])
+@pytest.mark.parametrize("m,count", [(2, 1), (3, 3), (4, 7), (5, 25), (6, 296)])
 def test_cone_rays_are_distinct_valid_metrics(m, count):
     rays = cone_rays(m)
     assert len(rays) == len(set(rays)) == count
@@ -87,61 +97,100 @@ def test_cone_rays_are_distinct_valid_metrics(m, count):
         Metric(_table(m, ray))  # raises unless a valid semimetric
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_cone_rays_are_extreme(m):
     # a cone point is on an extreme ray iff its tight rows have rank P - 1
     for ray in cone_rays(m):
         assert _rank(_tight_rows(m, ray)) == len(all_pairs(m)) - 1
 
 
+@functools.cache
 def _known_extreme_rays(m):
-    """Cut metrics, and for five points the graph metrics of K_{2,3}, built
-    without cone_rays: the extreme rays of the metric cone on m <= 5 points."""
-    rays = {tuple(cut_metric(side, m).dist(p, q) for p, q in all_pairs(m))
-            for size in range(1, m) for side in itertools.combinations(range(m), size)}
-    if m == 5:
-        for two in itertools.combinations(range(5), 2):
-            # shortest paths in K_{2,3}: edges join the two sides only
-            d = [[0 if p == q else 1 if (p in two) != (q in two) else None
-                  for q in range(5)] for p in range(5)]
-            for l, p, q in itertools.product(range(5), repeat=3):
-                if d[p][l] is not None and d[l][q] is not None:
-                    via = d[p][l] + d[l][q]
-                    if d[p][q] is None or via < d[p][q]:
-                        d[p][q] = via
-            rays.add(tuple(d[p][q] for p, q in all_pairs(5)))
-    return rays
+    """The extreme rays of the metric cone on m points by double description
+    (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda & Prodon 1996), built
+    without cone_rays: start from the unit rays of the nonnegative orthant,
+    then add the triangle rows one by one, keeping the rays that satisfy
+    the row and joining, on its hyperplane, each pair of a satisfying and a
+    violating ray that is adjacent (no other ray is tight on every row both
+    are tight on)."""
+    size = len(all_pairs(m))
+    index = {pq: j for j, pq in enumerate(all_pairs(m))}
+    rows = [[int(t == j) for t in range(size)] for j in range(size)]  # d >= 0
+    rays = [tuple(row) for row in rows]
+    for (i, j), l in itertools.product(all_pairs(m), range(m)):
+        if l in (i, j):
+            continue
+        row = [0] * size  # d(i,l) + d(l,j) - d(i,j) >= 0
+        row[index[pair(i, l)]] += 1
+        row[index[pair(l, j)]] += 1
+        row[index[(i, j)]] -= 1
+        value = {r: sum(a * b for a, b in zip(row, r)) for r in rays}
+        tight = {r: frozenset(c for c, a in enumerate(rows)
+                              if not sum(x * y for x, y in zip(a, r))) for r in rays}
+        joined = []
+        for r, s in itertools.product(rays, rays):
+            if value[r] > 0 > value[s]:
+                both = tight[r] & tight[s]
+                if len(both) >= size - 2 and not any(
+                        both <= tight[t] for t in rays if t not in (r, s)):
+                    ray = [value[r] * b - value[s] * a for a, b in zip(r, s)]
+                    joined.append(tuple(v // gcd(*ray) for v in ray))
+        rays = [r for r in rays if value[r] >= 0] + joined
+        rows.append(row)
+    return set(rays)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_cone_rays_are_the_known_extreme_rays(m):
     assert set(cone_rays(m)) == _known_extreme_rays(m)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_cone_rays_list_the_cut_metrics_first(m):
+    cuts = {tuple(cut_metric(side, m).dist(p, q) for p, q in all_pairs(m))
+            for size in range(1, m) for side in itertools.combinations(range(m), size)}
+    rays = cone_rays(m)
+    assert set(rays[:len(cuts)]) == cuts and not cuts & set(rays[len(cuts):])
+    if m == 6:  # the 265 others in sorted order, the fixed tie-break order of a read
+        assert list(rays[len(cuts):]) == sorted(rays[len(cuts):]) and len(rays) - len(cuts) == 265
+
+
+def test_five_point_rays_are_the_k23_metrics():
+    # shortest paths in K_{2,3}: distance 1 across the two sides, 2 within one
+    k23 = {tuple(1 if (p in two) != (q in two) else 2 for p, q in all_pairs(5))
+           for two in itertools.combinations(range(5), 2)}
+    assert set(cone_rays(5)[15:]) == k23
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_each_extreme_ray_is_the_optimum_of_its_own_objective(m, monkeypatch):
-    # d -> r.d / sum(d) peaks only at r itself, so a missing ray shows
+    # sum d less the slack of every cone row tight at the ray r is at most
+    # sum d on the cone, with equality exactly along r (its tight rows have
+    # rank P - 1), so over sum d <= 1 it peaks only at r: a missing ray shows
     ones = {pq: F(1) for pq in all_pairs(m)}
     for ray in sorted(_known_extreme_rays(m)):
-        objective = dict(zip(all_pairs(m), map(F, ray)))
+        # sum(row) is 1 on a row d >= 0 and -1 on a triangle row: its slack's sign
+        tight = _tight_rows(m, ray)
+        slack = [sum(sum(row) * row[j] for row in tight) for j in range(len(ones))]
+        objective = {pq: 1 - F(c) for pq, c in zip(all_pairs(m), slack)}
         got = MetricConeLp(m).optimize("max", objective, [(ones, lp.LE, F(1))])
         with monkeypatch.context() as patch:
             patch.setattr(extension, "_ray_optimum", lambda *args: None)
             want = MetricConeLp(m).optimize("max", objective, [(ones, lp.LE, F(1))])
         assert (got.status, got.value, got.table) == (want.status, want.value, want.table)
-        assert got.rounds == 0
+        assert got.rounds == 0 and got.value == 1
         assert [got.table.dist(p, q) for p, q in all_pairs(m)] == [F(v, sum(ray)) for v in ray]
 
 
 def test_cone_rays_refuse_unlisted_sizes():
-    for m in (0, 1, 6):
+    for m in (0, 1, 7):
         with pytest.raises(ValueError):
             cone_rays(m)
 
 
 def test_ray_values_scale_every_ray_by_one_positive_factor():
     rng = random.Random(7)
-    for m in (2, 3, 4, 5):
+    for m in (2, 3, 4, 5, 6):
         objective = {pq: F(rng.choice([-5, -3, -1, 2, 4]), rng.randint(1, 6))
                      for pq in all_pairs(m)}
         exact = [sum((objective[pq] * v for pq, v in zip(all_pairs(m), ray)), F(0))
@@ -150,6 +199,21 @@ def test_ray_values_scale_every_ray_by_one_positive_factor():
         factors = {F(s) / e for s, e in zip(scaled, exact) if e}
         assert len(factors) == 1 and min(factors) > 0
         assert all(s == 0 for s, e in zip(scaled, exact) if not e)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_ray_values_are_the_dot_products_at_every_coefficient_size(m):
+    # packed columns hold values below 2^63 in size, one dot product per ray
+    # takes larger ones; all-equal coefficients at the edge reach +-(2^63 - 1)
+    rays, size = cone_rays(m), len(all_pairs(m))
+    edge = ((1 << 63) - 1) // (size * max(map(max, rays)))
+    rng = random.Random(m)
+    cases = [[edge] * size, [-edge] * size, [edge + 1] * size, [0] * size]
+    cases += [[rng.randint(-bound, bound) for _ in range(size)]
+              for bound in (3, 1 << 40, edge, 1 << 64, 1 << 200) for _ in range(20)]
+    for nums in cases:
+        assert extension._on_rays(m, nums) == [sum(c * v for c, v in zip(nums, ray))
+                                               for ray in rays]
 
 
 # --- optimize against the LP --------------------------------------------------
@@ -220,7 +284,7 @@ def _check_ray_read(m, sense, objective, row, monkeypatch):
         assert rel == lp.GE or _value(coeffs, got.ray_table) == 0
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("family", ["eq-max", "ge-min", "le-max", "eq-min-weighted"])
 def test_optimize_equals_lp_reference(m, family, monkeypatch):
     rng = random.Random(1000 * m + len(family))
@@ -236,7 +300,7 @@ weights = st.builds(F, st.integers(0, 3), st.integers(1, 3))
 def one_row_cone_programs(draw):
     """A one-row program the ray path reads: nonnegative row coefficients
     (an empty row included) and a positive right-hand side."""
-    m = draw(st.integers(2, 5))
+    m = draw(st.integers(2, 6))
     pairs = st.sampled_from(all_pairs(m))
     objective = draw(st.dictionaries(pairs, fractions))
     row = (draw(st.dictionaries(pairs, weights)), draw(st.sampled_from([lp.LE, lp.GE])),
@@ -257,7 +321,7 @@ def test_ray_read_agrees_with_the_lp(monkeypatch, case):
     _check_ray_read(*case, monkeypatch)
 
 
-def test_ray_path_needs_one_row_on_at_most_five_points(monkeypatch):
+def test_ray_path_needs_one_row_on_at_most_six_points(monkeypatch):
     def refuse(*args):
         raise AssertionError("ray path taken")
 
@@ -265,7 +329,7 @@ def test_ray_path_needs_one_row_on_at_most_five_points(monkeypatch):
     objective = {(0, 1): F(1), (1, 2): F(-1)}
     norm = ({pq: F(1) for pq in all_pairs(3)}, lp.LE, F(1))
     MetricConeLp(3).optimize("max", objective, [norm, ({(0, 1): F(1)}, lp.LE, F(1))])
-    MetricConeLp(6).optimize("max", objective, [({pq: F(1) for pq in all_pairs(6)},
+    MetricConeLp(7).optimize("max", objective, [({pq: F(1) for pq in all_pairs(7)},
                                                  lp.LE, F(1))])
 
 
@@ -297,7 +361,7 @@ def test_ray_path_leaves_negative_rows_and_nonpositive_bounds_to_the_lp():
     assert extension._ray_optimum(m, "max", ones, (ones, lp.GE, F(-1))) is None
 
 
-@pytest.mark.parametrize("m,held", [(4, {}), (6, {}), (2, {(0, 1): F(1)})],
+@pytest.mark.parametrize("m,held", [(4, {}), (7, {}), (2, {(0, 1): F(1)})],
                          ids=["rays", "lp", "constant"])
 def test_every_cone_path_refuses_an_equation_row(m, held):
     ones = {pq: F(1) for pq in all_pairs(m)}
@@ -529,3 +593,71 @@ def _counted(fn, calls):
         calls.append(args)
         return fn(*args)
     return counted
+
+
+# --- six vertices: the pair programs and the solve on the rays ------------------
+
+def _six_vertex_graphs():
+    """Seeded 6-vertex graphs, the last with its first terminal cut off."""
+    graphs = [random_graph(random.Random(seed), 6, k)
+              for seed, k in ((1, 3), (2, 2), (3, 4), (4, 5), (5, 3), (6, 6))]
+    g = graphs[0]
+    cut_off = g.terminals[0]
+    graphs.append(WeightedGraph(6, g.terminals,
+                                {pq: w for pq, w in g.weights.items() if cut_off not in pq}))
+    return graphs
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_six_vertex_pair_programs_read_the_rays_as_the_edge_length_lp_solves(sense,
+                                                                             monkeypatch):
+    def refuse(*args):
+        raise AssertionError("edge-length LP run on six vertices")
+
+    rng = random.Random(61)
+    for g in _six_vertex_graphs():
+        coeffs = {pq: F(rng.randint(0, 4), rng.randint(1, 3)) for pq in all_pairs(g.k)}
+        coeffs[(0, 1)] = F(rng.randint(1, 4))  # the cut-off terminal 0 has a demand
+        want = extension._edge_length_lp(g, sense, coeffs)
+        with monkeypatch.context() as patch:
+            patch.setattr(extension, "_edge_length_lp", refuse)
+            got = extension.terminal_pair_lp(g, sense, coeffs)
+        assert (got.status, got.value) == (want.status, want.value)
+        c = _value(coeffs, got.witness)
+        if got.status == lp.UNBOUNDED:
+            assert c > 0 and sense == "max"  # an improving direction
+        else:
+            assert c == (got.value if sense == "max" else 1)
+    # the last graph, with a terminal cut off: unbounded upper quality, no flow
+    assert (got.status, got.value) == ((lp.UNBOUNDED, None) if sense == "max"
+                                       else (lp.OPTIMAL, 0))
+
+
+@pytest.mark.parametrize("graph,pins", [
+    (unit_star(6), (F(5, 3), 4, 64)),
+    (random_graph(random.Random(1), 7, 6), (F(1), 4, 50)),
+], ids=["unit-star-6", "random-7-6"])
+def test_six_terminal_solves_probe_membership_on_the_rays(graph, pins, monkeypatch):
+    rounds = []
+    optimize = MetricConeLp.optimize
+
+    def recorded(self, *args, **kwargs):
+        result = optimize(self, *args, **kwargs)
+        rounds.append((self.m, result.rounds))
+        return result
+
+    monkeypatch.setattr(MetricConeLp, "optimize", recorded)
+    report = find_optimal_operator(graph)
+    assert (report.q, report.iterations, report.membership_cuts) == pins
+    assert len(rounds) == report.membership_cuts and set(rounds) == {(6, 0)}
+
+
+def test_importing_the_cli_builds_no_rays():
+    # the six-point rays are built on first use, never at import
+    import vsparse
+    src = str(Path(vsparse.__file__).resolve().parent.parent)
+    code = ("import vsparse.cli\nfrom vsparse.extension import cone_rays\n"
+            "print(cone_rays.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "0\n"
