@@ -34,11 +34,9 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Container, Iterable, Mapping, Sequence
 
 from . import lp
@@ -127,46 +125,29 @@ def _pair_numerators(m: int, values: Mapping[Pair, FractionLike]) -> tuple[list[
     return dense, scale
 
 
-_SLOT = 64  # bits per ray in a packed column of the ray table
-
-
 @functools.cache
-def _ray_columns(m: int) -> tuple[tuple[int, ...], int, int]:
+def _ray_columns(m: int) -> tuple[tuple[int, ...], ...]:
     """The ray table of ``cone_rays(m)`` by columns, one per pair of
-    ``all_pairs(m)``, each packed into one integer that holds the r-th
-    ray's distance in bits 64r to 64r + 63; the bias with bit 63 of every
-    slot set; and the largest distance on any ray."""
-    rays = cone_rays(m)
-    columns = tuple(sum(v << (_SLOT * r) for r, v in enumerate(column))
-                    for column in zip(*rays))
-    bias = sum(1 << (_SLOT * r + _SLOT - 1) for r in range(len(rays)))
-    return columns, bias, max(map(max, rays))
+    ``all_pairs(m)``: the r-th entry of a column is the r-th ray's
+    distance on that pair."""
+    return tuple(zip(*cone_rays(m)))
 
 
 def _on_rays(m: int, nums: Sequence[int]) -> list[int]:
     """A linear functional, given as integer numerators over ``all_pairs(m)``
     and one positive denominator, on every ray of ``cone_rays(m)``, times
     that denominator: the signs, and every ratio of two values, are exact.
-
-    By columns: the bias plus c times the packed column of each nonzero c
-    (:func:`_ray_columns`) holds every value v plus 2^63 in its own 64-bit
-    slot, as long as the coefficients keep each value below 2^63 in size,
-    and flipping the bias bits leaves v's two's complement there, read back
-    as signed 64-bit integers in one pass. Larger coefficients take one dot
-    product per ray.
+    By columns: one pass over the rays per nonzero coefficient
+    (:func:`_ray_columns`).
 
     A linear functional is at most 0 on the whole cone exactly when every
     entry is.
     """
-    columns, bias, top = _ray_columns(m)
-    if sum(map(abs, nums)) * top >> (_SLOT - 1):
-        return [sum(map(mul, nums, ray)) for ray in cone_rays(m)]
-    total = bias
-    for column, c in zip(columns, nums):
+    values = [0] * len(cone_rays(m))
+    for column, c in zip(_ray_columns(m), nums):
         if c:
-            total += c * column
-    packed = (total ^ bias).to_bytes(len(cone_rays(m)) * _SLOT // 8, sys.byteorder)
-    return memoryview(packed).cast("q").tolist()
+            values = [v + c * x for v, x in zip(values, column)]
+    return values
 
 
 @functools.cache

@@ -395,12 +395,14 @@ def split_six():
 
 
 def test_a_pair_with_no_path_is_unbounded_before_any_lp():
+    # six vertices: the public dispatch reads the rays, so the edge-length
+    # program, which still runs past six, is called directly
     beta = {(0, 2): 1, (0, 1): 2, (2, 3): F(1, 3)}
-    res, runs = recorded(terminal_pair_lp, split_six(), "max", beta)
+    res, runs = recorded(extension._edge_length_lp, split_six(), "max", beta)
     assert runs == [] and res.status == lp.UNBOUNDED
     # vertices (0, 3) are the first pair with no path; 0's component holds terminals 0 and 2
     assert res.witness == cut_metric([0, 2], 4)
-    flow, runs = recorded(terminal_pair_lp, split_six(), "min", beta)
+    flow, runs = recorded(extension._edge_length_lp, split_six(), "min", beta)
     assert runs == [] and flow.value == 0
     assert flow.witness == cut_metric([0, 2], 4).scale(F(3, 7))  # c = 2 + 1/3 across
     check_pair_lp(split_six(), "max", beta)

@@ -49,8 +49,12 @@ stayed. The metric upper quality and the concurrent flow of a graph on more
 than five vertices then left the metric cone for the same edge-length form,
 with a distance column per terminal pair that is not an edge; no entry
 moved, the unbounded rays of ``cone-6-4-7-1`` and ``cone-6-4-7-3`` included,
-which the cut metric of a component reproduces. Every test runs under the
-suite's per-solve pivot budget (``tests/conftest.py``).
+which the cut metric of a component reproduces. Both programs on six
+vertices now read the 296 extreme rays of the six-point metric cone, so
+only graphs on more than six vertices take the edge-length form; again no
+entry moved, the unbounded rays of ``cone-6-4-7-1`` and ``cone-6-4-7-3``
+included. Every test runs under the suite's per-solve pivot budget
+(``tests/conftest.py``).
 """
 import json
 from fractions import Fraction
