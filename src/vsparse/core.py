@@ -3,19 +3,20 @@
 Every quantity in this package is a ``fractions.Fraction``; nothing touches
 floating point. Hot comparisons and sums (metric validation, shortest-path
 closure, a sparsifier's cut values and costs) run on integer numerators over
-one common positive denominator, cached per metric, graph and sparsifier as
-its ``integers`` view, which decides exactly as the Fractions would, while
-every value in and out stays a ``Fraction``. Vertex sets are 0-based ranges and the canonical key for an
-edge or a distance is the unordered pair ``(i, j)`` with ``i < j``, counted
-once. Metrics are symmetric, zero on the diagonal, nonnegative and satisfy
-all triangle inequalities; zero distance between distinct points is allowed.
+one common positive denominator, the ``integers`` of a metric, graph or
+sparsifier, which decide exactly as the Fractions would, while every value in
+and out stays a ``Fraction``. Vertex sets are 0-based ranges and the
+canonical key for an edge or a distance is the unordered pair ``(i, j)`` with
+``i < j``, counted once. Metrics are symmetric, zero on the diagonal,
+nonnegative and satisfy all triangle inequalities; zero distance between
+distinct points is allowed.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -42,7 +43,7 @@ def integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
     The denominator is positive, so comparing numerators compares values.
     """
-    scale = lcm(*[v.denominator for v in values])  # a list, see _exact_rows
+    scale = lcm(*[v.denominator for v in values])  # a list, see Metric.rows
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
@@ -98,33 +99,26 @@ def is_unbounded(value: object) -> bool:
     return value is UNBOUNDED
 
 
-def _exact_rows(table: Sequence[Sequence[FractionLike]]) -> tuple[tuple[Fraction, ...], ...]:
-    # Built from lists, not generators: tuple() of a generator grows by
-    # resizing, which bypasses CPython's tuple free list, so every freed row
-    # would park on that list until the next full garbage collection.
-    return tuple([tuple([as_fraction(v) for v in row]) for row in table])
-
-
-def _table_violation(rows: Sequence[Sequence[Fraction]],
-                     ints: Sequence[Sequence[int]]) -> str | None:
+def _table_violation(ints: Sequence[Sequence[int]], scale: int) -> str | None:
     """The first violated semimetric condition of a square table (shape,
     diagonal, symmetry, negative, triangle, in check order) as the message
     ``"<kind> violation at <where>: <detail>"``, or None. The conditions are
-    decided on ``ints``, the table's integer numerators over its common
-    denominator (``integer_table(rows)``); the messages print the Fractions.
+    decided on ``ints``, the table's integer numerators over the positive
+    ``scale``; the messages print the Fractions ``Fraction(v, scale)``.
     """
-    m = len(rows)
-    for i, row in enumerate(rows):
+    m = len(ints)
+    for i, row in enumerate(ints):
         if len(row) != m:
             return f"shape violation at {(i,)}: row {i} has length {len(row)}, expected {m}"
+    d = functools.partial(Fraction, denominator=scale)
     for i in range(m):
         if ints[i][i] != 0:
-            return f"diagonal violation at {(i,)}: d({i},{i}) = {rows[i][i]} != 0"
+            return f"diagonal violation at {(i,)}: d({i},{i}) = {d(ints[i][i])} != 0"
         for j in range(i + 1, m):
             if ints[i][j] != ints[j][i]:
-                return f"symmetry violation at {(i, j)}: d({i},{j}) = {rows[i][j]} but d({j},{i}) = {rows[j][i]}"
+                return f"symmetry violation at {(i, j)}: d({i},{j}) = {d(ints[i][j])} but d({j},{i}) = {d(ints[j][i])}"
             if ints[i][j] < 0:
-                return f"negative violation at {(i, j)}: d({i},{j}) = {rows[i][j]} < 0"
+                return f"negative violation at {(i, j)}: d({i},{j}) = {d(ints[i][j])} < 0"
     # The table is symmetric from here on, so d(l,j) = d(j,l) and row j
     # serves as column j. Points l = i and l = j give d(i,j) itself, never
     # more, so the sums need no filtering before the first violation.
@@ -134,52 +128,56 @@ def _table_violation(rows: Sequence[Sequence[Fraction]],
             rj, dij = ints[j], ri[j]
             if dij > min([a + b for a, b in zip(ri, rj)]):
                 l = next(l for l in range(m) if dij > ri[l] + rj[l])
-                return (f"triangle violation at {(i, j, l)}: d({i},{j}) = {rows[i][j]} > "
-                        f"d({i},{l}) + d({l},{j}) = {rows[i][l] + rows[l][j]}")
+                return (f"triangle violation at {(i, j, l)}: d({i},{j}) = {d(dij)} > "
+                        f"d({i},{l}) + d({l},{j}) = {d(ri[l] + rj[l])}")
     return None
 
 
 @dataclass(frozen=True)
 class Metric:
-    """A finite semimetric on points 0..m-1, stored as a full distance table.
+    """A finite semimetric on points 0..m-1, stored once as ``integers``:
+    its distance table's rows of numerators and their least common
+    denominator, on which metrics compare and hash; read only.
 
-    The constructor normalizes entries to Fraction and validates all three
-    semimetric conditions exactly, so holding a Metric is proof of validity;
-    a table that fails raises ValueError naming the first violation.
+    Every constructor validates all three semimetric conditions exactly on
+    those integers, so holding a Metric is proof of validity; a table that
+    fails raises ValueError naming the first violation.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
-    # integer_table(rows), the numerators the constructor validated; read only
-    integers: tuple[list[list[int]], int] = field(repr=False, compare=False)
+    integers: tuple[tuple[tuple[int, ...], ...], int]
 
     def __init__(self, table: Sequence[Sequence[FractionLike]]):
-        rows = _exact_rows(table)
-        self._settle(rows, integer_table(rows))
+        self._settle(*integer_table([[as_fraction(v) for v in row] for row in table]))
 
-    def _settle(self, rows: tuple[tuple[Fraction, ...], ...], ints: tuple[list[list[int]], int]):
-        bad = _table_violation(rows, ints[0])
+    def _settle(self, ints: Sequence[Sequence[int]], scale: int) -> None:
+        bad = _table_violation(ints, scale)
         if bad is not None:
             raise ValueError(bad)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "integers", ints)
+        object.__setattr__(self, "integers", (tuple([tuple(row) for row in ints]), scale))
 
     @classmethod
     def from_integers(cls, ints: Sequence[Sequence[int]], scale: int) -> "Metric":
         """The metric of the integers ``ints`` over the positive ``scale``,
-        validated once on them; dividing out their gcd with ``scale`` leaves
-        ``integer_table(rows)``."""
+        validated once on them after their gcd with ``scale`` is divided out."""
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
         common = gcd(scale, *[v for row in ints for v in row])
-        nums, scale = [[v // common for v in row] for row in ints], scale // common
         metric = cls.__new__(cls)
-        metric._settle(tuple([tuple([Fraction(v, scale) for v in row]) for row in nums]),
-                       (nums, scale))
+        metric._settle([[v // common for v in row] for row in ints], scale // common)
         return metric
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance table as Fractions, built on first read and kept."""
+        # Built from lists, not generators: tuple() of a generator grows by
+        # resizing, which bypasses CPython's tuple free list, so every freed
+        # row would park on that list until the next full garbage collection.
+        nums, scale = self.integers
+        return tuple([tuple([Fraction(v, scale) for v in row]) for row in nums])
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self.integers[0])
 
     def dist(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
@@ -189,17 +187,20 @@ class Metric:
         for p in points:
             if not 0 <= p < self.size:
                 raise ValueError(f"point {p} outside 0..{self.size - 1}")
-        return Metric([[self.rows[i][j] for j in points] for i in points])
+        nums, scale = self.integers
+        return Metric.from_integers([[nums[i][j] for j in points] for i in points], scale)
 
     def scale(self, c: FractionLike) -> "Metric":
         c = as_fraction(c)
         if c < 0:
             raise ValueError("metrics are only closed under nonnegative scaling")
-        return Metric([[c * v for v in row] for row in self.rows])
+        nums, scale = self.integers
+        return Metric.from_integers([[c.numerator * v for v in row] for row in nums],
+                                    scale * c.denominator)
 
 
 def zero_metric(m: int) -> Metric:
-    return Metric([[ZERO] * m for _ in range(m)])
+    return Metric.from_integers([[0] * m for _ in range(m)], 1)
 
 
 def cut_metric(side: Iterable[int], m: int) -> Metric:
@@ -208,11 +209,8 @@ def cut_metric(side: Iterable[int], m: int) -> Metric:
     for v in side_set:
         if not 0 <= v < m:
             raise ValueError(f"cut side contains {v}, outside 0..{m - 1}")
-    table = [
-        [ONE if (i in side_set) != (j in side_set) else ZERO for j in range(m)]
-        for i in range(m)
-    ]
-    return Metric(table)
+    return Metric.from_integers(
+        [[int((i in side_set) != (j in side_set)) for j in range(m)] for i in range(m)], 1)
 
 
 def floyd_warshall(ints: list[list[int]]) -> None:

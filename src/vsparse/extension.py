@@ -209,21 +209,18 @@ def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
     return MetricLpResult(lp.OPTIMAL, value, witness, None, 0)
 
 
-def _pair_metric(m: int, values: Sequence[Fraction]) -> Metric:
-    """The metric on m points with the given distances over ``all_pairs(m)``."""
-    table = [[ZERO] * m for _ in range(m)]
-    for (p, q), v in zip(all_pairs(m), values):
+def _pair_metric(m: int, nums: Sequence[int], scale: int) -> Metric:
+    """The metric on m points whose distances over ``all_pairs(m)`` are the
+    integers ``nums`` over the positive ``scale``."""
+    table = [[0] * m for _ in range(m)]
+    for (p, q), v in zip(all_pairs(m), nums):
         table[p][q] = table[q][p] = v
-    return Metric(table)
+    return Metric.from_integers(table, scale)
 
 
 def _ray_metric(m: int, r: int, step: Fraction) -> Metric:
-    """``step`` times the r-th ray of ``cone_rays(m)``, as a metric built
-    from the ray's integers and validated once on them."""
-    table = [[0] * m for _ in range(m)]
-    for (p, q), v in zip(all_pairs(m), cone_rays(m)[r]):
-        table[p][q] = table[q][p] = v * step.numerator
-    return Metric.from_integers(table, step.denominator)
+    """``step`` times the r-th ray of ``cone_rays(m)``."""
+    return _pair_metric(m, [v * step.numerator for v in cone_rays(m)[r]], step.denominator)
 
 
 @functools.cache
@@ -325,10 +322,10 @@ class MetricConeLp:
             (out.direction if out.status == lp.UNBOUNDED else out.point)[0]), "triangle")
         out = result.outcome
         if out.status == lp.OPTIMAL:
-            return MetricLpResult(out.status, out.value, _pair_metric(self.m, out.x), None,
+            return MetricLpResult(out.status, out.value, _pair_metric(self.m, *out.point), None,
                                   result.rounds)
         if out.status == lp.UNBOUNDED:
-            return MetricLpResult(out.status, None, None, _pair_metric(self.m, out.ray),
+            return MetricLpResult(out.status, None, None, _pair_metric(self.m, *out.direction),
                                   result.rounds)
         return MetricLpResult(out.status, None, None, None, result.rounds)
 

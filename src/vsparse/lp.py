@@ -371,7 +371,7 @@ class _Tableau:
         """``row / den`` minus ``c / den`` times row r for each ``(c, r)`` of
         ``basic``, over one positive denominator with the common factor of the
         entries divided out."""
-        scale = lcm(*[self.dens[r] for _, r in basic])  # a list, see core._exact_rows
+        scale = lcm(*[self.dens[r] for _, r in basic])  # a list, see core.Metric.rows
         row = [v * scale for v in row]
         for c, r in basic:
             mult = c * (scale // self.dens[r])

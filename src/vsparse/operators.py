@@ -355,7 +355,7 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
 
     master = lp.LinearProgram(1 + len(entries), "min", {0: ONE})
     candidates: list[tuple[Metric, Fraction]] = []
-    probed: list[quality.QualityReport] = []  # one metric upper report per distortion probe
+    probed: quality.QualityReport | None = None  # the last distortion probe's metric upper report
     counts = {"membership": 0, "distortion": 0}
 
     for _, side in bipartitions(k):
@@ -387,9 +387,9 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         return cuts
 
     def distortion_cb(out: lp.LpOutcome) -> list[lp.Constraint]:
-        upper, hit = _distortion_probe(operator_at(out.x), out.x[0], g_c)
-        lp.check(not is_unbounded(upper.q_value), "the seeded cut rows bound the distortion probe")
-        probed.append(upper)
+        nonlocal probed
+        probed, hit = _distortion_probe(operator_at(out.x), out.x[0], g_c)
+        lp.check(not is_unbounded(probed.q_value), "the seeded cut rows bound the distortion probe")
         if hit is None:
             return []
         candidates.append((hit.restricted, hit.min_extension_value))
@@ -415,7 +415,7 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         graph=g_c,
         order=order,
         sparsifier=beta,
-        metric_upper=probed[-1] if result.converged else None,
+        metric_upper=probed if result.converged else None,
     )
 
 
@@ -447,7 +447,9 @@ def operator_from_json(data: object, path: str = "operator") -> ExtensionOperato
     coeffs: dict[tuple[Pair, Pair], Fraction] = {}
     for epath, (i, j, p, qq, c) in jsonio._rows(obj["coeffs"], f"{path}.coeffs",
                                                 "[i, j, p, q, value]"):
-        key = ((i, j), (p, qq))
+        if i == j or p == qq:
+            raise jsonio.JsonFormatError(epath, "pair endpoints must differ")
+        key = (pair(i, j), pair(p, qq))
         if key in coeffs:
             raise jsonio.JsonFormatError(epath, f"duplicate coefficient for {key}")
         coeffs[key] = c

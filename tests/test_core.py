@@ -1,6 +1,7 @@
 """Core types: metrics, cuts, graphs, costs."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -214,6 +215,65 @@ def test_restrict_rejects_out_of_range():
     d = zero_metric(3)
     with pytest.raises(ValueError):
         d.restrict([0, 3])
+
+
+# --- stored form -------------------------------------------------------
+
+def built_metrics():
+    """Metrics built every way the package builds them, several of them
+    equal by different routes, with a label each."""
+    d = Metric([[0, F(3, 2), F(5, 6)], [F(3, 2), 0, F(2, 3)], [F(5, 6), F(2, 3), 0]])
+    return [
+        ("fractions", Metric([[F(0), F(1)], [F(1), F(0)]])),
+        ("ints", Metric([[0, 1], [1, 0]])),
+        ("strings", Metric([["0", "2/2"], ["1", "0/5"]])),
+        ("from_integers", Metric.from_integers([[0, 6], [6, 0]], 6)),
+        ("cut", cut_metric([1], 2)),
+        ("restricted cut", cut_metric([0, 2], 3).restrict([1, 2])),
+        ("half", Metric([[0, "1/2"], ["1/2", 0]])),
+        ("scaled cut", cut_metric([0], 2).scale("1/2")),
+        ("half from_integers", Metric.from_integers([[0, 3], [3, 0]], 6)),
+        ("zero", zero_metric(2)),
+        ("zero from_integers", Metric.from_integers([[0, 0], [0, 0]], 7)),
+        ("cut scaled by 0", cut_metric([0], 2).scale(0)),
+        ("restricted to one side", cut_metric([2], 3).restrict([0, 1])),
+        ("empty", Metric([])),
+        ("empty zero", zero_metric(0)),
+        ("point", zero_metric(1)),
+        ("three points", d),
+        ("three points scaled", d.scale(F(6, 5))),
+        ("three points from_integers", Metric.from_integers([[0, 54, 30], [54, 0, 24], [30, 24, 0]], 30)),
+        ("three points reordered", d.restrict([2, 1, 0]).restrict([2, 1, 0])),
+        ("three points restricted", d.restrict([0, 2])),
+        ("two points", Metric([[0, F(5, 6)], [F(5, 6), 0]])),
+    ]
+
+
+def test_metrics_compare_and_hash_as_their_fraction_tables():
+    metrics = built_metrics()
+    for (la, a), (lb, b) in itertools.product(metrics, repeat=2):
+        assert (a == b) == (a.rows == b.rows), (la, lb)
+        if a == b:
+            assert hash(a) == hash(b), (la, lb)
+    assert len({d for _, d in metrics}) == len({d.rows for _, d in metrics}) == 8
+
+
+def test_stored_integers_are_tuples_over_the_smallest_denominator():
+    for label, d in built_metrics():
+        nums, scale = d.integers
+        assert type(nums) is tuple and all(type(row) is tuple for row in nums), label
+        assert scale == math.lcm(*[v.denominator for row in d.rows for v in row]), label
+        assert all(type(v) is Fraction for row in d.rows for v in row), label
+    assert Metric.from_integers([[0, 4], [4, 0]], 6).integers == (((0, 2), (2, 0)), 3)
+
+
+def test_rows_are_built_on_first_read():
+    d = Metric.from_integers([[0, 4], [4, 0]], 6)
+    for got in (d, d.restrict([1, 0]), d.scale(3), cut_metric([0], 3), zero_metric(2)):
+        assert "rows" not in vars(got)
+    assert d.size == 2 and "rows" not in vars(d)
+    assert d.dist(0, 1) == F(2, 3) and "rows" in vars(d)
+    assert d.rows is d.rows
 
 
 # --- metric closure ----------------------------------------------------

@@ -158,6 +158,16 @@ def test_metric_round_trip_random(seed):
     assert metric_from_json(metric_to_json(d)).rows == d.rows
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_metric_to_json_of_a_parsed_metric_reproduces_its_input(seed):
+    rng = random.Random(70 + seed)
+    m = rng.randint(0, 6)
+    scale = rng.randint(1, 12)
+    d = random_metric(rng, m).scale(F(rng.randint(0, 3), scale))
+    text = dump_canonical([[format_fraction(v) for v in row] for row in d.rows])
+    assert dump_canonical(metric_to_json(metric_from_json(loads(text)))) == text
+
+
 def test_metric_parse_rejects_invalid_tables():
     with pytest.raises(JsonFormatError) as err:
         metric_from_json([["0/1", "1/1"], ["2/1", "0/1"]])

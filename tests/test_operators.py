@@ -567,6 +567,11 @@ def test_operator_json_requires_distortion():
     (lambda d: d["coeffs"].append([2, 3, 0, 1, "-1/2"]), "negative"),
     (lambda d: d["coeffs"].append([0, 1, 0, 1, "1/2"]), "duplicate"),
     (lambda d: d["coeffs"].append([2, 3, -1, 0, "1/1"]), "Y-pair (-1, 0) outside 0..2"),
+    # the last coefficient again, a nonterminal one, with both pairs reversed
+    (lambda d: d["coeffs"].append([*d["coeffs"][-1][1::-1], *d["coeffs"][-1][3:1:-1], "2/1"]),
+     "]: duplicate coefficient for ((2, 3), "),
+    (lambda d: d["coeffs"].append([3, 3, 0, 1, "1/1"]), "]: pair endpoints must differ"),
+    (lambda d: d["coeffs"].append([0, 3, 1, 1, "1/1"]), "]: pair endpoints must differ"),
 ])
 def test_operator_json_errors(mangle, fragment):
     data = operator_to_json(find_optimal_operator(unit_star(3)).operator)
