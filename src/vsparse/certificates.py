@@ -12,7 +12,6 @@ makes the harvested certificates a genuine cross-check on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -22,6 +21,7 @@ from .core import (
     ZERO,
     FractionLike,
     Metric,
+    Value,
     WeightedGraph,
     as_fraction,
     integer_row,
@@ -50,8 +50,7 @@ def _normalize_distribution(entries: Iterable[tuple[int, FractionLike]], k: int,
     return tuple(sorted(merged.items()))
 
 
-@dataclass(frozen=True)
-class CutCertificate:
+class CutCertificate(Value):
     """Distributions mu1, mu2 over terminal subsets, as (bitmask, probability).
 
     Bit p of a mask selects terminal-local index p. Duplicate masks merge;
@@ -61,6 +60,7 @@ class CutCertificate:
     graph: WeightedGraph
     mu1: Distribution
     mu2: Distribution
+    __slots__ = _fields = ("graph", "mu1", "mu2")
 
     def __init__(self, graph: WeightedGraph,
                  mu1: Iterable[tuple[int, FractionLike]],
@@ -70,12 +70,12 @@ class CutCertificate:
         object.__setattr__(self, "mu2", _normalize_distribution(mu2, graph.k, "mu2"))
 
 
-@dataclass(frozen=True)
-class MetricCertificate:
+class MetricCertificate(Value):
     """A nonempty family of terminal metrics on the instance's terminals."""
 
     graph: WeightedGraph
     metrics: tuple[Metric, ...]
+    __slots__ = _fields = ("graph", "metrics")
 
     def __init__(self, graph: WeightedGraph, metrics: Iterable[Metric]):
         family = tuple(metrics)

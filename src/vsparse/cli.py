@@ -19,7 +19,6 @@ import functools
 import os
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -89,7 +88,7 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
              "the solved operator is not a member of the operator cone")
     cut_report = quality.cut_quality(g_c, beta)
     # the final distortion probe graded the collapse, beta(d) = alpha(phi(d)), and re-derives Q
-    metric_report = replace(report.metric_upper, lower_ok=True)
+    metric_report = report.metric_upper.replace(lower_ok=True)
     lp.check(metric_report.q_value == report.q, f"metric upper Q {metric_report.q_value} "
              f"of the collapse is not the operator's Q {report.q}")
     flow_report = quality.flow_quality(g_c, beta, metric_report.q_value)

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 Pair = tuple[int, int]
 FractionLike = Union[Fraction, int, str]
@@ -99,6 +98,65 @@ def is_unbounded(value: object) -> bool:
     return value is UNBOUNDED
 
 
+_R = TypeVar("_R", bound="Record")
+
+
+class Record:
+    """Base of the package's records: equality and repr over the attributes
+    named in ``_fields``, in order, and :meth:`replace`. A record equals only
+    records of its own class, and records are unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self: _R, **changes: object) -> _R:
+        """A copy with the named fields changed, built by the class's
+        constructor, whose parameters are named after the fields."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        return type(self)(**(fields | changes))
+
+
+class Value(Record):
+    """A read-only :class:`Record`, hashed on its fields. Assigning or
+    deleting an attribute raises AttributeError, so constructors set their
+    fields with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is read-only")
+
+    def __reduce__(self) -> tuple:
+        return _rebuild, (type(self), self._values())
+
+
+def _rebuild(cls: type[Value], values: tuple) -> Value:
+    """The value of class ``cls`` holding ``values`` in its fields, for
+    pickle and copy, which would assign them."""
+    value = cls.__new__(cls)
+    for name, v in zip(cls._fields, values):
+        object.__setattr__(value, name, v)
+    return value
+
+
 def _table_violation(ints: Sequence[Sequence[int]], scale: int) -> str | None:
     """The first violated semimetric condition of a square table (shape,
     diagonal, symmetry, negative, triangle, in check order) as the message
@@ -133,8 +191,7 @@ def _table_violation(ints: Sequence[Sequence[int]], scale: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(Value):
     """A finite semimetric on points 0..m-1, stored once as ``integers``:
     its distance table's rows of numerators and their least common
     denominator, on which metrics compare and hash; read only.
@@ -145,6 +202,7 @@ class Metric:
     """
 
     integers: tuple[tuple[tuple[int, ...], ...], int]
+    _fields = ("integers",)
 
     def __init__(self, table: Sequence[Sequence[FractionLike]]):
         self._settle(*integer_table([[as_fraction(v) for v in row] for row in table]))
@@ -224,8 +282,7 @@ def floyd_warshall(ints: list[list[int]]) -> None:
             ints[i] = [a if a <= ril + b else ril + b for a, b in zip(ints[i], rl)]
 
 
-@dataclass(frozen=True, eq=True)
-class WeightedGraph:
+class WeightedGraph(Value):
     """An undirected graph with nonnegative rational edge weights and terminals.
 
     Vertices are 0..n-1. ``terminals`` is a nonempty ordered tuple of distinct
@@ -237,6 +294,7 @@ class WeightedGraph:
     n: int
     terminals: tuple[int, ...]
     weights: dict[Pair, Fraction]
+    _fields = ("n", "terminals", "weights")
 
     def __init__(
         self,
@@ -326,8 +384,7 @@ def alpha_cost(g: WeightedGraph, d: Metric) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class Sparsifier:
+class Sparsifier(Value):
     """A weighted graph on the k terminals alone, keyed by terminal-local pairs.
 
     The quality semantics (cut, metric, flow) all compare this object
@@ -336,6 +393,7 @@ class Sparsifier:
 
     k: int
     beta: dict[Pair, Fraction]
+    _fields = ("k", "beta")
 
     def __init__(self, k: int, beta: Mapping[Pair, FractionLike]):
         if k < 1:
@@ -379,8 +437,7 @@ class Sparsifier:
         return WeightedGraph(self.k, tuple(range(self.k)), self.beta)
 
 
-@dataclass(frozen=True)
-class DemandSet:
+class DemandSet(Value):
     """Concurrent-flow demands between terminal-local endpoint pairs.
 
     Endpoints are terminal indices 0..k-1 so the same demand set applies
@@ -388,6 +445,7 @@ class DemandSet:
     """
 
     demands: tuple[tuple[int, int, Fraction], ...]
+    __slots__ = _fields = ("demands",)
 
     def __init__(self, demands: Iterable[tuple[int, int, FractionLike]]):
         norm = []

@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Container, Iterable, Mapping, Sequence
@@ -46,6 +45,8 @@ from .core import (
     FractionLike,
     Metric,
     Pair,
+    Record,
+    Value,
     WeightedGraph,
     all_pairs,
     as_fraction,
@@ -234,13 +235,18 @@ def _normalized_ray(m: int, r: int) -> Metric:
 # LPs over the metric cone, with lazily generated triangle rows
 
 
-@dataclass
-class MetricLpResult:
-    status: str
-    value: Fraction | None      # objective value
-    table: Metric | None        # optimal point as a full metric
-    ray_table: Metric | None    # improving direction when unbounded
-    rounds: int                 # cutting-plane rounds; 0 when read off the rays
+class MetricLpResult(Record):
+    """An outcome of :meth:`MetricConeLp.optimize`: its status, the objective
+    ``value``, the optimal point as a full metric ``table`` or the improving
+    direction ``ray_table`` when unbounded, and the cutting-plane ``rounds``,
+    0 when read off the rays."""
+
+    __slots__ = _fields = ("status", "value", "table", "ray_table", "rounds")
+
+    def __init__(self, status: str, value: Fraction | None, table: Metric | None,
+                 ray_table: Metric | None, rounds: int):
+        self.status, self.value, self.table, self.ray_table = status, value, table, ray_table
+        self.rounds = rounds
 
 
 @functools.cache
@@ -421,8 +427,7 @@ def _closure(n: int, entries: Iterable[tuple[int, int, int]]) -> tuple[list[list
 # minimum metric extension, over edge lengths
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(Value):
     """Optimal value and an optimal extension witness.
 
     ``witness``, a full metric on the graph's vertices, is built from the
@@ -430,8 +435,12 @@ class ExtensionResult:
     ``at[u]`` and d(u, v) is ``table[at[u]][at[v]] / scale``.
     """
 
-    value: Fraction
-    _closure: tuple[list[list[int]], list[int], int] = field(repr=False)
+    __slots__ = ("value", "_closure", "__dict__")  # the dict caches the witness
+    _fields = ("value", "_closure")
+
+    def __init__(self, value: Fraction, closure: tuple[list[list[int]], list[int], int]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_closure", closure)
 
     @functools.cached_property
     def witness(self) -> Metric:
@@ -510,8 +519,7 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
 # metric upper quality and concurrent flow, over edge lengths
 
 
-@dataclass(frozen=True)
-class PairLpResult:
+class PairLpResult(Value):
     """An outcome of :func:`terminal_pair_lp`.
 
     ``witness`` is a terminal metric: the restriction of an optimal point,
@@ -519,9 +527,12 @@ class PairLpResult:
     case ``value`` is None.
     """
 
-    status: str
-    value: Fraction | None
-    witness: Metric
+    __slots__ = _fields = ("status", "value", "witness")
+
+    def __init__(self, status: str, value: Fraction | None, witness: Metric):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
 
 
 def terminal_pair_lp(g: WeightedGraph, sense: str,
@@ -741,16 +752,18 @@ def min_cut_by_enumeration(g: WeightedGraph, side: Iterable[int],
 # exhaustive 0-extension
 
 
-@dataclass(frozen=True)
-class ZeroExtension:
+class ZeroExtension(Value):
     """A vertex-to-terminal collapse and its weighted cost.
 
     ``assignment[v]`` is the terminal-local index vertex v maps to;
     terminals map to themselves.
     """
 
-    cost: Fraction
-    assignment: tuple[int, ...]
+    __slots__ = _fields = ("cost", "assignment")
+
+    def __init__(self, cost: Fraction, assignment: tuple[int, ...]):
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "assignment", assignment)
 
 
 def best_zero_extension(g: WeightedGraph, d_y: Metric,

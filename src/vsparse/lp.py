@@ -44,13 +44,12 @@ Strong duality reads ``value = sum_r duals[r] * rhs_r``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import ZERO, FractionLike, as_fraction, integer_row
+from .core import ZERO, FractionLike, Record, as_fraction, integer_row
 
 LE, GE = "<=", ">="
 _RELATIONS = (LE, GE)
@@ -196,8 +195,7 @@ class LinearProgram:
         return len(self.constraints) - 1
 
 
-@dataclass
-class LpOutcome:
+class LpOutcome(Record):
     """Result of an exact solve.
 
     status "optimal": the point, value and duals (one per constraint) are
@@ -212,18 +210,22 @@ class LpOutcome:
     Its duals are built on first read from ``dual_source``, a copy of the
     final reduced costs (numerators, labels, denominator) and of the list of
     rows, with the sense, taken as a later solve takes the tableau over.
+    Outcomes compare on status, value, point and direction alone.
     """
 
-    status: str
-    value: Fraction | None = None
-    point: tuple[list[int], int] | None = None
-    direction: tuple[list[int], int] | None = None
-    tableau: _Tableau | None = field(default=None, repr=False, compare=False)
-    dual_source: tuple[list[int], list[int], int, list[Constraint], bool] | None = field(
-        default=None, repr=False, compare=False)
-    _x: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
-    _ray: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
-    _duals: list[Fraction] | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("status", "value", "point", "direction", "tableau", "dual_source",
+                 "_x", "_ray", "_duals")
+    _fields = ("status", "value", "point", "direction")
+
+    def __init__(self, status: str, value: Fraction | None = None,
+                 point: tuple[list[int], int] | None = None,
+                 direction: tuple[list[int], int] | None = None,
+                 tableau: _Tableau | None = None,
+                 dual_source: tuple[list[int], list[int], int, list[Constraint], bool]
+                 | None = None):
+        self.status, self.value, self.point, self.direction = status, value, point, direction
+        self.tableau, self.dual_source = tableau, dual_source
+        self._x = self._ray = self._duals = None  # list[Fraction] once read
 
     @property
     def x(self) -> list[Fraction] | None:
@@ -663,8 +665,7 @@ def audit(lp: LinearProgram, out: LpOutcome) -> None:
 # lazy constraint generation
 
 
-@dataclass
-class CuttingPlaneResult:
+class CuttingPlaneResult(Record):
     """Final master outcome of the lazy-constraint loop; its cuts are the
     rows appended to the program.
 
@@ -673,9 +674,10 @@ class CuttingPlaneResult:
     added cut can repair). False means the round cap was hit.
     """
 
-    outcome: LpOutcome
-    rounds: int
-    converged: bool
+    __slots__ = _fields = ("outcome", "rounds", "converged")
+
+    def __init__(self, outcome: LpOutcome, rounds: int, converged: bool):
+        self.outcome, self.rounds, self.converged = outcome, rounds, converged
 
 
 Oracle = Callable[[LpOutcome], "list[Constraint] | None"]

@@ -31,7 +31,6 @@ relabels its input accordingly and reports the relabeling.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, gt
 from typing import Mapping, Sequence
@@ -43,7 +42,9 @@ from .core import (
     FractionLike,
     Metric,
     Pair,
+    Record,
     Sparsifier,
+    Value,
     WeightedGraph,
     all_pairs,
     as_fraction,
@@ -67,21 +68,22 @@ class NoFiniteDistortionError(RuntimeError):
     """No operator of finite distortion exists under these weights."""
 
 
-@dataclass(frozen=True, eq=True)
-class ExtensionOperator:
+class ExtensionOperator(Value):
     """A nonnegative tensor phi_{ipjq}, keyed by (X-pair, Y-pair).
 
     X-pairs are canonical unordered vertex pairs with terminals at indices
     0..k-1; Y-pairs are terminal-local. Rows of terminal pairs are the
     identity (the image must reproduce d_Y on terminals exactly); the
     constructor injects them and rejects anything contradictory. Zero
-    entries are dropped, so equality of operators is equality of tensors.
+    entries are dropped. Operators are equal when their tensors and their
+    recorded ``distortion`` are; the hash reads the tensor alone.
     """
 
     n: int
     k: int
     coeffs: dict[tuple[Pair, Pair], Fraction]
     distortion: Fraction | None
+    __slots__ = _fields = ("n", "k", "coeffs", "distortion")
 
     def __init__(self, n: int, k: int,
                  coeffs: Mapping[tuple[Pair, Pair], FractionLike],
@@ -164,8 +166,7 @@ def _require_canonical(phi: ExtensionOperator, g: WeightedGraph) -> None:
 # separation oracles
 
 
-@dataclass(frozen=True)
-class MembershipViolation:
+class MembershipViolation(Value):
     """A triangle row of the vertex metric cone the candidate image fails.
 
     ``where`` = (i, j, l) names the row d(i,j) <= d(i,l) + d(l,j). On the
@@ -173,9 +174,12 @@ class MembershipViolation:
     violates the row by ``excess`` > 0.
     """
 
-    where: tuple[int, int, int]
-    witness: Metric
-    excess: Fraction
+    __slots__ = _fields = ("where", "witness", "excess")
+
+    def __init__(self, where: tuple[int, int, int], witness: Metric, excess: Fraction):
+        object.__setattr__(self, "where", where)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "excess", excess)
 
 
 def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]], scale: int,
@@ -241,8 +245,7 @@ def membership_oracle(phi: ExtensionOperator) -> MembershipViolation | None:
     return hits[0] if hits else None
 
 
-@dataclass(frozen=True)
-class DistortionViolation:
+class DistortionViolation(Value):
     """A terminal metric ``restricted`` = d_Y* on which the candidate overshoots Q.
 
     ``min_extension_value`` is minext(d_Y*): 1, or 0 when no finite
@@ -250,9 +253,12 @@ class DistortionViolation:
     Q * min_extension_value.
     """
 
-    restricted: Metric
-    min_extension_value: Fraction
-    image_cost: Fraction
+    __slots__ = _fields = ("restricted", "min_extension_value", "image_cost")
+
+    def __init__(self, restricted: Metric, min_extension_value: Fraction, image_cost: Fraction):
+        object.__setattr__(self, "restricted", restricted)
+        object.__setattr__(self, "min_extension_value", min_extension_value)
+        object.__setattr__(self, "image_cost", image_cost)
 
 
 def _distortion_probe(phi: ExtensionOperator, q: Fraction, g: WeightedGraph
@@ -277,8 +283,7 @@ def _distortion_probe(phi: ExtensionOperator, q: Fraction, g: WeightedGraph
 # the optimal-operator master program
 
 
-@dataclass
-class OperatorSolveReport:
+class OperatorSolveReport(Record):
     """Everything the cutting-plane solve produced.
 
     ``worst_metrics`` lists the recorded terminal metrics whose distortion
@@ -289,17 +294,19 @@ class OperatorSolveReport:
     probe, grades the collapse ``sparsifier`` at ``q``; None unless converged.
     """
 
-    operator: ExtensionOperator
-    q: Fraction
-    converged: bool
-    iterations: int
-    membership_cuts: int
-    distortion_cuts: int
-    worst_metrics: list[tuple[Metric, Fraction]]
-    graph: WeightedGraph
-    order: tuple[int, ...]
-    sparsifier: Sparsifier
-    metric_upper: quality.QualityReport | None
+    __slots__ = _fields = ("operator", "q", "converged", "iterations", "membership_cuts",
+                           "distortion_cuts", "worst_metrics", "graph", "order", "sparsifier",
+                           "metric_upper")
+
+    def __init__(self, operator: ExtensionOperator, q: Fraction, converged: bool,
+                 iterations: int, membership_cuts: int, distortion_cuts: int,
+                 worst_metrics: list[tuple[Metric, Fraction]], graph: WeightedGraph,
+                 order: tuple[int, ...], sparsifier: Sparsifier,
+                 metric_upper: quality.QualityReport | None):
+        self.operator, self.q, self.converged, self.iterations = operator, q, converged, iterations
+        self.membership_cuts, self.distortion_cuts = membership_cuts, distortion_cuts
+        self.worst_metrics, self.graph, self.order = worst_metrics, graph, order
+        self.sparsifier, self.metric_upper = sparsifier, metric_upper
 
 
 def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> OperatorSolveReport:

@@ -16,7 +16,6 @@ zero is reported as unbounded rather than clamped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -28,6 +27,7 @@ from .core import (
     DemandSet,
     Sparsifier,
     Unbounded,
+    Value,
     WeightedGraph,
     bipartitions,
     canonicalize,
@@ -50,8 +50,7 @@ class FlowProbeError(AssertionError):
     solver bug, never a data condition."""
 
 
-@dataclass(frozen=True)
-class QualityReport:
+class QualityReport(Value):
     """Outcome of one quality evaluation.
 
     ``q_value`` is the worst upper ratio (or unbounded when a zero
@@ -62,14 +61,19 @@ class QualityReport:
     terminal metric for metric semantics (the violating metric instead when
     the lower check fails), a demand set for flows (likewise). ``completeness``
     is "exact" for exhaustive or proved evaluations and "sampled" where
-    random or given sets were probed.
+    random or given sets were probed. :meth:`~core.Record.replace` copies a
+    report with some fields changed.
     """
 
-    semantics: str
-    q_value: Fraction | Unbounded | None
-    lower_ok: bool | None
-    witness: object
-    completeness: str
+    __slots__ = _fields = ("semantics", "q_value", "lower_ok", "witness", "completeness")
+
+    def __init__(self, semantics: str, q_value: Fraction | Unbounded | None,
+                 lower_ok: bool | None, witness: object, completeness: str):
+        object.__setattr__(self, "semantics", semantics)
+        object.__setattr__(self, "q_value", q_value)
+        object.__setattr__(self, "lower_ok", lower_ok)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "completeness", completeness)
 
 
 def _check_k(g: WeightedGraph, beta: Sparsifier) -> None:
@@ -268,7 +272,7 @@ def flow_quality(g: WeightedGraph, beta: Sparsifier,
     if not report.lower_ok or report.q_value != q_cap:
         raise FlowProbeError(f"flow ratio at D = beta is {report.q_value} (lower bound "
                              f"held: {report.lower_ok}), metric upper quality is {q_cap}")
-    return replace(report, completeness=EXACT)
+    return report.replace(completeness=EXACT)
 
 
 def evaluate_operator_distortion(phi: ExtensionOperator,

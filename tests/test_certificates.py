@@ -1,6 +1,5 @@
 """Cut and metric certificates: verification, soundness, and wire format."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -301,9 +300,9 @@ def test_harvest_star_instance():
 def test_harvest_requires_convergence_and_material():
     report = find_optimal_operator(unit_star(3))
     with pytest.raises(ValueError, match="converged"):
-        harvest_certificate(dataclasses.replace(report, converged=False))
+        harvest_certificate(report.replace(converged=False))
     with pytest.raises(ValueError, match="worst metrics"):
-        harvest_certificate(dataclasses.replace(report, worst_metrics=()))
+        harvest_certificate(report.replace(worst_metrics=()))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,9 +1,12 @@
 """End-to-end CLI runs through main(): exit codes, artifacts, determinism."""
 
 import json
+import os
 import random
-from dataclasses import replace
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,7 @@ from vsparse import (
     sparsifier_from_json,
     sparsifier_to_json,
 )
+import vsparse
 from vsparse import cli, extension, lp, operators, quality
 from vsparse.cli import main
 from vsparse.jsonio import demands_to_json, dump_canonical, graph_to_json, loads
@@ -121,7 +125,7 @@ def test_sparsify_cross_checks_metric_upper_bound(tmp_path, monkeypatch):
     from vsparse import lp, quality
     upper = quality.metric_quality_upper
     monkeypatch.setattr(quality, "metric_quality_upper",
-                        lambda *args: replace(upper(*args), q_value=F(6, 5)))
+                        lambda *args: upper(*args).replace(q_value=F(6, 5)))
     with pytest.raises(lp.LpAuditError, match="6/5 of the collapse is not the operator's Q 4/3"):
         main(["sparsify", star_file(tmp_path), "--out", str(tmp_path / "out")])
 
@@ -135,7 +139,7 @@ def test_sparsify_writes_the_solves_metric_upper_report(tmp_path, n, k):
     assert main(["sparsify", graph, "--out", str(tmp_path / "out")]) == 0
     g_c, _ = canonicalize(g)
     phi = operator_from_json(loads((tmp_path / "out" / "operator.json").read_text()))
-    fresh = replace(metric_quality_upper(g_c, operator_to_sparsifier(phi, g_c)), lower_ok=True)
+    fresh = metric_quality_upper(g_c, operator_to_sparsifier(phi, g_c)).replace(lower_ok=True)
     assert (tmp_path / "out" / "quality_metric.json").read_text() == \
         dump_canonical(report_to_json(fresh))
 
@@ -574,3 +578,17 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     finally:
         cli._parser.cache_clear()
     assert built == [1]
+
+
+def test_cli_import_adds_no_dataclasses_or_inspect():
+    # every CLI call starts a fresh interpreter, and dataclasses alone pulls
+    # in inspect, ast, dis and tokenize; modules the interpreter held before
+    # the import, say from a site hook, do not count
+    probe = ("import sys; before = set(sys.modules); import vsparse.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
+    src = str(Path(vsparse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -142,3 +142,13 @@ def test_reprs_name_the_compared_fields():
     assert repr(lp.LpOutcome(lp.OPTIMAL, F(1), ([1], 1))) == \
         "LpOutcome(status='optimal', value=Fraction(1, 1), point=([1], 1), direction=None)"
     assert repr(DemandSet([(0, 1, 1)])) == "DemandSet(demands=((0, 1, Fraction(1, 1)),))"
+
+
+def test_replace_copies_through_the_constructor():
+    report = QualityReport("flow", F(1), True, None, "exact")
+    assert report.replace(q_value=F(2)) == QualityReport("flow", F(2), True, None, "exact")
+    assert report.q_value == 1
+    with pytest.raises(TypeError):
+        report.replace(witnes=None)
+    with pytest.raises(ValueError, match="negative"):  # the constructor validates again
+        DemandSet([(0, 1, 1)]).replace(demands=[(0, 1, -1)])
