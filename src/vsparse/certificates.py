@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import jsonio
 from .core import (
@@ -27,7 +27,9 @@ from .core import (
     integer_row,
 )
 from .extension import min_cut_via_flow, min_extension
-from .operators import OperatorSolveReport
+
+if TYPE_CHECKING:
+    from .operators import OperatorSolveReport
 
 Distribution = tuple[tuple[int, Fraction], ...]
 

@@ -7,6 +7,12 @@ file, and ``oracle`` cross-checks the LP machinery against brute-force
 computations. All artifacts are canonical JSON written atomically, and a
 fixed ``--seed`` makes every byte of output reproducible.
 
+Every call starts a fresh interpreter, so the module loads only the
+standard library, ``core`` and ``jsonio``, and each subcommand imports the
+modules it runs: ``certify`` never loads the operator solver or the grading
+code. A call looks each function up in its module, so a patch of that
+module's attribute reaches it.
+
 Exit codes: 0 success, 2 parse or validation error, 3 solver hit the
 iteration cap, 4 unbounded quality or distortion, 5 oracle mismatch.
 """
@@ -17,21 +23,12 @@ import argparse
 import contextlib
 import functools
 import os
-import random
 import sys
 from pathlib import Path
 from typing import Callable
 
-from . import certificates, jsonio, lp, operators, quality
-from .core import WeightedGraph, bipartitions, cut_metric, is_unbounded
-from .extension import (
-    best_zero_extension,
-    min_cut_by_enumeration,
-    min_cut_via_flow,
-    min_cut_via_lp,
-    min_extension,
-)
-from .sampling import random_metric
+from . import jsonio
+from .core import CUT, FLOW, METRIC, WeightedGraph, bipartitions, cut_metric, is_unbounded
 
 OK, PARSE_ERROR, NO_CONVERGENCE, UNBOUNDED_EXIT, ORACLE_MISMATCH = 0, 2, 3, 4, 5
 
@@ -51,8 +48,7 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _emit(report: quality.QualityReport, out: Path | None) -> None:
-    blob = jsonio.dump_canonical(quality.report_to_json(report))
+def _emit(blob: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(blob)
     else:
@@ -60,6 +56,8 @@ def _emit(report: quality.QualityReport, out: Path | None) -> None:
 
 
 def cmd_sparsify(args: argparse.Namespace) -> int:
+    from . import lp, operators, quality
+
     graph = jsonio.graph_from_json(_load(args.graph))
     out_dir = args.out
     try:
@@ -101,25 +99,32 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
 
 
 def cmd_quality(args: argparse.Namespace) -> int:
+    from . import quality
+
+    if args.semantics == FLOW and args.demands is None:
+        print("error: flow semantics requires --demands", file=sys.stderr)
+        return PARSE_ERROR
+    if args.semantics != FLOW and args.demands is not None:
+        print(f"error: {args.semantics} semantics takes no --demands", file=sys.stderr)
+        return PARSE_ERROR
     graph = jsonio.graph_from_json(_load(args.graph))
     beta = quality.sparsifier_from_json(_load(args.sparsifier))
-    if args.semantics == quality.CUT:
+    if args.semantics == CUT:
         report = quality.cut_quality(graph, beta)
-    elif args.semantics == quality.METRIC:
+    elif args.semantics == METRIC:
         report = quality.metric_quality(graph, beta, samples=args.samples, seed=args.seed)
     else:
-        if args.demands is None:
-            print("error: flow semantics requires --demands", file=sys.stderr)
-            return PARSE_ERROR
         demands = jsonio.demands_from_json(_load(args.demands))
         report = quality.flow_quality_probe(graph, beta, [demands])
-    _emit(report, args.out)
+    _emit(jsonio.dump_canonical(quality.report_to_json(report)), args.out)
     if is_unbounded(report.q_value):
         return UNBOUNDED_EXIT
     return OK
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from . import certificates
+
     cert = certificates.certificate_from_json(_load(args.certificate))
     if isinstance(cert, certificates.CutCertificate):
         value = certificates.certify_cut(cert)
@@ -130,12 +135,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _oracle_rows_mincut(graph: WeightedGraph, budget: int) -> list[tuple]:
+    from . import extension
+
     rows = []
     for mask, side in bipartitions(graph.k):
         label = f"mincut S={mask:#0{graph.k + 2}b}"
-        lp_val = min_cut_via_lp(graph, side)
-        flow_val = min_cut_via_flow(graph, side)
-        enum_val = min_cut_by_enumeration(graph, side, budget=budget)
+        lp_val = extension.min_cut_via_lp(graph, side)
+        flow_val = extension.min_cut_via_flow(graph, side)
+        enum_val = extension.min_cut_by_enumeration(graph, side, budget=budget)
         rows.append((f"{label} flow", lp_val, flow_val, "=", lp_val == flow_val))
         rows.append((f"{label} enum", lp_val, enum_val, "=", lp_val == enum_val))
     return rows
@@ -143,19 +150,23 @@ def _oracle_rows_mincut(graph: WeightedGraph, budget: int) -> list[tuple]:
 
 def _oracle_rows_zeroext(graph: WeightedGraph, budget: int, seed: int,
                          samples: int) -> list[tuple]:
+    import random
+
+    from . import extension, sampling
+
     rows = []
     # cut metrics first: the cheapest 0-extension must hit the min cut exactly
     for mask, side in bipartitions(graph.k):
         delta = cut_metric(side, graph.k)
-        lp_val = min_extension(graph, delta).value
-        ze_val = best_zero_extension(graph, delta, budget=budget).cost
+        lp_val = extension.min_extension(graph, delta).value
+        ze_val = extension.best_zero_extension(graph, delta, budget=budget).cost
         rows.append((f"zeroext S={mask:#0{graph.k + 2}b}", lp_val, ze_val, "=",
                      lp_val == ze_val))
     rng = random.Random(seed)
     for a in range(samples):
-        d_y = random_metric(rng, graph.k)
-        lp_val = min_extension(graph, d_y).value
-        ze_val = best_zero_extension(graph, d_y, budget=budget).cost
+        d_y = sampling.random_metric(rng, graph.k)
+        lp_val = extension.min_extension(graph, d_y).value
+        ze_val = extension.best_zero_extension(graph, d_y, budget=budget).cost
         rows.append((f"zeroext sample {a}", lp_val, ze_val, "<=", lp_val <= ze_val))
     return rows
 
@@ -219,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quality.add_argument("graph", type=Path, help="graph JSON file")
     p_quality.add_argument("sparsifier", type=Path, help="sparsifier JSON file")
     p_quality.add_argument("--semantics", required=True,
-                           choices=[quality.CUT, quality.METRIC, quality.FLOW])
+                           choices=[CUT, METRIC, FLOW])
     p_quality.add_argument("--demands", type=Path, default=None,
                            help="demand-set JSON file (flow semantics)")
     p_quality.add_argument("--out", type=Path, default=None, help="report file (default stdout)")

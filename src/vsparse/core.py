@@ -26,6 +26,7 @@ FractionLike = Union[Fraction, int, str]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 CUT_CAP = 20  # the most terminals whose 2^(k-1) - 1 bipartitions are enumerated
+CUT, METRIC, FLOW = "cut", "metric", "flow"  # the three sparsifier semantics
 
 
 def as_fraction(value: FractionLike) -> Fraction:

@@ -21,6 +21,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import jsonio, lp
 from .core import (
+    CUT,
+    FLOW,
+    METRIC,
     ONE,
     UNBOUNDED,
     ZERO,
@@ -41,7 +44,6 @@ from .sampling import random_metric
 if TYPE_CHECKING:
     from .operators import ExtensionOperator
 
-CUT, METRIC, FLOW = "cut", "metric", "flow"
 EXACT, SAMPLED = "exact", "sampled"
 
 

@@ -229,7 +229,7 @@ def test_more_terminals_than_the_cut_cap_are_refused_before_any_work(tmp_path, c
     def never(*args, **kwargs):
         raise AssertionError("work started before the terminal count was checked")
 
-    for module in (extension, operators, quality, cli):
+    for module in (extension, operators, quality):
         monkeypatch.setattr(module, "min_cut_via_flow", never)
     monkeypatch.setattr(lp, "solve", never)
     graph = write_json(tmp_path / "star.json", graph_to_json(unit_star(21)))
@@ -285,6 +285,18 @@ def test_quality_flow_needs_demands(tmp_path, capsys):
     assert "requires --demands" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("semantics", ["cut", "metric"])
+def test_quality_refuses_demands_outside_flow(tmp_path, capsys, semantics):
+    # only flow grades a demand set; cut and metric would drop the file unread
+    demands = write_json(tmp_path / "d.json", demands_to_json(DemandSet([(0, 1, 1)])))
+    out = tmp_path / "report.json"
+    code = main(["quality", star_file(tmp_path), half_triangle_file(tmp_path),
+                 "--semantics", semantics, "--demands", demands, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {semantics} semantics takes no --demands\n")
+    assert not out.exists()
+
+
 def test_quality_flow_with_demands(tmp_path, capsys):
     demands = write_json(tmp_path / "d.json",
                          demands_to_json(DemandSet([(0, 1, 1), (1, 2, F(1, 2))])))
@@ -313,7 +325,8 @@ def test_quality_terminal_count_mismatch(tmp_path, capsys):
     beta = half_triangle_file(tmp_path)
     demands = write_json(tmp_path / "d.json", demands_to_json(DemandSet([(0, 1, 1)])))
     for semantics in ["cut", "metric", "flow"]:
-        code = main(["quality", path, beta, "--semantics", semantics, "--demands", demands])
+        flow_only = ["--demands", demands] if semantics == "flow" else []
+        code = main(["quality", path, beta, "--semantics", semantics, *flow_only])
         assert code == 2
         assert capsys.readouterr().err == "error: sparsifier has 3 terminals, graph has 2\n"
 
@@ -332,8 +345,9 @@ def test_quality_unbounded_like_cut(tmp_path, capsys, semantics):
     # G does not join the terminals, the sparsifier does: unbounded, as under cut
     beta = write_json(tmp_path / "b.json", sparsifier_to_json(Sparsifier(2, {(0, 1): F(1)})))
     demands = write_json(tmp_path / "d.json", demands_to_json(DemandSet([(0, 1, 1)])))
+    flow_only = ["--demands", demands] if semantics == "flow" else []
     code = main(["quality", split_graph_file(tmp_path), beta, "--semantics", semantics,
-                 "--demands", demands])
+                 *flow_only])
     assert code == 4
     assert loads(capsys.readouterr().out)["q_value"] == "unbounded"
 
@@ -580,15 +594,55 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     assert built == [1]
 
 
+def _fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's vsparse."""
+    src = str(Path(vsparse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_cli_import_adds_no_dataclasses_or_inspect():
     # every CLI call starts a fresh interpreter, and dataclasses alone pulls
     # in inspect, ast, dis and tokenize; modules the interpreter held before
-    # the import, say from a site hook, do not count
-    probe = ("import sys; before = set(sys.modules); import vsparse.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
-    src = str(Path(vsparse.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # the import, say from a site hook, do not count. Every module of the
+    # package is imported, since a CLI call loads only those it runs
+    probe = ("import importlib, os, sys; before = set(sys.modules); import vsparse; "
+             "files = os.listdir(os.path.dirname(vsparse.__file__)); "
+             "names = sorted(f[:-3] for f in files if f.endswith('.py') and f != '__init__.py'); "
+             "[importlib.import_module('vsparse.' + name) for name in names]; "
+             "print(names == sorted(m[8:] for m in sys.modules if m.startswith('vsparse.')), "
+             "sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
+    assert _fresh_interpreter(probe).stdout.strip() == "True []"
+
+
+def _modules_loaded_by(argv: list[str]) -> list[str]:
+    """The package's modules a fresh interpreter holds after ``main(argv)``,
+    as the installed console script runs it."""
+    probe = ("import sys; from vsparse.cli import main; code = main(sys.argv[1:]); "
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'vsparse')); "
+             "sys.exit(code)")
+    return _fresh_interpreter(probe, *argv).stdout.splitlines()[-1].split()
+
+
+def test_certify_loads_no_solver_grading_or_sampling(tmp_path):
+    cert = write_json(tmp_path / "c.json",
+                      certificate_to_json(CutCertificate(path3(), [(1, 1)], [(1, 1)])))
+    assert _modules_loaded_by(["certify", cert]) == [
+        "vsparse", "vsparse.certificates", "vsparse.cli", "vsparse.core",
+        "vsparse.extension", "vsparse.jsonio", "vsparse.lp"]
+
+
+def test_cut_quality_loads_no_solver_or_certificates(tmp_path):
+    argv = ["quality", star_file(tmp_path), half_triangle_file(tmp_path), "--semantics", "cut"]
+    assert _modules_loaded_by(argv) == [
+        "vsparse", "vsparse.cli", "vsparse.core", "vsparse.extension", "vsparse.jsonio",
+        "vsparse.lp", "vsparse.quality", "vsparse.sampling"]
+
+
+def test_package_import_loads_no_module():
+    probe = "import sys, vsparse; print(sorted(m for m in sys.modules if m.startswith('vsparse')))"
+    assert _fresh_interpreter(probe).stdout.strip() == "['vsparse']"

@@ -4,8 +4,9 @@ Exactness invariants are raised, never asserted: ``python -O`` strips
 ``assert`` statements, so the package checks its invariants with explicit
 raises (``lp.check`` raises ``LpAuditError``, an ``AssertionError``
 subclass). And the package has zero runtime dependencies: it imports only
-the standard library. Every name in ``vsparse.__all__`` resolves, and
-README's Library block runs as written.
+the standard library. Every name in ``vsparse.__all__`` resolves, lazily,
+to the object its home module holds at that moment, and README's Library
+block runs as written.
 """
 
 import ast
@@ -60,6 +61,32 @@ def test_every_public_name_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(vsparse, name)]
     assert not missing, f"names in vsparse.__all__ that vsparse lacks: {missing}"
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    for name in vsparse.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(vsparse, name)
+        home = sys.modules[value.__module__]  # UNBOUNDED reads its class's module
+        assert home.__name__.startswith("vsparse.") and getattr(home, name) is value, name
+
+
+def test_public_names_follow_a_patched_home_module(monkeypatch):
+    # no name is cached on the package, so a patch of the home module shows
+    from vsparse import core, quality
+    monkeypatch.setattr(core, "pair", lambda i, j: None)
+    monkeypatch.setattr(quality, "cut_quality", len)
+    assert vsparse.pair is core.pair and vsparse.cut_quality is len
+    assert "pair" not in vars(vsparse) and "cut_quality" not in vars(vsparse)
+
+
+def test_dir_lists_the_public_names_and_submodules_still_import():
+    assert set(vsparse.__all__) <= set(dir(vsparse))
+    from vsparse import lp as imported
+    assert imported is lp
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        vsparse.not_a_name
 
 
 def test_readme_library_block_runs_as_written():
