@@ -48,13 +48,6 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _emit(blob: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(blob)
-    else:
-        _write_atomic(out, blob)
-
-
 def cmd_sparsify(args: argparse.Namespace) -> int:
     from . import lp, operators, quality
 
@@ -107,16 +100,24 @@ def cmd_quality(args: argparse.Namespace) -> int:
     if args.semantics != FLOW and args.demands is not None:
         print(f"error: {args.semantics} semantics takes no --demands", file=sys.stderr)
         return PARSE_ERROR
+    sampling = {name: value for name, value in vars(args).items() if name in ("seed", "samples")}
+    if args.semantics != METRIC and sampling:
+        print(f"error: {args.semantics} semantics takes no --seed or --samples", file=sys.stderr)
+        return PARSE_ERROR
     graph = jsonio.graph_from_json(_load(args.graph))
     beta = quality.sparsifier_from_json(_load(args.sparsifier))
     if args.semantics == CUT:
         report = quality.cut_quality(graph, beta)
     elif args.semantics == METRIC:
-        report = quality.metric_quality(graph, beta, samples=args.samples, seed=args.seed)
+        report = quality.metric_quality(graph, beta, **sampling)
     else:
         demands = jsonio.demands_from_json(_load(args.demands))
-        report = quality.flow_quality_probe(graph, beta, [demands])
-    _emit(jsonio.dump_canonical(quality.report_to_json(report)), args.out)
+        report = quality.flow_quality_probe(graph, beta, demands)
+    blob = jsonio.dump_canonical(quality.report_to_json(report))
+    if args.out is None:
+        sys.stdout.write(blob)
+    else:
+        _write_atomic(args.out, blob)
     if is_unbounded(report.q_value):
         return UNBOUNDED_EXIT
     return OK
@@ -211,12 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact vertex sparsifiers via optimal metric extension operators.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled metrics (sparsify ignores it)")
-        p.add_argument("--samples", type=_at_least(0), default=100,
-                       help="random metrics for sampled lower checks "
-                            "(sparsify ignores it, oracle uses at most 5)")
+    def common(p: argparse.ArgumentParser, seed: object = 0, samples: object = 100) -> None:
+        p.add_argument("--seed", type=int, default=seed,
+                       help="seed for sampled metrics, default 0 (quality takes it only "
+                            "under metric semantics, sparsify ignores it)")
+        p.add_argument("--samples", type=_at_least(0), default=samples,
+                       help="random metrics for sampled lower checks, default 100 (quality "
+                            "takes it only under metric semantics, sparsify ignores it, "
+                            "oracle uses at most 5)")
 
     p_sparsify = sub.add_parser("sparsify", help="solve for the optimal operator "
                                 "and write all artifacts")
@@ -234,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_quality.add_argument("--demands", type=Path, default=None,
                            help="demand-set JSON file (flow semantics)")
     p_quality.add_argument("--out", type=Path, default=None, help="report file (default stdout)")
-    common(p_quality)
+    # left out of the namespace unless given: only metric semantics samples
+    common(p_quality, argparse.SUPPRESS, argparse.SUPPRESS)
 
     p_certify = sub.add_parser("certify", help="verify a certificate file")
     p_certify.add_argument("certificate", type=Path, help="certificate JSON file")

@@ -5,7 +5,7 @@ terminal bipartition and compares the sparsifier's cut to the terminal min
 cut; metric quality bounds the sparsifier's value against the minimum
 extension through a single LP; flow quality compares maximum
 concurrent-flow fractions through the dual LPs, exactly at the
-sparsifier's own demands or on given ones. The metric and flow LPs are one
+sparsifier's own demands or on a given set. The metric and flow LPs are one
 program in two normalizations (:func:`extension.terminal_pair_lp`): over
 edge lengths with shortest-path rows on a graph of more than
 ``RAY_POINTS`` vertices, read off the extreme rays of the vertex metric
@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from . import jsonio, lp
 from .core import (
     CUT,
     FLOW,
     METRIC,
-    ONE,
     UNBOUNDED,
     ZERO,
     DemandSet,
@@ -56,14 +55,14 @@ class QualityReport(Value):
     """Outcome of one quality evaluation.
 
     ``q_value`` is the worst upper ratio (or unbounded when a zero
-    denominator meets a positive numerator); None on lower-check fragments
-    that measure no upper ratio. ``lower_ok`` records whether the lower
-    bound held everywhere checked; None when the evaluation does not check
-    it. ``witness`` achieves q_value: a terminal-subset bitmask for cuts, a
-    terminal metric for metric semantics (the violating metric instead when
-    the lower check fails), a demand set for flows (likewise). ``completeness``
-    is "exact" for exhaustive or proved evaluations and "sampled" where
-    random or given sets were probed. :meth:`~core.Record.replace` copies a
+    denominator meets a positive numerator, 0 when nothing binds); None on
+    lower-check fragments that measure no upper ratio. ``lower_ok`` records
+    whether the lower bound held everywhere checked; None when the
+    evaluation does not check it. ``witness`` achieves q_value: a
+    terminal-subset bitmask for cuts, a terminal metric for metric semantics
+    (the violating metric instead when the lower check fails), the demand
+    set graded for flows. ``completeness`` is "exact" for exhaustive or
+    proved evaluations and "sampled" where random or given sets were probed. :meth:`~core.Record.replace` copies a
     report with some fields changed.
     """
 
@@ -91,30 +90,23 @@ def cut_quality(g: WeightedGraph, beta: Sparsifier) -> QualityReport:
     come from the max-flow route, which keeps that many within reach; the LP
     route is cross-checked elsewhere. Bipartitions where both values are
     zero bind nothing and are skipped; a zero min cut against a positive
-    sparsifier cut makes the quality unbounded. With a single terminal
-    there is nothing to preserve and the quality is 1 by convention.
+    sparsifier cut makes the quality unbounded. When no bipartition binds,
+    as with a single terminal, the quality is 0 with no witness, the value
+    the metric LP and the operator solve give there too.
     """
     _check_k(g, beta)
-    best: Fraction | None = None
+    best: Fraction | Unbounded = ZERO
     best_mask: int | None = None
-    unbounded_mask: int | None = None
     lower_ok = True
     for mask, side in bipartitions(g.k):
         h_val = beta.cut_value(side)
         g_val = min_cut_via_flow(g, side)
-        if h_val < g_val:
-            lower_ok = False
-        if g_val == 0:
-            if h_val > 0 and unbounded_mask is None:
-                unbounded_mask = mask
+        lower_ok = lower_ok and h_val >= g_val
+        if is_unbounded(best) or g_val == 0 == h_val:
             continue
-        ratio = h_val / g_val
-        if best is None or ratio > best:
+        ratio = h_val / g_val if g_val else UNBOUNDED
+        if best_mask is None or is_unbounded(ratio) or ratio > best:
             best, best_mask = ratio, mask
-    if unbounded_mask is not None:
-        return QualityReport(CUT, UNBOUNDED, lower_ok, unbounded_mask, EXACT)
-    if best is None:
-        return QualityReport(CUT, ONE, lower_ok, None, EXACT)
     return QualityReport(CUT, best, lower_ok, best_mask, EXACT)
 
 
@@ -211,47 +203,29 @@ def max_concurrent_flow(g: WeightedGraph | Sparsifier, demands: DemandSet) -> Fr
     return result.value
 
 
-def flow_quality_probe(g: WeightedGraph, beta: Sparsifier,
-                       demand_sets: Sequence[DemandSet],
+def flow_quality_probe(g: WeightedGraph, beta: Sparsifier, demands: DemandSet,
                        q_cap: Fraction | Unbounded | None = None) -> QualityReport:
-    """Check the flow sandwich on given demand sets and report the tightest.
+    """Check the flow sandwich on one demand set D and report its ratio.
 
-    For each demand set D: lambda_G(D) <= lambda_H(D) <= Q * lambda_G(D),
-    where Q is the exact metric quality upper bound. The upper one holds for
-    every beta, so its failure raises :class:`FlowProbeError`; the first set
-    failing the lower one sets ``lower_ok`` False and is the witness, as in
-    :func:`metric_quality`. Otherwise the witness achieves q_value, the
-    largest lambda_H / lambda_G: unbounded at the first set with lambda_G = 0
-    < lambda_H, else 1 if every flow pair was zero. A caller that already
-    holds ``metric_quality_upper(g, beta).q_value`` passes it as ``q_cap``;
-    otherwise it is computed here.
+    lambda_G(D) <= lambda_H(D) <= Q * lambda_G(D), where Q is the exact
+    metric quality upper bound. The upper one holds for every beta, so its
+    failure raises :class:`FlowProbeError`; ``lower_ok`` records the lower
+    one. q_value is lambda_H / lambda_G: unbounded when lambda_G = 0 <
+    lambda_H, and 0 when both flows are 0. The witness is D. A caller that
+    already holds ``metric_quality_upper(g, beta).q_value`` passes it as
+    ``q_cap``; otherwise it is computed here.
     """
     _check_k(g, beta)
-    if not demand_sets:
-        raise ValueError("flow probe needs at least one demand set")
     if q_cap is None:
         q_cap = metric_quality_upper(g, beta).q_value
-    best: Fraction | Unbounded | None = None
-    best_set: DemandSet | None = None
-    violated: DemandSet | None = None
-    unbounded_set: DemandSet | None = None
-    for ds in demand_sets:
-        lam_g = max_concurrent_flow(g, ds)
-        lam_h = max_concurrent_flow(beta, ds)
-        if lam_h < lam_g:
-            violated = violated or ds
-        if not is_unbounded(q_cap) and lam_h > q_cap * lam_g:
-            raise FlowProbeError(
-                f"flow ratio exceeds metric quality {q_cap}: "
-                f"{lam_h} > {q_cap} * {lam_g} on {ds.demands}")
-        if lam_g == 0 < lam_h:
-            unbounded_set = unbounded_set or ds
-        elif lam_g > 0 and (best is None or lam_h / lam_g > best):
-            best, best_set = lam_h / lam_g, ds
-    if unbounded_set is not None:
-        best, best_set = UNBOUNDED, unbounded_set
-    return QualityReport(FLOW, ONE if best is None else best, violated is None,
-                         violated or best_set, SAMPLED)
+    lam_g = max_concurrent_flow(g, demands)
+    lam_h = max_concurrent_flow(beta, demands)
+    if not is_unbounded(q_cap) and lam_h > q_cap * lam_g:
+        raise FlowProbeError(
+            f"flow ratio exceeds metric quality {q_cap}: "
+            f"{lam_h} > {q_cap} * {lam_g} on {demands.demands}")
+    ratio = lam_h / lam_g if lam_g else (UNBOUNDED if lam_h else ZERO)
+    return QualityReport(FLOW, ratio, lam_h >= lam_g, demands, SAMPLED)
 
 
 def flow_quality(g: WeightedGraph, beta: Sparsifier,
@@ -259,18 +233,18 @@ def flow_quality(g: WeightedGraph, beta: Sparsifier,
     """The worst lambda_H(D) / lambda_G(D) over all demand sets D, exactly.
 
     By LP duality it is the metric upper quality Q = ``q_cap``, reached at
-    D = beta (positive entries, sorted): lambda_H(beta) = 1 and lambda_G(beta)
+    D = beta (its entries, sorted): lambda_H(beta) = 1 and lambda_G(beta)
     = 1/Q (Leighton & Moitra 2010; Charikar, Leighton, Li & Moitra 2010).
     An unbounded Q has lambda_G(beta) = 0 and gives an unbounded report.
     The probe's report on D must pass its lower check and equal Q, as for a
-    collapsed operator, else :class:`FlowProbeError`. With no positive entry
-    the report is a vacuous 1.
+    collapsed operator, else :class:`FlowProbeError`. With no entry there is
+    no demand to route and the report is 0, as Q is.
     """
     _check_k(g, beta)
-    demands = DemandSet([(p, q, w) for (p, q), w in sorted(beta.beta.items()) if w > 0])
+    demands = DemandSet([(p, q, w) for (p, q), w in sorted(beta.beta.items())])
     if not demands.demands:
-        return QualityReport(FLOW, ONE, True, None, EXACT)
-    report = flow_quality_probe(g, beta, [demands], q_cap=q_cap)
+        return QualityReport(FLOW, ZERO, True, None, EXACT)
+    report = flow_quality_probe(g, beta, demands, q_cap=q_cap)
     if not report.lower_ok or report.q_value != q_cap:
         raise FlowProbeError(f"flow ratio at D = beta is {report.q_value} (lower bound "
                              f"held: {report.lower_ok}), metric upper quality is {q_cap}")

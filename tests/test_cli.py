@@ -176,7 +176,7 @@ def test_sparsify_single_terminal_writes_vacuous_flow(tmp_path):
     graph = write_json(tmp_path / "g.json", graph_to_json(g))
     assert main(["sparsify", graph, "--out", str(tmp_path / "out")]) == 0
     flow = report_from_json(loads((tmp_path / "out" / "quality_flow.json").read_text()))
-    assert flow.q_value == 1 and flow.witness is None
+    assert flow.q_value == 0 and flow.witness is None
     assert flow.completeness == "exact"
 
 
@@ -185,7 +185,24 @@ def test_sparsify_split_graph_writes_vacuous_flow(tmp_path, capsys):
     assert main(["sparsify", split_graph_file(tmp_path), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.startswith("Q = 0/1 ")
     flow = report_from_json(loads((tmp_path / "out" / "quality_flow.json").read_text()))
-    assert flow == QualityReport("flow", F(1), True, None, "exact")
+    assert flow == QualityReport("flow", F(0), True, None, "exact")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparsify_reports_carry_the_printed_q_on_small_draws(tmp_path, capsys, seed):
+    # about half of these draws have one terminal or terminals with no path
+    # between them, where Q = 0: nothing to grade reads 0 under every semantics
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    k = rng.randint(1, min(n, 4))
+    g = random_graph(rng, n, k, connected=rng.random() < 0.5)
+    graph = write_json(tmp_path / "g.json", graph_to_json(g))
+    assert main(["sparsify", graph, "--out", str(tmp_path / "out")]) == 0
+    printed = capsys.readouterr().out.split()[2]
+    q_of = {semantics: loads((tmp_path / "out" / f"quality_{semantics}.json").read_text())
+            ["q_value"] for semantics in ("cut", "metric", "flow")}
+    assert q_of["metric"] == q_of["flow"] == printed
+    assert F(q_of["cut"]) <= F(printed)
 
 
 def test_sparsify_iteration_cap(tmp_path, capsys):
@@ -295,6 +312,38 @@ def test_quality_refuses_demands_outside_flow(tmp_path, capsys, semantics):
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {semantics} semantics takes no --demands\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("semantics", ["cut", "flow"])
+@pytest.mark.parametrize("flag", ["--seed", "--samples"])
+def test_quality_refuses_sampling_flags_outside_metric(tmp_path, capsys, semantics, flag):
+    # only metric semantics samples; the refusal comes before any file is read
+    missing = str(tmp_path / "absent.json")
+    demands = ["--demands", missing] if semantics == "flow" else []
+    out = tmp_path / "report.json"
+    code = main(["quality", missing, missing, "--semantics", semantics, *demands,
+                 flag, "7", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: {semantics} semantics takes no --seed or --samples\n")
+    assert not out.exists()
+
+
+def test_quality_metric_samples_seed_0_and_100_metrics_by_default(tmp_path, monkeypatch):
+    seen = []
+    real = quality.metric_lower_check
+
+    def spy(g, beta, samples, seed):
+        seen.append((samples, seed))
+        return real(g, beta, samples=samples, seed=seed)
+
+    monkeypatch.setattr(quality, "metric_lower_check", spy)
+    graph, beta = star_file(tmp_path), half_triangle_file(tmp_path)
+    assert main(["quality", graph, beta, "--semantics", "metric", "--out",
+                 str(tmp_path / "a.json")]) == 0
+    assert main(["quality", graph, beta, "--semantics", "metric", "--seed", "3",
+                 "--samples", "5", "--out", str(tmp_path / "b.json")]) == 0
+    assert seen == [(100, 0), (5, 3)]
 
 
 def test_quality_flow_with_demands(tmp_path, capsys):

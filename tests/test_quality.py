@@ -146,14 +146,15 @@ def test_cut_quality_unbounded_on_disconnected_terminals():
 
 
 def test_cut_quality_zero_over_zero_is_vacuous():
+    # nothing binds: 0, as the metric LP and the operator solve read there
     report = cut_quality(split_graph(), Sparsifier(2, {}))
-    assert report == QualityReport(CUT, F(1), True, None, EXACT)
+    assert report == QualityReport(CUT, F(0), True, None, EXACT)
 
 
-def test_cut_quality_single_terminal_is_one():
+def test_cut_quality_single_terminal_is_zero():
     g = WeightedGraph(2, [0], {(0, 1): 5})
     report = cut_quality(g, Sparsifier(1, {}))
-    assert report == QualityReport(CUT, F(1), True, None, EXACT)
+    assert report == QualityReport(CUT, F(0), True, None, EXACT)
 
 
 def test_cut_quality_lower_violation_is_flagged():
@@ -187,7 +188,7 @@ def test_cut_quality_matches_enumeration_oracle(seed):
     if expected == "unbounded":
         assert is_unbounded(report.q_value)
     elif expected is None:
-        assert report.q_value == 1 and report.witness is None
+        assert report.q_value == 0 and report.witness is None
     else:
         assert report.q_value == expected
         # the witness bipartition achieves the reported ratio
@@ -360,48 +361,42 @@ def test_flow_scales_inversely_with_demand(seed):
 def test_flow_probe_identity_sparsifier_ratio_one():
     g = triangle_y()
     beta = Sparsifier(3, dict(g.weights))
-    sets = [DemandSet([(0, 1, 1)]), DemandSet([(0, 1, 1), (1, 2, 2)])]
-    report = flow_quality_probe(g, beta, sets)
-    assert report.q_value == 1
-    assert report.lower_ok is True
-    assert report.witness == sets[0]
-    assert report.completeness == SAMPLED
+    for demands in (DemandSet([(0, 1, 1)]), DemandSet([(0, 1, 1), (1, 2, 2)])):
+        assert flow_quality_probe(g, beta, demands) == \
+            QualityReport(FLOW, F(1), True, demands, SAMPLED)
 
 
 def test_flow_probe_path_edge_sparsifier():
-    report = flow_quality_probe(path3(), Sparsifier(2, {(0, 1): 1}),
-                                [DemandSet([(0, 1, 3)])])
+    report = flow_quality_probe(path3(), Sparsifier(2, {(0, 1): 1}), DemandSet([(0, 1, 3)]))
     assert report.q_value == 1
     assert report.witness == DemandSet([(0, 1, 3)])
 
 
-def test_flow_probe_needs_demand_sets():
-    with pytest.raises(ValueError, match="at least one demand set"):
-        flow_quality_probe(path3(), Sparsifier(2, {(0, 1): 1}), [])
-
-
 def test_flow_probe_underweight_sparsifier_reports_lower_failure():
-    # the first set routes better in H, the second worse: the ratio comes
-    # from the first, the witness from the second, as in metric_quality
+    # H routes (0, 2) at 1/4 + 1/4 through its direct and its 1-2 pair, G at
+    # 1: the ratio is 1/2 and the failing set is the witness; (0, 1) routes
+    # better in H and passes
     beta = Sparsifier(3, {(0, 1): 1, (0, 2): F(1, 4), (1, 2): F(1, 4)})
-    sets = [DemandSet([(0, 1, 1)]), DemandSet([(0, 2, 1)]), DemandSet([(1, 2, 1)])]
-    report = flow_quality_probe(unit_star(3), beta, sets)
-    assert report == QualityReport(FLOW, F(5, 4), False, sets[1], SAMPLED)
+    worse, better = DemandSet([(0, 2, 1)]), DemandSet([(0, 1, 1)])
+    assert flow_quality_probe(unit_star(3), beta, worse) == \
+        QualityReport(FLOW, F(1, 2), False, worse, SAMPLED)
+    assert flow_quality_probe(unit_star(3), beta, better) == \
+        QualityReport(FLOW, F(5, 4), True, better, SAMPLED)
 
 
 def test_flow_probe_vacuous_on_disconnected_demands():
-    # the only demand crosses the split: both flows are 0, ratio defaults to 1
-    beta = Sparsifier(2, {})
-    report = flow_quality_probe(split_graph(), beta, [DemandSet([(0, 1, 1)])])
-    assert report == QualityReport(FLOW, F(1), True, None, SAMPLED)
+    # the only demand crosses the split: both flows are 0, and so is the ratio
+    demands = DemandSet([(0, 1, 1)])
+    report = flow_quality_probe(split_graph(), Sparsifier(2, {}), demands)
+    assert report == QualityReport(FLOW, F(0), True, demands, SAMPLED)
 
 
 def test_flow_probe_unbounded_when_graph_flow_is_zero():
     # G cannot route the demand at all, H can: unbounded, as under cut and metric
     beta = Sparsifier(2, {(0, 1): 1})
-    sets = [DemandSet([(0, 1, 2)]), DemandSet([(0, 1, 1)])]
-    report = flow_quality_probe(split_graph(), beta, sets)
-    assert report == QualityReport(FLOW, UNBOUNDED, True, sets[0], SAMPLED)
+    for demands in (DemandSet([(0, 1, 2)]), DemandSet([(0, 1, 1)])):
+        assert flow_quality_probe(split_graph(), beta, demands) == \
+            QualityReport(FLOW, UNBOUNDED, True, demands, SAMPLED)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -410,11 +405,12 @@ def test_flow_probe_ratio_below_metric_upper(seed):
     rng = random.Random(seed)
     g, _ = canonicalize(random_graph(rng, rng.randint(3, 5), rng.randint(2, 3)))
     beta = operator_to_sparsifier(find_optimal_operator(g).operator, g)
-    sets = [random_demands(rng, g.k, rng.randint(1, 3)) for _ in range(4)]
-    report = flow_quality_probe(g, beta, sets)
     upper = metric_quality_upper(g, beta).q_value
-    assert 1 <= report.q_value <= upper
-    assert report.witness in sets
+    for _ in range(4):
+        demands = random_demands(rng, g.k, rng.randint(1, 3))
+        report = flow_quality_probe(g, beta, demands)
+        assert 1 <= report.q_value <= upper
+        assert report.lower_ok is True and report.witness == demands
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -422,17 +418,19 @@ def test_flow_probe_same_report_with_passed_cap(seed):
     rng = random.Random(seed)
     g, _ = canonicalize(random_graph(rng, rng.randint(3, 5), rng.randint(2, 3)))
     beta = operator_to_sparsifier(find_optimal_operator(g).operator, g)
-    sets = [random_demands(rng, g.k, rng.randint(1, 3)) for _ in range(3)]
     upper = metric_quality_upper(g, beta).q_value
-    assert flow_quality_probe(g, beta, sets, q_cap=upper) == flow_quality_probe(g, beta, sets)
+    for _ in range(3):
+        demands = random_demands(rng, g.k, rng.randint(1, 3))
+        assert flow_quality_probe(g, beta, demands, q_cap=upper) == \
+            flow_quality_probe(g, beta, demands)
 
 
 def test_flow_probe_checks_against_passed_cap():
     # doubling the path's edge doubles the flow: quality 2, so a cap of 3/2 breaks
-    beta, sets = Sparsifier(2, {(0, 1): 2}), [DemandSet([(0, 1, 1)])]
-    assert flow_quality_probe(path3(), beta, sets).q_value == 2
+    beta, demands = Sparsifier(2, {(0, 1): 2}), DemandSet([(0, 1, 1)])
+    assert flow_quality_probe(path3(), beta, demands).q_value == 2
     with pytest.raises(FlowProbeError, match="exceeds metric quality 3/2"):
-        flow_quality_probe(path3(), beta, sets, q_cap=F(3, 2))
+        flow_quality_probe(path3(), beta, demands, q_cap=F(3, 2))
 
 
 # --- exact flow quality ----------------------------------------------------
@@ -452,7 +450,8 @@ def test_flow_quality_exact_on_pipeline_instances(seed):
 
 
 def test_flow_quality_vacuous_without_positive_entries():
-    empty = QualityReport(FLOW, F(1), True, None, EXACT)
+    # no demand to route: 0, as the metric upper quality of an empty beta
+    empty = QualityReport(FLOW, F(0), True, None, EXACT)
     assert flow_quality(split_graph(), Sparsifier(2, {}), F(0)) == empty
     assert flow_quality(WeightedGraph(2, [0], {(0, 1): 3}), Sparsifier(1, {}), F(1)) == empty
 
@@ -550,8 +549,8 @@ def test_identity_instance_all_semantics_are_one(seed):
     assert cut_quality(g, beta).q_value == 1
     merged = metric_quality(g, beta, samples=20, seed=seed)
     assert merged.q_value == 1 and merged.lower_ok is True
-    sets = [random_demands(rng, n, rng.randint(1, 3)) for _ in range(3)]
-    assert flow_quality_probe(g, beta, sets).q_value == 1
+    for _ in range(3):
+        assert flow_quality_probe(g, beta, random_demands(rng, n, rng.randint(1, 3))).q_value == 1
 
 
 # --- sparsifier wire format ----------------------------------------------
@@ -633,7 +632,7 @@ def test_report_json_round_trips_real_reports():
         cut_quality(g, half_triangle(3)),
         metric_quality(g, half_triangle(3), samples=10),
         metric_quality_upper(split_graph(), Sparsifier(2, {(0, 1): 1})),
-        flow_quality_probe(g, half_triangle(3), [DemandSet([(0, 1, 1)])]),
+        flow_quality_probe(g, half_triangle(3), DemandSet([(0, 1, 1)])),
     ]
     for report in reports:
         assert report_from_json(report_to_json(report)) == report
