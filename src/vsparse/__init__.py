@@ -38,11 +38,10 @@ _EXPORTS = {
         "ExtensionResult",
         "ZeroExtension",
         "best_zero_extension",
-        "min_cut_by_enumeration",
-        "min_cut_via_flow",
         "min_cut_via_lp",
         "min_extension",
     ),
+    "mincut": ("min_cut_by_enumeration", "min_cut_via_flow"),
     "operators": (
         "ExtensionOperator",
         "MembershipViolation",

@@ -5,9 +5,11 @@ cut marginals nest within a scale c; it certifies that no cut sparsifier
 of the instance beats the certified Q. A metric certificate is a finite
 family of terminal metrics whose summed minimum extensions exceed the
 extension of the summed metric; it certifies the same for metric
-sparsifiers. Verification is purely combinatorial plus minimum-extension
-evaluations, entirely independent of the operator solver, which is what
-makes the harvested certificates a genuine cross-check on it.
+sparsifiers. Verification is purely combinatorial plus minimum extensions:
+terminal min cuts from the max-flow of :mod:`vsparse.mincut`, and the
+``min_extension`` LP, imported only for a metric that is not a scaled cut.
+It is independent of the operator solver, which is what makes the
+harvested certificates a genuine cross-check on it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .core import (
     as_fraction,
     integer_row,
 )
-from .extension import min_cut_via_flow, min_extension
+from .mincut import min_cut_via_flow
 
 if TYPE_CHECKING:
     from .operators import OperatorSolveReport
@@ -200,6 +202,8 @@ def _min_extension_value(g: WeightedGraph, d: Metric) -> Fraction:
     is integral."""
     cut = _cut_scale(d)
     if cut is None:
+        from .extension import min_extension
+
         return min_extension(g, d).value
     c, side = cut
     return c * min_cut_via_flow(g, side)

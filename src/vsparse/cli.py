@@ -10,8 +10,8 @@ fixed ``--seed`` makes every byte of output reproducible.
 Every call starts a fresh interpreter, so the module loads only the
 standard library, ``core`` and ``jsonio``, and each subcommand imports the
 modules it runs: ``certify`` never loads the operator solver or the grading
-code. A call looks each function up in its module, so a patch of that
-module's attribute reaches it.
+code, nor on a cut certificate the LP. A call looks each function up in its
+module, so a patch of that module's attribute reaches it.
 
 Exit codes: 0 success, 2 parse or validation error, 3 solver hit the
 iteration cap, 4 unbounded quality or distortion, 5 oracle mismatch.
@@ -136,14 +136,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _oracle_rows_mincut(graph: WeightedGraph, budget: int) -> list[tuple]:
-    from . import extension
+    from . import extension, mincut
 
     rows = []
     for mask, side in bipartitions(graph.k):
         label = f"mincut S={mask:#0{graph.k + 2}b}"
         lp_val = extension.min_cut_via_lp(graph, side)
-        flow_val = extension.min_cut_via_flow(graph, side)
-        enum_val = extension.min_cut_by_enumeration(graph, side, budget=budget)
+        flow_val = mincut.min_cut_via_flow(graph, side)
+        enum_val = mincut.min_cut_by_enumeration(graph, side, budget=budget)
         rows.append((f"{label} flow", lp_val, flow_val, "=", lp_val == flow_val))
         rows.append((f"{label} enum", lp_val, enum_val, "=", lp_val == enum_val))
     return rows

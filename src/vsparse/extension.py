@@ -3,11 +3,10 @@
 ``min_extension`` computes, by exact LP, the cheapest semimetric on all
 vertices that agrees with a prescribed semimetric on the terminals; the
 weighted cost counts each unordered pair once. Two independent oracles keep
-it honest: max-flow (for cut metrics the minimum extension is exactly a
-terminal min cut) and exhaustive 0-extension enumeration (an upper bound
-for arbitrary metrics). ``min_cut_via_flow`` is the package's one max-flow,
-by shortest augmenting paths on an integer capacity matrix of the graph
-with its two terminal sides contracted.
+it honest: the max-flow of :mod:`vsparse.mincut` (for cut metrics the
+minimum extension is exactly a terminal min cut, which ``min_cut_via_lp``
+reads off the LP) and exhaustive 0-extension enumeration (an upper bound
+for arbitrary metrics).
 
 ``terminal_pair_lp`` is the program behind the metric upper quality and
 the maximum concurrent flow: the ratio of a weighted sum of terminal
@@ -56,6 +55,8 @@ from .core import (
     pair,
     zero_metric,
 )
+# perfbench's tracer finds the max-flow as ``vsparse.extension.min_cut_via_flow``
+from .mincut import min_cut_via_flow
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +516,11 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
     return ExtensionResult(value, (ints, at, common))
 
 
+def min_cut_via_lp(g: WeightedGraph, side: Iterable[int]) -> Fraction:
+    """The same terminal min cut as the minimum extension of the cut metric."""
+    return min_extension(g, cut_metric(side, g.k)).value
+
+
 # ---------------------------------------------------------------------------
 # metric upper quality and concurrent flow, over edge lengths
 
@@ -644,108 +650,6 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
 def _distance_row(j: int, path: Sequence[int]) -> lp.Constraint:
     """The row x_j - sum_{e in path} l_e <= 0."""
     return lp.Constraint.from_integers({j: 1, **dict.fromkeys(path, -1)}, lp.LE, 0, 1)
-
-
-# ---------------------------------------------------------------------------
-# terminal min cuts, via LP and via max-flow
-
-
-def _terminal_side(g: WeightedGraph, side: Iterable[int]) -> set[int]:
-    """``side`` as a set, checked to be a nonempty proper subset of 0..k-1."""
-    side_set = set(side)
-    if not side_set or len(side_set) >= g.k:
-        raise ValueError("cut side must be a nonempty proper subset of the terminals")
-    for p in side_set:
-        if not 0 <= p < g.k:
-            raise ValueError(f"terminal index {p} outside 0..{g.k - 1}")
-    return side_set
-
-
-def min_cut_via_flow(g: WeightedGraph, side: Iterable[int]) -> Fraction:
-    """Minimum weight of edges separating the terminals in ``side`` from the
-    rest, non-terminals falling freely; computed by max-flow on the graph
-    with each terminal group contracted to a single node.
-
-    The terminals in ``side`` become node 0, the other terminals node 1 and
-    the non-terminals nodes 2, 3, ...; the graph's integer view (its weights
-    scaled by the lcm of their denominators) summed into a capacity matrix
-    on those nodes carries the flow, by shortest augmenting paths, and the
-    flow is scaled back to an exact Fraction. ``side`` holds terminal-local
-    indices and must be a nonempty proper subset of 0..k-1.
-    """
-    side_set = _terminal_side(g, side)
-    node_of: dict[int, int] = {}
-    for p, t in enumerate(g.terminals):
-        node_of[t] = 0 if p in side_set else 1
-    m = 2
-    for v in range(g.n):
-        if v not in node_of:
-            node_of[v] = m
-            m += 1
-    residual = [[0] * m for _ in range(m)]
-    weights, scale = g.integers
-    for (i, j), w in zip(g.weights, weights):
-        u, v = node_of[i], node_of[j]
-        if u != v:
-            residual[u][v] += w
-            residual[v][u] += w
-    flow = 0
-    nodes = range(m)
-    while True:
-        parent = [-1] * m
-        parent[0] = 0
-        queue = [0]  # breadth-first: the loop reads what it appends
-        for u in queue:
-            if u == 1:
-                break
-            row = residual[u]
-            for v in nodes:
-                if row[v] and parent[v] < 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[1] < 0:
-            return Fraction(flow, scale)
-        path = []
-        v = 1
-        while v:  # back to the source, node 0
-            path.append((parent[v], v))
-            v = parent[v]
-        bottleneck = min([residual[u][v] for u, v in path])
-        for u, v in path:
-            residual[u][v] -= bottleneck
-            residual[v][u] += bottleneck
-        flow += bottleneck
-
-
-def min_cut_via_lp(g: WeightedGraph, side: Iterable[int]) -> Fraction:
-    """The same terminal min cut as the minimum extension of the cut metric."""
-    return min_extension(g, cut_metric(side, g.k)).value
-
-
-def min_cut_by_enumeration(g: WeightedGraph, side: Iterable[int],
-                           budget: int = 1_000_000) -> Fraction:
-    """Terminal min cut by brute force over all 2^(n-k) vertex bipartitions.
-
-    Independent of both the LP and the max-flow routes, which makes it the
-    tie-breaking referee in oracle cross-checks. Raises ValueError when the
-    enumeration would exceed ``budget`` bipartitions.
-    """
-    side_set = _terminal_side(g, side)
-    free = [v for v in range(g.n) if v not in g.terminals]
-    if 1 << len(free) > budget:
-        raise ValueError(
-            f"enumerating 2^{len(free)} bipartitions exceeds budget {budget}")
-    pinned = {g.terminals[p] for p in side_set}
-    best: Fraction | None = None
-    for mask in range(1 << len(free)):
-        inside = pinned | {free[a] for a in range(len(free)) if mask >> a & 1}
-        value = sum(
-            (w for (i, j), w in g.weights.items() if (i in inside) != (j in inside)),
-            ZERO,
-        )
-        if best is None or value < best:
-            best = value
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,8 @@ from .extension import (
     _on_rays,
     _pair_index,
     _triangle_rows,
-    min_cut_via_flow,
 )
+from .mincut import min_cut_via_flow
 
 class NoFiniteDistortionError(RuntimeError):
     """No operator of finite distortion exists under these weights."""

@@ -37,7 +37,8 @@ from .core import (
     is_unbounded,
     pair,
 )
-from .extension import min_cut_via_flow, min_extension, terminal_pair_lp
+from .extension import min_extension, terminal_pair_lp
+from .mincut import min_cut_via_flow
 from .sampling import random_metric
 
 if TYPE_CHECKING:

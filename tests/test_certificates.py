@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from vsparse import certificates
+from vsparse import certificates, extension
 from vsparse.core import bipartitions
 from vsparse import (
     CutCertificate,
@@ -196,14 +196,17 @@ def test_metric_certificate_scaling_invariance():
 
 @pytest.fixture
 def lp_extensions(monkeypatch):
-    """The metrics certificates hands to the min_extension LP, in order."""
-    real, calls = certificates.min_extension, []
+    """The metrics certificates hands to the min_extension LP, in order.
+
+    ``certificates`` imports the LP only when it needs one, from
+    ``extension``, so the patch goes there."""
+    real, calls = extension.min_extension, []
 
     def counted(g, d):
         calls.append(d)
         return real(g, d)
 
-    monkeypatch.setattr(certificates, "min_extension", counted)
+    monkeypatch.setattr(extension, "min_extension", counted)
     return calls
 
 

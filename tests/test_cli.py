@@ -13,6 +13,7 @@ import pytest
 from vsparse import (
     CutCertificate,
     DemandSet,
+    MetricCertificate,
     QualityReport,
     Sparsifier,
     WeightedGraph,
@@ -30,7 +31,7 @@ from vsparse import (
     sparsifier_to_json,
 )
 import vsparse
-from vsparse import cli, extension, lp, operators, quality
+from vsparse import cli, extension, lp, mincut, operators, quality
 from vsparse.cli import main
 from vsparse.jsonio import demands_to_json, dump_canonical, graph_to_json, loads
 from vsparse.sampling import random_graph
@@ -246,7 +247,7 @@ def test_more_terminals_than_the_cut_cap_are_refused_before_any_work(tmp_path, c
     def never(*args, **kwargs):
         raise AssertionError("work started before the terminal count was checked")
 
-    for module in (extension, operators, quality):
+    for module in (extension, mincut, operators, quality):
         monkeypatch.setattr(module, "min_cut_via_flow", never)
     monkeypatch.setattr(lp, "solve", never)
     graph = write_json(tmp_path / "star.json", graph_to_json(unit_star(21)))
@@ -668,28 +669,53 @@ def test_cli_import_adds_no_dataclasses_or_inspect():
     assert _fresh_interpreter(probe).stdout.strip() == "True []"
 
 
-def _modules_loaded_by(argv: list[str]) -> list[str]:
-    """The package's modules a fresh interpreter holds after ``main(argv)``,
-    as the installed console script runs it."""
+def _fresh_main(argv: list[str]) -> tuple[list[str], list[str]]:
+    """The lines ``main(argv)`` prints in a fresh interpreter, as the
+    installed console script runs it, and the package's modules it then holds."""
     probe = ("import sys; from vsparse.cli import main; code = main(sys.argv[1:]); "
              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'vsparse')); "
              "sys.exit(code)")
-    return _fresh_interpreter(probe, *argv).stdout.splitlines()[-1].split()
+    *printed, modules = _fresh_interpreter(probe, *argv).stdout.splitlines()
+    return printed, modules.split()
+
+
+def _modules_loaded_by(argv: list[str]) -> list[str]:
+    return _fresh_main(argv)[1]
 
 
 def test_certify_loads_no_solver_grading_or_sampling(tmp_path):
+    # a cut certificate needs only terminal min cuts: no LP is compiled
     cert = write_json(tmp_path / "c.json",
                       certificate_to_json(CutCertificate(path3(), [(1, 1)], [(1, 1)])))
     assert _modules_loaded_by(["certify", cert]) == [
         "vsparse", "vsparse.certificates", "vsparse.cli", "vsparse.core",
-        "vsparse.extension", "vsparse.jsonio", "vsparse.lp"]
+        "vsparse.jsonio", "vsparse.mincut"]
+
+
+def test_metric_certify_loads_the_lp_only_for_a_sum_that_is_no_cut(tmp_path):
+    # the three pair cuts of the four-terminal unit star each extend at cost
+    # 2 by max-flow; their sum, 2 on every pair, is no scaled cut metric and
+    # extends at cost 4 by the LP, which proves Q >= 6/4
+    g = unit_star(4)
+    family = [cut_metric(side, 4) for side in ([0, 1], [0, 2], [0, 3])]
+    cert = write_json(tmp_path / "c.json", certificate_to_json(MetricCertificate(g, family)))
+    assert _fresh_main(["certify", cert]) == (["3/2"], [
+        "vsparse", "vsparse.certificates", "vsparse.cli", "vsparse.core",
+        "vsparse.extension", "vsparse.jsonio", "vsparse.lp", "vsparse.mincut"])
+
+
+def test_extension_holds_the_max_flow_of_mincut():
+    # perfbench's tracer looks the max-flow up as
+    # vsparse.extension.min_cut_via_flow, so that name must stay the one
+    # function every caller runs
+    assert extension.min_cut_via_flow is mincut.min_cut_via_flow
 
 
 def test_cut_quality_loads_no_solver_or_certificates(tmp_path):
     argv = ["quality", star_file(tmp_path), half_triangle_file(tmp_path), "--semantics", "cut"]
     assert _modules_loaded_by(argv) == [
         "vsparse", "vsparse.cli", "vsparse.core", "vsparse.extension", "vsparse.jsonio",
-        "vsparse.lp", "vsparse.quality", "vsparse.sampling"]
+        "vsparse.lp", "vsparse.mincut", "vsparse.quality", "vsparse.sampling"]
 
 
 def test_package_import_loads_no_module():

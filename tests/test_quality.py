@@ -177,12 +177,9 @@ def test_cut_quality_cap_and_k_mismatch(monkeypatch):
         cut_quality(unit_star(3), half_triangle(4))
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_cut_quality_matches_enumeration_oracle(seed):
-    rng = random.Random(seed)
-    g = random_graph(rng, rng.randint(3, 6), rng.randint(2, 4), connected=False)
-    beta = Sparsifier(g.k, {(p, q): random_fraction(rng)
-                            for p in range(g.k) for q in range(p + 1, g.k)})
+def check_cut_quality_by_enumeration(g: WeightedGraph, beta: Sparsifier):
+    """Assert that cut_quality agrees with brute_cut_quality; return the
+    latter's verdict."""
     report = cut_quality(g, beta)
     expected = brute_cut_quality(g, beta)
     if expected == "unbounded":
@@ -194,6 +191,27 @@ def test_cut_quality_matches_enumeration_oracle(seed):
         # the witness bipartition achieves the reported ratio
         side = [p for p in range(g.k) if report.witness >> p & 1]
         assert beta.cut_value(side) == expected * min_cut_by_enumeration(g, side)
+    return expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cut_quality_matches_enumeration_oracle(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(3, 6), rng.randint(2, 4), connected=False)
+    beta = Sparsifier(g.k, {(p, q): random_fraction(rng)
+                            for p in range(g.k) for q in range(p + 1, g.k)})
+    check_cut_quality_by_enumeration(g, beta)
+
+
+@pytest.mark.parametrize("g", [
+    WeightedGraph(3, [0], {(0, 1): 1, (1, 2): 2}),
+    WeightedGraph(4, [0, 1], {(0, 2): 1, (1, 3): 1}),
+], ids=["one-terminal", "split"])
+def test_cut_quality_matches_enumeration_oracle_with_nothing_to_grade(g):
+    # no seed above draws an instance whose every bipartition is 0/0: one
+    # terminal has no bipartition, and two terminals with no path between
+    # them under an empty sparsifier have one at 0/0
+    assert check_cut_quality_by_enumeration(g, Sparsifier(g.k, {})) is None
 
 
 # --- metric quality: upper ---------------------------------------------
