@@ -46,7 +46,6 @@ _EXPORTS = {
         "ExtensionOperator",
         "MembershipViolation",
         "DistortionViolation",
-        "NoFiniteDistortionError",
         "OperatorSolveReport",
         "find_optimal_operator",
         "membership_oracle",

@@ -10,11 +10,12 @@ fixed ``--seed`` makes every byte of output reproducible.
 Every call starts a fresh interpreter, so the module loads only the
 standard library, ``core`` and ``jsonio``, and each subcommand imports the
 modules it runs: ``certify`` never loads the operator solver or the grading
-code, nor on a cut certificate the LP. A call looks each function up in its
+code, nor on a cut certificate the LP, and ``quality`` loads the LP only
+under metric and flow semantics. A call looks each function up in its
 module, so a patch of that module's attribute reaches it.
 
 Exit codes: 0 success, 2 parse or validation error, 3 solver hit the
-iteration cap, 4 unbounded quality or distortion, 5 oracle mismatch.
+iteration cap, 4 unbounded quality, 5 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -53,11 +54,7 @@ def cmd_sparsify(args: argparse.Namespace) -> int:
 
     graph = jsonio.graph_from_json(_load(args.graph))
     out_dir = args.out
-    try:
-        report = operators.find_optimal_operator(graph, max_iters=args.max_iters)
-    except operators.NoFiniteDistortionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return UNBOUNDED_EXIT
+    report = operators.find_optimal_operator(graph, max_iters=args.max_iters)
     beta = report.sparsifier
     graded = ("quality_cut.json", "quality_metric.json", "quality_flow.json")
     out_dir.mkdir(parents=True, exist_ok=True)  # only once there is an artifact to write

@@ -44,7 +44,6 @@ from .core import (
     FractionLike,
     Metric,
     Pair,
-    Record,
     Value,
     WeightedGraph,
     all_pairs,
@@ -170,7 +169,7 @@ def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
     with a.r > 0, plus the apex 0 for a "<=" row; rays with a.r = 0 (every
     ray for ">=") are recession directions. In this order: a ">=" row with
     a = 0 (a.r = 0 on every ray) is infeasible; the first recession ray that
-    improves the objective is returned as the unbounded ``ray_table``;
+    improves the objective is the unbounded result's witness;
     otherwise the optimum is the vertex of the best c.r / a.r, ties to the
     first ray in ``cone_rays(m)`` order, or for a "<=" row the apex
     ``zero_metric(m)`` when no ray beats 0. Every answer is a vertex or an
@@ -191,24 +190,24 @@ def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
             return None
         a_rays = _on_rays(m, a_nums)
     if rel == lp.GE and not any(a_rays):
-        return MetricLpResult(lp.INFEASIBLE, None, None, None, 0)
+        return MetricLpResult(lp.INFEASIBLE, None, None, 0)
     c_nums, c_scale = _pair_numerators(m, objective)
     sign = 1 if sense == "max" else -1
     best = None  # (sign * c.r, a.r, ray index) of the best vertex so far
     for r, cr, ar in zip(itertools.count(), _on_rays(m, [sign * c for c in c_nums]), a_rays):
         if cr > 0 and (ar == 0 or rel == lp.GE):
-            return MetricLpResult(lp.UNBOUNDED, None, None, _ray_metric(m, r, ONE), 0)
+            return MetricLpResult(lp.UNBOUNDED, None, _ray_metric(m, r, ONE), 0)
         if ar and (best is None or cr * best[1] > best[0] * ar):
             best = (cr, ar, r)
     if rel == lp.LE and (best is None or best[0] <= 0):
-        return MetricLpResult(lp.OPTIMAL, ZERO, zero_metric(m), None, 0)
+        return MetricLpResult(lp.OPTIMAL, ZERO, zero_metric(m), 0)
     cr, ar, r = best
     # the optimal vertex is step * ray with step = rhs * a_scale / ar
     step_num, step_den = rhs.numerator * a_scale, rhs.denominator * ar
     value = Fraction(step_num * sign * cr, step_den * c_scale)
     witness = (_normalized_ray(m, r) if step_num * _ray_masses(m)[r] == step_den
                else _ray_metric(m, r, Fraction(step_num, step_den)))
-    return MetricLpResult(lp.OPTIMAL, value, witness, None, 0)
+    return MetricLpResult(lp.OPTIMAL, value, witness, 0)
 
 
 def _pair_metric(m: int, nums: Sequence[int], scale: int) -> Metric:
@@ -236,18 +235,21 @@ def _normalized_ray(m: int, r: int) -> Metric:
 # LPs over the metric cone, with lazily generated triangle rows
 
 
-class MetricLpResult(Record):
-    """An outcome of :meth:`MetricConeLp.optimize`: its status, the objective
-    ``value``, the optimal point as a full metric ``table`` or the improving
-    direction ``ray_table`` when unbounded, and the cutting-plane ``rounds``,
-    0 when read off the rays."""
+class MetricLpResult(Value):
+    """An outcome of a program over metrics (:meth:`MetricConeLp.optimize`,
+    :func:`terminal_pair_lp`): its status; the objective ``value``, None
+    unless optimal; the ``witness``, an optimal metric, the improving
+    direction when unbounded, None when infeasible; and the cutting-plane
+    ``rounds``, 0 when read off the rays or decided before any LP."""
 
-    __slots__ = _fields = ("status", "value", "table", "ray_table", "rounds")
+    __slots__ = _fields = ("status", "value", "witness", "rounds")
 
-    def __init__(self, status: str, value: Fraction | None, table: Metric | None,
-                 ray_table: Metric | None, rounds: int):
-        self.status, self.value, self.table, self.ray_table = status, value, table, ray_table
-        self.rounds = rounds
+    def __init__(self, status: str, value: Fraction | None, witness: Metric | None,
+                 rounds: int):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "rounds", rounds)
 
 
 @functools.cache
@@ -328,13 +330,10 @@ class MetricConeLp:
         result = _separate(program, lambda out: self._triangle_cuts(
             (out.direction if out.status == lp.UNBOUNDED else out.point)[0]), "triangle")
         out = result.outcome
-        if out.status == lp.OPTIMAL:
-            return MetricLpResult(out.status, out.value, _pair_metric(self.m, *out.point), None,
-                                  result.rounds)
-        if out.status == lp.UNBOUNDED:
-            return MetricLpResult(out.status, None, None, _pair_metric(self.m, *out.direction),
-                                  result.rounds)
-        return MetricLpResult(out.status, None, None, None, result.rounds)
+        optimal = out.status == lp.OPTIMAL
+        witness = out.point if optimal else out.direction  # None when infeasible
+        return MetricLpResult(out.status, out.value if optimal else None,
+                              witness and _pair_metric(self.m, *witness), result.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -525,24 +524,8 @@ def min_cut_via_lp(g: WeightedGraph, side: Iterable[int]) -> Fraction:
 # metric upper quality and concurrent flow, over edge lengths
 
 
-class PairLpResult(Value):
-    """An outcome of :func:`terminal_pair_lp`.
-
-    ``witness`` is a terminal metric: the restriction of an optimal point,
-    or of an improving direction when the program is unbounded, in which
-    case ``value`` is None.
-    """
-
-    __slots__ = _fields = ("status", "value", "witness")
-
-    def __init__(self, status: str, value: Fraction | None, witness: Metric):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-
-
 def terminal_pair_lp(g: WeightedGraph, sense: str,
-                     coeffs: Mapping[Pair, Fraction]) -> PairLpResult:
+                     coeffs: Mapping[Pair, Fraction]) -> MetricLpResult:
     """The ratio of c(d) = sum coeffs[p, q] * d(p, q) to alpha(d) over the
     metrics d on g's vertices, in one of its two normalizations.
 
@@ -554,17 +537,21 @@ def terminal_pair_lp(g: WeightedGraph, sense: str,
 
     A graph on at most ``RAY_POINTS`` vertices is read off the extreme rays
     of its metric cone (:class:`MetricConeLp`); a larger one runs over edge
-    lengths (:func:`_edge_length_lp`).
+    lengths (:func:`_edge_length_lp`). Either way the witness is a terminal
+    metric, and the program is attained, or unbounded only under "max",
+    checked here (:class:`lp.LpAuditError` otherwise).
     """
     if g.n > RAY_POINTS:
-        return _edge_length_lp(g, sense, coeffs)
-    objective = _vertex_pairs(g, coeffs)
-    if sense == "max":
-        result = MetricConeLp(g.n).optimize("max", objective, [(g.weights, lp.LE, ONE)])
+        result = _edge_length_lp(g, sense, coeffs)
     else:
-        result = MetricConeLp(g.n).optimize("min", g.weights, [(objective, lp.GE, ONE)])
-    table = result.ray_table if result.status == lp.UNBOUNDED else result.table
-    return PairLpResult(result.status, result.value, table.restrict(g.terminals))
+        objective = _vertex_pairs(g, coeffs)
+        costs, row, rel = ((objective, g.weights, lp.LE) if sense == "max"
+                           else (g.weights, objective, lp.GE))
+        cone = MetricConeLp(g.n).optimize(sense, costs, [(row, rel, ONE)])
+        result = cone.replace(witness=cone.witness and cone.witness.restrict(g.terminals))
+    lp.check(result.status == lp.OPTIMAL or sense == "max" and result.status == lp.UNBOUNDED,
+             "a pair LP is attained, or unbounded only under 'max'")
+    return result
 
 
 def _vertex_pairs(g: WeightedGraph, coeffs: Mapping[Pair, Fraction]) -> dict[Pair, Fraction]:
@@ -574,7 +561,7 @@ def _vertex_pairs(g: WeightedGraph, coeffs: Mapping[Pair, Fraction]) -> dict[Pai
 
 
 def _edge_length_lp(g: WeightedGraph, sense: str,
-                    coeffs: Mapping[Pair, Fraction]) -> PairLpResult:
+                    coeffs: Mapping[Pair, Fraction]) -> MetricLpResult:
     """:func:`terminal_pair_lp` over edge lengths.
 
     One length l_e >= 0 per weighted edge, then one distance x_pq >= 0 per
@@ -614,9 +601,9 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
             if v not in dist:
                 cut = cut_metric([p for p, t in enumerate(g.terminals) if t in dist], g.k)
                 if sense == "max":
-                    return PairLpResult(lp.UNBOUNDED, None, cut)
+                    return MetricLpResult(lp.UNBOUNDED, None, cut, 0)
                 mass = sum([c for (p, q), c in objective.items() if (p in dist) != (q in dist)])
-                return PairLpResult(lp.OPTIMAL, ZERO, cut.scale(ONE / mass))
+                return MetricLpResult(lp.OPTIMAL, ZERO, cut.scale(ONE / mass), 0)
             seeds.append(_distance_row(column[(u, v)], _path(via, u, v)))
     costs, row, rel = ((objective, g.weights, lp.LE) if sense == "max"
                        else (g.weights, objective, lp.GE))
@@ -644,7 +631,7 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
              == out.value.numerator * scale * c_scale,
              "the closure of the optimal lengths misses the LP value")
     witness = Metric.from_integers([[ints[t][s] for s in g.terminals] for t in g.terminals], scale)
-    return PairLpResult(lp.OPTIMAL, out.value, witness)
+    return MetricLpResult(lp.OPTIMAL, out.value, witness, result.rounds)
 
 
 def _distance_row(j: int, path: Sequence[int]) -> lp.Constraint:

@@ -112,11 +112,9 @@ def _rows(data: Any, path: str, shape: str) -> Iterator[tuple[str, list]]:
         if len(row) != last + 1:
             raise JsonFormatError(rpath, f"expected {shape}, got {len(row)} items")
         values = row[:last]
-        for v in values:
+        for t, v in enumerate(values):
             if type(v) is not int:  # rows of plain ints build no field paths
-                for t, u in enumerate(values):
-                    _expect_int(u, f"{rpath}[{t}]")
-                break
+                _expect_int(v, f"{rpath}[{t}]")
         values.append(parse_fraction(row[last], rpath + tail))
         yield rpath, values
 

@@ -29,21 +29,23 @@ def min_cut_via_flow(g: WeightedGraph, side: Iterable[int]) -> Fraction:
     with each terminal group contracted to a single node.
 
     The terminals in ``side`` become node 0, the other terminals node 1 and
-    the non-terminals nodes 2, 3, ...; the graph's integer view (its weights
-    scaled by the lcm of their denominators) summed into a capacity matrix
-    on those nodes carries the flow, by shortest augmenting paths, and the
-    flow is scaled back to an exact Fraction. ``side`` holds terminal-local
-    indices and must be a nonempty proper subset of 0..k-1.
+    the non-terminals on an edge nodes 2, 3, ... in vertex order, so the
+    network grows with the edges, not with n. The graph's integer view (its
+    weights scaled by the lcm of their denominators) summed into a capacity
+    matrix on those nodes carries the flow, by shortest augmenting paths,
+    and the flow is scaled back to an exact Fraction. ``side`` holds
+    terminal-local indices and must be a nonempty proper subset of 0..k-1.
     """
     side_set = _terminal_side(g, side)
-    node_of: dict[int, int] = {}
+    node_of: list[int | bool | None] = [None] * g.n  # True: on an edge, not yet numbered
+    for i, j in g.weights:
+        node_of[i] = node_of[j] = True
     for p, t in enumerate(g.terminals):
         node_of[t] = 0 if p in side_set else 1
     m = 2
-    for v in range(g.n):
-        if v not in node_of:
-            node_of[v] = m
-            m += 1
+    for v, node in enumerate(node_of):
+        if node is True:
+            node_of[v], m = m, m + 1
     residual = [[0] * m for _ in range(m)]
     weights, scale = g.integers
     for (i, j), w in zip(g.weights, weights):

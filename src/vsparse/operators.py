@@ -64,9 +64,6 @@ from .extension import (
 )
 from .mincut import min_cut_via_flow
 
-class NoFiniteDistortionError(RuntimeError):
-    """No operator of finite distortion exists under these weights."""
-
 
 class ExtensionOperator(Value):
     """A nonnegative tensor phi_{ipjq}, keyed by (X-pair, Y-pair).
@@ -216,7 +213,7 @@ def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]], scale: int,
         result = MetricConeLp(k).optimize("max", objective, [norm_row])
         lp.check(result.status == lp.OPTIMAL, "a normalized membership probe is bounded")
         if result.value > 0:
-            found.append(MembershipViolation(where, result.table, result.value))
+            found.append(MembershipViolation(where, result.witness, result.value))
             if first_only:
                 return found
     return found
@@ -355,8 +352,7 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
     def distortion_cut(d_y: Metric, c_star: Fraction) -> lp.Constraint:
         cut = image_cut(g_c.weights, d_y, c_star)
         # A zero-cost witness zeroes every positive-weight terminal pair, so
-        # the cut keeps a satisfiable zero right-hand side; see the
-        # no-finite-distortion handling below for the infeasible case.
+        # the cut keeps a satisfiable zero right-hand side
         lp.check(c_star != 0 or cut.rhs_num == 0, "a zero-cost witness left a positive terminal term")
         return cut
 
@@ -404,9 +400,12 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         return [distortion_cut(hit.restricted, hit.min_extension_value)]
 
     result = lp.cutting_plane(master, [membership_cb, distortion_cb], max_rounds=max_iters)
-    if result.outcome.status == lp.INFEASIBLE:
-        raise NoFiniteDistortionError(
-            "no operator of finite distortion exists under these weights")
+    # Sending each non-terminal to a terminal of its component, or to the
+    # first terminal in a component without one, is a 0-extension, a member,
+    # that meets every row: where minext(d) = 0, d is 0 on the terminals of
+    # each component, and so is the image's cost. The master is never
+    # infeasible.
+    lp.check(result.outcome.status == lp.OPTIMAL, "a 0-extension is feasible for the master")
     phi = operator_at(result.outcome.x)
     q = phi.distortion
     beta = operator_to_sparsifier(phi, g_c)  # beta(d) = alpha(phi(d))

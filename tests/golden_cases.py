@@ -288,11 +288,13 @@ def cone_lp_cases() -> list[tuple[str, tuple]]:
 def cone_lp_record(family: str, m: int, seed: int) -> dict:
     m, sense, objective, row = _cone_lp(family, m, seed)
     result = MetricConeLp(m).optimize(sense, objective, [row])
+    witness = None if result.witness is None else _rows(result.witness)
+    ray = result.status == lp.UNBOUNDED  # the witness is an improving direction
     return {
         "status": result.status,
         "value": None if result.value is None else str(result.value),
-        "table": None if result.table is None else _rows(result.table),
-        "ray": None if result.ray_table is None else _rows(result.ray_table),
+        "table": None if ray else witness,
+        "ray": witness if ray else None,
     }
 
 

@@ -177,9 +177,9 @@ def test_each_extreme_ray_is_the_optimum_of_its_own_objective(m, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(extension, "_ray_optimum", lambda *args: None)
             want = MetricConeLp(m).optimize("max", objective, [(ones, lp.LE, F(1))])
-        assert (got.status, got.value, got.table) == (want.status, want.value, want.table)
+        assert (got.status, got.value, got.witness) == (want.status, want.value, want.witness)
         assert got.rounds == 0 and got.value == 1
-        assert [got.table.dist(p, q) for p, q in all_pairs(m)] == [F(v, sum(ray)) for v in ray]
+        assert [got.witness.dist(p, q) for p, q in all_pairs(m)] == [F(v, sum(ray)) for v in ray]
 
 
 def test_cone_rays_refuse_unlisted_sizes():
@@ -271,15 +271,15 @@ def _check_ray_read(m, sense, objective, row, monkeypatch):
     assert got.rounds == 0 < want.rounds
     coeffs, rel, rhs = row
     if got.status == lp.OPTIMAL:
-        lhs = _value(coeffs, got.table)
+        lhs = _value(coeffs, got.witness)
         assert lhs <= rhs if rel == lp.LE else lhs >= rhs
-        assert _value(objective, got.table) == got.value
-        assert got.table == zero_metric(m) or _is_ray(m, got.table, scaled=True)
+        assert _value(objective, got.witness) == got.value
+        assert got.witness == zero_metric(m) or _is_ray(m, got.witness, scaled=True)
     elif got.status == lp.UNBOUNDED:
-        gain = _value(objective, got.ray_table)
+        gain = _value(objective, got.witness)
         assert gain > 0 if sense == "max" else gain < 0
-        assert _is_ray(m, got.ray_table, scaled=False)
-        assert rel == lp.GE or _value(coeffs, got.ray_table) == 0
+        assert _is_ray(m, got.witness, scaled=False)
+        assert rel == lp.GE or _value(coeffs, got.witness) == 0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -336,19 +336,19 @@ def test_ray_path_reads_ties_unbounded_apex_and_infeasible_programs():
     ones = {pq: F(1) for pq in all_pairs(m)}
     cut_of_0 = cut_metric([0], m)  # the first ray of cone_rays(4)
     tied = extension._ray_optimum(m, "max", ones, (ones, lp.LE, F(1)))
-    assert (tied.status, tied.value, tied.table) == (lp.OPTIMAL, F(1), cut_of_0.scale(F(1, 3)))
+    assert (tied.status, tied.value, tied.witness) == (lp.OPTIMAL, F(1), cut_of_0.scale(F(1, 3)))
     unbounded = extension._ray_optimum(m, "max", {(0, 1): F(1)}, ({(2, 3): F(1)}, lp.LE, F(1)))
-    assert (unbounded.status, unbounded.ray_table) == (lp.UNBOUNDED, cut_of_0)
+    assert (unbounded.status, unbounded.witness) == (lp.UNBOUNDED, cut_of_0)
     apex = extension._ray_optimum(m, "max", {(0, 1): F(-1)}, (ones, lp.LE, F(1)))
-    assert (apex.status, apex.value, apex.table) == (lp.OPTIMAL, F(0), zero_metric(m))
+    assert (apex.status, apex.value, apex.witness) == (lp.OPTIMAL, F(0), zero_metric(m))
     infeasible = extension._ray_optimum(m, "max", ones, ({}, lp.GE, F(1)))
-    assert infeasible.status == lp.INFEASIBLE
+    assert (infeasible.status, infeasible.value, infeasible.witness) == (lp.INFEASIBLE, None, None)
     assert all(r.rounds == 0 for r in (tied, unbounded, apex, infeasible))
     unique = extension._ray_optimum(m, "max", {(0, 1): F(3), (0, 2): F(2), (0, 3): F(2)},
                                     (ones, lp.LE, F(2)))
     assert unique.status == lp.OPTIMAL and unique.rounds == 0
     assert unique.value == F(14, 3)  # the cut of point 0, scaled to total 2
-    assert unique.table.rows[0] == (0, F(2, 3), F(2, 3), F(2, 3))
+    assert unique.witness.rows[0] == (0, F(2, 3), F(2, 3), F(2, 3))
 
 
 def test_ray_path_leaves_negative_rows_and_nonpositive_bounds_to_the_lp():
@@ -438,7 +438,7 @@ def _fraction_scan(n, k, phi_of, first_only):
                 continue
             result = MetricConeLp(k).optimize("max", coeffs, [norm_row])
             if result.value > 0:
-                found.append(((i, j, l), result.table, result.value))
+                found.append(((i, j, l), result.witness, result.value))
                 if first_only:
                     return found
     return found
@@ -583,7 +583,7 @@ def test_the_normalization_row_reads_the_cached_pair_masses(m, monkeypatch):
             got = MetricConeLp(m).optimize("max", objective, [(ones, lp.LE, F(1))])
         assert len(calls) == 1  # the objective's values alone
         want = MetricConeLp(m).optimize("max", objective, [(twos, lp.LE, F(2))])
-        assert (got.status, got.value, got.table) == (want.status, want.value, want.table)
+        assert (got.status, got.value, got.witness) == (want.status, want.value, want.witness)
 
 
 def _counted(fn, calls):

@@ -22,7 +22,7 @@ from vsparse import (
     pair,
     zero_metric,
 )
-from vsparse.core import CUT_CAP, bipartitions
+from vsparse.core import CUT_CAP, as_fraction, bipartitions
 from helpers import metric_closure, metric_sum, path3, reference_violation, triangle_y, unit_star
 
 F = Fraction
@@ -53,6 +53,16 @@ def shortest_paths(n: int, weights: dict) -> list[list[Fraction]]:
 
 
 # --- small helpers -----------------------------------------------------
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: as_fraction(0.5), TypeError, "expected an exact rational, got float"),
+    (lambda: cut_metric([0], 2).scale(-1), ValueError, "nonnegative scaling"),
+    (lambda: cut_metric([2], 2), ValueError, "cut side contains 2, outside 0..1"),
+], ids=["float", "negative-scale", "cut-side-out-of-range"])
+def test_exact_values_refuse_what_they_cannot_hold(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
 
 def test_pair_orders_endpoints():
     assert pair(3, 1) == (1, 3)
@@ -331,6 +341,8 @@ def test_cost_of_path_under_its_own_metric():
 def test_cost_dimension_mismatch():
     with pytest.raises(ValueError):
         alpha_cost(path3(), zero_metric(2))
+    with pytest.raises(ValueError, match="metric has 3 points, sparsifier has 2"):
+        Sparsifier(2, {(0, 1): 1}).cost(zero_metric(3))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -383,6 +395,7 @@ def test_graph_basics():
     (3, [0], {(0, 2): -1}),            # negative weight
     (3, [0], {(0, 3): 1}),             # edge endpoint out of range
     (0, [], {}),                       # empty vertex set
+    (3, [0], [(0, 1, 1), (1, 0, 2)]),  # an edge listed twice, as a graph file can
 ])
 def test_graph_rejects_bad_inputs(n, terminals, weights):
     with pytest.raises(ValueError):
@@ -443,6 +456,7 @@ def test_sparsifier_as_graph_round_trip():
     (2, {(0, 2): 1}),     # endpoint out of range
     (2, {(0, 1): -1}),    # negative weight
     (1, {(0, 0): 1}),     # self pair
+    (0, {}),              # no terminal
 ])
 def test_sparsifier_rejects_bad_inputs(k, beta):
     with pytest.raises(ValueError):
@@ -461,6 +475,7 @@ def test_demand_set_basics():
 @pytest.mark.parametrize("triples", [
     [(0, 0, 1)],       # equal endpoints
     [(0, 1, -1)],      # negative demand
+    [(-1, 1, 1)],      # negative endpoint, as a demand file can list it
 ])
 def test_demand_set_rejects_bad_inputs(triples):
     with pytest.raises(ValueError):

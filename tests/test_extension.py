@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -41,14 +42,14 @@ def test_cone_lp_minimizes_pinned_triangle_slack():
     low = cone.optimize("min", {(0, 1): F(1)}, rows)
     high = cone.optimize("max", {(0, 1): F(1)}, rows)
     assert (low.value, high.value) == (0, 2)
-    assert high.table.dist(0, 1) == 2
+    assert high.witness.dist(0, 1) == 2
 
 
 def test_cone_lp_reports_rays():
     cone = MetricConeLp(2)
     out = cone.optimize("max", {(0, 1): F(1)})
     assert out.status == "unbounded"
-    assert out.ray_table.dist(0, 1) > 0
+    assert out.witness.dist(0, 1) > 0
 
 
 def test_cone_lp_counts_pinned_constants_in_the_value():
@@ -71,7 +72,9 @@ def test_cone_lp_on_a_fully_pinned_cone_checks_its_row(rel, rhs, status):
     assert (out.status, out.rounds) == (status, 1)
     if status == "optimal":
         assert out.value == 7
-        assert [out.table.dist(*pq) for pq in pins] == list(pins.values())
+        assert [out.witness.dist(*pq) for pq in pins] == list(pins.values())
+    else:
+        assert out.value is None and out.witness is None
 
 
 # --- min_extension -----------------------------------------------------
@@ -100,6 +103,8 @@ def test_extension_of_zero_metric_is_free():
 def test_extension_rejects_wrong_size():
     with pytest.raises(ValueError):
         min_extension(path3(), zero_metric(3))
+    with pytest.raises(ValueError, match="metric has 3 points but the graph has 2 terminals"):
+        best_zero_extension(path3(), zero_metric(3))
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -423,6 +428,15 @@ def test_a_complete_graph_needs_no_distance_column():
     assert res.value == check_pair_lp(g, "max", beta).value
 
 
+@pytest.mark.parametrize("g", [unit_star(3), unit_star(7)], ids=["rays", "edge-lengths"])
+def test_a_pair_lp_that_is_not_attained_is_an_audit_error(g):
+    # "min" with no positive coefficient has no point with c(d) >= 1: the
+    # program behind the concurrent flow needs a demand, and is refused
+    # rather than handed back without a value
+    with pytest.raises(lp.LpAuditError):
+        terminal_pair_lp(g, "min", {})
+
+
 def test_edge_length_lp_rounds_are_bounded_and_warm_after_the_first():
     g = random_graph(random.Random(7), 8, 5, density=0.3)
     beta = {pq: F(1) for pq in all_pairs(5)}
@@ -476,6 +490,20 @@ def test_flow_cancels_an_earlier_augmenting_path():
     g = WeightedGraph(6, [0, 1], {(0, 3): 1, (0, 4): 2, (1, 2): 1, (1, 5): 2,
                                   (2, 3): 1, (2, 4): 3, (3, 5): 3})
     assert min_cut(g, [0]) == 3  # around {0, 2, 4}
+
+
+def test_max_flow_network_grows_with_the_edges_not_with_n():
+    # two edges among 2000 vertices: a capacity matrix with a row for every
+    # vertex would take about 32 MB, one for each vertex on an edge takes bytes
+    g = WeightedGraph(2000, [0, 1], {(0, 1000): 1, (1000, 1): 2})
+    g.integers  # built and kept before the measurement
+    tracemalloc.start()
+    try:
+        assert min_cut_via_flow(g, [0]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("side", [[], [0, 1, 2], [5]])

@@ -134,6 +134,8 @@ def test_rejects_bad_construction():
         p.add_constraint({1: 1}, lp.LE, 0)
     with pytest.raises(lp.LpError):
         p.set_objective_coeff(3, 1)
+    with pytest.raises(lp.LpError, match="scale must be positive, got 0"):
+        lp.Constraint.from_integers({0: 1}, lp.LE, 0, 0)
 
 
 def test_program_without_variables_is_a_constant():

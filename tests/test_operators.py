@@ -72,6 +72,13 @@ def test_tensor_validation(coeffs):
         ExtensionOperator(3, 2, coeffs)
 
 
+@pytest.mark.parametrize("n, k", [(2, 3), (3, 0)], ids=["more-terminals-than-vertices",
+                                                          "no-terminal"])
+def test_shape_validation(n, k):
+    with pytest.raises(ValueError, match=f"need 1 <= k <= n, got k = {k}, n = {n}"):
+        ExtensionOperator(n, k, {})
+
+
 def test_zero_entries_are_dropped():
     phi = ExtensionOperator(3, 2, {((0, 2), (0, 1)): 0})
     assert ((0, 2), (0, 1)) not in phi.coeffs

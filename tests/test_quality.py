@@ -13,6 +13,7 @@ from vsparse import (
     QualityReport,
     Sparsifier,
     WeightedGraph,
+    all_pairs,
     canonicalize,
     cut_metric,
     cut_quality,
@@ -286,6 +287,25 @@ def test_metric_lower_cap(monkeypatch):
     refuse_flows(monkeypatch)
     with pytest.raises(ValueError, match="k = 21 terminals exceeds cap 20"):
         metric_lower_check(unit_star(21), Sparsifier(21, {}))
+
+
+def test_metric_lower_refutes_by_a_sampled_metric_what_every_cut_passes():
+    # beta = 1/3 on every pair of the five-leaf unit star passes every cut
+    # (a side of s leaves cuts s(5 - s)/3 >= min(s, 5 - s)), yet some metrics
+    # extend at more than beta pays: seed 4 draws one, seeds 0-3 do not
+    g, beta = unit_star(5), Sparsifier(5, {pq: F(1, 3) for pq in all_pairs(5)})
+    assert cut_quality(g, beta) == QualityReport(CUT, F(4, 3), True, 1, EXACT)
+    for seed in range(4):
+        assert metric_lower_check(g, beta, samples=100, seed=seed).lower_ok is True
+    report = metric_lower_check(g, beta, samples=100, seed=4)
+    assert (report.lower_ok, report.q_value, report.completeness) == (False, None, SAMPLED)
+    assert (beta.cost(report.witness), min_extension(g, report.witness).value) == (
+        F(14, 3), F(39, 8))
+    # the path metric of K_{2,3}, 1 across its sides {0, 1} and {2, 3, 4}
+    # and 2 within one, does so too
+    k23 = Metric([[0 if p == q else 1 if (p < 2) != (q < 2) else 2 for q in range(5)]
+                  for p in range(5)])
+    assert (beta.cost(k23), min_extension(g, k23).value) == (F(14, 3), 5)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -69,3 +69,13 @@ def test_random_demands_are_terminal_local(seed):
 def test_random_demands_need_two_terminals():
     with pytest.raises(ValueError):
         random_demands(random.Random(0), 1, count=2)
+
+
+@pytest.mark.parametrize("draw, message", [
+    (lambda rng: random_graph(rng, 2, 3), "need 1 <= k <= n, got k = 3, n = 2"),
+    (lambda rng: random_graph(rng, 3, 0), "need 1 <= k <= n, got k = 0, n = 3"),
+    (lambda rng: random_demands(rng, 3, count=0), "at least one demand"),
+], ids=["more-terminals-than-vertices", "no-terminal", "no-demand"])
+def test_generators_refuse_impossible_shapes(draw, message):
+    with pytest.raises(ValueError, match=message):
+        draw(random.Random(0))
