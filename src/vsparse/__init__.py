@@ -45,7 +45,6 @@ _EXPORTS = {
     "operators": (
         "ExtensionOperator",
         "MembershipViolation",
-        "DistortionViolation",
         "OperatorSolveReport",
         "find_optimal_operator",
         "membership_oracle",

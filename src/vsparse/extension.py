@@ -273,7 +273,7 @@ def _separate(program: lp.LinearProgram, oracle: lp.Oracle, rows: str) -> lp.Cut
     """``program`` solved under the rows ``oracle`` adds, by
     :func:`lp.cutting_plane`. Each row is one of the finitely many triangle
     or path ``rows`` and never repeats, so the round cap is a formality."""
-    result = lp.cutting_plane(program, [oracle], max_rounds=100_000)
+    result = lp.cutting_plane(program, oracle, max_rounds=100_000)
     if not result.converged:
         raise lp.CuttingPlaneError(f"{rows} separation did not converge")
     return result

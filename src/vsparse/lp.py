@@ -9,9 +9,10 @@ Bland's anti-cycling rule, so every solve is deterministic and every
 certificate is bit-exact. An optimal outcome keeps its tableau: once more
 rows are appended to the program, :func:`solve` appends them to it and
 re-solves by the same dual simplex on the program's own cost, which is how
-:func:`cutting_plane` runs every round after the first. The dual simplex
-picks its leaving row by exact dual steepest edge and falls back to the
-dual Bland rule only while a basis it has already visited comes back.
+:func:`cutting_plane`, the lazy-constraint loop of one separation oracle,
+runs every round after the first. The dual simplex picks its leaving row
+by exact dual steepest edge and falls back to the dual Bland rule only
+while a basis it has already visited comes back.
 The tableau keeps only the columns of nonbasic variables (a row's basic
 entry and its zeros under the other basic variables are implicit), holds
 each row as integer numerators over one exact positive denominator and
@@ -21,9 +22,9 @@ keeps its row once as numerators over its least common denominator, which
 the tableau and the loop's violation and repeat checks read, and an outcome
 keeps its point and ray as numerators over one positive denominator, read
 off the tableau. Programs come in, and every value comes out, as
-``fractions.Fraction``, built only at that boundary: a row built from
-integers makes its coefficients on first read, and an outcome its ``x``,
-``ray`` and ``duals``. Outcomes carry primal solutions, dual multipliers
+``fractions.Fraction``, built only at that boundary: a row makes its
+coefficients on first read, and an outcome its ``x``, ``ray`` and
+``duals``. Outcomes carry primal solutions, dual multipliers
 satisfying strong duality and complementary slackness exactly (built from
 the final reduced costs), and improving rays for unbounded programs.
 :func:`audit` re-verifies all of that from scratch and is switched on
@@ -78,24 +79,17 @@ class Constraint:
     order, their numerators ``nums`` and the rhs numerator ``rhs_num``, all
     over one positive ``scale``, the least common denominator of the row
     (as :func:`core.integer_row` scales it). Zero coefficients are dropped.
-    The tableau and the cutting-plane checks read only that form; ``coeffs``
-    and ``rhs`` are ``Fraction``s, built on first read when the row was
-    built from integers (:meth:`from_integers`).
+    Both constructors reduce a row to that form by one path, the one of
+    :meth:`from_integers`, and the tableau and the cutting-plane checks read
+    only it; ``coeffs`` and ``rhs`` are ``Fraction``s, built on first read.
     """
 
     __slots__ = ("cols", "nums", "rel", "rhs_num", "scale", "_coeffs", "_rhs")
 
     def __init__(self, coeffs: Mapping[int, FractionLike], rel: str, rhs: FractionLike):
-        items = sorted((j, as_fraction(c)) for j, c in coeffs.items())
-        items = [(j, c) for j, c in items if c]
-        rhs = as_fraction(rhs)
-        nums, self.scale = integer_row([*(c for _, c in items), rhs])
-        self.cols = tuple([j for j, _ in items])
-        self.nums = tuple(nums[:-1])
-        self.rhs_num = nums[-1]
-        self.rel = rel
-        self._coeffs: dict[int, Fraction] | None = dict(items)
-        self._rhs: Fraction | None = rhs
+        # integer_row's numerators are coprime with its lcm: the reduction keeps them
+        nums, scale = integer_row([*map(as_fraction, coeffs.values()), as_fraction(rhs)])
+        self._reduce(dict(zip(coeffs, nums)), rel, nums[-1], scale)
 
     @classmethod
     def from_integers(cls, coeffs: Mapping[int, int], rel: str, rhs: int,
@@ -103,16 +97,20 @@ class Constraint:
         """The row ``sum coeffs[j] / scale * x_j  rel  rhs / scale`` for
         integer ``coeffs`` and ``rhs`` and a positive integer ``scale``,
         reduced to the least common denominator without a ``Fraction``."""
+        con = cls.__new__(cls)
+        con._reduce(coeffs, rel, rhs, scale)
+        return con
+
+    def _reduce(self, coeffs: Mapping[int, int], rel: str, rhs: int, scale: int) -> None:
         if scale <= 0:
             raise LpError(f"scale must be positive, got {scale}")
         items = sorted((j, c) for j, c in coeffs.items() if c)
         g = gcd(scale, rhs, *[c for _, c in items])
-        con = cls.__new__(cls)
-        con.cols = tuple([j for j, _ in items])
-        con.nums = tuple([c // g for _, c in items])
-        con.rhs_num, con.scale, con.rel = rhs // g, scale // g, rel
-        con._coeffs = con._rhs = None
-        return con
+        self.cols = tuple([j for j, _ in items])
+        self.nums = tuple([c // g for _, c in items])
+        self.rhs_num, self.scale, self.rel = rhs // g, scale // g, rel
+        self._coeffs: dict[int, Fraction] | None = None
+        self._rhs: Fraction | None = None
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
@@ -713,22 +711,21 @@ def _cut_is_violated(sig: tuple, out: LpOutcome) -> bool:
             or out.direction is not None and _violates(sig, out.direction[0], 0))
 
 
-def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
+def cutting_plane(lp: LinearProgram, oracle: Oracle,
                   max_rounds: int = 10_000) -> CuttingPlaneResult:
     """Solve ``lp`` under lazily generated constraints.
 
-    Each round solves the master and consults the oracles in order; the
-    first oracle returning violated cuts ends the round and the cuts are
-    appended (so later oracles never see a candidate an earlier oracle has
-    already rejected). Each round is one :func:`solve` call; after the
-    first, it passes the previous outcome, so an optimal round's tableau is
-    extended by the cuts and re-solved by the dual simplex. A round after an
-    unbounded one solves from scratch. The kept tableau is dropped on
-    return. The loop converges when no oracle objects, or conclusively when
-    the master goes infeasible. Every returned cut is checked to be
-    genuinely violated, and a previously added cut coming back still
-    violated raises :class:`CuttingPlaneError`, since with exact arithmetic
-    that can only be a logic bug.
+    Each round solves the master and asks ``oracle`` for rows the outcome
+    violates; an oracle that separates several families consults them in
+    its own order. The rows are appended, and each round is one
+    :func:`solve` call; after the first, it passes the previous outcome, so
+    an optimal round's tableau is extended by the cuts and re-solved by the
+    dual simplex. A round after an unbounded one solves from scratch. The
+    kept tableau is dropped on return. The loop converges when the oracle
+    returns no row, or conclusively when the master goes infeasible. Every
+    returned cut is checked to be genuinely violated, and a previously added
+    cut coming back still violated raises :class:`CuttingPlaneError`, since
+    with exact arithmetic that can only be a logic bug.
     """
     if max_rounds < 1:
         raise LpError("max_rounds must be positive")
@@ -737,12 +734,7 @@ def cutting_plane(lp: LinearProgram, oracles: Sequence[Oracle],
     for rounds in range(1, max_rounds + 1):
         if out.status == INFEASIBLE:
             return CuttingPlaneResult(out, rounds, True)
-        cuts: list[Constraint] = []
-        for oracle in oracles:
-            got = oracle(out)
-            if got:
-                cuts = list(got)
-                break
+        cuts = oracle(out)
         if not cuts:
             out.tableau = None
             return CuttingPlaneResult(out, rounds, True)

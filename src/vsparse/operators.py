@@ -3,8 +3,8 @@
 An extension operator is a nonnegative tensor phi taking a terminal metric
 d_Y to a vertex metric phi(d_Y) that extends it; its distortion Q is the
 worst ratio of the weighted cost of phi(d_Y) to the minimum extension cost
-of d_Y. The optimal operator is found by a master LP over (phi, Q) with two
-lazy separation families, the first separated as the public
+of d_Y. The optimal operator is found by a master LP over (phi, Q) whose one
+separation oracle cuts by two lazy families, the first as the public
 :func:`membership_oracle` separates it:
 
 * membership cuts force every triangle row of the image cone, maximizing
@@ -16,8 +16,9 @@ lazy separation families, the first separated as the public
   settles every row that no ray image violates; on more it settles the
   rows with no positive coefficient. Only the rows left become
   ``Fraction`` objectives;
-* distortion cuts bound the image cost against Q on the witness of the
-  metric upper quality of the iterate's collapse, which extends at cost 1.
+* distortion cuts, tried only on a member iterate, bound the image cost
+  against Q at the witness, extending at cost 1, of the metric upper
+  quality of its collapse beta, as beta(d_Y) = alpha(phi(d_Y)).
 
 Both cut families are one linear form, sum_x c_x * phi(d_Y)(x) <= c_Q * Q
 on a witness d_Y, written by a single builder on integer numerators.
@@ -90,6 +91,8 @@ class ExtensionOperator(Value):
         norm: dict[tuple[Pair, Pair], Fraction] = {}
         for (xp, yp), value in coeffs.items():
             xp, yp = pair(*xp), pair(*yp)
+            if (xp, yp) in norm:  # one entry keyed in two orientations
+                raise ValueError(f"duplicate coefficient for {(xp, yp)}")
             if xp[0] < 0 or xp[1] >= n:
                 raise ValueError(f"X-pair {xp} outside 0..{n - 1}")
             if yp[0] < 0 or yp[1] >= k:
@@ -100,13 +103,12 @@ class ExtensionOperator(Value):
             if xp[1] < k and v != (ONE if xp == yp else ZERO):
                 raise ValueError(
                     f"terminal row {xp} must be the identity, got {v} at {yp}")
-            if v:
-                norm[(xp, yp)] = v
+            norm[(xp, yp)] = v
         for tp in all_pairs(k):
             norm[(tp, tp)] = ONE
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coeffs", norm)
+        object.__setattr__(self, "coeffs", {key: v for key, v in norm.items() if v})
         object.__setattr__(self, "distortion", None if distortion is None else as_fraction(distortion))
 
     def __hash__(self) -> int:
@@ -160,7 +162,7 @@ def _require_canonical(phi: ExtensionOperator, g: WeightedGraph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# separation oracles
+# membership separation
 
 
 class MembershipViolation(Value):
@@ -179,8 +181,8 @@ class MembershipViolation(Value):
         object.__setattr__(self, "excess", excess)
 
 
-def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]], scale: int,
-                     first_only: bool) -> list[MembershipViolation]:
+def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]],
+                     scale: int) -> list[MembershipViolation]:
     """The triangle rows of the image cone that some terminal metric violates.
 
     ``table`` holds the operator as integer numerators over the positive
@@ -214,8 +216,6 @@ def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]], scale: int,
         lp.check(result.status == lp.OPTIMAL, "a normalized membership probe is bounded")
         if result.value > 0:
             found.append(MembershipViolation(where, result.witness, result.value))
-            if first_only:
-                return found
     return found
 
 
@@ -235,45 +235,11 @@ def membership_oracle(phi: ExtensionOperator) -> MembershipViolation | None:
     Separates on every triangle inequality of the image, each maximized over
     the slice sum d <= 1 of the terminal metric cone; the image of a
     nonnegative tensor is nonnegative, so no other row of the cone can
-    fail. Returns None for members, otherwise the first violated row with
-    its witness metric, which then has sum d = 1.
+    fail. Returns None for members, otherwise the first violated row of the
+    full scan with its witness metric, which then has sum d = 1.
     """
-    hits = _membership_scan(phi.n, phi.k, *_operator_table(phi), first_only=True)
+    hits = _membership_scan(phi.n, phi.k, *_operator_table(phi))
     return hits[0] if hits else None
-
-
-class DistortionViolation(Value):
-    """A terminal metric ``restricted`` = d_Y* on which the candidate overshoots Q.
-
-    ``min_extension_value`` is minext(d_Y*): 1, or 0 when no finite
-    distortion bound holds. ``image_cost`` = alpha(phi(d_Y*)) exceeds
-    Q * min_extension_value.
-    """
-
-    __slots__ = _fields = ("restricted", "min_extension_value", "image_cost")
-
-    def __init__(self, restricted: Metric, min_extension_value: Fraction, image_cost: Fraction):
-        object.__setattr__(self, "restricted", restricted)
-        object.__setattr__(self, "min_extension_value", min_extension_value)
-        object.__setattr__(self, "image_cost", image_cost)
-
-
-def _distortion_probe(phi: ExtensionOperator, q: Fraction, g: WeightedGraph
-                      ) -> tuple[quality.QualityReport, DistortionViolation | None]:
-    """The metric upper quality report of phi's collapse, and the terminal
-    metric stretched beyond q times its minimum extension, or None.
-
-    ``phi`` must be a member of the operator cone and ``g`` the canonical
-    graph it was built for. The collapse beta has beta(d_Y) = alpha(phi(d_Y)),
-    so the worst alpha(phi(d_Y)) / minext(d_Y) is its metric upper quality,
-    and the witness d_Y* violates when that exceeds q, with minext(d_Y*) = 1
-    (d_Y* / minext(d_Y*) would raise beta), or is unbounded, minext(d_Y*) = 0.
-    """
-    beta = operator_to_sparsifier(phi, g)  # also checks that g is canonical
-    upper = quality.metric_quality_upper(g, beta)
-    if is_unbounded(upper.q_value):
-        return upper, DistortionViolation(upper.witness, ZERO, beta.cost(upper.witness))
-    return upper, DistortionViolation(upper.witness, ONE, upper.q_value) if upper.q_value > q else None
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +253,9 @@ class OperatorSolveReport(Record):
     constraints are binding at the final solution, paired with their exact
     minimum extension values; they certify the optimum. ``graph`` is the
     canonical relabeling actually solved and ``order[new] = old`` maps its
-    vertices back to the input. ``metric_upper``, the final distortion
-    probe, grades the collapse ``sparsifier`` at ``q``; None unless converged.
+    vertices back to the input. ``metric_upper``, the last round's grading
+    of a member iterate, grades the collapse ``sparsifier`` at ``q``; None
+    unless converged.
     """
 
     __slots__ = _fields = ("operator", "q", "converged", "iterations", "membership_cuts",
@@ -311,9 +278,10 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
 
     The master LP minimizes Q over (phi, Q) >= 0. It starts from the
     distortion constraints of all cut metrics (their minimum extensions are
-    terminal min cuts, found by max-flow and binding surprisingly often) and then
-    alternates the two separation families, membership before distortion so
-    that only member candidates meet the distortion probe.
+    terminal min cuts, found by max-flow and binding surprisingly often). Each
+    round then cuts by every violated membership row, or, when the iterate is
+    a member, by the witness of its collapse's metric upper quality if that
+    exceeds Q.
     With exact arithmetic every witness is a vertex of a fixed polytope, so
     the loop terminates; ``max_iters`` caps the rounds anyway and a capped
     run returns ``converged=False`` carrying the best master iterate.
@@ -357,17 +325,14 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         return cut
 
     master = lp.LinearProgram(1 + len(entries), "min", {0: ONE})
-    candidates: list[tuple[Metric, Fraction]] = []
-    probed: quality.QualityReport | None = None  # the last distortion probe's metric upper report
-    counts = {"membership": 0, "distortion": 0}
+    probed: quality.QualityReport | None = None  # the last member iterate's metric upper report
+    membership_cuts = 0
 
-    for _, side in bipartitions(k):
-        delta = cut_metric(side, k)
-        # equals min_extension(g_c, delta): the min-cut LP is integral
-        c_s = min_cut_via_flow(g_c, side)
-        candidates.append((delta, c_s))
-        warm = distortion_cut(delta, c_s)
-        master.add(warm)
+    # a cut metric's min cut equals its min_extension: the min-cut LP is integral
+    candidates = [(cut_metric(side, k), min_cut_via_flow(g_c, side)) for _, side in bipartitions(k)]
+    for delta, c_s in candidates:
+        master.add(distortion_cut(delta, c_s))
+    seeded = len(candidates)
 
     # per X-pair of all_pairs(n): where its row starts in the master point,
     # or None and the 0/1 identity row of a terminal pair
@@ -375,31 +340,33 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
     xrows = [(None, [int(yp == xp) for yp in ypairs]) if xp[1] < k else (next(starts), None)
              for xp in all_pairs(n)]
 
-    def membership_cb(out: lp.LpOutcome) -> list[lp.Constraint]:
+    def separate(out: lp.LpOutcome) -> list[lp.Constraint]:
+        nonlocal membership_cuts, probed
         # the iterate as the integer table of _membership_scan, over the
         # point's own denominator
         nums, scale = out.point
         table = [[scale * u for u in unit] if start is None else nums[start:start + len(ypairs)]
                  for start, unit in xrows]
-        hits = _membership_scan(n, k, table, scale, first_only=False)
-        counts["membership"] += len(hits)
-        cuts = []
-        for hit in hits:
-            i, j, l = hit.where  # row ij - il - lj of the image on the witness
-            cuts.append(image_cut({(i, j): 1, pair(i, l): -1, pair(l, j): -1}, hit.witness, ZERO))
-        return cuts
-
-    def distortion_cb(out: lp.LpOutcome) -> list[lp.Constraint]:
-        nonlocal probed
-        probed, hit = _distortion_probe(operator_at(out.x), out.x[0], g_c)
+        hits = _membership_scan(n, k, table, scale)
+        if hits:
+            membership_cuts += len(hits)
+            cuts = []
+            for hit in hits:
+                i, j, l = hit.where  # row ij - il - lj of the image on the witness
+                cuts.append(image_cut({(i, j): 1, pair(i, l): -1, pair(l, j): -1},
+                                      hit.witness, ZERO))
+            return cuts
+        # a member: phi's distortion is the metric upper quality of its
+        # collapse, beta(d) = alpha(phi(d)), whose witness d has minext(d) = 1
+        # (d / minext(d) would raise beta)
+        probed = quality.metric_quality_upper(g_c, operator_to_sparsifier(operator_at(out.x), g_c))
         lp.check(not is_unbounded(probed.q_value), "the seeded cut rows bound the distortion probe")
-        if hit is None:
+        if probed.q_value <= out.x[0]:
             return []
-        candidates.append((hit.restricted, hit.min_extension_value))
-        counts["distortion"] += 1
-        return [distortion_cut(hit.restricted, hit.min_extension_value)]
+        candidates.append((probed.witness, ONE))
+        return [distortion_cut(probed.witness, ONE)]
 
-    result = lp.cutting_plane(master, [membership_cb, distortion_cb], max_rounds=max_iters)
+    result = lp.cutting_plane(master, separate, max_rounds=max_iters)
     # Sending each non-terminal to a terminal of its component, or to the
     # first terminal in a component without one, is a 0-extension, a member,
     # that meets every row: where minext(d) = 0, d is 0 on the terminals of
@@ -415,8 +382,8 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         q=q,
         converged=result.converged,
         iterations=result.rounds,
-        membership_cuts=counts["membership"],
-        distortion_cuts=counts["distortion"],
+        membership_cuts=membership_cuts,
+        distortion_cuts=len(candidates) - seeded,
         worst_metrics=worst,
         graph=g_c,
         order=order,

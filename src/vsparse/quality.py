@@ -62,8 +62,8 @@ class QualityReport(Value):
     terminal-subset bitmask for cuts, a terminal metric for metric semantics
     (the violating metric instead when the lower check fails), the demand
     set graded for flows. ``completeness`` is "exact" for exhaustive or
-    proved evaluations and "sampled" where random or given sets were probed. :meth:`~core.Record.replace` copies a
-    report with some fields changed.
+    proved evaluations, "sampled" where random or given sets were probed;
+    :meth:`~core.Record.replace` copies a report with some fields changed.
     """
 
     __slots__ = _fields = ("semantics", "q_value", "lower_ok", "witness", "completeness")

@@ -407,14 +407,28 @@ def _coprime_phis():
             for n, k in ((4, 3), (5, 3), (5, 4), (6, 4), (6, 5)) for _ in range(3)]
 
 
-def _hits(n, k, phi_of, first_only):
-    phi = ExtensionOperator(n, k, {(xp, yp): phi_of(xp, yp) for xp in all_pairs(n)
-                                   if xp[1] >= k for yp in all_pairs(k)})
+def _operator(n, k, phi_of):
+    return ExtensionOperator(n, k, {(xp, yp): phi_of(xp, yp) for xp in all_pairs(n)
+                                    if xp[1] >= k for yp in all_pairs(k)})
+
+
+def _hits(n, k, phi_of):
     return [(h.where, h.witness, h.excess) for h in operators._membership_scan(
-        n, k, *operators._operator_table(phi), first_only)]
+        n, k, *operators._operator_table(_operator(n, k, phi_of)))]
 
 
-def _fraction_scan(n, k, phi_of, first_only):
+def _scans_agree(n, k, phi_of):
+    """The hits of the integer scan, checked to equal the Fraction
+    reference's; ``membership_oracle`` returns the first of them."""
+    hits = _hits(n, k, phi_of)
+    assert hits == _fraction_scan(n, k, phi_of)
+    first = operators.membership_oracle(_operator(n, k, phi_of))
+    assert (None if first is None else (first.where, first.witness, first.excess)) == (
+        hits[0] if hits else None)
+    return hits
+
+
+def _fraction_scan(n, k, phi_of):
     """The membership scan as it ran on Fractions before the integer table:
     the reference every hit, witness, excess and their order must match."""
     if k < 2:
@@ -439,8 +453,6 @@ def _fraction_scan(n, k, phi_of, first_only):
             result = MetricConeLp(k).optimize("max", coeffs, [norm_row])
             if result.value > 0:
                 found.append(((i, j, l), result.witness, result.value))
-                if first_only:
-                    return found
     return found
 
 
@@ -454,19 +466,14 @@ def test_triangle_rows_leave_out_only_rows_between_terminals(n, k):
 
 @pytest.mark.parametrize("cases", [_phis, _coprime_phis])
 def test_integer_scan_matches_the_fraction_reference(cases):
-    hits = 0
-    for n, k, phi in cases():
-        for first in (False, True):
-            got = _hits(n, k, phi, first)
-            assert got == _fraction_scan(n, k, phi, first)
-            hits += len(got)
+    hits = sum(len(_scans_agree(n, k, phi)) for n, k, phi in cases())
     assert hits > 10
 
 
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_integer_scan_matches_the_fraction_reference_on_master_iterates(seed, k, monkeypatch):
-    points, scans = [], []
+    points, scans, loops = [], [], []
     scan, cutting_plane = operators._membership_scan, lp.cutting_plane
 
     def recorded_scan(*args, **kwargs):
@@ -474,11 +481,12 @@ def test_integer_scan_matches_the_fraction_reference_on_master_iterates(seed, k,
         scans.append([(h.where, h.witness, h.excess) for h in hits])
         return hits
 
-    def recorded_loop(program, oracles, **kwargs):
-        if len(oracles) == 2:  # the operator master: membership, then distortion
-            membership = oracles[0]
-            oracles = [lambda out: points.append(out.x) or membership(out), oracles[1]]
-        return cutting_plane(program, oracles, **kwargs)
+    def recorded_loop(program, oracle, **kwargs):
+        if not loops:  # the operator master; the loops its oracle starts come later
+            loops.append(program)
+            return cutting_plane(program, lambda out: points.append(out.x) or oracle(out),
+                                 **kwargs)
+        return cutting_plane(program, oracle, **kwargs)
 
     monkeypatch.setattr(operators, "_membership_scan", recorded_scan)
     monkeypatch.setattr(lp, "cutting_plane", recorded_loop)
@@ -493,15 +501,14 @@ def test_integer_scan_matches_the_fraction_reference_on_master_iterates(seed, k,
 
         def phi_of(xp, yp):
             return F(int(xp == yp)) if xp[1] < k else values[(xp, yp)]
-        assert in_solve == _fraction_scan(n, k, phi_of, first_only=False)
-        assert _hits(n, k, phi_of, True) == _fraction_scan(n, k, phi_of, first_only=True)
+        assert in_solve == _scans_agree(n, k, phi_of)
     assert sum(map(len, scans)) == report.membership_cuts > 0
 
 
 def test_membership_hits_equal_with_and_without_the_ray_precheck(monkeypatch):
-    with_precheck = [_hits(n, k, phi, first) for n, k, phi in _phis() for first in (False, True)]
+    with_precheck = [_scans_agree(n, k, phi) for n, k, phi in _phis()]
     monkeypatch.setattr(operators, "RAY_POINTS", 1)  # no k >= 2 takes the pre-check
-    without = [_hits(n, k, phi, first) for n, k, phi in _phis() for first in (False, True)]
+    without = [_scans_agree(n, k, phi) for n, k, phi in _phis()]
     assert with_precheck == without
     assert sum(map(len, with_precheck)) > 20  # violated rows do come up
     assert any(not hits for hits in with_precheck)  # and so do members
@@ -518,7 +525,7 @@ def test_every_membership_lp_left_is_a_hit(monkeypatch):
     monkeypatch.setattr(MetricConeLp, "optimize", counted)
     for n, k, phi in _phis():
         calls.clear()
-        hits = _hits(n, k, phi, first_only=False)
+        hits = _hits(n, k, phi)
         assert len(calls) == len(hits)
 
 
@@ -556,8 +563,7 @@ def scan_tensors(draw):
 @given(scan_tensors())
 def test_the_integer_scan_equals_the_fraction_reference_on_any_tensor(case):
     n, k, phi_of = case
-    for first in (False, True):
-        assert _hits(n, k, phi_of, first) == _fraction_scan(n, k, phi_of, first)
+    _scans_agree(n, k, phi_of)
 
 
 @pytest.mark.parametrize("m", range(2, extension.RAY_POINTS + 1))

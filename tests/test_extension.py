@@ -162,8 +162,8 @@ def recorded(call, *args):
     cutting-plane loop it ran."""
     real, runs = lp.cutting_plane, []
 
-    def recording(program, oracles, max_rounds):
-        result = real(program, oracles, max_rounds)
+    def recording(program, oracle, max_rounds):
+        result = real(program, oracle, max_rounds)
         runs.append((program, result.outcome))
         return result
 

@@ -138,6 +138,24 @@ def test_rejects_bad_construction():
         lp.Constraint.from_integers({0: 1}, lp.LE, 0, 0)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_a_fraction_row_keeps_its_integer_row(seed):
+    # the Fraction constructor stores core.integer_row's numerators and lcm
+    # as they are, the form from_integers reduces any integer multiple to
+    rng = random.Random(seed)
+    coeffs = {j: F(rng.randint(-6, 6), rng.randint(1, 12)) for j in rng.sample(range(9), 5)}
+    rhs = F(rng.randint(-6, 6), rng.randint(1, 12))
+    con = lp.Constraint(coeffs, rng.choice(lp._RELATIONS), rhs)
+    kept = sorted((j, c) for j, c in coeffs.items() if c)
+    nums, scale = integer_row([c for _, c in kept] + [rhs])
+    assert (con.cols, con.nums, con.rhs_num, con.scale) == (
+        tuple(j for j, _ in kept), tuple(nums[:-1]), nums[-1], scale)
+    assert con.coeffs == dict(kept) and con.rhs == rhs
+    m = rng.randint(2, 5)
+    assert con == lp.Constraint.from_integers(
+        {j: m * c for j, c in zip(con.cols, con.nums)}, con.rel, m * con.rhs_num, m * scale)
+
+
 def test_program_without_variables_is_a_constant():
     empty = lp.LinearProgram(0, "max")
     out = solve_audited(empty)
@@ -281,14 +299,14 @@ def test_cutting_plane_from_an_unbounded_first_batch_agrees_with_cold_solve(case
     cone, objective, rows = case
     real, runs = lp.cutting_plane, []
 
-    def recorded(program, oracles, max_rounds):
+    def recorded(program, oracle, max_rounds):
         seen = []
 
-        def oracle(out):
+        def recording(out):
             seen.append(out.status)
-            return oracles[0](out)
+            return oracle(out)
 
-        result = real(program, [oracle], max_rounds)
+        result = real(program, recording, max_rounds)
         runs.append((program, result, seen))
         return result
 
@@ -305,9 +323,9 @@ def test_cutting_plane_from_an_unbounded_first_batch_agrees_with_cold_solve(case
 
 # --- cutting plane -----------------------------------------------------
 
-def test_no_oracles_returns_master_optimum_in_one_round():
+def test_an_oracle_with_no_cut_returns_master_optimum_in_one_round():
     p = lp.LinearProgram(1, "min", {0: 1})
-    res = lp.cutting_plane(p, [])
+    res = lp.cutting_plane(p, lambda out: None)
     assert res.converged and res.rounds == 1
     assert res.outcome.value == 0 and p.constraints == []
 
@@ -320,7 +338,7 @@ def test_single_cut_convergence():
             return [lp.Constraint({0: F(1)}, lp.GE, F(3))]
         return None
 
-    res = lp.cutting_plane(p, [want_q_at_least_3])
+    res = lp.cutting_plane(p, want_q_at_least_3)
     assert res.converged
     assert res.outcome.value == 3
     assert len(p.constraints) == 1
@@ -346,7 +364,7 @@ def test_converged_point_satisfies_every_oracle_cut():
                 return [tangent]
         return None
 
-    res = lp.cutting_plane(p, [oracle])
+    res = lp.cutting_plane(p, oracle)
     assert res.converged and res.outcome.status == lp.OPTIMAL
     assert res.outcome.value == 4 and len(p.constraints) >= 1
     x = bounded.outcome(res.outcome).x
@@ -362,7 +380,7 @@ def test_round_cap_reports_non_convergence():
         state["level"] += 1
         return [lp.Constraint({0: F(1)}, lp.GE, F(state["level"]))]
 
-    res = lp.cutting_plane(p, [always_hungry], max_rounds=5)
+    res = lp.cutting_plane(p, always_hungry, max_rounds=5)
     assert not res.converged
     assert res.rounds == 5
 
@@ -374,7 +392,7 @@ def test_satisfied_cut_raises():
         return [lp.Constraint({0: F(1)}, lp.GE, F(-1))]  # already true at x=0
 
     with pytest.raises(lp.CuttingPlaneError):
-        lp.cutting_plane(p, [lazy_oracle])
+        lp.cutting_plane(p, lazy_oracle)
 
 
 def test_repeated_cut_raises():
@@ -387,7 +405,7 @@ def test_repeated_cut_raises():
                 lp.Constraint({0: F(2)}, lp.GE, F(6))]
 
     with pytest.raises(lp.CuttingPlaneError):
-        lp.cutting_plane(p, [stutter])
+        lp.cutting_plane(p, stutter)
 
 
 def test_master_infeasible_is_conclusive():
@@ -399,12 +417,14 @@ def test_master_infeasible_is_conclusive():
             return [lp.Constraint({0: F(1)}, lp.GE, F(3))]
         return None
 
-    res = lp.cutting_plane(p, [demand_too_much])
+    res = lp.cutting_plane(p, demand_too_much)
     assert res.converged
     assert res.outcome.status == lp.INFEASIBLE
 
 
 def test_oracle_order_first_objection_wins():
+    # one oracle separating two families consults them in its own order: a
+    # round the first family cuts never reaches the second
     p = lp.LinearProgram(1, "min", {0: 1})
     calls = []
 
@@ -420,15 +440,15 @@ def test_oracle_order_first_objection_wins():
             return [lp.Constraint({0: F(1)}, lp.GE, F(2))]
         return None
 
-    res = lp.cutting_plane(p, [first, second])
-    assert res.converged and res.outcome.value == 2
-    # round 1: first objects, second never consulted
-    assert calls[0] == "first" and calls[1] == "first"
+    res = lp.cutting_plane(p, lambda out: first(out) or second(out))
+    assert res.converged and res.outcome.value == 2 and res.rounds == 3
+    # round 1: first objects, second never consulted; round 3: neither objects
+    assert calls == ["first", "first", "second", "first", "second"]
 
 
 def test_max_rounds_must_be_positive():
     with pytest.raises(lp.LpError):
-        lp.cutting_plane(lp.LinearProgram(1), [], max_rounds=0)
+        lp.cutting_plane(lp.LinearProgram(1), lambda out: None, max_rounds=0)
 
 
 # --- phase one: the dual simplex on the zero cost ---------------------

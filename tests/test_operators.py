@@ -1,6 +1,7 @@
-"""Extension operators: the tensor type, both oracles, and the exact solve."""
+"""Extension operators: the tensor type, both separation families, and the exact solve."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from vsparse import (
     evaluate_operator_distortion,
     find_optimal_operator,
     membership_oracle,
+    metric_quality_upper,
     min_extension,
     operator_from_json,
     operator_to_json,
@@ -25,7 +27,7 @@ from vsparse import (
     zero_extension_operator,
     zero_metric,
 )
-from vsparse import operators
+from vsparse import operators, quality
 from vsparse.core import is_unbounded
 from vsparse.extension import cone_rays
 from vsparse.jsonio import JsonFormatError, dump_canonical
@@ -36,9 +38,15 @@ from helpers import apply, path3, triangle_y, unit_star
 F = Fraction
 
 
+def overshoot(report, q):
+    """The metric upper quality report when its value exceeds q, else None."""
+    return report if is_unbounded(report.q_value) or report.q_value > q else None
+
+
 def distortion_hit(phi, q, g):
-    """The violation of the solve's distortion probe at q, or None."""
-    return operators._distortion_probe(phi, q, g)[1]
+    """The metric upper quality report of phi's collapse, which the solve
+    grades a member iterate by, when phi's distortion exceeds q; else None."""
+    return overshoot(metric_quality_upper(g, operator_to_sparsifier(phi, g)), q)
 
 
 def random_assignment(rng: random.Random, n: int, k: int) -> tuple[int, ...]:
@@ -66,6 +74,7 @@ def test_explicit_identity_rows_are_accepted():
     {((0, 3), (0, 1)): 1},            # X-pair out of range
     {((0, 2), (0, 2)): 1},            # Y-pair out of range
     {((0, 2), (-1, 0)): 1},           # Y-pair with a negative index
+    {((0, 2), (0, 1)): 1, ((2, 0), (0, 1)): 2},  # one entry keyed in two orientations
 ])
 def test_tensor_validation(coeffs):
     with pytest.raises(ValueError):
@@ -77,6 +86,19 @@ def test_tensor_validation(coeffs):
 def test_shape_validation(n, k):
     with pytest.raises(ValueError, match=f"need 1 <= k <= n, got k = {k}, n = {n}"):
         ExtensionOperator(n, k, {})
+
+
+@pytest.mark.parametrize("n, coeffs", [
+    (4, {((0, 3), (0, 1)): 1, ((3, 0), (0, 1)): 2}),
+    (4, {((0, 3), (1, 0)): 0, ((0, 3), (0, 1)): 0}),
+    (3, {((0, 1), (0, 1)): 1, ((1, 0), (1, 0)): 1}),
+])
+def test_an_entry_keyed_twice_is_refused_by_its_normalized_key(n, coeffs):
+    # one X-pair and Y-pair in two orientations is one entry, whatever the values
+    key = next(iter(coeffs))
+    normalized = (pair(*key[0]), pair(*key[1]))
+    with pytest.raises(ValueError, match=re.escape(f"duplicate coefficient for {normalized}")):
+        ExtensionOperator(n, 2, coeffs)
 
 
 def test_zero_entries_are_dropped():
@@ -189,11 +211,15 @@ def check_membership_hit(phi, hit):
 
 
 def check_distortion_hit(phi, q, g, hit):
-    # 1 at a positive optimum of the metric upper quality, 0 when unbounded
-    assert hit.min_extension_value in (0, 1)
-    assert min_extension(g, hit.restricted).value == hit.min_extension_value
-    assert hit.image_cost == alpha_cost(g, apply(phi, hit.restricted))
-    assert hit.image_cost > q * hit.min_extension_value
+    # the witness extends at cost 1 at a positive optimum of the metric upper
+    # quality, where its beta-cost is alpha(phi(witness)) > q, and at cost 0,
+    # with a positive cost, when that quality is unbounded
+    cost = alpha_cost(g, apply(phi, hit.witness))
+    assert operator_to_sparsifier(phi, g).cost(hit.witness) == cost
+    if is_unbounded(hit.q_value):
+        assert min_extension(g, hit.witness).value == 0 and cost > 0
+    else:
+        assert min_extension(g, hit.witness).value == 1 and hit.q_value == cost > q
 
 
 def mixed_zero_extensions(rng, n, k):
@@ -217,30 +243,40 @@ def random_operator(rng, n, k):
 
 
 def solve_recording_oracles(g, monkeypatch):
-    """Solve g, recording every master iterate the two probes were asked
-    about: (phi, hits) for membership, (phi, q, graph, hit) for distortion.
-    The membership scan reads the iterate as an integer table; phi is
-    rebuilt from it."""
-    scans, probes = [], []
-    scan, probe = operators._membership_scan, operators._distortion_probe
+    """Solve g, recording every master iterate the oracle was asked about:
+    (phi, hits) for the membership scan and, for each iterate the solve
+    grades, (phi, q, graph, hit), hit being its report when it overshoots
+    the master's q. The scan reads the iterate as an integer table; phi is
+    rebuilt from it. A graded phi is the collapsed one, whose distortion is q."""
+    scans, collapsed, probes = [], [], []
+    scan, collapse, upper = (operators._membership_scan, operators.operator_to_sparsifier,
+                             quality.metric_quality_upper)
 
-    def recorded_scan(n, k, table, scale, first_only):
+    def recorded_scan(n, k, table, scale):
         phi = ExtensionOperator(n, k, {
             (xp, yp): F(table[a][b], scale) for a, xp in enumerate(all_pairs(n))
             for b, yp in enumerate(all_pairs(k)) if xp[1] >= k})
-        scans.append((phi, scan(n, k, table, scale, first_only)))
+        scans.append((phi, scan(n, k, table, scale)))
         return scans[-1][1]
 
-    def recorded_probe(phi, q, graph):
-        got = probe(phi, q, graph)
-        probes.append((phi, q, graph, got[1]))
-        return got
+    def recorded_collapse(phi, graph):
+        collapsed.append(phi)
+        return collapse(phi, graph)
+
+    def recorded_upper(graph, beta):
+        report, phi = upper(graph, beta), collapsed[-1]
+        assert beta == collapse(phi, graph)
+        probes.append((phi, phi.distortion, graph, overshoot(report, phi.distortion)))
+        return report
 
     with monkeypatch.context() as patch:
         patch.setattr(operators, "_membership_scan", recorded_scan)
-        patch.setattr(operators, "_distortion_probe", recorded_probe)
+        patch.setattr(operators, "operator_to_sparsifier", recorded_collapse)
+        patch.setattr(quality, "metric_quality_upper", recorded_upper)
         report = find_optimal_operator(g)
     assert len(scans) == report.iterations  # one scan per master round
+    # the oracle grades exactly the iterates its scan finds no hit on
+    assert len(probes) == sum(not hits for _, hits in scans)
     return report, scans, probes
 
 
@@ -311,7 +347,7 @@ def test_distortion_oracle_hits_exactly_above_the_operator_distortion(case):
         assert (hit is not None) == (not bounded or q_phi > q)
         if hit is not None:
             check_distortion_hit(phi, q, g, hit)
-            assert hit.min_extension_value == (1 if bounded else 0)
+            assert is_unbounded(hit.q_value) == (not bounded)
 
 
 def test_the_solves_distortion_hits_overshoot_by_the_image_cost(monkeypatch):
@@ -348,9 +384,8 @@ def test_double_paying_operator_is_caught_at_q_one():
     hit = distortion_hit(phi, F(1), g)
     assert hit is not None
     check_distortion_hit(phi, F(1), g, hit)
-    assert hit.restricted == cut_metric([0], 2)  # d(a, b) = 1 extends at cost 1
-    assert hit.min_extension_value == 1
-    assert hit.image_cost == 2 * hit.min_extension_value
+    assert hit.witness == cut_metric([0], 2)  # d(a, b) = 1 extends at cost 1
+    assert hit.q_value == 2
 
 
 def test_an_operator_across_disconnected_terminals_has_unbounded_distortion():
@@ -362,8 +397,9 @@ def test_an_operator_across_disconnected_terminals_has_unbounded_distortion():
     assert is_unbounded(evaluate_operator_distortion(phi, g))
     hit = distortion_hit(phi, F(7), g)
     check_distortion_hit(phi, F(7), g, hit)
-    assert hit.restricted == cut_metric([0], 2)
-    assert hit.min_extension_value == 0 and hit.image_cost == 1
+    assert hit.witness == cut_metric([0], 2) and is_unbounded(hit.q_value)
+    assert min_extension(g, hit.witness).value == 0
+    assert operator_to_sparsifier(phi, g).cost(hit.witness) == 1
 
 
 def test_distortion_oracle_requires_canonical_graph():

@@ -23,7 +23,7 @@ from vsparse import (
 )
 from vsparse import lp
 from vsparse.extension import terminal_pair_lp
-from vsparse.operators import DistortionViolation, MembershipViolation
+from vsparse.operators import MembershipViolation
 from helpers import path3
 
 F = Fraction
@@ -90,7 +90,6 @@ def read_only():
         (terminal_pair_lp(g, "max", {(0, 1): F(1)}), "witness"),
         (best_zero_extension(g, d), "cost"),
         (MembershipViolation((0, 1, 2), cut_metric([0], 3), F(1)), "excess"),
-        (DistortionViolation(d, F(1), F(2)), "image_cost"),
         (QualityReport("flow", F(1), True, None, "exact"), "q_value"),
     ]
 
