@@ -54,7 +54,6 @@ _EXPORTS = {
         "zero_extension_operator",
     ),
     "quality": (
-        "FlowProbeError",
         "QualityReport",
         "cut_quality",
         "evaluate_operator_distortion",

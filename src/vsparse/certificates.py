@@ -69,9 +69,8 @@ class CutCertificate(Value):
     def __init__(self, graph: WeightedGraph,
                  mu1: Iterable[tuple[int, FractionLike]],
                  mu2: Iterable[tuple[int, FractionLike]]):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "mu1", _normalize_distribution(mu1, graph.k, "mu1"))
-        object.__setattr__(self, "mu2", _normalize_distribution(mu2, graph.k, "mu2"))
+        super().__init__(graph, _normalize_distribution(mu1, graph.k, "mu1"),
+                         _normalize_distribution(mu2, graph.k, "mu2"))
 
 
 class MetricCertificate(Value):
@@ -89,8 +88,7 @@ class MetricCertificate(Value):
             if d.size != graph.k:
                 raise ValueError(
                     f"certificate metric has {d.size} points, instance has {graph.k} terminals")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "metrics", family)
+        super().__init__(graph, family)
 
 
 def _expected_min_cut(g: WeightedGraph, mu: Distribution, nums: Sequence[int],

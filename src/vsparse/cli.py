@@ -174,10 +174,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     rows: list[tuple] = []
     if args.mode in ("mincut", "all") and graph.k >= 2:
         rows.extend(_oracle_rows_mincut(graph, args.budget))
-    if args.mode in ("zeroext", "all"):
-        samples = min(args.samples, 5)
-        if graph.k >= 2:
-            rows.extend(_oracle_rows_zeroext(graph, args.budget, args.seed, samples))
+    if args.mode in ("zeroext", "all") and graph.k >= 2:
+        rows.extend(_oracle_rows_zeroext(graph, args.budget, args.seed, args.samples))
     width = max((len(r[0]) for r in rows), default=8)
     mismatch = False
     for name, lhs, rhs, rel, ok in rows:
@@ -214,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for sampled metrics, default 0 (quality takes it only "
                             "under metric semantics, sparsify ignores it)")
         p.add_argument("--samples", type=_at_least(0), default=samples,
-                       help="random metrics for sampled lower checks, default 100 (quality "
-                            "takes it only under metric semantics, sparsify ignores it, "
-                            "oracle uses at most 5)")
+                       help="random metrics for sampled lower checks, default 100, 5 for "
+                            "oracle (quality takes it only under metric semantics, sparsify "
+                            "ignores it)")
 
     p_sparsify = sub.add_parser("sparsify", help="solve for the optimal operator "
                                 "and write all artifacts")
@@ -245,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--mode", choices=["mincut", "zeroext", "all"], default="all")
     p_oracle.add_argument("--budget", type=_at_least(1), default=1_000_000,
                           help="enumeration budget for brute-force oracles")
-    common(p_oracle)
+    common(p_oracle, samples=5)
     return parser
 
 

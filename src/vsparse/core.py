@@ -103,12 +103,34 @@ _R = TypeVar("_R", bound="Record")
 
 
 class Record:
-    """Base of the package's records: equality and repr over the attributes
-    named in ``_fields``, in order, and :meth:`replace`. A record equals only
-    records of its own class, and records are unhashable."""
+    """Base of the package's records: one constructor, equality and repr
+    over the attributes named in ``_fields``, in order, and :meth:`replace`.
+    A record equals only records of its own class, and records are
+    unhashable."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        """Set the fields in ``_fields`` order, positionally first, then by
+        name. A missing field, an extra positional, an unknown name or a
+        field given twice raises TypeError."""
+        fields = self._fields
+        if named or len(values) != len(fields):
+            cls = type(self).__name__
+            if len(values) > len(fields):
+                raise TypeError(f"{cls} takes {len(fields)} fields, got {len(values)} positional")
+            for name in named:
+                if name not in fields:
+                    raise TypeError(f"{cls} has no field {name!r}")
+                if fields.index(name) < len(values):
+                    raise TypeError(f"{cls} got field {name!r} twice")
+            missing = [name for name in fields[len(values):] if name not in named]
+            if missing:
+                raise TypeError(f"{cls} is missing field(s) {', '.join(missing)}")
+            values += tuple([named[name] for name in fields[len(values):]])
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -131,8 +153,8 @@ class Record:
 
 class Value(Record):
     """A read-only :class:`Record`, hashed on its fields. Assigning or
-    deleting an attribute raises AttributeError, so constructors set their
-    fields with ``object.__setattr__``."""
+    deleting an attribute raises AttributeError; the base constructor sets
+    the fields with ``object.__setattr__``."""
 
     __slots__ = ()
 
@@ -212,7 +234,7 @@ class Metric(Value):
         bad = _table_violation(ints, scale)
         if bad is not None:
             raise ValueError(bad)
-        object.__setattr__(self, "integers", (tuple([tuple(row) for row in ints]), scale))
+        super().__init__((tuple([tuple(row) for row in ints]), scale))
 
     @classmethod
     def from_integers(cls, ints: Sequence[Sequence[int]], scale: int) -> "Metric":
@@ -331,9 +353,7 @@ class WeightedGraph(Value):
                 raise ValueError(f"edge {key} has negative weight {wf}")
             if wf:
                 norm[key] = wf
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terminals", terms)
-        object.__setattr__(self, "weights", norm)
+        super().__init__(n, terms, norm)
 
     @property
     def k(self) -> int:
@@ -402,15 +422,15 @@ class Sparsifier(Value):
         norm: dict[Pair, Fraction] = {}
         for (p, q), w in beta.items():
             key = pair(p, q)
+            if key in norm:  # one pair keyed in two orientations
+                raise ValueError(f"duplicate pair {key}")
             if key[0] < 0 or key[1] >= k:
                 raise ValueError(f"pair {key} outside 0..{k - 1}")
             wf = as_fraction(w)
             if wf < 0:
                 raise ValueError(f"weight of pair {key} is negative: {wf}")
-            if wf:
-                norm[key] = norm.get(key, ZERO) + wf
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "beta", norm)
+            norm[key] = wf
+        super().__init__(k, {key: w for key, w in norm.items() if w})
 
     @functools.cached_property
     def integers(self) -> tuple[tuple[int, ...], int]:
@@ -459,7 +479,7 @@ class DemandSet(Value):
             if demf < 0:
                 raise ValueError(f"demand ({s}, {t}) is negative: {demf}")
             norm.append((s, t, demf))
-        object.__setattr__(self, "demands", tuple(norm))
+        super().__init__(tuple(norm))
 
     def max_endpoint(self) -> int:
         return max((max(s, t) for s, t, _ in self.demands), default=-1)

@@ -244,13 +244,6 @@ class MetricLpResult(Value):
 
     __slots__ = _fields = ("status", "value", "witness", "rounds")
 
-    def __init__(self, status: str, value: Fraction | None, witness: Metric | None,
-                 rounds: int):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "rounds", rounds)
-
 
 @functools.cache
 def _triangle_rows(n: int, k: int = 0) -> tuple[tuple[tuple[int, int, int], int, int, int], ...]:
@@ -274,8 +267,7 @@ def _separate(program: lp.LinearProgram, oracle: lp.Oracle, rows: str) -> lp.Cut
     :func:`lp.cutting_plane`. Each row is one of the finitely many triangle
     or path ``rows`` and never repeats, so the round cap is a formality."""
     result = lp.cutting_plane(program, oracle, max_rounds=100_000)
-    if not result.converged:
-        raise lp.CuttingPlaneError(f"{rows} separation did not converge")
+    lp.check(result.converged, f"{rows} separation did not converge")
     return result
 
 
@@ -437,10 +429,6 @@ class ExtensionResult(Value):
 
     __slots__ = ("value", "_closure", "__dict__")  # the dict caches the witness
     _fields = ("value", "_closure")
-
-    def __init__(self, value: Fraction, closure: tuple[list[list[int]], list[int], int]):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_closure", closure)
 
     @functools.cached_property
     def witness(self) -> Metric:
@@ -651,10 +639,6 @@ class ZeroExtension(Value):
     """
 
     __slots__ = _fields = ("cost", "assignment")
-
-    def __init__(self, cost: Fraction, assignment: tuple[int, ...]):
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "assignment", assignment)
 
 
 def best_zero_extension(g: WeightedGraph, d_y: Metric,

@@ -68,10 +68,6 @@ class LpAuditError(AssertionError):
     """An exact post-solve check failed; this always signals a solver bug."""
 
 
-class CuttingPlaneError(RuntimeError):
-    """The lazy-constraint loop detected an oracle exactness bug."""
-
-
 class Constraint:
     """A sparse linear row ``sum coeffs[j] * x_j  rel  rhs``.
 
@@ -674,9 +670,6 @@ class CuttingPlaneResult(Record):
 
     __slots__ = _fields = ("outcome", "rounds", "converged")
 
-    def __init__(self, outcome: LpOutcome, rounds: int, converged: bool):
-        self.outcome, self.rounds, self.converged = outcome, rounds, converged
-
 
 Oracle = Callable[[LpOutcome], "list[Constraint] | None"]
 
@@ -724,7 +717,7 @@ def cutting_plane(lp: LinearProgram, oracle: Oracle,
     kept tableau is dropped on return. The loop converges when the oracle
     returns no row, or conclusively when the master goes infeasible. Every
     returned cut is checked to be genuinely violated, and a previously added
-    cut coming back still violated raises :class:`CuttingPlaneError`, since
+    cut coming back still violated raises :class:`LpAuditError`, since
     with exact arithmetic that can only be a logic bug.
     """
     if max_rounds < 1:
@@ -740,11 +733,10 @@ def cutting_plane(lp: LinearProgram, oracle: Oracle,
             return CuttingPlaneResult(out, rounds, True)
         for cut in cuts:
             sig = _signature(cut)
-            if not _cut_is_violated(sig, out):
-                raise CuttingPlaneError("oracle returned a cut the current solution satisfies")
-            if sig in seen:
-                raise CuttingPlaneError(
-                    "oracle returned a constraint already present and still violated")
+            check(_cut_is_violated(sig, out),
+                  "oracle returned a cut the current solution satisfies")
+            check(sig not in seen,
+                  "oracle returned a constraint already present and still violated")
             seen.add(sig)
             lp.add(cut)
         if rounds < max_rounds:

@@ -88,6 +88,10 @@ class ExtensionOperator(Value):
                  distortion: FractionLike | None = None):
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k = {k}, n = {n}")
+        if distortion is not None:
+            distortion = as_fraction(distortion)
+            if distortion < 0:  # a ratio of nonnegative costs
+                raise ValueError(f"distortion is negative: {distortion}")
         norm: dict[tuple[Pair, Pair], Fraction] = {}
         for (xp, yp), value in coeffs.items():
             xp, yp = pair(*xp), pair(*yp)
@@ -106,10 +110,7 @@ class ExtensionOperator(Value):
             norm[(xp, yp)] = v
         for tp in all_pairs(k):
             norm[(tp, tp)] = ONE
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coeffs", {key: v for key, v in norm.items() if v})
-        object.__setattr__(self, "distortion", None if distortion is None else as_fraction(distortion))
+        super().__init__(n, k, {key: v for key, v in norm.items() if v}, distortion)
 
     def __hash__(self) -> int:
         return hash((self.n, self.k, tuple(sorted(self.coeffs.items()))))
@@ -174,11 +175,6 @@ class MembershipViolation(Value):
     """
 
     __slots__ = _fields = ("where", "witness", "excess")
-
-    def __init__(self, where: tuple[int, int, int], witness: Metric, excess: Fraction):
-        object.__setattr__(self, "where", where)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "excess", excess)
 
 
 def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]],
@@ -261,16 +257,6 @@ class OperatorSolveReport(Record):
     __slots__ = _fields = ("operator", "q", "converged", "iterations", "membership_cuts",
                            "distortion_cuts", "worst_metrics", "graph", "order", "sparsifier",
                            "metric_upper")
-
-    def __init__(self, operator: ExtensionOperator, q: Fraction, converged: bool,
-                 iterations: int, membership_cuts: int, distortion_cuts: int,
-                 worst_metrics: list[tuple[Metric, Fraction]], graph: WeightedGraph,
-                 order: tuple[int, ...], sparsifier: Sparsifier,
-                 metric_upper: quality.QualityReport | None):
-        self.operator, self.q, self.converged, self.iterations = operator, q, converged, iterations
-        self.membership_cuts, self.distortion_cuts = membership_cuts, distortion_cuts
-        self.worst_metrics, self.graph, self.order = worst_metrics, graph, order
-        self.sparsifier, self.metric_upper = sparsifier, metric_upper
 
 
 def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> OperatorSolveReport:

@@ -46,11 +46,6 @@ if TYPE_CHECKING:
 EXACT, SAMPLED = "exact", "sampled"
 
 
-class FlowProbeError(AssertionError):
-    """The flow sandwich failed; for pipeline-produced sparsifiers this is a
-    solver bug, never a data condition."""
-
-
 class QualityReport(Value):
     """Outcome of one quality evaluation.
 
@@ -67,14 +62,6 @@ class QualityReport(Value):
     """
 
     __slots__ = _fields = ("semantics", "q_value", "lower_ok", "witness", "completeness")
-
-    def __init__(self, semantics: str, q_value: Fraction | Unbounded | None,
-                 lower_ok: bool | None, witness: object, completeness: str):
-        object.__setattr__(self, "semantics", semantics)
-        object.__setattr__(self, "q_value", q_value)
-        object.__setattr__(self, "lower_ok", lower_ok)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "completeness", completeness)
 
 
 def _check_k(g: WeightedGraph, beta: Sparsifier) -> None:
@@ -213,21 +200,20 @@ def flow_quality_probe(g: WeightedGraph, beta: Sparsifier, demands: DemandSet,
 
     lambda_G(D) <= lambda_H(D) <= Q * lambda_G(D), where Q is the exact
     metric quality upper bound. The upper one holds for every beta, so its
-    failure raises :class:`FlowProbeError`; ``lower_ok`` records the lower
+    failure raises :class:`lp.LpAuditError`; ``lower_ok`` records the lower
     one. q_value is lambda_H / lambda_G: unbounded when lambda_G = 0 <
     lambda_H, and 0 when both flows are 0. The witness is D. A caller that
     already holds ``metric_quality_upper(g, beta).q_value`` passes it as
     ``q_cap``; otherwise it is computed here.
     """
+    from .lp import check
     _check_k(g, beta)
     if q_cap is None:
         q_cap = metric_quality_upper(g, beta).q_value
     lam_g = max_concurrent_flow(g, demands)
     lam_h = max_concurrent_flow(beta, demands)
-    if not is_unbounded(q_cap) and lam_h > q_cap * lam_g:
-        raise FlowProbeError(
-            f"flow ratio exceeds metric quality {q_cap}: "
-            f"{lam_h} > {q_cap} * {lam_g} on {demands.demands}")
+    check(is_unbounded(q_cap) or lam_h <= q_cap * lam_g, f"flow ratio exceeds metric quality "
+          f"{q_cap}: {lam_h} > {q_cap} * {lam_g} on {demands.demands}")
     ratio = lam_h / lam_g if lam_g else (UNBOUNDED if lam_h else ZERO)
     return QualityReport(FLOW, ratio, lam_h >= lam_g, demands, SAMPLED)
 
@@ -241,17 +227,17 @@ def flow_quality(g: WeightedGraph, beta: Sparsifier,
     = 1/Q (Leighton & Moitra 2010; Charikar, Leighton, Li & Moitra 2010).
     An unbounded Q has lambda_G(beta) = 0 and gives an unbounded report.
     The probe's report on D must pass its lower check and equal Q, as for a
-    collapsed operator, else :class:`FlowProbeError`. With no entry there is
+    collapsed operator, else :class:`lp.LpAuditError`. With no entry there is
     no demand to route and the report is 0, as Q is.
     """
+    from .lp import check
     _check_k(g, beta)
     demands = DemandSet([(p, q, w) for (p, q), w in sorted(beta.beta.items())])
     if not demands.demands:
         return QualityReport(FLOW, ZERO, True, None, EXACT)
     report = flow_quality_probe(g, beta, demands, q_cap=q_cap)
-    if not report.lower_ok or report.q_value != q_cap:
-        raise FlowProbeError(f"flow ratio at D = beta is {report.q_value} (lower bound "
-                             f"held: {report.lower_ok}), metric upper quality is {q_cap}")
+    check(report.lower_ok and report.q_value == q_cap, f"flow ratio at D = beta is {report.q_value}"
+          f" (lower bound held: {report.lower_ok}), metric upper quality is {q_cap}")
     return report.replace(completeness=EXACT)
 
 

@@ -483,6 +483,14 @@ def test_oracle_single_terminal_is_vacuous(tmp_path, capsys):
     assert "fewer than two terminals" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, rows", [([], 5), (["--samples", "6"], 6)], ids=["default", "six"])
+def test_oracle_checks_every_sample_asked_for(tmp_path, capsys, flags, rows):
+    path = write_json(tmp_path / "p.json", graph_to_json(path3()))
+    assert main(["oracle", path, "--mode", "zeroext", *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in lines if "sample" in line] == [str(a) for a in range(rows)]
+
+
 def test_oracle_seed_changes_samples_not_verdict(tmp_path, capsys):
     path = write_json(tmp_path / "p.json", graph_to_json(path3()))
     outputs = []

@@ -457,10 +457,16 @@ def test_sparsifier_as_graph_round_trip():
     (2, {(0, 1): -1}),    # negative weight
     (1, {(0, 0): 1}),     # self pair
     (0, {}),              # no terminal
+    (2, {(0, 1): 1, (1, 0): 2}),  # one pair keyed in both orientations
 ])
 def test_sparsifier_rejects_bad_inputs(k, beta):
     with pytest.raises(ValueError):
         Sparsifier(k, beta)
+
+
+def test_sparsifier_refuses_a_pair_keyed_twice_instead_of_summing():
+    with pytest.raises(ValueError, match=r"^duplicate pair \(0, 1\)$"):
+        Sparsifier(2, {(0, 1): 1, (1, 0): 2})
 
 
 # --- demands -----------------------------------------------------------

@@ -81,6 +81,13 @@ def test_tensor_validation(coeffs):
         ExtensionOperator(3, 2, coeffs)
 
 
+def test_negative_distortion_is_refused():
+    # a distortion is a ratio of nonnegative costs
+    assert ExtensionOperator(3, 2, {}, distortion=0).distortion == 0
+    with pytest.raises(ValueError, match="distortion is negative: -1"):
+        ExtensionOperator(3, 2, {}, distortion=-1)
+
+
 @pytest.mark.parametrize("n, k", [(2, 3), (3, 0)], ids=["more-terminals-than-vertices",
                                                           "no-terminal"])
 def test_shape_validation(n, k):
@@ -605,6 +612,7 @@ def test_operator_json_requires_distortion():
 
 @pytest.mark.parametrize("mangle,fragment", [
     (lambda d: d.pop("Q"), "missing required key"),
+    (lambda d: d.update(Q="-1/1"), "operator: distortion is negative: -1"),
     (lambda d: d["coeffs"].append(d["coeffs"][0]), "duplicate"),
     (lambda d: d["coeffs"][0].pop(), "expected [i, j, p, q, value]"),
     (lambda d: d["coeffs"].append([2, 3, 0, 1, "-1/2"]), "negative"),

@@ -8,7 +8,6 @@ import pytest
 from vsparse import (
     UNBOUNDED,
     DemandSet,
-    FlowProbeError,
     Metric,
     QualityReport,
     Sparsifier,
@@ -36,7 +35,7 @@ from vsparse import (
     sparsifier_to_json,
     zero_extension_operator,
 )
-from vsparse import quality
+from vsparse import lp, quality
 from vsparse.jsonio import JsonFormatError, dump_canonical
 from vsparse.operators import ExtensionOperator
 from vsparse.quality import CUT, EXACT, FLOW, METRIC, SAMPLED, flow_quality
@@ -467,7 +466,7 @@ def test_flow_probe_checks_against_passed_cap():
     # doubling the path's edge doubles the flow: quality 2, so a cap of 3/2 breaks
     beta, demands = Sparsifier(2, {(0, 1): 2}), DemandSet([(0, 1, 1)])
     assert flow_quality_probe(path3(), beta, demands).q_value == 2
-    with pytest.raises(FlowProbeError, match="exceeds metric quality 3/2"):
+    with pytest.raises(lp.LpAuditError, match="exceeds metric quality 3/2"):
         flow_quality_probe(path3(), beta, demands, q_cap=F(3, 2))
 
 
@@ -504,15 +503,15 @@ def test_flow_quality_exact_when_unbounded():
 def test_flow_quality_raises_on_wrong_cap():
     # Q = 4/3: a cap above it misses the ratio, one below breaks the sandwich
     beta = Sparsifier(3, {(0, 1): F(2, 3), (0, 2): F(2, 3), (1, 2): F(2, 3)})
-    with pytest.raises(FlowProbeError, match="metric upper quality is 3/2"):
+    with pytest.raises(lp.LpAuditError, match="metric upper quality is 3/2"):
         flow_quality(unit_star(3), beta, F(3, 2))
-    with pytest.raises(FlowProbeError, match="exceeds metric quality 5/4"):
+    with pytest.raises(lp.LpAuditError, match="exceeds metric quality 5/4"):
         flow_quality(unit_star(3), beta, F(5, 4))
 
 
 def test_flow_quality_raises_on_lower_failure():
     # half the path's capacity: the ratio is the cap, but H routes less than G
-    with pytest.raises(FlowProbeError, match="lower bound held: False"):
+    with pytest.raises(lp.LpAuditError, match="lower bound held: False"):
         flow_quality(path3(), Sparsifier(2, {(0, 1): F(1, 2)}), F(1, 2))
 
 

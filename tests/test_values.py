@@ -3,6 +3,7 @@ fields and repr, as callers rely on them."""
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,12 @@ from vsparse import (
     WeightedGraph,
     best_zero_extension,
     cut_metric,
+    find_optimal_operator,
     min_extension,
     zero_extension_operator,
 )
 from vsparse import lp
+from vsparse.core import Record
 from vsparse.extension import terminal_pair_lp
 from vsparse.operators import MembershipViolation
 from helpers import path3
@@ -109,6 +112,43 @@ def test_read_only_values_pickle_and_copy(obj, name):
     for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
         assert type(twin) is type(obj) and twin == obj
         assert getattr(twin, name) == getattr(obj, name)
+
+
+def built_by_the_base_constructor():
+    """One object of each class whose fields the base constructor sets. A
+    Metric is built there too, but its constructor takes a table, not the
+    integers it stores."""
+    program = lp.LinearProgram(1, "min", {0: 1})
+    return [*[obj for obj, _ in read_only() if not isinstance(obj, Metric)],
+            find_optimal_operator(path3()), lp.cutting_plane(program, lambda out: None)]
+
+
+@pytest.mark.parametrize("obj", built_by_the_base_constructor(), ids=lambda v: type(v).__name__)
+def test_fields_are_given_positionally_or_by_name(obj):
+    cls, values = type(obj), obj._values()
+    named = dict(zip(cls._fields, values))
+    assert cls(*values) == obj == cls(**named)
+    assert obj.replace() == obj
+    first = cls._fields[0]
+    for call in (lambda: cls(**{name: v for name, v in named.items() if name != first}),
+                 lambda: cls(*values, None),
+                 lambda: cls(*values, nonfield=None),
+                 lambda: cls(*values, **{first: values[0]})):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_base_constructor_names_what_is_wrong():
+    class Pair(Record):
+        __slots__ = _fields = ("left", "right")
+
+    assert Pair(1, right=2) == Pair(left=1, right=2) == Pair(1, 2)
+    for args, named, message in [((1,), {}, "Pair is missing field(s) right"),
+                                 ((1, 2, 3), {}, "Pair takes 2 fields, got 3 positional"),
+                                 ((1, 2), {"middle": 3}, "Pair has no field 'middle'"),
+                                 ((1,), {"left": 2}, "Pair got field 'left' twice")]:
+        with pytest.raises(TypeError, match=re.escape(message)):
+            Pair(*args, **named)
 
 
 def test_lp_outcome_equality_ignores_tableau_and_duals():
