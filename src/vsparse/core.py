@@ -247,6 +247,10 @@ class Metric(Value):
         metric._settle([[v // common for v in row] for row in ints], scale // common)
         return metric
 
+    def replace(self, integers: tuple[Sequence[Sequence[int]], int] | None = None) -> "Metric":
+        """A copy with ``integers`` changed, built by :meth:`from_integers`."""
+        return Metric.from_integers(*(self.integers if integers is None else integers))
+
     @functools.cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The distance table as Fractions, built on first read and kept."""

@@ -8,14 +8,15 @@ minimum extension is exactly a terminal min cut, which ``min_cut_via_lp``
 reads off the LP) and exhaustive 0-extension enumeration (an upper bound
 for arbitrary metrics).
 
-``terminal_pair_lp`` is the program behind the metric upper quality and
-the maximum concurrent flow: the ratio of a weighted sum of terminal
-distances to alpha(d), over vertex metrics d. Past ``RAY_POINTS`` vertices
-it runs, as ``min_extension`` does, over edge lengths, and its witness is
-the shortest-path closure of the optimal lengths. Both add path rows by one
-rule (:func:`_short_paths`): at a round's integer lengths, a terminal pair
-whose shortest path is shorter than its bound, d_y or the pair's distance,
-gets the row of that path and of every other two-edge path shorter too.
+``terminal_pair_lp`` is the program behind the metric upper quality and,
+by its reciprocal, the maximum concurrent flow: the largest weighted sum of
+terminal distances over the vertex metrics d with alpha(d) <= 1. Past
+``RAY_POINTS`` vertices it runs, as ``min_extension`` does, over edge
+lengths, and its witness is the shortest-path closure of the optimal
+lengths. Both add path rows by one rule (:func:`_short_paths`): at a
+round's integer lengths, a terminal pair whose shortest path is shorter
+than its bound, d_y or the pair's distance, gets the row of that path and
+of every other two-edge path shorter too.
 
 ``MetricConeLp`` optimizes a linear objective over the metric cone on m
 points, every pair distance a variable, under extra rows; its triangle rows
@@ -25,7 +26,7 @@ denominator, which decides exactly as the Fractions would, and every value
 in and out stays a ``Fraction``. On at most six points the metric cone has
 a short list of extreme rays (:func:`cone_rays`: the cut metrics, with 10
 more on five points and the 265 non-cut rays on six, 296 in all), so a
-cone LP with one extra row is read off them.
+cone LP that maximizes under one extra "<=" row is read off them.
 """
 
 from __future__ import annotations
@@ -158,27 +159,22 @@ def _ray_masses(m: int) -> tuple[int, ...]:
     return tuple([sum(ray) for ray in cone_rays(m)])
 
 
-def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
-                 row: tuple[Mapping[Pair, FractionLike], str, FractionLike]
-                 ) -> MetricLpResult | None:
-    """A one-row LP over the metric cone on m <= 6 points, read off
-    the extreme rays, or None when the LP has to decide.
+def _ray_optimum(m: int, objective: Mapping[Pair, FractionLike],
+                 coeffs: Mapping[Pair, FractionLike], rhs: FractionLike) -> MetricLpResult | None:
+    """The LP max c.d over the metric cone on m <= 6 points under the one
+    row a.d <= b, read off the extreme rays, or None when the LP has to
+    decide.
 
     With nonnegative row coefficients a and right-hand side b > 0, the
-    vertices of the feasible set are the points b * r / (a.r) of the rays
-    with a.r > 0, plus the apex 0 for a "<=" row; rays with a.r = 0 (every
-    ray for ">=") are recession directions. In this order: a ">=" row with
-    a = 0 (a.r = 0 on every ray) is infeasible; the first recession ray that
-    improves the objective is the unbounded result's witness;
-    otherwise the optimum is the vertex of the best c.r / a.r, ties to the
-    first ray in ``cone_rays(m)`` order, or for a "<=" row the apex
+    vertices of the feasible set are the apex 0 and the points b * r / (a.r)
+    of the rays with a.r > 0; rays with a.r = 0 are recession directions.
+    The first recession ray that improves the objective is the unbounded
+    result's witness; otherwise the optimum is the vertex of the best
+    c.r / a.r, ties to the first ray in ``cone_rays(m)`` order, or the apex
     ``zero_metric(m)`` when no ray beats 0. Every answer is a vertex or an
     extreme ray of the program. A negative coefficient or b <= 0 is left to
     the LP.
     """
-    coeffs, rel, rhs = row
-    if sense not in ("min", "max") or rel not in (lp.LE, lp.GE):
-        raise lp.LpError(f"cannot {sense!r} over a {rel!r} row")
     rhs = as_fraction(rhs)
     if rhs <= 0:
         return None
@@ -189,22 +185,19 @@ def _ray_optimum(m: int, sense: str, objective: Mapping[Pair, FractionLike],
         if min(a_nums) < 0:
             return None
         a_rays = _on_rays(m, a_nums)
-    if rel == lp.GE and not any(a_rays):
-        return MetricLpResult(lp.INFEASIBLE, None, None, 0)
     c_nums, c_scale = _pair_numerators(m, objective)
-    sign = 1 if sense == "max" else -1
-    best = None  # (sign * c.r, a.r, ray index) of the best vertex so far
-    for r, cr, ar in zip(itertools.count(), _on_rays(m, [sign * c for c in c_nums]), a_rays):
-        if cr > 0 and (ar == 0 or rel == lp.GE):
+    best = None  # (c.r, a.r, ray index) of the best vertex so far
+    for r, cr, ar in zip(itertools.count(), _on_rays(m, c_nums), a_rays):
+        if cr > 0 and ar == 0:
             return MetricLpResult(lp.UNBOUNDED, None, _ray_metric(m, r, ONE), 0)
         if ar and (best is None or cr * best[1] > best[0] * ar):
             best = (cr, ar, r)
-    if rel == lp.LE and (best is None or best[0] <= 0):
+    if best is None or best[0] <= 0:
         return MetricLpResult(lp.OPTIMAL, ZERO, zero_metric(m), 0)
     cr, ar, r = best
     # the optimal vertex is step * ray with step = rhs * a_scale / ar
     step_num, step_den = rhs.numerator * a_scale, rhs.denominator * ar
-    value = Fraction(step_num * sign * cr, step_den * c_scale)
+    value = Fraction(step_num * cr, step_den * c_scale)
     witness = (_normalized_ray(m, r) if step_num * _ray_masses(m)[r] == step_den
                else _ray_metric(m, r, Fraction(step_num, step_den)))
     return MetricLpResult(lp.OPTIMAL, value, witness, 0)
@@ -277,9 +270,10 @@ class MetricConeLp:
     metric cone by triangle rows added as they are violated, which is
     measurably faster than all rows up front and reaches the same optimal
     value (on a degenerate optimal face the witness can be another optimal
-    vertex). A cone on at most six points with one extra row with
-    nonnegative coefficients and a positive right-hand side skips the LP:
-    its answer is read off the extreme rays (:func:`_ray_optimum`).
+    vertex). A maximum over a cone on at most six points under one extra
+    "<=" row with nonnegative coefficients and a positive right-hand side
+    skips the LP: its answer is read off the extreme rays
+    (:func:`_ray_optimum`). Every other program runs the LP.
     """
 
     def __init__(self, m: int):
@@ -305,8 +299,9 @@ class MetricConeLp:
         direction when unbounded.
         """
         extra_rows = list(extra_rows)
-        if len(extra_rows) == 1 and 2 <= self.m <= RAY_POINTS:
-            result = _ray_optimum(self.m, sense, objective, extra_rows[0])
+        if sense == "max" and len(extra_rows) == 1 and 2 <= self.m <= RAY_POINTS:
+            coeffs, rel, rhs = extra_rows[0]
+            result = _ray_optimum(self.m, objective, coeffs, rhs) if rel == lp.LE else None
             if result is not None:
                 return result
         index = _pair_index(self.m)
@@ -512,33 +507,29 @@ def min_cut_via_lp(g: WeightedGraph, side: Iterable[int]) -> Fraction:
 # metric upper quality and concurrent flow, over edge lengths
 
 
-def terminal_pair_lp(g: WeightedGraph, sense: str,
-                     coeffs: Mapping[Pair, Fraction]) -> MetricLpResult:
-    """The ratio of c(d) = sum coeffs[p, q] * d(p, q) to alpha(d) over the
-    metrics d on g's vertices, in one of its two normalizations.
+def terminal_pair_lp(g: WeightedGraph, coeffs: Mapping[Pair, Fraction]) -> MetricLpResult:
+    """The largest c(d) = sum coeffs[p, q] * d(p, q) over the metrics d on
+    g's vertices with alpha(d) <= 1.
 
-    ``coeffs`` is keyed by terminal-local pair and nonnegative. Sense "max"
-    maximizes c(d) subject to alpha(d) <= 1: the metric upper quality of a
-    sparsifier with beta = coeffs. Sense "min" minimizes alpha(d) subject to
-    c(d) >= 1: the maximum concurrent flow of the demands coeffs, which needs
-    a positive entry.
+    ``coeffs`` is keyed by terminal-local pair and nonnegative. The optimum
+    is the metric upper quality of a sparsifier with beta = coeffs, and its
+    reciprocal the maximum concurrent flow of the demands coeffs: the
+    program is homogeneous, so min alpha(d) subject to c(d) >= 1 is 1 over
+    it, and 0 where it is unbounded.
 
     A graph on at most ``RAY_POINTS`` vertices is read off the extreme rays
     of its metric cone (:class:`MetricConeLp`); a larger one runs over edge
     lengths (:func:`_edge_length_lp`). Either way the witness is a terminal
-    metric, and the program is attained, or unbounded only under "max",
+    metric, and the program, feasible at d = 0, is attained or unbounded,
     checked here (:class:`lp.LpAuditError` otherwise).
     """
     if g.n > RAY_POINTS:
-        result = _edge_length_lp(g, sense, coeffs)
+        result = _edge_length_lp(g, coeffs)
     else:
-        objective = _vertex_pairs(g, coeffs)
-        costs, row, rel = ((objective, g.weights, lp.LE) if sense == "max"
-                           else (g.weights, objective, lp.GE))
-        cone = MetricConeLp(g.n).optimize(sense, costs, [(row, rel, ONE)])
+        cone = MetricConeLp(g.n).optimize("max", _vertex_pairs(g, coeffs),
+                                          [(g.weights, lp.LE, ONE)])
         result = cone.replace(witness=cone.witness and cone.witness.restrict(g.terminals))
-    lp.check(result.status == lp.OPTIMAL or sense == "max" and result.status == lp.UNBOUNDED,
-             "a pair LP is attained, or unbounded only under 'max'")
+    lp.check(result.status in (lp.OPTIMAL, lp.UNBOUNDED), "a pair LP is attained or unbounded")
     return result
 
 
@@ -548,20 +539,18 @@ def _vertex_pairs(g: WeightedGraph, coeffs: Mapping[Pair, Fraction]) -> dict[Pai
     return {pair(g.terminals[p], g.terminals[q]): c for (p, q), c in coeffs.items() if c}
 
 
-def _edge_length_lp(g: WeightedGraph, sense: str,
-                    coeffs: Mapping[Pair, Fraction]) -> MetricLpResult:
+def _edge_length_lp(g: WeightedGraph, coeffs: Mapping[Pair, Fraction]) -> MetricLpResult:
     """:func:`terminal_pair_lp` over edge lengths.
 
     One length l_e >= 0 per weighted edge, then one distance x_pq >= 0 per
     pair of terminals with a coefficient that is not an edge, each in sorted
-    pair order; a pair that is an edge reads its length. Sense "max" is
-    max sum c * x subject to sum w * l <= 1, sense "min" is min sum w * l
-    subject to sum c * x >= 1, and both keep x_pq - sum_{e in P} l_e <= 0
+    pair order; a pair that is an edge reads its length. The program is
+    max sum c * x subject to sum w * l <= 1 and x_pq - sum_{e in P} l_e <= 0
     for the paths P from p to q, through terminals too, added lazily by
     :func:`_short_paths` with each pair's distance as its bound. Before the
     first solve each distance column gets the row of its shortest path at
     the lengths 1 / w_e, so every round is bounded and every round after
-    the first is warm. Each program is the metric one's: a metric gives
+    the first is warm. The program is the metric one's: a metric gives
     feasible lengths and distances by the triangle inequality, and the
     shortest-path closure of optimal lengths is a metric that does as well,
     the witness. Terminals with no path between them sit at the closure's
@@ -569,9 +558,8 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
 
     A pair with no path between its terminals makes the ratio unbounded
     before any LP runs. For the first such pair (u, v), u < v, the cut
-    metric of u's component extends at cost 0 and has c > 0: for "max" it
-    is the improving direction, and "min" has the value 0 at it, scaled to
-    c = 1.
+    metric of u's component extends at cost 0 and has c > 0: the improving
+    direction.
     """
     objective = _vertex_pairs(g, coeffs)
     edges = sorted(g.weights)
@@ -588,16 +576,11 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
         for _, v in pairs:
             if v not in dist:
                 cut = cut_metric([p for p, t in enumerate(g.terminals) if t in dist], g.k)
-                if sense == "max":
-                    return MetricLpResult(lp.UNBOUNDED, None, cut, 0)
-                mass = sum([c for (p, q), c in objective.items() if (p in dist) != (q in dist)])
-                return MetricLpResult(lp.OPTIMAL, ZERO, cut.scale(ONE / mass), 0)
+                return MetricLpResult(lp.UNBOUNDED, None, cut, 0)
             seeds.append(_distance_row(column[(u, v)], _path(via, u, v)))
-    costs, row, rel = ((objective, g.weights, lp.LE) if sense == "max"
-                       else (g.weights, objective, lp.GE))
-    c_nums, c_scale = integer_row(list(objective.values())) if sense == "max" else g.integers
-    program = lp.LinearProgram(len(column), sense, {column[pq]: c for pq, c in costs.items()})
-    program.add_constraint({column[pq]: c for pq, c in row.items()}, rel, ONE)
+    c_nums, c_scale = integer_row(list(objective.values()))
+    program = lp.LinearProgram(len(column), "max", {column[pq]: c for pq, c in objective.items()})
+    program.add_constraint({column[pq]: w for pq, w in g.weights.items()}, lp.LE, ONE)
     for con in seeds:
         program.add(con)
     targets: dict[int, dict[int, int]] = {}  # each pair's column, by its two vertices
@@ -615,7 +598,7 @@ def _edge_length_lp(g: WeightedGraph, sense: str,
     lp.check(out.status == lp.OPTIMAL, "a pair LP with a path for every pair is attained")
     nums, scale = out.point
     ints, _ = _closure(g.n, [(u, v, x) for (u, v), x in zip(edges, nums)])
-    lp.check(sum([c * ints[u][v] for (u, v), c in zip(costs, c_nums)]) * out.value.denominator
+    lp.check(sum([c * ints[u][v] for (u, v), c in zip(objective, c_nums)]) * out.value.denominator
              == out.value.numerator * scale * c_scale,
              "the closure of the optimal lengths misses the LP value")
     witness = Metric.from_integers([[ints[t][s] for s in g.terminals] for t in g.terminals], scale)

@@ -4,10 +4,10 @@ Three semantics share one report shape: cut quality enumerates every
 terminal bipartition and compares the sparsifier's cut to the terminal min
 cut; metric quality bounds the sparsifier's value against the minimum
 extension through a single LP; flow quality compares maximum
-concurrent-flow fractions through the dual LPs, exactly at the
-sparsifier's own demands or on a given set. The metric and flow LPs are one
-program in two normalizations (:func:`extension.terminal_pair_lp`): over
-edge lengths with shortest-path rows on a graph of more than
+concurrent-flow fractions, exactly at the sparsifier's own demands or on a
+given set. Both run one program (:func:`extension.terminal_pair_lp`), whose
+optimum is the metric upper quality and whose reciprocal is the concurrent
+flow: over edge lengths with shortest-path rows on a graph of more than
 ``RAY_POINTS`` vertices, read off the extreme rays of the vertex metric
 cone on a smaller one. All values are exact rationals; a ratio against
 zero is reported as unbounded rather than clamped. Cut grading needs only
@@ -116,7 +116,7 @@ def metric_quality_upper(g: WeightedGraph, beta: Sparsifier) -> QualityReport:
     from .extension import terminal_pair_lp
 
     _check_k(g, beta)
-    result = terminal_pair_lp(g, "max", beta.beta)
+    result = terminal_pair_lp(g, beta.beta)
     q = UNBOUNDED if result.value is None else result.value
     return QualityReport(METRIC, q, None, result.witness, EXACT)
 
@@ -168,13 +168,13 @@ def metric_quality(g: WeightedGraph, beta: Sparsifier, samples: int = 100,
 def max_concurrent_flow(g: WeightedGraph | Sparsifier, demands: DemandSet) -> Fraction:
     """The largest fraction lambda of all demands routable at once.
 
-    Computed from the dual: minimize alpha(d) over vertex metrics with the
-    demand-weighted terminal distances summing to at least 1: over edge
-    lengths with shortest-path rows past ``RAY_POINTS`` vertices, read off
-    the metric cone's extreme rays on fewer (:func:`extension.terminal_pair_lp`).
-    It is 0 when a positive demand joins terminals with no path between
-    them. Demand endpoints are terminal-local, so one demand set applies to
-    a graph and to its sparsifier unchanged. Demands must include a positive
+    By LP duality it is the least alpha(d) over vertex metrics d whose
+    demand-weighted terminal distances sum to at least 1, and by scaling
+    1 over the largest such sum with alpha(d) <= 1
+    (:func:`extension.terminal_pair_lp`), or 0 when that is unbounded, as
+    when a positive demand joins terminals with no path between them.
+    Demand endpoints are terminal-local, so one demand set applies to a
+    graph and to its sparsifier unchanged. Demands must include a positive
     entry, otherwise lambda is meaningless.
     """
     from .extension import terminal_pair_lp
@@ -191,7 +191,8 @@ def max_concurrent_flow(g: WeightedGraph | Sparsifier, demands: DemandSet) -> Fr
         if dem:
             key = pair(s, t)
             coeffs[key] = coeffs.get(key, ZERO) + dem
-    return terminal_pair_lp(g, "min", coeffs).value  # attained: feasible by scaling, at least 0
+    top = terminal_pair_lp(g, coeffs).value  # positive, or None when unbounded
+    return ZERO if top is None else 1 / top
 
 
 def flow_quality_probe(g: WeightedGraph, beta: Sparsifier, demands: DemandSet,

@@ -242,10 +242,11 @@ def _cone_lp(family: str, m: int, seed: int) -> tuple:
 
     ``eq-max`` is the probe of membership and distortion separation over
     the slice sum d <= 1 (the ``eq-max`` families keep the names their
-    fixture keys have), ``ge-min`` the concurrent-flow LP (demand rows that
-    vanish on some rays), ``le-max`` the budgeted quality LP (unbounded
-    when the budget misses a pair the objective rewards); the named
-    families pin ties, all-nonpositive objectives and the apex.
+    fixture keys have), ``ge-min`` the concurrent flow's minimum form, which
+    the LP decides (demand rows that vanish on some rays), ``le-max`` the
+    budgeted quality LP, whose optimum the concurrent flow is 1 over
+    (unbounded when the budget misses a pair the objective rewards); the
+    named families pin ties, all-nonpositive objectives and the apex.
     """
     rng = random.Random(seed * 1000 + m * 100 + CONE_LP_FAMILIES.index(family))
     pairs = all_pairs(m)

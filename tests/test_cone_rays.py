@@ -3,14 +3,15 @@
 ``cone_rays(m)`` lists the extreme rays of the metric cone on m <= 6
 points: the cut metrics, the 10 K_{2,3} metrics on five points and the 265
 non-cut rays on six. They are checked against a double description of the
-cone built here. ``MetricConeLp.optimize`` reads a one-row program on such
-a cone off them (its optimal vertex, the apex, an improving ray or
-infeasibility), the membership probe settles "max <= 0" from them, and on
-six vertices the metric upper quality and the concurrent flow are read off
-them instead of solved over edge lengths. The reads are compared with the
-LP they replace, taken with the ray path switched off, in status and
-value; on a tie the two may return different optimal vertices, so the
-read's own answer is checked to be a vertex or ray of the program instead.
+cone built here. ``MetricConeLp.optimize`` reads a maximum under one "<="
+row on such a cone off them (its optimal vertex, the apex or an improving
+ray) and sends every other program to the LP, the membership probe settles
+"max <= 0" from them, and on six vertices the metric upper quality, and
+with it the concurrent flow, its reciprocal, are read off them instead of
+solved over edge lengths. The reads are compared with the LP they replace,
+taken with the ray path switched off, in status and value; on a tie the
+two may return different optimal vertices, so the read's own answer is
+checked to be a vertex or ray of the program instead.
 The membership scan runs on integer numerators; the Fraction scan it
 replaced is kept here as its reference.
 """
@@ -28,9 +29,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from vsparse import (ExtensionOperator, Metric, WeightedGraph, all_pairs, cut_metric,
-                     extension, find_optimal_operator, lp, operators, pair,
-                     zero_extension_operator, zero_metric)
+from vsparse import (DemandSet, ExtensionOperator, Metric, WeightedGraph, all_pairs,
+                     cut_metric, extension, find_optimal_operator, lp, operators, pair,
+                     quality, zero_extension_operator, zero_metric)
 from vsparse.extension import MetricConeLp, cone_rays
 from vsparse.sampling import random_graph
 from helpers import held_rows, unit_star
@@ -261,25 +262,33 @@ def _is_ray(m, d, scaled):
 
 
 def _check_ray_read(m, sense, objective, row, monkeypatch):
-    """The ray read of a one-row program against the LP: equal in status and
-    value, and its answer a vertex or an improving ray of the program."""
+    """A one-row program against the LP, equal in status and value. A
+    maximum under a "<=" row is read off the rays, in no LP round, and its
+    answer is a vertex or an improving ray of the program; every other
+    program runs the LP, and a minimum under a "<=" row is also the
+    negated ray read of the maximum of the negated objective."""
     got = MetricConeLp(m).optimize(sense, objective, [row])
     with monkeypatch.context() as patch:
         patch.setattr(extension, "_ray_optimum", lambda *args: None)
         want = MetricConeLp(m).optimize(sense, objective, [row])
     assert (got.status, got.value) == (want.status, want.value), (sense, objective, row)
-    assert got.rounds == 0 < want.rounds
     coeffs, rel, rhs = row
+    read = sense == "max" and rel == lp.LE
+    assert (got.rounds == 0) == read and want.rounds > 0
+    if sense == "min" and rel == lp.LE:
+        flip = MetricConeLp(m).optimize("max", {pq: -c for pq, c in objective.items()}, [row])
+        assert flip.rounds == 0 and flip.status == got.status
+        assert flip.status != lp.OPTIMAL or flip.value == -got.value
+    if not read:
+        return
     if got.status == lp.OPTIMAL:
-        lhs = _value(coeffs, got.witness)
-        assert lhs <= rhs if rel == lp.LE else lhs >= rhs
+        assert _value(coeffs, got.witness) <= rhs
         assert _value(objective, got.witness) == got.value
         assert got.witness == zero_metric(m) or _is_ray(m, got.witness, scaled=True)
     elif got.status == lp.UNBOUNDED:
-        gain = _value(objective, got.witness)
-        assert gain > 0 if sense == "max" else gain < 0
+        assert _value(objective, got.witness) > 0
         assert _is_ray(m, got.witness, scaled=False)
-        assert rel == lp.GE or _value(coeffs, got.witness) == 0
+        assert _value(coeffs, got.witness) == 0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -335,17 +344,17 @@ def test_ray_path_reads_ties_unbounded_apex_and_infeasible_programs():
     m = 4
     ones = {pq: F(1) for pq in all_pairs(m)}
     cut_of_0 = cut_metric([0], m)  # the first ray of cone_rays(4)
-    tied = extension._ray_optimum(m, "max", ones, (ones, lp.LE, F(1)))
+    tied = extension._ray_optimum(m, ones, ones, F(1))
     assert (tied.status, tied.value, tied.witness) == (lp.OPTIMAL, F(1), cut_of_0.scale(F(1, 3)))
-    unbounded = extension._ray_optimum(m, "max", {(0, 1): F(1)}, ({(2, 3): F(1)}, lp.LE, F(1)))
+    unbounded = extension._ray_optimum(m, {(0, 1): F(1)}, {(2, 3): F(1)}, F(1))
     assert (unbounded.status, unbounded.witness) == (lp.UNBOUNDED, cut_of_0)
-    apex = extension._ray_optimum(m, "max", {(0, 1): F(-1)}, (ones, lp.LE, F(1)))
+    apex = extension._ray_optimum(m, {(0, 1): F(-1)}, ones, F(1))
     assert (apex.status, apex.value, apex.witness) == (lp.OPTIMAL, F(0), zero_metric(m))
-    infeasible = extension._ray_optimum(m, "max", ones, ({}, lp.GE, F(1)))
+    assert all(r.rounds == 0 for r in (tied, unbounded, apex))
+    # a ">=" row is not read off the rays: the LP finds 0 >= 1 infeasible
+    infeasible = MetricConeLp(m).optimize("max", ones, [({}, lp.GE, F(1))])
     assert (infeasible.status, infeasible.value, infeasible.witness) == (lp.INFEASIBLE, None, None)
-    assert all(r.rounds == 0 for r in (tied, unbounded, apex, infeasible))
-    unique = extension._ray_optimum(m, "max", {(0, 1): F(3), (0, 2): F(2), (0, 3): F(2)},
-                                    (ones, lp.LE, F(2)))
+    unique = extension._ray_optimum(m, {(0, 1): F(3), (0, 2): F(2), (0, 3): F(2)}, ones, F(2))
     assert unique.status == lp.OPTIMAL and unique.rounds == 0
     assert unique.value == F(14, 3)  # the cut of point 0, scaled to total 2
     assert unique.witness.rows[0] == (0, F(2, 3), F(2, 3), F(2, 3))
@@ -354,9 +363,9 @@ def test_ray_path_reads_ties_unbounded_apex_and_infeasible_programs():
 def test_ray_path_leaves_negative_rows_and_nonpositive_bounds_to_the_lp():
     m = 4
     ones = {pq: F(1) for pq in all_pairs(m)}
-    assert extension._ray_optimum(m, "max", ones, ({(0, 1): F(-1)}, lp.GE, F(1))) is None
-    assert extension._ray_optimum(m, "max", ones, (ones, lp.LE, F(0))) is None
-    assert extension._ray_optimum(m, "max", ones, (ones, lp.GE, F(-1))) is None
+    assert extension._ray_optimum(m, ones, {(0, 1): F(-1)}, F(1)) is None
+    assert extension._ray_optimum(m, ones, ones, F(0)) is None
+    assert extension._ray_optimum(m, ones, ones, F(-1)) is None
 
 
 @pytest.mark.parametrize("m,held", [(4, {}), (7, {}), (2, {(0, 1): F(1)})],
@@ -615,6 +624,8 @@ def _six_vertex_graphs():
 @pytest.mark.parametrize("sense", ["max", "min"])
 def test_six_vertex_pair_programs_read_the_rays_as_the_edge_length_lp_solves(sense,
                                                                              monkeypatch):
+    # max: the metric upper quality; min: min alpha(d) subject to c(d) >= 1,
+    # read as the concurrent flow, 1 over the max or 0
     def refuse(*args):
         raise AssertionError("edge-length LP run on six vertices")
 
@@ -622,19 +633,28 @@ def test_six_vertex_pair_programs_read_the_rays_as_the_edge_length_lp_solves(sen
     for g in _six_vertex_graphs():
         coeffs = {pq: F(rng.randint(0, 4), rng.randint(1, 3)) for pq in all_pairs(g.k)}
         coeffs[(0, 1)] = F(rng.randint(1, 4))  # the cut-off terminal 0 has a demand
-        want = extension._edge_length_lp(g, sense, coeffs)
+        demands = DemandSet([(p, q, c) for (p, q), c in coeffs.items()])
+        want = extension._edge_length_lp(g, coeffs)
         with monkeypatch.context() as patch:
             patch.setattr(extension, "_edge_length_lp", refuse)
-            got = extension.terminal_pair_lp(g, sense, coeffs)
-        assert (got.status, got.value) == (want.status, want.value)
-        c = _value(coeffs, got.witness)
-        if got.status == lp.UNBOUNDED:
-            assert c > 0 and sense == "max"  # an improving direction
+            if sense == "max":
+                got = extension.terminal_pair_lp(g, coeffs)
+            else:
+                flow = quality.max_concurrent_flow(g, demands)
+        if sense == "max":
+            assert (got.status, got.value) == (want.status, want.value)
+            c = _value(coeffs, got.witness)
+            if got.status == lp.UNBOUNDED:
+                assert c > 0  # an improving direction
+            else:
+                assert c == got.value
         else:
-            assert c == (got.value if sense == "max" else 1)
+            assert flow == (0 if want.status == lp.UNBOUNDED else 1 / want.value)
     # the last graph, with a terminal cut off: unbounded upper quality, no flow
-    assert (got.status, got.value) == ((lp.UNBOUNDED, None) if sense == "max"
-                                       else (lp.OPTIMAL, 0))
+    if sense == "max":
+        assert (got.status, got.value) == (lp.UNBOUNDED, None)
+    else:
+        assert (want.status, flow) == (lp.UNBOUNDED, 0)
 
 
 @pytest.mark.parametrize("graph,pins", [

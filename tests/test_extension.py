@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vsparse import (
+    DemandSet,
     Sparsifier,
     WeightedGraph,
     all_pairs,
@@ -17,6 +18,7 @@ from vsparse import (
     best_zero_extension,
     cut_metric,
     lp,
+    max_concurrent_flow,
     min_cut_by_enumeration,
     min_cut_via_flow,
     min_cut_via_lp,
@@ -342,9 +344,8 @@ def test_short_paths_are_simple_unblocked_and_too_short(case):
 @st.composite
 def pair_lp_instances(draw):
     """A seeded random graph on 1 <= k <= n <= 7 vertices, k = 1 only for
-    n = 1, connected or not, with some edges drawn at weight 0, a sense,
-    and terminal-pair coefficients, some or all of them zero; "min" gets a
-    positive one."""
+    n = 1, connected or not, with some edges drawn at weight 0, and
+    terminal-pair coefficients, some or all of them zero."""
     n = draw(st.sampled_from([7, 6, 5, 4, 3, 2, 1]))
     k = draw(st.integers(min(2, n), n))
     rng = random.Random(draw(st.integers(0, 10_000)))
@@ -352,37 +353,38 @@ def pair_lp_instances(draw):
                      connected=draw(st.booleans()))
     keep = rng.choice([0.0, 0.5, 1.0, 1.0, 1.0])
     coeffs = {pq: random_fraction(rng, 6, 4) for pq in all_pairs(k) if rng.random() < keep}
-    sense = rng.choice(["max", "min"])
-    if sense == "min" and not any(coeffs.values()):
-        sense = "max"
-    return g, sense, coeffs
+    return g, coeffs
 
 
-def check_pair_lp(g, sense, coeffs):
+def check_pair_lp(g, coeffs):
     """The edge-length LP and the public dispatch against the metric-cone
-    reference, the LP audited, and each witness checked to attain its
-    program: for "max", c(witness) = Q at minimum extension 1 when Q > 0,
-    for "min", minext(witness) = lambda at c(witness) = 1, and an unbounded
-    witness extends at cost 0 with c > 0."""
-    res, runs = recorded(extension._edge_length_lp, g, sense, coeffs)
+    reference, the LP audited, and each witness checked to attain the
+    program: c(witness) = Q at minimum extension 1 when Q > 0, and an
+    unbounded witness extends at cost 0 with c > 0. With a positive
+    coefficient, the concurrent flow of the demands coeffs, 1 / Q or 0
+    when unbounded, is checked against the other normalization, the
+    metric-cone LP min alpha(d) subject to c(d) >= 1."""
+    res, runs = recorded(extension._edge_length_lp, g, coeffs)
     for program, out in runs:
         lp.audit(program, out)
         assert all(con.rel == lp.LE and con.rhs_num == 0 for con in program.constraints[1:])
-    ref = reference_pair_lp(g, sense, coeffs)
-    public = terminal_pair_lp(g, sense, coeffs)
+    ref = reference_pair_lp(g, "max", coeffs)
+    public = terminal_pair_lp(g, coeffs)
     c = Sparsifier(g.k, coeffs)
     for got in (res, public):
         assert (got.status, got.value) == (ref.status, ref.value)
         if got.status == lp.UNBOUNDED:
             assert min_extension(g, got.witness).value == 0 < c.cost(got.witness)
-        elif sense == "min":
-            assert c.cost(got.witness) == 1
-            assert min_extension(g, got.witness).value == got.value
         elif got.value > 0:
             assert c.cost(got.witness) == got.value
             assert min_extension(g, got.witness).value == 1
         else:
             assert not any(coeffs.values())
+    if any(coeffs.values()):
+        flow = reference_pair_lp(g, "min", coeffs)
+        assert flow.status == lp.OPTIMAL
+        demands = DemandSet([(p, q, w) for (p, q), w in coeffs.items()])
+        assert max_concurrent_flow(g, demands) == flow.value
     return res
 
 
@@ -403,19 +405,17 @@ def test_a_pair_with_no_path_is_unbounded_before_any_lp():
     # six vertices: the public dispatch reads the rays, so the edge-length
     # program, which still runs past six, is called directly
     beta = {(0, 2): 1, (0, 1): 2, (2, 3): F(1, 3)}
-    res, runs = recorded(extension._edge_length_lp, split_six(), "max", beta)
+    res, runs = recorded(extension._edge_length_lp, split_six(), beta)
     assert runs == [] and res.status == lp.UNBOUNDED
     # vertices (0, 3) are the first pair with no path; 0's component holds terminals 0 and 2
     assert res.witness == cut_metric([0, 2], 4)
-    flow, runs = recorded(extension._edge_length_lp, split_six(), "min", beta)
-    assert runs == [] and flow.value == 0
-    assert flow.witness == cut_metric([0, 2], 4).scale(F(3, 7))  # c = 2 + 1/3 across
-    check_pair_lp(split_six(), "max", beta)
-    check_pair_lp(split_six(), "min", beta)
+    # no concurrent flow; check_pair_lp also takes it from the min-form cone LP
+    assert max_concurrent_flow(split_six(), DemandSet([(0, 1, 2)])) == 0
+    check_pair_lp(split_six(), beta)
 
 
 def test_terminals_with_no_path_and_no_coefficient_sit_at_the_sentinel():
-    res = check_pair_lp(split_six(), "max", {(0, 2): 1, (1, 3): 1})
+    res = check_pair_lp(split_six(), {(0, 2): 1, (1, 3): 1})
     assert res.status == lp.OPTIMAL and res.value > 0
     assert res.witness.dist(0, 1) > res.witness.dist(0, 2) + res.witness.dist(1, 3)
 
@@ -423,18 +423,19 @@ def test_terminals_with_no_path_and_no_coefficient_sit_at_the_sentinel():
 def test_a_complete_graph_needs_no_distance_column():
     g = random_graph(random.Random(4), 7, 4, density=1.0)
     beta = {(p, q): F(p + q + 1, 2) for p, q in all_pairs(4)}
-    res, [(program, _)] = recorded(terminal_pair_lp, g, "max", beta)
+    res, [(program, _)] = recorded(terminal_pair_lp, g, beta)
     assert program.n_vars == len(g.weights) == 21
-    assert res.value == check_pair_lp(g, "max", beta).value
+    assert res.value == check_pair_lp(g, beta).value
 
 
 @pytest.mark.parametrize("g", [unit_star(3), unit_star(7)], ids=["rays", "edge-lengths"])
-def test_a_pair_lp_that_is_not_attained_is_an_audit_error(g):
-    # "min" with no positive coefficient has no point with c(d) >= 1: the
-    # program behind the concurrent flow needs a demand, and is refused
-    # rather than handed back without a value
-    with pytest.raises(lp.LpAuditError):
-        terminal_pair_lp(g, "min", {})
+def test_concurrent_flow_refuses_demands_with_no_positive_entry(g):
+    # with no positive coefficient the pair program's optimum is 0, so the
+    # concurrent flow, 1 over it, is refused rather than divided by zero
+    res = terminal_pair_lp(g, {})
+    assert (res.status, res.value) == (lp.OPTIMAL, 0)
+    with pytest.raises(ValueError, match="positive demand"):
+        max_concurrent_flow(g, DemandSet([(0, 1, 0)]))
 
 
 def test_edge_length_lp_rounds_are_bounded_and_warm_after_the_first():
@@ -449,12 +450,10 @@ def test_edge_length_lp_rounds_are_bounded_and_warm_after_the_first():
         solves.append((previous is None, out.status))
         return out
 
-    for sense in ("max", "min"):
-        solves.clear()
-        with mock.patch.object(lp, "solve", recording):
-            terminal_pair_lp(g, sense, beta)
-        assert solves[0] == (True, lp.OPTIMAL) and len(solves) > 1
-        assert all(s == (False, lp.OPTIMAL) for s in solves[1:])
+    with mock.patch.object(lp, "solve", recording):
+        terminal_pair_lp(g, beta)
+    assert solves[0] == (True, lp.OPTIMAL) and len(solves) > 1
+    assert all(s == (False, lp.OPTIMAL) for s in solves[1:])
 
 
 # --- terminal min cuts -------------------------------------------------

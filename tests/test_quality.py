@@ -363,10 +363,11 @@ def test_flow_ignores_zero_demand_entries():
     assert max_concurrent_flow(path3(), with_zero) == 1
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(20))
 def test_single_commodity_flow_matches_max_flow(seed):
+    # seeds 12..19 draw n = 7..10: the edge-length program, past six vertices
     rng = random.Random(seed)
-    g = random_graph(rng, rng.randint(3, 7), rng.randint(2, 4))
+    g = random_graph(rng, rng.randint(3, 7) if seed < 12 else 7 + seed % 4, rng.randint(2, 4))
     s, t = rng.sample(range(g.k), 2)
     dem = random_fraction(rng, min_num=1)
     lam = max_concurrent_flow(g, DemandSet([(s, t, dem)]))
@@ -374,10 +375,12 @@ def test_single_commodity_flow_matches_max_flow(seed):
     assert lam == min_cut_via_flow(s_t, [0]) / dem
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(20))
 def test_tree_flow_matches_bottleneck_oracle(seed):
+    # seeds 12..19 draw n = 7..10: the edge-length program, past six vertices
     rng = random.Random(seed)
-    g, parent = random_tree(rng, rng.randint(3, 8), rng.randint(2, 4))
+    g, parent = random_tree(rng, rng.randint(3, 8) if seed < 12 else 7 + seed % 4,
+                            rng.randint(2, 4))
     demands = random_demands(rng, g.k, rng.randint(1, 4))
     assert max_concurrent_flow(g, demands) == tree_concurrent_flow(g, parent, demands)
 

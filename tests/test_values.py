@@ -90,7 +90,7 @@ def read_only():
         (CutCertificate(g, [(1, 1)], [(1, 1)]), "mu1"),
         (MetricCertificate(g, [d]), "metrics"),
         (min_extension(g, d), "value"),
-        (terminal_pair_lp(g, "max", {(0, 1): F(1)}), "witness"),
+        (terminal_pair_lp(g, {(0, 1): F(1)}), "witness"),
         (best_zero_extension(g, d), "cost"),
         (MembershipViolation((0, 1, 2), cut_metric([0], 3), F(1)), "excess"),
         (QualityReport("flow", F(1), True, None, "exact"), "q_value"),
@@ -117,7 +117,7 @@ def test_read_only_values_pickle_and_copy(obj, name):
 def built_by_the_base_constructor():
     """One object of each class whose fields the base constructor sets. A
     Metric is built there too, but its constructor takes a table, not the
-    integers it stores."""
+    integers it stores, so its ``replace`` is tested on its own."""
     program = lp.LinearProgram(1, "min", {0: 1})
     return [*[obj for obj, _ in read_only() if not isinstance(obj, Metric)],
             find_optimal_operator(path3()), lp.cutting_plane(program, lambda out: None)]
@@ -191,3 +191,13 @@ def test_replace_copies_through_the_constructor():
         report.replace(witnes=None)
     with pytest.raises(ValueError, match="negative"):  # the constructor validates again
         DemandSet([(0, 1, 1)]).replace(demands=[(0, 1, -1)])
+
+
+def test_metric_replace_builds_through_from_integers():
+    d = cut_metric([0], 3)
+    assert d.replace() == d and d.replace(integers=d.integers) == d
+    assert d.replace(integers=(((0, 2, 2), (2, 0, 0), (2, 0, 0)), 4)) == d.scale(F(1, 2))
+    with pytest.raises(ValueError, match="triangle"):  # validated as a new metric is
+        d.replace(integers=(((0, 3, 1), (3, 0, 1), (1, 1, 0)), 1))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'table'"):
+        d.replace(table=[[0]])
