@@ -18,7 +18,7 @@ round's integer lengths, a terminal pair whose shortest path is shorter
 than its bound, d_y or the pair's distance, gets the row of that path and
 of every other two-edge path shorter too.
 
-``MetricConeLp`` optimizes a linear objective over the metric cone on m
+``MetricConeLp`` maximizes a linear objective over the metric cone on m
 points, every pair distance a variable, under extra rows; its triangle rows
 and the path rows go through one cutting-plane driver (:func:`_separate`).
 Separation and max-flow compare integer numerators over one common positive
@@ -26,7 +26,9 @@ denominator, which decides exactly as the Fractions would, and every value
 in and out stays a ``Fraction``. On at most six points the metric cone has
 a short list of extreme rays (:func:`cone_rays`: the cut metrics, with 10
 more on five points and the 265 non-cut rays on six, 296 in all), so a
-cone LP that maximizes under one extra "<=" row is read off them.
+cone program under one extra "<=" row is read off them. Both maxima that
+run the exact LP, which only minimizes, pose the minimum of the negated
+objective and negate its value.
 """
 
 from __future__ import annotations
@@ -229,11 +231,12 @@ def _normalized_ray(m: int, r: int) -> Metric:
 
 
 class MetricLpResult(Value):
-    """An outcome of a program over metrics (:meth:`MetricConeLp.optimize`,
-    :func:`terminal_pair_lp`): its status; the objective ``value``, None
-    unless optimal; the ``witness``, an optimal metric, the improving
-    direction when unbounded, None when infeasible; and the cutting-plane
-    ``rounds``, 0 when read off the rays or decided before any LP."""
+    """An outcome of a maximum over metrics (:meth:`MetricConeLp.optimize`,
+    :func:`terminal_pair_lp`): its status; the maximum ``value``, None
+    unless optimal; the ``witness``, an optimal metric, the direction that
+    raises the objective without bound when unbounded, None when
+    infeasible; and the cutting-plane ``rounds``, 0 when read off the rays
+    or decided before any LP."""
 
     __slots__ = _fields = ("status", "value", "witness", "rounds")
 
@@ -265,15 +268,15 @@ def _separate(program: lp.LinearProgram, oracle: lp.Oracle, rows: str) -> lp.Cut
 
 
 class MetricConeLp:
-    """An LP whose variables are the pair distances on m points, one
-    nonnegative variable per pair of ``all_pairs(m)``, kept inside the
-    metric cone by triangle rows added as they are violated, which is
-    measurably faster than all rows up front and reaches the same optimal
-    value (on a degenerate optimal face the witness can be another optimal
-    vertex). A maximum over a cone on at most six points under one extra
-    "<=" row with nonnegative coefficients and a positive right-hand side
-    skips the LP: its answer is read off the extreme rays
-    (:func:`_ray_optimum`). Every other program runs the LP.
+    """The maximum of a linear objective over the pair distances on m
+    points, one nonnegative variable per pair of ``all_pairs(m)``, kept
+    inside the metric cone by triangle rows added as they are violated,
+    which is measurably faster than all rows up front and reaches the same
+    optimal value (on a degenerate optimal face the witness can be another
+    optimal vertex). A program on at most six points under one extra "<="
+    row with nonnegative coefficients and a positive right-hand side skips
+    the LP: its answer is read off the extreme rays (:func:`_ray_optimum`).
+    Every other program runs the LP as the minimum of the negated objective.
     """
 
     def __init__(self, m: int):
@@ -288,38 +291,32 @@ class MetricConeLp:
 
     def optimize(
         self,
-        sense: str,
         objective: Mapping[Pair, Fraction],
         extra_rows: Iterable[tuple[Mapping[Pair, Fraction], str, Fraction]] = (),
     ) -> MetricLpResult:
-        """Optimize a linear objective over the metric cone.
+        """Maximize a linear objective over the metric cone.
 
-        ``objective`` and each extra row are keyed by pair. Returns the
-        exact optimum with a full metric witness, or an improving ray
-        direction when unbounded.
+        ``objective`` and each extra row are keyed by canonical pair.
+        Returns the exact maximum with a full metric witness, or a ray
+        direction that raises the objective without bound.
         """
         extra_rows = list(extra_rows)
-        if sense == "max" and len(extra_rows) == 1 and 2 <= self.m <= RAY_POINTS:
+        if len(extra_rows) == 1 and 2 <= self.m <= RAY_POINTS:
             coeffs, rel, rhs = extra_rows[0]
             result = _ray_optimum(self.m, objective, coeffs, rhs) if rel == lp.LE else None
             if result is not None:
                 return result
         index = _pair_index(self.m)
-        program = lp.LinearProgram(len(index), sense)
-        for pq, c in objective.items():
-            program.set_objective_coeff(index[pq], c)
+        program = lp.LinearProgram(len(index), {index[pq]: -c for pq, c in objective.items()})
         for coeffs, rel, rhs in extra_rows:
-            row: dict[int, Fraction] = {}
-            for pq, c in coeffs.items():
-                row[index[pq]] = row.get(index[pq], ZERO) + c
-            program.add_constraint(row, rel, rhs)
+            program.add_constraint({index[pq]: c for pq, c in coeffs.items()}, rel, rhs)
 
         result = _separate(program, lambda out: self._triangle_cuts(
             (out.direction if out.status == lp.UNBOUNDED else out.point)[0]), "triangle")
         out = result.outcome
         optimal = out.status == lp.OPTIMAL
         witness = out.point if optimal else out.direction  # None when infeasible
-        return MetricLpResult(out.status, out.value if optimal else None,
+        return MetricLpResult(out.status, -out.value if optimal else None,
                               witness and _pair_metric(self.m, *witness), result.rounds)
 
 
@@ -459,7 +456,7 @@ def min_extension(g: WeightedGraph, d_y: Metric) -> ExtensionResult:
         raise ValueError(f"metric has {d_y.size} points but the graph has {g.k} terminals")
     local = {t: p for p, t in enumerate(g.terminals)}
     edges = sorted(pq for pq in g.weights if pq[0] not in local or pq[1] not in local)
-    program = lp.LinearProgram(len(edges), "min", {j: g.weights[pq] for j, pq in enumerate(edges)})
+    program = lp.LinearProgram(len(edges), {j: g.weights[pq] for j, pq in enumerate(edges)})
     adjacent = _adjacency(g.n, edges)
     w_nums, w_scale = g.integers
     d_nums, d_scale = d_y.integers
@@ -526,8 +523,7 @@ def terminal_pair_lp(g: WeightedGraph, coeffs: Mapping[Pair, Fraction]) -> Metri
     if g.n > RAY_POINTS:
         result = _edge_length_lp(g, coeffs)
     else:
-        cone = MetricConeLp(g.n).optimize("max", _vertex_pairs(g, coeffs),
-                                          [(g.weights, lp.LE, ONE)])
+        cone = MetricConeLp(g.n).optimize(_vertex_pairs(g, coeffs), [(g.weights, lp.LE, ONE)])
         result = cone.replace(witness=cone.witness and cone.witness.restrict(g.terminals))
     lp.check(result.status in (lp.OPTIMAL, lp.UNBOUNDED), "a pair LP is attained or unbounded")
     return result
@@ -550,11 +546,12 @@ def _edge_length_lp(g: WeightedGraph, coeffs: Mapping[Pair, Fraction]) -> Metric
     :func:`_short_paths` with each pair's distance as its bound. Before the
     first solve each distance column gets the row of its shortest path at
     the lengths 1 / w_e, so every round is bounded and every round after
-    the first is warm. The program is the metric one's: a metric gives
-    feasible lengths and distances by the triangle inequality, and the
-    shortest-path closure of optimal lengths is a metric that does as well,
-    the witness. Terminals with no path between them sit at the closure's
-    sentinel distance.
+    the first is warm. The exact LP, which only minimizes, solves the
+    minimum of - sum c * x, whose value is negated. The program is the
+    metric one's: a metric gives feasible lengths and distances by the
+    triangle inequality, and the shortest-path closure of optimal lengths
+    is a metric that does as well, the witness. Terminals with no path
+    between them sit at the closure's sentinel distance.
 
     A pair with no path between its terminals makes the ratio unbounded
     before any LP runs. For the first such pair (u, v), u < v, the cut
@@ -579,7 +576,7 @@ def _edge_length_lp(g: WeightedGraph, coeffs: Mapping[Pair, Fraction]) -> Metric
                 return MetricLpResult(lp.UNBOUNDED, None, cut, 0)
             seeds.append(_distance_row(column[(u, v)], _path(via, u, v)))
     c_nums, c_scale = integer_row(list(objective.values()))
-    program = lp.LinearProgram(len(column), "max", {column[pq]: c for pq, c in objective.items()})
+    program = lp.LinearProgram(len(column), {column[pq]: -c for pq, c in objective.items()})
     program.add_constraint({column[pq]: w for pq, w in g.weights.items()}, lp.LE, ONE)
     for con in seeds:
         program.add(con)
@@ -597,12 +594,13 @@ def _edge_length_lp(g: WeightedGraph, coeffs: Mapping[Pair, Fraction]) -> Metric
     out = result.outcome
     lp.check(out.status == lp.OPTIMAL, "a pair LP with a path for every pair is attained")
     nums, scale = out.point
+    value = -out.value
     ints, _ = _closure(g.n, [(u, v, x) for (u, v), x in zip(edges, nums)])
-    lp.check(sum([c * ints[u][v] for (u, v), c in zip(objective, c_nums)]) * out.value.denominator
-             == out.value.numerator * scale * c_scale,
+    lp.check(sum([c * ints[u][v] for (u, v), c in zip(objective, c_nums)]) * value.denominator
+             == value.numerator * scale * c_scale,
              "the closure of the optimal lengths misses the LP value")
     witness = Metric.from_integers([[ints[t][s] for s in g.terminals] for t in g.terminals], scale)
-    return MetricLpResult(lp.OPTIMAL, out.value, witness, result.rounds)
+    return MetricLpResult(lp.OPTIMAL, value, witness, result.rounds)
 
 
 def _distance_row(j: int, path: Sequence[int]) -> lp.Constraint:

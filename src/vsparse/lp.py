@@ -31,16 +31,12 @@ the final reduced costs), and improving rays for unbounded programs.
 liberally in the test suite.
 
 Every variable is nonnegative and every other condition is an inequality
-row, so a program is ``min`` or ``max`` of ``c.x`` over ``x >= 0`` and rows
-``<=`` or ``>=``; an equation is the pair of them. Dual conventions, stated
-once and enforced by :func:`audit`:
-
-* sense ``min``: duals are >= 0 on ">=" rows and <= 0 on "<=" rows;
-  reduced costs ``c_j - y.A_j`` are >= 0.
-* sense ``max``: duals are >= 0 on "<=" rows and <= 0 on ">=" rows;
-  reduced costs are <= 0.
-
-Strong duality reads ``value = sum_r duals[r] * rhs_r``.
+row, so a program is the minimum of ``c.x`` over ``x >= 0`` and rows ``<=``
+or ``>=``; an equation is the pair of them, and a maximum of ``c.x`` is the
+minimum of ``-c.x``, its value and duals negated. The dual convention,
+stated once and enforced by :func:`audit`: duals are >= 0 on ">=" rows and
+<= 0 on "<=" rows, reduced costs ``c_j - y.A_j`` are >= 0, and strong
+duality reads ``value = sum_r duals[r] * rhs_r``.
 """
 
 from __future__ import annotations
@@ -140,21 +136,17 @@ class Constraint:
 
 
 class LinearProgram:
-    """A linear program over exact rationals.
+    """The minimum of ``objective . x`` over exact rationals.
 
     Variables are indexed 0..n_vars-1 and are all nonnegative; an upper
     bound is a "<=" row like any other. Constraints are added in a fixed
     order that, together with the pivot rules, makes every solve deterministic.
     """
 
-    def __init__(self, n_vars: int, sense: str = "min",
-                 objective: Mapping[int, FractionLike] | None = None):
+    def __init__(self, n_vars: int, objective: Mapping[int, FractionLike] | None = None):
         if n_vars < 0:
             raise LpError(f"n_vars must be nonnegative, got {n_vars}")
-        if sense not in ("min", "max"):
-            raise LpError(f"sense must be 'min' or 'max', got {sense!r}")
         self.n_vars = n_vars
-        self.sense = sense
         self.objective: dict[int, Fraction] = {}
         if objective:
             for j, c in objective.items():
@@ -190,20 +182,22 @@ class LinearProgram:
 
 
 class LpOutcome(Record):
-    """Result of an exact solve.
+    """Result of an exact solve of a minimum.
 
-    status "optimal": the point, value and duals (one per constraint) are
-    set. status "unbounded": the point is feasible and the direction an
-    improving feasible ray from it. status "infeasible": everything else is
-    None. The point is kept as integers, ``point = (numerators, scale)`` over
-    the least common denominator of its entries (as :func:`core.integer_row`
-    scales them), and so is ``direction``; ``x`` and ``ray`` are their
-    ``Fraction``s, built on first read.
+    status "optimal": the point, the minimum value and the duals (one per
+    constraint, signed as the module docstring states) are set. status
+    "unbounded": the point is feasible and the direction a feasible ray from
+    it along which the objective falls without bound. status "infeasible":
+    everything else is None. The point is kept as integers,
+    ``point = (numerators, scale)`` over the least common denominator of its
+    entries (as :func:`core.integer_row` scales them), and so is
+    ``direction``; ``x`` and ``ray`` are their ``Fraction``s, built on first
+    read.
     An optimal outcome of :func:`solve` also keeps its final ``tableau``, from
     which a later solve of the same program with rows appended starts.
     Its duals are built on first read from ``dual_source``, a copy of the
     final reduced costs (numerators, labels, denominator) and of the list of
-    rows, with the sense, taken as a later solve takes the tableau over.
+    rows, taken as a later solve takes the tableau over.
     Outcomes compare on status, value, point and direction alone.
     """
 
@@ -215,8 +209,7 @@ class LpOutcome(Record):
                  point: tuple[list[int], int] | None = None,
                  direction: tuple[list[int], int] | None = None,
                  tableau: _Tableau | None = None,
-                 dual_source: tuple[list[int], list[int], int, list[Constraint], bool]
-                 | None = None):
+                 dual_source: tuple[list[int], list[int], int, list[Constraint]] | None = None):
         self.status, self.value, self.point, self.direction = status, value, point, direction
         self.tableau, self.dual_source = tableau, dual_source
         self._x = self._ray = self._duals = None  # list[Fraction] once read
@@ -239,14 +232,16 @@ class LpOutcome(Record):
     def duals(self) -> list[Fraction] | None:
         """One multiplier per constraint of an optimal outcome, else None."""
         if self._duals is None and self.dual_source is not None:
-            red, cols, den, rows, minimize = self.dual_source
+            red, cols, den, rows = self.dual_source
             # Row r's dual is the reduced cost of its slack, label n + r with
-            # n = len(cols); a basic slack's is zero.
+            # n = len(cols); a basic slack's is zero. The slack of a "<=" row
+            # is +e_r, that of a ">=" row, which the tableau stores negated,
+            # -e_r, so a "<=" row's dual is the negated reduced cost.
             n, self._duals = len(cols), [ZERO] * len(rows)
             for label, rc in zip(cols, red):
                 if label >= n and rc:
                     r = label - n
-                    self._duals[r] = _dual_sign(rows[r].rel, minimize) * Fraction(rc, den)
+                    self._duals[r] = Fraction(rc if rows[r].rel == GE else -rc, den)
             self.dual_source = None
         return self._duals
 
@@ -316,13 +311,14 @@ class _Tableau:
     labels. ``_Tableau(program)`` is the program's empty tableau: no rows,
     every variable nonbasic (label j is variable j) and zero reduced costs;
     every row enters through :meth:`append_rows`. It also keeps the
-    ``program``, its sense and objective (``shape``), and that objective as
-    numerators ``cost_nums`` on columns ``cost_cols`` over ``cost_den``.
+    ``program``, a copy of its ``objective``, which a later solve checks is
+    unchanged, and that objective as numerators ``cost_nums`` on columns
+    ``cost_cols`` over ``cost_den``: the cost every solve minimizes.
     """
 
     def __init__(self, program: LinearProgram):
         self.program = program
-        self.shape = _shape(program)
+        self.objective = tuple(program.objective.items())
         self.cost_cols = list(program.objective)
         self.cost_nums, self.cost_den = integer_row(list(program.objective.values()))
         self.rows: list[list[int]] = []
@@ -501,18 +497,6 @@ class _Tableau:
             self.pivot(pr, pc)
 
 
-def _shape(lp: LinearProgram) -> tuple:
-    return lp.sense, tuple(lp.objective.items())
-
-
-def _dual_sign(rel: str, minimize: bool) -> int:
-    """Sign turning the reduced cost of a row's slack column into the row's
-    dual: the slack of a "<=" row is +e_r, and that of a ">=" row, which the
-    tableau stores negated, is -e_r."""
-    sign = 1 if rel == GE else -1
-    return sign if minimize else -sign
-
-
 def solve(lp: LinearProgram, previous: LpOutcome | None = None) -> LpOutcome:
     """Solve exactly; see module docstring for the outcome conventions.
 
@@ -529,7 +513,8 @@ def solve(lp: LinearProgram, previous: LpOutcome | None = None) -> LpOutcome:
     fresh = tab is None
     if fresh:
         tab = _Tableau(lp)
-    elif tab.program is not lp or tab.shape != _shape(lp) or len(lp.constraints) < len(tab.rows):
+    elif (tab.program is not lp or tab.objective != tuple(lp.objective.items())
+          or len(lp.constraints) < len(tab.rows)):
         raise LpError("previous outcome is not of this program with rows appended")
     else:
         previous.tableau = None
@@ -538,11 +523,9 @@ def solve(lp: LinearProgram, previous: LpOutcome | None = None) -> LpOutcome:
         return LpOutcome(INFEASIBLE)
     if not fresh:
         return _outcome(lp, tab, OPTIMAL, None)
-    # Internal objective: minimize (negated for max), on the variable labels.
-    sgn = 1 if lp.sense == "min" else -1
-    cost = [0] * (len(tab.cols) + len(tab.rows))
+    cost = [0] * (len(tab.cols) + len(tab.rows))  # on the variable labels
     for j, c in zip(tab.cost_cols, tab.cost_nums):
-        cost[j] = sgn * c
+        cost[j] = c
     status, enter_col = tab.run(cost, tab.cost_den)
     return _outcome(lp, tab, status, enter_col)
 
@@ -579,8 +562,7 @@ def _outcome(lp: LinearProgram, tab: _Tableau, status: str, enter_col: int | Non
 
     # Duals from the reduced costs of each row's slack label.
     return LpOutcome(OPTIMAL, value, point, tableau=tab,
-                     dual_source=(tab.red[:], tab.cols[:], tab.red_den, lp.constraints[:],
-                                  lp.sense == "min"))
+                     dual_source=(tab.red[:], tab.cols[:], tab.red_den, lp.constraints[:]))
 
 
 # ---------------------------------------------------------------------------
@@ -626,30 +608,20 @@ def audit(lp: LinearProgram, out: LpOutcome) -> None:
             else:
                 check(along >= 0, f"ray violates constraint {r}")
         gain = sum((c * ray[j] for j, c in lp.objective.items()), ZERO)
-        if lp.sense == "min":
-            check(gain < 0, "ray does not improve a minimization")
-        else:
-            check(gain > 0, "ray does not improve a maximization")
+        check(gain < 0, "ray does not improve the objective")
         return
 
     duals = out.duals
     check(duals is not None and len(duals) == len(lp.constraints), "missing duals")
-    minimize = lp.sense == "min"
     for r, con in enumerate(lp.constraints):
         y = duals[r]
-        if (con.rel == GE) == minimize:
-            check(y >= 0, f"dual {r} has wrong sign")
-        else:
-            check(y <= 0, f"dual {r} has wrong sign")
+        check(y >= 0 if con.rel == GE else y <= 0, f"dual {r} has wrong sign")
         check(y * (con.evaluate(x) - con.rhs) == 0, f"complementary slackness fails on row {r}")
     for j in range(lp.n_vars):
         rc = lp.objective.get(j, ZERO)
         rc -= sum((con.coeffs[j] * duals[r] for r, con in enumerate(lp.constraints)
                    if j in con.coeffs), ZERO)
-        if minimize:
-            check(rc >= 0, f"reduced cost of variable {j} is negative")
-        else:
-            check(rc <= 0, f"reduced cost of variable {j} is positive")
+        check(rc >= 0, f"reduced cost of variable {j} is negative")
         check(rc * x[j] == 0, f"complementary slackness fails on variable {j}")
     dual_value = sum((duals[r] * con.rhs for r, con in enumerate(lp.constraints)), ZERO)
     check(dual_value == out.value, f"strong duality gap: primal {out.value}, dual {dual_value}")
@@ -766,8 +738,7 @@ def to_lp_text(lp: LinearProgram, name: str = "lp") -> str:
             parts.append(term(j, c, pos == 0).strip())
         return " ".join(parts)
 
-    lines = [f"\\ {name}", "Minimize" if lp.sense == "min" else "Maximize",
-             f" obj: {linear(lp.objective)}", "Subject To"]
+    lines = [f"\\ {name}", "Minimize", f" obj: {linear(lp.objective)}", "Subject To"]
     for r, con in enumerate(lp.constraints):
         lines.append(f" c{r}: {linear(con.coeffs)} {con.rel} {con.rhs}")
     lines.append("End")

@@ -208,7 +208,7 @@ def _membership_scan(n: int, k: int, table: Sequence[Sequence[int]],
         if max(row) <= 0:
             continue  # nonnegative metrics cannot push this row positive
         objective = {yp: Fraction(v, scale) for yp, v in zip(ypairs, row) if v}
-        result = MetricConeLp(k).optimize("max", objective, [norm_row])
+        result = MetricConeLp(k).optimize(objective, [norm_row])
         lp.check(result.status == lp.OPTIMAL, "a normalized membership probe is bounded")
         if result.value > 0:
             found.append(MembershipViolation(where, result.witness, result.value))
@@ -310,7 +310,7 @@ def find_optimal_operator(g: WeightedGraph, max_iters: int = 10_000) -> Operator
         lp.check(c_star != 0 or cut.rhs_num == 0, "a zero-cost witness left a positive terminal term")
         return cut
 
-    master = lp.LinearProgram(1 + len(entries), "min", {0: ONE})
+    master = lp.LinearProgram(1 + len(entries), {0: ONE})
     probed: quality.QualityReport | None = None  # the last member iterate's metric upper report
     membership_cuts = 0
 

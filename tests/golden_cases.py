@@ -8,7 +8,9 @@ nonnegative variables and inequality rows only, so each is a
 columns, an equation is a "<=" row followed by a ">=" row, an upper bound
 is a "<=" row after the program's own rows, and the outcome is mapped back
 to the original variables and rows: an equation's dual is the sum of its
-pair's duals, and bound duals are read off the bound rows.
+pair's duals, and bound duals are read off the bound rows. ``lp`` only
+minimizes, so a program drawn with sense "max" is solved as the minimum of
+its negated objective, and its value and duals are negated back.
 ``operator_cases()``
 lists the ``find_optimal_operator`` instances; ``metric_cone_fixture()``
 covers the metric-cone layer (``min_extension``, ``metric_quality_upper``,
@@ -34,7 +36,7 @@ from vsparse import (Sparsifier, all_pairs, find_optimal_operator, lp,
 from vsparse.extension import MetricConeLp
 from vsparse.sampling import (random_demands, random_fraction, random_graph,
                               random_metric)
-from helpers import EQ, BoundedOutcome, BoundedProgram
+from helpers import EQ, BoundedOutcome, BoundedProgram, cone_minimum
 
 F = Fraction
 
@@ -238,7 +240,9 @@ def _sparse_row(rng: random.Random, m: int, keep: float) -> dict:
 
 
 def _cone_lp(family: str, m: int, seed: int) -> tuple:
-    """One seeded (m, sense, objective, (row, rel, rhs)) program.
+    """One seeded (m, sense, objective, (row, rel, rhs)) program; a "min"
+    program is solved as the negated maximum of its negated objective
+    (``helpers.cone_minimum``).
 
     ``eq-max`` is the probe of membership and distortion separation over
     the slice sum d <= 1 (the ``eq-max`` families keep the names their
@@ -288,7 +292,10 @@ def cone_lp_cases() -> list[tuple[str, tuple]]:
 
 def cone_lp_record(family: str, m: int, seed: int) -> dict:
     m, sense, objective, row = _cone_lp(family, m, seed)
-    result = MetricConeLp(m).optimize(sense, objective, [row])
+    if sense == "max":
+        result = MetricConeLp(m).optimize(objective, [row])
+    else:
+        result = cone_minimum(m, objective, [row])
     witness = None if result.witness is None else _rows(result.witness)
     ray = result.status == lp.UNBOUNDED  # the witness is an improving direction
     return {

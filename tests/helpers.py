@@ -120,15 +120,25 @@ def held_rows(values):
     return rows
 
 
+def cone_minimum(m: int, objective, rows):
+    """The minimum of ``objective`` over the metric cone on m points under
+    ``rows``: ``MetricConeLp(m).optimize``, which maximizes, of the negated
+    objective, with the value negated back. The witness of an unbounded
+    minimum lowers the objective without bound."""
+    result = MetricConeLp(m).optimize({pq: -c for pq, c in objective.items()}, rows)
+    return result if result.value is None else result.replace(value=-result.value)
+
+
 def reference_min_extension(g: WeightedGraph, d_y):
     """The minimum extension as a metric-cone LP over all n vertices, each
-    terminal distance held by a pair of rows; its ``MetricLpResult``.
+    terminal distance held by a pair of rows; its ``MetricLpResult``, the
+    negated maximum of the negated cost (:func:`cone_minimum`).
 
     Rows come in pairs, so the cone never reads the one-row program off
     its rays: the LP with lazy triangle rows decides.
     """
     held = {pair(g.terminals[p], g.terminals[q]): d_y.dist(p, q) for p, q in all_pairs(g.k)}
-    return MetricConeLp(g.n).optimize("min", dict(g.weights), held_rows(held))
+    return cone_minimum(g.n, g.weights, held_rows(held))
 
 
 def reference_pair_lp(g: WeightedGraph, sense: str, coeffs):
@@ -138,19 +148,20 @@ def reference_pair_lp(g: WeightedGraph, sense: str, coeffs):
 
     ``coeffs`` is keyed by terminal-local pair. "max" maximizes
     sum coeffs * d(p, q) subject to alpha(d) <= 1, "min" minimizes alpha(d)
-    subject to sum coeffs * d(p, q) >= 1. On at most six points the cone
-    reads the one-row program off its extreme rays, elsewhere the LP with
-    lazy triangle rows decides.
+    subject to sum coeffs * d(p, q) >= 1, as the negated maximum of
+    -alpha(d) (:func:`cone_minimum`). On at most six points the cone reads
+    the "max" program off its extreme rays; the "min" program, whose row is
+    a ">=" row, and every program elsewhere go to the LP with lazy triangle
+    rows.
     """
     objective = {}
     for (p, q), c in coeffs.items():
         if c:
             key = pair(g.terminals[p], g.terminals[q])
             objective[key] = objective.get(key, Fraction(0)) + c
-    cone = MetricConeLp(g.n)
     if sense == "max":
-        return cone.optimize("max", objective, [(dict(g.weights), lp.LE, Fraction(1))])
-    return cone.optimize("min", dict(g.weights), [(objective, lp.GE, Fraction(1))])
+        return MetricConeLp(g.n).optimize(objective, [(dict(g.weights), lp.LE, Fraction(1))])
+    return cone_minimum(g.n, g.weights, [(objective, lp.GE, Fraction(1))])
 
 
 def reference_cut_value(beta, side) -> Fraction:
@@ -233,9 +244,9 @@ EQ = "="  # an equation row of a BoundedProgram
 
 
 class BoundedProgram(lp.LinearProgram):
-    """A linear program whose variables may be free or bounded above, and
-    whose rows may be equations, solved as the sign-constrained
-    inequality program ``lp.solve`` takes.
+    """A linear program whose variables may be free or bounded above, whose
+    rows may be equations and whose ``sense`` may be "max", solved as the
+    sign-constrained inequality minimum ``lp.solve`` takes.
 
     A free x_j is written x_j - x_j' with x_j' on a new column after the
     original ones, in the order of j. An ``EQ`` row is written as a "<="
@@ -243,11 +254,17 @@ class BoundedProgram(lp.LinearProgram):
     side; its dual is the sum of the pair's duals. Each ``x_j <= u_j``
     becomes a "<=" row after the program's own rows, in the order of j, and
     its dual is the bound dual of x_j (0 for a variable without an upper
-    bound).
+    bound). A maximum is solved as the minimum of the negated objective,
+    and its value, duals and bound duals are negated back, so a maximum's
+    duals are >= 0 on "<=" rows and <= 0 on ">=" rows, its reduced costs
+    are <= 0 and its unbounded ray raises the objective.
     """
 
     def __init__(self, n_vars: int, sense: str = "min", objective=None):
-        super().__init__(n_vars, sense, objective)
+        if sense not in ("min", "max"):
+            raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+        super().__init__(n_vars, objective)
+        self.sense = sense
         self.free = [False] * n_vars
         self.upper: list[Fraction | None] = [None] * n_vars
 
@@ -275,9 +292,15 @@ class BoundedProgram(lp.LinearProgram):
         row.update({neg[j]: -c for j, c in coeffs.items() if j in neg})
         return row
 
+    def _sign(self) -> int:
+        """1 for a minimum, -1 for a maximum: what the objective, and the
+        value and duals of its solve, are multiplied by."""
+        return 1 if self.sense == "min" else -1
+
     def sign_constrained(self) -> lp.LinearProgram:
-        program = lp.LinearProgram(self.n_vars + len(self._neg_cols()), self.sense,
-                                   self.signed_row(self.objective))
+        sign = self._sign()
+        program = lp.LinearProgram(self.n_vars + len(self._neg_cols()),
+                                   {j: sign * c for j, c in self.signed_row(self.objective).items()})
         for con in self.constraints:
             for rel in (lp.LE, lp.GE) if con.rel == EQ else (con.rel,):
                 program.add_constraint(self.signed_row(con.coeffs), rel, con.rhs)
@@ -287,9 +310,10 @@ class BoundedProgram(lp.LinearProgram):
         return program
 
     def outcome(self, out: lp.LpOutcome) -> BoundedOutcome:
-        """``out``, an outcome of :meth:`sign_constrained`, mapped back; rows
-        appended to that program after it was built have no dual here."""
-        neg = self._neg_cols()
+        """``out``, an outcome of :meth:`sign_constrained`, mapped back, a
+        maximum's value and duals negated; rows appended to that program
+        after it was built have no dual here."""
+        neg, sign = self._neg_cols(), self._sign()
 
         def back(values):
             if values is None:
@@ -299,15 +323,15 @@ class BoundedProgram(lp.LinearProgram):
 
         duals = bound_duals = None
         if out.duals is not None:
-            rows = iter(out.duals)
+            rows = iter([sign * y for y in out.duals])
             duals = [next(rows) + next(rows) if con.rel == EQ else next(rows)
                      for con in self.constraints]
             bound_duals = [Fraction(0)] * self.n_vars
             bounded = [j for j, u in enumerate(self.upper) if u is not None]
             for j, y in zip(bounded, rows):
                 bound_duals[j] = y
-        return BoundedOutcome(out.status, back(out.x), out.value, duals, bound_duals,
-                              back(out.ray))
+        value = None if out.value is None else sign * out.value
+        return BoundedOutcome(out.status, back(out.x), value, duals, bound_duals, back(out.ray))
 
     def solve(self) -> BoundedOutcome:
         """Solve the sign-constrained program, audit it and map it back."""

@@ -124,7 +124,7 @@ def test_criterion_04_star_optimal_cut_sparsifier(tmp_path):
     pairs = [(0, 1), (0, 2), (1, 2)]
     # brute force: minimize q subject to cut(S) <= beta(delta_S) <= q * cut(S)
     # over all bipartitions, with the cuts from the enumeration route
-    prog = lp.LinearProgram(4, "min", {3: F(1)})
+    prog = lp.LinearProgram(4, {3: F(1)})
     for _, side in _bipartitions(3):
         cut = min_cut_by_enumeration(g, side)
         inside = set(side)

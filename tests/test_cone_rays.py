@@ -174,10 +174,10 @@ def test_each_extreme_ray_is_the_optimum_of_its_own_objective(m, monkeypatch):
         tight = _tight_rows(m, ray)
         slack = [sum(sum(row) * row[j] for row in tight) for j in range(len(ones))]
         objective = {pq: 1 - F(c) for pq, c in zip(all_pairs(m), slack)}
-        got = MetricConeLp(m).optimize("max", objective, [(ones, lp.LE, F(1))])
+        got = MetricConeLp(m).optimize(objective, [(ones, lp.LE, F(1))])
         with monkeypatch.context() as patch:
             patch.setattr(extension, "_ray_optimum", lambda *args: None)
-            want = MetricConeLp(m).optimize("max", objective, [(ones, lp.LE, F(1))])
+            want = MetricConeLp(m).optimize(objective, [(ones, lp.LE, F(1))])
         assert (got.status, got.value, got.witness) == (want.status, want.value, want.witness)
         assert got.rounds == 0 and got.value == 1
         assert [got.witness.dist(p, q) for p, q in all_pairs(m)] == [F(v, sum(ray)) for v in ray]
@@ -218,8 +218,10 @@ def test_ray_values_are_the_dot_products_at_every_coefficient_size(m):
 # --- optimize against the LP --------------------------------------------------
 
 def _program(rng, family, m):
-    """One seeded program of a family; ``eq-max`` and ``eq-min-weighted``
-    keep the names their tests are known by, over a "<=" row."""
+    """One seeded maximum of a family as (objective, row); ``eq-max`` and
+    ``eq-min-weighted`` keep the names their tests are known by, over a "<="
+    row. The ``-min`` families are minima posed as the maxima of their
+    negated objectives."""
     pairs = all_pairs(m)
     ones = {pq: F(1) for pq in pairs}
     small = rng.random() < 0.5  # small integers: ties come up often
@@ -234,14 +236,15 @@ def _program(rng, family, m):
                 if rng.random() < keep}
 
     if family == "eq-max":
-        return "max", signed(-2, 2), (ones, lp.LE, F(1))
+        return signed(-2, 2), (ones, lp.LE, F(1))
     if family == "ge-min":
-        weights = {pq: c for pq, c in signed(0, 3).items() if rng.random() < 0.8}
-        return "min", weights, (nonnegative_row(0.5), lp.GE, F(rng.randint(1, 4), 3))
+        weights = {pq: -c for pq, c in signed(0, 3).items() if rng.random() < 0.8}
+        return weights, (nonnegative_row(0.5), lp.GE, F(rng.randint(1, 4), 3))
     if family == "le-max":
-        return "max", signed(-1, 3), (nonnegative_row(0.8), lp.LE, F(rng.randint(1, 4), 2))
+        return signed(-1, 3), (nonnegative_row(0.8), lp.LE, F(rng.randint(1, 4), 2))
     if family == "eq-min-weighted":
-        return "min", signed(-2, 2), (nonnegative_row(0.9), lp.LE, F(rng.randint(1, 5), 2))
+        negated = {pq: -c for pq, c in signed(-2, 2).items()}
+        return negated, (nonnegative_row(0.9), lp.LE, F(rng.randint(1, 5), 2))
     raise ValueError(family)
 
 
@@ -261,24 +264,19 @@ def _is_ray(m, d, scaled):
     return False
 
 
-def _check_ray_read(m, sense, objective, row, monkeypatch):
-    """A one-row program against the LP, equal in status and value. A
-    maximum under a "<=" row is read off the rays, in no LP round, and its
-    answer is a vertex or an improving ray of the program; every other
-    program runs the LP, and a minimum under a "<=" row is also the
-    negated ray read of the maximum of the negated objective."""
-    got = MetricConeLp(m).optimize(sense, objective, [row])
+def _check_ray_read(m, objective, row, monkeypatch):
+    """A one-row maximum against the LP, equal in status and value. Under a
+    "<=" row it is read off the rays, in no LP round, and its answer is a
+    vertex or an improving ray of the program; under a ">=" row it runs the
+    LP."""
+    got = MetricConeLp(m).optimize(objective, [row])
     with monkeypatch.context() as patch:
         patch.setattr(extension, "_ray_optimum", lambda *args: None)
-        want = MetricConeLp(m).optimize(sense, objective, [row])
-    assert (got.status, got.value) == (want.status, want.value), (sense, objective, row)
+        want = MetricConeLp(m).optimize(objective, [row])
+    assert (got.status, got.value) == (want.status, want.value), (objective, row)
     coeffs, rel, rhs = row
-    read = sense == "max" and rel == lp.LE
+    read = rel == lp.LE
     assert (got.rounds == 0) == read and want.rounds > 0
-    if sense == "min" and rel == lp.LE:
-        flip = MetricConeLp(m).optimize("max", {pq: -c for pq, c in objective.items()}, [row])
-        assert flip.rounds == 0 and flip.status == got.status
-        assert flip.status != lp.OPTIMAL or flip.value == -got.value
     if not read:
         return
     if got.status == lp.OPTIMAL:
@@ -305,24 +303,25 @@ weights = st.builds(F, st.integers(0, 3), st.integers(1, 3))
 
 @st.composite
 def one_row_cone_programs(draw):
-    """A one-row program the ray path reads: nonnegative row coefficients
-    (an empty row included) and a positive right-hand side."""
+    """A one-row maximum the ray path reads under a "<=" row: nonnegative
+    row coefficients (an empty row included) and a positive right-hand
+    side; the objective's coefficients take either sign."""
     m = draw(st.integers(2, 6))
     pairs = st.sampled_from(all_pairs(m))
     objective = draw(st.dictionaries(pairs, fractions))
     row = (draw(st.dictionaries(pairs, weights)), draw(st.sampled_from([lp.LE, lp.GE])),
            draw(st.builds(F, st.integers(1, 4), st.integers(1, 3))))
-    return m, draw(st.sampled_from(["min", "max"])), objective, row
+    return m, objective, row
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(one_row_cone_programs())
-@example((2, "max", {(0, 1): F(1)}, ({}, lp.GE, F(3, 2))))  # infeasible before unbounded
-@example((4, "min", {(0, 1): F(1)}, ({}, lp.GE, F(1))))  # infeasible
-@example((4, "max", {(0, 1): F(1)}, ({(2, 3): F(1)}, lp.LE, F(1))))  # unbounded
-@example((4, "max", {(0, 1): F(-1)}, ({(0, 1): F(1)}, lp.LE, F(1))))  # the apex
-@example((5, "max", {pq: F(1) for pq in all_pairs(5)},
+@example((2, {(0, 1): F(1)}, ({}, lp.GE, F(3, 2))))  # infeasible before unbounded
+@example((4, {(0, 1): F(-1)}, ({}, lp.GE, F(1))))  # infeasible
+@example((4, {(0, 1): F(1)}, ({(2, 3): F(1)}, lp.LE, F(1))))  # unbounded
+@example((4, {(0, 1): F(-1)}, ({(0, 1): F(1)}, lp.LE, F(1))))  # the apex
+@example((5, {pq: F(1) for pq in all_pairs(5)},
           ({pq: F(1) for pq in all_pairs(5)}, lp.LE, F(1))))  # every ray ties
 def test_ray_read_agrees_with_the_lp(monkeypatch, case):
     _check_ray_read(*case, monkeypatch)
@@ -335,9 +334,8 @@ def test_ray_path_needs_one_row_on_at_most_six_points(monkeypatch):
     monkeypatch.setattr(extension, "_ray_optimum", refuse)
     objective = {(0, 1): F(1), (1, 2): F(-1)}
     norm = ({pq: F(1) for pq in all_pairs(3)}, lp.LE, F(1))
-    MetricConeLp(3).optimize("max", objective, [norm, ({(0, 1): F(1)}, lp.LE, F(1))])
-    MetricConeLp(7).optimize("max", objective, [({pq: F(1) for pq in all_pairs(7)},
-                                                 lp.LE, F(1))])
+    MetricConeLp(3).optimize(objective, [norm, ({(0, 1): F(1)}, lp.LE, F(1))])
+    MetricConeLp(7).optimize(objective, [({pq: F(1) for pq in all_pairs(7)}, lp.LE, F(1))])
 
 
 def test_ray_path_reads_ties_unbounded_apex_and_infeasible_programs():
@@ -352,7 +350,7 @@ def test_ray_path_reads_ties_unbounded_apex_and_infeasible_programs():
     assert (apex.status, apex.value, apex.witness) == (lp.OPTIMAL, F(0), zero_metric(m))
     assert all(r.rounds == 0 for r in (tied, unbounded, apex))
     # a ">=" row is not read off the rays: the LP finds 0 >= 1 infeasible
-    infeasible = MetricConeLp(m).optimize("max", ones, [({}, lp.GE, F(1))])
+    infeasible = MetricConeLp(m).optimize(ones, [({}, lp.GE, F(1))])
     assert (infeasible.status, infeasible.value, infeasible.witness) == (lp.INFEASIBLE, None, None)
     unique = extension._ray_optimum(m, {(0, 1): F(3), (0, 2): F(2), (0, 3): F(2)}, ones, F(2))
     assert unique.status == lp.OPTIMAL and unique.rounds == 0
@@ -373,7 +371,7 @@ def test_ray_path_leaves_negative_rows_and_nonpositive_bounds_to_the_lp():
 def test_every_cone_path_refuses_an_equation_row(m, held):
     ones = {pq: F(1) for pq in all_pairs(m)}
     with pytest.raises(lp.LpError):
-        MetricConeLp(m).optimize("max", ones, [*held_rows(held), (ones, "=", F(1))])
+        MetricConeLp(m).optimize(ones, [*held_rows(held), (ones, "=", F(1))])
 
 
 # --- membership probes --------------------------------------------------------
@@ -459,7 +457,7 @@ def _fraction_scan(n, k, phi_of):
                 continue
             if k <= extension.RAY_POINTS and max(ray_values(k, coeffs)) <= 0:
                 continue
-            result = MetricConeLp(k).optimize("max", coeffs, [norm_row])
+            result = MetricConeLp(k).optimize(coeffs, [norm_row])
             if result.value > 0:
                 found.append(((i, j, l), result.witness, result.value))
     return found
@@ -595,9 +593,9 @@ def test_the_normalization_row_reads_the_cached_pair_masses(m, monkeypatch):
         calls = []
         with monkeypatch.context() as patch:
             patch.setattr(extension, "_on_rays", _counted(extension._on_rays, calls))
-            got = MetricConeLp(m).optimize("max", objective, [(ones, lp.LE, F(1))])
+            got = MetricConeLp(m).optimize(objective, [(ones, lp.LE, F(1))])
         assert len(calls) == 1  # the objective's values alone
-        want = MetricConeLp(m).optimize("max", objective, [(twos, lp.LE, F(2))])
+        want = MetricConeLp(m).optimize(objective, [(twos, lp.LE, F(2))])
         assert (got.status, got.value, got.witness) == (want.status, want.value, want.witness)
 
 

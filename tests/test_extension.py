@@ -29,8 +29,8 @@ from vsparse import (
 from vsparse import extension
 from vsparse.extension import MetricConeLp, terminal_pair_lp
 from vsparse.sampling import random_fraction, random_graph, random_metric
-from helpers import (held_rows, metric_closure, metric_sum, path3, reference_min_extension,
-                     reference_pair_lp, unit_star, weighted_star)
+from helpers import (cone_minimum, held_rows, metric_closure, metric_sum, path3,
+                     reference_min_extension, reference_pair_lp, unit_star, weighted_star)
 
 F = Fraction
 
@@ -38,25 +38,25 @@ F = Fraction
 # --- the metric-cone LP ------------------------------------------------
 
 def test_cone_lp_minimizes_pinned_triangle_slack():
-    # min d(0,1) with d(0,2) = d(1,2) = 1 held by rows: interval [0, 2].
+    # min d(0,1) with d(0,2) = d(1,2) = 1 held by rows: interval [0, 2]; the
+    # minimum is the negated maximum of -d(0,1)
     cone = MetricConeLp(3)
     rows = held_rows({(0, 2): F(1), (1, 2): F(1)})
-    low = cone.optimize("min", {(0, 1): F(1)}, rows)
-    high = cone.optimize("max", {(0, 1): F(1)}, rows)
+    low = cone_minimum(3, {(0, 1): F(1)}, rows)
+    high = cone.optimize({(0, 1): F(1)}, rows)
     assert (low.value, high.value) == (0, 2)
     assert high.witness.dist(0, 1) == 2
 
 
 def test_cone_lp_reports_rays():
     cone = MetricConeLp(2)
-    out = cone.optimize("max", {(0, 1): F(1)})
+    out = cone.optimize({(0, 1): F(1)})
     assert out.status == "unbounded"
     assert out.witness.dist(0, 1) > 0
 
 
 def test_cone_lp_counts_pinned_constants_in_the_value():
-    out = MetricConeLp(3).optimize("min", {(0, 1): F(2), (0, 2): F(1)},
-                                   held_rows({(0, 1): F(5)}))
+    out = cone_minimum(3, {(0, 1): F(2), (0, 2): F(1)}, held_rows({(0, 1): F(5)}))
     assert out.value == 10  # 2*5 plus the free minimum 0
 
 
@@ -69,7 +69,7 @@ def test_cone_lp_on_a_fully_pinned_cone_checks_its_row(rel, rhs, status):
     # the row 2*d(0,1) + d(1,2) = 13/2 rel rhs, decided in one round.
     pins = {(0, 1): F(2), (0, 2): F(3), (1, 2): F(5, 2)}
     out = MetricConeLp(3).optimize(
-        "max", {(0, 1): F(2), (0, 2): F(1)},
+        {(0, 1): F(2), (0, 2): F(1)},
         [*held_rows(pins), ({(0, 1): F(2), (1, 2): F(1)}, rel, rhs)])
     assert (out.status, out.rounds) == (status, 1)
     if status == "optimal":

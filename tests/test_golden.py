@@ -53,8 +53,17 @@ which the cut metric of a component reproduces. Both programs on six
 vertices now read the 296 extreme rays of the six-point metric cone, so
 only graphs on more than six vertices take the edge-length form; again no
 entry moved, the unbounded rays of ``cone-6-4-7-1`` and ``cone-6-4-7-3``
-included. Every test runs under the suite's per-solve pivot budget
-(``tests/conftest.py``).
+included.
+
+When the LP lost its sense, no entry moved. ``lp`` had always minimized
+inside its tableau, negating a maximum's cost; it now only minimizes, and
+the tests pose each maximum as the minimum of its negated objective:
+``helpers.BoundedProgram`` negates a "max" program's objective and its
+value, duals and bound duals back, and the ``ge-min`` cone programs are the
+negated maxima of their negated objectives (``helpers.cone_minimum``). The
+tableau sees the cost it saw before, so every pivot, point, dual and ray
+is the same, and the fixture regenerated byte for byte. Every test runs
+under the suite's per-solve pivot budget (``tests/conftest.py``).
 """
 import json
 from fractions import Fraction
@@ -67,6 +76,7 @@ from golden_cases import (build_fixture, cone_lp_cases, cone_lp_record, lp_cases
                           metric_cone_cases, metric_cone_record, operator_cases,
                           operator_record, outcome_record, random_metric_cases,
                           random_metric_record, solve_operator)
+from helpers import EQ
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "golden.json"
 FIXTURE = json.loads(FIXTURE_PATH.read_text())
@@ -88,6 +98,43 @@ def test_fixture_covers_every_outcome_kind():
     assert len(FIXTURE["metric_cone"]["random_metric"]) == len(random_metric_cases()) == 12
     # both the optimal and the ray path of the budgeted metric LP are pinned
     assert {rec["metric_upper"]["q"] == "unbounded" for rec in cases.values()} == {True, False}
+
+
+MAX_CASES = [pytest.param(*c, id=c[0]) for c in lp_cases() if c[1].sense == "max"]
+
+
+def test_lp_cases_drawn_as_maxima_cover_optimal_and_unbounded():
+    statuses = [FIXTURE["lp"][param.values[0]]["status"] for param in MAX_CASES]
+    assert {lp.OPTIMAL, lp.UNBOUNDED} <= set(statuses)
+
+
+@pytest.mark.parametrize("name,program", MAX_CASES)
+def test_a_mapped_maximum_meets_the_maximum_conventions(name, program):
+    # lp.audit checks the minimum lp solves; in its own variables and rows
+    # the maximum mapped back has duals >= 0 on "<=" rows (bound rows
+    # included) and <= 0 on ">=" rows, reduced costs <= 0 (0 on a free
+    # variable), its value equal to the dual value, and an improving ray
+    out = program.solve()
+    c = program.objective
+    if out.status == lp.UNBOUNDED:
+        assert sum((c.get(j, 0) * v for j, v in enumerate(out.ray)), Fraction(0)) > 0
+        return
+    if out.status == lp.INFEASIBLE:
+        return
+    rows = list(zip(program.constraints, out.duals))
+    for con, y in rows:
+        if con.rel != EQ:  # an equation's dual has either sign
+            assert y >= 0 if con.rel == lp.LE else y <= 0
+    for u, y in zip(program.upper, out.bound_duals):
+        assert y >= 0 if u is not None else y == 0
+    for j in range(program.n_vars):
+        reduced = (c.get(j, 0) - out.bound_duals[j]
+                   - sum((con.coeffs.get(j, 0) * y for con, y in rows), Fraction(0)))
+        assert reduced == 0 if program.free[j] else reduced <= 0
+    dual_value = (sum((y * con.rhs for con, y in rows), Fraction(0))
+                  + sum((y * u for u, y in zip(program.upper, out.bound_duals) if u is not None),
+                        Fraction(0)))
+    assert dual_value == out.value
 
 
 @pytest.mark.parametrize("name,program", [pytest.param(*c, id=c[0]) for c in lp_cases()])

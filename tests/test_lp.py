@@ -3,9 +3,11 @@
 Every optimal outcome is re-verified by lp.audit, which checks primal
 feasibility, dual feasibility, complementary slackness and strong duality
 as exact rational identities; passing it is a complete optimality proof
-independent of the pivot path the solver took. ``lp`` takes nonnegative
-variables and "<=" / ">=" rows only; programs with free variables, upper
-bounds or equations are written in that form by ``helpers.BoundedProgram``.
+independent of the pivot path the solver took. ``lp`` minimizes over
+nonnegative variables and "<=" / ">=" rows only; a maximum is the minimum
+of the negated objective, its value and duals negated, and programs with
+free variables, upper bounds, equations or a "max" sense are written in
+that form by ``helpers.BoundedProgram``.
 """
 
 import random
@@ -34,15 +36,17 @@ def solve_audited(p: lp.LinearProgram) -> lp.LpOutcome:
 # --- basic outcomes ----------------------------------------------------
 
 def test_single_variable_max():
-    p = lp.LinearProgram(1, "max", {0: 1})
+    # max x is the minimum of -x
+    p = lp.LinearProgram(1, {0: -1})
     p.add_constraint({0: 1}, lp.LE, 5)
     out = solve_audited(p)
     assert out.status == lp.OPTIMAL
-    assert out.value == 5 and out.x == [F(5)]
+    assert out.value == -5 and out.x == [F(5)]
+    assert out.duals == [F(-1)]
 
 
 def test_single_variable_unbounded_with_unit_ray():
-    p = lp.LinearProgram(1, "max", {0: 1})
+    p = lp.LinearProgram(1, {0: -1})
     out = lp.solve(p)
     lp.audit(p, out)
     assert out.status == lp.UNBOUNDED
@@ -50,7 +54,7 @@ def test_single_variable_unbounded_with_unit_ray():
 
 
 def test_infeasible_program():
-    p = lp.LinearProgram(1, "min", {0: 1})
+    p = lp.LinearProgram(1, {0: 1})
     p.add_constraint({0: 1}, lp.LE, 1)
     p.add_constraint({0: 1}, lp.GE, 2)
     assert lp.solve(p).status == lp.INFEASIBLE
@@ -59,30 +63,31 @@ def test_infeasible_program():
 def test_triangle_interval_bounds():
     # One free length x = d(a,b) against fixed d(a,c) = d(c,b) = 1: the
     # triangle rows pin x to [|1-1|, 1+1]; enumerate both interval ends.
-    def interval_lp(sense):
-        p = lp.LinearProgram(1, sense, {0: 1})
+    def interval_lp(sign):
+        p = lp.LinearProgram(1, {0: sign})
         p.add_constraint({0: 1}, lp.LE, 2)    # x <= d(a,c) + d(c,b)
         p.add_constraint({0: 1}, lp.GE, 0)    # d(a,c) <= x + d(c,b)
         return p
-    assert solve_audited(interval_lp("min")).value == 0
-    assert solve_audited(interval_lp("max")).value == 2
+    assert solve_audited(interval_lp(1)).value == 0
+    assert -solve_audited(interval_lp(-1)).value == 2  # max x, the minimum of -x
 
 
 def test_two_variable_vertex_optimum():
     # max 3x + 2y over x+y <= 4, x <= 2, y <= 3: vertices (0,0), (2,0),
-    # (2,2), (1,3), (0,3) give values 0, 6, 10, 9, 6.
-    p = lp.LinearProgram(2, "max", {0: 3, 1: 2})
+    # (2,2), (1,3), (0,3) give values 0, 6, 10, 9, 6; the minimum of
+    # -3x - 2y is -10.
+    p = lp.LinearProgram(2, {0: -3, 1: -2})
     p.add_constraint({0: 1, 1: 1}, lp.LE, 4)
     p.add_constraint({0: 1}, lp.LE, 2)
     p.add_constraint({1: 1}, lp.LE, 3)
     out = solve_audited(p)
-    assert out.value == 10
+    assert out.value == -10
     assert out.x == [F(2), F(2)]
 
 
 def test_beale_cycling_instance_terminates():
     # Classic degenerate instance that cycles without an anti-cycling rule.
-    p = lp.LinearProgram(4, "min", {0: F(-3, 4), 1: 150, 2: F(-1, 50), 3: 6})
+    p = lp.LinearProgram(4, {0: F(-3, 4), 1: 150, 2: F(-1, 50), 3: 6})
     p.add_constraint({0: F(1, 4), 1: -60, 2: F(-1, 25), 3: 9}, lp.LE, 0)
     p.add_constraint({0: F(1, 2), 1: -90, 2: F(-1, 50), 3: 3}, lp.LE, 0)
     p.add_constraint({2: 1}, lp.LE, 1)
@@ -123,8 +128,6 @@ def test_upper_bounds_without_constraints():
 def test_rejects_bad_construction():
     with pytest.raises(lp.LpError):
         lp.LinearProgram(-1)
-    with pytest.raises(lp.LpError):
-        lp.LinearProgram(1, "maximize")
     p = lp.LinearProgram(1)
     with pytest.raises(lp.LpError):
         p.add_constraint({0: 1}, "<", 0)
@@ -157,7 +160,7 @@ def test_a_fraction_row_keeps_its_integer_row(seed):
 
 
 def test_program_without_variables_is_a_constant():
-    empty = lp.LinearProgram(0, "max")
+    empty = lp.LinearProgram(0)
     out = solve_audited(empty)
     assert (out.status, out.value, out.x) == (lp.OPTIMAL, 0, [])
     empty.add_constraint({}, lp.LE, 1)
@@ -239,8 +242,7 @@ def programs_in_two_batches(draw):
     of the first batch is a "<=" row followed by a ">=" row. Right-hand
     sides of zero are as likely as any other, so degenerate bases abound."""
     n = draw(st.integers(1, 4))
-    p = lp.LinearProgram(n, draw(st.sampled_from(["min", "max"])),
-                         {j: draw(small_int) for j in range(n)})
+    p = lp.LinearProgram(n, {j: draw(small_int) for j in range(n)})
     for j in range(n):
         p.add_constraint({j: 1}, lp.LE, draw(st.integers(0, 3)))
 
@@ -274,9 +276,9 @@ def test_warm_resolve_agrees_with_cold_solve(case):
 @st.composite
 def cones_unbounded_at_first(draw):
     """A metric cone on 3..6 points, some pairs held by rows at a sum of cut
-    metrics, and a "min" objective negative on some pair no row holds, so
-    the first batch (no triangle row yet) is unbounded and triangle
-    separation starts from its ray."""
+    metrics, and an objective, which the cone maximizes, positive on some
+    pair no row holds, so the first batch (no triangle row yet) is unbounded
+    and triangle separation starts from its ray."""
     m = draw(st.integers(3, 6))
     pairs = all_pairs(m)
     d = dict.fromkeys(pairs, 0)
@@ -288,8 +290,8 @@ def cones_unbounded_at_first(draw):
         st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if hold}
     free = [pq for pq in pairs if pq not in held]
     assume(free)
-    objective = {pq: F(draw(small_int), draw(st.integers(1, 3))) for pq in pairs}
-    objective[draw(st.sampled_from(free))] = F(-draw(st.integers(1, 3)))
+    objective = {pq: F(-draw(small_int), draw(st.integers(1, 3))) for pq in pairs}
+    objective[draw(st.sampled_from(free))] = F(draw(st.integers(1, 3)))
     return MetricConeLp(m), objective, held_rows(held)
 
 
@@ -311,7 +313,7 @@ def test_cutting_plane_from_an_unbounded_first_batch_agrees_with_cold_solve(case
         return result
 
     with mock.patch.object(lp, "cutting_plane", recorded):
-        got = cone.optimize("min", objective, rows)
+        got = cone.optimize(objective, rows)
     [(program, result, seen)] = runs
     assert seen[0] == lp.UNBOUNDED
     lp.audit(program, result.outcome)
@@ -324,14 +326,14 @@ def test_cutting_plane_from_an_unbounded_first_batch_agrees_with_cold_solve(case
 # --- cutting plane -----------------------------------------------------
 
 def test_an_oracle_with_no_cut_returns_master_optimum_in_one_round():
-    p = lp.LinearProgram(1, "min", {0: 1})
+    p = lp.LinearProgram(1, {0: 1})
     res = lp.cutting_plane(p, lambda out: None)
     assert res.converged and res.rounds == 1
     assert res.outcome.value == 0 and p.constraints == []
 
 
 def test_single_cut_convergence():
-    p = lp.LinearProgram(1, "min", {0: 1})
+    p = lp.LinearProgram(1, {0: 1})
 
     def want_q_at_least_3(out):
         if out.x[0] < 3:
@@ -366,14 +368,15 @@ def test_converged_point_satisfies_every_oracle_cut():
 
     res = lp.cutting_plane(p, oracle)
     assert res.converged and res.outcome.status == lp.OPTIMAL
-    assert res.outcome.value == 4 and len(p.constraints) >= 1
-    x = bounded.outcome(res.outcome).x
+    mapped = bounded.outcome(res.outcome)
+    assert mapped.value == 4 and len(p.constraints) >= 1
+    x = mapped.x
     assert all(a * x[0] + b * x[1] <= rhs for a, b, rhs in slopes)
     assert oracle(res.outcome) is None
 
 
 def test_round_cap_reports_non_convergence():
-    p = lp.LinearProgram(1, "min", {0: 1})
+    p = lp.LinearProgram(1, {0: 1})
     state = {"level": 0}
 
     def always_hungry(out):
@@ -386,7 +389,7 @@ def test_round_cap_reports_non_convergence():
 
 
 def test_satisfied_cut_raises():
-    p = lp.LinearProgram(1, "min", {0: 1})
+    p = lp.LinearProgram(1, {0: 1})
 
     def lazy_oracle(out):
         return [lp.Constraint({0: F(1)}, lp.GE, F(-1))]  # already true at x=0
@@ -398,7 +401,7 @@ def test_satisfied_cut_raises():
 def test_repeated_cut_raises():
     # One batch carrying x >= 3 twice, the second copy scaled by 2: the
     # canonical signatures collide and the driver must refuse the repeat.
-    p = lp.LinearProgram(1, "min", {0: 1})
+    p = lp.LinearProgram(1, {0: 1})
 
     def stutter(out):
         return [lp.Constraint({0: F(1)}, lp.GE, F(3)),
@@ -409,7 +412,7 @@ def test_repeated_cut_raises():
 
 
 def test_master_infeasible_is_conclusive():
-    p = lp.LinearProgram(1, "min", {0: 1})
+    p = lp.LinearProgram(1, {0: 1})
     p.add_constraint({0: 1}, lp.LE, 2)
 
     def demand_too_much(out):
@@ -425,7 +428,7 @@ def test_master_infeasible_is_conclusive():
 def test_oracle_order_first_objection_wins():
     # one oracle separating two families consults them in its own order: a
     # round the first family cuts never reaches the second
-    p = lp.LinearProgram(1, "min", {0: 1})
+    p = lp.LinearProgram(1, {0: 1})
     calls = []
 
     def first(out):
@@ -456,7 +459,7 @@ def test_max_rounds_must_be_positive():
 def test_a_cold_tableau_holds_only_the_variables_columns():
     # Phase one starts at the slack basis, so the tableau stores one column
     # per variable however many ">=" rows there are.
-    p = lp.LinearProgram(3, "min", {0: 1, 1: 2, 2: 3})
+    p = lp.LinearProgram(3, {0: 1, 1: 2, 2: 3})
     p.add_constraint({0: 1, 1: 1}, lp.GE, 2)
     p.add_constraint({1: 1, 2: 1}, lp.GE, 3)
     p.add_constraint({0: 1, 2: 1}, lp.LE, 4)
@@ -473,7 +476,7 @@ def test_phase_one_hands_a_repeated_basis_to_bland(monkeypatch):
     # leaving row is the dual Bland rule's: the lowest basic label with a
     # negative rhs.
     monkeypatch.setattr(lp, "_row_norm", lambda row, den: 1)
-    p = lp.LinearProgram(4, "min")
+    p = lp.LinearProgram(4)
     for coeffs, rel, rhs in [([8, 8, -2, -9], lp.LE, -1), ([-9, 0, 1, -6], lp.LE, -3),
                              ([5, 7, 8, 6], lp.LE, 8), ([-2, -3, -2, 5], lp.GE, 3),
                              ([4, -9, 6, 5], lp.LE, 8)]:
@@ -506,13 +509,13 @@ def test_phase_one_proves_conflicting_rows_infeasible(monkeypatch):
 
     monkeypatch.setattr(lp._Tableau, "run", counted)
     for rhs, status in [(3, lp.INFEASIBLE), (2, lp.OPTIMAL)]:
-        p = lp.LinearProgram(2, "max", {0: 2, 1: 1})
+        p = lp.LinearProgram(2, {0: -2, 1: -1})  # max 2x + y
         p.add_constraint({0: 1, 1: 1}, lp.LE, 1)
         p.add_constraint({0: 1, 1: 2}, lp.GE, rhs)
         out = solve_audited(p)
         assert out.status == status
     assert len(runs) == 1
-    assert out.x == [F(0), F(1)] and out.value == 1
+    assert out.x == [F(0), F(1)] and out.value == -1
 
 
 # --- warm re-solve -----------------------------------------------------
@@ -567,7 +570,7 @@ def test_metric_cone_rounds_replay_warm_as_cold(replay, seed):
     min_extension(g, random_metric(rng, 3))
     objective = {pq: F(rng.randint(-4, 4), rng.randint(1, 3)) for pq in all_pairs(6)}
     ones = {pq: F(1) for pq in all_pairs(6)}
-    probe = MetricConeLp(6).optimize("max", objective, [(ones, lp.LE, F(1))])
+    probe = MetricConeLp(6).optimize(objective, [(ones, lp.LE, F(1))])
     assert probe.status == lp.OPTIMAL
     assert any(replay)
 
@@ -598,7 +601,7 @@ def test_appended_rows_resolve_warm_as_cold(seed, cold_solves):
 
 
 def test_infeasible_cut_ends_in_the_dual_ratio_test(cold_solves):
-    p = lp.LinearProgram(1, "min", {0: 1})
+    p = lp.LinearProgram(1, {0: 1})
     p.add_constraint({0: 1}, lp.LE, 1)
     first = lp.solve(p)
     p.add_constraint({0: 1}, lp.GE, 2)
@@ -609,34 +612,39 @@ def test_infeasible_cut_ends_in_the_dual_ratio_test(cold_solves):
 
 @pytest.mark.parametrize("sense", ["min", "max"])
 def test_ge_cut_enters_as_a_negated_row(sense, cold_solves):
+    # min 2x + 3y, or max -2x - 3y, which BoundedProgram solves as the
+    # minimum of its negation and maps back
     sign = 1 if sense == "min" else -1
-    p = lp.LinearProgram(2, sense, {0: sign * 2, 1: sign * 3})
-    p.add_constraint({0: 1, 1: 1}, lp.LE, 4)
+    bounded = BoundedProgram(2, sense, {0: sign * 2, 1: sign * 3})
+    bounded.add_constraint({0: 1, 1: 1}, lp.LE, 4)
+    p = bounded.sign_constrained()
     first = lp.solve(p)
     assert first.value == 0
-    p.add_constraint({0: 1, 1: 2}, lp.GE, 3)
+    for program in (bounded, p):
+        program.add_constraint({0: 1, 1: 2}, lp.GE, 3)
     out = lp.solve(p, first)
     lp.audit(p, out)
     assert len(cold_solves) == 1
-    assert out.x == [F(0), F(3, 2)] and out.value == sign * F(9, 2)
-    assert out.duals == [F(0), sign * F(3, 2)]
+    mapped = bounded.outcome(out)
+    assert mapped.x == [F(0), F(3, 2)] and mapped.value == sign * F(9, 2)
+    assert mapped.duals == [F(0), sign * F(3, 2)]
 
 
 def test_round_after_unbounded_outcome_is_cold(cold_solves):
-    p = lp.LinearProgram(1, "max", {0: 1})
+    p = lp.LinearProgram(1, {0: -1})
     first = lp.solve(p)
     assert first.status == lp.UNBOUNDED and first.tableau is None
     p.add_constraint({0: 1}, lp.LE, 5)
     out = lp.solve(p, first)
     lp.audit(p, out)
-    assert out.value == 5 and len(cold_solves) == 2
+    assert out.value == -5 and len(cold_solves) == 2
 
 
 def test_previous_outcome_of_another_program_is_refused():
-    p = lp.LinearProgram(1, "min", {0: 1})
+    p = lp.LinearProgram(1, {0: 1})
     first = lp.solve(p)
     with pytest.raises(lp.LpError):
-        lp.solve(lp.LinearProgram(1, "min", {0: 1}), first)
+        lp.solve(lp.LinearProgram(1, {0: 1}), first)
     p.set_objective_coeff(0, 2)
     with pytest.raises(lp.LpError):
         lp.solve(p, first)
@@ -647,7 +655,7 @@ def test_beale_dual_terminates_warm(cold_solves):
     # its rows appended as cuts. y0 and y1 cost nothing, so dual ratio tests
     # tie at zero and termination rests on the tie rule; the suite's pivot
     # budget bounds it.
-    p = lp.LinearProgram(3, "min", {2: 1})
+    p = lp.LinearProgram(3, {2: 1})
     first = lp.solve(p)
     rows = [({0: F(1, 4), 1: F(1, 2)}, F(3, 4)), ({0: -60, 1: -90}, -150),
             ({0: F(-1, 25), 1: F(-1, 50), 2: 1}, F(1, 50)), ({0: 9, 1: 3}, -6)]
@@ -665,7 +673,7 @@ def test_zero_objective_cuts_resolve_by_degenerate_pivots(seed, monkeypatch):
     # suite's pivot budget holds it to that.
     rng = random.Random(4000 + seed)
     n = rng.randint(2, 6)
-    p = lp.LinearProgram(n, "min")
+    p = lp.LinearProgram(n)
     first = lp.solve(p)
     p.add_constraint({j: rng.randint(1, 2) for j in range(n)}, lp.GE, 1)
     for _ in range(rng.randint(2, 9)):
@@ -692,7 +700,7 @@ def test_a_repeated_basis_hands_the_leaving_row_to_bland(monkeypatch):
     # searched). Every pivot is degenerate, so a basis seen twice is the
     # guard handing the leaving row to Bland's rule, which ends the run.
     monkeypatch.setattr(lp, "_row_norm", lambda row, den: 1)
-    p = lp.LinearProgram(4, "min")
+    p = lp.LinearProgram(4)
     first = lp.solve(p)
     for coeffs, rhs in [([-5, -4, 3, 4], 1), ([-8, -6, 5, 4], -2), ([-7, 7, -2, -4], -8),
                         ([-4, -9, -7, -6], -2), ([-2, 6, 5, 9], 9)]:
@@ -714,7 +722,7 @@ def test_duals_of_a_taken_over_tableau_are_its_own():
     # layout in place and pivots on them; the earlier outcome still reads
     # the duals it was solved with.
     def program():
-        p = lp.LinearProgram(2, "max", {0: 3, 1: 2})
+        p = lp.LinearProgram(2, {0: -3, 1: -2})  # max 3x + 2y
         p.add_constraint({0: 1, 1: 1}, lp.LE, 4)
         p.add_constraint({0: 1}, lp.LE, 2)
         p.add_constraint({1: 1}, lp.LE, 3)
@@ -728,7 +736,7 @@ def test_duals_of_a_taken_over_tableau_are_its_own():
     assert first.tableau is None  # taken over
     lp.audit(p, out)
     lp.audit(before, first)
-    assert first.duals == [F(2), F(1), F(0)]
+    assert first.duals == [F(-2), F(-1), F(0)]
 
 
 # --- debug dump --------------------------------------------------------
@@ -738,7 +746,7 @@ def test_lp_text_dump_mentions_all_parts():
     p.add_constraint({0: 1, 1: 1}, lp.LE, 3)
     p.set_upper(0, 7)
     text = lp.to_lp_text(p.sign_constrained(), "demo")
-    assert "Maximize" in text and "x0" in text and "x1" in text
+    assert "Minimize\n obj: - x0 - 1/2 x1\n" in text  # the maximum, negated
     assert "3" in text and "demo" in text
     assert " c1: x0 <= 7\n" in text  # the upper bound is a row
     assert "Bounds" not in text  # LP format's default bounds, [0, +inf), are lp's

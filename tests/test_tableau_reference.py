@@ -171,9 +171,8 @@ class FullTableau:
             self.pivot(pr, pc)
 
 
-def dual_sign(rel, minimize):
-    sign = 1 if rel == GE else -1
-    return sign if minimize else -sign
+def dual_sign(rel):
+    return 1 if rel == GE else -1
 
 
 class ReferenceSolver:
@@ -196,7 +195,6 @@ class ReferenceSolver:
         # Phase one is the dual simplex on the zero cost from the slack
         # basis, every row in "<=" form; phase two the primal simplex.
         p = self.program
-        minimize = p.sense == "min"
         n, m = p.n_vars, len(p.constraints)
         rows, dens = [], []
         for r, con in enumerate(p.constraints):
@@ -204,20 +202,18 @@ class ReferenceSolver:
             row[n + r] = con.scale
             rows.append(row)
             dens.append(con.scale)
-        self.duals = [(n + r, dual_sign(con.rel, minimize)) for r, con in enumerate(p.constraints)]
+        self.duals = [(n + r, dual_sign(con.rel)) for r, con in enumerate(p.constraints)]
         tab = self.tab = FullTableau(rows, dens, list(range(n, n + m)), n + m)
         if not tab.run_dual():
             self.tab = None
             return (INFEASIBLE, None, None, None), tab.pivots
         nums, cost_den = integer_row(list(p.objective.values()))
         cost = dict(zip(p.objective, nums))
-        sgn = 1 if minimize else -1
-        status, enter_col = tab.run([sgn * cost.get(idx, 0) for idx in range(n + m)], cost_den)
+        status, enter_col = tab.run([cost.get(idx, 0) for idx in range(n + m)], cost_den)
         return self.outcome(status, enter_col), tab.pivots
 
     def warm(self, new):
-        p, tab = self.program, self.tab
-        minimize = p.sense == "min"
+        tab = self.tab
         ncols = tab.ncols + len(new)
         rows, dens = [], []
         for offset, con in enumerate(new):
@@ -225,7 +221,7 @@ class ReferenceSolver:
             row[tab.ncols + offset] = con.scale
             rows.append(row)
             dens.append(con.scale)
-            self.duals.append((tab.ncols + offset, dual_sign(con.rel, minimize)))
+            self.duals.append((tab.ncols + offset, dual_sign(con.rel)))
         tab.append_rows(rows, dens)
         tab.pivots = []
         if not tab.run_dual():
@@ -299,8 +295,7 @@ def programs(draw, boxed):
     comes with up to three batches of rows to append."""
     n = draw(st.integers(1, 4))
     zero = draw(st.sampled_from([True, False, False]))
-    p = lp.LinearProgram(n, draw(st.sampled_from(["min", "max"])),
-                         {} if zero else {j: draw(fractions()) for j in range(n)})
+    p = lp.LinearProgram(n, {} if zero else {j: draw(fractions()) for j in range(n)})
     if boxed:
         for j in range(n):
             p.add_constraint({j: 1}, lp.LE, draw(st.integers(0, 3)))
@@ -338,7 +333,7 @@ def test_the_bland_fallback_takes_the_full_tableaus_pivots():
     # The cycling instance of test_lp's repeated-basis test, with every norm
     # read as 1 on both sides: a basis comes back, and the dual Bland rule
     # takes over.
-    p = lp.LinearProgram(4, "min")
+    p = lp.LinearProgram(4)
     reference = ReferenceSolver(p)
     reference.cold()
     first, _ = condensed_solve(p)

@@ -118,7 +118,7 @@ def built_by_the_base_constructor():
     """One object of each class whose fields the base constructor sets. A
     Metric is built there too, but its constructor takes a table, not the
     integers it stores, so its ``replace`` is tested on its own."""
-    program = lp.LinearProgram(1, "min", {0: 1})
+    program = lp.LinearProgram(1, {0: 1})
     return [*[obj for obj, _ in read_only() if not isinstance(obj, Metric)],
             find_optimal_operator(path3()), lp.cutting_plane(program, lambda out: None)]
 
@@ -152,7 +152,7 @@ def test_base_constructor_names_what_is_wrong():
 
 
 def test_lp_outcome_equality_ignores_tableau_and_duals():
-    program = lp.LinearProgram(2, "max", {0: 1, 1: 2})
+    program = lp.LinearProgram(2, {0: -1, 1: -2})
     program.add_constraint({0: 1, 1: 1}, lp.LE, 3)
     out = lp.solve(program)
     assert out.tableau is not None and out.dual_source is not None
